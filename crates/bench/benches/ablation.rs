@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use record::{CompileOptions, Compiler, PassPlan};
+use record::{CompileOptions, CompileRequest, Compiled, Compiler, PassPlan};
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
 use record_ir::transform::RuleSet;
@@ -21,7 +21,7 @@ use record_opt::modes::ModeStrategy;
 use record_sim::run_program;
 
 fn words(compiler: &Compiler, lir: &record_ir::lir::Lir, plan: &PassPlan) -> u32 {
-    compiler.compile_plan(lir, plan).unwrap().size_words()
+    compiler.compile(lir, plan.clone()).unwrap().code.size_words()
 }
 
 fn cycles(
@@ -30,7 +30,7 @@ fn cycles(
     plan: &PassPlan,
     inputs: &HashMap<Symbol, Vec<i64>>,
 ) -> u64 {
-    let code = compiler.compile_plan(lir, plan).unwrap();
+    let code = compiler.compile(lir, plan.clone()).unwrap().code;
     run_program(&code, compiler.target(), inputs).unwrap().1.cycles
 }
 
@@ -225,7 +225,7 @@ fn smoke() {
         [("O0", PassPlan::o0()), ("default", PassPlan::default())].into_iter().enumerate()
     {
         let plan = plan.strict(true);
-        let (code, timings) = compiler.compile_plan_timed(&lir, &plan).unwrap();
+        let Compiled { code, timings } = compiler.compile(&lir, plan.clone()).unwrap();
         let (out, _) = run_program(&code, compiler.target(), &inputs).unwrap();
         for (out_name, _) in kernel.outputs() {
             let sym = Symbol::new(*out_name);
@@ -263,10 +263,12 @@ fn bench(c: &mut Criterion) {
     let o0 = PassPlan::o0();
     let mut group = c.benchmark_group("ablation_compile");
     group.bench_function("fir_all_optimizations", |b| {
-        b.iter(|| black_box(compiler.compile(black_box(&lir)).unwrap()))
+        b.iter(|| {
+            black_box(compiler.compile(black_box(&lir), CompileRequest::default()).unwrap().code)
+        })
     });
     group.bench_function("fir_no_optimizations", |b| {
-        b.iter(|| black_box(compiler.compile_plan(black_box(&lir), &o0).unwrap()))
+        b.iter(|| black_box(compiler.compile(black_box(&lir), o0.clone()).unwrap().code))
     });
     group.finish();
 }

@@ -39,7 +39,8 @@ fn phase_table() {
 
     let compiler = record::Compiler::for_target(target.clone()).unwrap();
     let t0 = Instant::now();
-    let (code, timings) = compiler.compile_timed(&lir).unwrap();
+    let record::Compiled { code, timings } =
+        compiler.compile(&lir, record::CompileRequest::default()).unwrap();
     let t_compile = t0.elapsed();
 
     println!("\nFig. 2 pipeline phases on `fir` ({} words out):", code.size_words());
@@ -78,7 +79,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(Matcher::new(black_box(&target))))
     });
     group.bench_function("full_compile", |b| {
-        b.iter(|| black_box(compiler.compile(black_box(&lir)).unwrap()))
+        b.iter(|| {
+            black_box(
+                compiler.compile(black_box(&lir), record::CompileRequest::default()).unwrap().code,
+            )
+        })
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! fresh-construct-and-compile vs. cached compile; the acceptance bar
 //! is a ≥2× speedup for second-and-later compiles.
 
-use record::{Compiler, Session};
+use record::{CompileRequest, Compiler, Session};
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
 use record_ir::lir::Lir;
@@ -52,14 +52,14 @@ fn print_stats() {
     for _ in 0..n {
         for lir in &lirs {
             let compiler = Compiler::for_target(target.clone()).unwrap();
-            black_box(compiler.compile(black_box(lir)).ok());
+            black_box(compiler.compile(black_box(lir), CompileRequest::default()).ok());
         }
     }
     let fresh = start.elapsed() / (n * lirs.len() as u32);
     let start = std::time::Instant::now();
     for _ in 0..n {
         for lir in &lirs {
-            black_box(session.compile(&target, black_box(lir)).ok());
+            black_box(session.compile(&target, black_box(lir), CompileRequest::default()).ok());
         }
     }
     let cached = start.elapsed() / (n * lirs.len() as u32);
@@ -70,12 +70,13 @@ fn print_stats() {
     // batch driver vs. a sequential loop over the same session
     let start = std::time::Instant::now();
     for _ in 0..n {
-        black_box(session.compile_batch(&target, &lirs).unwrap());
+        black_box(session.compile_batch(&target, &lirs, CompileRequest::default()).unwrap());
     }
     let batch = start.elapsed() / n;
     let start = std::time::Instant::now();
     for _ in 0..n {
-        let v: Vec<_> = lirs.iter().map(|l| session.compile(&target, l)).collect();
+        let v: Vec<_> =
+            lirs.iter().map(|l| session.compile(&target, l, CompileRequest::default())).collect();
         black_box(v);
     }
     let seq = start.elapsed() / n;
@@ -98,14 +99,22 @@ fn bench(c: &mut Criterion) {
     group.bench_function("fresh_compiler_per_compile", |b| {
         b.iter(|| {
             let compiler = Compiler::for_target(target.clone()).unwrap();
-            black_box(compiler.compile(black_box(&lirs[0])).ok())
+            black_box(compiler.compile(black_box(&lirs[0]), CompileRequest::default()).ok())
         })
     });
     group.bench_function("session_cached_compile", |b| {
-        b.iter(|| black_box(session.compile(&target, black_box(&lirs[0])).ok()))
+        b.iter(|| {
+            black_box(session.compile(&target, black_box(&lirs[0]), CompileRequest::default()).ok())
+        })
     });
     group.bench_function("compile_batch_all_kernels", |b| {
-        b.iter(|| black_box(session.compile_batch(&target, black_box(&lirs)).unwrap()))
+        b.iter(|| {
+            black_box(
+                session
+                    .compile_batch(&target, black_box(&lirs), CompileRequest::default())
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }

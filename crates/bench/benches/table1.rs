@@ -18,7 +18,15 @@ fn bench(c: &mut Criterion) {
     for kernel in record_dspstone::kernels() {
         let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
         group.bench_function(kernel.name, |b| {
-            b.iter(|| black_box(compiler.compile(black_box(&lir)).unwrap().size_words()))
+            b.iter(|| {
+                black_box(
+                    compiler
+                        .compile(black_box(&lir), record::CompileRequest::default())
+                        .unwrap()
+                        .code
+                        .size_words(),
+                )
+            })
         });
     }
     group.finish();

@@ -328,8 +328,9 @@ mod tests {
         let baseline = compile(&lir).unwrap();
         let record = crate::Compiler::for_target(record_isa::targets::tic25::target())
             .unwrap()
-            .compile(&lir)
-            .unwrap();
+            .compile(&lir, crate::CompileRequest::default())
+            .unwrap()
+            .code;
 
         let x: Vec<i64> = (1..=8).collect();
         let c: Vec<i64> = (1..=8).rev().collect();
@@ -374,8 +375,9 @@ mod tests {
         let base = compile_source(src).unwrap();
         let rec = crate::Compiler::for_target(record_isa::targets::tic25::target())
             .unwrap()
-            .compile_source(src)
-            .unwrap();
+            .compile(src, crate::CompileRequest::default())
+            .unwrap()
+            .code;
         assert_eq!(base.size_words(), rec.size_words());
     }
 }

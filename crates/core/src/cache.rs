@@ -996,7 +996,7 @@ mod tests {
                    y := 0; for i in 0..N-1 loop y := y + a[i] * 3; end loop; end";
         let lir = lower(src);
         let compiler = crate::Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
-        let code = compiler.compile(&lir).unwrap();
+        let code = compiler.compile(&lir, crate::CompileRequest::default()).unwrap().code;
         (lir, code)
     }
 

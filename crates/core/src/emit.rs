@@ -20,9 +20,8 @@ use record_isa::{Code, Insn, InsnKind, Loc};
 /// use record::emit::encode;
 ///
 /// let compiler = record::Compiler::for_target(record_isa::targets::tic25::target())?;
-/// let code = compiler.compile_source(
-///     "program p; var x, y: fix; begin y := x + 1000; end",
-/// )?;
+/// let src = "program p; var x, y: fix; begin y := x + 1000; end";
+/// let code = compiler.compile(src, record::CompileRequest::default())?.code;
 /// assert_eq!(encode(&code).len() as u32, code.size_words());
 /// # Ok::<(), record::CompileError>(())
 /// ```
@@ -122,20 +121,22 @@ fn operand_words(insn: &Insn) -> (u16, Vec<u16>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Compiler;
+    use crate::{CompileRequest, Compiler};
 
     #[test]
     fn image_length_matches_size_words() {
         let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
         let code = compiler
-            .compile_source(
+            .compile(
                 "program p; const N = 4; var a: fix[N]; var y: fix;
                  begin
                    y := 3000;
                    for i in 0..N-1 loop y := y + a[i]; end loop;
                  end",
+                CompileRequest::default(),
             )
-            .unwrap();
+            .unwrap()
+            .code;
         let image = encode(&code);
         assert_eq!(image.len() as u32, code.size_words());
     }
@@ -143,15 +144,20 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
-        let code =
-            compiler.compile_source("program p; var x, y: fix; begin y := x * x; end").unwrap();
+        let code = compiler
+            .compile("program p; var x, y: fix; begin y := x * x; end", CompileRequest::default())
+            .unwrap()
+            .code;
         assert_eq!(encode(&code), encode(&code));
     }
 
     #[test]
     fn rule_instructions_set_the_high_bit() {
         let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
-        let code = compiler.compile_source("program p; var x, y: fix; begin y := x; end").unwrap();
+        let code = compiler
+            .compile("program p; var x, y: fix; begin y := x; end", CompileRequest::default())
+            .unwrap()
+            .code;
         let image = encode(&code);
         // the first instruction is the LAC (a rule instruction)
         assert!(image[0] & 0x8000 != 0);

@@ -44,15 +44,18 @@
 //! # Quickstart
 //!
 //! ```
-//! use record::Compiler;
+//! use record::{CompileRequest, Compiler};
 //!
 //! let target = record_isa::targets::tic25::target();
 //! let compiler = Compiler::for_target(target)?;
-//! let code = compiler.compile_source(
-//!     "program p;
-//!      var a, b, y: fix;
-//!      begin y := a + b * a; end",
-//! )?;
+//! let code = compiler
+//!     .compile(
+//!         "program p;
+//!          var a, b, y: fix;
+//!          begin y := a + b * a; end",
+//!         CompileRequest::default(),
+//!     )?
+//!     .code;
 //! assert!(code.size_words() > 0);
 //! println!("{}", code.render());
 //! # Ok::<(), record::CompileError>(())
@@ -75,7 +78,7 @@ mod error;
 pub use cache::{CacheKey, CacheStats, CompileCache, ScrubStats};
 pub use error::{CompileError, TargetError};
 pub use pass::{reference_select_pass, CompilationUnit, Pass, PassPlan};
-pub use pipeline::{Budgets, CompileOptions, Compiler};
+pub use pipeline::{Budgets, CompileInput, CompileOptions, CompileRequest, Compiled, Compiler};
 pub use record_trace::{
     span, AttrValue, Event, Metric, MetricsRegistry, Span, SpanRecorder, TraceRecord, Tracer,
 };

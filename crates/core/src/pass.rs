@@ -84,7 +84,7 @@ pub struct CompilationUnit<'a> {
     /// on it; passes may attach extra attributes or events (e.g. the
     /// search passes record `search_steps`). Disabled (a no-op) unless
     /// the driver installed an enabled recorder — see
-    /// [`Compiler::compile_plan_traced`](crate::Compiler::compile_plan_traced).
+    /// [`Compiler::compile`](crate::Compiler::compile).
     pub trace: SpanRecorder,
 }
 
@@ -324,7 +324,7 @@ impl PassPlan {
 
     /// Enables or disables graceful degradation: with salvaging on (the
     /// default), a failing *best-effort* pass is dropped and the plan
-    /// retried by [`Compiler::compile_plan_timed`](crate::Compiler::compile_plan_timed)
+    /// retried by [`Compiler::compile`](crate::Compiler::compile)
     /// instead of failing the compile.
     #[must_use]
     pub fn salvaging(mut self, on: bool) -> Self {
@@ -405,7 +405,7 @@ impl PassPlan {
     }
 
     /// Runs the plan over `unit`, filling `timings` with one
-    /// [`PassRecord`] per executed pass (plus the legacy phase buckets).
+    /// [`PassRecord`] per executed pass.
     ///
     /// Each pass runs inside `catch_unwind`: a panic is converted to
     /// [`CompileError::Internal`] naming the pass, so a poisoned kernel
@@ -427,7 +427,7 @@ impl PassPlan {
 
     /// [`run`](PassPlan::run) keeping failure attribution: which pass
     /// failed and whether it was best-effort (salvageable). The salvage
-    /// loop in `Compiler::compile_plan_timed` keys off this.
+    /// loop in `Compiler::compile` keys off this.
     pub(crate) fn run_inner(
         &self,
         unit: &mut CompilationUnit<'_>,
@@ -510,7 +510,7 @@ impl PassPlan {
                 best_effort: pass.best_effort(),
                 error,
             })?;
-            timings.record_pass(PassRecord {
+            timings.passes.push(PassRecord {
                 name: pass.name().to_string(),
                 time,
                 runs: 1,

@@ -1,5 +1,6 @@
 //! The RECORD compiler pipeline (Fig. 2 of the paper).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -13,9 +14,10 @@ use record_isa::{Code, Insn, InsnKind, Loc, TargetDesc};
 use record_ise::ToTargetOptions;
 use record_opt::compact::ScheduleMode;
 use record_opt::modes::ModeStrategy;
+use record_trace::SpanRecorder;
 
 use crate::timing::{PhaseTimings, SalvageRecord};
-use crate::CompileError;
+use crate::{CompileError, PassPlan};
 
 /// Resource budgets for one compilation: hard caps that turn the
 /// superlinear searches (variant enumeration, branch-and-bound
@@ -47,7 +49,7 @@ pub struct Budgets {
     /// a job admitted late (a queued batch slot, a daemon request) stops
     /// promptly with `Budget { resource: "deadline" }` instead of
     /// running to completion. Excluded from
-    /// [`PassPlan::fingerprint`](crate::PassPlan::fingerprint): a deadline only decides *whether*
+    /// [`PassPlan::fingerprint`]: a deadline only decides *whether*
     /// a compile finishes, never what code it produces, so cached code
     /// stays shareable across requests with different deadlines.
     pub hard_deadline: Option<std::time::Instant>,
@@ -167,17 +169,178 @@ impl CompileOptions {
     }
 }
 
+/// What a compile starts from: mini-DFL source text, or a program that
+/// is already lowered. Borrowed strings and [`Lir`]s convert into it, so
+/// callers pass `&str`, `&String` or `&Lir` straight to
+/// [`Compiler::compile`] and [`Session::compile`](crate::Session::compile).
+#[derive(Clone, Copy, Debug)]
+pub enum CompileInput<'a> {
+    /// Source text, parsed and lowered as part of the compile.
+    Source(&'a str),
+    /// A lowered program.
+    Lir(&'a Lir),
+}
+
+impl<'a> From<&'a str> for CompileInput<'a> {
+    fn from(source: &'a str) -> Self {
+        CompileInput::Source(source)
+    }
+}
+
+impl<'a> From<&&'a str> for CompileInput<'a> {
+    fn from(source: &&'a str) -> Self {
+        CompileInput::Source(source)
+    }
+}
+
+impl<'a> From<&'a String> for CompileInput<'a> {
+    fn from(source: &'a String) -> Self {
+        CompileInput::Source(source)
+    }
+}
+
+impl<'a> From<&'a Lir> for CompileInput<'a> {
+    fn from(lir: &'a Lir) -> Self {
+        CompileInput::Lir(lir)
+    }
+}
+
+/// How to run one compile. Every field is optional, and the default
+/// request compiles with the caller's default plan, no deadline, and no
+/// span recording. A [`PassPlan`] on its own converts into the request
+/// that runs it.
+///
+/// ```
+/// use record::{CompileRequest, Compiler, PassPlan};
+///
+/// let compiler = Compiler::for_target(record_isa::targets::tic25::target())?;
+/// let src = "program p; var x, y: fix; begin y := x + 1; end";
+/// let o2 = compiler.compile(src, CompileRequest::default())?;
+/// let o0 = compiler.compile(src, PassPlan::o0())?;
+/// assert!(o2.code.size_words() <= o0.code.size_words());
+/// # Ok::<(), record::CompileError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct CompileRequest<'r> {
+    /// The pass plan to run. `None` runs [`PassPlan::default`] on a
+    /// [`Compiler`], and the session's plan on a
+    /// [`Session`](crate::Session).
+    pub plan: Option<PassPlan>,
+    /// An absolute wall-clock deadline for the whole compile, checked at
+    /// every pass boundary and folded into each search budget (see
+    /// [`PassPlan::deadline`]).
+    pub deadline: Option<Instant>,
+    /// A caller-owned recorder that receives this compile's spans and
+    /// events, for request-scoped tracing.
+    pub recorder: Option<&'r mut SpanRecorder>,
+}
+
+impl<'r> CompileRequest<'r> {
+    /// This request, running `plan`.
+    #[must_use]
+    pub fn plan(mut self, plan: PassPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// This request, stopping at `at`.
+    #[must_use]
+    pub fn deadline(mut self, at: Instant) -> Self {
+        self.deadline = Some(at);
+        self
+    }
+
+    /// This request, recording into `recorder`.
+    #[must_use]
+    pub fn recorder(mut self, recorder: &'r mut SpanRecorder) -> Self {
+        self.recorder = Some(recorder);
+        self
+    }
+}
+
+impl From<PassPlan> for CompileRequest<'_> {
+    fn from(plan: PassPlan) -> Self {
+        CompileRequest::default().plan(plan)
+    }
+}
+
+/// A finished compile: the code, and where the time and work went.
+#[derive(Clone, Debug)]
+pub struct Compiled {
+    /// The generated code.
+    pub code: Code,
+    /// Per-pass timings and work counters of this compile.
+    pub timings: PhaseTimings,
+}
+
+/// The frontend half of a compile: the input as a lowered program, and
+/// how long parsing and lowering took.
+pub(crate) struct Frontend<'a> {
+    pub(crate) lir: Cow<'a, Lir>,
+    parse: Duration,
+    lower: Duration,
+}
+
+impl<'a> Frontend<'a> {
+    /// Parses and lowers source input, each stage in its own span on
+    /// `recorder`; a lowered program passes through untouched.
+    pub(crate) fn run(
+        input: CompileInput<'a>,
+        recorder: &mut SpanRecorder,
+    ) -> Result<Self, CompileError> {
+        let source = match input {
+            CompileInput::Lir(lir) => {
+                return Ok(Frontend {
+                    lir: Cow::Borrowed(lir),
+                    parse: Duration::ZERO,
+                    lower: Duration::ZERO,
+                })
+            }
+            CompileInput::Source(source) => source,
+        };
+        let t_parse = Instant::now();
+        let ast = stage(recorder, "parse", || dfl::parse(source))?;
+        let parse = t_parse.elapsed();
+        let t_lower = Instant::now();
+        let lir = stage(recorder, "lower", || lower::lower(&ast))?;
+        Ok(Frontend { lir: Cow::Owned(lir), parse, lower: t_lower.elapsed() })
+    }
+
+    /// Adds the frontend's time to a compile's `timings`.
+    pub(crate) fn charge(&self, timings: &mut PhaseTimings) {
+        timings.parse = self.parse;
+        timings.lower = self.lower;
+        timings.total += self.parse + self.lower;
+    }
+}
+
+/// Runs one frontend stage inside a span named `name`, attaching the
+/// error to the span when the stage fails.
+fn stage<T, E: std::fmt::Display>(
+    recorder: &mut SpanRecorder,
+    name: &str,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    recorder.open(name);
+    let out = f();
+    if let Err(e) = &out {
+        recorder.attr("error", e.to_string());
+    }
+    recorder.close();
+    out
+}
+
 /// A generated compiler for one target.
 ///
 /// See the [crate docs](crate) for the full picture; in short:
 ///
 /// ```
-/// use record::Compiler;
+/// use record::{CompileRequest, Compiler};
 ///
 /// let compiler = Compiler::for_target(record_isa::targets::tic25::target())?;
-/// let code = compiler.compile_source(
-///     "program p; var x, y: fix; begin y := x + 1; end",
-/// )?;
+/// let code = compiler
+///     .compile("program p; var x, y: fix; begin y := x + 1; end", CompileRequest::default())?
+///     .code;
 /// assert_eq!(code.target, "tic25");
 /// # Ok::<(), record::CompileError>(())
 /// ```
@@ -279,89 +442,9 @@ impl Compiler {
         })
     }
 
-    /// Compiles a lowered program with default options.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile(&self, lir: &Lir) -> Result<Code, CompileError> {
-        self.compile_with(lir, &CompileOptions::default())
-    }
-
-    /// Parses, lowers and compiles a mini-DFL source text.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source(&self, source: &str) -> Result<Code, CompileError> {
-        self.compile_source_timed(source).map(|(code, _)| code)
-    }
-
-    /// Compiles a lowered program with default options, reporting
-    /// per-phase timings.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_timed(&self, lir: &Lir) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_with_timed(lir, &CompileOptions::default())
-    }
-
-    /// Parses, lowers and compiles a mini-DFL source text, reporting
-    /// per-phase timings (including the frontend phases).
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_timed(&self, source: &str) -> Result<(Code, PhaseTimings), CompileError> {
-        let t_parse = Instant::now();
-        let ast = dfl::parse(source)?;
-        let parse = t_parse.elapsed();
-        let t_lower = Instant::now();
-        let lir = lower::lower(&ast)?;
-        let lower = t_lower.elapsed();
-        let (code, mut timings) = self.compile_timed(&lir)?;
-        timings.parse = parse;
-        timings.lower = lower;
-        timings.total += parse + lower;
-        Ok((code, timings))
-    }
-
-    /// Compiles with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_with(&self, lir: &Lir, opts: &CompileOptions) -> Result<Code, CompileError> {
-        self.compile_with_timed(lir, opts).map(|(code, _)| code)
-    }
-
-    /// Compiles with explicit options, reporting per-phase timings.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_with_timed(
-        &self,
-        lir: &Lir,
-        opts: &CompileOptions,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_plan_timed(lir, &crate::PassPlan::from_options(opts))
-    }
-
-    /// Compiles by running an explicit [`PassPlan`](crate::PassPlan) —
-    /// the primitive every other `compile_*` entry point delegates to.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`]; in strict plans a broken pass surfaces as
-    /// [`CompileError::Verify`] naming the pass.
-    pub fn compile_plan(&self, lir: &Lir, plan: &crate::PassPlan) -> Result<Code, CompileError> {
-        self.compile_plan_timed(lir, plan).map(|(code, _)| code)
-    }
-
-    /// Compiles by running an explicit [`PassPlan`](crate::PassPlan),
-    /// reporting per-pass timings and before/after code statistics.
+    /// Compiles `input` — mini-DFL source text or a lowered program — the
+    /// way `req` asks: under its plan ([`PassPlan::default`] when unset),
+    /// its whole-compile deadline, and into its span recorder.
     ///
     /// When a *best-effort* pass (an optimization: offset, banks,
     /// compact, hoist, modes, rpt) panics, fails strict verification or
@@ -371,73 +454,52 @@ impl Compiler {
     /// is validated bit-exactly against a mandatory-passes-only compile
     /// on the simulator. Mandatory passes (fold, treeify, select,
     /// layout, address) and custom passes still hard-fail. Salvaging can
-    /// be disabled per plan with
-    /// [`PassPlan::salvaging`](crate::PassPlan::salvaging).
+    /// be disabled per plan with [`PassPlan::salvaging`].
+    ///
+    /// A recorder in `req` receives `parse` and `lower` spans (source
+    /// input only), then one `compile` root span (attributes `kernel`,
+    /// `target`, and on completion `insns`/`words` or `error`) whose
+    /// children are the executed passes, with `salvage` events marking
+    /// every dropped best-effort pass. Without one the cost is a branch
+    /// per pass.
     ///
     /// # Errors
     ///
-    /// See [`compile_plan`](Compiler::compile_plan); additionally
-    /// [`CompileError::Internal`] for a panicking pass that could not be
-    /// salvaged (or whose salvage failed validation) and
-    /// [`CompileError::Budget`] for an exhausted resource cap.
-    pub fn compile_plan_timed(
+    /// See [`CompileError`]. In strict plans a broken pass surfaces as
+    /// [`CompileError::Verify`] naming the pass; a panicking pass that
+    /// could not be salvaged (or whose salvage failed validation) as
+    /// [`CompileError::Internal`]; an exhausted resource cap or a passed
+    /// deadline as [`CompileError::Budget`].
+    pub fn compile<'a, 'r>(
         &self,
-        lir: &Lir,
-        plan: &crate::PassPlan,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_plan_traced(lir, plan, None)
-    }
-
-    /// [`compile_plan_timed`](Compiler::compile_plan_timed) with span
-    /// recording: when `tracer` is given, the compile submits one
-    /// `compile` root span (attributes `kernel`, `target`, and on
-    /// completion `insns`/`words` or `error`) whose children are the
-    /// executed passes, with `salvage` events marking every dropped
-    /// best-effort pass. With `tracer` `None` the recorder is disabled
-    /// and the cost is a branch per pass.
-    ///
-    /// # Errors
-    ///
-    /// See [`compile_plan_timed`](Compiler::compile_plan_timed).
-    pub fn compile_plan_traced(
-        &self,
-        lir: &Lir,
-        plan: &crate::PassPlan,
-        tracer: Option<&record_trace::Tracer>,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let mut recorder = match tracer {
-            Some(t) => t.recorder(),
-            None => record_trace::SpanRecorder::disabled(),
-        };
-        let result = self.compile_plan_recorded(lir, plan, &mut recorder);
-        if let Some(t) = tracer {
-            t.submit(recorder);
+        input: impl Into<CompileInput<'a>>,
+        req: impl Into<CompileRequest<'r>>,
+    ) -> Result<Compiled, CompileError> {
+        let req = req.into();
+        let mut disabled = SpanRecorder::disabled();
+        let recorder = req.recorder.unwrap_or(&mut disabled);
+        let frontend = Frontend::run(input.into(), recorder)?;
+        let mut plan = req.plan.unwrap_or_default();
+        if let Some(at) = req.deadline {
+            plan = plan.deadline(at);
         }
-        result
+        let mut compiled = self.run_plan(&frontend.lir, plan, recorder)?;
+        frontend.charge(&mut compiled.timings);
+        Ok(compiled)
     }
 
-    /// [`compile_plan_timed`](Compiler::compile_plan_timed) recording
-    /// into a caller-owned [`SpanRecorder`](record_trace::SpanRecorder) —
-    /// the request-scoped variant
-    /// servers use: the caller keeps ownership of the recorder (and of
-    /// where its spans end up, e.g. a flight-recorder ring) instead of
-    /// submitting to a shared [`Tracer`](record_trace::Tracer). With a
-    /// disabled recorder the cost is a branch per pass.
-    ///
-    /// # Errors
-    ///
-    /// See [`compile_plan_timed`](Compiler::compile_plan_timed).
-    pub fn compile_plan_recorded(
+    /// Runs `plan` over `lir`, salvaging failed best-effort passes, with
+    /// the passes' spans nested in a `compile` span on `recorder`.
+    fn run_plan(
         &self,
         lir: &Lir,
-        plan: &crate::PassPlan,
-        recorder: &mut record_trace::SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
+        mut plan: PassPlan,
+        recorder: &mut SpanRecorder,
+    ) -> Result<Compiled, CompileError> {
         let start = Instant::now();
         recorder.open("compile");
         recorder.attr("kernel", lir.name.to_string());
         recorder.attr("target", self.target.name.clone());
-        let mut plan = plan.clone();
         let mut salvages: Vec<SalvageRecord> = Vec::new();
         let result = loop {
             // always restart from a fresh unit: a panicking pass may
@@ -458,7 +520,7 @@ impl Compiler {
                     }
                     timings.salvages = salvages;
                     timings.total = start.elapsed();
-                    break Ok((unit.code, timings));
+                    break Ok(Compiled { code: unit.code, timings });
                 }
                 Err(failure) => {
                     let pass = match failure.pass {
@@ -478,9 +540,9 @@ impl Compiler {
             }
         };
         match &result {
-            Ok((code, _)) => {
-                recorder.attr("insns", code.insns.len());
-                recorder.attr("words", code.size_words());
+            Ok(compiled) => {
+                recorder.attr("insns", compiled.code.insns.len());
+                recorder.attr("words", compiled.code.size_words());
             }
             Err(e) => recorder.attr("error", e.to_string()),
         }
@@ -496,7 +558,7 @@ impl Compiler {
     fn validate_salvage(
         &self,
         lir: &Lir,
-        plan: &crate::PassPlan,
+        plan: &PassPlan,
         salvaged: &Code,
         salvages: &[SalvageRecord],
     ) -> Result<(), CompileError> {
@@ -722,7 +784,7 @@ mod tests {
     #[test]
     fn compiles_and_validates_fir() {
         let compiler = tic25_compiler();
-        let code = compiler.compile_source(FIR_SRC).unwrap();
+        let code = compiler.compile(FIR_SRC, CompileRequest::default()).unwrap().code;
         code.verify().unwrap();
         // run against the reference dot product
         let x: Vec<i64> = (1..=8).collect();
@@ -740,8 +802,14 @@ mod tests {
         let compiler = tic25_compiler();
         let ast = dfl::parse(FIR_SRC).unwrap();
         let lir = lower::lower(&ast).unwrap();
-        let optimized = compiler.compile_with(&lir, &CompileOptions::default()).unwrap();
-        let plain = compiler.compile_with(&lir, &CompileOptions::nothing()).unwrap();
+        let optimized = compiler
+            .compile(&lir, PassPlan::from_options(&CompileOptions::default()))
+            .unwrap()
+            .code;
+        let plain = compiler
+            .compile(&lir, PassPlan::from_options(&CompileOptions::nothing()))
+            .unwrap()
+            .code;
         assert!(
             optimized.size_words() <= plain.size_words(),
             "opt {} vs plain {}",
@@ -768,7 +836,7 @@ mod tests {
             CompileOptions { offset_assignment: false, ..CompileOptions::default() },
             CompileOptions { fold_constants: true, ..CompileOptions::default() },
         ] {
-            let code = compiler.compile_with(&lir, &opts).unwrap();
+            let code = compiler.compile(&lir, PassPlan::from_options(&opts)).unwrap().code;
             let (out, _) = run_program(&code, compiler.target(), &inputs).unwrap();
             assert_eq!(out[&Symbol::new("y")], vec![expect], "opts {opts:?}");
         }
@@ -781,8 +849,12 @@ mod tests {
         let (compiler, _skipped) =
             Compiler::from_netlist("accgen", &netlist, &Default::default()).unwrap();
         let code = compiler
-            .compile_source("program p; var a, b, y: fix; begin y := a + b - 3; end")
-            .unwrap();
+            .compile(
+                "program p; var a, b, y: fix; begin y := a + b - 3; end",
+                CompileRequest::default(),
+            )
+            .unwrap()
+            .code;
         let inputs: Map<Symbol, Vec<i64>> =
             [(Symbol::new("a"), vec![10]), (Symbol::new("b"), vec![20])].into_iter().collect();
         let (out, _) = run_program(&code, compiler.target(), &inputs).unwrap();
@@ -799,11 +871,13 @@ mod tests {
         // cannot fire. So check the negative case is handled gracefully
         // and the positive case via a hand-built loop.
         let code = compiler
-            .compile_source(
+            .compile(
                 "program p; const N = 4; var a: fix[N]; var b: fix[N];
                  begin for i in 0..N-1 loop b[i] := a[i]; end loop; end",
+                CompileRequest::default(),
             )
-            .unwrap();
+            .unwrap()
+            .code;
         code.verify().unwrap();
 
         // hand-built single-insn loop
@@ -913,7 +987,7 @@ mod tests {
     fn nested_loop_program_runs() {
         let compiler = tic25_compiler();
         let code = compiler
-            .compile_source(
+            .compile(
                 "program p; const N = 3; var a: fix[N]; out y: fix;
                  begin
                    for i in 0..N-1 loop
@@ -922,8 +996,10 @@ mod tests {
                      end loop;
                    end loop;
                  end",
+                CompileRequest::default(),
             )
-            .unwrap();
+            .unwrap()
+            .code;
         let inputs: Map<Symbol, Vec<i64>> =
             [(Symbol::new("a"), vec![1, 2, 3])].into_iter().collect();
         let (out, _) = run_program(&code, compiler.target(), &inputs).unwrap();
@@ -942,7 +1018,7 @@ mod tests {
               ci := ar * bi + ai * br;
             end
         ";
-        let code = compiler.compile_source(src).unwrap();
+        let code = compiler.compile(src, CompileRequest::default()).unwrap().code;
         let inputs: Map<Symbol, Vec<i64>> = [
             (Symbol::new("ar"), vec![3]),
             (Symbol::new("ai"), vec![4]),

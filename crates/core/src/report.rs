@@ -12,7 +12,9 @@ use std::fmt;
 use record_ir::{dfl, lower};
 use record_sim::run_program;
 
-use crate::{baseline, handasm, CompileError, PhaseTimings, Session, SessionStats};
+use crate::{
+    baseline, handasm, CompileError, CompileRequest, Compiled, PhaseTimings, Session, SessionStats,
+};
 
 /// One Table 1 row.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,7 +128,7 @@ pub fn table1_in(session: &Session) -> Result<Table1, CompileError> {
         .iter()
         .map(|k| Ok(lower::lower(&dfl::parse(k.source)?)?))
         .collect::<Result<Vec<_>, CompileError>>()?;
-    let recs = session.compile_batch(&target, &lirs)?;
+    let recs = session.compile_batch(&target, &lirs, CompileRequest::default())?;
 
     for ((kernel, lir), rec) in kernels.iter().zip(&lirs).zip(recs) {
         let hand = handasm::hand_code(kernel.name).ok_or_else(|| {
@@ -198,14 +200,14 @@ impl fmt::Display for PhaseBreakdown {
         writeln!(f, "{:-^78}", "")?;
         let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
         for (name, t) in &self.rows {
-            let other = us(t.total) - us(t.select) - us(t.compact);
+            let (select, compact) = (us(t.pass_time("select")), us(t.pass_time("compact")));
             writeln!(
                 f,
                 "{:<26} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>6} {:>6}",
                 name,
-                us(t.select),
-                us(t.compact),
-                other.max(0.0),
+                select,
+                compact,
+                (us(t.total) - select - compact).max(0.0),
                 us(t.total),
                 t.statements,
                 t.insns
@@ -299,8 +301,8 @@ pub fn phase_breakdown_in(session: &Session) -> Result<PhaseBreakdown, CompileEr
     let target = record_isa::targets::tic25::target();
     let mut rows = Vec::new();
     for kernel in record_dspstone::kernels() {
-        let (_, timings) = session.compile_source_timed(&target, kernel.source)?;
-        rows.push((kernel.name, timings));
+        let compiled = session.compile(&target, kernel.source, CompileRequest::default())?;
+        rows.push((kernel.name, compiled.timings));
     }
     Ok(PhaseBreakdown { rows, total: session.timings(), stats: session.stats() })
 }
@@ -335,11 +337,8 @@ pub fn kernel_size_report(session: &Session) -> Result<Vec<KernelSize>, CompileE
     let mut out = Vec::new();
     for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
         let kernels = record_dspstone::kernels();
-        let lirs = kernels
-            .iter()
-            .map(|k| Ok(lower::lower(&dfl::parse(k.source)?)?))
-            .collect::<Result<Vec<_>, CompileError>>()?;
-        let codes = session.compile_batch(&target, &lirs)?;
+        let sources = kernels.iter().map(|k| k.source);
+        let codes = session.compile_batch(&target, sources, CompileRequest::default())?;
         for (kernel, code) in kernels.iter().zip(codes) {
             let code = code?;
             let hand = handasm::hand_code(kernel.name).ok_or_else(|| {
@@ -442,7 +441,8 @@ pub fn kernel_bench_report(session: &Session) -> Result<Vec<KernelBench>, Compil
     let mut out = Vec::new();
     for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
         for kernel in record_dspstone::kernels() {
-            let (code, t) = session.compile_source_timed(&target, kernel.source)?;
+            let Compiled { code, timings: t } =
+                session.compile(&target, kernel.source, CompileRequest::default())?;
             out.push(KernelBench {
                 kernel: kernel.name,
                 target: target.name.clone(),
@@ -578,7 +578,7 @@ mod tests {
         for (name, t) in &pb.rows {
             assert!(t.statements > 0, "{name} selected no statements");
             assert!(t.insns > 0, "{name} emitted nothing");
-            assert!(t.total >= t.select, "{name}: total below select");
+            assert!(t.total >= t.pass_time("select"), "{name}: total below select");
         }
         assert_eq!(pb.stats.compiles, 10);
         let text = pb.to_string();

@@ -30,8 +30,11 @@ use record_isa::{Code, TargetDesc};
 use record_trace::{MetricsRegistry, SpanRecorder, Tracer};
 
 use crate::cache::{self, CacheKey, CacheStats, CompileCache};
+use crate::pipeline::Frontend;
 use crate::timing::PhaseTimings;
-use crate::{CompileError, CompileOptions, Compiler, PassPlan};
+use crate::{
+    CompileError, CompileInput, CompileOptions, CompileRequest, Compiled, Compiler, PassPlan,
+};
 
 /// In-memory entry bound of the code cache when
 /// [`Session::with_cache_dir`] is called without a preceding
@@ -366,194 +369,102 @@ impl Session {
         }
     }
 
-    /// Compiles a lowered program with the session's options, through the
-    /// compiler cache.
+    /// Compiles `input` — mini-DFL source text or a lowered program —
+    /// through the compiler cache (and the code cache, when enabled),
+    /// the way `req` asks. A request without a plan runs the session's
+    /// plan: the one set with [`with_plan`](Session::with_plan), or the
+    /// one its options derive.
+    ///
+    /// A request deadline is checked on arrival: a request that is
+    /// already past it fails before any work (the cache lookup included)
+    /// with [`CompileError::Budget`], pass `"admission"`, resource
+    /// `"deadline"`. After that the pipeline checks it at every pass
+    /// boundary. This is the per-request admission primitive the compile
+    /// daemon serves from.
+    ///
+    /// A request recorder gets `parse`/`lower`/`compile` span trees plus
+    /// `code-cache-hit`/`code-cache-miss` events, so a server can trace
+    /// one request without a per-request [`Tracer`]. When the recorder is
+    /// *enabled* it takes precedence over the session tracer for this
+    /// compile (the request owns its spans; submitting them to the
+    /// shared tracer too would double-count); a disabled recorder leaves
+    /// the tracer path as it is.
+    ///
+    /// The timings are also absorbed into the session aggregate.
     ///
     /// # Errors
     ///
     /// See [`CompileError`].
-    pub fn compile(&self, target: &TargetDesc, lir: &Lir) -> Result<Code, CompileError> {
+    pub fn compile<'a, 'r>(
+        &self,
+        target: &TargetDesc,
+        input: impl Into<CompileInput<'a>>,
+        req: impl Into<CompileRequest<'r>>,
+    ) -> Result<Compiled, CompileError> {
+        let req = req.into();
         let compiler = self.compiler_for(target)?;
-        let mut rec = SpanRecorder::disabled();
-        let (code, timings) =
-            self.count_errors(self.compile_lir(&compiler, lir, None, &mut rec))?;
-        self.record(&timings);
-        Ok(code)
+        let mut disabled = SpanRecorder::disabled();
+        let rec = req.recorder.unwrap_or(&mut disabled);
+        let compiled = self.count_errors(self.compile_one(
+            &compiler,
+            input.into(),
+            req.plan.as_ref(),
+            req.deadline,
+            rec,
+        ))?;
+        self.record(&compiled.timings);
+        Ok(compiled)
     }
 
-    /// Parses, lowers and compiles a mini-DFL source text through the
-    /// compiler cache.
+    /// Shorthand for [`compile`](Session::compile) of source text with
+    /// the default request, returning just the code.
     ///
     /// # Errors
     ///
     /// See [`CompileError`].
     pub fn compile_source(&self, target: &TargetDesc, source: &str) -> Result<Code, CompileError> {
-        self.compile_source_timed(target, source).map(|(code, _)| code)
+        self.compile(target, source, CompileRequest::default()).map(|c| c.code)
     }
 
-    /// Like [`compile_source`](Session::compile_source), additionally
-    /// returning this compile's phase timings (they are also absorbed
-    /// into the session aggregate).
+    /// Compiles independent inputs concurrently on scoped threads, all
+    /// sharing the cached compiler for `target`. Parsing and lowering of
+    /// source inputs happen on the worker threads too.
     ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_timed(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_source_inner(target, source, None, &mut SpanRecorder::disabled())
-    }
-
-    /// [`compile_source_timed`](Session::compile_source_timed) under an
-    /// absolute wall-clock deadline: the pipeline checks `deadline` at
-    /// every pass boundary and clamps each search budget to it, so a
-    /// request past its budget returns [`CompileError::Budget`] with
-    /// resource `"deadline"` instead of running to completion. A request
-    /// that is *already* expired fails before any work (including the
-    /// cache lookup) happens. This is the per-request admission
-    /// primitive the compile daemon serves from.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_deadline(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-        deadline: std::time::Instant,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let mut rec = SpanRecorder::disabled();
-        self.compile_source_inner(target, source, Some(deadline), &mut rec)
-    }
-
-    /// [`compile_source_deadline`](Session::compile_source_deadline)
-    /// recording into a caller-owned [`SpanRecorder`] — the request-
-    /// scoped tracing hook the compile daemon uses: the caller hands in
-    /// one recorder per request (no per-request [`Tracer`] allocation)
-    /// and gets `parse`/`lower`/`compile` span trees plus
-    /// `code-cache-hit`/`code-cache-miss` events back through it. When
-    /// the recorder is *enabled* it takes precedence over the session
-    /// tracer for this compile (the request owns its spans; submitting
-    /// them to the shared tracer too would double-count); a disabled
-    /// recorder leaves the tracer path exactly as before.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`].
-    pub fn compile_source_deadline_recorded(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-        deadline: std::time::Instant,
-        rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        self.compile_source_inner(target, source, Some(deadline), rec)
-    }
-
-    fn compile_source_inner(
-        &self,
-        target: &TargetDesc,
-        source: &str,
-        deadline: Option<std::time::Instant>,
-        rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let compiler = self.compiler_for(target)?;
-        let (code, timings) =
-            self.count_errors(self.compile_one_source(&compiler, source, deadline, rec))?;
-        self.record(&timings);
-        Ok((code, timings))
-    }
-
-    /// Compiles independent lowered programs concurrently on scoped
-    /// threads, all sharing the cached compiler for `target`.
-    ///
-    /// The result vector is index-aligned with `programs` — slot `i`
-    /// always holds program `i`'s outcome, so the output is deterministic
+    /// The result vector is index-aligned with `inputs` — slot `i`
+    /// always holds input `i`'s outcome, so the output is deterministic
     /// regardless of thread scheduling. A program that fails to compile
     /// yields an `Err` in its slot without disturbing its neighbours.
+    ///
+    /// The request's plan and deadline apply to every job. The deadline
+    /// covers the whole batch: jobs that have not started when it passes
+    /// — and jobs whose in-flight pipeline crosses it at a pass boundary
+    /// — fill their slot with [`CompileError::Budget`] (resource
+    /// `"deadline"`) instead of running to completion, and
+    /// already-finished neighbours keep their results. A batch has no
+    /// single span tree, so it leaves a request recorder untouched; each
+    /// job traces into the session tracer, if one is attached.
     ///
     /// # Errors
     ///
     /// [`CompileError::Target`] if the target description itself is
     /// invalid (no per-program work happens in that case).
-    pub fn compile_batch(
+    pub fn compile_batch<'a, 'r, I>(
         &self,
         target: &TargetDesc,
-        programs: &[Lir],
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
+        inputs: I,
+        req: impl Into<CompileRequest<'r>>,
+    ) -> Result<Vec<Result<Code, CompileError>>, CompileError>
+    where
+        I: IntoIterator,
+        I::Item: Into<CompileInput<'a>>,
+    {
+        let req = req.into();
         let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(programs.len());
-        self.run_batch(programs.len(), None, |i| {
-            self.compile_lir(&compiler, &programs[i], None, &mut SpanRecorder::disabled())
-        })
-    }
-
-    /// [`compile_batch`](Session::compile_batch) under an absolute
-    /// wall-clock deadline for the whole batch. Jobs that have not
-    /// started when the deadline passes — and jobs whose in-flight
-    /// pipeline crosses it at a pass boundary — fill their slot with
-    /// [`CompileError::Budget`] (resource `"deadline"`) instead of
-    /// running to completion; already-finished neighbours keep their
-    /// results. Per-pass deadlines still apply on top.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the target description is invalid.
-    pub fn compile_batch_deadline(
-        &self,
-        target: &TargetDesc,
-        programs: &[Lir],
-        deadline: std::time::Instant,
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
-        let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(programs.len());
-        self.run_batch(programs.len(), Some(deadline), |i| {
-            self.compile_lir(&compiler, &programs[i], Some(deadline), &mut SpanRecorder::disabled())
-        })
-    }
-
-    /// [`compile_batch`](Session::compile_batch) over source texts:
-    /// parsing, lowering and compiling all happen on the worker threads.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the target description is invalid.
-    pub fn compile_batch_sources(
-        &self,
-        target: &TargetDesc,
-        sources: &[&str],
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
-        let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(sources.len());
-        self.run_batch(sources.len(), None, |i| {
-            self.compile_one_source(&compiler, sources[i], None, &mut SpanRecorder::disabled())
-        })
-    }
-
-    /// [`compile_batch_sources`](Session::compile_batch_sources) under
-    /// an absolute wall-clock deadline (see
-    /// [`compile_batch_deadline`](Session::compile_batch_deadline)).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the target description is invalid.
-    pub fn compile_batch_sources_deadline(
-        &self,
-        target: &TargetDesc,
-        sources: &[&str],
-        deadline: std::time::Instant,
-    ) -> Result<Vec<Result<Code, CompileError>>, CompileError> {
-        let compiler = self.compiler_for(target)?;
-        self.note_batch_reuse(sources.len());
-        self.run_batch(sources.len(), Some(deadline), |i| {
-            self.compile_one_source(
-                &compiler,
-                sources[i],
-                Some(deadline),
-                &mut SpanRecorder::disabled(),
-            )
+        let inputs: Vec<CompileInput<'a>> = inputs.into_iter().map(Into::into).collect();
+        self.note_batch_reuse(inputs.len());
+        let (plan, deadline) = (req.plan.as_ref(), req.deadline);
+        self.run_batch(inputs.len(), deadline, |i| {
+            self.compile_one(&compiler, inputs[i], plan, deadline, &mut SpanRecorder::disabled())
         })
     }
 
@@ -638,19 +549,36 @@ impl Session {
         }
     }
 
-    /// The one compile primitive every session entry point funnels into:
-    /// the explicit plan when one is set, the options-derived plan
-    /// otherwise. With the code cache enabled, the compile is keyed and
-    /// looked up first — a hit returns the stored code without running
-    /// any pass (`from_cache` timings, `labels_computed == 0`), and a
-    /// miss stores the freshly compiled code for next time.
+    /// One compile, frontend included: source input is parsed and
+    /// lowered, then the program goes through [`compile_lir`](Session::compile_lir).
+    fn compile_one(
+        &self,
+        compiler: &Compiler,
+        input: CompileInput<'_>,
+        plan: Option<&PassPlan>,
+        deadline: Option<std::time::Instant>,
+        rec: &mut SpanRecorder,
+    ) -> Result<Compiled, CompileError> {
+        let frontend = Frontend::run(input, rec)?;
+        let mut compiled = self.compile_lir(compiler, &frontend.lir, plan, deadline, rec)?;
+        frontend.charge(&mut compiled.timings);
+        Ok(compiled)
+    }
+
+    /// The backend half every session compile funnels into: `plan`
+    /// when given, else the session's plan. With the code cache enabled,
+    /// the compile is keyed and looked up first — a hit returns the
+    /// stored code without running any pass (`from_cache` timings,
+    /// `labels_computed == 0`), and a miss stores the freshly compiled
+    /// code for next time.
     fn compile_lir(
         &self,
         compiler: &Compiler,
         lir: &Lir,
+        plan: Option<&PassPlan>,
         deadline: Option<std::time::Instant>,
         rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
+    ) -> Result<Compiled, CompileError> {
         let tracer = self.tracer.as_deref();
         // kernel names are caller-supplied (hostile, in the daemon) —
         // they flow into a label value here and are escaped by the
@@ -666,26 +594,17 @@ impl Session {
                 });
             }
         }
-        let options_plan;
-        let base_plan = match &self.plan {
-            Some(plan) => plan,
-            None => {
-                options_plan = PassPlan::from_options(&self.options);
-                &options_plan
-            }
+        let mut plan = match plan.or(self.plan.as_ref()) {
+            Some(plan) => plan.clone(),
+            None => PassPlan::from_options(&self.options),
         };
         // the hard deadline is excluded from the plan fingerprint, so
-        // cloning it in never fragments the code cache
-        let deadline_plan;
-        let plan = match deadline {
-            Some(at) => {
-                deadline_plan = base_plan.clone().deadline(at);
-                &deadline_plan
-            }
-            None => base_plan,
-        };
+        // folding it in never fragments the code cache
+        if let Some(at) = deadline {
+            plan = plan.deadline(at);
+        }
         let Some(cache) = &self.code_cache else {
-            return self.compile_plan_dispatch(compiler, lir, plan, rec);
+            return self.run_compiler(compiler, lir, plan, rec);
         };
         let key = CacheKey {
             program: record_ir::fingerprint::program_fingerprint(lir),
@@ -703,68 +622,42 @@ impl Session {
             if let Some(t) = tracer {
                 t.instant("code-cache-hit", &[("program", lir.name.as_str().into())]);
             }
-            return Ok((code, PhaseTimings { from_cache: true, ..PhaseTimings::default() }));
+            let timings = PhaseTimings { from_cache: true, ..PhaseTimings::default() };
+            return Ok(Compiled { code, timings });
         }
         rec.event("code-cache-miss", &[("program", lir.name.as_str().into())]);
         if let Some(t) = tracer {
             t.instant("code-cache-miss", &[("program", lir.name.as_str().into())]);
         }
-        let result = self.compile_plan_dispatch(compiler, lir, plan, rec);
-        if let Ok((code, _)) = &result {
+        let result = self.run_compiler(compiler, lir, plan, rec);
+        if let Ok(compiled) = &result {
             let mut guard = cache.lock().expect("code cache lock");
-            guard.insert(key, lir, &compiler.target().name, code);
+            guard.insert(key, lir, &compiler.target().name, &compiled.code);
             self.apply_cache_metrics(guard.stats());
         }
         result
-    }
-
-    fn compile_one_source(
-        &self,
-        compiler: &Compiler,
-        source: &str,
-        deadline: Option<std::time::Instant>,
-        rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        let t_parse = std::time::Instant::now();
-        rec.open("parse");
-        let ast = record_ir::dfl::parse(source);
-        if let Err(e) = &ast {
-            rec.attr("error", e.to_string());
-        }
-        rec.close();
-        let ast = ast?;
-        let parse = t_parse.elapsed();
-        let t_lower = std::time::Instant::now();
-        rec.open("lower");
-        let lir = record_ir::lower::lower(&ast);
-        if let Err(e) = &lir {
-            rec.attr("error", e.to_string());
-        }
-        rec.close();
-        let lir = lir?;
-        let lower = t_lower.elapsed();
-        let (code, mut timings) = self.compile_lir(compiler, &lir, deadline, rec)?;
-        timings.parse = parse;
-        timings.lower = lower;
-        timings.total += parse + lower;
-        Ok((code, timings))
     }
 
     /// Runs the pipeline through whichever recorder is live for this
     /// compile: an enabled request-scoped recorder wins over the session
     /// tracer (the request owns its spans; submitting them to the shared
     /// tracer too would double-count the compile).
-    fn compile_plan_dispatch(
+    fn run_compiler(
         &self,
         compiler: &Compiler,
         lir: &Lir,
-        plan: &PassPlan,
+        plan: PassPlan,
         rec: &mut SpanRecorder,
-    ) -> Result<(Code, PhaseTimings), CompileError> {
-        if rec.is_enabled() {
-            compiler.compile_plan_recorded(lir, plan, rec)
-        } else {
-            compiler.compile_plan_traced(lir, plan, self.tracer.as_deref())
+    ) -> Result<Compiled, CompileError> {
+        let req = CompileRequest::from(plan);
+        match &self.tracer {
+            Some(tracer) if !rec.is_enabled() => {
+                let mut own = tracer.recorder();
+                let result = compiler.compile(lir, req.recorder(&mut own));
+                tracer.submit(own);
+                result
+            }
+            _ => compiler.compile(lir, req.recorder(rec)),
         }
     }
 
@@ -788,7 +681,7 @@ impl Session {
         job: F,
     ) -> Result<Vec<Result<Code, CompileError>>, CompileError>
     where
-        F: Fn(usize) -> Result<(Code, PhaseTimings), CompileError> + Sync,
+        F: Fn(usize) -> Result<Compiled, CompileError> + Sync,
     {
         if n == 0 {
             return Ok(Vec::new());
@@ -829,7 +722,7 @@ impl Session {
                                 })
                         };
                         let outcome = match result {
-                            Ok((code, timings)) => {
+                            Ok(Compiled { code, timings }) => {
                                 local_compiles += 1;
                                 if timings.from_cache {
                                     local_metrics.inc("record_compiles_total");
@@ -968,13 +861,13 @@ mod tests {
         let target = record_isa::targets::tic25::target();
         let sources: Vec<String> = (0..8).map(src).collect();
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let batch = session.compile_batch_sources(&target, &refs).unwrap();
+        let batch = session.compile_batch(&target, &refs, CompileRequest::default()).unwrap();
         assert_eq!(batch.len(), refs.len());
         let fresh = Compiler::for_target(target.clone()).unwrap();
         for (i, outcome) in batch.iter().enumerate() {
             let code = outcome.as_ref().unwrap();
             assert_eq!(code.name, format!("p{i}"), "slot order is input order");
-            let sequential = fresh.compile_source(refs[i]).unwrap();
+            let sequential = fresh.compile(refs[i], CompileRequest::default()).unwrap().code;
             assert_eq!(code.render(), sequential.render());
         }
     }
@@ -985,7 +878,7 @@ mod tests {
         let target = record_isa::targets::tic25::target();
         let good = src(0);
         let sources = [good.as_str(), "program broken; begin nope", good.as_str()];
-        let batch = session.compile_batch_sources(&target, &sources).unwrap();
+        let batch = session.compile_batch(&target, &sources, CompileRequest::default()).unwrap();
         assert!(batch[0].is_ok());
         assert!(batch[1].is_err());
         assert!(batch[2].is_ok());
@@ -1001,7 +894,7 @@ mod tests {
                 record_ir::lower::lower(&ast).unwrap()
             })
             .collect();
-        let batch = session.compile_batch(&target, &lirs).unwrap();
+        let batch = session.compile_batch(&target, &lirs, CompileRequest::default()).unwrap();
         for (i, outcome) in batch.iter().enumerate() {
             let code = outcome.as_ref().unwrap();
             let inputs = [(Symbol::new("x"), vec![5i64])].into_iter().collect();
@@ -1021,7 +914,7 @@ mod tests {
             sequential.compile_source(&target, s).unwrap();
         }
         let batch = Session::new();
-        batch.compile_batch_sources(&target, &refs).unwrap();
+        batch.compile_batch(&target, &refs, CompileRequest::default()).unwrap();
 
         let (s, b) = (sequential.stats(), batch.stats());
         assert_eq!((b.hits, b.misses), (s.hits, s.misses), "batch {b:?} vs sequential {s:?}");
@@ -1052,17 +945,22 @@ mod tests {
     fn empty_batch_is_fine() {
         let session = Session::new();
         let target = record_isa::targets::tic25::target();
-        assert!(session.compile_batch(&target, &[]).unwrap().is_empty());
+        assert!(session
+            .compile_batch(&target, &[] as &[Lir], CompileRequest::default())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn code_cache_hit_skips_selection_entirely() {
         let session = Session::new().with_code_cache(16);
         let target = record_isa::targets::tic25::target();
-        let (cold, cold_t) = session.compile_source_timed(&target, &src(0)).unwrap();
+        let Compiled { code: cold, timings: cold_t } =
+            session.compile(&target, &src(0), CompileRequest::default()).unwrap();
         assert!(!cold_t.from_cache);
         assert!(cold_t.labels_computed > 0, "cold compile does real selection");
-        let (warm, warm_t) = session.compile_source_timed(&target, &src(0)).unwrap();
+        let Compiled { code: warm, timings: warm_t } =
+            session.compile(&target, &src(0), CompileRequest::default()).unwrap();
         assert!(warm_t.from_cache);
         assert_eq!(warm_t.labels_computed, 0, "warm hit must not label a single tree");
         assert!(warm_t.passes.is_empty(), "no pass ran on the hit path");
@@ -1092,8 +990,8 @@ mod tests {
     fn without_code_cache_every_compile_is_fresh() {
         let session = Session::new();
         let target = record_isa::targets::tic25::target();
-        let (_, t1) = session.compile_source_timed(&target, &src(0)).unwrap();
-        let (_, t2) = session.compile_source_timed(&target, &src(0)).unwrap();
+        let t1 = session.compile(&target, &src(0), CompileRequest::default()).unwrap().timings;
+        let t2 = session.compile(&target, &src(0), CompileRequest::default()).unwrap().timings;
         assert!(!t1.from_cache && !t2.from_cache);
         assert_eq!(session.stats().code_hits, 0);
         assert_eq!(session.metrics().counter("record_code_cache_hits_total"), 0);
@@ -1112,7 +1010,8 @@ mod tests {
         // a brand-new session (cold memory) shares the directory: BURS
         // tables load from disk and the compile is answered from disk
         let second = Session::new().with_cache_dir(&dir);
-        let (b, t) = second.compile_source_timed(&target, &src(0)).unwrap();
+        let Compiled { code: b, timings: t } =
+            second.compile(&target, &src(0), CompileRequest::default()).unwrap();
         assert!(t.from_cache);
         assert_eq!(b.render(), a.render());
         let stats = second.stats();
@@ -1130,13 +1029,13 @@ mod tests {
         let sources: Vec<String> = (0..4).map(src).collect();
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
         let cold: Vec<String> = session
-            .compile_batch_sources(&target, &refs)
+            .compile_batch(&target, &refs, CompileRequest::default())
             .unwrap()
             .into_iter()
             .map(|r| r.unwrap().render())
             .collect();
         let warm: Vec<String> = session
-            .compile_batch_sources(&target, &refs)
+            .compile_batch(&target, &refs, CompileRequest::default())
             .unwrap()
             .into_iter()
             .map(|r| r.unwrap().render())

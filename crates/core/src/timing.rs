@@ -1,9 +1,10 @@
 //! Per-phase instrumentation of the compilation pipeline.
 //!
-//! Every timed compile (see [`Compiler::compile_timed`](crate::Compiler::compile_timed)
-//! and the [`Session`](crate::Session) APIs) fills in a [`PhaseTimings`]:
-//! one wall-clock duration per pipeline phase of Fig. 2 plus a few work
-//! counters. Timings are additive — [`PhaseTimings::absorb`] accumulates
+//! Every compile ([`Compiler::compile`](crate::Compiler::compile) and
+//! [`Session::compile`](crate::Session::compile)) fills in a
+//! [`PhaseTimings`]: the frontend's two durations, one [`PassRecord`] per
+//! executed pass of Fig. 2's backend, and a few work counters. Timings
+//! are additive — [`PhaseTimings::absorb`] accumulates
 //! them across statements, kernels or whole batches — so the same struct
 //! serves a single compile and a session-wide aggregate.
 
@@ -106,30 +107,15 @@ pub struct SalvageRecord {
     pub reason: String,
 }
 
-/// Wall-clock time and work counters, broken down by pipeline phase.
+/// Wall-clock time and work counters of a compile: the frontend stages,
+/// then one record per executed pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// DFL lexing + parsing (zero when compiling from a prebuilt LIR).
     pub parse: Duration,
     /// AST → LIR lowering (zero when compiling from a prebuilt LIR).
     pub lower: Duration,
-    /// Data-flow tree decomposition / CSE.
-    pub treeify: Duration,
-    /// Variant enumeration + BURS covering + emission (incl. probe
-    /// verification and clobber splitting).
-    pub select: Duration,
-    /// Storage layout / simple offset assignment.
-    pub layout: Duration,
-    /// Memory-bank assignment (dual-bank targets).
-    pub banks: Duration,
-    /// AGU address-register assignment.
-    pub address: Duration,
-    /// Compaction: fusion, scheduling / parallel-move packing, hoisting,
-    /// hardware-repeat conversion.
-    pub compact: Duration,
-    /// Mode-change insertion.
-    pub modes: Duration,
-    /// End-to-end time of the compile (≥ the sum of the phases).
+    /// End-to-end time of the compile (≥ the frontend plus every pass).
     pub total: Duration,
     /// Statements selected (after tree decomposition).
     pub statements: usize,
@@ -165,9 +151,7 @@ pub struct PhaseTimings {
     /// which describe work actually performed.
     pub from_cache: bool,
     /// Per-pass records in execution order, as registered by the
-    /// `PassPlan` that drove the compile. The fixed-name fields above are
-    /// maintained as coarse buckets for backward compatibility; this is
-    /// the full dynamic trace.
+    /// `PassPlan` that drove the compile.
     pub passes: Vec<PassRecord>,
     /// Graceful-degradation trail: one record per best-effort pass the
     /// driver dropped to salvage this compile (empty on a clean compile).
@@ -179,13 +163,6 @@ impl PhaseTimings {
     pub fn absorb(&mut self, other: &PhaseTimings) {
         self.parse += other.parse;
         self.lower += other.lower;
-        self.treeify += other.treeify;
-        self.select += other.select;
-        self.layout += other.layout;
-        self.banks += other.banks;
-        self.address += other.address;
-        self.compact += other.compact;
-        self.modes += other.modes;
         self.total += other.total;
         self.statements += other.statements;
         self.variants += other.variants;
@@ -214,39 +191,9 @@ impl PhaseTimings {
         self.salvages.extend(other.salvages.iter().cloned());
     }
 
-    /// Folds one pass's measurement into the matching legacy phase bucket
-    /// (several passes share a bucket, mirroring the pre-pass-manager
-    /// phase boundaries) and appends its dynamic [`PassRecord`].
-    pub(crate) fn record_pass(&mut self, record: PassRecord) {
-        let bucket = match record.name.as_str() {
-            "treeify" => Some(&mut self.treeify),
-            "fold" | "select" => Some(&mut self.select),
-            "layout" | "offset" => Some(&mut self.layout),
-            "banks" => Some(&mut self.banks),
-            "address" => Some(&mut self.address),
-            "compact" | "hoist" | "rpt" => Some(&mut self.compact),
-            "modes" => Some(&mut self.modes),
-            _ => None, // custom passes appear only in the dynamic trace
-        };
-        if let Some(bucket) = bucket {
-            *bucket += record.time;
-        }
-        self.passes.push(record);
-    }
-
-    /// The phases in pipeline order, with display names.
-    pub fn phases(&self) -> [(&'static str, Duration); 9] {
-        [
-            ("parse", self.parse),
-            ("lower", self.lower),
-            ("treeify", self.treeify),
-            ("select", self.select),
-            ("layout", self.layout),
-            ("banks", self.banks),
-            ("address", self.address),
-            ("compact", self.compact),
-            ("modes", self.modes),
-        ]
+    /// Time spent in the passes named `name` (zero when none ran).
+    pub fn pass_time(&self, name: &str) -> Duration {
+        self.passes.iter().filter(|p| p.name == name).map(|p| p.time).sum()
     }
 }
 
@@ -254,7 +201,9 @@ impl fmt::Display for PhaseTimings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let total = self.total.as_secs_f64().max(1e-12);
         writeln!(f, "  {:<10} {:>12} {:>7}", "phase", "time", "share")?;
-        for (name, d) in self.phases() {
+        let frontend = [("parse", self.parse), ("lower", self.lower)];
+        let passes = self.passes.iter().map(|p| (p.name.as_str(), p.time));
+        for (name, d) in frontend.into_iter().chain(passes) {
             if d.is_zero() {
                 continue;
             }
@@ -308,21 +257,29 @@ fn format_duration(d: Duration) -> String {
 mod tests {
     use super::*;
 
+    fn select(micros: u64) -> PassRecord {
+        PassRecord {
+            name: "select".into(),
+            time: Duration::from_micros(micros),
+            runs: 1,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn absorb_is_additive() {
-        let mut a =
-            PhaseTimings { select: Duration::from_micros(10), statements: 2, ..Default::default() };
-        let b =
-            PhaseTimings { select: Duration::from_micros(5), statements: 3, ..Default::default() };
+        let mut a = PhaseTimings { passes: vec![select(10)], statements: 2, ..Default::default() };
+        let b = PhaseTimings { passes: vec![select(5)], statements: 3, ..Default::default() };
         a.absorb(&b);
-        assert_eq!(a.select, Duration::from_micros(15));
+        assert_eq!(a.pass_time("select"), Duration::from_micros(15));
+        assert_eq!(a.passes[0].runs, 2);
         assert_eq!(a.statements, 5);
     }
 
     #[test]
     fn display_renders_nonempty_phases() {
         let t = PhaseTimings {
-            select: Duration::from_micros(80),
+            passes: vec![select(80), PassRecord { name: "banks".into(), ..Default::default() }],
             total: Duration::from_micros(100),
             statements: 1,
             ..Default::default()

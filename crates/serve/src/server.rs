@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use record::{Budgets, CompileCache, PassPlan, ScrubStats, Session};
+use record::{Budgets, CompileCache, CompileRequest, Compiled, PassPlan, ScrubStats, Session};
 use record_isa::TargetDesc;
 use record_trace::metrics::Metric;
 use record_trace::{FlightRecorder, MetricsRegistry, RequestRecord, SpanRecorder};
@@ -370,11 +370,11 @@ impl Service {
             }
         };
         let t_compile = Instant::now();
-        let result =
-            session.compile_source_deadline_recorded(&target, &request.program, deadline, rec);
+        let req = CompileRequest::default().deadline(deadline).recorder(rec);
+        let result = session.compile(&target, request.program.as_str(), req);
         record.compile_us = t_compile.elapsed().as_micros() as u64;
         match result {
-            Ok((code, timings)) => {
+            Ok(Compiled { code, timings }) => {
                 record.kernel = code.name.to_string();
                 record.cache_hit = timings.from_cache;
                 let elapsed_us = started.elapsed().as_micros() as u64;

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{CompileRequest, Compiler};
 use record_ir::Symbol;
 use record_sim::run_program;
 
@@ -42,15 +42,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         skipped
     );
 
-    let code = compiler.compile_source(
-        "program demo;
+    let code = compiler
+        .compile(
+            "program demo;
          in a, b: fix;
          out u, v: fix;
          begin
            u := a * b + 5;
            v := a - b - 1;
          end",
-    )?;
+            CompileRequest::default(),
+        )?
+        .code;
     println!("\n{}", code.render());
 
     let inputs: HashMap<Symbol, Vec<i64>> =

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{CompileRequest, Compiler};
 use record_ir::Symbol;
 use record_sim::run_program;
 
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
           end loop;
         end
     ";
-    let code = compiler.compile_source(source)?;
+    let code = compiler.compile(source, CompileRequest::default())?.code;
 
     // 3. inspect the generated code
     println!("{}", code.render());

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{CompileRequest, Compiler};
 use record_ir::Symbol;
 use record_isa::targets::asip::{build, AsipParams};
 use record_sim::run_program;
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // THE retargeting step: a new compiler from a parameter set
         let target = build(&params);
         let compiler = Compiler::for_target(target.clone())?;
-        let code = compiler.compile_source(PROGRAM)?;
+        let code = compiler.compile(PROGRAM, CompileRequest::default())?.code;
         let (out, run) = run_program(&code, &target, &inputs)?;
         let y = out[&Symbol::new("y")][0];
         println!("{label:<24} {:>6} {:>8} {y:>8}", code.size_words(), run.cycles);

@@ -350,8 +350,8 @@ fn differential_case(
     };
     let mut compiled: Vec<(&'static str, Code)> = Vec::new();
     for (name, plan) in plans {
-        match compiler.compile_plan(&lir, plan) {
-            Ok(code) => compiled.push((name, code)),
+        match compiler.compile(&lir, plan.clone()) {
+            Ok(c) => compiled.push((name, c.code)),
             // a poisoned-pass compile must *never* fail: salvage drops the
             // flaky pass and retries. For the straight plans, capacity
             // errors (no cover, register pressure) are legitimate

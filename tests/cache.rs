@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use record::{PassPlan, Session};
+use record::{CompileRequest, Compiled, PassPlan, Session};
 use record_isa::TargetDesc;
 
 fn targets() -> [TargetDesc; 2] {
@@ -38,10 +38,12 @@ fn full_matrix_hits_are_byte_identical() {
         for target in targets() {
             for kernel in record_dspstone::kernels() {
                 let cell = format!("{}/{}/{plan_name}", kernel.name, target.name);
-                let (cold, cold_t) = session.compile_source_timed(&target, kernel.source).unwrap();
+                let Compiled { code: cold, timings: cold_t } =
+                    session.compile(&target, kernel.source, CompileRequest::default()).unwrap();
                 assert!(!cold_t.from_cache, "{cell}: first compile can't hit");
                 assert!(cold_t.labels_computed > 0, "{cell}: cold compile labels trees");
-                let (warm, warm_t) = session.compile_source_timed(&target, kernel.source).unwrap();
+                let Compiled { code: warm, timings: warm_t } =
+                    session.compile(&target, kernel.source, CompileRequest::default()).unwrap();
                 assert!(warm_t.from_cache, "{cell}: repeat compile must hit");
                 assert_eq!(warm_t.labels_computed, 0, "{cell}: hit ran the selector");
                 assert!(warm_t.passes.is_empty(), "{cell}: hit ran a pass");
@@ -124,8 +126,10 @@ fn dag_cover_toggle_misses_the_cache() {
     );
 
     // and the warm lookups still work per plan, each serving its own code
-    let (warm_on, t_on) = on.compile_source_timed(&dsp56k, kernel.source).unwrap();
-    let (warm_off, t_off) = off.compile_source_timed(&dsp56k, kernel.source).unwrap();
+    let Compiled { code: warm_on, timings: t_on } =
+        on.compile(&dsp56k, kernel.source, CompileRequest::default()).unwrap();
+    let Compiled { code: warm_off, timings: t_off } =
+        off.compile(&dsp56k, kernel.source, CompileRequest::default()).unwrap();
     assert!(t_on.from_cache && t_off.from_cache, "same-plan recompiles must hit");
     assert_eq!(warm_on.render(), dag_code.render());
     assert_eq!(warm_off.render(), tree_code.render());
@@ -159,7 +163,8 @@ fn corrupt_disk_entries_degrade_to_misses() {
     std::fs::write(&path, &bytes).unwrap();
 
     let second = Session::new().with_cache_dir(&dir);
-    let (code, t) = second.compile_source_timed(&target, kernel.source).unwrap();
+    let Compiled { code, timings: t } =
+        second.compile(&target, kernel.source, CompileRequest::default()).unwrap();
     assert!(!t.from_cache, "a corrupt entry must not be served");
     assert_eq!(code.render(), clean, "recompile after corruption must match");
     let stats = second.stats();
@@ -172,7 +177,8 @@ fn corrupt_disk_entries_degrade_to_misses() {
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
     let third = Session::new().with_cache_dir(&dir);
-    let (code, t) = third.compile_source_timed(&target, kernel.source).unwrap();
+    let Compiled { code, timings: t } =
+        third.compile(&target, kernel.source, CompileRequest::default()).unwrap();
     assert!(!t.from_cache);
     assert_eq!(code.render(), clean, "recompile after truncation must match");
     assert!(third.stats().code_corruptions >= 1, "{:?}", third.stats());
@@ -229,7 +235,8 @@ fn warm_start_answers_the_suite_from_disk() {
     let fresh = Session::new(); // no cache: the ground truth
     let second = Session::new().with_cache_dir(&dir);
     for kernel in record_dspstone::kernels() {
-        let (code, t) = second.compile_source_timed(&target, kernel.source).unwrap();
+        let Compiled { code, timings: t } =
+            second.compile(&target, kernel.source, CompileRequest::default()).unwrap();
         assert!(t.from_cache, "{}: expected a disk hit", kernel.name);
         assert_eq!(t.labels_computed, 0, "{}", kernel.name);
         let truth = fresh.compile_source(&target, kernel.source).unwrap();
@@ -287,7 +294,7 @@ fn killed_mid_write_leaves_no_committed_garbage() {
     assert!(leftovers.is_empty(), "temps survived the attach sweep: {leftovers:?}");
 
     // the good entry still serves a byte-identical warm hit
-    let (_, t) = session.compile_source_timed(&target, kernel.source).unwrap();
+    let t = session.compile(&target, kernel.source, CompileRequest::default()).unwrap().timings;
     assert!(t.from_cache, "the committed entry must still hit after the crash debris");
 
     // the offline scrub deletes exactly the torn committed file
@@ -329,7 +336,7 @@ fn scrub_dir_removes_every_kind_of_damage() {
     // scrubbing is idempotent and what survived is loadable
     assert_eq!(record::CompileCache::scrub_dir(&dir).corrupt_removed, 0);
     let session = Session::new().with_cache_dir(&dir);
-    let (_, t) = session.compile_source_timed(&target, kernel.source).unwrap();
+    let t = session.compile(&target, kernel.source, CompileRequest::default()).unwrap().timings;
     assert!(t.from_cache, "the scrubbed cache must warm-start");
     assert_eq!(session.stats().code_corruptions, 0);
 

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use record::{reference_select_pass, CompileError, CompileOptions, Compiler, PassPlan};
+use record::{reference_select_pass, CompileError, CompileOptions, Compiled, Compiler, PassPlan};
 use record_ir::blockdag::read_bases;
 use record_ir::lir::AssignStmt;
 use record_ir::{dfl, lower, BinOp, BlockDag, MemRef, Symbol, Tree, TreePool};
@@ -52,8 +52,8 @@ fn dag_covered_kernels_match_the_reference_selector() {
                 .strict(true);
             for kernel in record_dspstone::kernels() {
                 let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-                let dag_code = compiler.compile_plan(&lir, &dag_plan).unwrap();
-                let ref_code = compiler.compile_plan(&lir, &ref_plan).unwrap();
+                let dag_code = compiler.compile(&lir, dag_plan.clone()).unwrap().code;
+                let ref_code = compiler.compile(&lir, ref_plan.clone()).unwrap().code;
                 for seed in 1..=3 {
                     let inputs = kernel.inputs(seed);
                     let (got, _) = run_program(&dag_code, &target, &inputs).unwrap();
@@ -83,7 +83,10 @@ fn dag_covered_kernels_match_the_reference_implementation() {
         let compiler = Compiler::for_target(target.clone()).unwrap();
         for kernel in record_dspstone::kernels() {
             let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-            let code = compiler.compile_with(&lir, &CompileOptions::default()).unwrap();
+            let code = compiler
+                .compile(&lir, PassPlan::from_options(&CompileOptions::default()))
+                .unwrap()
+                .code;
             for seed in 1..=3 {
                 let inputs = kernel.inputs(seed);
                 let expected = kernel.reference(&inputs);
@@ -114,8 +117,9 @@ fn sharing_pays_on_dsp56k_mac_kernels() {
     for name in ["complex_multiply", "complex_update", "n_complex_updates"] {
         let kernel = record_dspstone::kernel(name).expect("known kernel");
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let (dag_code, t) = compiler.compile_plan_timed(&lir, &dag_plan).unwrap();
-        let ref_code = compiler.compile_plan(&lir, &ref_plan).unwrap();
+        let Compiled { code: dag_code, timings: t } =
+            compiler.compile(&lir, dag_plan.clone()).unwrap();
+        let ref_code = compiler.compile(&lir, ref_plan.clone()).unwrap().code;
         assert!(t.shared_subtrees > 0, "{name}: no sharing candidates found");
         assert!(t.shares_taken > 0, "{name}: no share taken on a register-operand machine");
         assert!(
@@ -140,8 +144,9 @@ fn sharing_is_refused_on_tic25() {
         .replacing("select", reference_select_pass(opts.rules, opts.variant_limit));
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let (dag_code, t) = compiler.compile_plan_timed(&lir, &dag_plan).unwrap();
-        let ref_code = compiler.compile_plan(&lir, &ref_plan).unwrap();
+        let Compiled { code: dag_code, timings: t } =
+            compiler.compile(&lir, dag_plan.clone()).unwrap();
+        let ref_code = compiler.compile(&lir, ref_plan.clone()).unwrap().code;
         assert_eq!(t.shares_taken, 0, "{}: parked a value in a singleton class", kernel.name);
         assert_eq!(t.recomputes_chosen, t.shared_subtrees, "{}", kernel.name);
         assert_eq!(
@@ -241,22 +246,23 @@ fn random_blocks_with_stores_stay_equivalent_end_to_end() {
         // a benign rejection (the fuzz harness skips it too) — but both
         // selectors must agree on it, since DAG covering falls back to the
         // per-statement baseline whenever parking fails.
-        let dag_code = match compiler.compile_plan(&lir, &dag_plan) {
-            Ok(code) => code,
+        let dag_code = match compiler.compile(&lir, dag_plan.clone()) {
+            Ok(c) => c.code,
             Err(CompileError::Internal { .. } | CompileError::Verify { .. }) => {
                 panic!("DAG covering broke: {source}")
             }
             Err(_) => {
                 assert!(
-                    compiler.compile_plan(&lir, &ref_plan).is_err(),
+                    compiler.compile(&lir, ref_plan.clone()).is_err(),
                     "only the DAG selector rejected: {source}"
                 );
                 return;
             }
         };
         let ref_code = compiler
-            .compile_plan(&lir, &ref_plan)
-            .unwrap_or_else(|e| panic!("only the reference selector rejected ({e}): {source}"));
+            .compile(&lir, ref_plan.clone())
+            .unwrap_or_else(|e| panic!("only the reference selector rejected ({e}): {source}"))
+            .code;
         let mut inputs: HashMap<Symbol, Vec<i64>> = HashMap::new();
         for s in SYMS {
             inputs.insert(Symbol::new(s), vec![rng.i64_in(-1000, 1000)]);

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use record::{baseline, handasm, CompileOptions, Compiler};
+use record::{baseline, handasm, CompileOptions, CompileRequest, Compiler, PassPlan};
 use record_ir::{dfl, lower, Symbol};
 use record_opt::modes::ModeStrategy;
 use record_sim::run_program;
@@ -44,7 +44,7 @@ fn record_compiles_all_kernels_bit_exactly() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code = compiler.compile(&lir).unwrap();
+        let code = compiler.compile(&lir, CompileRequest::default()).unwrap().code;
         for seed in 1..=5 {
             validate(&code, &target, &kernel, seed, "record");
         }
@@ -94,8 +94,9 @@ fn every_option_combination_is_semantics_preserving() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
         for (i, opts) in option_sets.iter().enumerate() {
             let code = compiler
-                .compile_with(&lir, opts)
-                .unwrap_or_else(|e| panic!("{} opts#{i}: {e}", kernel.name));
+                .compile(&lir, PassPlan::from_options(opts))
+                .unwrap_or_else(|e| panic!("{} opts#{i}: {e}", kernel.name))
+                .code;
             validate(&code, &target, &kernel, 99, &format!("opts#{i}"));
         }
     }
@@ -107,8 +108,10 @@ fn kernels_compile_on_the_dsp56k_model() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code =
-            compiler.compile(&lir).unwrap_or_else(|e| panic!("{} on dsp56k: {e}", kernel.name));
+        let code = compiler
+            .compile(&lir, CompileRequest::default())
+            .unwrap_or_else(|e| panic!("{} on dsp56k: {e}", kernel.name))
+            .code;
         for seed in 1..=3 {
             validate(&code, &target, &kernel, seed, "dsp56k");
         }
@@ -121,8 +124,10 @@ fn kernels_compile_on_the_risc_model() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code =
-            compiler.compile(&lir).unwrap_or_else(|e| panic!("{} on risc8: {e}", kernel.name));
+        let code = compiler
+            .compile(&lir, CompileRequest::default())
+            .unwrap_or_else(|e| panic!("{} on risc8: {e}", kernel.name))
+            .code;
         validate(&code, &target, &kernel, 7, "risc8");
     }
 }
@@ -135,8 +140,9 @@ fn kernels_compile_on_the_dsp_asip() {
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
         let code = compiler
-            .compile(&lir)
-            .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
+            .compile(&lir, CompileRequest::default())
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name))
+            .code;
         validate(&code, &target, &kernel, 11, "asip");
     }
 }
@@ -152,8 +158,9 @@ fn extension_kernels_compile_and_validate_everywhere() {
         for kernel in record_dspstone::extension_kernels() {
             let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
             let code = compiler
-                .compile(&lir)
-                .unwrap_or_else(|e| panic!("{} on {label}: {e}", kernel.name));
+                .compile(&lir, CompileRequest::default())
+                .unwrap_or_else(|e| panic!("{} on {label}: {e}", kernel.name))
+                .code;
             for seed in 1..=3 {
                 validate(&code, &target, &kernel, seed, label);
             }
@@ -166,7 +173,7 @@ fn record_code_is_never_larger_than_baseline() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let rec = compiler.compile(&lir).unwrap();
+        let rec = compiler.compile(&lir, CompileRequest::default()).unwrap().code;
         let base = baseline::compile(&lir).unwrap();
         assert!(
             rec.size_words() <= base.size_words(),
@@ -212,7 +219,7 @@ fn binary_encoding_length_equals_size_for_all_kernels() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-        let code = compiler.compile(&lir).unwrap();
+        let code = compiler.compile(&lir, CompileRequest::default()).unwrap().code;
         let image = record::emit::encode(&code);
         assert_eq!(image.len() as u32, code.size_words(), "{}", kernel.name);
     }
@@ -225,7 +232,7 @@ fn wraparound_inputs_still_match_references() {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     let kernel = record_dspstone::kernel("dot_product").unwrap();
     let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-    let code = compiler.compile(&lir).unwrap();
+    let code = compiler.compile(&lir, CompileRequest::default()).unwrap().code;
     let mut inputs: HashMap<Symbol, Vec<i64>> = HashMap::new();
     inputs
         .insert(Symbol::new("a"), (0..record_dspstone::N as i64).map(|i| 30000 + i * 17).collect());

@@ -9,7 +9,7 @@
 //! enumerate-then-cover selector alive, and every kernel is compiled
 //! through both selectors and compared on rendered assembly.
 
-use record::{reference_select_pass, CompileOptions, Compiler, PassPlan, Session};
+use record::{reference_select_pass, CompileOptions, CompileRequest, Compiler, PassPlan, Session};
 use record_burg::{LabelCache, Matcher};
 use record_ir::transform::{variants, variants_interned, RuleSet};
 use record_ir::{BinOp, Tree, TreePool, UnOp};
@@ -111,7 +111,8 @@ fn interning_pays_off_on_real_kernels() {
     let target = record_isa::targets::tic25::target();
     for name in ["convolution", "fir"] {
         let kernel = record_dspstone::kernel(name).expect("known kernel");
-        let (_, timings) = session.compile_source_timed(&target, kernel.source).unwrap();
+        let timings =
+            session.compile(&target, kernel.source, CompileRequest::default()).unwrap().timings;
         assert!(timings.interned_nodes > 0, "{name}: nothing interned");
         assert!(timings.dedup_hits > 0, "{name}: hash-consing never deduplicated");
         assert!(timings.labels_memoized > 0, "{name}: label cache never hit");
@@ -141,8 +142,8 @@ fn interned_selection_is_byte_identical_to_the_boxed_reference() {
             for kernel in record_dspstone::kernels() {
                 let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap())
                     .unwrap();
-                let interned = compiler.compile_plan(&lir, &plan).unwrap();
-                let boxed = compiler.compile_plan(&lir, &reference_plan).unwrap();
+                let interned = compiler.compile(&lir, plan.clone()).unwrap().code;
+                let boxed = compiler.compile(&lir, reference_plan.clone()).unwrap().code;
                 assert_eq!(
                     interned.render(),
                     boxed.render(),

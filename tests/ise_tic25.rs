@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{CompileRequest, Compiler};
 use record_ir::Symbol;
 use record_sim::run_program;
 
@@ -47,9 +47,10 @@ fn netlist_generated_compiler_matches_hand_described_target() {
         let kernel = record_dspstone::kernel(kernel_name).unwrap();
         let lir = record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
         let gen_code = generated
-            .compile(&lir)
-            .unwrap_or_else(|e| panic!("{kernel_name} on generated target: {e}"));
-        let hand_code = hand_described.compile(&lir).unwrap();
+            .compile(&lir, CompileRequest::default())
+            .unwrap_or_else(|e| panic!("{kernel_name} on generated target: {e}"))
+            .code;
+        let hand_code = hand_described.compile(&lir, CompileRequest::default()).unwrap().code;
 
         let inputs = kernel.inputs(5);
         let expected = kernel.reference(&inputs);
@@ -77,11 +78,13 @@ fn generated_compiler_handles_expressions_the_figure_promises() {
     let (compiler, _) =
         Compiler::from_netlist("tic25-from-netlist", &netlist, &Default::default()).unwrap();
     let code = compiler
-        .compile_source(
+        .compile(
             "program p; in a, b, c: fix; out y: fix;
              begin y := (a - b) & (c + 3); end",
+            CompileRequest::default(),
         )
-        .unwrap();
+        .unwrap()
+        .code;
     let inputs: HashMap<Symbol, Vec<i64>> =
         [(Symbol::new("a"), vec![29]), (Symbol::new("b"), vec![5]), (Symbol::new("c"), vec![10])]
             .into_iter()

@@ -164,11 +164,13 @@ fn figure2_netlist_to_running_code() {
     let (compiler, _) =
         record::Compiler::from_netlist("accgen", &netlist, &Default::default()).unwrap();
     let code = compiler
-        .compile_source(
+        .compile(
             "program p; in a, b: fix; out y: fix;
              begin y := a * b + 7 - a; end",
+            record::CompileRequest::default(),
         )
-        .unwrap();
+        .unwrap()
+        .code;
     let inputs: std::collections::HashMap<record_ir::Symbol, Vec<i64>> =
         [(record_ir::Symbol::new("a"), vec![6]), (record_ir::Symbol::new("b"), vec![9])]
             .into_iter()

@@ -5,7 +5,10 @@
 
 use std::sync::Arc;
 
-use record::{CompilationUnit, CompileError, CompileOptions, Compiler, Pass, PassPlan};
+use record::{
+    CompilationUnit, CompileError, CompileOptions, CompileRequest, Compiled, Compiler, Pass,
+    PassPlan,
+};
 use record_isa::{Insn, InsnKind, StructureError};
 
 fn lir_of(name: &str) -> record_ir::lir::Lir {
@@ -18,8 +21,8 @@ fn tic25() -> Compiler {
 }
 
 /// `PassPlan::from_options` is the boolean pipeline: for every kernel the
-/// plan-driven compile produces exactly the code the options-driven one
-/// does, at both ends of the optimization axis.
+/// options-driven compile produces exactly the code of the default
+/// request and of the O0 preset, at both ends of the optimization axis.
 #[test]
 fn plans_reproduce_the_options_pipeline_exactly() {
     for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
@@ -27,13 +30,20 @@ fn plans_reproduce_the_options_pipeline_exactly() {
         for kernel in record_dspstone::kernels() {
             let lir =
                 record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap()).unwrap();
-            let via_opts = compiler.compile_with(&lir, &CompileOptions::default()).unwrap();
-            let via_plan = compiler.compile_plan(&lir, &PassPlan::default()).unwrap();
-            assert_eq!(via_opts, via_plan, "{}: default plan diverges", kernel.name);
-
-            let via_opts = compiler.compile_with(&lir, &CompileOptions::nothing()).unwrap();
-            let via_plan = compiler.compile_plan(&lir, &PassPlan::o0()).unwrap();
-            assert_eq!(via_opts, via_plan, "{}: O0 plan diverges", kernel.name);
+            let compile = |req: CompileRequest| compiler.compile(&lir, req).unwrap().code;
+            let via_opts = |opts: &CompileOptions| compile(PassPlan::from_options(opts).into());
+            assert_eq!(
+                via_opts(&CompileOptions::default()),
+                compile(CompileRequest::default()),
+                "{}: default plan diverges",
+                kernel.name
+            );
+            assert_eq!(
+                via_opts(&CompileOptions::nothing()),
+                compile(PassPlan::o0().into()),
+                "{}: O0 plan diverges",
+                kernel.name
+            );
         }
     }
 }
@@ -63,7 +73,7 @@ fn passes_can_be_dropped_and_replaced_by_name() {
 
     // the thinned plan still compiles and still verifies
     let compiler = tic25();
-    let code = compiler.compile_plan(&lir_of("fir"), &thinned.strict(true)).unwrap();
+    let code = compiler.compile(&lir_of("fir"), (thinned.strict(true)).clone()).unwrap().code;
     code.verify().unwrap();
 }
 
@@ -86,7 +96,7 @@ impl Pass for StrayEndPass {
 fn strict_verify_catches_a_broken_pass_at_its_own_boundary() {
     let compiler = tic25();
     let plan = PassPlan::default().with_pass(Arc::new(StrayEndPass)).strict(true);
-    let err = compiler.compile_plan(&lir_of("fir"), &plan).unwrap_err();
+    let err = compiler.compile(&lir_of("fir"), plan.clone()).unwrap_err();
     match &err {
         CompileError::Verify { pass, error } => {
             assert_eq!(pass, "stray-end", "blamed the wrong pass: {err}");
@@ -123,7 +133,7 @@ impl Pass for LyingPass {
 fn strict_verify_runs_pass_postconditions() {
     let compiler = tic25();
     let plan = PassPlan::default().with_pass(Arc::new(LyingPass)).strict(true);
-    match compiler.compile_plan(&lir_of("fir"), &plan) {
+    match compiler.compile(&lir_of("fir"), plan.clone()) {
         Err(CompileError::Verify { pass, error }) => {
             assert_eq!(pass, "lying");
             assert_eq!(error, StructureError::StrayLoopEnd);
@@ -135,7 +145,7 @@ fn strict_verify_runs_pass_postconditions() {
     // checked mid-pipeline (the final whole-code verify still passes
     // because LyingPass doesn't actually damage the code)
     let lax = PassPlan::default().with_pass(Arc::new(LyingPass)).strict(false);
-    compiler.compile_plan(&lir_of("fir"), &lax).unwrap();
+    compiler.compile(&lir_of("fir"), lax).unwrap();
 }
 
 #[test]
@@ -155,7 +165,7 @@ fn replacing_swaps_a_pass_in_place() {
 fn timed_compiles_record_one_pass_record_per_pass() {
     let compiler = tic25();
     let plan = PassPlan::default();
-    let (code, timings) = compiler.compile_plan_timed(&lir_of("fir"), &plan).unwrap();
+    let Compiled { code, timings } = compiler.compile(&lir_of("fir"), plan.clone()).unwrap();
 
     let recorded: Vec<&str> = timings.passes.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(recorded, plan.names(), "one record per pass, in plan order");

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use record::Compiler;
+use record::{CompileRequest, Compiler};
 use record_ir::lir::{Lir, LirItem, StorageKind, VarInfo};
 use record_ir::{AssignStmt, BinOp, MemRef, Symbol, Tree, UnOp};
 use record_prop::{run_cases, Rng};
@@ -86,8 +86,8 @@ fn lir_of(stmts: &[(usize, Tree)]) -> Lir {
 fn check_on(target: record_isa::TargetDesc, stmts: &[(usize, Tree)], init: [i64; 4]) {
     let compiler = Compiler::for_target(target.clone()).unwrap();
     let lir = lir_of(stmts);
-    let code = match compiler.compile(&lir) {
-        Ok(c) => c,
+    let code = match compiler.compile(&lir, CompileRequest::default()) {
+        Ok(c) => c.code,
         // a register file can genuinely be too small for a random tree;
         // that is a reported error, not a soundness issue
         Err(record::CompileError::OutOfRegisters { .. }) => return,

@@ -74,15 +74,16 @@ fn every_sampled_plan_is_valid_and_semantics_preserving() {
         let (kernel, lir) = (&kernels[ix], &lirs[ix]);
 
         let code = compiler
-            .compile_plan(lir, &plan)
-            .unwrap_or_else(|e| panic!("{}: plan {:?} failed: {e}", kernel.name, plan.names()));
+            .compile(lir, plan.clone())
+            .unwrap_or_else(|e| panic!("{}: plan {:?} failed: {e}", kernel.name, plan.names()))
+            .code;
         // strict mode already verified between passes; the final artifact
         // must also stand on its own
         code.verify().unwrap_or_else(|e| {
             panic!("{}: plan {:?} produced invalid code: {e}", kernel.name, plan.names())
         });
 
-        let baseline = compiler.compile_plan(lir, &o0).unwrap();
+        let baseline = compiler.compile(lir, o0.clone()).unwrap().code;
         let inputs = kernel.inputs(rng.usize(1 << 16) as u64);
         let (got, _) = run_program(&code, compiler.target(), &inputs).unwrap();
         let (want, _) = run_program(&baseline, compiler.target(), &inputs).unwrap();

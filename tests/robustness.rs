@@ -20,8 +20,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use record::{
-    Budgets, CompilationUnit, CompileError, Compiler, Pass, PassPlan, PhaseTimings, Session,
-    SessionStats,
+    Budgets, CompilationUnit, CompileError, CompileRequest, Compiled, Compiler, Pass, PassPlan,
+    PhaseTimings, Session, SessionStats,
 };
 use record_ir::lir::StorageKind;
 use record_ir::{dfl, lower};
@@ -99,7 +99,7 @@ fn best_effort_panic_salvages_and_output_still_simulates() {
         let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
         let plan = PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass));
 
-        let (code, timings) = compiler.compile_plan_timed(&lir, &plan).unwrap();
+        let Compiled { code, timings } = compiler.compile(&lir, plan).unwrap();
         assert_eq!(
             timings.salvages.iter().map(|s| s.pass.as_str()).collect::<Vec<_>>(),
             ["flaky"],
@@ -112,7 +112,7 @@ fn best_effort_panic_salvages_and_output_still_simulates() {
         );
 
         // the salvaged code equals what the plan-minus-poison produces
-        let clean = compiler.compile_plan(&lir, &PassPlan::o2().strict(true)).unwrap();
+        let clean = compiler.compile(&lir, PassPlan::o2().strict(true)).unwrap().code;
         assert_eq!(code.render(), clean.render());
 
         // and it computes the right convolution on the simulator
@@ -134,7 +134,8 @@ fn salvage_events_reach_session_stats_and_the_report() {
         let target = tic25();
         let session =
             Session::new().with_plan(PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass)));
-        let batch = session.compile_batch_sources(&target, &[KERNEL, KERNEL]).unwrap();
+        let batch =
+            session.compile_batch(&target, &[KERNEL, KERNEL], CompileRequest::default()).unwrap();
         assert!(batch.iter().all(Result::is_ok), "poisoned batch still completes");
 
         let stats = session.stats();
@@ -161,7 +162,7 @@ fn mandatory_pass_panic_is_an_internal_error_naming_the_pass() {
         let compiler = Compiler::for_target(tic25()).unwrap();
         let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
         let plan = PassPlan::o2().with_pass(Arc::new(BoomPass));
-        match compiler.compile_plan(&lir, &plan) {
+        match compiler.compile(&lir, plan) {
             Err(CompileError::Internal { pass, message }) => {
                 assert_eq!(pass, "boom");
                 assert!(message.contains("mandatory pass exploded"), "{message}");
@@ -177,7 +178,7 @@ fn disabling_salvage_exposes_the_raw_failure() {
         let compiler = Compiler::for_target(tic25()).unwrap();
         let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
         let plan = PassPlan::o2().with_pass(Arc::new(FlakyPass)).salvaging(false);
-        match compiler.compile_plan(&lir, &plan) {
+        match compiler.compile(&lir, plan) {
             Err(CompileError::Internal { pass, .. }) => assert_eq!(pass, "flaky"),
             other => panic!("expected Internal, got {other:?}"),
         }
@@ -191,7 +192,7 @@ fn a_panicking_batch_job_poisons_only_its_own_slot() {
         let session =
             Session::new().with_plan(PassPlan::o2().with_pass(Arc::new(BoomPass)).salvaging(false));
         let sources = [KERNEL, KERNEL, KERNEL];
-        let batch = session.compile_batch_sources(&target, &sources).unwrap();
+        let batch = session.compile_batch(&target, &sources, CompileRequest::default()).unwrap();
         assert_eq!(batch.len(), 3, "batch ran to completion");
         for outcome in &batch {
             match outcome {
@@ -208,7 +209,7 @@ fn lir_size_budget_rejects_oversized_programs_up_front() {
     let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
     let budgets = Budgets { max_lir_nodes: Some(1), ..Budgets::unlimited() };
     let plan = PassPlan::o2().with_budgets(budgets);
-    match compiler.compile_plan(&lir, &plan) {
+    match compiler.compile(&lir, plan) {
         Err(CompileError::Budget { pass, resource }) => {
             assert_eq!(pass, "pipeline");
             assert_eq!(resource, "lir-nodes");
@@ -225,7 +226,7 @@ fn variant_budget_fails_selection_as_a_budget_error() {
     let plan = PassPlan::o2().with_budgets(budgets);
     // selection is mandatory: the budget error surfaces even with
     // salvaging on
-    match compiler.compile_plan(&lir, &plan) {
+    match compiler.compile(&lir, plan) {
         Err(CompileError::Budget { pass, resource }) => {
             assert_eq!(pass, "select");
             assert_eq!(resource, "variants");
@@ -241,7 +242,7 @@ fn search_budget_degrades_the_optimizing_passes_not_the_compile() {
     let budgets =
         Budgets { max_search_steps: Some(1), max_schedule_steps: Some(1), ..Budgets::unlimited() };
     let plan = PassPlan::o2().with_budgets(budgets);
-    let (_, timings) = compiler.compile_plan_timed(&lir, &plan).unwrap();
+    let timings = compiler.compile(&lir, plan).unwrap().timings;
     assert!(!timings.salvages.is_empty(), "a 1-step search budget must force at least one salvage");
     for s in &timings.salvages {
         assert!(
@@ -258,7 +259,7 @@ fn simulator_step_budget_is_a_structured_error() {
     let target = tic25();
     let compiler = Compiler::for_target(target.clone()).unwrap();
     let lir = lower::lower(&dfl::parse(KERNEL).unwrap()).unwrap();
-    let code = compiler.compile(&lir).unwrap();
+    let code = compiler.compile(&lir, CompileRequest::default()).unwrap().code;
     let inputs: HashMap<_, _> = lir
         .vars
         .iter()
@@ -331,7 +332,11 @@ fn expired_batch_deadline_fills_every_slot_structurally() {
     let target = record_isa::targets::tic25::target();
     let sources = [KERNEL, SCALAR_KERNEL, KERNEL, SCALAR_KERNEL];
     let results = session
-        .compile_batch_sources_deadline(&target, &sources, std::time::Instant::now())
+        .compile_batch(
+            &target,
+            &sources,
+            CompileRequest::default().deadline(std::time::Instant::now()),
+        )
         .expect("an expired deadline is a per-slot failure, not a batch error");
     assert_eq!(results.len(), sources.len());
     for (i, slot) in results.iter().enumerate() {
@@ -353,8 +358,10 @@ fn generous_batch_deadline_compiles_every_slot() {
     let target = record_isa::targets::tic25::target();
     let sources = [KERNEL, SCALAR_KERNEL];
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(600);
-    let results = session.compile_batch_sources_deadline(&target, &sources, deadline).unwrap();
-    let baseline = session.compile_batch_sources(&target, &sources).unwrap();
+    let results = session
+        .compile_batch(&target, &sources, CompileRequest::default().deadline(deadline))
+        .unwrap();
+    let baseline = session.compile_batch(&target, &sources, CompileRequest::default()).unwrap();
     for (i, (got, want)) in results.iter().zip(&baseline).enumerate() {
         let got = got.as_ref().expect("deadline slot compiles");
         let want = want.as_ref().expect("baseline slot compiles");
@@ -369,7 +376,11 @@ fn generous_batch_deadline_compiles_every_slot() {
 fn expired_single_deadline_fails_at_admission() {
     let session = Session::new();
     let target = record_isa::targets::tic25::target();
-    match session.compile_source_deadline(&target, KERNEL, std::time::Instant::now()) {
+    match session.compile(
+        &target,
+        KERNEL,
+        CompileRequest::default().deadline(std::time::Instant::now()),
+    ) {
         Err(CompileError::Budget { pass, resource }) => {
             assert_eq!(pass, "admission");
             assert_eq!(resource, "deadline");
@@ -377,7 +388,8 @@ fn expired_single_deadline_fails_at_admission() {
         other => panic!("expected an admission deadline error, got {other:?}"),
     }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(600);
-    let (code, timings) = session.compile_source_deadline(&target, KERNEL, deadline).unwrap();
+    let Compiled { code, timings } =
+        session.compile(&target, KERNEL, CompileRequest::default().deadline(deadline)).unwrap();
     assert!(!code.is_empty());
     assert!(!timings.from_cache);
 }

@@ -6,7 +6,7 @@
 //! built-in target. The parallel batch driver must likewise match a
 //! sequential loop, in input order.
 
-use record::{Compiler, Session};
+use record::{CompileRequest, Compiler, Session};
 use record_ir::lir::Lir;
 use record_ir::{dfl, lower};
 use record_isa::TargetDesc;
@@ -37,7 +37,8 @@ fn session_compile_is_identical_to_fresh_compile_everywhere() {
             // second hits the cache — both must equal the fresh compile
             for round in 0..2 {
                 let cached = session.compile_source(&target, kernel.source);
-                let direct = fresh.compile_source(kernel.source);
+                let direct =
+                    fresh.compile(kernel.source, CompileRequest::default()).map(|c| c.code);
                 assert_eq!(
                     outcome_text(&cached),
                     outcome_text(&direct),
@@ -61,12 +62,12 @@ fn compile_batch_equals_sequential_compilation() {
             .into_iter()
             .map(|k| lower::lower(&dfl::parse(k.source).unwrap()).unwrap())
             .collect();
-        let batch = session.compile_batch(&target, &lirs).unwrap();
+        let batch = session.compile_batch(&target, &lirs, CompileRequest::default()).unwrap();
         assert_eq!(batch.len(), lirs.len());
 
         let fresh = Compiler::for_target(target.clone()).unwrap();
         for (i, (lir, outcome)) in lirs.iter().zip(&batch).enumerate() {
-            let sequential = fresh.compile(lir);
+            let sequential = fresh.compile(lir, CompileRequest::default()).map(|c| c.code);
             assert_eq!(
                 outcome_text(outcome),
                 outcome_text(&sequential),
@@ -91,10 +92,63 @@ fn batch_determinism_across_repeated_runs() {
         .into_iter()
         .map(|k| lower::lower(&dfl::parse(k.source).unwrap()).unwrap())
         .collect();
-    let a = session.compile_batch(&target, &lirs).unwrap();
-    let b = session.compile_batch(&target, &lirs).unwrap();
+    let a = session.compile_batch(&target, &lirs, CompileRequest::default()).unwrap();
+    let b = session.compile_batch(&target, &lirs, CompileRequest::default()).unwrap();
     let render = |v: &[Result<record_isa::Code, record::CompileError>]| {
         v.iter().map(outcome_text).collect::<Vec<_>>().join("\n---\n")
     };
     assert_eq!(render(&a), render(&b));
+}
+
+/// Every part of a [`CompileRequest`] means the same on both entry
+/// points: source and lowered input compile alike, a request plan
+/// overrides the session's, a request recorder receives the spans (and
+/// wins over the session tracer), and a past deadline fails the compile
+/// as a budget error.
+#[test]
+fn compile_requests_mean_the_same_on_both_entry_points() {
+    use std::sync::Arc;
+
+    use record::{CompileError, PassPlan, SpanRecorder, Tracer};
+
+    let target = record_isa::targets::dsp56k::target();
+    let kernel = record_dspstone::kernel("complex_multiply").unwrap();
+    let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
+    let compiler = Compiler::for_target(target.clone()).unwrap();
+    let o0 = compiler.compile(&lir, PassPlan::o0()).unwrap();
+    let o2 = compiler.compile(kernel.source, CompileRequest::default()).unwrap();
+    assert_eq!(
+        compiler.compile(&lir, CompileRequest::default()).unwrap().code.render(),
+        o2.code.render(),
+        "source and lowered input compile alike"
+    );
+    assert_ne!(o0.code.render(), o2.code.render(), "the plan must matter for this kernel");
+
+    let tracer = Arc::new(Tracer::fake_clock());
+    let session = Session::new().with_plan(PassPlan::o0()).with_tracer(Arc::clone(&tracer));
+    let mut rec = SpanRecorder::enabled(record_trace::Clock::fake());
+    let req = CompileRequest::default().plan(PassPlan::o2()).recorder(&mut rec);
+    let served = session.compile(&target, kernel.source, req).unwrap();
+    assert_eq!(served.code.render(), o2.code.render(), "the request plan wins");
+    assert_eq!(
+        session.compile_source(&target, kernel.source).unwrap().render(),
+        o0.code.render(),
+        "without one the session plan runs"
+    );
+    let (roots, _) = rec.finish(None);
+    let names: Vec<&str> = roots.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["parse", "lower", "compile"]);
+    assert_eq!(tracer.traces().len(), 1, "only the recorder-less compile reached the tracer");
+
+    let past = std::time::Instant::now();
+    match session.compile(&target, kernel.source, CompileRequest::default().deadline(past)) {
+        Err(CompileError::Budget { pass, resource }) => {
+            assert_eq!((pass.as_str(), resource.as_str()), ("admission", "deadline"));
+        }
+        other => panic!("expected an admission budget error, got {other:?}"),
+    }
+    match compiler.compile(&lir, CompileRequest::default().deadline(past)) {
+        Err(CompileError::Budget { resource, .. }) => assert_eq!(resource, "deadline"),
+        other => panic!("expected a deadline budget error, got {other:?}"),
+    }
 }

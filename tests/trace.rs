@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use record::{AttrValue, Compiler, PassPlan, Session, Tracer};
+use record::{AttrValue, CompileRequest, Compiler, PassPlan, Session, Tracer};
 use record_repro::fuzz::FlakyPass;
 use record_trace::json;
 
@@ -83,7 +83,7 @@ fn session_compile_span_tree_covers_every_pass() {
     let tracer = Arc::new(Tracer::fake_clock());
     let session = Session::new().with_tracer(tracer.clone());
     let target = record_isa::targets::tic25::target();
-    let (_code, timings) = session.compile_source_timed(&target, FIR_LIKE).unwrap();
+    let timings = session.compile(&target, FIR_LIKE, CompileRequest::default()).unwrap().timings;
 
     let traces = tracer.traces();
     assert_eq!(traces.len(), 1, "one compile, one trace");
@@ -116,7 +116,9 @@ fn salvage_shows_up_as_an_event() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     let lir = record_ir::lower::lower(&record_ir::dfl::parse(FIR_LIKE).unwrap()).unwrap();
     let plan = PassPlan::o2().strict(true).with_pass(Arc::new(FlakyPass));
-    let result = compiler.compile_plan_traced(&lir, &plan, Some(&tracer));
+    let mut rec = tracer.recorder();
+    let result = compiler.compile(&lir, CompileRequest::default().plan(plan).recorder(&mut rec));
+    tracer.submit(rec);
     std::panic::set_hook(saved);
     result.unwrap();
 
@@ -144,7 +146,9 @@ fn exports_escape_hostile_kernel_names() {
     let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
     let mut lir = record_ir::lower::lower(&record_ir::dfl::parse(FIR_LIKE).unwrap()).unwrap();
     lir.name = record_ir::Symbol::new("evil \"kernel\"\nname");
-    compiler.compile_plan_traced(&lir, &PassPlan::default(), Some(&tracer)).unwrap();
+    let mut rec = tracer.recorder();
+    compiler.compile(&lir, CompileRequest::default().recorder(&mut rec)).unwrap();
+    tracer.submit(rec);
 
     let mut jsonl = Vec::new();
     tracer.write_jsonl(&mut jsonl).unwrap();
