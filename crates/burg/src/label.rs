@@ -87,15 +87,25 @@ impl LabeledNode {
     }
 }
 
-/// Memoized label states, keyed by interned [`TreeId`].
+/// The DAG cuts inside one subtree, as `(cut node, parked nonterminal)`
+/// pairs sorted by node. A label computed under a cut set depends on
+/// exactly these: the subtree, and which of its nodes are parked where.
+pub type CutContext = Vec<(TreeId, NonTermId)>;
+
+/// Memoized label states, keyed by interned [`TreeId`] and, for labels
+/// computed under DAG cuts, by the [`CutContext`] of the node's subtree.
 ///
 /// Valid for one (pool, grammar) pair: the selector keeps one cache per
-/// target next to its [`TreePool`](record_ir::TreePool). `hits` counts
-/// labellings answered from the cache (work avoided by sharing);
-/// `misses` counts label states actually computed.
+/// target next to its [`TreePool`](record_ir::TreePool). A subtree with
+/// no cut inside labels context-free, so cut-aware labelling answers it
+/// from the same entries plain labelling fills. `hits` counts labellings
+/// answered from the cache (work avoided by sharing); `misses` counts
+/// label states actually computed.
 #[derive(Debug, Default)]
 pub struct LabelCache {
     map: HashMap<TreeId, Arc<LabeledNode>>,
+    /// Labels under cuts, per node, one per non-empty cut context seen.
+    cut_map: HashMap<TreeId, Vec<(CutContext, Arc<LabeledNode>)>>,
     hits: u64,
     misses: u64,
 }
@@ -116,14 +126,14 @@ impl LabelCache {
         self.misses
     }
 
-    /// Number of cached label states.
+    /// Number of cached label states, cut-free and under cuts.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.len() + self.cut_map.values().map(Vec::len).sum::<usize>()
     }
 
     /// `true` when nothing has been labelled yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.is_empty() && self.cut_map.is_empty()
     }
 
     /// Looks up the label state for `id`, counting a hit on success.
@@ -141,9 +151,35 @@ impl LabelCache {
         self.map.insert(id, node);
     }
 
+    /// Looks up the label state of `id` under the cuts `context` (the
+    /// cuts inside its subtree), counting a hit on success.
+    pub(crate) fn lookup_cut(
+        &mut self,
+        id: TreeId,
+        context: &[(TreeId, NonTermId)],
+    ) -> Option<Arc<LabeledNode>> {
+        let found = self
+            .cut_map
+            .get(&id)
+            .and_then(|seen| seen.iter().find(|(c, _)| c.as_slice() == context))
+            .map(|(_, node)| node.clone());
+        if found.is_some() {
+            self.hits += 1;
+        }
+        found
+    }
+
+    /// Records a label state freshly computed under the cuts `context`,
+    /// counting a miss.
+    pub(crate) fn store_cut(&mut self, id: TreeId, context: CutContext, node: Arc<LabeledNode>) {
+        self.misses += 1;
+        self.cut_map.entry(id).or_default().push((context, node));
+    }
+
     /// Drops all cached states (counters are preserved). Required when
     /// the backing pool or grammar changes.
     pub fn clear(&mut self) {
         self.map.clear();
+        self.cut_map.clear();
     }
 }

@@ -8,7 +8,7 @@ use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 use record_trace::codec;
 
 use crate::cover::{Cover, CoverNode, Operand, SHARED_RULE};
-use crate::label::{Entry, LabelCache, Labeled, LabeledNode};
+use crate::label::{CutContext, Entry, LabelCache, Labeled, LabeledNode};
 
 /// The cut set for DAG covering: interned subtrees whose value is
 /// computed once per block and parked in a register. Each cut maps the
@@ -16,9 +16,11 @@ use crate::label::{Entry, LabelCache, Labeled, LabeledNode};
 ///
 /// Labelling under a cut set seeds a zero-cost [`SHARED_RULE`] entry at
 /// every cut node *before* chain closure, so consumers reach the parked
-/// value through the grammar's ordinary move chains. Labels computed
-/// under a cut set are only valid for that cut set — use a transient
-/// [`LabelCache`] per configuration, never the long-lived one.
+/// value through the grammar's ordinary move chains. A node's label under
+/// a cut set depends only on the cuts inside its subtree (its
+/// [`CutContext`]), so one long-lived [`LabelCache`] serves every cut set:
+/// each label is memoized under that context, and cut-free subtrees share
+/// the plain entries.
 pub type CutSet = HashMap<TreeId, (usize, NonTermId)>;
 
 /// The generated matcher tables for one target grammar: pattern rules
@@ -425,8 +427,9 @@ impl<'t> Matcher<'t> {
     /// match *through* a cut node — that is the recompute alternative
     /// the cost comparison weighs against the share.
     ///
-    /// `cache` must be transient (fresh per cut configuration): entries
-    /// computed under one cut set are wrong for any other.
+    /// `cache` is the same long-lived cache plain labelling uses: every
+    /// node is memoized under its [`CutContext`], and a subtree without
+    /// cuts is answered from (or added to) the plain entries.
     pub fn label_interned_cut(
         &self,
         pool: &TreePool,
@@ -434,17 +437,30 @@ impl<'t> Matcher<'t> {
         cache: &mut LabelCache,
         cuts: &CutSet,
     ) -> Arc<LabeledNode> {
-        self.label_interned_impl(pool, id, cache, Some(cuts))
+        let mut contexts = HashMap::new();
+        if let Some(&first) = cuts.keys().min() {
+            cut_contexts(pool, id, cuts, first, &mut contexts);
+        }
+        self.label_interned_impl(pool, id, cache, Some((cuts, &contexts)))
     }
 
+    /// Labels `id`; with `cuts`, nodes listed in its context map are
+    /// labelled under their cuts (every other node is cut-free).
     fn label_interned_impl(
         &self,
         pool: &TreePool,
         id: TreeId,
         cache: &mut LabelCache,
-        cuts: Option<&CutSet>,
+        cuts: Option<(&CutSet, &HashMap<TreeId, CutContext>)>,
     ) -> Arc<LabeledNode> {
-        if let Some(hit) = cache.lookup(id) {
+        let context = cuts.and_then(|(_, contexts)| contexts.get(&id));
+        // below a cut-free node every node is cut-free: label plainly
+        let cuts = context.and(cuts);
+        let hit = match context {
+            Some(context) => cache.lookup_cut(id, context),
+            None => cache.lookup(id),
+        };
+        if let Some(hit) = hit {
             return hit;
         }
         let children: Vec<Arc<LabeledNode>> = pool
@@ -470,7 +486,7 @@ impl<'t> Matcher<'t> {
 
         // 1b. a cut node's value is already parked: free at its
         // nonterminal, before chains so moves out of it close normally
-        if let Some((_, nt)) = cuts.and_then(|c| c.get(&id)) {
+        if let Some((_, nt)) = cuts.and_then(|(c, _)| c.get(&id)) {
             improve(&mut entries, *nt, Cost::zero(), SHARED_RULE);
         }
 
@@ -495,7 +511,10 @@ impl<'t> Matcher<'t> {
         }
 
         let node = Arc::new(LabeledNode { id, children, entries });
-        cache.store(id, node.clone());
+        match context {
+            Some(context) => cache.store_cut(id, context.clone(), node.clone()),
+            None => cache.store(id, node.clone()),
+        }
         node
     }
 
@@ -683,7 +702,8 @@ impl<'t> Matcher<'t> {
 
     /// Cut-aware counterpart of
     /// [`best_cover_interned`](Matcher::best_cover_interned); same
-    /// tie-breaking. `cache` must be transient per cut configuration.
+    /// tie-breaking, same memo (see
+    /// [`label_interned_cut`](Matcher::label_interned_cut)).
     pub fn best_cover_interned_cut(
         &self,
         pool: &TreePool,
@@ -703,7 +723,10 @@ impl<'t> Matcher<'t> {
         candidates: &[(NonTermId, Cost)],
         cuts: Option<&CutSet>,
     ) -> Option<(NonTermId, Cover)> {
-        let labeled = self.label_interned_impl(pool, id, cache, cuts);
+        let labeled = match cuts {
+            Some(cuts) => self.label_interned_cut(pool, id, cache, cuts),
+            None => self.label_interned(pool, id, cache),
+        };
         let mut best: Option<(NonTermId, Cost, Cost)> = None; // (nt, derive, total)
         for (nt, extra) in candidates {
             if let Some(c) = labeled.cost(*nt) {
@@ -720,6 +743,34 @@ impl<'t> Matcher<'t> {
         let (nt, derive_cost, _) = best?;
         let root = self.reduce_interned_impl(pool, &labeled, nt, cuts)?;
         Some((nt, Cover { root, cost: derive_cost }))
+    }
+}
+
+/// Records in `contexts` the [`CutContext`] of `id` and of every node below
+/// it whose subtree holds a cut; cut-free nodes get no entry. `first` is
+/// the smallest cut id: pool ids grow from children to parents, so a node
+/// with a smaller id has no cut inside.
+fn cut_contexts(
+    pool: &TreePool,
+    id: TreeId,
+    cuts: &CutSet,
+    first: TreeId,
+    contexts: &mut HashMap<TreeId, CutContext>,
+) {
+    if id < first || contexts.contains_key(&id) {
+        return;
+    }
+    let mut context: CutContext = cuts.get(&id).map(|&(_, nt)| (id, nt)).into_iter().collect();
+    for child in pool.node(id).children() {
+        cut_contexts(pool, child, cuts, first, contexts);
+        if let Some(inner) = contexts.get(&child) {
+            context.extend_from_slice(inner);
+        }
+    }
+    if !context.is_empty() {
+        context.sort_unstable();
+        context.dedup();
+        contexts.insert(id, context);
     }
 }
 
@@ -1109,6 +1160,61 @@ mod tests {
             via_chain.cost.weight() <= uncut.entries[a.index()].unwrap().cost.weight(),
             "the parked value is never worse than recomputing"
         );
+    }
+
+    /// One long-lived cache serves every cut set: covers through it equal
+    /// covers from a fresh cache per cut set, a repeated cut set computes
+    /// nothing, and only nodes with a cut inside get labels of their own.
+    #[test]
+    fn cut_labels_memoize_by_the_cuts_inside_each_subtree() {
+        let t = record_isa::targets::dsp56k::target();
+        let m = Matcher::new(&t);
+        let (x, y) = (t.nt("x").unwrap(), t.nt("y").unwrap());
+        let mul = |a: &str, b: &str| Tree::bin(BinOp::Mul, Tree::var(a), Tree::var(b));
+        // (p*q + p*r) - s*q
+        let whole = Tree::bin(
+            BinOp::Sub,
+            Tree::bin(BinOp::Add, mul("p", "q"), mul("p", "r")),
+            mul("s", "q"),
+        );
+        let mut pool = record_ir::TreePool::new();
+        let id = pool.intern(&whole);
+        let p = pool.intern(&Tree::var("p"));
+        let q = pool.intern(&Tree::var("q"));
+        let pq = pool.intern(&mul("p", "q"));
+        let cut_sets: Vec<CutSet> = vec![
+            [(p, (0, x))].into_iter().collect(),
+            [(q, (0, y))].into_iter().collect(),
+            [(p, (0, x)), (q, (1, y))].into_iter().collect(),
+            [(p, (0, y)), (q, (1, y))].into_iter().collect(),
+            [(pq, (0, x)), (q, (1, y))].into_iter().collect(),
+            // same cuts as the first, another slot: labels do not depend on slots
+            [(p, (3, x))].into_iter().collect(),
+        ];
+
+        let mut cache = LabelCache::new();
+        m.label_interned(&pool, id, &mut cache);
+        let plain = cache.misses();
+        m.label_interned_cut(&pool, id, &mut cache, &cut_sets[0]);
+        // p, p*q, p*r, their sum and the root hold the cut; s*q replays
+        assert_eq!(cache.misses() - plain, 5);
+
+        for cuts in &cut_sets {
+            for nt_ix in 0..t.nonterms.len() {
+                let goal = record_isa::NonTermId(nt_ix as u16);
+                let mut fresh = LabelCache::new();
+                assert_eq!(
+                    m.cover_interned_cut(&pool, id, &mut cache, goal, cuts),
+                    m.cover_interned_cut(&pool, id, &mut fresh, goal, cuts),
+                    "cuts {cuts:?} nt {nt_ix}"
+                );
+            }
+        }
+        let computed = cache.misses();
+        for cuts in &cut_sets {
+            m.label_interned_cut(&pool, id, &mut cache, cuts);
+        }
+        assert_eq!(cache.misses(), computed, "every cut context was already memoized");
     }
 
     #[test]

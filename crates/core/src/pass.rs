@@ -447,6 +447,9 @@ impl PassPlan {
                 }));
             }
         }
+        // nothing touches the code between two passes, so each pass's
+        // `after` snapshot is the next one's `before`
+        let mut before = CodeStats::of(&unit.code);
         for pass in &self.passes {
             // the whole-compile deadline is checked at every pass
             // boundary: a job admitted too late (or one whose earlier
@@ -466,7 +469,6 @@ impl PassPlan {
                     }));
                 }
             }
-            let before = CodeStats::of(&unit.code);
             unit.trace.open(pass.name());
             let t = Instant::now();
             let outcome =
@@ -517,6 +519,7 @@ impl PassPlan {
                 before,
                 after,
             });
+            before = after;
         }
         if !self.strict {
             // the pre-pass-manager pipeline always verified the final

@@ -332,16 +332,10 @@ impl<'t> Emitter<'t> {
                 if parked_here + 1 >= class_count as usize {
                     continue;
                 }
-                // computing the value once into `nt` (plain labels, so the
-                // persistent memo cache is sound here)
-                let hits0 = self.label_cache.hits();
-                let misses0 = self.label_cache.misses();
-                let def_cost = self
-                    .matcher
-                    .label_interned(&self.pool, cand.id, &mut self.label_cache)
-                    .cost(nt);
-                stats.labels_memoized += self.label_cache.hits() - hits0;
-                stats.labels_computed += self.label_cache.misses() - misses0;
+                // computing the value once into `nt`
+                let def_cost = count_labels(&mut self.label_cache, &mut stats, |cache| {
+                    self.matcher.label_interned(&self.pool, cand.id, cache).cost(nt)
+                });
                 let Some(def_cost) = def_cost else { continue };
                 let mut gain: i128 = -i128::from(def_cost.weight());
                 let mut improved: Vec<(usize, u64)> = Vec::new();
@@ -350,21 +344,18 @@ impl<'t> Emitter<'t> {
                     // that is sound in statement `s`
                     let mut trial = cuts_for_stmt(&dag, &accepted, s);
                     trial.insert(cand.id, (accepted.len(), nt));
-                    let mut tcache = LabelCache::new();
-                    let w = self
-                        .matcher
-                        .best_cover_interned_cut(
+                    let best = count_labels(&mut self.label_cache, &mut stats, |cache| {
+                        self.matcher.best_cover_interned_cut(
                             &self.pool,
                             dag.roots[s],
-                            &mut tcache,
+                            cache,
                             &self.candidates,
                             &trial,
                         )
-                        .map(|(store_nt, cover)| {
-                            cover.cost.add(self.store_cost(store_nt)).weight()
-                        });
-                    stats.labels_computed += tcache.misses();
-                    stats.labels_memoized += tcache.hits();
+                    });
+                    let w = best.map(|(store_nt, cover)| {
+                        cover.cost.add(self.store_cost(store_nt)).weight()
+                    });
                     if let Some(w) = w {
                         if w < current[s] {
                             gain += i128::from(current[s] - w);
@@ -457,12 +448,9 @@ impl<'t> Emitter<'t> {
                 if cand.first_use() != s {
                     continue;
                 }
-                let hits0 = self.label_cache.hits();
-                let misses0 = self.label_cache.misses();
-                let cover =
-                    self.matcher.cover_interned(&self.pool, cand.id, &mut self.label_cache, nt);
-                stats.labels_memoized += self.label_cache.hits() - hits0;
-                stats.labels_computed += self.label_cache.misses() - misses0;
+                let cover = count_labels(&mut self.label_cache, stats, |cache| {
+                    self.matcher.cover_interned(&self.pool, cand.id, cache, nt)
+                });
                 let Some(cover) = cover else { return Ok(None) };
                 let mut insns = Vec::new();
                 let loc = self.emit_cover(&cover.root, &mut insns, &format!("$dag{slot}"))?;
@@ -476,16 +464,15 @@ impl<'t> Emitter<'t> {
             let cuts = cuts_for_stmt(dag, accepted, s);
             let mut chosen: Option<Vec<Insn>> = None;
             if !cuts.is_empty() {
-                let mut tcache = LabelCache::new();
-                let best = self.matcher.best_cover_interned_cut(
-                    &self.pool,
-                    dag.roots[s],
-                    &mut tcache,
-                    &self.candidates,
-                    &cuts,
-                );
-                stats.labels_computed += tcache.misses();
-                stats.labels_memoized += tcache.hits();
+                let best = count_labels(&mut self.label_cache, stats, |cache| {
+                    self.matcher.best_cover_interned_cut(
+                        &self.pool,
+                        dag.roots[s],
+                        cache,
+                        &self.candidates,
+                        &cuts,
+                    )
+                });
                 if let Some((store_nt, cover)) = best {
                     let total = cover.cost.add(self.store_cost(store_nt)).weight();
                     if total < insns_weight(&baseline[s]) {
@@ -597,6 +584,9 @@ impl<'t> Emitter<'t> {
     /// pseudo-random operand values and compares the destination against
     /// the tree's reference evaluation. Returns `true` when they agree on
     /// every probe.
+    ///
+    /// The probe program depends only on the code, so it is built once;
+    /// the four seeds then run on one machine, reset between seeds.
     fn verify_statement(&self, stmt: &AssignStmt, insns: &[Insn]) -> bool {
         use std::collections::HashMap;
         // Collect every symbol the statement and its code touch.
@@ -626,7 +616,37 @@ impl<'t> Emitter<'t> {
         }
         let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
 
+        // build the probe program
+        let mut code = record_isa::Code {
+            insns: Vec::new(),
+            layout: Default::default(),
+            target: self.target.name.clone(),
+            name: "verify".into(),
+        };
+        let mut addr = 0u16;
+        let mut placed: Vec<(&Symbol, i64)> = lens.iter().map(|(k, v)| (k, *v)).collect();
+        placed.sort();
+        for (sym, len) in &placed {
+            code.layout.place((*sym).clone(), addr, *len as u32, record_ir::Bank::X);
+            addr += *len as u16;
+        }
+        for v in &index_vars {
+            code.insns.push(Insn::ctrl(
+                InsnKind::LoopStart { var: v.clone(), count: 1 },
+                "probe-loop",
+                0,
+                0,
+            ));
+        }
+        code.insns.extend(insns.iter().cloned());
+        for _ in &index_vars {
+            code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
+        }
+        record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
+
+        let mut machine = record_sim::Machine::new(self.target);
         for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
+            machine.reset();
             // deterministic, bit-rich per-symbol-element values: full-width
             // patterns make value coincidences (a clobbered computation
             // accidentally matching the reference) vanishingly unlikely
@@ -655,35 +675,6 @@ impl<'t> Emitter<'t> {
             let mut read_temp = |s: &Symbol| value_of(s, 0);
             let expect = stmt.src.eval(self.target.word_width, &mut read_mem, &mut read_temp);
 
-            // build the probe program
-            let mut code = record_isa::Code {
-                insns: Vec::new(),
-                layout: Default::default(),
-                target: self.target.name.clone(),
-                name: "verify".into(),
-            };
-            let mut addr = 0u16;
-            let mut placed: Vec<(&Symbol, i64)> = lens.iter().map(|(k, v)| (k, *v)).collect();
-            placed.sort();
-            for (sym, len) in &placed {
-                code.layout.place((*sym).clone(), addr, *len as u32, record_ir::Bank::X);
-                addr += *len as u16;
-            }
-            for v in &index_vars {
-                code.insns.push(Insn::ctrl(
-                    InsnKind::LoopStart { var: v.clone(), count: 1 },
-                    "probe-loop",
-                    0,
-                    0,
-                ));
-            }
-            code.insns.extend(insns.iter().cloned());
-            for _ in &index_vars {
-                code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
-            }
-            record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
-
-            let mut machine = record_sim::Machine::new(self.target);
             for (sym, len) in &placed {
                 for ix in 0..*len {
                     if machine.poke(sym, ix as u32, value_of(sym, ix), &code).is_err() {
@@ -1062,6 +1053,20 @@ fn insns_weight(insns: &[Insn]) -> u64 {
     insns.iter().map(|i| Cost::new(i.words, i.cycles).weight()).sum()
 }
 
+/// Runs `label` against the label memo, charging the labellings it
+/// answers and computes to `stats`.
+fn count_labels<R>(
+    cache: &mut LabelCache,
+    stats: &mut SelectStats,
+    label: impl FnOnce(&mut LabelCache) -> R,
+) -> R {
+    let (hits, misses) = (cache.hits(), cache.misses());
+    let result = label(cache);
+    stats.labels_memoized += cache.hits() - hits;
+    stats.labels_computed += cache.misses() - misses;
+    result
+}
+
 /// The cuts applicable to statement `s`: accepted candidates that list
 /// `s` among their sound uses. The same subtree occurring elsewhere in
 /// the block may denote a *different* value (a store intervened), so a
@@ -1303,6 +1308,260 @@ mod tests {
         // and the public entry point must produce correct code
         let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
         assert!(e.verify_statement(&stmt, &fixed), "{:?}", texts(&fixed));
+    }
+
+    /// The per-seed verifier the single-probe one replaced, kept as its
+    /// reference: every seed rebuilds the probe program and runs on a
+    /// fresh machine.
+    fn verify_statement_reference(e: &Emitter<'_>, stmt: &AssignStmt, insns: &[Insn]) -> bool {
+        use std::collections::HashMap;
+        let mut lens: HashMap<Symbol, i64> = HashMap::new();
+        let mut index_vars: Vec<Symbol> = Vec::new();
+        {
+            let mut note = |base: &Symbol, disp: i64| {
+                let e = lens.entry(base.clone()).or_insert(1);
+                *e = (*e).max(disp.abs() + 1);
+            };
+            for insn in insns {
+                if let InsnKind::Compute { dst, expr } = &insn.kind {
+                    for l in expr.reads().into_iter().chain(std::iter::once(dst)) {
+                        if let Loc::Mem(m) = l {
+                            note(&m.base, m.disp);
+                            if let Some(v) = &m.index {
+                                if !index_vars.contains(v) {
+                                    index_vars.push(v.clone());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
+            note(&dst_loc.base, dst_loc.disp);
+        }
+        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
+
+        for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
+            let width = e.target.word_width;
+            let value_of = move |sym: &Symbol, ix: i64| -> i64 {
+                let mut h = seed;
+                for b in sym.as_str().bytes() {
+                    h = h.wrapping_mul(1099511628211).wrapping_add(b as u64);
+                }
+                h = h.wrapping_mul(1099511628211).wrapping_add(ix as u64);
+                h ^= h >> 30;
+                h = h.wrapping_mul(0xbf58476d1ce4e5b9);
+                h ^= h >> 27;
+                h = h.wrapping_mul(0x94d049bb133111eb);
+                h ^= h >> 31;
+                record_ir::ops::wrap_to_width(h as i64, width)
+            };
+            let mut read_mem = |r: &record_ir::MemRef| {
+                let m = MemLoc::from_mem_ref(r);
+                value_of(&m.base, m.disp)
+            };
+            let mut read_temp = |s: &Symbol| value_of(s, 0);
+            let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
+
+            let mut code = record_isa::Code {
+                insns: Vec::new(),
+                layout: Default::default(),
+                target: e.target.name.clone(),
+                name: "verify".into(),
+            };
+            let mut addr = 0u16;
+            let mut placed: Vec<(&Symbol, i64)> = lens.iter().map(|(k, v)| (k, *v)).collect();
+            placed.sort();
+            for (sym, len) in &placed {
+                code.layout.place((*sym).clone(), addr, *len as u32, record_ir::Bank::X);
+                addr += *len as u16;
+            }
+            for v in &index_vars {
+                code.insns.push(Insn::ctrl(
+                    InsnKind::LoopStart { var: v.clone(), count: 1 },
+                    "probe-loop",
+                    0,
+                    0,
+                ));
+            }
+            code.insns.extend(insns.iter().cloned());
+            for _ in &index_vars {
+                code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
+            }
+            record_opt::insert_mode_changes(&mut code, e.target, record_opt::ModeStrategy::Lazy);
+
+            let mut machine = record_sim::Machine::new(e.target);
+            for (sym, len) in &placed {
+                for ix in 0..*len {
+                    if machine.poke(sym, ix as u32, value_of(sym, ix), &code).is_err() {
+                        return true;
+                    }
+                }
+            }
+            if machine.run(&code).is_err() {
+                return false;
+            }
+            let got = machine.peek(&dst_loc.base, dst_loc.disp.max(0) as u32, &code);
+            if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn gen_leaf(rng: &mut record_prop::Rng) -> Tree {
+        use record_ir::Index;
+        match rng.usize(6) {
+            0 => Tree::constant(rng.i64_in(-300, 300)),
+            1 => Tree::mem(MemRef::array(
+                "x",
+                Index::Var { var: "i".into(), offset: rng.i64_in(0, 3) },
+            )),
+            2 => Tree::mem(MemRef::array(
+                "h",
+                Index::RevVar { var: "j".into(), offset: rng.i64_in(0, 3) },
+            )),
+            _ => Tree::var(*rng.pick(&["a", "b", "c", "y"])),
+        }
+    }
+
+    fn gen_probe_tree(rng: &mut record_prop::Rng, depth: u32) -> Tree {
+        use record_ir::UnOp;
+        if depth == 0 || rng.usize(4) == 0 {
+            return gen_leaf(rng);
+        }
+        match rng.usize(8) {
+            0 => Tree::un(*rng.pick(&[UnOp::Neg, UnOp::Not]), gen_probe_tree(rng, depth - 1)),
+            1 => Tree::bin(
+                BinOp::Shl,
+                gen_probe_tree(rng, depth - 1),
+                Tree::constant(rng.i64_in(1, 4)),
+            ),
+            _ => {
+                let ops = [
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::And,
+                    BinOp::Or,
+                    BinOp::Xor,
+                    BinOp::SatAdd,
+                ];
+                Tree::bin(
+                    *rng.pick(&ops),
+                    gen_probe_tree(rng, depth - 1),
+                    gen_probe_tree(rng, depth - 1),
+                )
+            }
+        }
+    }
+
+    /// The register and operand mutations the verifier must see through.
+    fn corrupt(insns: &[Insn], how: usize, rng: &mut record_prop::Rng) -> Option<Vec<Insn>> {
+        let mut out = insns.to_vec();
+        let computes: Vec<usize> =
+            (0..out.len()).filter(|&k| matches!(out[k].kind, InsnKind::Compute { .. })).collect();
+        match how {
+            // swapped registers: exchange two of the code's registers
+            // within one instruction that uses the first
+            0 => {
+                let mut regs: Vec<RegId> = Vec::new();
+                for insn in &out {
+                    if let InsnKind::Compute { dst, expr } = &insn.kind {
+                        for l in expr.reads().into_iter().chain(std::iter::once(dst)) {
+                            if let Loc::Reg(r) = l {
+                                if !regs.contains(r) {
+                                    regs.push(*r);
+                                }
+                            }
+                        }
+                    }
+                }
+                if regs.len() < 2 {
+                    return None;
+                }
+                let a = regs[rng.usize(regs.len())];
+                let b = *regs.iter().filter(|&&r| r != a).nth(rng.usize(regs.len() - 1))?;
+                let k = *computes.iter().find(|&&k| {
+                    let InsnKind::Compute { dst, expr } = &out[k].kind else { return false };
+                    *dst == Loc::Reg(a) || expr.reads().contains(&&Loc::Reg(a))
+                })?;
+                let swap = |l: &mut Loc| {
+                    if *l == Loc::Reg(a) {
+                        *l = Loc::Reg(b);
+                    } else if *l == Loc::Reg(b) {
+                        *l = Loc::Reg(a);
+                    }
+                };
+                let InsnKind::Compute { dst, expr } = &mut out[k].kind else { unreachable!() };
+                swap(dst);
+                expr.reads_mut().into_iter().for_each(swap);
+            }
+            // a dropped instruction
+            1 => {
+                out.remove(rng.usize(out.len()));
+            }
+            // a changed operand: an immediate or a memory displacement
+            _ => {
+                let k = computes[rng.usize(computes.len())];
+                let InsnKind::Compute { expr, .. } = &mut out[k].kind else { unreachable!() };
+                let mut reads = expr.reads_mut();
+                let operand = reads.iter_mut().find(|l| matches!(l, Loc::Imm(_) | Loc::Mem(_)))?;
+                match &mut **operand {
+                    Loc::Imm(v) => *v += 1,
+                    Loc::Mem(m) => m.disp += 1,
+                    Loc::Reg(_) => unreachable!(),
+                }
+            }
+        }
+        Some(out)
+    }
+
+    /// One probe program, four seeds and a machine reset between seeds
+    /// reach exactly the verdicts of a fresh machine per seed — on the
+    /// emitted code and on deliberately corrupted code alike.
+    #[test]
+    fn single_probe_verdicts_equal_the_per_seed_reference() {
+        let mut targets =
+            vec![record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()];
+        targets.extend((1..=4).map(record_isa::cube::target_from_seed));
+        let mut statements = vec![0usize; targets.len()];
+        let (mut accepted, mut checked, mut rejected) = (0usize, 0usize, 0usize);
+        record_prop::run_cases(1000, |rng| {
+            let which = rng.usize(targets.len());
+            let t = &targets[which];
+            let dst = match rng.usize(3) {
+                0 => MemRef::array("y", record_ir::Index::Var { var: "i".into(), offset: 0 }),
+                _ => MemRef::scalar(*rng.pick(&["a", "y", "z"])),
+            };
+            let stmt = AssignStmt { dst, src: gen_probe_tree(rng, 3) };
+            let mut e = Emitter::new(t);
+            let Ok((insns, _)) = e.emit_one(&stmt, &RuleSet::none(), 1, false) else { return };
+            let verdict = |code: &[Insn]| {
+                let got = e.verify_statement(&stmt, code);
+                assert_eq!(
+                    got,
+                    verify_statement_reference(&e, &stmt, code),
+                    "{} on {}: {:?}",
+                    stmt,
+                    t.name,
+                    texts(code)
+                );
+                got
+            };
+            statements[which] += 1;
+            accepted += usize::from(verdict(&insns));
+            for how in 0..3 {
+                if let Some(bad) = corrupt(&insns, how, rng) {
+                    checked += 1;
+                    rejected += usize::from(!verdict(&bad));
+                }
+            }
+        });
+        assert!(statements.iter().sum::<usize>() >= 500, "statements per target: {statements:?}");
+        assert!(statements.iter().all(|&n| n >= 50), "statements per target: {statements:?}");
+        assert!(accepted * 2 >= statements.iter().sum::<usize>(), "emitted code mostly rejected");
+        assert!(rejected * 2 >= checked, "only {rejected} of {checked} corruptions rejected");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use record_ir::{Bank, Symbol};
 use record_isa::{AddrMode, Code, Insn, InsnKind, Loc, MemLoc, RegId, StructureError, TargetDesc};
@@ -96,6 +97,9 @@ pub struct Machine<'t> {
     regs: HashMap<RegId, i64>,
     ars: Vec<i64>,
     mem: [Vec<i64>; 2],
+    /// Per bank, the address range written since creation or the last
+    /// [`reset`](Machine::reset); every word outside it is zero.
+    dirty: [Range<usize>; 2],
     modes: Vec<bool>,
     max_steps: u64,
     trace: Option<Vec<String>>,
@@ -116,9 +120,30 @@ impl<'t> Machine<'t> {
             regs: HashMap::new(),
             ars: vec![0; n_ars],
             mem: [vec![0; words], vec![0; words]],
+            dirty: [0..0, 0..0],
             modes: target.modes.iter().map(|m| m.default_on).collect(),
             max_steps: DEFAULT_MAX_STEPS,
             trace: None,
+        }
+    }
+
+    /// Restores the state of [`Machine::new`]: no register written, every
+    /// address register and memory word zero, every mode at its default.
+    /// Only the memory written since the last reset is cleared, so a
+    /// machine can run many short programs without reallocating its
+    /// banks. The step budget and tracing setting are kept; the trace
+    /// log is emptied.
+    pub fn reset(&mut self) {
+        self.regs.clear();
+        self.ars.fill(0);
+        for (bank, dirty) in self.mem.iter_mut().zip(&mut self.dirty) {
+            bank[std::mem::take(dirty)].fill(0);
+        }
+        for (mode, decl) in self.modes.iter_mut().zip(&self.target.modes) {
+            *mode = decl.default_on;
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.clear();
         }
     }
 
@@ -525,6 +550,12 @@ impl<'t> Machine<'t> {
             .get_mut(ix)
             .ok_or(SimError::AddressOutOfRange { bank, addr })?;
         *slot = record_ir::ops::wrap_to_width(value, width);
+        let dirty = &mut self.dirty[bank as usize];
+        *dirty = if dirty.start == dirty.end {
+            ix..ix + 1
+        } else {
+            dirty.start.min(ix)..dirty.end.max(ix + 1)
+        };
         Ok(())
     }
 }
@@ -862,6 +893,64 @@ mod tests {
         let m = Machine::new(&target);
         let acc = record_isa::RegId::singleton(target.reg_class("acc").unwrap());
         assert_eq!(m.reg(acc), 0);
+    }
+
+    /// Every piece of architectural state `reset` must restore: registers,
+    /// address registers, both memory banks and the modes.
+    type State = (HashMap<RegId, i64>, Vec<i64>, [Vec<i64>; 2], Vec<bool>);
+
+    fn state(m: &Machine<'_>) -> State {
+        (m.regs.clone(), m.ars.clone(), m.mem.clone(), m.modes.clone())
+    }
+
+    #[test]
+    fn reset_restores_a_fresh_machine() {
+        // dsp56k: two banks, address registers and a saturation mode
+        let target = record_isa::targets::dsp56k::target();
+        let top = target.memory.words_per_bank - 1;
+        let mut code = Code::default();
+        code.layout.place(Symbol::new("lo"), 0, 1, Bank::X);
+        code.layout.place(Symbol::new("hx"), top, 1, Bank::X);
+        code.layout.place(Symbol::new("hy"), top - 1, 2, Bank::Y);
+        let sat = target.sat_mode().expect("dsp56k declares a saturation mode");
+        let on = !target.modes[sat].default_on;
+        code.insns.push(Insn::ctrl(InsnKind::SetMode { mode: sat, on }, "MODE", 1, 1));
+        code.insns.push(Insn::ctrl(
+            InsnKind::ArLoad { ar: 1, base: Symbol::new("hx"), disp: 0 },
+            "MOVE #hx,R1",
+            1,
+            1,
+        ));
+        let reg = record_isa::RegId::new(target.reg_class("x").unwrap(), 1);
+        code.insns.push(Insn::mov(Loc::Reg(reg), mem("lo"), "MOVE lo,x1", 1, 1));
+        code.insns.push(Insn::mov(mem("hx"), Loc::Reg(reg), "MOVE x1,hx", 1, 1));
+        let hy = |disp| MemLoc { disp, bank: Bank::Y, ..MemLoc::scalar("hy") };
+        code.insns.push(Insn::mov(Loc::Mem(hy(1)), Loc::Reg(reg), "MOVE x1,hy+1", 1, 1));
+        code.insns.push(Insn::mov(Loc::Mem(hy(0)), Loc::Imm(-3), "MOVE #-3,hy", 1, 1));
+
+        let fresh_state = state(&Machine::new(&target));
+        let mut fresh = Machine::new(&target);
+        fresh.poke(&Symbol::new("lo"), 0, 1234, &code).unwrap();
+        let fresh_run = fresh.run(&code).unwrap();
+        let fresh_after = state(&fresh);
+
+        let mut reused = Machine::new(&target);
+        for value in [77, 1234] {
+            reused.reset();
+            assert_eq!(state(&reused), fresh_state, "reset left state behind");
+            reused.poke(&Symbol::new("lo"), 0, value, &code).unwrap();
+            let run = reused.run(&code).unwrap();
+            assert_ne!(state(&reused), fresh_state, "the program must dirty the machine");
+            if value == 1234 {
+                assert_eq!(run, fresh_run);
+                assert_eq!(state(&reused), fresh_after, "a run after reset diverged");
+            }
+        }
+        assert_eq!(reused.mem[Bank::X as usize][top as usize], 1234);
+        assert_eq!(reused.mem[Bank::Y as usize][top as usize], 1234);
+        assert_eq!(reused.mem[Bank::Y as usize][top as usize - 1], -3);
+        reused.reset();
+        assert_eq!(state(&reused), fresh_state);
     }
 
     #[test]

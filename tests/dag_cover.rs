@@ -158,6 +158,32 @@ fn sharing_is_refused_on_tic25() {
     }
 }
 
+/// DAG covering pays only for what it uses: trial and emission labels
+/// under cuts are memoized by (node, cuts inside its subtree), and
+/// cut-free subtrees replay the per-statement labels. Summed over the
+/// DSPStone kernels at O2, dsp56k (which takes shares) may compute at
+/// most 1.4x the labels of tic25 (which takes none).
+#[test]
+fn dag_covering_labels_stay_within_budget_of_tree_covering() {
+    let labels = |target: record_isa::TargetDesc| -> u64 {
+        let compiler = Compiler::for_target(target).unwrap();
+        let plan = PassPlan::from_options(&CompileOptions::default());
+        record_dspstone::kernels()
+            .iter()
+            .map(|kernel| {
+                let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
+                compiler.compile(&lir, plan.clone()).unwrap().timings.labels_computed
+            })
+            .sum()
+    };
+    let tic25 = labels(record_isa::targets::tic25::target());
+    let dsp56k = labels(record_isa::targets::dsp56k::target());
+    assert!(
+        dsp56k * 10 <= tic25 * 14,
+        "dsp56k computed {dsp56k} labels, more than 1.4x tic25's {tic25}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Soundness properties of the block DAG analysis
 // ---------------------------------------------------------------------------

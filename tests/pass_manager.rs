@@ -3,11 +3,11 @@
 //! broken pass is caught at its own boundary, by name), and the per-pass
 //! observability records.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use record::{
-    CompilationUnit, CompileError, CompileOptions, CompileRequest, Compiled, Compiler, Pass,
-    PassPlan,
+    CodeStats, CompilationUnit, CompileError, CompileOptions, CompileRequest, Compiled, Compiler,
+    Pass, PassPlan,
 };
 use record_isa::{Insn, InsnKind, StructureError};
 
@@ -181,4 +181,61 @@ fn timed_compiles_record_one_pass_record_per_pass() {
     let last = timings.passes.last().unwrap();
     assert_eq!(last.after.insns, code.insns.len());
     assert_eq!(last.after.words, code.size_words());
+}
+
+/// Wraps a pass and measures the code itself, just around the pass.
+struct Measured {
+    inner: Arc<dyn Pass>,
+    seen: Arc<Mutex<Vec<(CodeStats, CodeStats)>>>,
+}
+
+impl Pass for Measured {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
+        let before = CodeStats::of(&unit.code);
+        self.inner.run(unit)?;
+        self.seen.lock().unwrap().push((before, CodeStats::of(&unit.code)));
+        Ok(())
+    }
+
+    fn postcondition(&self, unit: &CompilationUnit<'_>) -> Result<(), StructureError> {
+        self.inner.postcondition(unit)
+    }
+
+    fn best_effort(&self) -> bool {
+        self.inner.best_effort()
+    }
+}
+
+/// Every pass record describes the code just before and just after its
+/// pass, and passes chain: each one starts from the code the previous one
+/// left, so a record's `before` is its predecessor's `after`.
+#[test]
+fn pass_records_measure_the_code_around_each_pass() {
+    for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
+        let compiler = Compiler::for_target(target.clone()).unwrap();
+        for kernel in record_dspstone::kernels() {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut plan = PassPlan::default().strict(true);
+            for pass in PassPlan::default().passes() {
+                let measured = Measured { inner: Arc::clone(pass), seen: Arc::clone(&seen) };
+                plan = plan.replacing(pass.name(), Arc::new(measured));
+            }
+            let timings = compiler.compile(&lir_of(kernel.name), plan).unwrap().timings;
+            let recorded: Vec<(CodeStats, CodeStats)> =
+                timings.passes.iter().map(|p| (p.before, p.after)).collect();
+            let ctx = format!("{}/{}", kernel.name, target.name);
+            assert_eq!(recorded, *seen.lock().unwrap(), "{ctx}");
+            for pair in timings.passes.windows(2) {
+                assert_eq!(
+                    pair[0].after, pair[1].before,
+                    "{ctx}: {} -> {}",
+                    pair[0].name, pair[1].name
+                );
+            }
+        }
+    }
 }
