@@ -101,9 +101,12 @@ pub type CutContext = Vec<(TreeId, NonTermId)>;
 /// from the same entries plain labelling fills. `hits` counts labellings
 /// answered from the cache (work avoided by sharing); `misses` counts
 /// label states actually computed.
+///
+/// Pool ids are dense (`0..pool.len()`), so the cut-free labels sit in a
+/// vector indexed by id: a lookup is a bounds check, not a hash.
 #[derive(Debug, Default)]
 pub struct LabelCache {
-    map: HashMap<TreeId, Arc<LabeledNode>>,
+    plain: Vec<Option<Arc<LabeledNode>>>,
     /// Labels under cuts, per node, one per non-empty cut context seen.
     cut_map: HashMap<TreeId, Vec<(CutContext, Arc<LabeledNode>)>>,
     hits: u64,
@@ -128,17 +131,17 @@ impl LabelCache {
 
     /// Number of cached label states, cut-free and under cuts.
     pub fn len(&self) -> usize {
-        self.map.len() + self.cut_map.values().map(Vec::len).sum::<usize>()
+        self.plain.iter().flatten().count() + self.cut_map.values().map(Vec::len).sum::<usize>()
     }
 
     /// `true` when nothing has been labelled yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.cut_map.is_empty()
+        self.plain.iter().all(Option::is_none) && self.cut_map.is_empty()
     }
 
     /// Looks up the label state for `id`, counting a hit on success.
     pub fn lookup(&mut self, id: TreeId) -> Option<Arc<LabeledNode>> {
-        let found = self.map.get(&id).cloned();
+        let found = self.plain.get(id.index()).and_then(Option::clone);
         if found.is_some() {
             self.hits += 1;
         }
@@ -148,7 +151,10 @@ impl LabelCache {
     /// Records a freshly computed label state, counting a miss.
     pub fn store(&mut self, id: TreeId, node: Arc<LabeledNode>) {
         self.misses += 1;
-        self.map.insert(id, node);
+        if self.plain.len() <= id.index() {
+            self.plain.resize(id.index() + 1, None);
+        }
+        self.plain[id.index()] = Some(node);
     }
 
     /// Looks up the label state of `id` under the cuts `context` (the
@@ -179,7 +185,7 @@ impl LabelCache {
     /// Drops all cached states (counters are preserved). Required when
     /// the backing pool or grammar changes.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.plain.clear();
         self.cut_map.clear();
     }
 }

@@ -29,4 +29,4 @@ pub mod matcher;
 
 pub use cover::{Cover, CoverNode, Operand, SHARED_RULE};
 pub use label::{Entry, LabelCache, Labeled, LabeledNode};
-pub use matcher::{CutSet, Matcher, Tables};
+pub use matcher::{best_candidate, CutSet, Matcher, Tables};

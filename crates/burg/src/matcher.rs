@@ -463,12 +463,12 @@ impl<'t> Matcher<'t> {
         if let Some(hit) = hit {
             return hit;
         }
-        let children: Vec<Arc<LabeledNode>> = pool
-            .node(id)
-            .children()
-            .into_iter()
-            .map(|c| self.label_interned_impl(pool, c, cache, cuts))
-            .collect();
+        let mut label = |c| self.label_interned_impl(pool, c, cache, cuts);
+        let children: Vec<Arc<LabeledNode>> = match *pool.node(id) {
+            TreeNode::Bin(_, a, b) => vec![label(a), label(b)],
+            TreeNode::Un(_, a) => vec![label(a)],
+            TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => Vec::new(),
+        };
         let mut entries: Vec<Option<Entry>> = vec![None; self.tables.n_nts];
 
         // 1. structural pattern rules rooted at this operator
@@ -526,7 +526,9 @@ impl<'t> Matcher<'t> {
         children: &[Arc<LabeledNode>],
         pred: Option<Predicate>,
     ) -> Option<Cost> {
-        let mut consts = Vec::new();
+        // the predicate only ever reads the first constant the pattern
+        // binds (pre-order), so that is all the walk keeps
+        let mut first_const = None;
         let (op, pat_children) = match pat {
             PatNode::Op(op, c) => (*op, c),
             PatNode::Nt(_) => unreachable!("bare-Nt patterns are indexed as chains"),
@@ -535,15 +537,14 @@ impl<'t> Matcher<'t> {
             return None;
         }
         if let TreeNode::Const(v) = pool.node(id) {
-            consts.push(*v);
+            first_const = Some(*v);
         }
         let mut cost = Cost::zero();
         for (pc, nc) in pat_children.iter().zip(children.iter()) {
-            cost = cost.add(self.match_rec_interned(pc, pool, nc, &mut consts)?);
+            cost = cost.add(self.match_rec_interned(pc, pool, nc, &mut first_const)?);
         }
         if let Some(p) = pred {
-            let first = consts.first()?;
-            if !p.check_const(*first) {
+            if !p.check_const(first_const?) {
                 return None;
             }
         }
@@ -555,7 +556,7 @@ impl<'t> Matcher<'t> {
         pat: &PatNode,
         pool: &TreePool,
         node: &LabeledNode,
-        consts: &mut Vec<i64>,
+        first_const: &mut Option<i64>,
     ) -> Option<Cost> {
         match pat {
             PatNode::Nt(nt) => node.cost(*nt),
@@ -564,11 +565,11 @@ impl<'t> Matcher<'t> {
                     return None;
                 }
                 if let TreeNode::Const(v) = pool.node(node.id) {
-                    consts.push(*v);
+                    first_const.get_or_insert(*v);
                 }
                 let mut total = Cost::zero();
                 for (pc, nc) in children.iter().zip(node.children.iter()) {
-                    total = total.add(self.match_rec_interned(pc, pool, nc, consts)?);
+                    total = total.add(self.match_rec_interned(pc, pool, nc, first_const)?);
                 }
                 Some(total)
             }
@@ -727,23 +728,34 @@ impl<'t> Matcher<'t> {
             Some(cuts) => self.label_interned_cut(pool, id, cache, cuts),
             None => self.label_interned(pool, id, cache),
         };
-        let mut best: Option<(NonTermId, Cost, Cost)> = None; // (nt, derive, total)
-        for (nt, extra) in candidates {
-            if let Some(c) = labeled.cost(*nt) {
-                let total = c.add(*extra);
-                let better = match &best {
-                    None => true,
-                    Some((_, _, bt)) => total.weight() < bt.weight(),
-                };
-                if better {
-                    best = Some((*nt, c, total));
-                }
-            }
-        }
-        let (nt, derive_cost, _) = best?;
+        let (nt, derive_cost) = best_candidate(&labeled, candidates)?;
         let root = self.reduce_interned_impl(pool, &labeled, nt, cuts)?;
         Some((nt, Cover { root, cost: derive_cost }))
     }
+}
+
+/// The cheapest of `candidates` — `(nonterminal, extra cost)` pairs, the
+/// extra being the store that follows — that `labeled` derives to, as
+/// `(nonterminal, derivation cost)`. Ties go to the earlier candidate
+/// (strict improvement), as in [`Matcher::best_cover`].
+///
+/// Reads the label only: a caller that just compares weights never pays
+/// for a reduction, and one that does reduce gets the same cover
+/// [`Matcher::best_cover_interned`] would have built.
+pub fn best_candidate(
+    labeled: &LabeledNode,
+    candidates: &[(NonTermId, Cost)],
+) -> Option<(NonTermId, Cost)> {
+    let mut best: Option<(NonTermId, Cost, u64)> = None; // (nt, derive, total weight)
+    for (nt, extra) in candidates {
+        if let Some(c) = labeled.cost(*nt) {
+            let total = c.add(*extra).weight();
+            if best.map_or(true, |(_, _, bt)| total < bt) {
+                best = Some((*nt, c, total));
+            }
+        }
+    }
+    best.map(|(nt, c, _)| (nt, c))
 }
 
 /// Records in `contexts` the [`CutContext`] of `id` and of every node below

@@ -16,13 +16,17 @@
 //! register sets: the BURS nonterminals already decided which class each
 //! value lives in; the emitter only picks member indices.
 
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
-use record_burg::{CoverNode, CutSet, LabelCache, Matcher, Operand, Tables, SHARED_RULE};
+use record_burg::{
+    best_candidate, Cover, CoverNode, CutSet, LabelCache, Matcher, Operand, Tables, SHARED_RULE,
+};
 use record_ir::transform::{variants, RuleSet, VariantStream};
 use record_ir::{fold, AssignStmt, BlockDag, Symbol, Tree, TreePool};
 use record_isa::{
-    Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, SemExpr,
+    Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, Rule, SemExpr,
     TargetDesc,
 };
 
@@ -118,6 +122,14 @@ pub struct Emitter<'t> {
     held: Vec<Loc>,
     /// Location of each shared value, indexed by cut slot.
     shared_locs: Vec<Option<Loc>>,
+    /// The machine every verification probe runs on, reset before each
+    /// seed (see [`verify_statement`](Self::verify_statement)).
+    probe: record_sim::Machine<'t>,
+    /// Every stage-C trial of [`emit_block`](Self::emit_block) as
+    /// (statement root, trial cuts, label-only weight), so the tests can
+    /// check each weight against a full reduction.
+    #[cfg(test)]
+    stage_c_trials: Vec<(record_ir::TreeId, CutSet, Option<u64>)>,
 }
 
 impl<'t> Emitter<'t> {
@@ -146,6 +158,9 @@ impl<'t> Emitter<'t> {
             reg_cursor,
             held: Vec::new(),
             shared_locs: Vec::new(),
+            probe: record_sim::Machine::new(target),
+            #[cfg(test)]
+            stage_c_trials: Vec::new(),
         }
     }
 
@@ -344,18 +359,17 @@ impl<'t> Emitter<'t> {
                     // that is sound in statement `s`
                     let mut trial = cuts_for_stmt(&dag, &accepted, s);
                     trial.insert(cand.id, (accepted.len(), nt));
+                    // only the weight matters here: label, never reduce
                     let best = count_labels(&mut self.label_cache, &mut stats, |cache| {
-                        self.matcher.best_cover_interned_cut(
-                            &self.pool,
-                            dag.roots[s],
-                            cache,
-                            &self.candidates,
-                            &trial,
-                        )
+                        let root = dag.roots[s];
+                        let labeled =
+                            self.matcher.label_interned_cut(&self.pool, root, cache, &trial);
+                        best_candidate(&labeled, &self.candidates)
                     });
-                    let w = best.map(|(store_nt, cover)| {
-                        cover.cost.add(self.store_cost(store_nt)).weight()
-                    });
+                    let w = best
+                        .map(|(store_nt, derive)| derive.add(self.store_cost(store_nt)).weight());
+                    #[cfg(test)]
+                    self.stage_c_trials.push((dag.roots[s], trial.clone(), w));
                     if let Some(w) = w {
                         if w < current[s] {
                             gain += i128::from(current[s] - w);
@@ -453,7 +467,7 @@ impl<'t> Emitter<'t> {
                 });
                 let Some(cover) = cover else { return Ok(None) };
                 let mut insns = Vec::new();
-                let loc = self.emit_cover(&cover.root, &mut insns, &format!("$dag{slot}"))?;
+                let loc = self.emit_cover(&cover.root, &mut insns, &format_args!("$dag{slot}"))?;
                 self.held.push(loc.clone());
                 self.shared_locs[slot] = Some(loc);
                 def_insns.extend(insns.iter().cloned());
@@ -476,30 +490,8 @@ impl<'t> Emitter<'t> {
                 if let Some((store_nt, cover)) = best {
                     let total = cover.cost.add(self.store_cost(store_nt)).weight();
                     if total < insns_weight(&baseline[s]) {
-                        let store_ix = self
-                            .target
-                            .stores
-                            .iter()
-                            .position(|st| st.nt == store_nt)
-                            .expect("candidate came from stores");
                         let mut insns = Vec::new();
-                        let value = self.emit_cover(&cover.root, &mut insns, &stmt.to_string())?;
-                        let store = &self.target.stores[store_ix];
-                        let dst = MemLoc::from_mem_ref(&stmt.dst);
-                        let text = store
-                            .asm
-                            .replace("{d}", &dst.to_string())
-                            .replace("{0}", &self.loc_text(&value));
-                        let mut insn = Insn::compute(
-                            Loc::Mem(dst),
-                            SemExpr::Loc(value.clone()),
-                            text,
-                            store.cost.words,
-                            store.cost.cycles,
-                        );
-                        insn.units = store.units;
-                        insns.push(insn);
-                        self.release(&value);
+                        self.emit_stored(stmt, self.store_index(store_nt), &cover, &mut insns)?;
                         // the probe must include the definitions: the cut
                         // statement reads registers they populate
                         let mut probe = def_insns.clone();
@@ -532,15 +524,15 @@ impl<'t> Emitter<'t> {
         Ok(Some(out))
     }
 
-    /// The store cost for a candidate nonterminal (candidates always come
-    /// from the target's store table).
+    /// The first store rule for a candidate nonterminal (candidates always
+    /// come from the target's store table).
+    fn store_index(&self, nt: NonTermId) -> usize {
+        self.target.stores.iter().position(|s| s.nt == nt).expect("candidate came from stores")
+    }
+
+    /// The store cost for a candidate nonterminal.
     fn store_cost(&self, nt: NonTermId) -> Cost {
-        self.target
-            .stores
-            .iter()
-            .find(|s| s.nt == nt)
-            .map(|s| s.cost)
-            .expect("candidate came from stores")
+        self.target.stores[self.store_index(nt)].cost
     }
 
     /// Splits `dst := f(..., subtree, ...)` into
@@ -586,12 +578,14 @@ impl<'t> Emitter<'t> {
     /// every probe.
     ///
     /// The probe program depends only on the code, so it is built once;
-    /// the four seeds then run on one machine, reset between seeds.
-    fn verify_statement(&self, stmt: &AssignStmt, insns: &[Insn]) -> bool {
-        use std::collections::HashMap;
-        // Collect every symbol the statement and its code touch.
-        let mut lens: HashMap<Symbol, i64> = HashMap::new();
+    /// the four seeds then run on the emitter's probe machine, reset
+    /// before each seed.
+    fn verify_statement(&mut self, stmt: &AssignStmt, insns: &[Insn]) -> bool {
+        // Collect every symbol the statement and its code touch, in the
+        // symbol order the probe lays them out in.
+        let mut lens: BTreeMap<Symbol, i64> = BTreeMap::new();
         let mut index_vars: Vec<Symbol> = Vec::new();
+        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
         {
             let mut note = |base: &Symbol, disp: i64| {
                 let e = lens.entry(base.clone()).or_insert(1);
@@ -599,7 +593,7 @@ impl<'t> Emitter<'t> {
             };
             for insn in insns {
                 if let InsnKind::Compute { dst, expr } = &insn.kind {
-                    for l in expr.reads().into_iter().chain(std::iter::once(dst)) {
+                    let mut visit = |l: &Loc| {
                         if let Loc::Mem(m) = l {
                             note(&m.base, m.disp);
                             if let Some(v) = &m.index {
@@ -608,13 +602,13 @@ impl<'t> Emitter<'t> {
                                 }
                             }
                         }
-                    }
+                    };
+                    expr.for_each_read(&mut visit);
+                    visit(dst);
                 }
             }
-            let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
             note(&dst_loc.base, dst_loc.disp);
         }
-        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
 
         // build the probe program
         let mut code = record_isa::Code {
@@ -624,11 +618,9 @@ impl<'t> Emitter<'t> {
             name: "verify".into(),
         };
         let mut addr = 0u16;
-        let mut placed: Vec<(&Symbol, i64)> = lens.iter().map(|(k, v)| (k, *v)).collect();
-        placed.sort();
-        for (sym, len) in &placed {
-            code.layout.place((*sym).clone(), addr, *len as u32, record_ir::Bank::X);
-            addr += *len as u16;
+        for (sym, &len) in &lens {
+            code.layout.place(sym.clone(), addr, len as u32, record_ir::Bank::X);
+            addr += len as u16;
         }
         for v in &index_vars {
             code.insns.push(Insn::ctrl(
@@ -644,7 +636,7 @@ impl<'t> Emitter<'t> {
         }
         record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
 
-        let mut machine = record_sim::Machine::new(self.target);
+        let machine = &mut self.probe;
         for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
             machine.reset();
             // deterministic, bit-rich per-symbol-element values: full-width
@@ -675,8 +667,8 @@ impl<'t> Emitter<'t> {
             let mut read_temp = |s: &Symbol| value_of(s, 0);
             let expect = stmt.src.eval(self.target.word_width, &mut read_mem, &mut read_temp);
 
-            for (sym, len) in &placed {
-                for ix in 0..*len {
+            for (sym, &len) in &lens {
+                for ix in 0..len {
                     if machine.poke(sym, ix as u32, value_of(sym, ix), &code).is_err() {
                         return true; // unplaceable probe: skip verification
                     }
@@ -729,23 +721,7 @@ impl<'t> Emitter<'t> {
         };
 
         let mut insns = Vec::new();
-        let value = self.emit_cover(&cover.root, &mut insns, &stmt.to_string())?;
-
-        // the store
-        let store = &self.target.stores[store_ix];
-        let dst = MemLoc::from_mem_ref(&stmt.dst);
-        let text =
-            store.asm.replace("{d}", &dst.to_string()).replace("{0}", &self.loc_text(&value));
-        let mut insn = Insn::compute(
-            Loc::Mem(dst),
-            SemExpr::Loc(value.clone()),
-            text,
-            store.cost.words,
-            store.cost.cycles,
-        );
-        insn.units = store.units;
-        insns.push(insn);
-        self.release(&value);
+        self.emit_stored(stmt, store_ix, &cover, &mut insns)?;
         debug_assert!(
             self.reg_used.iter().enumerate().all(|(class, c)| {
                 c.iter().enumerate().all(|(ix, u)| {
@@ -769,19 +745,14 @@ impl<'t> Emitter<'t> {
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
-    ) -> Option<(usize, record_burg::Cover)> {
-        let mut best: Option<(Cost, usize, record_burg::Cover)> = None;
+    ) -> Option<(usize, Cover)> {
+        let mut best: Option<(Cost, usize, Cover)> = None;
         let all = variants(base, rules, variant_limit);
         stats.variants += all.len();
         for tree in all {
             if let Some((nt, cover)) = self.matcher.best_cover(&tree, &self.candidates) {
                 stats.covered += 1;
-                let store_ix = self
-                    .target
-                    .stores
-                    .iter()
-                    .position(|s| s.nt == nt)
-                    .expect("candidate came from stores");
+                let store_ix = self.store_index(nt);
                 let total = cover.cost.add(self.target.stores[store_ix].cost);
                 let better = match &best {
                     None => true,
@@ -802,17 +773,23 @@ impl<'t> Emitter<'t> {
     /// Picks the same cover as [`find_best_reference`](Self::find_best_reference):
     /// the stream yields the identical variant sequence, the interned
     /// matcher mirrors the boxed one, and the early exit fires only when
-    /// `best.weight() <= floor` — every unseen variant's total is at
-    /// least `floor` (cover cost is non-negative and each total includes
-    /// one store), and the strict `<` selection would never replace the
-    /// incumbent with an equal-weight cover.
+    /// the incumbent's weight is at most `floor` — every unseen variant's
+    /// total is at least `floor` (cover cost is non-negative and each
+    /// total includes one store), and the strict `<` selection would
+    /// never replace the incumbent with an equal-weight cover.
+    ///
+    /// Covering is cost-first: each variant is labelled and its total
+    /// read off the label; the cover is reduced only when that total
+    /// strictly beats the incumbent. The incumbent changes only on a
+    /// strict `<`, and a reduction is a pure function of its label, so
+    /// this picks the cover a loop reducing every variant would pick.
     fn find_best_interned(
         &mut self,
         base: &Tree,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
-    ) -> Option<(usize, record_burg::Cover)> {
+    ) -> Option<(usize, Cover)> {
         let pool_len0 = self.pool.len() as u64;
         let dedup0 = self.pool.dedup_hits();
         let hits0 = self.label_cache.hits();
@@ -820,31 +797,22 @@ impl<'t> Emitter<'t> {
         let floor = self.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
         let mut stream = VariantStream::new(&mut self.pool, base, *rules, variant_limit);
-        let mut best: Option<(Cost, usize, record_burg::Cover)> = None;
+        let mut best: Option<(u64, usize, Cover)> = None; // (total weight, store, cover)
         while let Some(id) = stream.next(&mut self.pool) {
             stats.variants += 1;
-            if let Some((nt, cover)) = self.matcher.best_cover_interned(
-                &self.pool,
-                id,
-                &mut self.label_cache,
-                &self.candidates,
-            ) {
+            let labeled = self.matcher.label_interned(&self.pool, id, &mut self.label_cache);
+            if let Some((nt, derive)) = best_candidate(&labeled, &self.candidates) {
                 stats.covered += 1;
-                let store_ix = self
-                    .target
-                    .stores
-                    .iter()
-                    .position(|s| s.nt == nt)
-                    .expect("candidate came from stores");
-                let total = cover.cost.add(self.target.stores[store_ix].cost);
-                let better = match &best {
-                    None => true,
-                    Some((bc, ..)) => total.weight() < bc.weight(),
-                };
-                if better {
-                    best = Some((total, store_ix, cover));
+                let store_ix = self.store_index(nt);
+                let total = derive.add(self.target.stores[store_ix].cost).weight();
+                if best.as_ref().map_or(true, |(bw, ..)| total < *bw) {
+                    let root = self
+                        .matcher
+                        .reduce_interned(&self.pool, &labeled, nt)
+                        .expect("a derivable label reduces");
+                    best = Some((total, store_ix, Cover { root, cost: derive }));
                 }
-                if best.as_ref().is_some_and(|(bc, ..)| bc.weight() <= floor) {
+                if best.as_ref().is_some_and(|(bw, ..)| *bw <= floor) {
                     stats.variants_pruned += stream.pending() as u64;
                     break;
                 }
@@ -863,20 +831,44 @@ impl<'t> Emitter<'t> {
         best.map(|(_, store_ix, cover)| (store_ix, cover))
     }
 
+    /// Emits `stmt` as `cover` followed by store rule `store_ix`.
+    fn emit_stored(
+        &mut self,
+        stmt: &AssignStmt,
+        store_ix: usize,
+        cover: &Cover,
+        out: &mut Vec<Insn>,
+    ) -> Result<(), CompileError> {
+        let value = self.emit_cover(&cover.root, out, stmt)?;
+        let store = &self.target.stores[store_ix];
+        let dst = Loc::Mem(MemLoc::from_mem_ref(&stmt.dst));
+        let text = render_asm(self.target, &store.asm, &dst, std::slice::from_ref(&value));
+        self.release(&value);
+        let mut insn =
+            Insn::compute(dst, SemExpr::Loc(value), text, store.cost.words, store.cost.cycles);
+        insn.units = store.units;
+        out.push(insn);
+        Ok(())
+    }
+
     /// Emits the instructions of a cover node; returns the location of
-    /// its value.
+    /// its value. `stmt` names the statement in an out-of-registers
+    /// error and is only rendered then.
     fn emit_cover(
         &mut self,
         node: &CoverNode,
         out: &mut Vec<Insn>,
-        stmt_text: &str,
+        stmt: &dyn fmt::Display,
     ) -> Result<Loc, CompileError> {
         // A shared-value reference emits nothing: the value already sits
         // in the register the block parked it in.
         if node.rule == SHARED_RULE {
             return Ok(self.operand_loc(&node.operands[0]));
         }
-        let rule = self.target.rule(node.rule).clone();
+        // borrowed from the target, not the emitter, so `self` stays free
+        // for the recursive calls below
+        let target: &'t TargetDesc = self.target;
+        let rule = target.rule(node.rule);
 
         // Identity (base) rules: a leaf pattern with zero cost just
         // forwards its binding.
@@ -888,17 +880,15 @@ impl<'t> Emitter<'t> {
             }
         }
 
-        // evaluate operands in the rule's order
+        // evaluate operands in the rule's order (left to right unless the
+        // rule says otherwise)
         let n = node.operands.len();
-        let order: Vec<usize> = rule
-            .eval_order
-            .clone()
-            .map(|o| o.iter().map(|i| *i as usize).collect())
-            .unwrap_or_else(|| (0..n).collect());
+        let ordered = rule.eval_order.iter().flatten().map(|&i| usize::from(i));
+        let left_to_right = (0..n).filter(|_| rule.eval_order.is_none());
         let mut locs: Vec<Option<Loc>> = vec![None; n];
-        for &i in &order {
+        for i in ordered.chain(left_to_right) {
             let loc = match &node.operands[i] {
-                Operand::Derived(child) => self.emit_cover(child, out, stmt_text)?,
+                Operand::Derived(child) => self.emit_cover(child, out, stmt)?,
                 other => self.operand_loc(other),
             };
             locs[i] = Some(loc);
@@ -906,7 +896,7 @@ impl<'t> Emitter<'t> {
         let locs: Vec<Loc> = locs.into_iter().map(|l| l.expect("all operands visited")).collect();
 
         // destination for the produced value
-        let dst = self.lhs_loc(&rule, stmt_text)?;
+        let dst = self.lhs_loc(rule, stmt)?;
 
         // semantics from the pattern shape
         let expr = match &rule.rhs {
@@ -917,13 +907,7 @@ impl<'t> Emitter<'t> {
             }
         };
 
-        // render assembly text
-        let mut text = rule.asm.clone();
-        text = text.replace("{d}", &self.loc_text(&dst));
-        for (i, loc) in locs.iter().enumerate() {
-            text = text.replace(&format!("{{{i}}}"), &self.loc_text(loc));
-        }
-
+        let text = render_asm(target, &rule.asm, &dst, &locs);
         let mut insn = Insn::compute(dst.clone(), expr, text, rule.cost.words, rule.cost.cycles);
         insn.rule = Some(rule.id);
         insn.units = rule.units;
@@ -945,7 +929,7 @@ impl<'t> Emitter<'t> {
     }
 
     /// The location a rule's lhs value materializes in.
-    fn lhs_loc(&mut self, rule: &record_isa::Rule, stmt_text: &str) -> Result<Loc, CompileError> {
+    fn lhs_loc(&mut self, rule: &Rule, stmt: &dyn fmt::Display) -> Result<Loc, CompileError> {
         match self.target.nonterm(rule.lhs).kind {
             NonTermKind::Reg(class) => {
                 let decl = self.target.class(class);
@@ -971,7 +955,7 @@ impl<'t> Emitter<'t> {
                     }
                     None => Err(CompileError::OutOfRegisters {
                         class: decl.name.clone(),
-                        stmt: stmt_text.to_string(),
+                        stmt: stmt.to_string(),
                     }),
                 }
             }
@@ -1037,13 +1021,63 @@ impl<'t> Emitter<'t> {
         }
         self.shared_locs.clear();
     }
+}
 
-    fn loc_text(&self, loc: &Loc) -> String {
-        match loc {
-            Loc::Reg(r) => self.target.class(r.class).member_name(r.index),
-            Loc::Mem(m) => m.to_string(),
-            Loc::Imm(v) => format!("{v}"),
+/// Renders an assembly template in one pass: `{d}` becomes the text of
+/// `dst`, `{i}` that of `operands[i]`; every other character — a brace
+/// that opens no placeholder, `{i}` past the last operand — is copied.
+/// Substituted text is not scanned again.
+fn render_asm(target: &TargetDesc, template: &str, dst: &Loc, operands: &[Loc]) -> String {
+    let mut out = String::with_capacity(template.len() + 16);
+    let mut rest = template;
+    while let Some(open) = rest.find('{') {
+        out.push_str(&rest[..open]);
+        let after = &rest[open + 1..];
+        let field = after.find('}').and_then(|close| {
+            let loc = match &after[..close] {
+                "d" => Some(dst),
+                key if is_index(key) => key.parse().ok().and_then(|i: usize| operands.get(i)),
+                _ => None,
+            };
+            loc.map(|loc| (loc, close))
+        });
+        match field {
+            Some((loc, close)) => {
+                push_loc_text(target, &mut out, loc);
+                rest = &after[close + 1..];
+            }
+            None => {
+                out.push('{');
+                rest = after;
+            }
         }
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Whether `key` is an operand index as templates write it: decimal
+/// digits without a leading zero (`0`, `1`, `12`, not `01`).
+fn is_index(key: &str) -> bool {
+    !key.is_empty()
+        && key.bytes().all(|b| b.is_ascii_digit())
+        && (key == "0" || !key.starts_with('0'))
+}
+
+/// Appends the assembly text of `loc`: a register's member name, a
+/// memory operand, or a decimal immediate.
+fn push_loc_text(target: &TargetDesc, out: &mut String, loc: &Loc) {
+    match loc {
+        Loc::Reg(r) => {
+            let class = target.class(r.class);
+            assert!(r.index < class.count, "register index out of range");
+            out.push_str(&class.name);
+            if !class.is_singleton() {
+                write!(out, "{}", r.index).expect("writing to a String");
+            }
+        }
+        Loc::Mem(m) => write!(out, "{m}").expect("writing to a String"),
+        Loc::Imm(v) => write!(out, "{v}").expect("writing to a String"),
     }
 }
 
@@ -1522,9 +1556,7 @@ mod tests {
     /// emitted code and on deliberately corrupted code alike.
     #[test]
     fn single_probe_verdicts_equal_the_per_seed_reference() {
-        let mut targets =
-            vec![record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()];
-        targets.extend((1..=4).map(record_isa::cube::target_from_seed));
+        let targets = property_targets();
         let mut statements = vec![0usize; targets.len()];
         let (mut accepted, mut checked, mut rejected) = (0usize, 0usize, 0usize);
         record_prop::run_cases(1000, |rng| {
@@ -1537,7 +1569,7 @@ mod tests {
             let stmt = AssignStmt { dst, src: gen_probe_tree(rng, 3) };
             let mut e = Emitter::new(t);
             let Ok((insns, _)) = e.emit_one(&stmt, &RuleSet::none(), 1, false) else { return };
-            let verdict = |code: &[Insn]| {
+            let mut verdict = |code: &[Insn]| {
                 let got = e.verify_statement(&stmt, code);
                 assert_eq!(
                     got,
@@ -1666,5 +1698,319 @@ mod tests {
         assert!(stats.shared_subtrees <= 1, "{stats:?}");
         // the stored-to symbol is still written by the middle statement
         assert!(texts(&insns).iter().any(|s| s.ends_with(",w")), "{:?}", texts(&insns));
+    }
+
+    /// The selection loop that reduces every covered variant and replaces
+    /// the incumbent on a strictly lower total: the reference cost-first
+    /// covering is checked against.
+    fn find_best_interned_reference(
+        e: &mut Emitter<'_>,
+        base: &Tree,
+        rules: &RuleSet,
+        variant_limit: usize,
+        stats: &mut SelectStats,
+    ) -> Option<(usize, Cover)> {
+        let pool_len0 = e.pool.len() as u64;
+        let dedup0 = e.pool.dedup_hits();
+        let hits0 = e.label_cache.hits();
+        let misses0 = e.label_cache.misses();
+        let floor = e.candidates.iter().map(|(_, c)| c.weight()).min()?;
+
+        let mut stream = VariantStream::new(&mut e.pool, base, *rules, variant_limit);
+        let mut best: Option<(Cost, usize, Cover)> = None;
+        while let Some(id) = stream.next(&mut e.pool) {
+            stats.variants += 1;
+            if let Some((nt, cover)) =
+                e.matcher.best_cover_interned(&e.pool, id, &mut e.label_cache, &e.candidates)
+            {
+                stats.covered += 1;
+                let store_ix = e
+                    .target
+                    .stores
+                    .iter()
+                    .position(|s| s.nt == nt)
+                    .expect("candidate came from stores");
+                let total = cover.cost.add(e.target.stores[store_ix].cost);
+                let better = match &best {
+                    None => true,
+                    Some((bc, ..)) => total.weight() < bc.weight(),
+                };
+                if better {
+                    best = Some((total, store_ix, cover));
+                }
+                if best.as_ref().is_some_and(|(bc, ..)| bc.weight() <= floor) {
+                    stats.variants_pruned += stream.pending() as u64;
+                    break;
+                }
+            }
+            if e.step_cap.is_some_and(|cap| e.steps_used + stream.steps() >= cap) {
+                stats.variants_pruned += stream.pending() as u64;
+                break;
+            }
+        }
+        e.steps_used += stream.steps();
+        stats.search_steps += stream.steps();
+        stats.interned_nodes += e.pool.len() as u64 - pool_len0;
+        stats.dedup_hits += e.pool.dedup_hits() - dedup0;
+        stats.labels_memoized += e.label_cache.hits() - hits0;
+        stats.labels_computed += e.label_cache.misses() - misses0;
+        best.map(|(_, store_ix, cover)| (store_ix, cover))
+    }
+
+    /// Every assignment of a lowered program, loop bodies included, in
+    /// program order.
+    fn assignments(items: &[record_ir::LirItem], out: &mut Vec<AssignStmt>) {
+        for item in items {
+            match item {
+                record_ir::LirItem::Assign(stmt) => out.push(stmt.clone()),
+                record_ir::LirItem::Loop { body, .. } => assignments(body, out),
+            }
+        }
+    }
+
+    /// tic25, dsp56k and cube seeds 1–4.
+    fn property_targets() -> Vec<TargetDesc> {
+        let mut targets =
+            vec![record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()];
+        targets.extend((1..=4).map(record_isa::cube::target_from_seed));
+        targets
+    }
+
+    /// Cost-first covering returns what the reduce-every-variant loop
+    /// returns — store, cover and every counter — on generated programs,
+    /// with and without a search cap cutting enumeration short.
+    #[test]
+    fn cost_first_covering_equals_the_reduce_every_variant_loop() {
+        let targets = property_targets();
+        let mut statements = vec![0usize; targets.len()];
+        let mut several_covered = 0usize;
+        record_prop::run_cases(300, |rng| {
+            let which = rng.usize(targets.len());
+            let t = &targets[which];
+            let source = record_prop::dfl::gen_program(rng);
+            let lir = record_ir::lower::lower(&record_ir::dfl::parse(&source).unwrap()).unwrap();
+            let mut stmts = Vec::new();
+            assignments(&lir.body, &mut stmts);
+            let rules = if rng.usize(4) == 0 { RuleSet::none() } else { RuleSet::all() };
+            let limit = *rng.pick(&[1usize, 4, 32]);
+            let cap = (rng.usize(3) == 0).then(|| rng.i64_in(1, 200) as u64);
+            let (mut cost_first, mut reference) = (Emitter::new(t), Emitter::new(t));
+            cost_first.set_search_cap(cap);
+            reference.set_search_cap(cap);
+            for stmt in &stmts {
+                let (mut got_stats, mut want_stats) =
+                    (SelectStats::default(), SelectStats::default());
+                let got = cost_first.find_best_interned(&stmt.src, &rules, limit, &mut got_stats);
+                let want = find_best_interned_reference(
+                    &mut reference,
+                    &stmt.src,
+                    &rules,
+                    limit,
+                    &mut want_stats,
+                );
+                assert_eq!(got, want, "{stmt} on {}", t.name);
+                assert_eq!(got_stats, want_stats, "{stmt} on {}", t.name);
+                statements[which] += 1;
+                several_covered += usize::from(got_stats.covered > 1);
+            }
+        });
+        let total: usize = statements.iter().sum();
+        assert!(total >= 500, "statements per target: {statements:?}");
+        assert!(statements.iter().all(|&n| n >= 50), "statements per target: {statements:?}");
+        // covering skips reductions only where several variants cover
+        assert!(several_covered >= 150, "{several_covered} of {total} statements: {statements:?}");
+    }
+
+    /// Replaces the `select` pass: covers every straight-line block the
+    /// pass would see with [`Emitter::emit_block`] and checks each stage-C
+    /// trial's label-only weight against a full reduction of the same
+    /// trial from a fresh label cache. Mismatches are collected, not
+    /// asserted: the pass runner turns a panicking pass into an error.
+    struct StageCTrialCheck {
+        rules: RuleSet,
+        variant_limit: usize,
+        trials: std::sync::atomic::AtomicUsize,
+        mismatches: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl crate::Pass for StageCTrialCheck {
+        fn name(&self) -> &'static str {
+            "select"
+        }
+
+        fn run(&self, unit: &mut crate::CompilationUnit<'_>) -> Result<(), CompileError> {
+            fn blocks(items: &[record_ir::LirItem], out: &mut Vec<Vec<AssignStmt>>) {
+                let mut block = Vec::new();
+                for item in items {
+                    match item {
+                        record_ir::LirItem::Assign(stmt) => block.push(stmt.clone()),
+                        record_ir::LirItem::Loop { body, .. } => {
+                            out.push(std::mem::take(&mut block));
+                            blocks(body, out);
+                        }
+                    }
+                }
+                out.push(block);
+            }
+            let mut all = Vec::new();
+            blocks(&unit.lir.body, &mut all);
+            let mut e = Emitter::with_tables(unit.target, Arc::clone(unit.tables));
+            // register pressure may refuse a block on a cube point; the
+            // trials made before that are still checked
+            let emitted = all.iter().filter(|b| !b.is_empty()).try_for_each(|b| {
+                e.emit_block(b, &self.rules, self.variant_limit, false).map(drop)
+            });
+            for (root, cuts, weight) in &e.stage_c_trials {
+                let mut fresh = LabelCache::new();
+                let full = e
+                    .matcher
+                    .best_cover_interned_cut(&e.pool, *root, &mut fresh, &e.candidates, cuts)
+                    .map(|(nt, cover)| cover.cost.add(e.store_cost(nt)).weight());
+                if *weight != full {
+                    self.mismatches.lock().unwrap().push(format!(
+                        "{} on {} under {cuts:?}: labels say {weight:?}, reduction {full:?}",
+                        e.pool.to_tree(*root),
+                        unit.target.name
+                    ));
+                }
+            }
+            self.trials.fetch_add(e.stage_c_trials.len(), std::sync::atomic::Ordering::Relaxed);
+            emitted
+        }
+    }
+
+    /// Stage C reads only trial weights, so it labels and never reduces:
+    /// on the DSPStone matrix (and cube seeds 1–4) every trial's weight
+    /// equals the cover cost plus store cost a full reduction reports.
+    #[test]
+    fn stage_c_label_weights_equal_reduced_cover_weights() {
+        let presets = [crate::CompileOptions::nothing(), crate::CompileOptions::default()];
+        let mut trials_by_target = Vec::new();
+        for target in property_targets() {
+            let tables = Arc::new(Tables::build(&target));
+            let mut trials = 0;
+            for opts in &presets {
+                let check = Arc::new(StageCTrialCheck {
+                    rules: opts.rules,
+                    variant_limit: opts.variant_limit,
+                    trials: Default::default(),
+                    mismatches: Default::default(),
+                });
+                // run the plan up to and including the checking `select`
+                let mut plan = crate::PassPlan::from_options(opts);
+                let names = plan.names();
+                let select = names.iter().position(|n| *n == "select").unwrap();
+                for name in &names[select + 1..] {
+                    plan = plan.without(name);
+                }
+                let plan = plan.replacing("select", check.clone());
+                for kernel in record_dspstone::kernels() {
+                    let lir =
+                        record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap())
+                            .unwrap();
+                    let mut unit = crate::CompilationUnit::new(&target, &tables, &lir);
+                    let run = plan.run(&mut unit, &mut crate::PhaseTimings::default());
+                    if let Err(e @ CompileError::Internal { .. }) = run {
+                        panic!("{} on {}: {e}", kernel.name, target.name);
+                    }
+                }
+                let mismatches = check.mismatches.lock().unwrap();
+                assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+                trials += check.trials.load(std::sync::atomic::Ordering::Relaxed);
+            }
+            trials_by_target.push((target.name.clone(), trials));
+        }
+        let dsp56k = trials_by_target.iter().find(|(n, _)| n == "dsp56k").unwrap().1;
+        assert!(dsp56k >= 20, "stage C barely ran on dsp56k: {trials_by_target:?}");
+    }
+
+    /// Template rendering as a chain of `str::replace` calls — `{d}`
+    /// first, then `{0}`, `{1}`, …: the reference the one-pass renderer
+    /// is checked against.
+    fn render_by_replace(target: &TargetDesc, template: &str, dst: &Loc, ops: &[Loc]) -> String {
+        let text = |loc: &Loc| match loc {
+            Loc::Reg(r) => target.class(r.class).member_name(r.index),
+            Loc::Mem(m) => m.to_string(),
+            Loc::Imm(v) => format!("{v}"),
+        };
+        let mut out = template.replace("{d}", &text(dst));
+        for (i, loc) in ops.iter().enumerate() {
+            out = out.replace(&format!("{{{i}}}"), &text(loc));
+        }
+        out
+    }
+
+    /// The one-pass renderer produces exactly the replace chain's text on
+    /// every rule and store template of the shipped targets, the ASIP
+    /// presets and 50 cube points, and on templates that hold stray
+    /// braces, leading zeros and operands past the last one, over
+    /// register, memory and immediate operands.
+    #[test]
+    fn one_pass_rendering_equals_the_replace_chain() {
+        use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+        let mut targets = vec![
+            tic25::target(),
+            dsp56k::target(),
+            simple_risc::target(8),
+            asip::build(&asip::AsipParams::minimal()),
+            asip::build(&asip::AsipParams::dsp()),
+            asip::build(&asip::AsipParams::default()),
+        ];
+        targets.extend((1..=50).map(record_isa::cube::target_from_seed));
+        let mut rng = record_prop::Rng::new(0xDAC97);
+        let mut rendered = 0usize;
+        for t in &targets {
+            let mut pool: Vec<Loc> = Vec::new();
+            for (c, class) in t.reg_classes.iter().enumerate() {
+                for ix in 0..class.count {
+                    pool.push(Loc::Reg(RegId::new(record_isa::RegClassId(c as u16), ix)));
+                }
+            }
+            pool.push(Loc::Mem(MemLoc::scalar("x")));
+            pool.push(Loc::Mem(MemLoc { disp: 3, ..MemLoc::scalar("a") }));
+            pool.push(Loc::Mem(MemLoc::scalar("$s0")));
+            pool.push(Loc::Mem(MemLoc::scalar("$dag1")));
+            for v in [0, 1, 7, -1, -3, 255, -256, 32767, -32768] {
+                pool.push(Loc::Imm(v));
+            }
+            let draw = |n: usize, rng: &mut record_prop::Rng| -> Vec<Loc> {
+                (0..n).map(|_| pool[rng.usize(pool.len())].clone()).collect()
+            };
+            let odd = ["{{0}", "{2} {01} {} {x} {", "}{d", "{d}:={1}{0}"];
+            let rules = t.rules.iter().map(|r| (r.asm.as_str(), r.leaves().len()));
+            for (template, operands) in rules.chain(odd.into_iter().map(|o| (o, 2))) {
+                for extra in [0, 0, 0, 1, 3] {
+                    let ops = draw(operands + extra, &mut rng);
+                    let dst = draw(1, &mut rng).remove(0);
+                    assert_eq!(
+                        render_asm(t, template, &dst, &ops),
+                        render_by_replace(t, template, &dst, &ops),
+                        "template {template:?} of {}",
+                        t.name
+                    );
+                    rendered += 1;
+                }
+            }
+            for store in &t.stores {
+                for _ in 0..5 {
+                    let value = draw(1, &mut rng);
+                    let dst = draw(1, &mut rng).remove(0);
+                    assert_eq!(
+                        render_asm(t, &store.asm, &dst, &value),
+                        render_by_replace(t, &store.asm, &dst, &value),
+                        "store {:?} of {}",
+                        store.asm,
+                        t.name
+                    );
+                    rendered += 1;
+                }
+            }
+        }
+        assert!(rendered > 1000, "{rendered}");
+        // substituted text is never scanned again, where the chain would
+        // expand a placeholder it spells (no real template nests braces)
+        let (t, ops) = (&targets[0], [Loc::Imm(1), Loc::Imm(2)]);
+        assert_eq!(render_asm(t, "{{0}}", &Loc::Imm(0), &ops), "{1}");
+        assert_eq!(render_by_replace(t, "{{0}}", &Loc::Imm(0), &ops), "2");
     }
 }

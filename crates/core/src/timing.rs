@@ -11,7 +11,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use record_isa::{Code, InsnKind, Loc};
+use record_isa::{Code, InsnKind, Loc, RegId};
 
 /// A snapshot of code-shape counters, taken before and after each pass so
 /// a [`PassRecord`] can show what the pass actually did to the code.
@@ -37,7 +37,9 @@ impl CodeStats {
     /// Measures `code`.
     pub fn of(code: &Code) -> Self {
         let mut stats = CodeStats { words: code.size_words(), ..Default::default() };
-        let mut regs = std::collections::HashSet::new();
+        // a handful of distinct registers per program: a linear scan
+        // beats hashing every operand
+        let mut regs: Vec<RegId> = Vec::new();
         for insn in &code.insns {
             stats.insns += 1;
             count_insn(insn, &mut stats, &mut regs);
@@ -56,23 +58,20 @@ impl CodeStats {
     }
 }
 
-fn count_insn(
-    insn: &record_isa::Insn,
-    stats: &mut CodeStats,
-    regs: &mut std::collections::HashSet<record_isa::RegId>,
-) {
+fn count_insn(insn: &record_isa::Insn, stats: &mut CodeStats, regs: &mut Vec<RegId>) {
     if insn.text == "NOP" {
         stats.nops += 1;
     }
     if let InsnKind::Compute { dst, expr } = &insn.kind {
-        if let Loc::Reg(r) = dst {
-            regs.insert(*r);
-        }
-        for l in expr.reads() {
+        let mut note = |l: &Loc| {
             if let Loc::Reg(r) = l {
-                regs.insert(*r);
+                if !regs.contains(r) {
+                    regs.push(*r);
+                }
             }
-        }
+        };
+        note(dst);
+        expr.for_each_read(&mut note);
     }
     for p in &insn.parallel {
         stats.parallel_ops += 1;

@@ -78,28 +78,31 @@ impl BlockDag {
         }
         let mut versions: HashMap<Symbol, u32> = HashMap::new();
         let mut bases_memo: HashMap<TreeId, Vec<Symbol>> = HashMap::new();
-        let mut occ: HashMap<(TreeId, Vec<(Symbol, u32)>), Occ> = HashMap::new();
+        // keyed by the subtree and the store version of each base symbol
+        // it reads, in `read_bases` order (the id fixes the symbols)
+        let mut occ: HashMap<(TreeId, Vec<u32>), Occ> = HashMap::new();
         let mut roots = Vec::with_capacity(stmts.len());
         let mut order = 0usize;
+        let mut stack = Vec::new();
 
         for (i, stmt) in stmts.iter().enumerate() {
             let root = pool.intern(&stmt.src);
             roots.push(root);
             // Visit every occurrence (with multiplicity) in pre-order.
-            let mut stack = vec![root];
+            stack.push(root);
             while let Some(id) = stack.pop() {
-                let node = pool.node(id).clone();
-                for child in node.children().into_iter().rev() {
-                    stack.push(child);
-                }
                 order += 1;
-                if matches!(node, TreeNode::Const(_)) {
-                    continue;
+                match *pool.node(id) {
+                    TreeNode::Const(_) => continue,
+                    TreeNode::Bin(_, a, b) => stack.extend([b, a]),
+                    TreeNode::Un(_, a) => stack.push(a),
+                    TreeNode::Mem(_) | TreeNode::Temp(_) => {}
                 }
-                let sig: Vec<(Symbol, u32)> = read_bases(pool, id, &mut bases_memo)
-                    .iter()
-                    .map(|s| (s.clone(), versions.get(s).copied().unwrap_or(0)))
-                    .collect();
+                if !bases_memo.contains_key(&id) {
+                    read_bases(pool, id, &mut bases_memo);
+                }
+                let sig: Vec<u32> =
+                    bases_memo[&id].iter().map(|s| versions.get(s).copied().unwrap_or(0)).collect();
                 let e = occ.entry((id, sig)).or_insert(Occ {
                     uses: Vec::new(),
                     count: 0,

@@ -281,6 +281,11 @@ pub fn single_step_interned(pool: &mut TreePool, id: TreeId, rules: &RuleSet) ->
     out
 }
 
+/// Appends to `out` every single-rule rewrite of `id`, in the order of
+/// [`rewrite_at_each_node`]. A child's rewrites are appended first and
+/// then wrapped in place into rewrites of `id`, so nodes are interned in
+/// a fixed order (the child's rewrites, then their parents) and no
+/// scratch vector is allocated per tree level.
 fn rewrite_at_each_node_interned(
     pool: &mut TreePool,
     id: TreeId,
@@ -289,24 +294,21 @@ fn rewrite_at_each_node_interned(
 ) {
     root_rewrites_interned(pool, id, rules, out);
     if let Some((op, a, b)) = bin_parts(pool, id) {
-        let mut ra = Vec::new();
-        rewrite_at_each_node_interned(pool, a, rules, &mut ra);
-        for na in ra {
-            let t = pool.bin(op, na, b);
-            out.push(t);
+        let start = out.len();
+        rewrite_at_each_node_interned(pool, a, rules, out);
+        for slot in &mut out[start..] {
+            *slot = pool.bin(op, *slot, b);
         }
-        let mut rb = Vec::new();
-        rewrite_at_each_node_interned(pool, b, rules, &mut rb);
-        for nb in rb {
-            let t = pool.bin(op, a, nb);
-            out.push(t);
+        let start = out.len();
+        rewrite_at_each_node_interned(pool, b, rules, out);
+        for slot in &mut out[start..] {
+            *slot = pool.bin(op, a, *slot);
         }
     } else if let Some((op, a)) = un_parts(pool, id) {
-        let mut ra = Vec::new();
-        rewrite_at_each_node_interned(pool, a, rules, &mut ra);
-        for na in ra {
-            let t = pool.un(op, na);
-            out.push(t);
+        let start = out.len();
+        rewrite_at_each_node_interned(pool, a, rules, out);
+        for slot in &mut out[start..] {
+            *slot = pool.un(op, *slot);
         }
     }
 }

@@ -78,18 +78,20 @@ impl SemExpr {
     /// All locations read by the expression, in evaluation order.
     pub fn reads(&self) -> Vec<&Loc> {
         let mut out = Vec::new();
-        self.collect_reads(&mut out);
+        self.for_each_read(&mut |l| out.push(l));
         out
     }
 
-    fn collect_reads<'a>(&'a self, out: &mut Vec<&'a Loc>) {
+    /// Calls `f` on every location the expression reads, in evaluation
+    /// order — [`reads`](SemExpr::reads) without collecting a vector.
+    pub fn for_each_read<'a>(&'a self, f: &mut impl FnMut(&'a Loc)) {
         match self {
-            SemExpr::Loc(l) => out.push(l),
+            SemExpr::Loc(l) => f(l),
             SemExpr::Bin(_, a, b) => {
-                a.collect_reads(out);
-                b.collect_reads(out);
+                a.for_each_read(f);
+                b.for_each_read(f);
             }
-            SemExpr::Un(_, a) => a.collect_reads(out),
+            SemExpr::Un(_, a) => a.for_each_read(f),
         }
     }
 

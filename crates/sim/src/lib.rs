@@ -40,6 +40,9 @@ pub enum SimError {
     StepLimit,
     /// Structural problem (unbalanced loops, repeat without target).
     Structure(StructureError),
+    /// An instruction read or wrote a register the target does not
+    /// declare (its class does not exist, or has fewer members).
+    UnknownRegister(RegId),
 }
 
 impl fmt::Display for SimError {
@@ -52,6 +55,7 @@ impl fmt::Display for SimError {
             SimError::UnknownCounter(s) => write!(f, "loop counter `{s}` not active"),
             SimError::StepLimit => f.write_str("step limit exceeded"),
             SimError::Structure(s) => write!(f, "bad code structure: {s}"),
+            SimError::UnknownRegister(r) => write!(f, "register {r} not declared by the target"),
         }
     }
 }
@@ -94,7 +98,11 @@ pub struct RunResult {
 #[derive(Debug)]
 pub struct Machine<'t> {
     target: &'t TargetDesc,
-    regs: HashMap<RegId, i64>,
+    /// The register file: register `(class, index)` lives at
+    /// `reg_base[class] + index`.
+    regs: Vec<i64>,
+    /// Per register class, the slot of its member 0 in `regs`.
+    reg_base: Vec<usize>,
     ars: Vec<i64>,
     mem: [Vec<i64>; 2],
     /// Per bank, the address range written since creation or the last
@@ -115,9 +123,16 @@ impl<'t> Machine<'t> {
     pub fn new(target: &'t TargetDesc) -> Self {
         let n_ars = target.agu.as_ref().map(|a| a.n_ars as usize).unwrap_or(0);
         let words = target.memory.words_per_bank as usize;
+        let mut reg_base = Vec::with_capacity(target.reg_classes.len());
+        let mut n_regs = 0;
+        for class in &target.reg_classes {
+            reg_base.push(n_regs);
+            n_regs += class.count as usize;
+        }
         Machine {
             target,
-            regs: HashMap::new(),
+            regs: vec![0; n_regs],
+            reg_base,
             ars: vec![0; n_ars],
             mem: [vec![0; words], vec![0; words]],
             dirty: [0..0, 0..0],
@@ -127,14 +142,14 @@ impl<'t> Machine<'t> {
         }
     }
 
-    /// Restores the state of [`Machine::new`]: no register written, every
-    /// address register and memory word zero, every mode at its default.
+    /// Restores the state of [`Machine::new`]: every register, address
+    /// register and memory word zero, every mode at its default.
     /// Only the memory written since the last reset is cleared, so a
     /// machine can run many short programs without reallocating its
     /// banks. The step budget and tracing setting are kept; the trace
     /// log is emptied.
     pub fn reset(&mut self) {
-        self.regs.clear();
+        self.regs.fill(0);
         self.ars.fill(0);
         for (bank, dirty) in self.mem.iter_mut().zip(&mut self.dirty) {
             bank[std::mem::take(dirty)].fill(0);
@@ -190,9 +205,17 @@ impl<'t> Machine<'t> {
         self.mem[bank as usize].get(addr as usize).copied()
     }
 
-    /// Reads a register (mainly for tests and the self-test generator).
+    /// Reads a register (mainly for tests and the self-test generator);
+    /// 0 for a register the target does not declare.
     pub fn reg(&self, r: RegId) -> i64 {
-        *self.regs.get(&r).unwrap_or(&0)
+        self.reg_slot(r).map_or(0, |slot| self.regs[slot])
+    }
+
+    /// The register file slot of `r`, or `None` when the target does not
+    /// declare it.
+    fn reg_slot(&self, r: RegId) -> Option<usize> {
+        let class = self.target.reg_classes.get(r.class.0 as usize)?;
+        (r.index < class.count).then(|| self.reg_base[r.class.0 as usize] + r.index as usize)
     }
 
     /// The current state of mode `m`; `false` for modes the target does
@@ -257,14 +280,13 @@ impl<'t> Machine<'t> {
                     let body = code
                         .insns
                         .get(pc + 1)
-                        .ok_or(SimError::Structure(StructureError::RptAtEnd))?
-                        .clone();
+                        .ok_or(SimError::Structure(StructureError::RptAtEnd))?;
                     for _ in 0..*count {
                         steps += 1;
                         if steps > self.max_steps {
                             return Err(SimError::StepLimit);
                         }
-                        self.exec_repeatable(&body, code, &counters)?;
+                        self.exec_repeatable(body, code, &counters)?;
                         result.cycles += body.cycles as u64;
                         result.insns += 1;
                     }
@@ -359,8 +381,7 @@ impl<'t> Machine<'t> {
                     pc += 1;
                 }
                 InsnKind::Compute { .. } => {
-                    let insn = insn.clone();
-                    self.exec_bundle(&insn, code, &counters)?;
+                    self.exec_bundle(insn, code, &counters)?;
                     result.cycles += insn.cycles as u64;
                     result.insns += 1;
                     pc += 1;
@@ -505,7 +526,9 @@ impl<'t> Machine<'t> {
     ) -> Result<i64, SimError> {
         match loc {
             Loc::Imm(v) => Ok(record_ir::ops::wrap_to_width(*v, self.target.word_width)),
-            Loc::Reg(r) => Ok(self.reg(*r)),
+            Loc::Reg(r) => {
+                self.reg_slot(*r).map(|slot| self.regs[slot]).ok_or(SimError::UnknownRegister(*r))
+            }
             Loc::Mem(m) => {
                 let (bank, addr) = self.resolve(m, code, counters)?;
                 if let AddrMode::Indirect { ar, post } = m.mode {
@@ -528,7 +551,8 @@ impl<'t> Machine<'t> {
         match loc {
             Loc::Imm(_) => Err(SimError::Structure(StructureError::ImmediateDestination)),
             Loc::Reg(r) => {
-                self.regs.insert(*r, value);
+                let slot = self.reg_slot(*r).ok_or(SimError::UnknownRegister(*r))?;
+                self.regs[slot] = value;
                 Ok(())
             }
             Loc::Mem(m) => {
@@ -895,9 +919,9 @@ mod tests {
         assert_eq!(m.reg(acc), 0);
     }
 
-    /// Every piece of architectural state `reset` must restore: registers,
-    /// address registers, both memory banks and the modes.
-    type State = (HashMap<RegId, i64>, Vec<i64>, [Vec<i64>; 2], Vec<bool>);
+    /// Every piece of architectural state `reset` must restore: the
+    /// register file, address registers, both memory banks and the modes.
+    type State = (Vec<i64>, Vec<i64>, [Vec<i64>; 2], Vec<bool>);
 
     fn state(m: &Machine<'_>) -> State {
         (m.regs.clone(), m.ars.clone(), m.mem.clone(), m.modes.clone())
@@ -951,6 +975,39 @@ mod tests {
         assert_eq!(reused.mem[Bank::Y as usize][top as usize - 1], -3);
         reused.reset();
         assert_eq!(state(&reused), fresh_state);
+    }
+
+    /// The register file holds exactly the registers the target declares:
+    /// reading or writing any other one fails the run, while the `reg`
+    /// accessor reports it as 0.
+    #[test]
+    fn undeclared_registers_fail_the_run() {
+        let target = record_isa::targets::dsp56k::target();
+        let x = target.reg_class("x").unwrap();
+        let count = target.class(x).count;
+        let beyond_class = RegId::new(x, count);
+        let no_class = RegId::new(record_isa::RegClassId(target.reg_classes.len() as u16), 0);
+        for bad in [beyond_class, no_class] {
+            let mut write = code_with_layout(&[("y", 1)]);
+            write.insns.push(Insn::mov(Loc::Reg(bad), Loc::Imm(5), "MOVE #5,??", 1, 1));
+            let mut m = Machine::new(&target);
+            assert_eq!(m.run(&write), Err(SimError::UnknownRegister(bad)));
+
+            let mut read = code_with_layout(&[("y", 1)]);
+            read.insns.push(Insn::mov(mem("y"), Loc::Reg(bad), "MOVE ??,y", 1, 1));
+            let mut m = Machine::new(&target);
+            assert_eq!(m.run(&read), Err(SimError::UnknownRegister(bad)));
+            assert_eq!(m.reg(bad), 0);
+        }
+        // the last member of the class is still a register
+        let last = RegId::new(x, count - 1);
+        let mut code = code_with_layout(&[("y", 1)]);
+        code.insns.push(Insn::mov(Loc::Reg(last), Loc::Imm(5), "MOVE #5,x", 1, 1));
+        code.insns.push(Insn::mov(mem("y"), Loc::Reg(last), "MOVE x,y", 1, 1));
+        let mut m = Machine::new(&target);
+        m.run(&code).unwrap();
+        assert_eq!(m.reg(last), 5);
+        assert_eq!(m.peek(&Symbol::new("y"), 0, &code), Some(5));
     }
 
     #[test]

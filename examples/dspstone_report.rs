@@ -21,10 +21,10 @@
 //!
 //! * `--json PATH` — per-kernel `{insns, words, relative_to_handasm}`
 //!   for all ten kernels on both shipped targets, as one JSON document
-//! * `--bench-json PATH` — per-kernel wall time plus the deterministic
-//!   selection-work counters (variants, labels computed/memoized, dedup
-//!   hits, search steps, insns, words); this is the `BENCH_compile.json`
-//!   artifact the CI perf gate diffs against its committed baseline
+//! * `--bench-json PATH` — the per-kernel deterministic selection-work
+//!   counters (variants, labels computed/memoized, dedup hits, search
+//!   steps, insns, words); this is the `BENCH_compile.json` artifact the
+//!   CI perf gate diffs against its committed baseline
 //! * `--trace PATH` — Chrome trace-event dump of every compile the run
 //!   performed (span per pass, instant per cache event); open it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`

@@ -19,10 +19,9 @@
 //!   stopped taking shares it used to take (e.g. dsp56k MAC kernels
 //!   falling back to recomputation).
 //!
-//! Wall-clock time (`wall_us`) is printed for context but **never
-//! gated**: it varies with the runner, while every gated counter is a
-//! pure function of the source tree, so a >5 % move is an algorithmic
-//! change, not scheduler noise.
+//! The report holds no wall-clock time: every counter is a pure
+//! function of the source tree, so a >5 % move is an algorithmic change,
+//! not scheduler noise. Wall time is `perfbench`'s job.
 //!
 //! With `--cache-current PATH` the gate additionally diffs a
 //! `record-cache/v1` counter document (from `cache_stats --json`)
@@ -224,15 +223,11 @@ fn run() -> Result<bool, String> {
             ok = false;
         }
     }
-    let mut wall_cur = 0.0;
-    let mut wall_base = 0.0;
     for ((kernel, target), cur) in &current {
         let Some(base) = baseline.get(&(kernel.clone(), target.clone())) else {
             println!("note {kernel}/{target}: new kernel, no baseline (not gated)");
             continue;
         };
-        wall_cur += counter(cur, "wall_us");
-        wall_base += counter(base, "wall_us");
         for name in WORK {
             let (c, b) = (counter(cur, name), counter(base, name));
             if c > b * (1.0 + tolerance) {
@@ -251,10 +246,6 @@ fn run() -> Result<bool, String> {
             }
         }
     }
-    println!(
-        "wall time (informational, never gated): {:.0} µs now vs {:.0} µs at baseline",
-        wall_cur, wall_base
-    );
     if let Some(path) = &cache_current_path {
         ok &= gate_cache(path, &baseline_path, tolerance)?;
     }

@@ -158,8 +158,8 @@ fn interned_selection_is_byte_identical_to_the_boxed_reference() {
 
 /// The committed perf-gate baseline must describe the current compiler:
 /// every deterministic counter in `tests/golden/bench_baseline.json`
-/// matches a fresh run exactly (wall time is the one field allowed to
-/// drift). This is the local mirror of the CI perf gate.
+/// matches a fresh run exactly. This is the local mirror of the CI perf
+/// gate.
 #[test]
 fn bench_baseline_matches_current_deterministic_counters() {
     use record_trace::json::{parse, Value};
