@@ -82,10 +82,9 @@ impl Tables {
 
     /// Serializes the tables into a self-contained, checksummed binary
     /// blob (versioned header, length-prefixed rule lists, FNV trailer —
-    /// see [`record_trace::codec`]). Loading the blob back with
-    /// [`from_bytes`](Tables::from_bytes) skips the per-target
-    /// generation step entirely: the cold-start cost the paper's iburg
-    /// pays offline becomes a file read.
+    /// see [`record_trace::codec`]), which [`from_bytes`](Tables::from_bytes)
+    /// reads back. The compiler itself stores no tables: decoding them
+    /// costs no more than [`build`](Tables::build)ing them.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = codec::ByteWriter::new();
         w.u32(self.n_nts as u32);
@@ -105,10 +104,10 @@ impl Tables {
 
     /// Deserializes tables written by [`to_bytes`](Tables::to_bytes).
     ///
-    /// Every failure mode of a file on disk — truncation, a flipped bit,
+    /// Every failure mode of a stored blob — truncation, a flipped bit,
     /// a stale format version, an operator-count mismatch with the
     /// running build — comes back as a [`codec::CodecError`], never a
-    /// panic: cache layers treat it as a miss and regenerate.
+    /// panic.
     ///
     /// # Errors
     ///
@@ -144,11 +143,10 @@ impl Tables {
 
     /// Whether these (possibly deserialized) tables are structurally
     /// plausible for `target`: same nonterminal count, every indexed
-    /// rule id within the target's rule table. This is the load-time
-    /// sanity gate for tables read from disk — it cannot prove the
-    /// tables were generated from *this* grammar (the cache keys files
-    /// by a full-content fingerprint for that), but it does guarantee
-    /// that every table lookup the matcher performs stays in bounds.
+    /// rule id within the target's rule table. This is the sanity gate
+    /// for deserialized tables — it cannot prove the tables were
+    /// generated from *this* grammar, but it does guarantee that every
+    /// table lookup the matcher performs stays in bounds.
     pub fn is_consistent_with(&self, target: &TargetDesc) -> bool {
         self.n_nts == target.nonterms.len()
             && self.rules_by_op.len() == Op::COUNT

@@ -1,18 +1,15 @@
 //! Two-level content-addressed compile cache.
 //!
-//! The paper's compiler pays two distinct fixed costs: generating the
-//! BURS matcher tables for a target (the step iburg performs offline)
-//! and compiling each kernel. This module caches both behind
-//! content-derived keys so repeated work becomes a lookup:
+//! Compiled code is keyed by [`CacheKey`] — the program's fingerprint
+//! (over its interned [`TreePool`](record_ir::pool::TreePool) form), the
+//! target's fingerprint, and the pass plan's fingerprint — so a repeat
+//! compile becomes a lookup. An in-memory LRU answers warm lookups
+//! within a process; an optional on-disk store answers them across
+//! processes.
 //!
-//! * **Compiled code** is keyed by [`CacheKey`] — the program's
-//!   fingerprint (over its interned [`TreePool`](record_ir::pool::TreePool)
-//!   form), the target's fingerprint, and the pass plan's fingerprint.
-//!   An in-memory LRU answers warm lookups within a process; an
-//!   optional on-disk store answers them across processes.
-//! * **BURS tables** are keyed by the target fingerprint alone and
-//!   stored on disk, so a later process cold-starts a target with a
-//!   file load instead of table generation.
+//! The BURS matcher tables are not stored: building them for a target
+//! costs no more than decoding them would, so a [`Session`](crate::Session)
+//! builds them once per process.
 //!
 //! Fingerprints are 64-bit, so collisions are improbable but not
 //! impossible; every code hit is therefore confirmed by *exact
@@ -31,13 +28,11 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use record_burg::Tables;
 use record_ir::lir::{AssignStmt, Lir, LirItem, StorageKind, VarInfo};
 use record_ir::{Bank, BinOp, Index, MemRef, Symbol, Tree, UnOp};
 use record_isa::code::LayoutEntry;
 use record_isa::{
     AddrMode, Code, DataLayout, Insn, InsnKind, Loc, MemLoc, RegClassId, RegId, RuleId, SemExpr,
-    TargetDesc,
 };
 use record_trace::codec::{self, ByteReader, ByteWriter, CodecError};
 
@@ -50,24 +45,14 @@ const CODE_VERSION: u32 = 1;
 /// exhaustion on hostile bytes. Real kernels nest a handful of levels.
 const MAX_DECODE_DEPTH: usize = 512;
 
-/// A stable fingerprint of a target description: FNV-1a over its
-/// `Hash` derivation. Names the target's on-disk BURS table file and
-/// forms the target component of a [`CacheKey`]. (The `DefaultHasher`
-/// is randomly keyed per process — never persist it.)
-pub fn target_fingerprint(target: &TargetDesc) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = codec::StableHasher::new();
-    target.hash(&mut h);
-    h.finish()
-}
-
 /// The content-derived identity of one compile:
 /// (program, target, pass plan) as stable 64-bit fingerprints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`record_ir::fingerprint::program_fingerprint`] of the LIR.
     pub program: u64,
-    /// [`target_fingerprint`] of the target description.
+    /// [`Compiler::stable_fingerprint`](crate::Compiler::stable_fingerprint)
+    /// of the target description.
     pub target: u64,
     /// [`PassPlan::fingerprint`](crate::PassPlan::fingerprint).
     pub plan: u64,
@@ -85,8 +70,6 @@ pub struct CacheStats {
     /// On-disk entries rejected (truncated, checksum-failing,
     /// version-mismatched, or undecodable) and deleted.
     pub corruptions: u64,
-    /// BURS table sets loaded from disk instead of being generated.
-    pub tables_loaded: u64,
 }
 
 /// One resident cache entry. The request's `Lir` and target name are
@@ -154,11 +137,6 @@ impl CompileCache {
         format!("code-{:016x}-{:016x}-{:016x}.bin", key.program, key.target, key.plan)
     }
 
-    /// The file the BURS tables for a target fingerprint live in.
-    pub fn tables_file_name(target_fp: u64) -> String {
-        format!("burs-{target_fp:016x}.bin")
-    }
-
     /// Looks up compiled code for `(key, lir, target_name)`: memory
     /// first, then disk. A fingerprint collision (stored program or
     /// target differs structurally) and a corrupt disk entry both
@@ -191,32 +169,6 @@ impl CompileCache {
             let payload = encode_entry(&key, lir, target_name, code);
             let sealed = codec::seal(CODE_MAGIC, CODE_VERSION, &payload);
             self.write_file(&Self::code_file_name(&key), &sealed);
-        }
-    }
-
-    /// Loads the BURS tables for `target` from disk, verifying they are
-    /// structurally consistent with the description. Inconsistent or
-    /// undecodable tables count as corruption and the file is deleted.
-    pub fn load_tables(&mut self, target_fp: u64, target: &TargetDesc) -> Option<Tables> {
-        let path = self.dir.as_ref()?.join(Self::tables_file_name(target_fp));
-        let bytes = std::fs::read(&path).ok()?;
-        match Tables::from_bytes(&bytes) {
-            Ok(tables) if tables.is_consistent_with(target) => {
-                self.stats.tables_loaded += 1;
-                Some(tables)
-            }
-            _ => {
-                self.discard(&path);
-                None
-            }
-        }
-    }
-
-    /// Writes the BURS tables for `target_fp` to disk (best-effort).
-    pub fn store_tables(&mut self, target_fp: u64, tables: &Tables) {
-        if self.dir.is_some() {
-            let bytes = tables.to_bytes();
-            self.write_file(&Self::tables_file_name(target_fp), &bytes);
         }
     }
 
@@ -301,11 +253,11 @@ impl CompileCache {
     }
 
     /// Offline integrity scrub of a cache directory: every code entry is
-    /// fully decoded, every BURS table set deserialized, and every stale
-    /// temp file removed. Undecodable files are deleted and counted, so
-    /// after a scrub every remaining file is loadable — the post-drain
-    /// guarantee the compile daemon checks before reporting a clean
-    /// exit. Unrecognized file names are left alone.
+    /// fully decoded and every stale temp file removed. Undecodable
+    /// entries are deleted and counted, so after a scrub every remaining
+    /// entry is loadable — the post-drain guarantee the compile daemon
+    /// checks before reporting a clean exit. Unrecognized file names
+    /// are left alone.
     pub fn scrub_dir(dir: &Path) -> ScrubStats {
         let mut stats = ScrubStats::default();
         let Ok(entries) = std::fs::read_dir(dir) else {
@@ -320,16 +272,11 @@ impl CompileCache {
                 }
                 continue;
             }
-            let valid = if name.starts_with("code-") && name.ends_with(".bin") {
-                stats.code_entries += 1;
-                std::fs::read(&path).is_ok_and(|b| decode_entry(&b).is_ok())
-            } else if name.starts_with("burs-") && name.ends_with(".bin") {
-                stats.table_entries += 1;
-                std::fs::read(&path).is_ok_and(|b| Tables::from_bytes(&b).is_ok())
-            } else {
+            if !(name.starts_with("code-") && name.ends_with(".bin")) {
                 continue;
-            };
-            if !valid {
+            }
+            stats.code_entries += 1;
+            if !std::fs::read(&path).is_ok_and(|b| decode_entry(&b).is_ok()) {
                 stats.corrupt_removed += 1;
                 let _ = std::fs::remove_file(&path);
             }
@@ -343,8 +290,6 @@ impl CompileCache {
 pub struct ScrubStats {
     /// Code entries examined (valid ones are counted too).
     pub code_entries: usize,
-    /// BURS table files examined.
-    pub table_entries: usize,
     /// Undecodable files deleted.
     pub corrupt_removed: usize,
     /// Orphaned mid-write temp files deleted.
@@ -1103,32 +1048,6 @@ mod tests {
         let s = cold.stats();
         assert_eq!((s.misses, s.corruptions), (1, 1));
         assert!(!path.exists(), "corrupt entry must be evicted from disk");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tables_store_and_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("record-tables-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let target = record_isa::targets::tic25::target();
-        let fp = target_fingerprint(&target);
-        let built = Tables::build(&target);
-
-        let mut cache = CompileCache::new(1).with_dir(&dir);
-        assert!(cache.load_tables(fp, &target).is_none(), "nothing stored yet");
-        cache.store_tables(fp, &built);
-        let loaded = cache.load_tables(fp, &target).expect("stored tables load");
-        assert_eq!(loaded, built);
-        assert_eq!(cache.stats().tables_loaded, 1);
-
-        // a truncated tables file is corruption: deleted, not an error
-        let path = dir.join(CompileCache::tables_file_name(fp));
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(cache.load_tables(fp, &target).is_none());
-        assert_eq!(cache.stats().corruptions, 1);
-        assert!(!path.exists());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -53,30 +53,8 @@ pub struct CompilationUnit<'a> {
     pub vars: Vec<VarInfo>,
     /// The output machine code (empty until `select` runs).
     pub code: Code,
-    /// Statements selected (after tree decomposition).
-    pub statements: usize,
-    /// Tree variants enumerated across all statements.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes interned by selection's hash-consing pool.
-    pub interned_nodes: u64,
-    /// Tree-node constructions answered by the pool (allocation avoided).
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch during selection.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache.
-    pub labels_memoized: u64,
-    /// Generated variants skipped by the cost-floor short-circuit.
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by variant enumeration.
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees found by block DAG analysis.
-    pub shared_subtrees: u64,
-    /// DAG sharing candidates computed once into a parked register.
-    pub shares_taken: u64,
-    /// DAG sharing candidates recomputed at every use instead.
-    pub recomputes_chosen: u64,
+    /// Selection counters, filled by the `select` pass.
+    pub select: SelectStats,
     /// Resource caps the passes must respect (copied from the plan by
     /// the runner before the first pass executes).
     pub budgets: Budgets,
@@ -102,21 +80,23 @@ impl<'a> CompilationUnit<'a> {
                 name: lir.name.to_string(),
             },
             lir: lir.clone(),
-            statements: 0,
-            variants: 0,
-            covered: 0,
-            interned_nodes: 0,
-            dedup_hits: 0,
-            labels_computed: 0,
-            labels_memoized: 0,
-            variants_pruned: 0,
-            search_steps: 0,
-            shared_subtrees: 0,
-            shares_taken: 0,
-            recomputes_chosen: 0,
+            select: SelectStats::default(),
             budgets: Budgets::unlimited(),
             trace: SpanRecorder::disabled(),
         }
+    }
+}
+
+/// Reads the selection counters as fields of the unit (`unit.variants`).
+///
+/// Exists only for `perfbench`, which reads nine counters that way and
+/// may not change alongside this crate. It goes once a benchmark change
+/// reads `unit.select`.
+impl std::ops::Deref for CompilationUnit<'_> {
+    type Target = SelectStats;
+
+    fn deref(&self) -> &SelectStats {
+        &self.select
     }
 }
 
@@ -528,18 +508,7 @@ impl PassPlan {
                 PassFailure::anonymous(CompileError::Verify { pass: "pipeline".into(), error: e })
             })?;
         }
-        timings.statements = unit.statements;
-        timings.variants = unit.variants;
-        timings.covered = unit.covered;
-        timings.interned_nodes = unit.interned_nodes;
-        timings.dedup_hits = unit.dedup_hits;
-        timings.labels_computed = unit.labels_computed;
-        timings.labels_memoized = unit.labels_memoized;
-        timings.variants_pruned = unit.variants_pruned;
-        timings.search_steps = unit.search_steps;
-        timings.shared_subtrees = unit.shared_subtrees;
-        timings.shares_taken = unit.shares_taken;
-        timings.recomputes_chosen = unit.recomputes_chosen;
+        timings.select = unit.select;
         timings.insns = unit.code.insns.len();
         Ok(())
     }
@@ -752,34 +721,16 @@ impl Pass for SelectPass {
             target,
             &mut emitter,
             &mut insns,
-            &mut unit.statements,
             &mut stats,
             &budget,
             budgets.max_variants,
         );
         unit.lir.body = body;
-        unit.variants += stats.variants;
-        unit.covered += stats.covered;
-        unit.interned_nodes += stats.interned_nodes;
-        unit.dedup_hits += stats.dedup_hits;
-        unit.labels_computed += stats.labels_computed;
-        unit.labels_memoized += stats.labels_memoized;
-        unit.variants_pruned += stats.variants_pruned;
-        unit.search_steps += stats.search_steps;
-        unit.shared_subtrees += stats.shared_subtrees;
-        unit.shares_taken += stats.shares_taken;
-        unit.recomputes_chosen += stats.recomputes_chosen;
-        unit.trace.attr("search_steps", budget.steps());
+        unit.select.absorb(&stats);
         if unit.trace.is_enabled() {
-            unit.trace.attr("interned_nodes", stats.interned_nodes);
-            unit.trace.attr("dedup_hits", stats.dedup_hits);
-            unit.trace.attr("labels_computed", stats.labels_computed);
-            unit.trace.attr("labels_memoized", stats.labels_memoized);
-            unit.trace.attr("variants_pruned", stats.variants_pruned);
-            unit.trace.attr("enum_steps", stats.search_steps);
-            unit.trace.attr("shared_subtrees", stats.shared_subtrees);
-            unit.trace.attr("shares_taken", stats.shares_taken);
-            unit.trace.attr("recomputes_chosen", stats.recomputes_chosen);
+            for (counter, value) in SelectStats::COUNTERS.iter().zip(stats.values()) {
+                unit.trace.attr(counter.name, value);
+            }
         }
         result?;
         for s in emitter.scratch_symbols() {
@@ -804,7 +755,6 @@ impl SelectPass {
         target: &TargetDesc,
         emitter: &mut Emitter<'_>,
         out: &mut Vec<Insn>,
-        statements: &mut usize,
         stats: &mut SelectStats,
         budget: &record_opt::SearchBudget,
         max_variants: Option<usize>,
@@ -817,15 +767,7 @@ impl SelectPass {
             match item {
                 LirItem::Assign(stmt) => block.push(stmt.clone()),
                 LirItem::Loop { var, count, body } => {
-                    self.flush_block(
-                        &mut block,
-                        emitter,
-                        out,
-                        statements,
-                        stats,
-                        budget,
-                        max_variants,
-                    )?;
+                    self.flush_block(&mut block, emitter, out, stats, budget, max_variants)?;
                     let init = target.loop_ctrl.init_cost;
                     out.push(Insn::ctrl(
                         InsnKind::LoopStart { var: var.clone(), count: *count },
@@ -833,35 +775,24 @@ impl SelectPass {
                         init.words,
                         init.cycles,
                     ));
-                    self.emit_rec(
-                        body,
-                        target,
-                        emitter,
-                        out,
-                        statements,
-                        stats,
-                        budget,
-                        max_variants,
-                    )?;
+                    self.emit_rec(body, target, emitter, out, stats, budget, max_variants)?;
                     let end = target.loop_ctrl.end_cost;
                     out.push(Insn::ctrl(InsnKind::LoopEnd, "ENDLP", end.words, end.cycles));
                 }
             }
         }
-        self.flush_block(&mut block, emitter, out, statements, stats, budget, max_variants)
+        self.flush_block(&mut block, emitter, out, stats, budget, max_variants)
     }
 
     /// Emits a gathered straight-line block: as one DAG cover when the
     /// pass runs with `dag_cover` (and no variants budget is in force —
     /// the per-statement cap accounting predates blocks and stays exact
     /// on the legacy path), otherwise statement by statement.
-    #[allow(clippy::too_many_arguments)]
     fn flush_block(
         &self,
         block: &mut Vec<AssignStmt>,
         emitter: &mut Emitter<'_>,
         out: &mut Vec<Insn>,
-        statements: &mut usize,
         stats: &mut SelectStats,
         budget: &record_opt::SearchBudget,
         max_variants: Option<usize>,
@@ -878,9 +809,9 @@ impl SelectPass {
             let (insns, one) =
                 emitter.emit_block(&stmts, &self.rules, self.variant_limit, false)?;
             stats.absorb(&one);
-            *statements += stmts.len();
+            stats.statements += stmts.len() as u64;
             out.extend(insns);
-            budget.charge(one.variants.max(1) as u64).map_err(|e| exceeded(e.resource))?;
+            budget.charge(one.variants.max(1)).map_err(|e| exceeded(e.resource))?;
             return Ok(());
         }
         for stmt in block.drain(..) {
@@ -890,20 +821,20 @@ impl SelectPass {
             // unusable tail.
             let limit = match max_variants {
                 Some(cap) => {
-                    let remaining = cap.saturating_sub(stats.variants);
+                    let remaining = cap.saturating_sub(stats.variants as usize);
                     self.variant_limit.min(remaining + 1)
                 }
                 None => self.variant_limit,
             };
             let (insns, one) = emitter.emit_assign(&stmt, &self.rules, limit, false)?;
             stats.absorb(&one);
-            *statements += 1;
+            stats.statements += 1;
             out.extend(insns);
             // one statement per charge: enough granularity for the
             // per-pass deadline without touching the clock inside
             // variant enumeration
-            budget.charge(one.variants.max(1) as u64).map_err(|e| exceeded(e.resource))?;
-            if max_variants.is_some_and(|cap| stats.variants > cap) {
+            budget.charge(one.variants.max(1)).map_err(|e| exceeded(e.resource))?;
+            if max_variants.is_some_and(|cap| stats.variants > cap as u64) {
                 return Err(exceeded("variants"));
             }
         }

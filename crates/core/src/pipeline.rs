@@ -372,28 +372,6 @@ impl Compiler {
         Ok(Compiler { target, tables, fingerprint: OnceLock::new() })
     }
 
-    /// Generates a compiler from a target description plus
-    /// **pre-built** BURS tables — the warm-start path: tables
-    /// deserialized from the on-disk cache skip
-    /// [`Tables::build`] entirely.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Target`] if the description fails validation or
-    /// the tables do not structurally match it (wrong rule count,
-    /// nonterminal count, or out-of-range rule ids — e.g. tables cached
-    /// for a different revision of the target).
-    pub fn with_tables(target: TargetDesc, tables: Arc<Tables>) -> Result<Self, CompileError> {
-        target.validate().map_err(|e| CompileError::Target(crate::TargetError::Invalid(e)))?;
-        if !tables.is_consistent_with(&target) {
-            return Err(CompileError::Target(crate::TargetError::Invalid(format!(
-                "pre-built BURS tables do not match target `{}`",
-                target.name
-            ))));
-        }
-        Ok(Compiler { target, tables, fingerprint: OnceLock::new() })
-    }
-
     /// Generates a compiler from an RT-level netlist via instruction-set
     /// extraction — the full left branch of Fig. 2.
     ///
@@ -429,10 +407,9 @@ impl Compiler {
     }
 
     /// A stable 64-bit fingerprint of the target description — the
-    /// cross-process half of a compile-cache key and the name of the
-    /// target's on-disk BURS table file. Computed once (FNV-1a over the
-    /// `TargetDesc`'s `Hash` derivation, *not* the randomly keyed
-    /// `DefaultHasher`) and cached in the compiler.
+    /// cross-process target half of a compile-cache key. Computed once
+    /// (FNV-1a over the `TargetDesc`'s `Hash` derivation, *not* the
+    /// randomly keyed `DefaultHasher`) and cached in the compiler.
     pub fn stable_fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             use std::hash::{Hash, Hasher};

@@ -12,6 +12,7 @@ use std::fmt;
 use record_ir::{dfl, lower};
 use record_sim::run_program;
 
+use crate::select::SelectStats;
 use crate::{
     baseline, handasm, CompileError, CompileRequest, Compiled, PhaseTimings, Session, SessionStats,
 };
@@ -209,7 +210,7 @@ impl fmt::Display for PhaseBreakdown {
                 compact,
                 (us(t.total) - select - compact).max(0.0),
                 us(t.total),
-                t.statements,
+                t.select.statements,
                 t.insns
             )?;
         }
@@ -269,9 +270,8 @@ impl fmt::Display for PhaseBreakdown {
         if s.code_hits + s.code_misses + s.code_corruptions > 0 {
             write!(
                 f,
-                "\n  compile cache: {} hit(s), {} miss(es), {} eviction(s), \
-                 {} corruption(s), {} table load(s)",
-                s.code_hits, s.code_misses, s.code_evictions, s.code_corruptions, s.tables_loaded
+                "\n  compile cache: {} hit(s), {} miss(es), {} eviction(s), {} corruption(s)",
+                s.code_hits, s.code_misses, s.code_evictions, s.code_corruptions
             )?;
         }
         Ok(())
@@ -395,30 +395,8 @@ pub struct KernelBench {
     pub kernel: &'static str,
     /// Target the kernel was compiled for.
     pub target: String,
-    /// Statements selected.
-    pub statements: usize,
-    /// Tree variants enumerated across all statements.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes interned by the hash-consing pool.
-    pub interned_nodes: u64,
-    /// Node constructions answered by the pool without allocating.
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache.
-    pub labels_memoized: u64,
-    /// Generated variants skipped by the cost-floor short-circuit.
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by variant enumeration.
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees found by block DAG analysis.
-    pub shared_subtrees: u64,
-    /// DAG sharing candidates computed once into a parked register.
-    pub shares_taken: u64,
-    /// DAG sharing candidates recomputed at every use instead.
-    pub recomputes_chosen: u64,
+    /// Selection counters.
+    pub select: SelectStats,
     /// Instructions in the compiled code (bundles count once).
     pub insns: usize,
     /// Code size in words.
@@ -444,18 +422,7 @@ pub fn kernel_bench_report(session: &Session) -> Result<Vec<KernelBench>, Compil
             out.push(KernelBench {
                 kernel: kernel.name,
                 target: target.name.clone(),
-                statements: t.statements,
-                variants: t.variants,
-                covered: t.covered,
-                interned_nodes: t.interned_nodes,
-                dedup_hits: t.dedup_hits,
-                labels_computed: t.labels_computed,
-                labels_memoized: t.labels_memoized,
-                variants_pruned: t.variants_pruned,
-                search_steps: t.search_steps,
-                shared_subtrees: t.shared_subtrees,
-                shares_taken: t.shares_taken,
-                recomputes_chosen: t.recomputes_chosen,
+                select: t.select,
                 insns: code.insns.len(),
                 words: code.size_words(),
             });
@@ -477,26 +444,9 @@ pub fn render_kernel_bench_json(rows: &[KernelBench]) -> String {
         json::push_str_lit(&mut out, r.kernel);
         out.push_str(",\"target\":");
         json::push_str_lit(&mut out, &r.target);
-        out.push_str(&format!(
-            ",\"statements\":{},\"variants\":{},\"covered\":{}",
-            r.statements, r.variants, r.covered
-        ));
-        out.push_str(&format!(
-            ",\"interned_nodes\":{},\"dedup_hits\":{}",
-            r.interned_nodes, r.dedup_hits
-        ));
-        out.push_str(&format!(
-            ",\"labels_computed\":{},\"labels_memoized\":{}",
-            r.labels_computed, r.labels_memoized
-        ));
-        out.push_str(&format!(
-            ",\"variants_pruned\":{},\"search_steps\":{}",
-            r.variants_pruned, r.search_steps
-        ));
-        out.push_str(&format!(
-            ",\"shared_subtrees\":{},\"shares_taken\":{},\"recomputes_chosen\":{}",
-            r.shared_subtrees, r.shares_taken, r.recomputes_chosen
-        ));
+        for (counter, value) in SelectStats::COUNTERS.iter().zip(r.select.values()) {
+            out.push_str(&format!(",\"{}\":{value}", counter.name));
+        }
         out.push_str(&format!(",\"insns\":{},\"words\":{}", r.insns, r.words));
         out.push('}');
     }
@@ -508,22 +458,19 @@ pub fn render_kernel_bench_json(rows: &[KernelBench]) -> String {
 /// `record-cache/v1` JSON document the CI cold-vs-warm step uploads and
 /// the perf gate diffs (via `perf_gate --cache-current`):
 /// `{"schema": "record-cache/v1", "code_hits": …, "code_misses": …,
-/// "code_evictions": …, "code_corruptions": …, "tables_loaded": …,
-/// "compiles": …}`.
+/// "code_evictions": …, "code_corruptions": …, "compiles": …}`.
 ///
 /// Every field is deterministic for a fixed compile sequence, so the
 /// gate treats misses/evictions/corruptions as work (must not rise) and
-/// hits/table-loads as savings (must not fall).
+/// hits as savings (must not fall).
 pub fn render_cache_stats_json(stats: &SessionStats) -> String {
     format!(
         "{{\"schema\":\"record-cache/v1\",\"code_hits\":{},\"code_misses\":{},\
-         \"code_evictions\":{},\"code_corruptions\":{},\"tables_loaded\":{},\
-         \"compiles\":{}}}\n",
+         \"code_evictions\":{},\"code_corruptions\":{},\"compiles\":{}}}\n",
         stats.code_hits,
         stats.code_misses,
         stats.code_evictions,
         stats.code_corruptions,
-        stats.tables_loaded,
         stats.compiles
     )
 }
@@ -571,7 +518,7 @@ mod tests {
         let pb = phase_breakdown().unwrap();
         assert_eq!(pb.rows.len(), 10);
         for (name, t) in &pb.rows {
-            assert!(t.statements > 0, "{name} selected no statements");
+            assert!(t.select.statements > 0, "{name} selected no statements");
             assert!(t.insns > 0, "{name} emitted nothing");
             assert!(t.total >= t.pass_time("select"), "{name}: total below select");
         }
@@ -607,15 +554,16 @@ mod tests {
         let mut kernels_with_dedup = std::collections::HashSet::new();
         let mut kernels_with_memo = std::collections::HashSet::new();
         for r in &rows {
-            assert!(r.statements > 0, "{}/{} selected nothing", r.kernel, r.target);
-            assert!(r.variants >= r.statements, "{}/{}", r.kernel, r.target);
-            assert!(r.interned_nodes > 0, "{}/{} interned nothing", r.kernel, r.target);
-            assert!(r.labels_computed > 0, "{}/{} labelled nothing", r.kernel, r.target);
+            let s = &r.select;
+            assert!(s.statements > 0, "{}/{} selected nothing", r.kernel, r.target);
+            assert!(s.variants >= s.statements, "{}/{}", r.kernel, r.target);
+            assert!(s.interned_nodes > 0, "{}/{} interned nothing", r.kernel, r.target);
+            assert!(s.labels_computed > 0, "{}/{} labelled nothing", r.kernel, r.target);
             assert!(r.insns > 0 && r.words > 0, "{}/{}", r.kernel, r.target);
-            if r.dedup_hits > 0 {
+            if s.dedup_hits > 0 {
                 kernels_with_dedup.insert(r.kernel);
             }
-            if r.labels_memoized > 0 {
+            if s.labels_memoized > 0 {
                 kernels_with_memo.insert(r.kernel);
             }
         }
@@ -631,13 +579,8 @@ mod tests {
 
     #[test]
     fn cache_stats_json_is_valid_and_complete() {
-        let stats = SessionStats {
-            code_hits: 80,
-            code_misses: 2,
-            tables_loaded: 8,
-            compiles: 82,
-            ..Default::default()
-        };
+        let stats =
+            SessionStats { code_hits: 80, code_misses: 2, compiles: 82, ..Default::default() };
         let json = render_cache_stats_json(&stats);
         record_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
         let doc = record_trace::json::parse(&json).unwrap();
@@ -647,7 +590,6 @@ mod tests {
             ("code_misses", 2.0),
             ("code_evictions", 0.0),
             ("code_corruptions", 0.0),
-            ("tables_loaded", 8.0),
             ("compiles", 82.0),
         ] {
             assert_eq!(doc.get(field).and_then(|v| v.as_f64()), Some(want), "{field}");

@@ -32,57 +32,98 @@ use record_isa::{
 
 use crate::CompileError;
 
-/// Per-statement selection statistics.
-///
-/// The first two fields count the classical enumeration loop; the rest
-/// are the deterministic hash-consing counters the perf gate tracks
-/// (`BENCH_compile.json`). All are exact and platform-independent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SelectStats {
-    /// Variants enumerated.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes newly interned into the pool.
-    pub interned_nodes: u64,
-    /// Node constructions answered by the pool (allocation avoided).
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache (labelling avoided).
-    pub labels_memoized: u64,
-    /// Already-generated variants skipped because the best cover could
-    /// no longer be beaten (or the search budget ran out).
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by the variant stream (enumeration
-    /// work, before de-duplication).
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees detected by the block DAG
-    /// analysis (sharing *candidates*, before the cost model runs).
-    pub shared_subtrees: u64,
-    /// Candidates the cost model chose to compute once and reference
-    /// from a parked register (DAG covering cuts accepted).
-    pub shares_taken: u64,
-    /// Candidates the cost model chose to recompute at every use
-    /// (sharing would not have paid on this target).
-    pub recomputes_chosen: u64,
+/// The direction in which a selection counter regresses, as the perf
+/// gate reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gate {
+    /// Work done: worse when it rises.
+    Work,
+    /// Work avoided: worse when it falls.
+    Savings,
 }
 
-impl SelectStats {
-    /// Adds `other` into `self` (statement → pass aggregation).
-    pub fn absorb(&mut self, other: &SelectStats) {
-        self.variants += other.variants;
-        self.covered += other.covered;
-        self.interned_nodes += other.interned_nodes;
-        self.dedup_hits += other.dedup_hits;
-        self.labels_computed += other.labels_computed;
-        self.labels_memoized += other.labels_memoized;
-        self.variants_pruned += other.variants_pruned;
-        self.search_steps += other.search_steps;
-        self.shared_subtrees += other.shared_subtrees;
-        self.shares_taken += other.shares_taken;
-        self.recomputes_chosen += other.recomputes_chosen;
-    }
+/// One entry of [`SelectStats::COUNTERS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter {
+    /// The field name: also the `select` span attribute and the
+    /// `BENCH_compile.json` key.
+    pub name: &'static str,
+    /// The session metric, `record_<name>_total`.
+    pub metric: &'static str,
+    /// The direction the perf gate treats as a regression.
+    pub gate: Gate,
+}
+
+/// Declares [`SelectStats`] from one list of counters, each a doc line,
+/// a name and a [`Gate`]. The fields, `absorb`, `COUNTERS` and `values`
+/// all come from the list, so adding a counter is one line here.
+macro_rules! select_counters {
+    ($($(#[$doc:meta])+ $name:ident: $gate:ident,)+) => {
+        /// Selection statistics of a statement, a block, a pass or a whole
+        /// session.
+        ///
+        /// Every counter is exact and platform-independent. The perf gate
+        /// tracks each one in `BENCH_compile.json`, in the direction its
+        /// [`Gate`] names.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct SelectStats {
+            $($(#[$doc])+ pub $name: u64,)+
+        }
+
+        impl SelectStats {
+            /// Every counter in declaration order: the order of the
+            /// `select` span attributes and of the `BENCH_compile.json`
+            /// keys.
+            pub const COUNTERS: [Counter; [$(stringify!($name)),+].len()] = [$(Counter {
+                name: stringify!($name),
+                metric: concat!("record_", stringify!($name), "_total"),
+                gate: Gate::$gate,
+            }),+];
+
+            /// Adds `other` into `self` (statement → block → pass →
+            /// session).
+            pub fn absorb(&mut self, other: &SelectStats) {
+                $(self.$name += other.$name;)+
+            }
+
+            /// The counter values, in [`COUNTERS`](Self::COUNTERS) order.
+            pub fn values(&self) -> [u64; SelectStats::COUNTERS.len()] {
+                [$(self.$name),+]
+            }
+        }
+    };
+}
+
+select_counters! {
+    /// Statements selected (after tree decomposition).
+    statements: Work,
+    /// Variants enumerated.
+    variants: Work,
+    /// Variants that produced a legal cover.
+    covered: Work,
+    /// Distinct tree nodes newly interned into the pool.
+    interned_nodes: Work,
+    /// Node constructions answered by the pool (allocation avoided).
+    dedup_hits: Savings,
+    /// BURS label states computed from scratch.
+    labels_computed: Work,
+    /// BURS labellings answered from the memo cache (labelling avoided).
+    labels_memoized: Savings,
+    /// Already-generated variants skipped because the best cover could
+    /// no longer be beaten (or the search budget ran out).
+    variants_pruned: Savings,
+    /// Candidate rewrites generated by the variant stream (enumeration
+    /// work, before de-duplication).
+    search_steps: Work,
+    /// Soundly shareable multi-use subtrees detected by the block DAG
+    /// analysis (sharing *candidates*, before the cost model runs).
+    shared_subtrees: Savings,
+    /// Candidates the cost model chose to compute once and reference
+    /// from a parked register (DAG covering cuts accepted).
+    shares_taken: Savings,
+    /// Candidates the cost model chose to recompute at every use
+    /// (sharing would not have paid on this target).
+    recomputes_chosen: Work,
 }
 
 /// The instruction selector for one target.
@@ -748,7 +789,7 @@ impl<'t> Emitter<'t> {
     ) -> Option<(usize, Cover)> {
         let mut best: Option<(Cost, usize, Cover)> = None;
         let all = variants(base, rules, variant_limit);
-        stats.variants += all.len();
+        stats.variants += all.len() as u64;
         for tree in all {
             if let Some((nt, cover)) = self.matcher.best_cover(&tree, &self.candidates) {
                 stats.covered += 1;

@@ -29,8 +29,9 @@ use record_ir::lir::Lir;
 use record_isa::{Code, TargetDesc};
 use record_trace::{MetricsRegistry, SpanRecorder, Tracer};
 
-use crate::cache::{self, CacheKey, CacheStats, CompileCache};
+use crate::cache::{CacheKey, CacheStats, CompileCache};
 use crate::pipeline::Frontend;
+use crate::select::SelectStats;
 use crate::timing::PhaseTimings;
 use crate::{
     CompileError, CompileInput, CompileOptions, CompileRequest, Compiled, Compiler, PassPlan,
@@ -68,16 +69,9 @@ fn observe_compile(metrics: &MetricsRegistry, timings: &PhaseTimings) {
         timings.total.as_secs_f64() * 1e6,
     );
     metrics.observe("record_kernel_insns", SIZE_BUCKETS, timings.insns as f64);
-    metrics.add("record_variants_total", timings.variants as u64);
-    metrics.add("record_variants_pruned_total", timings.variants_pruned);
-    metrics.add("record_interned_nodes_total", timings.interned_nodes);
-    metrics.add("record_dedup_hits_total", timings.dedup_hits);
-    metrics.add("record_labels_computed_total", timings.labels_computed);
-    metrics.add("record_labels_memoized_total", timings.labels_memoized);
-    metrics.add("record_search_steps_total", timings.search_steps);
-    metrics.add("record_shared_subtrees_total", timings.shared_subtrees);
-    metrics.add("record_shares_taken_total", timings.shares_taken);
-    metrics.add("record_recomputes_chosen_total", timings.recomputes_chosen);
+    for (counter, value) in SelectStats::COUNTERS.iter().zip(timings.select.values()) {
+        metrics.add(counter.metric, value);
+    }
     if let Some(last) = timings.passes.last() {
         metrics.observe("record_kernel_words", SIZE_BUCKETS, f64::from(last.after.words));
         if last.after.insns > 0 {
@@ -111,8 +105,6 @@ pub struct SessionStats {
     pub code_evictions: u64,
     /// On-disk cache entries rejected as corrupt and deleted.
     pub code_corruptions: u64,
-    /// BURS table sets loaded from the disk cache instead of generated.
-    pub tables_loaded: u64,
 }
 
 /// A compilation service: per-target compiler cache + parallel batch
@@ -213,11 +205,9 @@ impl Session {
 
     /// Enables the on-disk store under `dir` (implies
     /// [`with_code_cache`](Session::with_code_cache) with a default
-    /// capacity when not already enabled): compiled code *and* generated
-    /// BURS tables persist across processes, so a later session
-    /// cold-starts a known target by loading its tables and answers
-    /// repeat compiles from disk. Corrupt files are treated as misses
-    /// and deleted, never as errors.
+    /// capacity when not already enabled): compiled code persists across
+    /// processes, so a later session answers repeat compiles from disk.
+    /// Corrupt files are treated as misses and deleted, never as errors.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         let cache = match self.code_cache.take() {
@@ -308,7 +298,7 @@ impl Session {
         if let Some(t) = &self.tracer {
             t.instant("cache-miss", &[("target", target.name.as_str().into())]);
         }
-        let compiler = Arc::new(self.generate_compiler(target)?);
+        let compiler = Arc::new(Compiler::for_target(target.clone())?);
         let mut cache = self.compilers.write().expect("cache lock");
         let bucket = cache.entry(key).or_default();
         // another thread may have won the race; keep the first entry so
@@ -317,36 +307,6 @@ impl Session {
             return Ok(Arc::clone(existing));
         }
         bucket.push(Arc::clone(&compiler));
-        Ok(compiler)
-    }
-
-    /// Builds the compiler for a target the session has not seen:
-    /// tables come from the disk cache when one is configured and holds
-    /// a consistent set (a file load, skipping table generation —
-    /// `record_tables_loaded_total` counts these), and are stored back
-    /// after generation otherwise.
-    fn generate_compiler(&self, target: &TargetDesc) -> Result<Compiler, CompileError> {
-        let Some(cache) = &self.code_cache else {
-            return Compiler::for_target(target.clone());
-        };
-        let fp = cache::target_fingerprint(target);
-        let loaded = {
-            let mut guard = cache.lock().expect("code cache lock");
-            let loaded = guard.load_tables(fp, target);
-            self.apply_cache_metrics(guard.stats());
-            loaded
-        };
-        if let Some(tables) = loaded {
-            if let Ok(compiler) = Compiler::with_tables(target.clone(), Arc::new(tables)) {
-                if let Some(t) = &self.tracer {
-                    t.instant("tables-loaded", &[("target", target.name.as_str().into())]);
-                }
-                return Ok(compiler);
-            }
-        }
-        let compiler = Compiler::for_target(target.clone())?;
-        let mut guard = cache.lock().expect("code cache lock");
-        guard.store_tables(fp, compiler.tables());
         Ok(compiler)
     }
 
@@ -360,7 +320,6 @@ impl Session {
             ("record_code_cache_misses_total", stats.misses),
             ("record_code_cache_evictions_total", stats.evictions),
             ("record_code_cache_corruptions_total", stats.corruptions),
-            ("record_tables_loaded_total", stats.tables_loaded),
         ] {
             let current = self.metrics.counter(name);
             if value > current {
@@ -485,7 +444,6 @@ impl Session {
             code_misses: code.misses,
             code_evictions: code.evictions,
             code_corruptions: code.corruptions,
-            tables_loaded: code.tables_loaded,
         }
     }
 
@@ -958,11 +916,11 @@ mod tests {
         let Compiled { code: cold, timings: cold_t } =
             session.compile(&target, &src(0), CompileRequest::default()).unwrap();
         assert!(!cold_t.from_cache);
-        assert!(cold_t.labels_computed > 0, "cold compile does real selection");
+        assert!(cold_t.select.labels_computed > 0, "cold compile does real selection");
         let Compiled { code: warm, timings: warm_t } =
             session.compile(&target, &src(0), CompileRequest::default()).unwrap();
         assert!(warm_t.from_cache);
-        assert_eq!(warm_t.labels_computed, 0, "warm hit must not label a single tree");
+        assert_eq!(warm_t.select.labels_computed, 0, "warm hit must not label a single tree");
         assert!(warm_t.passes.is_empty(), "no pass ran on the hit path");
         assert_eq!(warm.render(), cold.render());
         let stats = session.stats();
@@ -972,7 +930,7 @@ mod tests {
         assert_eq!(session.metrics().counter("record_code_cache_misses_total"), 1);
         assert_eq!(session.metrics().counter("record_compiles_total"), 2);
         // the timing aggregate describes work done: one compile's worth
-        assert_eq!(session.timings().statements, cold_t.statements);
+        assert_eq!(session.timings().select.statements, cold_t.select.statements);
     }
 
     #[test]
@@ -1005,10 +963,9 @@ mod tests {
 
         let first = Session::new().with_cache_dir(&dir);
         let a = first.compile_source(&target, &src(0)).unwrap();
-        assert_eq!(first.stats().tables_loaded, 0, "nothing on disk yet");
 
-        // a brand-new session (cold memory) shares the directory: BURS
-        // tables load from disk and the compile is answered from disk
+        // a brand-new session (cold memory) shares the directory: the
+        // compile is answered from disk
         let second = Session::new().with_cache_dir(&dir);
         let Compiled { code: b, timings: t } =
             second.compile(&target, &src(0), CompileRequest::default()).unwrap();
@@ -1016,8 +973,7 @@ mod tests {
         assert_eq!(b.render(), a.render());
         let stats = second.stats();
         assert_eq!(stats.code_hits, 1);
-        assert_eq!(stats.tables_loaded, 1, "cold start loaded tables instead of generating");
-        assert_eq!(second.metrics().counter("record_tables_loaded_total"), 1);
+        assert_eq!(second.metrics().counter("record_code_cache_hits_total"), 1);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1053,9 +1009,9 @@ mod tests {
         let target = record_isa::targets::tic25::target();
         session.compile_source(&target, &src(0)).unwrap();
         let after_one = session.timings();
-        assert!(after_one.statements > 0);
+        assert!(after_one.select.statements > 0);
         assert!(after_one.total > std::time::Duration::ZERO);
         session.compile_source(&target, &src(1)).unwrap();
-        assert!(session.timings().statements > after_one.statements);
+        assert!(session.timings().select.statements > after_one.select.statements);
     }
 }

@@ -13,6 +13,8 @@ use std::time::Duration;
 
 use record_isa::{Code, InsnKind, Loc, RegId};
 
+use crate::select::SelectStats;
+
 /// A snapshot of code-shape counters, taken before and after each pass so
 /// a [`PassRecord`] can show what the pass actually did to the code.
 ///
@@ -116,31 +118,8 @@ pub struct PhaseTimings {
     pub lower: Duration,
     /// End-to-end time of the compile (≥ the frontend plus every pass).
     pub total: Duration,
-    /// Statements selected (after tree decomposition).
-    pub statements: usize,
-    /// Tree variants enumerated across all statements.
-    pub variants: usize,
-    /// Variants that produced a legal cover.
-    pub covered: usize,
-    /// Distinct tree nodes interned by selection's hash-consing pool.
-    pub interned_nodes: u64,
-    /// Tree-node constructions answered by the pool (allocation avoided).
-    pub dedup_hits: u64,
-    /// BURS label states computed from scratch during selection.
-    pub labels_computed: u64,
-    /// BURS labellings answered from the memo cache (labelling avoided).
-    pub labels_memoized: u64,
-    /// Generated variants skipped by the cost-floor short-circuit (or a
-    /// search budget).
-    pub variants_pruned: u64,
-    /// Candidate rewrites generated by variant enumeration.
-    pub search_steps: u64,
-    /// Soundly shareable multi-use subtrees found by block DAG analysis.
-    pub shared_subtrees: u64,
-    /// DAG sharing candidates computed once into a parked register.
-    pub shares_taken: u64,
-    /// DAG sharing candidates recomputed at every use instead.
-    pub recomputes_chosen: u64,
+    /// Selection counters.
+    pub select: SelectStats,
     /// Instructions in the final code.
     pub insns: usize,
     /// `true` when this "compile" was answered by the session's compile
@@ -163,18 +142,7 @@ impl PhaseTimings {
         self.parse += other.parse;
         self.lower += other.lower;
         self.total += other.total;
-        self.statements += other.statements;
-        self.variants += other.variants;
-        self.covered += other.covered;
-        self.interned_nodes += other.interned_nodes;
-        self.dedup_hits += other.dedup_hits;
-        self.labels_computed += other.labels_computed;
-        self.labels_memoized += other.labels_memoized;
-        self.variants_pruned += other.variants_pruned;
-        self.search_steps += other.search_steps;
-        self.shared_subtrees += other.shared_subtrees;
-        self.shares_taken += other.shares_taken;
-        self.recomputes_chosen += other.recomputes_chosen;
+        self.select.absorb(&other.select);
         self.insns += other.insns;
         for r in &other.passes {
             match self.passes.iter_mut().find(|p| p.name == r.name) {
@@ -215,29 +183,12 @@ impl fmt::Display for PhaseTimings {
             )?;
         }
         writeln!(f, "  {:<10} {:>12}", "total", format_duration(self.total))?;
-        write!(
-            f,
-            "  {} statements, {} variants ({} covered), {} instructions",
-            self.statements, self.variants, self.covered, self.insns
-        )?;
-        if self.interned_nodes > 0 || self.labels_computed > 0 {
-            write!(
-                f,
-                "\n  {} interned nodes ({} dedup hits), {} labels ({} memoized), {} variants pruned, {} search steps",
-                self.interned_nodes,
-                self.dedup_hits,
-                self.labels_computed,
-                self.labels_memoized,
-                self.variants_pruned,
-                self.search_steps
-            )?;
-        }
-        if self.shared_subtrees > 0 {
-            write!(
-                f,
-                "\n  {} shared subtrees ({} shares taken, {} recomputed)",
-                self.shared_subtrees, self.shares_taken, self.recomputes_chosen
-            )?;
+        write!(f, "  {} instructions", self.insns)?;
+        let counters = SelectStats::COUNTERS.iter().zip(self.select.values());
+        let nonzero: Vec<String> =
+            counters.filter(|&(_, v)| v > 0).map(|(c, v)| format!("{} {v}", c.name)).collect();
+        for line in nonzero.chunks(4) {
+            write!(f, "\n  {}", line.join(", "))?;
         }
         Ok(())
     }
@@ -267,12 +218,14 @@ mod tests {
 
     #[test]
     fn absorb_is_additive() {
-        let mut a = PhaseTimings { passes: vec![select(10)], statements: 2, ..Default::default() };
-        let b = PhaseTimings { passes: vec![select(5)], statements: 3, ..Default::default() };
+        let stats = |statements| SelectStats { statements, ..Default::default() };
+        let mut a =
+            PhaseTimings { passes: vec![select(10)], select: stats(2), ..Default::default() };
+        let b = PhaseTimings { passes: vec![select(5)], select: stats(3), ..Default::default() };
         a.absorb(&b);
         assert_eq!(a.pass_time("select"), Duration::from_micros(15));
         assert_eq!(a.passes[0].runs, 2);
-        assert_eq!(a.statements, 5);
+        assert_eq!(a.select.statements, 5);
     }
 
     #[test]
@@ -280,11 +233,13 @@ mod tests {
         let t = PhaseTimings {
             passes: vec![select(80), PassRecord { name: "banks".into(), ..Default::default() }],
             total: Duration::from_micros(100),
-            statements: 1,
+            select: SelectStats { statements: 1, ..Default::default() },
             ..Default::default()
         };
         let s = t.to_string();
         assert!(s.contains("select"), "{s}");
         assert!(!s.contains("banks"), "zero phases are elided: {s}");
+        assert!(s.contains("statements 1"), "non-zero counters print by name: {s}");
+        assert!(!s.contains("variants"), "zero counters are elided: {s}");
     }
 }

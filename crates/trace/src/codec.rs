@@ -1,9 +1,9 @@
 //! Hand-rolled binary container codec — the byte-level counterpart of
 //! [`json`](crate::json), and just as dependency-free.
 //!
-//! The compile cache and the serialized BURS tables both persist
-//! structured data to disk. Neither pulls in serde; instead they encode
-//! through the two primitives here:
+//! The compile cache persists structured data to disk, and the BURS
+//! tables serialize to bytes. Neither pulls in serde; instead they
+//! encode through the two primitives here:
 //!
 //! * [`ByteWriter`] / [`ByteReader`] — little-endian integers, booleans
 //!   and length-prefixed strings/byte-records, with every read

@@ -8,12 +8,10 @@
 //!
 //! The second sweep must be answered entirely from the cache (the
 //! example exits nonzero otherwise): fresh sessions have cold memory, so
-//! every one of its 40 compiles is a disk hit and every BURS table set
-//! is loaded instead of generated. Run the example twice against the
-//! same `--dir` — CI runs the second invocation with
+//! every one of its 40 compiles is a disk hit. Run the example twice
+//! against the same `--dir` — CI runs the second invocation with
 //! `--expect-warm-start` — and even the *first* sweep of the second
-//! process warm-starts from the files the first process left behind:
-//! the cross-process analogue of iburg-style offline table generation.
+//! process is answered from the files the first process left behind.
 //!
 //! ```sh
 //! cargo run --release --example cache_stats -- --dir target/cache-demo
@@ -37,7 +35,6 @@ struct Totals {
     code_misses: u64,
     code_evictions: u64,
     code_corruptions: u64,
-    tables_loaded: u64,
     compiles: usize,
 }
 
@@ -47,7 +44,6 @@ impl Totals {
         self.code_misses += s.code_misses;
         self.code_evictions += s.code_evictions;
         self.code_corruptions += s.code_corruptions;
-        self.tables_loaded += s.tables_loaded;
         self.compiles += s.compiles;
     }
 
@@ -57,7 +53,6 @@ impl Totals {
             code_misses: self.code_misses,
             code_evictions: self.code_evictions,
             code_corruptions: self.code_corruptions,
-            tables_loaded: self.tables_loaded,
             compiles: self.compiles,
             ..Default::default()
         }
@@ -102,8 +97,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let first = sweep(&dir)?;
     println!(
-        "sweep 1: {} compiles, {} hits, {} misses, {} tables loaded",
-        first.compiles, first.code_hits, first.code_misses, first.tables_loaded
+        "sweep 1: {} compiles, {} hits, {} misses",
+        first.compiles, first.code_hits, first.code_misses
     );
     if expect_warm_start {
         if first.code_misses > 0 {
@@ -114,16 +109,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
             .into());
         }
-        if first.tables_loaded == 0 {
-            return Err("--expect-warm-start: no BURS tables were loaded from disk".into());
-        }
-        println!("warm start confirmed: all compiles cached, all tables loaded from disk");
+        println!("warm start confirmed: all compiles cached");
     }
 
     let second = sweep(&dir)?;
     println!(
-        "sweep 2: {} compiles, {} hits, {} misses, {} tables loaded",
-        second.compiles, second.code_hits, second.code_misses, second.tables_loaded
+        "sweep 2: {} compiles, {} hits, {} misses",
+        second.compiles, second.code_hits, second.code_misses
     );
     if second.code_misses > 0 {
         return Err(format!(

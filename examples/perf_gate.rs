@@ -5,19 +5,23 @@
 //! (`tests/golden/bench_baseline.json`) and fails — exit code 1 — when
 //! any *deterministic* counter regresses by more than the tolerance.
 //!
-//! Counters gate in the direction that means "the compiler did worse":
+//! Counters gate in the direction that means "the compiler did worse".
+//! For the selection counters that direction is the `Gate` each entry
+//! of `record::select::SelectStats::COUNTERS` declares:
 //!
-//! * **work counters** (`statements`, `variants`, `covered`,
-//!   `interned_nodes`, `labels_computed`, `search_steps`,
-//!   `recomputes_chosen`, `insns`, `words`) regress by *increasing* —
-//!   the selector enumerated, labelled, recomputed, or emitted more than
-//!   it used to;
+//! * **work counters** (`statements`, `variants`, `labels_computed`,
+//!   `recomputes_chosen`, …, plus `insns` and `words`) regress by
+//!   *increasing* — the selector enumerated, labelled, recomputed, or
+//!   emitted more than it used to;
 //! * **savings counters** (`dedup_hits`, `labels_memoized`,
-//!   `variants_pruned`, `shared_subtrees`, `shares_taken`) regress by
-//!   *decreasing* — hash-consing or memoization stopped paying off, the
-//!   block DAG builder stopped finding shareable values, or the emitter
-//!   stopped taking shares it used to take (e.g. dsp56k MAC kernels
-//!   falling back to recomputation).
+//!   `shares_taken`, …) regress by *decreasing* — hash-consing or
+//!   memoization stopped paying off, the block DAG builder stopped
+//!   finding shareable values, or the emitter stopped taking shares it
+//!   used to take (e.g. dsp56k MAC kernels falling back to
+//!   recomputation).
+//!
+//! A gated field missing from either document fails the gate: read as
+//! zero, a missing work counter would always pass.
 //!
 //! The report holds no wall-clock time: every counter is a pure
 //! function of the source tree, so a >5 % move is an algorithmic change,
@@ -26,7 +30,7 @@
 //! With `--cache-current PATH` the gate additionally diffs a
 //! `record-cache/v1` counter document (from `cache_stats --json`)
 //! against the baseline's top-level `"cache"` object: misses, evictions
-//! and corruptions must not rise; hits and table loads must not fall.
+//! and corruptions must not rise; hits must not fall.
 //! The compile sequence the `cache_stats` example runs is fixed, so
 //! these counters are just as deterministic as the selection work.
 //!
@@ -52,33 +56,22 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use record::select::{Gate, SelectStats};
 use record_trace::json::{parse, Value};
 
-/// Counters that regress by increasing (more work / bigger code).
-const WORK: [&str; 9] = [
-    "statements",
-    "variants",
-    "covered",
-    "interned_nodes",
-    "labels_computed",
-    "search_steps",
-    "recomputes_chosen",
-    "insns",
-    "words",
+/// Fields of a `BENCH_compile.json` row besides the selection counters:
+/// bigger code is worse.
+const CODE_SIZE: [(&str, Gate); 2] = [("insns", Gate::Work), ("words", Gate::Work)];
+
+/// Compile-cache counters (`record-cache/v1`): more misses, evictions or
+/// corrupt entries for the same compile sequence, or fewer hits, means
+/// the cache stopped answering.
+const CACHE: [(&str, Gate); 4] = [
+    ("code_misses", Gate::Work),
+    ("code_evictions", Gate::Work),
+    ("code_corruptions", Gate::Work),
+    ("code_hits", Gate::Savings),
 ];
-
-/// Counters that regress by decreasing (lost savings).
-const SAVINGS: [&str; 5] =
-    ["dedup_hits", "labels_memoized", "variants_pruned", "shared_subtrees", "shares_taken"];
-
-/// Compile-cache counters (`record-cache/v1`) that regress by increasing:
-/// more misses, evictions or corrupt entries for the same compile
-/// sequence means the cache stopped answering.
-const CACHE_WORK: [&str; 3] = ["code_misses", "code_evictions", "code_corruptions"];
-
-/// Compile-cache counters that regress by decreasing: fewer hits or
-/// table loads means compiles that used to be cached no longer are.
-const CACHE_SAVINGS: [&str; 2] = ["code_hits", "tables_loaded"];
 
 fn load(path: &str) -> Result<BTreeMap<(String, String), Value>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -96,8 +89,40 @@ fn load(path: &str) -> Result<BTreeMap<(String, String), Value>, String> {
     Ok(out)
 }
 
-fn counter(row: &Value, name: &str) -> f64 {
-    row.get(name).and_then(Value::as_f64).unwrap_or(0.0)
+fn counter(doc: &Value, name: &str) -> Option<f64> {
+    doc.get(name).and_then(Value::as_f64)
+}
+
+/// Gates one field of `current` against `baseline` in the direction
+/// `gate` names. A field missing from either document fails the gate:
+/// read as zero, a missing work counter would always pass.
+fn gate_field(
+    what: &str,
+    name: &str,
+    gate: Gate,
+    current: &Value,
+    baseline: &Value,
+    tolerance: f64,
+) -> bool {
+    let Some(c) = counter(current, name) else {
+        println!("FAIL {what}: {name} missing from the current document");
+        return false;
+    };
+    let Some(b) = counter(baseline, name) else {
+        println!("FAIL {what}: {name} missing from the baseline");
+        return false;
+    };
+    match gate {
+        Gate::Work if c > b * (1.0 + tolerance) => {
+            println!("FAIL {what}: {name} rose {b} -> {c} (> {:.0}%)", tolerance * 100.0);
+            false
+        }
+        Gate::Savings if c < b * (1.0 - tolerance) => {
+            println!("FAIL {what}: {name} fell {b} -> {c}");
+            false
+        }
+        _ => true,
+    }
 }
 
 fn load_doc(path: &str) -> Result<Value, String> {
@@ -124,25 +149,15 @@ fn gate_cache(
         .ok_or(format!("{baseline_path}: no \"cache\" object to gate against"))?;
 
     let mut ok = true;
-    for name in CACHE_WORK {
-        let (c, b) = (counter(&current, name), counter(base, name));
-        if c > b * (1.0 + tolerance) {
-            println!("FAIL cache: {name} rose {b} -> {c} (> {:.0}%)", tolerance * 100.0);
-            ok = false;
-        }
+    for (name, gate) in CACHE {
+        ok &= gate_field("cache", name, gate, &current, base, tolerance);
     }
-    for name in CACHE_SAVINGS {
-        let (c, b) = (counter(&current, name), counter(base, name));
-        if c < b * (1.0 - tolerance) {
-            println!("FAIL cache: {name} fell {b} -> {c}");
-            ok = false;
-        }
-    }
+    let shown = |name| counter(&current, name).unwrap_or(0.0);
     println!(
         "cache gate: {} hits / {} misses over {} compiles vs baseline — {}",
-        counter(&current, "code_hits"),
-        counter(&current, "code_misses"),
-        counter(&current, "compiles"),
+        shown("code_hits"),
+        shown("code_misses"),
+        shown("compiles"),
         if ok { "OK" } else { "REGRESSED" }
     );
     Ok(ok)
@@ -158,27 +173,34 @@ fn gate_latency(soak_path: &str, baseline_path: &str) -> Result<bool, String> {
     let bounds = baseline
         .get("latency")
         .ok_or(format!("{baseline_path}: no \"latency\" object to gate against"))?;
-    let samples = counter(&report, "samples");
+    let shown = |name| counter(&report, name).unwrap_or(0.0);
+    let samples = shown("samples");
     if samples == 0.0 {
         println!("FAIL latency: soak report has zero latency samples");
         return Ok(false);
     }
     let mut ok = true;
     for (name, bound_name) in [("p50_us", "p50_bound_us"), ("p99_us", "p99_bound_us")] {
-        let got = counter(&report, name);
-        let bound = counter(bounds, bound_name);
+        let bound = counter(bounds, bound_name).unwrap_or(0.0);
         if bound <= 0.0 {
             return Err(format!("{baseline_path}: latency.{bound_name} missing or zero"));
         }
-        if got > bound {
-            println!("FAIL latency: {name} {got:.0}µs exceeds absolute bound {bound:.0}µs");
-            ok = false;
+        match counter(&report, name) {
+            None => {
+                println!("FAIL latency: {name} missing from the soak report");
+                ok = false;
+            }
+            Some(got) if got > bound => {
+                println!("FAIL latency: {name} {got:.0}µs exceeds absolute bound {bound:.0}µs");
+                ok = false;
+            }
+            Some(_) => {}
         }
     }
     println!(
         "latency gate: p50 {:.0}µs / p99 {:.0}µs over {samples:.0} samples — {}",
-        counter(&report, "p50_us"),
-        counter(&report, "p99_us"),
+        shown("p50_us"),
+        shown("p99_us"),
         if ok { "OK" } else { "REGRESSED" }
     );
     Ok(ok)
@@ -228,22 +250,10 @@ fn run() -> Result<bool, String> {
             println!("note {kernel}/{target}: new kernel, no baseline (not gated)");
             continue;
         };
-        for name in WORK {
-            let (c, b) = (counter(cur, name), counter(base, name));
-            if c > b * (1.0 + tolerance) {
-                println!(
-                    "FAIL {kernel}/{target}: {name} rose {b} -> {c} (> {:.0}%)",
-                    tolerance * 100.0
-                );
-                ok = false;
-            }
-        }
-        for name in SAVINGS {
-            let (c, b) = (counter(cur, name), counter(base, name));
-            if c < b * (1.0 - tolerance) {
-                println!("FAIL {kernel}/{target}: {name} fell {b} -> {c}");
-                ok = false;
-            }
+        let what = format!("{kernel}/{target}");
+        let counters = SelectStats::COUNTERS.iter().map(|c| (c.name, c.gate));
+        for (name, gate) in counters.chain(CODE_SIZE) {
+            ok &= gate_field(&what, name, gate, cur, base, tolerance);
         }
     }
     if let Some(path) = &cache_current_path {

@@ -137,8 +137,8 @@ fn summary_json(report: &record_serve::ServeReport) -> String {
     ));
     match &report.scrub {
         Some(s) => out.push_str(&format!(
-            ",\"scrub\":{{\"code_entries\":{},\"table_entries\":{},\"corrupt_removed\":{},\"tmps_removed\":{}}}}}",
-            s.code_entries, s.table_entries, s.corrupt_removed, s.tmps_removed
+            ",\"scrub\":{{\"code_entries\":{},\"corrupt_removed\":{},\"tmps_removed\":{}}}}}",
+            s.code_entries, s.corrupt_removed, s.tmps_removed
         )),
         None => out.push_str(",\"scrub\":null}"),
     }
@@ -153,8 +153,8 @@ fn real_main() -> Result<(), String> {
     if let Some(dir) = &args.check_cache {
         let stats = CompileCache::scrub_dir(std::path::Path::new(dir));
         println!(
-            "scrub {dir}: {} code entries, {} table files, {} corrupt removed, {} tmp removed",
-            stats.code_entries, stats.table_entries, stats.corrupt_removed, stats.tmps_removed
+            "scrub {dir}: {} code entries, {} corrupt removed, {} tmp removed",
+            stats.code_entries, stats.corrupt_removed, stats.tmps_removed
         );
         if stats.corrupt_removed > 0 {
             return Err(format!(
@@ -211,8 +211,8 @@ fn real_main() -> Result<(), String> {
     );
     if let Some(s) = &report.scrub {
         println!(
-            "cache scrub: {} code entries, {} table files, {} corrupt removed, {} tmp removed",
-            s.code_entries, s.table_entries, s.corrupt_removed, s.tmps_removed
+            "cache scrub: {} code entries, {} corrupt removed, {} tmp removed",
+            s.code_entries, s.corrupt_removed, s.tmps_removed
         );
     }
     Ok(())

@@ -4,7 +4,7 @@
 //! target, plan) must invalidate independently, corrupt on-disk entries
 //! must degrade to misses (never errors), and a second session sharing
 //! the cache directory must warm-start from the files the first left
-//! behind — the cross-process analogue of offline BURS table generation.
+//! behind.
 
 use std::path::PathBuf;
 
@@ -41,11 +41,11 @@ fn full_matrix_hits_are_byte_identical() {
                 let Compiled { code: cold, timings: cold_t } =
                     session.compile(&target, kernel.source, CompileRequest::default()).unwrap();
                 assert!(!cold_t.from_cache, "{cell}: first compile can't hit");
-                assert!(cold_t.labels_computed > 0, "{cell}: cold compile labels trees");
+                assert!(cold_t.select.labels_computed > 0, "{cell}: cold compile labels trees");
                 let Compiled { code: warm, timings: warm_t } =
                     session.compile(&target, kernel.source, CompileRequest::default()).unwrap();
                 assert!(warm_t.from_cache, "{cell}: repeat compile must hit");
-                assert_eq!(warm_t.labels_computed, 0, "{cell}: hit ran the selector");
+                assert_eq!(warm_t.select.labels_computed, 0, "{cell}: hit ran the selector");
                 assert!(warm_t.passes.is_empty(), "{cell}: hit ran a pass");
                 assert_eq!(warm.render(), cold.render(), "{cell}: cached code differs");
             }
@@ -186,41 +186,10 @@ fn corrupt_disk_entries_degrade_to_misses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A corrupt BURS table file falls back to table generation — the
-/// session still compiles, counts the corruption, and loads nothing.
-#[test]
-fn corrupt_tables_fall_back_to_generation() {
-    let dir = scratch_dir("corrupt-tables");
-    let target = record_isa::targets::tic25::target();
-    let kernel = record_dspstone::kernels().into_iter().next().unwrap();
-
-    let first = Session::new().with_cache_dir(&dir);
-    let clean = first.compile_source(&target, kernel.source).unwrap().render();
-
-    let tables = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.file_name().unwrap().to_str().unwrap().starts_with("burs-"))
-        .expect("the compile left a table file on disk");
-    let mut bytes = std::fs::read(&tables).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&tables, &bytes).unwrap();
-
-    let second = Session::new().with_cache_dir(&dir);
-    let code = second.compile_source(&target, kernel.source).unwrap();
-    assert_eq!(code.render(), clean, "regenerated tables must compile identically");
-    let stats = second.stats();
-    assert_eq!(stats.tables_loaded, 0, "corrupt tables must not load");
-    assert!(stats.code_corruptions >= 1, "{stats:?}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Cross-process warm start, modeled as two sessions sharing a cache
 /// directory: the second session answers the whole tic25 suite from
-/// disk — BURS tables loaded, zero labels computed, byte-identical to a
-/// cache-less session's output.
+/// disk — zero labels computed, byte-identical to a cache-less
+/// session's output.
 #[test]
 fn warm_start_answers_the_suite_from_disk() {
     let dir = scratch_dir("warm-start");
@@ -230,7 +199,6 @@ fn warm_start_answers_the_suite_from_disk() {
     for kernel in record_dspstone::kernels() {
         first.compile_source(&target, kernel.source).unwrap();
     }
-    assert_eq!(first.stats().tables_loaded, 0, "nothing on disk yet");
 
     let fresh = Session::new(); // no cache: the ground truth
     let second = Session::new().with_cache_dir(&dir);
@@ -238,14 +206,13 @@ fn warm_start_answers_the_suite_from_disk() {
         let Compiled { code, timings: t } =
             second.compile(&target, kernel.source, CompileRequest::default()).unwrap();
         assert!(t.from_cache, "{}: expected a disk hit", kernel.name);
-        assert_eq!(t.labels_computed, 0, "{}", kernel.name);
+        assert_eq!(t.select.labels_computed, 0, "{}", kernel.name);
         let truth = fresh.compile_source(&target, kernel.source).unwrap();
         assert_eq!(code.render(), truth.render(), "{}: cached code differs", kernel.name);
     }
     let stats = second.stats();
     assert_eq!(stats.code_hits, 10);
     assert_eq!(stats.code_misses, 0);
-    assert_eq!(stats.tables_loaded, 1, "one table load warm-starts the target");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -306,10 +273,11 @@ fn killed_mid_write_leaves_no_committed_garbage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The scrub is a full integrity pass: torn code entries, undecodable
-/// BURS tables, and stale temps are all counted and removed, and what
-/// survives is loadable — a second session warm-starts from it. This
-/// is the drain-time guarantee `recordd --check-cache` builds on.
+/// The scrub is a full integrity pass: torn code entries and stale
+/// temps are counted and removed, and what survives is loadable — a
+/// second session warm-starts from it. Files the cache does not own,
+/// such as the BURS table files older builds stored, are left alone.
+/// This is the drain-time guarantee `recordd --check-cache` builds on.
 #[test]
 fn scrub_dir_removes_every_kind_of_damage() {
     let dir = scratch_dir("scrub-all");
@@ -328,10 +296,10 @@ fn scrub_dir_removes_every_kind_of_damage() {
 
     let stats = record::CompileCache::scrub_dir(&dir);
     assert_eq!(stats.code_entries, 2, "{stats:?}");
-    assert_eq!(stats.table_entries, 2, "{stats:?}");
-    assert_eq!(stats.corrupt_removed, 2, "{stats:?}");
+    assert_eq!(stats.corrupt_removed, 1, "{stats:?}");
     assert_eq!(stats.tmps_removed, 1, "{stats:?}");
     assert!(dir.join("README").exists(), "scrub must not touch unrecognized files");
+    assert!(dir.join("burs-00000000deadbeef.bin").exists(), "scrub must not touch table files");
 
     // scrubbing is idempotent and what survived is loadable
     assert_eq!(record::CompileCache::scrub_dir(&dir).corrupt_removed, 0);

@@ -120,8 +120,8 @@ fn sharing_pays_on_dsp56k_mac_kernels() {
         let Compiled { code: dag_code, timings: t } =
             compiler.compile(&lir, dag_plan.clone()).unwrap();
         let ref_code = compiler.compile(&lir, ref_plan.clone()).unwrap().code;
-        assert!(t.shared_subtrees > 0, "{name}: no sharing candidates found");
-        assert!(t.shares_taken > 0, "{name}: no share taken on a register-operand machine");
+        assert!(t.select.shared_subtrees > 0, "{name}: no sharing candidates found");
+        assert!(t.select.shares_taken > 0, "{name}: no share taken on a register-operand machine");
         assert!(
             dag_code.size_words() <= ref_code.size_words(),
             "{name}: DAG covering grew the code ({} > {} words)",
@@ -147,8 +147,12 @@ fn sharing_is_refused_on_tic25() {
         let Compiled { code: dag_code, timings: t } =
             compiler.compile(&lir, dag_plan.clone()).unwrap();
         let ref_code = compiler.compile(&lir, ref_plan.clone()).unwrap().code;
-        assert_eq!(t.shares_taken, 0, "{}: parked a value in a singleton class", kernel.name);
-        assert_eq!(t.recomputes_chosen, t.shared_subtrees, "{}", kernel.name);
+        assert_eq!(
+            t.select.shares_taken, 0,
+            "{}: parked a value in a singleton class",
+            kernel.name
+        );
+        assert_eq!(t.select.recomputes_chosen, t.select.shared_subtrees, "{}", kernel.name);
         assert_eq!(
             dag_code.render(),
             ref_code.render(),
@@ -172,7 +176,7 @@ fn dag_covering_labels_stay_within_budget_of_tree_covering() {
             .iter()
             .map(|kernel| {
                 let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
-                compiler.compile(&lir, plan.clone()).unwrap().timings.labels_computed
+                compiler.compile(&lir, plan.clone()).unwrap().timings.select.labels_computed
             })
             .sum()
     };

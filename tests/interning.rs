@@ -113,10 +113,13 @@ fn interning_pays_off_on_real_kernels() {
         let kernel = record_dspstone::kernel(name).expect("known kernel");
         let timings =
             session.compile(&target, kernel.source, CompileRequest::default()).unwrap().timings;
-        assert!(timings.interned_nodes > 0, "{name}: nothing interned");
-        assert!(timings.dedup_hits > 0, "{name}: hash-consing never deduplicated");
-        assert!(timings.labels_memoized > 0, "{name}: label cache never hit");
-        assert!(timings.search_steps > 0, "{name}: variant enumeration charged no search steps");
+        assert!(timings.select.interned_nodes > 0, "{name}: nothing interned");
+        assert!(timings.select.dedup_hits > 0, "{name}: hash-consing never deduplicated");
+        assert!(timings.select.labels_memoized > 0, "{name}: label cache never hit");
+        assert!(
+            timings.select.search_steps > 0,
+            "{name}: variant enumeration charged no search steps"
+        );
     }
 }
 
@@ -158,10 +161,11 @@ fn interned_selection_is_byte_identical_to_the_boxed_reference() {
 
 /// The committed perf-gate baseline must describe the current compiler:
 /// every deterministic counter in `tests/golden/bench_baseline.json`
-/// matches a fresh run exactly. This is the local mirror of the CI perf
-/// gate.
+/// matches a fresh run exactly, and no baseline row carries a field the
+/// report does not emit. This is the local mirror of the CI perf gate.
 #[test]
 fn bench_baseline_matches_current_deterministic_counters() {
+    use record::select::SelectStats;
     use record_trace::json::{parse, Value};
     let baseline_text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -181,21 +185,18 @@ fn bench_baseline_matches_current_deterministic_counters() {
                     && b.get("target").and_then(Value::as_str) == Some(row.target.as_str())
             })
             .unwrap_or_else(|| panic!("{}/{} missing from baseline", row.kernel, row.target));
-        let num = |k: &str| base.get(k).and_then(Value::as_f64).unwrap() as u64;
         let ctx = format!("{}/{}", row.kernel, row.target);
-        assert_eq!(num("statements"), row.statements as u64, "{ctx}: statements");
-        assert_eq!(num("variants"), row.variants as u64, "{ctx}: variants");
-        assert_eq!(num("covered"), row.covered as u64, "{ctx}: covered");
-        assert_eq!(num("interned_nodes"), row.interned_nodes, "{ctx}: interned_nodes");
-        assert_eq!(num("dedup_hits"), row.dedup_hits, "{ctx}: dedup_hits");
-        assert_eq!(num("labels_computed"), row.labels_computed, "{ctx}: labels_computed");
-        assert_eq!(num("labels_memoized"), row.labels_memoized, "{ctx}: labels_memoized");
-        assert_eq!(num("variants_pruned"), row.variants_pruned, "{ctx}: variants_pruned");
-        assert_eq!(num("search_steps"), row.search_steps, "{ctx}: search_steps");
-        assert_eq!(num("shared_subtrees"), row.shared_subtrees, "{ctx}: shared_subtrees");
-        assert_eq!(num("shares_taken"), row.shares_taken, "{ctx}: shares_taken");
-        assert_eq!(num("recomputes_chosen"), row.recomputes_chosen, "{ctx}: recomputes_chosen");
-        assert_eq!(num("insns"), row.insns as u64, "{ctx}: insns");
-        assert_eq!(num("words"), row.words as u64, "{ctx}: words");
+        let counters = SelectStats::COUNTERS.iter().map(|c| c.name).zip(row.select.values());
+        let code_size = [("insns", row.insns as u64), ("words", u64::from(row.words))];
+        let mut emitted = vec!["kernel", "target"];
+        for (name, value) in counters.chain(code_size) {
+            let want = base.get(name).and_then(Value::as_f64);
+            assert_eq!(want, Some(value as f64), "{ctx}: {name}");
+            emitted.push(name);
+        }
+        let Value::Object(members) = base else { panic!("{ctx}: baseline row is not an object") };
+        for (key, _) in members {
+            assert!(emitted.contains(&key.as_str()), "{ctx}: stale baseline field {key}");
+        }
     }
 }

@@ -105,6 +105,54 @@ fn session_compile_span_tree_covers_every_pass() {
     assert!(tracer.instants().iter().any(|(_, e)| e.name == "cache-miss"));
 }
 
+/// Every consumer of the selection counters reads the one table in
+/// `SelectStats::COUNTERS`: for each entry the `select` span attribute
+/// and the session metric equal the compile's `timings.select` value,
+/// and a `BENCH_compile.json` row lists the table names between
+/// `kernel, target` and `insns, words`. complex_multiply on dsp56k
+/// takes DAG shares, so the sharing counters are not all zero.
+#[test]
+fn every_consumer_reads_the_select_counter_table() {
+    use record::report::{render_kernel_bench_json, KernelBench};
+    use record::select::SelectStats;
+    use record::SpanRecorder;
+
+    let target = record_isa::targets::dsp56k::target();
+    let kernel = record_dspstone::kernel("complex_multiply").unwrap();
+    let session = Session::new();
+    let mut rec = SpanRecorder::enabled(record_trace::Clock::fake());
+    let req = CompileRequest::default().recorder(&mut rec);
+    let compiled = session.compile(&target, kernel.source, req).unwrap();
+    let stats = compiled.timings.select;
+    assert!(stats.shares_taken > 0, "{stats:?}");
+
+    let (roots, _) = rec.finish(None);
+    let compile = roots.iter().find(|s| s.name == "compile").expect("a compile span");
+    let select = compile.children.iter().find(|s| s.name == "select").expect("a select span");
+    for (counter, value) in SelectStats::COUNTERS.iter().zip(stats.values()) {
+        let attr = select.attr(counter.name);
+        assert_eq!(attr, Some(&AttrValue::Int(value as i64)), "span attribute {}", counter.name);
+        let metric = session.metrics().counter(counter.metric);
+        assert_eq!(metric, value, "metric {}", counter.metric);
+    }
+
+    let row = KernelBench {
+        kernel: kernel.name,
+        target: target.name.clone(),
+        select: stats,
+        insns: compiled.code.insns.len(),
+        words: compiled.code.size_words(),
+    };
+    let doc = json::parse(&render_kernel_bench_json(&[row])).unwrap();
+    let row = &doc.get("kernels").and_then(json::Value::as_array).unwrap()[0];
+    let json::Value::Object(members) = row else { panic!("row is not an object: {row:?}") };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    let names = SelectStats::COUNTERS.iter().map(|c| c.name);
+    let want: Vec<&str> =
+        ["kernel", "target"].into_iter().chain(names).chain(["insns", "words"]).collect();
+    assert_eq!(keys, want);
+}
+
 /// A poisoned best-effort pass leaves a `salvage` event on the compile's
 /// root span — the degradation is visible in the trace, not just in the
 /// salvage records.
