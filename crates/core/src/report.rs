@@ -14,7 +14,8 @@ use record_sim::run_program;
 
 use crate::select::SelectStats;
 use crate::{
-    baseline, handasm, CompileError, CompileRequest, Compiled, PhaseTimings, Session, SessionStats,
+    baseline, handasm, Budgets, CompileError, CompileRequest, Compiled, PassPlan, PhaseTimings,
+    Session, SessionStats,
 };
 
 /// One Table 1 row.
@@ -426,6 +427,35 @@ pub fn kernel_bench_report(session: &Session) -> Result<Vec<KernelBench>, Compil
                 insns: code.insns.len(),
                 words: code.size_words(),
             });
+        }
+    }
+    Ok(out)
+}
+
+/// Renders the assembly listing of every DSPStone kernel on both bundled
+/// targets under three plans: `O0`, `O2`, and `service`, the plan
+/// `recordd` compiles with (`O2` under [`Budgets::service`], non-strict).
+/// Each listing is preceded by a `=== kernel target plan` line. This is
+/// the `tests/golden/dspstone_asm.txt` document: a change that promises
+/// unchanged code must reproduce it byte for byte.
+///
+/// # Errors
+///
+/// Any compilation error.
+pub fn render_asm_listings(session: &Session) -> Result<String, CompileError> {
+    let plans = [
+        ("O0", PassPlan::o0()),
+        ("O2", PassPlan::o2()),
+        ("service", PassPlan::o2().with_budgets(Budgets::service()).strict(false)),
+    ];
+    let mut out = String::new();
+    for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
+        for (label, plan) in &plans {
+            for kernel in record_dspstone::kernels() {
+                let code = session.compile(&target, kernel.source, plan.clone())?.code;
+                out.push_str(&format!("=== {} {} {label}\n", kernel.name, target.name));
+                out.push_str(&code.render());
+            }
         }
     }
     Ok(out)

@@ -264,7 +264,7 @@ impl<'t> Emitter<'t> {
         while let Some(cur) = work.pop() {
             let (insns, stats) = self.emit_one(&cur, rules, variant_limit, fold_constants)?;
             total_stats.absorb(&stats);
-            if self.verify_statement(&cur, &insns) {
+            if self.verify_statement(&cur, &[], &insns) {
                 out.extend(insns);
                 continue;
             }
@@ -328,8 +328,7 @@ impl<'t> Emitter<'t> {
             stats.absorb(&s);
             baseline.push(insns);
         }
-        let flatten =
-            |b: &[Vec<Insn>]| b.iter().flat_map(|v| v.iter().cloned()).collect::<Vec<Insn>>();
+        let flatten = |b: Vec<Vec<Insn>>| b.into_iter().flatten().collect::<Vec<Insn>>();
 
         // Stage B: DAG analysis over the trees selection actually sees.
         let analyzed: Vec<AssignStmt>;
@@ -352,7 +351,7 @@ impl<'t> Emitter<'t> {
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
         if dag.shared.is_empty() {
-            return Ok((flatten(&baseline), stats));
+            return Ok((flatten(baseline), stats));
         }
 
         // Eligible parking spots: multi-member register classes.
@@ -370,7 +369,7 @@ impl<'t> Emitter<'t> {
             .collect();
         if park_nts.is_empty() {
             stats.recomputes_chosen += dag.shared.len() as u64;
-            return Ok((flatten(&baseline), stats));
+            return Ok((flatten(baseline), stats));
         }
 
         // Stage C: greedy cut acceptance under the share-vs-recompute
@@ -437,7 +436,7 @@ impl<'t> Emitter<'t> {
             }
         }
         if accepted.is_empty() {
-            return Ok((flatten(&baseline), stats));
+            return Ok((flatten(baseline), stats));
         }
 
         // Stage D: emit with cuts, falling back to the verified baseline
@@ -468,7 +467,7 @@ impl<'t> Emitter<'t> {
                 self.scratch_pool = snap_pool;
                 self.scratch_free = snap_free;
                 stats.recomputes_chosen += accepted.len() as u64;
-                Ok((flatten(&baseline), stats))
+                Ok((flatten(baseline), stats))
             }
         }
     }
@@ -535,9 +534,7 @@ impl<'t> Emitter<'t> {
                         self.emit_stored(stmt, self.store_index(store_nt), &cover, &mut insns)?;
                         // the probe must include the definitions: the cut
                         // statement reads registers they populate
-                        let mut probe = def_insns.clone();
-                        probe.extend(insns.iter().cloned());
-                        if !self.verify_statement(stmt, &probe) {
+                        if !self.verify_statement(stmt, &def_insns, &insns) {
                             return Ok(None);
                         }
                         chosen = Some(insns);
@@ -618,10 +615,13 @@ impl<'t> Emitter<'t> {
     /// the tree's reference evaluation. Returns `true` when they agree on
     /// every probe.
     ///
-    /// The probe program depends only on the code, so it is built once;
-    /// the four seeds then run on the emitter's probe machine, reset
-    /// before each seed.
-    fn verify_statement(&mut self, stmt: &AssignStmt, insns: &[Insn]) -> bool {
+    /// The probe program is `parked` (the block-shared definitions a cut
+    /// statement reads) followed by `insns`. It depends only on the code,
+    /// so it is built, mode-completed and decoded once, and its symbols'
+    /// addresses are resolved once; each of the four seeds then resets the
+    /// emitter's probe machine, pokes the inputs, executes and peeks the
+    /// destination.
+    fn verify_statement(&mut self, stmt: &AssignStmt, parked: &[Insn], insns: &[Insn]) -> bool {
         // Collect every symbol the statement and its code touch, in the
         // symbol order the probe lays them out in.
         let mut lens: BTreeMap<Symbol, i64> = BTreeMap::new();
@@ -632,7 +632,7 @@ impl<'t> Emitter<'t> {
                 let e = lens.entry(base.clone()).or_insert(1);
                 *e = (*e).max(disp.abs() + 1);
             };
-            for insn in insns {
+            for insn in parked.iter().chain(insns) {
                 if let InsnKind::Compute { dst, expr } = &insn.kind {
                     let mut visit = |l: &Loc| {
                         if let Loc::Mem(m) = l {
@@ -651,16 +651,20 @@ impl<'t> Emitter<'t> {
             note(&dst_loc.base, dst_loc.disp);
         }
 
-        // build the probe program
+        // build the probe program: one copy of the instructions, the mode
+        // changes spliced in around them
         let mut code = record_isa::Code {
-            insns: Vec::new(),
+            insns: Vec::with_capacity(parked.len() + insns.len() + 2 * index_vars.len()),
             layout: Default::default(),
             target: self.target.name.clone(),
             name: "verify".into(),
         };
+        // every probe word, as (symbol, element, address)
+        let mut words = Vec::new();
         let mut addr = 0u16;
         for (sym, &len) in &lens {
             code.layout.place(sym.clone(), addr, len as u32, record_ir::Bank::X);
+            words.extend((0..len).map(|ix| (sym, ix, (addr as i64 + ix) as u16)));
             addr += len as u16;
         }
         for v in &index_vars {
@@ -671,6 +675,7 @@ impl<'t> Emitter<'t> {
                 0,
             ));
         }
+        code.insns.extend(parked.iter().cloned());
         code.insns.extend(insns.iter().cloned());
         for _ in &index_vars {
             code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
@@ -678,12 +683,18 @@ impl<'t> Emitter<'t> {
         record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
 
         let machine = &mut self.probe;
+        if words.iter().any(|&(.., addr)| machine.peek_at(record_ir::Bank::X, addr).is_none()) {
+            return true; // unplaceable probe: skip verification
+        }
+        let (dst_bank, dst_addr) =
+            code.layout.addr_of(&dst_loc.base, dst_loc.disp.max(0)).expect("destination is placed");
+        let Ok(program) = machine.decode(&code) else { return false };
+
+        let width = self.target.word_width;
         for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
-            machine.reset();
             // deterministic, bit-rich per-symbol-element values: full-width
             // patterns make value coincidences (a clobbered computation
             // accidentally matching the reference) vanishingly unlikely
-            let width = self.target.word_width;
             let value_of = move |sym: &Symbol, ix: i64| -> i64 {
                 let mut h = seed;
                 for b in sym.as_str().bytes() {
@@ -706,20 +717,18 @@ impl<'t> Emitter<'t> {
                 value_of(&m.base, m.disp)
             };
             let mut read_temp = |s: &Symbol| value_of(s, 0);
-            let expect = stmt.src.eval(self.target.word_width, &mut read_mem, &mut read_temp);
+            let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
 
-            for (sym, &len) in &lens {
-                for ix in 0..len {
-                    if machine.poke(sym, ix as u32, value_of(sym, ix), &code).is_err() {
-                        return true; // unplaceable probe: skip verification
-                    }
-                }
+            machine.reset();
+            for &(sym, ix, addr) in &words {
+                let value = value_of(sym, ix);
+                machine.poke_at(record_ir::Bank::X, addr, value).expect("probe words are in range");
             }
-            if machine.run(&code).is_err() {
+            if machine.execute(&program).is_err() {
                 return false;
             }
-            let got = machine.peek(&dst_loc.base, dst_loc.disp.max(0) as u32, &code);
-            if got != Some(record_ir::ops::wrap_to_width(expect, self.target.word_width)) {
+            let got = machine.peek_at(dst_bank, dst_addr);
+            if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
                 return false;
             }
         }
@@ -1377,12 +1386,12 @@ mod tests {
         );
         // raw emission (no verify loop)
         let (insns, _) = e.emit_one(&stmt, &RuleSet::none(), 1, false).unwrap();
-        let ok = e.verify_statement(&stmt, &insns);
+        let ok = e.verify_statement(&stmt, &[], &insns);
         // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
         // and the public entry point must produce correct code
         let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
-        assert!(e.verify_statement(&stmt, &fixed), "{:?}", texts(&fixed));
+        assert!(e.verify_statement(&stmt, &[], &fixed), "{:?}", texts(&fixed));
     }
 
     /// The per-seed verifier the single-probe one replaced, kept as its
@@ -1611,7 +1620,7 @@ mod tests {
             let mut e = Emitter::new(t);
             let Ok((insns, _)) = e.emit_one(&stmt, &RuleSet::none(), 1, false) else { return };
             let mut verdict = |code: &[Insn]| {
-                let got = e.verify_statement(&stmt, code);
+                let got = e.verify_statement(&stmt, &[], code);
                 assert_eq!(
                     got,
                     verify_statement_reference(&e, &stmt, code),

@@ -10,14 +10,16 @@
 //! memory the subtree reads.
 //!
 //! [`BlockDag::build`] interns every statement of a block and reports
-//! the values that occur more than once under that rule. Each candidate
-//! is keyed by `(TreeId, version signature)`: the pool id captures the
-//! structure, and the signature records the *store version* of every
-//! base symbol the subtree reads at the occurrence point. A store to a
-//! symbol (scalar or any element of an array) bumps its version, so two
-//! occurrences separated by a store to a symbol they read get different
-//! signatures and are never offered for sharing. This is deliberately
-//! conservative: a store to `a[0]` invalidates reads of `a[1]` too.
+//! the values that occur more than once under that rule. Each occurrence
+//! is keyed by `(TreeId, last store)`: the pool id captures the
+//! structure, and the last store is 1 + the index of the last statement
+//! before the occurrence that stored to a base symbol the subtree reads
+//! (0 when none did). A store to a symbol (scalar or any element of an
+//! array) counts for the whole symbol. Two occurrences of one subtree
+//! get the same key exactly when no statement between them stores to a
+//! symbol it reads, so occurrences separated by such a store are never
+//! offered for sharing. This is deliberately conservative: a store to
+//! `a[0]` invalidates reads of `a[1]` too.
 //!
 //! The builder decides *what may be shared*; whether sharing pays is the
 //! back end's call (see the emitter's share-vs-recompute cost model).
@@ -28,9 +30,9 @@ use crate::lir::AssignStmt;
 use crate::pool::{TreeId, TreeNode, TreePool};
 use crate::Symbol;
 
-/// A value that occurs more than once in the block with an identical
-/// store-version signature — i.e. a subtree that is both structurally
-/// repeated *and* sound to compute once.
+/// A value that occurs more than once in the block under the same last
+/// store — i.e. a subtree that is both structurally repeated *and* sound
+/// to compute once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SharedValue {
     /// The interned subtree.
@@ -71,66 +73,156 @@ impl BlockDag {
     /// nodes are. Candidates come out in first-occurrence order, which
     /// puts an outer repeated subtree before its own repeated children.
     pub fn build(pool: &mut TreePool, stmts: &[AssignStmt]) -> BlockDag {
-        struct Occ {
-            uses: Vec<usize>,
+        /// The occurrences of one subtree under one last-store key. A
+        /// subtree's key never falls as the block goes on, so its groups
+        /// follow one another and only the latest can grow.
+        struct Group {
+            id: TreeId,
+            key: usize,
             count: usize,
-            first: usize, // global pre-order position of the first occurrence
+            /// The last statement that joined the group.
+            stmt: usize,
         }
-        let mut versions: HashMap<Symbol, u32> = HashMap::new();
-        let mut bases_memo: HashMap<TreeId, Vec<Symbol>> = HashMap::new();
-        // keyed by the subtree and the store version of each base symbol
-        // it reads, in `read_bases` order (the id fixes the symbols)
-        let mut occ: HashMap<(TreeId, Vec<u32>), Occ> = HashMap::new();
+        // dense ids of the block's base symbols; per id, 1 + the index of
+        // the last statement that stored to it (0: none yet)
+        let mut syms: HashMap<Symbol, usize> = HashMap::new();
+        let mut last_store: Vec<usize> = Vec::new();
+        let mut bases = Bases::default();
+        // per `TreeId`, the group its latest occurrence joined
+        let mut latest: Vec<Option<usize>> = Vec::new();
+        // groups in order of their first occurrence
+        let mut groups: Vec<Group> = Vec::new();
+        // (group, statement) each time a group gains a statement
+        let mut joined: Vec<(usize, usize)> = Vec::new();
         let mut roots = Vec::with_capacity(stmts.len());
-        let mut order = 0usize;
         let mut stack = Vec::new();
 
         for (i, stmt) in stmts.iter().enumerate() {
             let root = pool.intern(&stmt.src);
             roots.push(root);
+            latest.resize(pool.len(), None);
             // Visit every occurrence (with multiplicity) in pre-order.
             stack.push(root);
             while let Some(id) = stack.pop() {
-                order += 1;
                 match *pool.node(id) {
                     TreeNode::Const(_) => continue,
                     TreeNode::Bin(_, a, b) => stack.extend([b, a]),
                     TreeNode::Un(_, a) => stack.push(a),
                     TreeNode::Mem(_) | TreeNode::Temp(_) => {}
                 }
-                if !bases_memo.contains_key(&id) {
-                    read_bases(pool, id, &mut bases_memo);
+                let mut sym_id = |s: &Symbol| dense_id(&mut syms, &mut last_store, s);
+                let read = bases.of(pool, id, &mut sym_id);
+                let key = read.iter().map(|&s| last_store[s]).max().unwrap_or(0);
+                let g = match latest[id.index()] {
+                    Some(g) if groups[g].key == key => g,
+                    _ => {
+                        groups.push(Group { id, key, count: 0, stmt: i });
+                        latest[id.index()] = Some(groups.len() - 1);
+                        groups.len() - 1
+                    }
+                };
+                let group = &mut groups[g];
+                if group.count == 0 || group.stmt != i {
+                    joined.push((g, i));
+                    group.stmt = i;
                 }
-                let sig: Vec<u32> =
-                    bases_memo[&id].iter().map(|s| versions.get(s).copied().unwrap_or(0)).collect();
-                let e = occ.entry((id, sig)).or_insert(Occ {
-                    uses: Vec::new(),
-                    count: 0,
-                    first: order,
-                });
-                e.count += 1;
-                if e.uses.last() != Some(&i) {
-                    e.uses.push(i);
-                }
+                group.count += 1;
             }
-            // The statement's store happens after its reads: bump the
-            // destination symbol's version so later occurrences that read
-            // it are keyed apart from the ones above.
-            *versions.entry(stmt.dst.base().clone()).or_insert(0) += 1;
+            // The statement's store happens after its reads: later
+            // occurrences that read the destination are keyed apart from
+            // the ones above.
+            let dst = dense_id(&mut syms, &mut last_store, stmt.dst.base());
+            last_store[dst] = i + 1;
         }
 
-        let mut shared: Vec<(usize, SharedValue)> = occ
-            .into_iter()
-            .filter(|(_, o)| o.count >= 2)
-            .map(|((id, _), o)| (o.first, SharedValue { id, uses: o.uses, use_count: o.count }))
-            .collect();
-        shared.sort_by_key(|(first, _)| *first);
-        BlockDag { roots, shared: shared.into_iter().map(|(_, v)| v).collect() }
+        let mut slot: Vec<Option<usize>> = vec![None; groups.len()];
+        let mut shared = Vec::new();
+        for (g, group) in groups.iter().enumerate().filter(|(_, group)| group.count >= 2) {
+            slot[g] = Some(shared.len());
+            shared.push(SharedValue { id: group.id, uses: Vec::new(), use_count: group.count });
+        }
+        for (g, stmt) in joined {
+            if let Some(ix) = slot[g] {
+                shared[ix].uses.push(stmt);
+            }
+        }
+        BlockDag { roots, shared }
+    }
+}
+
+/// The dense id of `sym` in `syms`; a new symbol gets the next id and no
+/// store yet.
+fn dense_id(syms: &mut HashMap<Symbol, usize>, last_store: &mut Vec<usize>, sym: &Symbol) -> usize {
+    if let Some(&ix) = syms.get(sym) {
+        return ix;
+    }
+    syms.insert(sym.clone(), last_store.len());
+    last_store.push(0);
+    last_store.len() - 1
+}
+
+/// The dense symbol ids each subtree reads, sorted and deduplicated:
+/// one range of a shared arena per `TreeId`, computed once.
+#[derive(Default)]
+struct Bases {
+    ranges: Vec<Option<(usize, usize)>>,
+    arena: Vec<usize>,
+}
+
+impl Bases {
+    fn of(
+        &mut self,
+        pool: &TreePool,
+        id: TreeId,
+        sym_id: &mut impl FnMut(&Symbol) -> usize,
+    ) -> &[usize] {
+        let (start, end) = self.range(pool, id, sym_id);
+        &self.arena[start..end]
+    }
+
+    fn range(
+        &mut self,
+        pool: &TreePool,
+        id: TreeId,
+        sym_id: &mut impl FnMut(&Symbol) -> usize,
+    ) -> (usize, usize) {
+        if self.ranges.len() <= id.index() {
+            self.ranges.resize(pool.len(), None);
+        }
+        if let Some(range) = self.ranges[id.index()] {
+            return range;
+        }
+        let (leaf, kids) = match pool.node(id) {
+            TreeNode::Const(_) => (None, [None, None]),
+            TreeNode::Mem(r) => (Some(r.base()), [None, None]),
+            TreeNode::Temp(t) => (Some(t), [None, None]),
+            TreeNode::Bin(_, a, b) => (None, [Some(*a), Some(*b)]),
+            TreeNode::Un(_, a) => (None, [Some(*a), None]),
+        };
+        let kids = kids.map(|kid| kid.map(|kid| self.range(pool, kid, sym_id)));
+        let start = self.arena.len();
+        if let Some(sym) = leaf {
+            self.arena.push(sym_id(sym));
+        }
+        for (from, to) in kids.into_iter().flatten() {
+            self.arena.extend_from_within(from..to);
+        }
+        self.arena[start..].sort_unstable();
+        let mut end = start;
+        for k in start..self.arena.len() {
+            if end == start || self.arena[k] != self.arena[end - 1] {
+                self.arena[end] = self.arena[k];
+                end += 1;
+            }
+        }
+        self.arena.truncate(end);
+        self.ranges[id.index()] = Some((start, end));
+        (start, end)
     }
 }
 
 /// The sorted, deduplicated base symbols read by an interned subtree —
-/// the footprint the store-version signature is built from. Memory
+/// the footprint a store must miss for two occurrences to share. Memory
 /// leaves contribute their base symbol; temporaries contribute their
 /// own name (a temporary is a compiler-named memory cell).
 pub fn read_bases(
@@ -302,5 +394,142 @@ mod tests {
         let bases: Vec<String> =
             read_bases(&pool, id, &mut memo).iter().map(|s| s.to_string()).collect();
         assert_eq!(bases, vec!["$t0", "a", "b"]);
+    }
+
+    /// The version-vector build the last-store key replaced: each
+    /// occurrence is keyed by the store version of every base symbol it
+    /// reads.
+    fn build_reference(pool: &mut TreePool, stmts: &[AssignStmt]) -> BlockDag {
+        struct Occ {
+            uses: Vec<usize>,
+            count: usize,
+            first: usize, // global pre-order position of the first occurrence
+        }
+        let mut versions: HashMap<Symbol, u32> = HashMap::new();
+        let mut bases_memo: HashMap<TreeId, Vec<Symbol>> = HashMap::new();
+        // keyed by the subtree and the store version of each base symbol
+        // it reads, in `read_bases` order (the id fixes the symbols)
+        let mut occ: HashMap<(TreeId, Vec<u32>), Occ> = HashMap::new();
+        let mut roots = Vec::with_capacity(stmts.len());
+        let mut order = 0usize;
+        let mut stack = Vec::new();
+
+        for (i, stmt) in stmts.iter().enumerate() {
+            let root = pool.intern(&stmt.src);
+            roots.push(root);
+            // Visit every occurrence (with multiplicity) in pre-order.
+            stack.push(root);
+            while let Some(id) = stack.pop() {
+                order += 1;
+                match *pool.node(id) {
+                    TreeNode::Const(_) => continue,
+                    TreeNode::Bin(_, a, b) => stack.extend([b, a]),
+                    TreeNode::Un(_, a) => stack.push(a),
+                    TreeNode::Mem(_) | TreeNode::Temp(_) => {}
+                }
+                if !bases_memo.contains_key(&id) {
+                    read_bases(pool, id, &mut bases_memo);
+                }
+                let sig: Vec<u32> =
+                    bases_memo[&id].iter().map(|s| versions.get(s).copied().unwrap_or(0)).collect();
+                let e = occ.entry((id, sig)).or_insert(Occ {
+                    uses: Vec::new(),
+                    count: 0,
+                    first: order,
+                });
+                e.count += 1;
+                if e.uses.last() != Some(&i) {
+                    e.uses.push(i);
+                }
+            }
+            // The statement's store happens after its reads: bump the
+            // destination symbol's version so later occurrences that read
+            // it are keyed apart from the ones above.
+            *versions.entry(stmt.dst.base().clone()).or_insert(0) += 1;
+        }
+
+        let mut shared: Vec<(usize, SharedValue)> = occ
+            .into_iter()
+            .filter(|(_, o)| o.count >= 2)
+            .map(|((id, _), o)| (o.first, SharedValue { id, uses: o.uses, use_count: o.count }))
+            .collect();
+        shared.sort_by_key(|(first, _)| *first);
+        BlockDag { roots, shared: shared.into_iter().map(|(_, v)| v).collect() }
+    }
+
+    /// A random block over a few symbols: scalar and array reads, one
+    /// temporary, and stores (scalar, array element, temporary) into the
+    /// same symbols, so stores often land between two reads.
+    fn gen_block(rng: &mut record_prop::Rng) -> Vec<AssignStmt> {
+        fn leaf(rng: &mut record_prop::Rng) -> Tree {
+            match rng.usize(5) {
+                0 => Tree::constant(rng.i64_in(0, 3)),
+                1 => Tree::elem(*rng.pick(&["a", "b"]), crate::Index::Const(rng.i64_in(0, 2))),
+                2 => Tree::temp("$t0"),
+                _ => Tree::var(*rng.pick(&["x", "y", "z"])),
+            }
+        }
+        fn tree(rng: &mut record_prop::Rng, depth: u32) -> Tree {
+            if depth == 0 || rng.usize(3) == 0 {
+                return leaf(rng);
+            }
+            match rng.usize(4) {
+                0 => Tree::un(crate::UnOp::Neg, tree(rng, depth - 1)),
+                _ => Tree::bin(
+                    *rng.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul]),
+                    tree(rng, depth - 1),
+                    tree(rng, depth - 1),
+                ),
+            }
+        }
+        (0..rng.usize(7) + 1)
+            .map(|_| {
+                let dst = match rng.usize(4) {
+                    0 => {
+                        MemRef::array(*rng.pick(&["a", "b"]), crate::Index::Const(rng.i64_in(0, 2)))
+                    }
+                    1 => MemRef::Scalar(Symbol::new("$t0")),
+                    _ => MemRef::scalar(*rng.pick(&["x", "y", "z", "w"])),
+                };
+                AssignStmt { dst, src: tree(rng, 3) }
+            })
+            .collect()
+    }
+
+    /// The last-store key finds exactly the shared values the
+    /// version-vector key found: the same list, in the same order, with
+    /// the same uses and use counts.
+    #[test]
+    fn last_store_key_equals_the_version_vector_reference() {
+        let (mut blocks_with_shares, mut split) = (0usize, 0usize);
+        record_prop::run_cases(2000, |rng| {
+            let stmts = gen_block(rng);
+            let (mut pool, mut ref_pool) = (TreePool::new(), TreePool::new());
+            let dag = BlockDag::build(&mut pool, &stmts);
+            let reference = build_reference(&mut ref_pool, &stmts);
+            assert_eq!(dag.roots, reference.roots);
+            assert_eq!(dag.shared, reference.shared, "{stmts:?}");
+            blocks_with_shares += usize::from(!dag.shared.is_empty());
+            // a subtree occurring more often than its shared uses count
+            // was split by an intervening store
+            let mut occurrences: HashMap<TreeId, usize> = HashMap::new();
+            let mut stack = dag.roots.clone();
+            while let Some(id) = stack.pop() {
+                match *pool.node(id) {
+                    TreeNode::Const(_) => continue,
+                    TreeNode::Bin(_, a, b) => stack.extend([a, b]),
+                    TreeNode::Un(_, a) => stack.push(a),
+                    TreeNode::Mem(_) | TreeNode::Temp(_) => {}
+                }
+                *occurrences.entry(id).or_default() += 1;
+            }
+            split += usize::from(occurrences.iter().any(|(id, &n)| {
+                let shared: usize =
+                    dag.shared.iter().filter(|v| v.id == *id).map(|v| v.use_count).sum();
+                n >= 2 && shared < n
+            }));
+        });
+        assert!(blocks_with_shares >= 500, "only {blocks_with_shares} blocks share");
+        assert!(split >= 500, "only {split} blocks split a repeated value at a store");
     }
 }

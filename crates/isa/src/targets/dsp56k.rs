@@ -171,6 +171,14 @@ pub fn target() -> TargetDesc {
 
     b.store(a, "MOVE {0},{d}", Cost::new(1, 1));
 
+    // Every constant of the 16-bit word: a two-word long-immediate load.
+    // Declared after every other nonterminal and rule, so their ids (and
+    // binary encodings) stay put. It has no move unit and two words, so
+    // parallel-move packing leaves it alone.
+    let imm16 = b.nt_imm("imm16", 16);
+    b.base_imm_rule(imm16);
+    b.chain(a, imm16, "MOVE #{0},{d}", Cost::new(2, 2));
+
     b.memory(2, 4096);
     b.direct_addressing(false);
     b.agu(AguDesc {

@@ -242,6 +242,7 @@ pub fn pack_moves(code: &mut Code, target: &TargetDesc) -> u32 {
         if can_pack {
             let host = out.last_mut().expect("non-empty");
             let host_ok = matches!(host.kind, InsnKind::Compute { .. })
+                && host.words <= 1
                 && !is_pure_move(host, pd)
                 && host.parallel.len() < pd.max_moves as usize
                 && independent(host, &insn);
@@ -480,8 +481,12 @@ fn dep_matrix(seg: &[Insn]) -> Vec<Vec<bool>> {
 }
 
 /// Can `cand` join `bundle`? At most one non-move, move budget, distinct
-/// banks, pairwise independence.
+/// banks, pairwise independence. A multi-word instruction (a long
+/// immediate) has no parallel-move field, so it bundles with nothing.
 fn fits(seg: &[Insn], pd: &ParallelDesc, bundle: &Bundle, cand: usize) -> bool {
+    if seg[cand].words > 1 || bundle.iter().any(|&i| seg[i].words > 1) {
+        return false;
+    }
     let moves_in = |ix: usize| is_pure_move(&seg[ix], pd);
     let n_moves = bundle.iter().filter(|&&i| moves_in(i)).count() + usize::from(moves_in(cand));
     let n_arith = bundle.len() + 1 - n_moves;

@@ -29,47 +29,56 @@ pub enum ModeStrategy {
 /// Inserts mode-change instructions so that every instruction's
 /// requirement is met; returns how many were inserted.
 ///
-/// Programs whose instructions carry no requirements are returned
-/// untouched (cost 0) — the common case for non-saturating kernels.
+/// The insertions are planned over the instructions first and then
+/// spliced in, moving every instruction rather than copying it. Programs
+/// whose instructions carry no requirements are returned untouched
+/// (cost 0) — the common case for non-saturating kernels.
 pub fn insert_mode_changes(code: &mut Code, target: &TargetDesc, strategy: ModeStrategy) -> u32 {
     if target.modes.is_empty() {
         return 0;
     }
-    let insns = std::mem::take(&mut code.insns);
-    let mut state: Vec<bool> = target.modes.iter().map(|m| m.default_on).collect();
-    let mut out = Vec::with_capacity(insns.len());
-    let mut inserted = 0u32;
-
+    // (insert before this instruction index, mode, on), in program order
+    let mut plan: Vec<(usize, usize, bool)> = Vec::new();
+    let insns = &code.insns;
     match strategy {
         ModeStrategy::PerUse => {
             let mut i = 0usize;
             while i < insns.len() {
-                let insn = &insns[i];
                 // an RPT and its body are inseparable: any change the body
                 // needs goes *before* the RPT, the restore after the body
-                let (req_insn, span) = match insn.kind {
+                let (req_insn, span) = match insns[i].kind {
                     InsnKind::Rpt { .. } if i + 1 < insns.len() => (&insns[i + 1], 2),
-                    _ => (insn, 1),
+                    _ => (&insns[i], 1),
                 };
                 if let Some((mode, on)) = req_insn.mode_req {
                     let default = target.modes[mode].default_on;
                     if on != default {
-                        out.push(set_mode(target, mode, on));
-                        out.extend(insns[i..i + span].iter().cloned());
-                        out.push(set_mode(target, mode, default));
-                        inserted += 2;
-                        i += span;
-                        continue;
+                        plan.push((i, mode, on));
+                        plan.push((i + span, mode, default));
                     }
                 }
-                out.extend(insns[i..i + span].iter().cloned());
                 i += span;
             }
         }
         ModeStrategy::Lazy => {
-            inserted = lazy(&insns, target, &mut state, &mut out);
+            let mut state: Vec<bool> = target.modes.iter().map(|m| m.default_on).collect();
+            lazy(insns, 0, &mut state, &mut plan);
         }
     }
+    if plan.is_empty() {
+        return 0;
+    }
+    let inserted = plan.len() as u32;
+    let mut plan = plan.into_iter().peekable();
+    let insns = std::mem::take(&mut code.insns);
+    let mut out = Vec::with_capacity(insns.len() + inserted as usize);
+    for (i, insn) in insns.into_iter().enumerate() {
+        while let Some((_, mode, on)) = plan.next_if(|&(at, ..)| at == i) {
+            out.push(set_mode(target, mode, on));
+        }
+        out.push(insn);
+    }
+    out.extend(plan.map(|(_, mode, on)| set_mode(target, mode, on)));
     code.insns = out;
     inserted
 }
@@ -80,9 +89,10 @@ fn set_mode(target: &TargetDesc, mode: usize, on: bool) -> Insn {
     Insn::ctrl(InsnKind::SetMode { mode, on }, text, desc.cost.words, desc.cost.cycles)
 }
 
-/// Lazy insertion over a (possibly loop-structured) instruction sequence.
-fn lazy(insns: &[Insn], target: &TargetDesc, state: &mut [bool], out: &mut Vec<Insn>) -> u32 {
-    let mut inserted = 0u32;
+/// Plans lazy insertion over a (possibly loop-structured) instruction
+/// sequence that starts at index `at` of the program: each change goes
+/// into `plan` as (instruction index it precedes, mode, on).
+fn lazy(insns: &[Insn], at: usize, state: &mut [bool], plan: &mut Vec<(usize, usize, bool)>) {
     let mut i = 0usize;
     while i < insns.len() {
         let insn = &insns[i];
@@ -102,31 +112,17 @@ fn lazy(insns: &[Insn], target: &TargetDesc, state: &mut [bool], out: &mut Vec<I
                 let body = &insns[i + 1..j - 1];
 
                 // hoist single-polarity requirements
-                #[allow(clippy::needless_range_loop)] // mode indexes two tables
-                for mode in 0..target.modes.len() {
+                for mode in 0..state.len() {
                     if let Some(polarity) = single_polarity(body, mode) {
-                        if state[mode] != polarity {
-                            out.push(set_mode(target, mode, polarity));
-                            state[mode] = polarity;
-                            inserted += 1;
-                        }
+                        change(plan, state, at + i, mode, polarity);
                     }
                 }
-                out.push(insn.clone());
                 let entry = state.to_vec();
-                let mut body_out = Vec::new();
-                inserted += lazy(body, target, state, &mut body_out);
-                out.extend(body_out);
+                lazy(body, at + i + 1, state, plan);
                 // restore entry state so every iteration sees it
-                #[allow(clippy::needless_range_loop)] // two slices indexed in lockstep
-                for mode in 0..target.modes.len() {
-                    if state[mode] != entry[mode] {
-                        out.push(set_mode(target, mode, entry[mode]));
-                        state[mode] = entry[mode];
-                        inserted += 1;
-                    }
+                for (mode, &on) in entry.iter().enumerate() {
+                    change(plan, state, at + j - 1, mode, on);
                 }
-                out.push(insns[j - 1].clone());
                 i = j;
                 continue;
             }
@@ -135,38 +131,39 @@ fn lazy(insns: &[Insn], target: &TargetDesc, state: &mut [bool], out: &mut Vec<I
                 // requirement *before* the RPT, never between the two
                 if let Some(body) = insns.get(i + 1) {
                     if let Some((mode, on)) = body.mode_req {
-                        if state[mode] != on {
-                            out.push(set_mode(target, mode, on));
-                            state[mode] = on;
-                            inserted += 1;
-                        }
+                        change(plan, state, at + i, mode, on);
                     }
-                    out.push(insn.clone());
-                    out.push(body.clone());
                     i += 2;
                     continue;
                 }
-                out.push(insn.clone());
             }
             InsnKind::SetMode { mode, on } => {
                 // pre-existing changes update tracking
                 state[*mode] = *on;
-                out.push(insn.clone());
             }
             _ => {
                 if let Some((mode, on)) = insn.mode_req {
-                    if state[mode] != on {
-                        out.push(set_mode(target, mode, on));
-                        state[mode] = on;
-                        inserted += 1;
-                    }
+                    change(plan, state, at + i, mode, on);
                 }
-                out.push(insn.clone());
             }
         }
         i += 1;
     }
-    inserted
+}
+
+/// Plans a change of `mode` to `on` before instruction `before`, unless
+/// the tracked state already is `on`.
+fn change(
+    plan: &mut Vec<(usize, usize, bool)>,
+    state: &mut [bool],
+    before: usize,
+    mode: usize,
+    on: bool,
+) {
+    if state[mode] != on {
+        plan.push((before, mode, on));
+        state[mode] = on;
+    }
 }
 
 /// If every requirement on `mode` inside `body` has the same polarity,
@@ -350,5 +347,223 @@ mod tests {
             let nn = insert_mode_changes(&mut naive_code, &t(), ModeStrategy::PerUse);
             assert!(nl <= nn, "lazy {nl} > per-use {nn} for {pat:?}");
         }
+    }
+
+    /// The cloning insertion `insert_mode_changes` replaced: it rebuilds
+    /// the program, copying every instruction.
+    fn reference_insert(code: &mut Code, target: &TargetDesc, strategy: ModeStrategy) -> u32 {
+        if target.modes.is_empty() {
+            return 0;
+        }
+        let insns = std::mem::take(&mut code.insns);
+        let mut state: Vec<bool> = target.modes.iter().map(|m| m.default_on).collect();
+        let mut out = Vec::with_capacity(insns.len());
+        let mut inserted = 0u32;
+
+        match strategy {
+            ModeStrategy::PerUse => {
+                let mut i = 0usize;
+                while i < insns.len() {
+                    let insn = &insns[i];
+                    // an RPT and its body are inseparable: any change the body
+                    // needs goes *before* the RPT, the restore after the body
+                    let (req_insn, span) = match insn.kind {
+                        InsnKind::Rpt { .. } if i + 1 < insns.len() => (&insns[i + 1], 2),
+                        _ => (insn, 1),
+                    };
+                    if let Some((mode, on)) = req_insn.mode_req {
+                        let default = target.modes[mode].default_on;
+                        if on != default {
+                            out.push(set_mode(target, mode, on));
+                            out.extend(insns[i..i + span].iter().cloned());
+                            out.push(set_mode(target, mode, default));
+                            inserted += 2;
+                            i += span;
+                            continue;
+                        }
+                    }
+                    out.extend(insns[i..i + span].iter().cloned());
+                    i += span;
+                }
+            }
+            ModeStrategy::Lazy => {
+                inserted = reference_lazy(&insns, target, &mut state, &mut out);
+            }
+        }
+        code.insns = out;
+        inserted
+    }
+
+    /// The cloning lazy insertion `lazy` replaced.
+    fn reference_lazy(
+        insns: &[Insn],
+        target: &TargetDesc,
+        state: &mut [bool],
+        out: &mut Vec<Insn>,
+    ) -> u32 {
+        let mut inserted = 0u32;
+        let mut i = 0usize;
+        while i < insns.len() {
+            let insn = &insns[i];
+            match &insn.kind {
+                InsnKind::LoopStart { .. } => {
+                    // find the matching end
+                    let mut depth = 1;
+                    let mut j = i + 1;
+                    while j < insns.len() && depth > 0 {
+                        match insns[j].kind {
+                            InsnKind::LoopStart { .. } => depth += 1,
+                            InsnKind::LoopEnd => depth -= 1,
+                            _ => {}
+                        }
+                        j += 1;
+                    }
+                    let body = &insns[i + 1..j - 1];
+
+                    // hoist single-polarity requirements
+                    #[allow(clippy::needless_range_loop)] // mode indexes two tables
+                    for mode in 0..target.modes.len() {
+                        if let Some(polarity) = single_polarity(body, mode) {
+                            if state[mode] != polarity {
+                                out.push(set_mode(target, mode, polarity));
+                                state[mode] = polarity;
+                                inserted += 1;
+                            }
+                        }
+                    }
+                    out.push(insn.clone());
+                    let entry = state.to_vec();
+                    let mut body_out = Vec::new();
+                    inserted += reference_lazy(body, target, state, &mut body_out);
+                    out.extend(body_out);
+                    // restore entry state so every iteration sees it
+                    #[allow(clippy::needless_range_loop)] // two slices indexed in lockstep
+                    for mode in 0..target.modes.len() {
+                        if state[mode] != entry[mode] {
+                            out.push(set_mode(target, mode, entry[mode]));
+                            state[mode] = entry[mode];
+                            inserted += 1;
+                        }
+                    }
+                    out.push(insns[j - 1].clone());
+                    i = j;
+                    continue;
+                }
+                InsnKind::Rpt { .. } => {
+                    // an RPT and its body are inseparable: satisfy the body's
+                    // requirement *before* the RPT, never between the two
+                    if let Some(body) = insns.get(i + 1) {
+                        if let Some((mode, on)) = body.mode_req {
+                            if state[mode] != on {
+                                out.push(set_mode(target, mode, on));
+                                state[mode] = on;
+                                inserted += 1;
+                            }
+                        }
+                        out.push(insn.clone());
+                        out.push(body.clone());
+                        i += 2;
+                        continue;
+                    }
+                    out.push(insn.clone());
+                }
+                InsnKind::SetMode { mode, on } => {
+                    // pre-existing changes update tracking
+                    state[*mode] = *on;
+                    out.push(insn.clone());
+                }
+                _ => {
+                    if let Some((mode, on)) = insn.mode_req {
+                        if state[mode] != on {
+                            out.push(set_mode(target, mode, on));
+                            state[mode] = on;
+                            inserted += 1;
+                        }
+                    }
+                    out.push(insn.clone());
+                }
+            }
+            i += 1;
+        }
+        inserted
+    }
+
+    /// A target with two modes of opposite defaults: tic25's `ovm` (off
+    /// at entry) and an extra mode that is on at entry.
+    fn two_mode_target() -> TargetDesc {
+        let mut target = t();
+        target.modes.push(record_isa::target::ModeDesc {
+            name: "rnd".into(),
+            set_asm: "SRND".into(),
+            clear_asm: "RRND".into(),
+            cost: record_isa::Cost::new(1, 1),
+            default_on: true,
+        });
+        target
+    }
+
+    /// A random structured block: requiring and plain instructions, RPT
+    /// pairs, pre-existing mode changes and nested loops.
+    fn gen_block(rng: &mut record_prop::Rng, depth: u32, modes: usize, out: &mut Vec<Insn>) {
+        for _ in 0..rng.usize(6) {
+            match rng.usize(if depth == 0 { 4 } else { 5 }) {
+                0 => out.push(Insn::nop()),
+                1 => {
+                    out.push(Insn::ctrl(InsnKind::Rpt { count: 3 }, "RPTK 3", 1, 1));
+                    let mut body = req(rng.bool());
+                    body.mode_req = rng.bool().then(|| (rng.usize(modes), rng.bool()));
+                    out.push(body);
+                }
+                2 => {
+                    let (mode, on) = (rng.usize(modes), rng.bool());
+                    out.push(Insn::ctrl(InsnKind::SetMode { mode, on }, "SET", 1, 1));
+                }
+                3 => {
+                    let mut insn = req(rng.bool());
+                    insn.mode_req = Some((rng.usize(modes), rng.bool()));
+                    out.push(insn);
+                }
+                _ => {
+                    out.push(Insn::ctrl(
+                        InsnKind::LoopStart { var: record_ir::Symbol::new("i"), count: 4 },
+                        "LOOP 4",
+                        2,
+                        2,
+                    ));
+                    gen_block(rng, depth - 1, modes, out);
+                    out.push(Insn::ctrl(InsnKind::LoopEnd, "ENDLOOP", 2, 3));
+                }
+            }
+        }
+    }
+
+    /// Planned, moving insertion reproduces the cloning insertion it
+    /// replaced: the same program and the same count, under both
+    /// strategies, on one- and two-mode targets.
+    #[test]
+    fn planned_insertion_equals_the_cloning_reference() {
+        let targets = [t(), two_mode_target()];
+        let (mut changed, mut untouched) = (0usize, 0usize);
+        record_prop::run_cases(2000, |rng| {
+            let target = &targets[rng.usize(targets.len())];
+            let mut code = Code::default();
+            gen_block(rng, 3, target.modes.len(), &mut code.insns);
+            if rng.usize(8) == 0 {
+                // a trailing RPT without a body
+                code.insns.push(Insn::ctrl(InsnKind::Rpt { count: 2 }, "RPTK 2", 1, 1));
+            }
+            for strategy in [ModeStrategy::Lazy, ModeStrategy::PerUse] {
+                let (mut planned, mut reference) = (code.clone(), code.clone());
+                let n = insert_mode_changes(&mut planned, target, strategy);
+                assert_eq!(n, reference_insert(&mut reference, target, strategy), "{strategy:?}");
+                assert_eq!(planned, reference, "{strategy:?}");
+                if n == 0 {
+                    untouched += 1;
+                } else {
+                    changed += 1;
+                }
+            }
+        });
+        assert!(changed >= 1000 && untouched >= 100, "{changed} changed, {untouched} untouched");
     }
 }

@@ -14,13 +14,22 @@
 //!   its reference Rust implementation,
 //! * **measurement** — cycle counts feed the Section 3.1 overhead bench;
 //!   code size comes from [`record_isa::Code::size_words`].
+//!
+//! A program runs in two steps: [`Machine::decode`] resolves it once into
+//! a [`Program`], and [`Machine::execute`] runs the decoded form, as often
+//! as needed. [`Machine::run`] does both.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
-use record_ir::{Bank, Symbol};
-use record_isa::{AddrMode, Code, Insn, InsnKind, Loc, MemLoc, RegId, StructureError, TargetDesc};
+use record_ir::{Bank, BinOp, Symbol};
+use record_isa::{Code, RegId, StructureError, TargetDesc};
+
+mod program;
+
+pub use program::Program;
+use program::{Node, Op, Operand, StepKind};
 
 /// An error raised during simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,13 +113,20 @@ pub struct Machine<'t> {
     /// Per register class, the slot of its member 0 in `regs`.
     reg_base: Vec<usize>,
     ars: Vec<i64>,
+    /// Per bank, the words from address 0 up to the highest one written
+    /// since creation or the last [`reset`](Machine::reset); every word
+    /// beyond is zero. Each bank reserves its full size up front, so it
+    /// grows by zero-filling, never by reallocating.
     mem: [Vec<i64>; 2],
-    /// Per bank, the address range written since creation or the last
-    /// [`reset`](Machine::reset); every word outside it is zero.
-    dirty: [Range<usize>; 2],
+    /// Words per bank.
+    words: usize,
     modes: Vec<bool>,
     max_steps: u64,
     trace: Option<Vec<String>>,
+    /// The value of each loop-counter slot of the running program;
+    /// `None` while its loop is not active.
+    counters: Vec<Option<i64>>,
+    scratch: Scratch,
 }
 
 /// The default runaway-loop guard of [`Machine::new`] (in executed
@@ -134,25 +150,27 @@ impl<'t> Machine<'t> {
             regs: vec![0; n_regs],
             reg_base,
             ars: vec![0; n_ars],
-            mem: [vec![0; words], vec![0; words]],
-            dirty: [0..0, 0..0],
+            mem: [Vec::with_capacity(words), Vec::with_capacity(words)],
+            words,
             modes: target.modes.iter().map(|m| m.default_on).collect(),
             max_steps: DEFAULT_MAX_STEPS,
             trace: None,
+            counters: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
     /// Restores the state of [`Machine::new`]: every register, address
     /// register and memory word zero, every mode at its default.
-    /// Only the memory written since the last reset is cleared, so a
-    /// machine can run many short programs without reallocating its
-    /// banks. The step budget and tracing setting are kept; the trace
-    /// log is emptied.
+    /// Memory is held only up to the highest word written, so a machine
+    /// can run many short programs without clearing whole banks. The
+    /// step budget and tracing setting are kept; the trace log is
+    /// emptied.
     pub fn reset(&mut self) {
         self.regs.fill(0);
         self.ars.fill(0);
-        for (bank, dirty) in self.mem.iter_mut().zip(&mut self.dirty) {
-            bank[std::mem::take(dirty)].fill(0);
+        for bank in &mut self.mem {
+            bank.clear();
         }
         for (mode, decl) in self.modes.iter_mut().zip(&self.target.modes) {
             *mode = decl.default_on;
@@ -202,7 +220,27 @@ impl<'t> Machine<'t> {
     /// Reads a variable's element through the code's layout.
     pub fn peek(&self, sym: &Symbol, index: u32, code: &Code) -> Option<i64> {
         let (bank, addr) = code.layout.addr_of(sym, index as i64)?;
-        self.mem[bank as usize].get(addr as usize).copied()
+        self.peek_at(bank, addr)
+    }
+
+    /// Writes a value into one data word, for callers that resolved the
+    /// address through the layout once.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::AddressOutOfRange`] beyond the end of the bank.
+    pub fn poke_at(&mut self, bank: Bank, addr: u16, value: i64) -> Result<(), SimError> {
+        self.write_mem(bank, addr as i64, value)
+    }
+
+    /// Reads one data word; `None` beyond the end of the bank.
+    pub fn peek_at(&self, bank: Bank, addr: u16) -> Option<i64> {
+        self.read_mem(bank, addr as i64).ok()
+    }
+
+    /// Reads an address register; `None` for one the target's AGU lacks.
+    pub fn ar(&self, ar: u16) -> Option<i64> {
+        self.ars.get(ar as usize).copied()
     }
 
     /// Reads a register (mainly for tests and the self-test generator);
@@ -224,190 +262,146 @@ impl<'t> Machine<'t> {
         self.modes.get(m).copied().unwrap_or(false)
     }
 
-    /// Executes a program to completion.
+    /// Decodes `code` for this machine's target (see [`Program`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Structure`] when [`Code::verify`] rejects the code.
+    pub fn decode<'c>(&self, code: &'c Code) -> Result<Program<'c>, SimError> {
+        Program::decode(code, self)
+    }
+
+    /// Executes a program to completion: decodes it, then runs
+    /// [`execute`](Machine::execute).
     ///
     /// # Errors
     ///
     /// Any [`SimError`]; the machine state is left as-at-failure.
     pub fn run(&mut self, code: &Code) -> Result<RunResult, SimError> {
-        code.verify().map_err(SimError::Structure)?;
+        let program = self.decode(code)?;
+        self.execute(&program)
+    }
+
+    /// Executes a decoded program to completion. The program must have
+    /// been decoded for this machine's target.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SimError`]; the machine state is left as-at-failure.
+    pub fn execute(&mut self, program: &Program<'_>) -> Result<RunResult, SimError> {
+        let steps = &program.steps;
         let mut result = RunResult::default();
         let mut pc = 0usize;
-        // (loop-start pc, trip count, counter symbol, iteration)
-        let mut loops: Vec<(usize, u32, Symbol, u32)> = Vec::new();
-        let mut counters: HashMap<Symbol, i64> = HashMap::new();
-        let mut steps = 0u64;
+        // (loop-start pc, trip count, counter slot, iteration)
+        let mut loops: Vec<(usize, u32, usize, u32)> = Vec::new();
+        self.counters.clear();
+        self.counters.resize(program.counters.len(), None);
+        let mut executed = 0u64;
 
-        while pc < code.insns.len() {
-            steps += 1;
-            if steps > self.max_steps {
+        while pc < steps.len() {
+            executed += 1;
+            if executed > self.max_steps {
                 return Err(SimError::StepLimit);
             }
-            let insn = &code.insns[pc];
             if let Some(trace) = &mut self.trace {
-                trace.push(format!("{pc:04}: {insn}"));
+                trace.push(format!("{pc:04}: {}", program.code.insns[pc]));
             }
-            match &insn.kind {
-                InsnKind::LoopStart { var, count } => {
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
+            let step = &steps[pc];
+            result.cycles += step.cycles as u64;
+            result.insns += 1;
+            pc += 1;
+            match &step.kind {
+                StepKind::LoopStart { counter, count, end } => {
                     if *count == 0 {
-                        pc = matching_end(code, pc)? + 1;
+                        pc = end + 1;
                         continue;
                     }
-                    loops.push((pc, *count, var.clone(), 0));
-                    counters.insert(var.clone(), 0);
-                    pc += 1;
+                    loops.push((pc - 1, *count, *counter, 0));
+                    self.counters[*counter] = Some(0);
                 }
-                InsnKind::LoopEnd => {
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    let (start, count, var, iter) =
+                StepKind::LoopEnd => {
+                    let (start, count, counter, iter) =
                         loops.pop().ok_or(SimError::Structure(StructureError::StrayLoopEnd))?;
                     let next_iter = iter + 1;
                     if next_iter < count {
-                        counters.insert(var.clone(), next_iter as i64);
-                        loops.push((start, count, var, next_iter));
+                        self.counters[counter] = Some(next_iter as i64);
+                        loops.push((start, count, counter, next_iter));
                         pc = start + 1;
                     } else {
-                        counters.remove(&var);
-                        pc += 1;
+                        self.counters[counter] = None;
                     }
                 }
-                InsnKind::Rpt { count } => {
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    let body = code
-                        .insns
-                        .get(pc + 1)
-                        .ok_or(SimError::Structure(StructureError::RptAtEnd))?;
+                StepKind::Rpt { count } => {
+                    let body =
+                        steps.get(pc).ok_or(SimError::Structure(StructureError::RptAtEnd))?;
                     for _ in 0..*count {
-                        steps += 1;
-                        if steps > self.max_steps {
+                        executed += 1;
+                        if executed > self.max_steps {
                             return Err(SimError::StepLimit);
                         }
-                        self.exec_repeatable(body, code, &counters)?;
+                        match &body.kind {
+                            StepKind::Bundle(ops) => self.exec_bundle(program, ops)?,
+                            StepKind::ArAdd { ar, delta } => {
+                                self.ar_slot(*ar)?;
+                                self.ars[*ar as usize] += delta;
+                            }
+                            _ => {
+                                return Err(SimError::Structure(StructureError::RptOver {
+                                    kind: format!("{:?}", program.code.insns[pc].kind),
+                                }))
+                            }
+                        }
                         result.cycles += body.cycles as u64;
                         result.insns += 1;
                     }
-                    pc += 2;
+                    pc += 1;
                 }
-                InsnKind::SetMode { mode, on } => {
+                StepKind::SetMode { mode, on } => {
                     let slot = self
                         .modes
                         .get_mut(*mode)
                         .ok_or(SimError::Structure(StructureError::UnknownMode { mode: *mode }))?;
                     *slot = *on;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::ArLoad { ar, base, disp } => {
-                    let (_, addr) = code
-                        .layout
-                        .addr_of(base, *disp)
-                        .ok_or_else(|| SimError::UnplacedSymbol(base.to_string()))?;
+                StepKind::ArLoad { ar, base } => {
+                    let (_, addr) = base.get()?;
                     self.ar_slot(*ar)?;
                     self.ars[*ar as usize] = addr as i64;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::ArAdd { ar, delta } => {
+                StepKind::ArAdd { ar, delta } => {
                     self.ar_slot(*ar)?;
                     self.ars[*ar as usize] += delta;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::ArLoadIndexed { ar, base, disp, index, down } => {
-                    let (ibank, iaddr) = code
-                        .layout
-                        .addr_of(index, 0)
-                        .ok_or_else(|| SimError::UnplacedSymbol(index.to_string()))?;
+                StepKind::ArLoadIndexed { ar, base, index, down } => {
+                    let (ibank, iaddr) = index.get()?;
                     let ivalue = self.read_mem(ibank, iaddr as i64)?;
-                    let (_, addr) = code
-                        .layout
-                        .addr_of(base, *disp)
-                        .ok_or_else(|| SimError::UnplacedSymbol(base.to_string()))?;
+                    let (_, addr) = base.get()?;
                     self.ar_slot(*ar)?;
                     self.ars[*ar as usize] =
                         if *down { addr as i64 - ivalue } else { addr as i64 + ivalue };
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::ArLoadMem { ar, cell } => {
-                    let (bank, addr) = code
-                        .layout
-                        .addr_of(cell, 0)
-                        .ok_or_else(|| SimError::UnplacedSymbol(cell.to_string()))?;
+                StepKind::ArLoadMem { ar, cell } => {
+                    let (bank, addr) = cell.get()?;
                     let v = self.read_mem(bank, addr as i64)?;
                     self.ar_slot(*ar)?;
                     self.ars[*ar as usize] = v;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::ArStore { ar, cell } => {
+                StepKind::ArStore { ar, cell } => {
                     self.ar_slot(*ar)?;
                     let v = self.ars[*ar as usize];
-                    let (bank, addr) = code
-                        .layout
-                        .addr_of(cell, 0)
-                        .ok_or_else(|| SimError::UnplacedSymbol(cell.to_string()))?;
+                    let (bank, addr) = cell.get()?;
                     self.write_mem(bank, addr as i64, v)?;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::PtrInit { cell, base, disp } => {
-                    let (_, target_addr) = code
-                        .layout
-                        .addr_of(base, *disp)
-                        .ok_or_else(|| SimError::UnplacedSymbol(base.to_string()))?;
-                    let (bank, addr) = code
-                        .layout
-                        .addr_of(cell, 0)
-                        .ok_or_else(|| SimError::UnplacedSymbol(cell.to_string()))?;
+                StepKind::PtrInit { cell, base } => {
+                    let (_, target_addr) = base.get()?;
+                    let (bank, addr) = cell.get()?;
                     self.write_mem(bank, addr as i64, target_addr as i64)?;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
                 }
-                InsnKind::Nop => {
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
-                }
-                InsnKind::Compute { .. } => {
-                    self.exec_bundle(insn, code, &counters)?;
-                    result.cycles += insn.cycles as u64;
-                    result.insns += 1;
-                    pc += 1;
-                }
+                StepKind::Nop => {}
+                StepKind::Bundle(ops) => self.exec_bundle(program, ops)?,
             }
         }
         Ok(result)
-    }
-
-    fn exec_repeatable(
-        &mut self,
-        insn: &Insn,
-        code: &Code,
-        counters: &HashMap<Symbol, i64>,
-    ) -> Result<(), SimError> {
-        match &insn.kind {
-            InsnKind::Compute { .. } => self.exec_bundle(insn, code, counters),
-            InsnKind::ArAdd { ar, delta } => {
-                self.ar_slot(*ar)?;
-                self.ars[*ar as usize] += delta;
-                Ok(())
-            }
-            other => {
-                Err(SimError::Structure(StructureError::RptOver { kind: format!("{other:?}") }))
-            }
-        }
     }
 
     fn ar_slot(&self, ar: u16) -> Result<(), SimError> {
@@ -422,116 +416,119 @@ impl<'t> Machine<'t> {
     }
 
     /// Executes a bundle: all reads happen before all writes; address-
-    /// register post-modifications apply afterwards, in operand order.
-    fn exec_bundle(
+    /// register post-modifications apply afterwards.
+    fn exec_bundle(&mut self, program: &Program<'_>, ops: &Range<usize>) -> Result<(), SimError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcome = self.bundle(program, &program.ops[ops.clone()], &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    fn bundle(
         &mut self,
-        insn: &Insn,
-        code: &Code,
-        counters: &HashMap<Symbol, i64>,
+        program: &Program<'_>,
+        ops: &[Op],
+        s: &mut Scratch,
     ) -> Result<(), SimError> {
-        let mut writes: Vec<(Loc, i64)> = Vec::new();
-        let mut posts: Vec<(u16, i8)> = Vec::new();
-        self.eval_insn(insn, code, counters, &mut writes, &mut posts)?;
-        for (dst, value) in writes {
-            self.write_loc(&dst, value, code, counters)?;
+        s.values.clear();
+        s.posts.clear();
+        for op in ops {
+            let saturating = op.saturable
+                && program.sat_mode.and_then(|m| self.modes.get(m).copied()).unwrap_or(false);
+            let value = self.eval(program, &program.nodes[op.nodes.clone()], saturating, s)?;
+            // destination post-modification registers too
+            if let Operand::Indirect { ar, post, .. } = op.dst {
+                if post != 0 {
+                    s.posts.push((ar, post));
+                }
+            }
+            s.values.push(value);
         }
-        for (ar, post) in posts {
+        for (op, &value) in ops.iter().zip(&s.values) {
+            self.write(program, &op.dst, value)?;
+        }
+        for &(ar, post) in &s.posts {
             self.ar_slot(ar)?;
             self.ars[ar as usize] += post as i64;
         }
         Ok(())
     }
 
-    fn eval_insn(
+    /// Evaluates a postfix expression; the first failing read fails it.
+    fn eval(
         &self,
-        insn: &Insn,
-        code: &Code,
-        counters: &HashMap<Symbol, i64>,
-        writes: &mut Vec<(Loc, i64)>,
-        posts: &mut Vec<(u16, i8)>,
-    ) -> Result<(), SimError> {
-        if let InsnKind::Compute { dst, expr } = &insn.kind {
-            let saturating = insn.mode_sensitive
-                && self.target.sat_mode().and_then(|m| self.modes.get(m).copied()).unwrap_or(false);
-            let mut err: Option<SimError> = None;
-            let value = expr.eval(self.target.word_width, saturating, &mut |loc| match self
-                .read_loc(loc, code, counters, posts)
-            {
-                Ok(v) => v,
-                Err(e) => {
-                    err.get_or_insert(e);
-                    0
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-            // destination post-modification registers too
-            if let Loc::Mem(m) = dst {
-                if let AddrMode::Indirect { ar, post } = m.mode {
-                    if post != 0 {
-                        posts.push((ar, post));
-                    }
-                }
-            }
-            writes.push((dst.clone(), value));
+        program: &Program<'_>,
+        nodes: &[Node],
+        saturating: bool,
+        s: &mut Scratch,
+    ) -> Result<i64, SimError> {
+        if let [Node::Read(operand)] = nodes {
+            return self.read(program, operand, &mut s.posts);
         }
-        for p in &insn.parallel {
-            self.eval_insn(p, code, counters, writes, posts)?;
+        let width = self.target.word_width;
+        s.stack.clear();
+        for node in nodes {
+            let value = match node {
+                Node::Read(operand) => self.read(program, operand, &mut s.posts)?,
+                Node::Bin(op) => {
+                    let b = s.stack.pop().expect("postfix operand");
+                    let a = s.stack.pop().expect("postfix operand");
+                    let op = match op {
+                        BinOp::Add if saturating => BinOp::SatAdd,
+                        BinOp::Sub if saturating => BinOp::SatSub,
+                        other => *other,
+                    };
+                    op.eval(a, b, width)
+                }
+                Node::Un(op) => op.eval(s.stack.pop().expect("postfix operand"), width),
+            };
+            s.stack.push(value);
         }
-        Ok(())
+        Ok(s.stack.pop().expect("postfix result"))
     }
 
-    fn resolve(
-        &self,
-        m: &MemLoc,
-        code: &Code,
-        counters: &HashMap<Symbol, i64>,
-    ) -> Result<(Bank, i64), SimError> {
-        match m.mode {
-            AddrMode::Direct(a) => Ok((m.bank, a as i64)),
-            AddrMode::Indirect { ar, .. } => {
-                self.ar_slot(ar)?;
-                Ok((m.bank, self.ars[ar as usize]))
+    /// The (bank, address) of a memory operand.
+    fn resolve(&self, program: &Program<'_>, operand: &Operand) -> Result<(Bank, i64), SimError> {
+        match operand {
+            Operand::Imm(_) | Operand::Reg(_) | Operand::BadReg(_) => {
+                unreachable!("only memory operands have an address")
             }
-            AddrMode::Unresolved => {
-                let index = match &m.index {
-                    None => 0,
-                    Some(var) => {
-                        let i = *counters
-                            .get(var)
-                            .ok_or_else(|| SimError::UnknownCounter(var.to_string()))?;
-                        if m.down {
-                            -i
-                        } else {
-                            i
-                        }
-                    }
-                };
-                let (bank, addr) = code
-                    .layout
-                    .addr_of(&m.base, m.disp + index)
-                    .ok_or_else(|| SimError::UnplacedSymbol(m.base.to_string()))?;
-                Ok((bank, addr as i64))
+            Operand::Mem(bank, addr) => Ok((*bank, *addr as i64)),
+            Operand::Indirect { bank, ar, .. } => {
+                self.ar_slot(*ar)?;
+                Ok((*bank, self.ars[*ar as usize]))
+            }
+            Operand::Indexed { bank, base, counter, down } => {
+                let i = self.counter(program, *counter)?;
+                Ok((*bank, (base + if *down { -i } else { i }) as u16 as i64))
+            }
+            Operand::Unplaced { counter, sym } => {
+                if let Some(counter) = counter {
+                    self.counter(program, *counter)?;
+                }
+                Err(SimError::UnplacedSymbol(sym.to_string()))
             }
         }
     }
 
-    fn read_loc(
+    fn counter(&self, program: &Program<'_>, slot: usize) -> Result<i64, SimError> {
+        self.counters[slot]
+            .ok_or_else(|| SimError::UnknownCounter(program.counters[slot].to_string()))
+    }
+
+    fn read(
         &self,
-        loc: &Loc,
-        code: &Code,
-        counters: &HashMap<Symbol, i64>,
+        program: &Program<'_>,
+        operand: &Operand,
         posts: &mut Vec<(u16, i8)>,
     ) -> Result<i64, SimError> {
-        match loc {
-            Loc::Imm(v) => Ok(record_ir::ops::wrap_to_width(*v, self.target.word_width)),
-            Loc::Reg(r) => {
-                self.reg_slot(*r).map(|slot| self.regs[slot]).ok_or(SimError::UnknownRegister(*r))
-            }
-            Loc::Mem(m) => {
-                let (bank, addr) = self.resolve(m, code, counters)?;
-                if let AddrMode::Indirect { ar, post } = m.mode {
+        match operand {
+            Operand::Imm(v) => Ok(*v),
+            Operand::Reg(slot) => Ok(self.regs[*slot]),
+            Operand::BadReg(r) => Err(SimError::UnknownRegister(*r)),
+            _ => {
+                let (bank, addr) = self.resolve(program, operand)?;
+                if let Operand::Indirect { ar, post, .. } = *operand {
                     if post != 0 {
                         posts.push((ar, post));
                     }
@@ -541,47 +538,59 @@ impl<'t> Machine<'t> {
         }
     }
 
-    fn write_loc(
+    fn write(
         &mut self,
-        loc: &Loc,
+        program: &Program<'_>,
+        operand: &Operand,
         value: i64,
-        code: &Code,
-        counters: &HashMap<Symbol, i64>,
     ) -> Result<(), SimError> {
-        match loc {
-            Loc::Imm(_) => Err(SimError::Structure(StructureError::ImmediateDestination)),
-            Loc::Reg(r) => {
-                let slot = self.reg_slot(*r).ok_or(SimError::UnknownRegister(*r))?;
-                self.regs[slot] = value;
+        match operand {
+            Operand::Imm(_) => Err(SimError::Structure(StructureError::ImmediateDestination)),
+            Operand::Reg(slot) => {
+                self.regs[*slot] = value;
                 Ok(())
             }
-            Loc::Mem(m) => {
-                let (bank, addr) = self.resolve(m, code, counters)?;
+            Operand::BadReg(r) => Err(SimError::UnknownRegister(*r)),
+            _ => {
+                let (bank, addr) = self.resolve(program, operand)?;
                 self.write_mem(bank, addr, value)
             }
         }
     }
 
+    /// The index of `addr` in its bank, if the bank has that word.
+    fn word(&self, bank: Bank, addr: i64) -> Result<usize, SimError> {
+        usize::try_from(addr)
+            .ok()
+            .filter(|&ix| ix < self.words)
+            .ok_or(SimError::AddressOutOfRange { bank, addr })
+    }
+
     fn read_mem(&self, bank: Bank, addr: i64) -> Result<i64, SimError> {
-        let ix = usize::try_from(addr).map_err(|_| SimError::AddressOutOfRange { bank, addr })?;
-        self.mem[bank as usize].get(ix).copied().ok_or(SimError::AddressOutOfRange { bank, addr })
+        let ix = self.word(bank, addr)?;
+        Ok(self.mem[bank as usize].get(ix).copied().unwrap_or(0))
     }
 
     fn write_mem(&mut self, bank: Bank, addr: i64, value: i64) -> Result<(), SimError> {
-        let ix = usize::try_from(addr).map_err(|_| SimError::AddressOutOfRange { bank, addr })?;
-        let width = self.target.word_width;
-        let slot = self.mem[bank as usize]
-            .get_mut(ix)
-            .ok_or(SimError::AddressOutOfRange { bank, addr })?;
-        *slot = record_ir::ops::wrap_to_width(value, width);
-        let dirty = &mut self.dirty[bank as usize];
-        *dirty = if dirty.start == dirty.end {
-            ix..ix + 1
-        } else {
-            dirty.start.min(ix)..dirty.end.max(ix + 1)
-        };
+        let ix = self.word(bank, addr)?;
+        let words = &mut self.mem[bank as usize];
+        if words.len() <= ix {
+            words.resize(ix + 1, 0);
+        }
+        words[ix] = record_ir::ops::wrap_to_width(value, self.target.word_width);
         Ok(())
     }
+}
+
+/// Buffers a bundle reuses, so executing one allocates nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The postfix value stack.
+    stack: Vec<i64>,
+    /// One value per operation, written after every read.
+    values: Vec<i64>,
+    /// Address-register post-modifications, applied after the writes.
+    posts: Vec<(u16, i8)>,
 }
 
 /// Convenience: loads inputs, runs, and returns the final value of every
@@ -635,28 +644,10 @@ pub fn run_program_with_steps(
     Ok((outputs, result))
 }
 
-fn matching_end(code: &Code, start: usize) -> Result<usize, SimError> {
-    let mut depth = 0i32;
-    for (i, insn) in code.insns.iter().enumerate().skip(start) {
-        match insn.kind {
-            InsnKind::LoopStart { .. } => depth += 1,
-            InsnKind::LoopEnd => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(SimError::Structure(StructureError::NoMatchingLoopEnd { index: start }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use record_ir::BinOp;
-    use record_isa::SemExpr;
+    use record_isa::{AddrMode, Insn, InsnKind, Loc, MemLoc, SemExpr};
 
     fn t() -> TargetDesc {
         record_isa::targets::tic25::target()

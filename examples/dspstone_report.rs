@@ -25,6 +25,9 @@
 //!   counters (variants, labels computed/memoized, dedup hits, search
 //!   steps, insns, words); this is the `BENCH_compile.json` artifact the
 //!   CI perf gate diffs against its committed baseline
+//! * `--asm PATH` — the rendered assembly of every kernel on both shipped
+//!   targets under O0, O2 and the `recordd` plan; this is
+//!   `tests/golden/dspstone_asm.txt`, which CI regenerates and diffs
 //! * `--trace PATH` — Chrome trace-event dump of every compile the run
 //!   performed (span per pass, instant per cache event); open it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`
@@ -37,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut json_path: Option<String> = None;
     let mut bench_json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
+    let mut asm_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("missing value for {flag}"));
@@ -44,6 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--json" => json_path = Some(value()?),
             "--bench-json" => bench_json_path = Some(value()?),
             "--trace" => trace_path = Some(value()?),
+            "--asm" => asm_path = Some(value()?),
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
@@ -92,6 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record_trace::json::validate(&json).expect("bench JSON is well-formed");
         std::fs::write(path, json)?;
         println!("wrote {path} ({} bench rows)", rows.len());
+    }
+    if let Some(path) = &asm_path {
+        std::fs::write(path, record::report::render_asm_listings(&session)?)?;
+        println!("wrote {path}");
     }
     if let Some(path) = &trace_path {
         let mut f = std::fs::File::create(path)?;

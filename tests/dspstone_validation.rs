@@ -118,6 +118,47 @@ fn kernels_compile_on_the_dsp56k_model() {
     }
 }
 
+/// dsp56k covers every constant of its 16-bit word: beyond the one-word
+/// `imm8` load, a two-word long immediate, which parallel-move packing
+/// leaves alone.
+#[test]
+fn dsp56k_covers_every_constant_of_its_word() {
+    let target = record_isa::targets::dsp56k::target();
+    let compiler = Compiler::for_target(target.clone()).unwrap();
+    for value in [256, 4095, 32767] {
+        let src = format!("program p; var y: fix; begin y := {value}; end");
+        for plan in [PassPlan::o0(), PassPlan::o2()] {
+            let code = compiler
+                .compile(src.as_str(), plan)
+                .unwrap_or_else(|e| panic!("y := {value} on dsp56k: {e}"))
+                .code;
+            let load = code
+                .insns
+                .iter()
+                .find(|i| i.text == format!("MOVE #{value},a0"))
+                .unwrap_or_else(|| panic!("no long immediate in\n{}", code.render()));
+            assert_eq!(load.words, 2);
+            assert!(load.parallel.is_empty(), "{}", code.render());
+            let (out, _) = run_program(&code, &target, &HashMap::new()).unwrap();
+            assert_eq!(out[&Symbol::new("y")], vec![value], "{}", code.render());
+        }
+    }
+}
+
+/// The assembly of every DSPStone kernel on tic25 and dsp56k under O0,
+/// O2 and the `recordd` plan is pinned: a change that promises unchanged
+/// code reproduces `tests/golden/dspstone_asm.txt` byte for byte (CI
+/// regenerates it with `dspstone_report --asm`).
+#[test]
+fn listings_match_the_golden_file() {
+    let listings = record::report::render_asm_listings(&record::Session::new()).unwrap();
+    let golden = include_str!("golden/dspstone_asm.txt");
+    for (got, want) in listings.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(listings, golden);
+}
+
 #[test]
 fn kernels_compile_on_the_risc_model() {
     let target = record_isa::targets::simple_risc::target(8);
