@@ -14,8 +14,8 @@ use record_sim::run_program;
 
 use crate::select::SelectStats;
 use crate::{
-    baseline, handasm, Budgets, CompileError, CompileRequest, Compiled, PassPlan, PhaseTimings,
-    Session, SessionStats,
+    baseline, handasm, Budgets, CompileError, CompileOptions, CompileRequest, Compiled, PassPlan,
+    PhaseTimings, Session, SessionStats,
 };
 
 /// One Table 1 row.
@@ -459,6 +459,78 @@ pub fn render_asm_listings(session: &Session) -> Result<String, CompileError> {
         }
     }
     Ok(out)
+}
+
+/// Processor-cube points of [`render_backend_asm_listings`], as
+/// [`CubeParams::from_seed`](record_isa::cube::CubeParams::from_seed)
+/// seeds. All three lack direct addressing, so every scalar access walks
+/// the address pass's scalar-pointer chain, and all three run out of
+/// address registers on some kernel, so streams spill their pointers to
+/// `$ptr` cells (`LAR`/`SAR`):
+///
+/// * 35 — dual banks, two address registers, distinct-bank parallel
+///   moves: bank assignment and packing under the distinct-bank rule;
+/// * 47 — one bank of 128 words, four address registers: one kernel does
+///   not fit, which pins an `error:` line;
+/// * 169 — dual banks, eight address registers, one parallel-move slot.
+pub const BACKEND_CUBE_SEEDS: [u64; 3] = [35, 47, 169];
+
+/// Renders the assembly listings of the backend paths the DSPStone
+/// listings ([`render_asm_listings`]) do not pin: every DSPStone kernel
+/// on `asip-dsp`, `asip-min`, `risc4` and the cube points of
+/// [`BACKEND_CUBE_SEEDS`] under `O0`, `O2` and `service`, then on dsp56k
+/// under `O2` with list scheduling (`O2-list`) and with branch-and-bound
+/// scheduling of segments up to 10 instructions (`O2-bnb10`, the limit
+/// the ablation bench uses). Each listing is preceded by a
+/// `=== kernel target plan` line; a compile that fails writes one
+/// `error: …` line instead. This is the `tests/golden/backend_asm.txt`
+/// document.
+pub fn render_backend_asm_listings(session: &Session) -> String {
+    use record_isa::targets::{asip, dsp56k, simple_risc};
+    use record_opt::ScheduleMode;
+
+    let o2_scheduled = |mode| {
+        PassPlan::from_options(&CompileOptions {
+            schedule: Some(mode),
+            ..CompileOptions::default()
+        })
+    };
+    let plans = [
+        ("O0", PassPlan::o0()),
+        ("O2", PassPlan::o2()),
+        ("service", PassPlan::o2().with_budgets(Budgets::service()).strict(false)),
+    ];
+    let mut targets = vec![
+        asip::build(&asip::AsipParams::dsp()),
+        asip::build(&asip::AsipParams::minimal()),
+        simple_risc::target(4),
+    ];
+    targets.extend(BACKEND_CUBE_SEEDS.iter().map(|&seed| record_isa::cube::target_from_seed(seed)));
+    let mut runs: Vec<(&record_isa::TargetDesc, &str, PassPlan)> = Vec::new();
+    for target in &targets {
+        for (label, plan) in &plans {
+            runs.push((target, label, plan.clone()));
+        }
+    }
+    let dsp56k = dsp56k::target();
+    runs.push((&dsp56k, "O2-list", o2_scheduled(ScheduleMode::List)));
+    runs.push((
+        &dsp56k,
+        "O2-bnb10",
+        o2_scheduled(ScheduleMode::BranchAndBound { max_segment: 10 }),
+    ));
+
+    let mut out = String::new();
+    for (target, label, plan) in runs {
+        for kernel in record_dspstone::kernels() {
+            out.push_str(&format!("=== {} {} {label}\n", kernel.name, target.name));
+            match session.compile(target, kernel.source, plan.clone()) {
+                Ok(compiled) => out.push_str(&compiled.code.render()),
+                Err(e) => out.push_str(&format!("error: {e}\n")),
+            }
+        }
+    }
+    out
 }
 
 /// Renders [`kernel_bench_report`] rows as the `BENCH_compile.json`

@@ -28,6 +28,10 @@
 //! * `--asm PATH` — the rendered assembly of every kernel on both shipped
 //!   targets under O0, O2 and the `recordd` plan; this is
 //!   `tests/golden/dspstone_asm.txt`, which CI regenerates and diffs
+//! * `--backend-asm PATH` — the listings of the backend paths the
+//!   DSPStone listings leave unpinned (`asip-dsp`, `asip-min`, `risc4`,
+//!   seeded cube points, dsp56k with bundle scheduling); this is
+//!   `tests/golden/backend_asm.txt`, which CI regenerates and diffs
 //! * `--trace PATH` — Chrome trace-event dump of every compile the run
 //!   performed (span per pass, instant per cache event); open it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`
@@ -41,6 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut bench_json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut asm_path: Option<String> = None;
+    let mut backend_asm_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("missing value for {flag}"));
@@ -49,6 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--bench-json" => bench_json_path = Some(value()?),
             "--trace" => trace_path = Some(value()?),
             "--asm" => asm_path = Some(value()?),
+            "--backend-asm" => backend_asm_path = Some(value()?),
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
@@ -100,6 +106,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &asm_path {
         std::fs::write(path, record::report::render_asm_listings(&session)?)?;
+        println!("wrote {path}");
+    }
+    if let Some(path) = &backend_asm_path {
+        std::fs::write(path, record::report::render_backend_asm_listings(&session))?;
         println!("wrote {path}");
     }
     if let Some(path) = &trace_path {

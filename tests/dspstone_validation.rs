@@ -159,6 +159,20 @@ fn listings_match_the_golden_file() {
     assert_eq!(listings, golden);
 }
 
+/// The backend paths the DSPStone listings leave unpinned (other
+/// targets, seeded cube points, bundle scheduling) reproduce
+/// `tests/golden/backend_asm.txt` byte for byte (CI regenerates it with
+/// `dspstone_report --backend-asm`).
+#[test]
+fn backend_listings_match_the_golden_file() {
+    let listings = record::report::render_backend_asm_listings(&record::Session::new());
+    let golden = include_str!("golden/backend_asm.txt");
+    for (got, want) in listings.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(listings, golden);
+}
+
 #[test]
 fn kernels_compile_on_the_risc_model() {
     let target = record_isa::targets::simple_risc::target(8);
