@@ -25,7 +25,7 @@ use record_burg::Tables;
 use record_ir::lir::{Lir, LirItem, StorageKind, VarInfo};
 use record_ir::transform::RuleSet;
 use record_ir::{fold, AssignStmt, Bank, Symbol};
-use record_isa::{AddrMode, Code, Insn, InsnKind, Loc, StructureError, TargetDesc};
+use record_isa::{AddrMode, Code, Insn, InsnKind, StructureError, TargetDesc};
 use record_opt::compact::ScheduleMode;
 use record_opt::modes::ModeStrategy;
 use record_trace::SpanRecorder;
@@ -492,13 +492,7 @@ impl PassPlan {
                 best_effort: pass.best_effort(),
                 error,
             })?;
-            timings.passes.push(PassRecord {
-                name: pass.name().to_string(),
-                time,
-                runs: 1,
-                before,
-                after,
-            });
+            timings.passes.push(PassRecord { name: pass.name(), time, runs: 1, before, after });
             before = after;
         }
         if !self.strict {
@@ -1094,14 +1088,14 @@ impl Pass for RptPass {
 /// holds after every layout-shaping pass).
 fn placed(unit: &CompilationUnit<'_>) -> Result<(), StructureError> {
     for insn in &unit.code.insns {
-        let mut err = None;
-        visit_mems(insn, &mut |m| {
-            if err.is_none() && unit.code.layout.entry(&m.base).is_none() {
-                err = Some(StructureError::Unplaced { sym: m.base.clone() });
+        let mut unplaced = None;
+        insn.for_each_mem(&mut |m| {
+            if unplaced.is_none() && unit.code.layout.entry(&m.base).is_none() {
+                unplaced = Some(&m.base);
             }
         });
-        if let Some(e) = err {
-            return Err(e);
+        if let Some(sym) = unplaced {
+            return Err(StructureError::Unplaced { sym: sym.clone() });
         }
     }
     Ok(())
@@ -1109,28 +1103,8 @@ fn placed(unit: &CompilationUnit<'_>) -> Result<(), StructureError> {
 
 fn has_unresolved(insn: &Insn) -> bool {
     let mut any = false;
-    visit_mems(insn, &mut |m| {
-        if m.mode == AddrMode::Unresolved {
-            any = true;
-        }
-    });
+    insn.for_each_mem(&mut |m| any |= m.mode == AddrMode::Unresolved);
     any
-}
-
-fn visit_mems(insn: &Insn, f: &mut impl FnMut(&record_isa::MemLoc)) {
-    if let InsnKind::Compute { dst, expr } = &insn.kind {
-        for l in expr.reads() {
-            if let Loc::Mem(m) = l {
-                f(m);
-            }
-        }
-        if let Loc::Mem(m) = dst {
-            f(m);
-        }
-    }
-    for p in &insn.parallel {
-        visit_mems(p, f);
-    }
 }
 
 /// Linear mode-state scan: starting from the target's power-on defaults,

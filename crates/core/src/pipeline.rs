@@ -10,7 +10,7 @@ use record_ir::lir::{Lir, VarInfo};
 use record_ir::transform::RuleSet;
 use record_ir::{dfl, lower, Symbol};
 use record_isa::netlist::Netlist;
-use record_isa::{Code, Insn, InsnKind, Loc, TargetDesc};
+use record_isa::{Code, Insn, InsnKind, TargetDesc};
 use record_ise::ToTargetOptions;
 use record_opt::compact::ScheduleMode;
 use record_opt::modes::ModeStrategy;
@@ -475,8 +475,10 @@ impl Compiler {
     ) -> Result<Compiled, CompileError> {
         let start = Instant::now();
         recorder.open("compile");
-        recorder.attr("kernel", lir.name.to_string());
-        recorder.attr("target", self.target.name.clone());
+        if recorder.is_enabled() {
+            recorder.attr("kernel", lir.name.to_string());
+            recorder.attr("target", self.target.name.clone());
+        }
         let mut salvages: Vec<SalvageRecord> = Vec::new();
         let result = loop {
             // always restart from a fresh unit: a panicking pass may
@@ -601,135 +603,122 @@ fn deterministic_inputs(lir: &Lir) -> HashMap<Symbol, Vec<i64>> {
 /// generated temporary) or the SOA access sequence mentions a symbol
 /// repeatedly; zero-length variables are kept (they occupy a name but no
 /// storage) rather than silently dropped from the layout.
-pub(crate) fn order_vars(vars: &[VarInfo], code: &Code, soa: bool) -> Vec<VarInfo> {
+pub(crate) fn order_vars<'v>(vars: &'v [VarInfo], code: &Code, soa: bool) -> Vec<&'v VarInfo> {
     order_vars_budgeted(vars, code, soa, &record_opt::SearchBudget::unlimited())
         .expect("unlimited budget never fires")
 }
 
 /// [`order_vars`] with the SOA search running under a [`record_opt::SearchBudget`].
-pub(crate) fn order_vars_budgeted(
-    vars: &[VarInfo],
+pub(crate) fn order_vars_budgeted<'v>(
+    vars: &'v [VarInfo],
     code: &Code,
     soa: bool,
     budget: &record_opt::SearchBudget,
-) -> Result<Vec<VarInfo>, record_opt::BudgetExceeded> {
-    let by_name: HashMap<&Symbol, &VarInfo> = vars.iter().map(|v| (&v.name, v)).collect();
-    let mut out: Vec<VarInfo> = Vec::with_capacity(vars.len());
-    let mut seen: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
+) -> Result<Vec<&'v VarInfo>, record_opt::BudgetExceeded> {
+    // a name declared more than once stands for its last declaration
+    let mut by_name: HashMap<&Symbol, usize> = HashMap::with_capacity(vars.len());
+    for (i, v) in vars.iter().enumerate() {
+        by_name.insert(&v.name, i);
+    }
+    let unique = by_name.len() == vars.len();
+    let named = |i: usize| if unique { i } else { by_name[&vars[i].name] };
+    // placed names, by the index of the declaration they stand for
+    let mut placed = vec![false; vars.len()];
+    let mut out: Vec<&VarInfo> = Vec::with_capacity(by_name.len());
     if soa {
-        // scalar access sequence, in code order
-        let mut accesses: Vec<Symbol> = Vec::new();
+        // scalar access sequence, in code order, as variable indices
+        let mut accesses: Vec<u32> = Vec::new();
         for insn in &code.insns {
-            collect_scalar_accesses(insn, &by_name, &mut accesses);
-        }
-        let order = record_opt::soa_order_budgeted(&accesses, budget)?;
-        for sym in &order {
-            if let Some(v) = by_name.get(sym) {
-                if seen.insert(v.name.clone()) {
-                    out.push((*v).clone());
+            insn.for_each_mem(&mut |m| {
+                if m.index.is_none() {
+                    if let Some(&i) = by_name.get(&m.base) {
+                        if vars[i].len == 1 {
+                            accesses.push(i as u32);
+                        }
+                    }
                 }
+            });
+        }
+        for i in record_opt::soa_order_ids(&accesses, vars.len(), budget)? {
+            let i = i as usize;
+            if !std::mem::replace(&mut placed[i], true) {
+                out.push(&vars[i]);
             }
         }
     }
     // remaining scalars (and zero-length placeholders) in declaration
     // order, then arrays
-    for v in vars {
-        if v.len <= 1 && seen.insert(v.name.clone()) {
-            out.push(v.clone());
-        }
-    }
-    for v in vars {
-        if v.len > 1 && seen.insert(v.name.clone()) {
-            out.push(v.clone());
+    for scalars in [true, false] {
+        for (i, v) in vars.iter().enumerate() {
+            if (v.len <= 1) == scalars && !std::mem::replace(&mut placed[named(i)], true) {
+                out.push(v);
+            }
         }
     }
     Ok(out)
 }
 
-fn collect_scalar_accesses(
-    insn: &Insn,
-    by_name: &HashMap<&Symbol, &VarInfo>,
-    out: &mut Vec<Symbol>,
-) {
-    if let InsnKind::Compute { dst, expr } = &insn.kind {
-        for l in expr.reads() {
-            if let Loc::Mem(m) = l {
-                if m.index.is_none() && by_name.get(&m.base).map(|v| v.len) == Some(1) {
-                    out.push(m.base.clone());
-                }
-            }
-        }
-        if let Loc::Mem(m) = dst {
-            if m.index.is_none() && by_name.get(&m.base).map(|v| v.len) == Some(1) {
-                out.push(m.base.clone());
-            }
-        }
-    }
-    for p in &insn.parallel {
-        collect_scalar_accesses(p, by_name, out);
-    }
-}
-
 /// Replaces `[LoopStart; single repeatable insn; LoopEnd]` with
 /// `[Rpt; insn]` where the target supports hardware repeat; returns the
-/// number of conversions.
+/// number of conversions. Code without such a loop is left untouched.
 pub fn convert_rpt(code: &mut Code, target: &TargetDesc) -> u32 {
     let Some(rpt) = &target.loop_ctrl.rpt else {
         return 0;
     };
-    let mut converted = 0u32;
-    let insns = std::mem::take(&mut code.insns);
-    let mut out: Vec<Insn> = Vec::with_capacity(insns.len());
-    let mut i = 0usize;
-    while i < insns.len() {
-        if i + 2 < insns.len() {
-            if let (
-                InsnKind::LoopStart { var, count },
-                InsnKind::Compute { .. },
-                InsnKind::LoopEnd,
-            ) = (&insns[i].kind, &insns[i + 1].kind, &insns[i + 2].kind)
-            {
-                let body = &insns[i + 1];
-                let eligible =
-                    *count >= 1 && *count <= rpt.max_count && !references_counter(body, var);
-                if eligible {
-                    out.push(Insn::ctrl(
-                        InsnKind::Rpt { count: *count },
-                        format!("RPTK #{count}"),
-                        rpt.cost.words,
-                        rpt.cost.cycles,
-                    ));
-                    out.push(body.clone());
-                    converted += 1;
-                    i += 3;
-                    continue;
-                }
-            }
+    // the trip count of a convertible loop starting at `i`
+    let convertible = |insns: &[Insn], i: usize| -> Option<u32> {
+        if i + 2 >= insns.len() {
+            return None;
         }
-        out.push(insns[i].clone());
-        i += 1;
+        let (InsnKind::LoopStart { var, count }, InsnKind::Compute { .. }, InsnKind::LoopEnd) =
+            (&insns[i].kind, &insns[i + 1].kind, &insns[i + 2].kind)
+        else {
+            return None;
+        };
+        let eligible =
+            *count >= 1 && *count <= rpt.max_count && !references_counter(&insns[i + 1], var);
+        eligible.then_some(*count)
+    };
+    let insns = &mut code.insns;
+    let Some(first) = (0..insns.len()).find(|&i| convertible(insns, i).is_some()) else {
+        return 0;
+    };
+    // compact in place from the first conversion: `read` scans the
+    // original order, kept instructions move down to `write`, and each
+    // conversion leaves its `LoopEnd` behind for the final truncate
+    let mut converted = 0u32;
+    let (mut read, mut write) = (first, first);
+    while read < insns.len() {
+        if let Some(count) = convertible(insns, read) {
+            insns[read] = Insn::ctrl(
+                InsnKind::Rpt { count },
+                format!("RPTK #{count}"),
+                rpt.cost.words,
+                rpt.cost.cycles,
+            );
+            insns.swap(write, read);
+            insns.swap(write + 1, read + 1);
+            converted += 1;
+            write += 2;
+            read += 3;
+        } else {
+            insns.swap(write, read);
+            write += 1;
+            read += 1;
+        }
     }
-    code.insns = out;
+    insns.truncate(write);
     converted
 }
 
 /// `true` if any operand still resolves through the loop counter
 /// symbolically (such a loop cannot become a hardware repeat).
 fn references_counter(insn: &Insn, var: &Symbol) -> bool {
-    if let InsnKind::Compute { dst, expr } = &insn.kind {
-        let unresolved = |m: &record_isa::MemLoc| {
-            m.index.as_ref() == Some(var) && m.mode == record_isa::AddrMode::Unresolved
-        };
-        if expr.reads().iter().any(|l| l.as_mem().map(unresolved).unwrap_or(false)) {
-            return true;
-        }
-        if let Loc::Mem(m) = dst {
-            if unresolved(m) {
-                return true;
-            }
-        }
-    }
-    insn.parallel.iter().any(|p| references_counter(p, var))
+    let mut any = false;
+    insn.for_each_mem(&mut |m| {
+        any |= m.index.as_ref() == Some(var) && m.mode == record_isa::AddrMode::Unresolved;
+    });
+    any
 }
 
 #[cfg(test)]
@@ -737,6 +726,7 @@ mod tests {
     use super::*;
     use record_ir::lir::StorageKind;
     use record_ir::Bank;
+    use record_isa::Loc;
     use record_sim::run_program;
     use std::collections::HashMap as Map;
 

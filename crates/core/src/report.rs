@@ -720,7 +720,7 @@ mod tests {
     fn phase_breakdown_lists_dynamic_passes_with_stats() {
         let pb = phase_breakdown().unwrap();
         // the default plan's passes appear, aggregated by name
-        let names: Vec<&str> = pb.total.passes.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = pb.total.passes.iter().map(|p| p.name).collect();
         for want in ["treeify", "select", "layout", "offset", "address", "compact", "modes", "rpt"]
         {
             assert!(names.contains(&want), "missing pass {want}: {names:?}");

@@ -86,7 +86,7 @@ fn count_insn(insn: &record_isa::Insn, stats: &mut CodeStats, regs: &mut Vec<Reg
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassRecord {
     /// The pass name (as registered in the `PassPlan`).
-    pub name: String,
+    pub name: &'static str,
     /// Wall-clock time spent in the pass.
     pub time: Duration,
     /// How many compiles ran this pass (1 for a single compile).
@@ -169,7 +169,7 @@ impl fmt::Display for PhaseTimings {
         let total = self.total.as_secs_f64().max(1e-12);
         writeln!(f, "  {:<10} {:>12} {:>7}", "phase", "time", "share")?;
         let frontend = [("parse", self.parse), ("lower", self.lower)];
-        let passes = self.passes.iter().map(|p| (p.name.as_str(), p.time));
+        let passes = self.passes.iter().map(|p| (p.name, p.time));
         for (name, d) in frontend.into_iter().chain(passes) {
             if d.is_zero() {
                 continue;
@@ -209,7 +209,7 @@ mod tests {
 
     fn select(micros: u64) -> PassRecord {
         PassRecord {
-            name: "select".into(),
+            name: "select",
             time: Duration::from_micros(micros),
             runs: 1,
             ..Default::default()
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn display_renders_nonempty_phases() {
         let t = PhaseTimings {
-            passes: vec![select(80), PassRecord { name: "banks".into(), ..Default::default() }],
+            passes: vec![select(80), PassRecord { name: "banks", ..Default::default() }],
             total: Duration::from_micros(100),
             select: SelectStats { statements: 1, ..Default::default() },
             ..Default::default()

@@ -16,7 +16,7 @@ use std::fmt;
 
 use record_ir::{Bank, BinOp, Symbol, UnOp};
 
-use crate::loc::Loc;
+use crate::loc::{Loc, MemLoc};
 use crate::pattern::{RuleId, UnitMask};
 
 /// An executable expression over concrete locations.
@@ -92,6 +92,27 @@ impl SemExpr {
                 b.for_each_read(f);
             }
             SemExpr::Un(_, a) => a.for_each_read(f),
+        }
+    }
+
+    /// Calls `f` on every location the expression reads, in evaluation
+    /// order, mutably — [`reads_mut`](SemExpr::reads_mut) without
+    /// collecting a vector. Stops at, and returns, the first error.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_for_each_read_mut<E>(
+        &mut self,
+        f: &mut impl FnMut(&mut Loc) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            SemExpr::Loc(l) => f(l),
+            SemExpr::Bin(_, a, b) => {
+                a.try_for_each_read_mut(f)?;
+                b.try_for_each_read_mut(f)
+            }
+            SemExpr::Un(_, a) => a.try_for_each_read_mut(f),
         }
     }
 
@@ -324,6 +345,62 @@ impl Insn {
         }
     }
 
+    /// Calls `f` on every memory operand: a `Compute`'s reads in
+    /// evaluation order, then its destination, then the same for each
+    /// parallel sub-operation in turn.
+    pub fn for_each_mem<'a>(&'a self, f: &mut impl FnMut(&'a MemLoc)) {
+        if let InsnKind::Compute { dst, expr } = &self.kind {
+            expr.for_each_read(&mut |l| {
+                if let Loc::Mem(m) = l {
+                    f(m);
+                }
+            });
+            if let Loc::Mem(m) = dst {
+                f(m);
+            }
+        }
+        for p in &self.parallel {
+            p.for_each_mem(f);
+        }
+    }
+
+    /// [`for_each_mem`](Insn::for_each_mem) with mutable access.
+    pub fn for_each_mem_mut(&mut self, f: &mut impl FnMut(&mut MemLoc)) {
+        let visited = self.try_for_each_mem_mut(&mut |m| {
+            f(m);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        match visited {
+            Ok(()) => {}
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`for_each_mem_mut`](Insn::for_each_mem_mut) that stops at, and
+    /// returns, the first error `f` returns.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_for_each_mem_mut<E>(
+        &mut self,
+        f: &mut impl FnMut(&mut MemLoc) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if let InsnKind::Compute { dst, expr } = &mut self.kind {
+            expr.try_for_each_read_mut(&mut |l| match l {
+                Loc::Mem(m) => f(m),
+                _ => Ok(()),
+            })?;
+            if let Loc::Mem(m) = dst {
+                f(m)?;
+            }
+        }
+        for p in &mut self.parallel {
+            p.try_for_each_mem_mut(f)?;
+        }
+        Ok(())
+    }
+
     /// Total words including parallel-packed operations (which are free).
     pub fn total_words(&self) -> u32 {
         self.words
@@ -383,9 +460,20 @@ impl DataLayout {
         self.entries.push(LayoutEntry { sym, addr, len, bank });
     }
 
+    /// An empty layout with room for `n` symbols.
+    pub fn with_capacity(n: usize) -> Self {
+        DataLayout { entries: Vec::with_capacity(n), by_sym: HashMap::with_capacity(n) }
+    }
+
     /// Looks a symbol up.
     pub fn entry(&self, sym: &Symbol) -> Option<&LayoutEntry> {
         self.by_sym.get(sym).map(|i| &self.entries[*i])
+    }
+
+    /// The position of a symbol's entry in [`entries`](DataLayout::entries),
+    /// if placed: a dense index passes can key per-symbol state by.
+    pub fn position(&self, sym: &Symbol) -> Option<usize> {
+        self.by_sym.get(sym).copied()
     }
 
     /// The absolute word address of `sym + disp`, if placed.
@@ -416,6 +504,15 @@ impl DataLayout {
             .unwrap_or(0) as u16;
         self.place(sym, addr, len, bank);
         addr
+    }
+
+    /// Moves every entry to the `(bank, address)` that `place` returns
+    /// for it, given its position and entry, in placement order; symbols,
+    /// lengths and order stay as they are (used by bank assignment).
+    pub fn relocate(&mut self, mut place: impl FnMut(usize, &LayoutEntry) -> (Bank, u16)) {
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            (e.bank, e.addr) = place(i, e);
+        }
     }
 
     /// Rebuilds the layout with new entries (used by offset/bank

@@ -17,12 +17,11 @@
 //!   post-modify follows the access sequence — the machinery whose cost
 //!   the [`offset`](crate::offset) pass minimizes by reordering storage.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use record_ir::Symbol;
 use record_isa::target::AguDesc;
-use record_isa::{AddrMode, Code, DataLayout, Insn, InsnKind, Loc, MemLoc, TargetDesc};
+use record_isa::{AddrMode, Code, DataLayout, Insn, InsnKind, MemLoc, TargetDesc};
 
 /// A structured address-assignment failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,13 +130,13 @@ pub fn assign_addresses(
     target: &TargetDesc,
 ) -> Result<AddressStats, AddressError> {
     let mut stats = AddressStats::default();
-    let layout = code.layout.clone();
     let insns = std::mem::take(&mut code.insns);
+    let mut out = Vec::with_capacity(insns.len());
     let nodes = parse_structure(insns)?;
 
     let mut ctx = Ctx {
         target,
-        layout: &layout,
+        layout: &code.layout,
         agu: target.agu.as_ref(),
         stats: &mut stats,
         next_stream_ar: 0,
@@ -157,11 +156,8 @@ pub fn assign_addresses(
         return Err(AddressError::NoAddressingMechanism { target: target.name.to_string() });
     }
 
-    let mut out = Vec::new();
-    let exit = ctx.process_seq(nodes, &mut out, None)?;
-    let _ = exit;
+    ctx.process_seq(nodes, &mut out, None)?;
     let new_cells = std::mem::take(&mut ctx.new_cells);
-    drop(ctx);
     code.insns = out;
     for cell in new_cells {
         code.layout.append(cell, 1, record_ir::Bank::X);
@@ -217,6 +213,44 @@ struct Ctx<'a> {
 /// Position of the scalar pointer register, threaded through the walk.
 type ScalarPos = Option<i64>;
 
+/// One stream of a loop: the accesses `base[i + disp]` (or
+/// `base[disp - i]` when `down`) through the loop counter `i`, and where
+/// its pointer lives. A loop has at most one stream per address register
+/// plus the spilled ones, so streams sit in a small vector searched by
+/// comparing operands in place.
+struct Stream {
+    base: Symbol,
+    disp: i64,
+    down: bool,
+    /// The dedicated address register, if the stream got one.
+    ar: Option<u16>,
+    /// The pointer cell of a spilled stream.
+    cell: Option<Symbol>,
+    /// `(top-level node index, operand index)` of the stream's last
+    /// top-level access: the one that can advance it for free.
+    last: Option<(usize, usize)>,
+    /// Whether that access's post-modify advances the stream.
+    advanced: bool,
+}
+
+impl Stream {
+    fn of(m: &MemLoc) -> Self {
+        Stream {
+            base: m.base.clone(),
+            disp: m.disp,
+            down: m.down,
+            ar: None,
+            cell: None,
+            last: None,
+            advanced: false,
+        }
+    }
+
+    fn matches(&self, m: &MemLoc) -> bool {
+        self.base == m.base && self.disp == m.disp && self.down == m.down
+    }
+}
+
 impl<'a> Ctx<'a> {
     fn addr_of(&self, sym: &Symbol, disp: i64) -> Result<(record_ir::Bank, u16), AddressError> {
         self.layout.addr_of(sym, disp).ok_or_else(|| AddressError::Unplaced { sym: sym.clone() })
@@ -234,7 +268,7 @@ impl<'a> Ctx<'a> {
         // Pre-scan: the scalar accesses of this sequence in order, so each
         // access can set its post-modify toward the next one.
         let mut idx = 0usize;
-        let accesses = scalar_access_addrs(&nodes, self)?;
+        let accesses = scalar_access_addrs(&nodes, self.layout)?;
         for node in nodes {
             match node {
                 Node::Plain(mut insn) => {
@@ -251,8 +285,8 @@ impl<'a> Ctx<'a> {
 
     /// Rewrites one instruction's memory operands. Scalar (loop-invariant)
     /// operands use direct mode or the scalar-pointer chain; returns the
-    /// updated pointer position. `ar_of_stream` assignments for loop
-    /// streams were already applied by the caller via `stream_mode`.
+    /// updated pointer position. Stream operands were already resolved by
+    /// the enclosing loop.
     fn rewrite_insn(
         &mut self,
         insn: &mut Insn,
@@ -261,10 +295,9 @@ impl<'a> Ctx<'a> {
         mut pos: ScalarPos,
         out: &mut Vec<Insn>,
     ) -> Result<ScalarPos, AddressError> {
-        let mut mems = insn_mem_operands(insn);
-        for m in mems.iter_mut() {
+        insn.try_for_each_mem_mut(&mut |m| {
             if m.mode != AddrMode::Unresolved {
-                continue; // already assigned (stream operand)
+                return Ok(()); // already assigned (stream operand)
             }
             if m.index.is_some() {
                 return Err(AddressError::StrayLoopVariant { operand: m.to_string() });
@@ -274,7 +307,7 @@ impl<'a> Ctx<'a> {
             if self.has_direct {
                 m.mode = AddrMode::Direct(addr);
                 self.stats.direct += 1;
-                continue;
+                return Ok(());
             }
             // scalar-pointer chain
             let ar = self.scalar_ar.ok_or(AddressError::NoScalarRegister)?;
@@ -295,26 +328,26 @@ impl<'a> Ctx<'a> {
             self.stats.indirect += 1;
             pos = Some(addr as i64 + post as i64);
             *idx += 1;
-        }
+            Ok(())
+        })?;
         Ok(pos)
     }
 
     fn process_loop(
         &mut self,
         start: Insn,
-        body: Vec<Node>,
+        mut body: Vec<Node>,
         end: Insn,
         out: &mut Vec<Insn>,
         pos: ScalarPos,
     ) -> Result<ScalarPos, AddressError> {
-        let var = match &start.kind {
-            InsnKind::LoopStart { var, .. } => var.clone(),
-            _ => unreachable!("loop node starts with LoopStart"),
+        let InsnKind::LoopStart { var, .. } = &start.kind else {
+            unreachable!("loop node starts with LoopStart")
         };
 
         // 1. discover this loop's streams
-        let mut streams: Vec<(Symbol, i64, bool)> = Vec::new();
-        collect_streams(&body, &var, &mut streams);
+        let mut streams: Vec<Stream> = Vec::new();
+        collect_streams(&body, var, &mut streams);
         let agu = if streams.is_empty() {
             self.agu
         } else {
@@ -329,7 +362,6 @@ impl<'a> Ctx<'a> {
         // pointers in memory cells and share one spare register (the
         // LAR/SAR spill idiom of real accumulator-machine compilers)
         let first_stream_ar = self.next_stream_ar;
-        let mut stream_ars: HashMap<(Symbol, i64, bool), u16> = HashMap::new();
         let ar_limit = self.scalar_ar.unwrap_or_else(|| self.agu.map(|a| a.n_ars).unwrap_or(0));
         let capacity = ar_limit.saturating_sub(first_stream_ar) as usize;
         let (n_dedicated, spare) = if streams.len() <= capacity {
@@ -342,41 +374,43 @@ impl<'a> Ctx<'a> {
             }
             (capacity - 1, Some(first_stream_ar + capacity as u16 - 1))
         };
-        let mut spilled: HashMap<(Symbol, i64, bool), Symbol> = HashMap::new();
-        for (base, disp, down) in &streams[..n_dedicated] {
+        for s in &mut streams[..n_dedicated] {
             let ar = self.next_stream_ar;
             self.next_stream_ar += 1;
-            stream_ars.insert((base.clone(), *disp, *down), ar);
-            out.push(ar_load(self.target, ar, base, *disp));
+            s.ar = Some(ar);
+            out.push(ar_load(self.target, ar, &s.base, s.disp));
             self.stats.ar_loads += 1;
         }
         if spare.is_some() {
             self.next_stream_ar += 1; // reserve the spare
         }
-        for (base, disp, down) in &streams[n_dedicated..] {
+        for s in &mut streams[n_dedicated..] {
             let cell = Symbol::new(format!("$ptr{}", self.next_cell));
             self.next_cell += 1;
             self.new_cells.push(cell.clone());
-            spilled.insert((base.clone(), *disp, *down), cell.clone());
-            out.push(ptr_init(self.target, &cell, base, *disp));
+            out.push(ptr_init(self.target, &cell, &s.base, s.disp));
             self.stats.ar_loads += 1;
+            s.cell = Some(cell);
         }
 
         // 3. rewrite stream operands inside the body (any depth); mark the
         // last top-level access of each stream for the free post-increment
-        let mut body = body;
         let post_range = agu.map(|a| a.post_range).unwrap_or(0);
-        let mut last_access: HashMap<u16, (usize, usize, bool)> = HashMap::new();
-        rewrite_streams(&mut body, &var, &stream_ars, self.layout, &mut last_access, self.stats)?;
-        let mut advanced: Vec<u16> = Vec::new();
+        rewrite_streams(&mut body, var, &mut streams, self.layout, true, self.stats)?;
         if post_range >= 1 {
-            for (ar, (node_ix, mem_ix, down)) in &last_access {
-                if let Node::Plain(insn) = &mut body[*node_ix] {
-                    let mut mems = insn_mem_operands(insn);
-                    if let AddrMode::Indirect { post, .. } = &mut mems[*mem_ix].mode {
-                        *post = if *down { -1 } else { 1 };
-                        advanced.push(*ar);
-                    }
+            for s in &mut streams {
+                let Some((node_ix, mem_ix)) = s.last else { continue };
+                if let Node::Plain(insn) = &mut body[node_ix] {
+                    let mut k = 0usize;
+                    insn.for_each_mem_mut(&mut |m| {
+                        if k == mem_ix {
+                            if let AddrMode::Indirect { post, .. } = &mut m.mode {
+                                *post = if s.down { -1 } else { 1 };
+                                s.advanced = true;
+                            }
+                        }
+                        k += 1;
+                    });
                 }
             }
         }
@@ -385,44 +419,40 @@ impl<'a> Ctx<'a> {
         // cell before every access (the operand itself stays post-free;
         // the advance happens once per iteration below)
         if let Some(spare_ar) = spare {
-            body = rewrite_spilled(body, &var, &spilled, spare_ar, self.layout, self.stats)?;
+            body = rewrite_spilled(body, var, &streams, spare_ar, self.layout, self.stats)?;
         }
 
         // 4. recurse into the body for scalars and nested loops. The
         // scalar pointer must re-enter each iteration at the same
         // position: we pin it by reloading at loop entry if the body uses
         // it at all.
-        let mut body_out: Vec<Insn> = Vec::new();
-        let body_scalars = scalar_access_addrs(&body, self)?;
-        let entry_pos = if self.has_direct || body_scalars.is_empty() {
+        let entry_pos = if self.has_direct || !has_scalar_access(&body) {
             pos
         } else {
             // force a deterministic entry state: unknown, so the first
             // access inside reloads
             None
         };
-        let exit_pos = self.process_seq(body, &mut body_out, entry_pos)?;
-
-        // 5. advance streams that did not get a free post-increment
         out.push(start);
-        out.extend(body_out);
-        let mut pending: Vec<(u16, bool)> = stream_ars
-            .iter()
-            .filter(|(_, ar)| !advanced.contains(*ar))
-            .map(|((_, _, down), ar)| (*ar, *down))
-            .collect();
-        pending.sort_unstable();
-        for (ar, down) in pending {
-            out.push(ar_add(self.target, ar, if down { -1 } else { 1 }));
-            self.stats.ar_adds += 1;
+        let exit_pos = self.process_seq(body, out, entry_pos)?;
+
+        // 5. advance streams that did not get a free post-increment, in
+        // register order (dedicated registers were handed out in stream
+        // order)
+        for s in &streams {
+            if let (Some(ar), false) = (s.ar, s.advanced) {
+                out.push(ar_add(self.target, ar, if s.down { -1 } else { 1 }));
+                self.stats.ar_adds += 1;
+            }
         }
         // 5b. advance spilled stream pointers: load, adjust, store back
         if let Some(spare_ar) = spare {
-            let mut cells: Vec<(&(Symbol, i64, bool), &Symbol)> = spilled.iter().collect();
-            cells.sort_by(|a, b| a.1.cmp(b.1));
-            for ((_, _, down), cell) in cells {
+            let mut cells: Vec<(&Symbol, bool)> =
+                streams.iter().filter_map(|s| Some((s.cell.as_ref()?, s.down))).collect();
+            cells.sort_by(|a, b| a.0.cmp(b.0));
+            for (cell, down) in cells {
                 out.push(ar_load_mem(spare_ar, cell));
-                out.push(ar_add(self.target, spare_ar, if *down { -1 } else { 1 }));
+                out.push(ar_add(self.target, spare_ar, if down { -1 } else { 1 }));
                 out.push(ar_store(spare_ar, cell));
                 self.stats.ar_adds += 1;
             }
@@ -492,7 +522,7 @@ fn ptr_init(target: &TargetDesc, cell: &Symbol, base: &Symbol, disp: i64) -> Ins
 fn rewrite_spilled(
     nodes: Vec<Node>,
     var: &Symbol,
-    spilled: &HashMap<(Symbol, i64, bool), Symbol>,
+    streams: &[Stream],
     spare: u16,
     layout: &DataLayout,
     stats: &mut AddressStats,
@@ -501,19 +531,19 @@ fn rewrite_spilled(
     for node in nodes {
         match node {
             Node::Plain(mut insn) => {
-                let mut cell_needed: Option<Symbol> = None;
-                for m in insn_mem_operands(&mut insn) {
+                let mut cell_needed: Option<&Symbol> = None;
+                let rewritten = insn.try_for_each_mem_mut(&mut |m| {
                     if m.index.as_ref() != Some(var) {
-                        continue;
+                        return Ok(());
                     }
-                    let key = (m.base.clone(), m.disp, m.down);
-                    let Some(cell) = spilled.get(&key) else { continue };
-                    if let Some(prev) = &cell_needed {
-                        if prev != cell {
-                            return Err(AddressError::TwoSpilledStreams {
-                                insn: insn.text.clone(),
-                            });
-                        }
+                    let Some(cell) =
+                        streams.iter().find(|s| s.matches(m)).and_then(|s| s.cell.as_ref())
+                    else {
+                        return Ok(());
+                    };
+                    if cell_needed.is_some_and(|prev| prev != cell) {
+                        // the instruction text is filled in below
+                        return Err(AddressError::TwoSpilledStreams { insn: String::new() });
                     }
                     let (bank, _) = layout
                         .addr_of(&m.base, m.disp)
@@ -521,15 +551,22 @@ fn rewrite_spilled(
                     m.bank = bank;
                     m.mode = AddrMode::Indirect { ar: spare, post: 0 };
                     stats.indirect += 1;
-                    cell_needed = Some(cell.clone());
+                    cell_needed = Some(cell);
+                    Ok(())
+                });
+                if let Err(mut e) = rewritten {
+                    if let AddressError::TwoSpilledStreams { insn: text } = &mut e {
+                        text.clone_from(&insn.text);
+                    }
+                    return Err(e);
                 }
                 if let Some(cell) = cell_needed {
-                    out.push(Node::Plain(ar_load_mem(spare, &cell)));
+                    out.push(Node::Plain(ar_load_mem(spare, cell)));
                 }
                 out.push(Node::Plain(insn));
             }
             Node::Loop { start, body, end } => {
-                let body = rewrite_spilled(body, var, spilled, spare, layout, stats)?;
+                let body = rewrite_spilled(body, var, streams, spare, layout, stats)?;
                 out.push(Node::Loop { start, body, end });
             }
         }
@@ -537,107 +574,102 @@ fn rewrite_spilled(
     Ok(out)
 }
 
-/// Mutable references to every memory operand of an instruction
-/// (reads in evaluation order, then the destination), including parallel
-/// sub-instructions.
-fn insn_mem_operands(insn: &mut Insn) -> Vec<&mut MemLoc> {
-    let mut out = Vec::new();
-    collect_mems(insn, &mut out);
-    out
+/// Whether a scalar (unresolved, loop-invariant) access sits among the
+/// top-level instructions of a node sequence.
+fn is_scalar_access(m: &MemLoc) -> bool {
+    m.mode == AddrMode::Unresolved && m.index.is_none()
 }
 
-fn collect_mems<'i>(insn: &'i mut Insn, out: &mut Vec<&'i mut MemLoc>) {
-    if let InsnKind::Compute { dst, expr } = &mut insn.kind {
-        for l in expr.reads_mut() {
-            if let Loc::Mem(m) = l {
-                out.push(m);
-            }
+fn has_scalar_access(nodes: &[Node]) -> bool {
+    nodes.iter().any(|node| {
+        let mut any = false;
+        if let Node::Plain(insn) = node {
+            insn.for_each_mem(&mut |m| any |= is_scalar_access(m));
         }
-        if let Loc::Mem(m) = dst {
-            out.push(m);
-        }
-    }
-    for p in &mut insn.parallel {
-        collect_mems(p, out);
-    }
+        any
+    })
 }
 
 /// The addresses of the scalar (unresolved, loop-invariant) accesses of a
 /// node sequence, in execution order, *stopping at loop boundaries* (loop
 /// bodies handle their own chains).
-fn scalar_access_addrs(nodes: &[Node], ctx: &Ctx<'_>) -> Result<Vec<i64>, AddressError> {
+fn scalar_access_addrs(nodes: &[Node], layout: &DataLayout) -> Result<Vec<i64>, AddressError> {
     let mut out = Vec::new();
     for node in nodes {
         if let Node::Plain(insn) = node {
-            let mut insn = insn.clone();
-            for m in insn_mem_operands(&mut insn) {
-                if m.mode == AddrMode::Unresolved && m.index.is_none() {
-                    let (_, addr) = ctx.addr_of(&m.base, m.disp)?;
-                    out.push(addr as i64);
+            let mut unplaced: Option<&Symbol> = None;
+            insn.for_each_mem(&mut |m| {
+                if unplaced.is_none() && is_scalar_access(m) {
+                    match layout.addr_of(&m.base, m.disp) {
+                        Some((_, addr)) => out.push(addr as i64),
+                        None => unplaced = Some(&m.base),
+                    }
                 }
+            });
+            if let Some(sym) = unplaced {
+                return Err(AddressError::Unplaced { sym: sym.clone() });
             }
         }
     }
     Ok(out)
 }
 
-fn collect_streams(nodes: &[Node], var: &Symbol, streams: &mut Vec<(Symbol, i64, bool)>) {
+fn collect_streams(nodes: &[Node], var: &Symbol, streams: &mut Vec<Stream>) {
     for node in nodes {
         match node {
-            Node::Plain(insn) => {
-                let mut insn = insn.clone();
-                for m in insn_mem_operands(&mut insn) {
-                    if m.index.as_ref() == Some(var) {
-                        let key = (m.base.clone(), m.disp, m.down);
-                        if !streams.contains(&key) {
-                            streams.push(key);
-                        }
-                    }
+            Node::Plain(insn) => insn.for_each_mem(&mut |m| {
+                if m.index.as_ref() == Some(var) && !streams.iter().any(|s| s.matches(m)) {
+                    streams.push(Stream::of(m));
                 }
-            }
+            }),
             Node::Loop { body, .. } => collect_streams(body, var, streams),
         }
     }
 }
 
-/// Rewrites stream operands to indirect mode (post 0 for now) and records
-/// the position — `(top-level node index, operand index)` — of the last
-/// top-level operand of each stream so the caller can flip its
-/// post-increment.
+/// Rewrites the operands of streams with a dedicated register to
+/// indirect mode (post 0 for now). At the top level (`top_level`) it also
+/// records each stream's last access — `(node index, operand index)` —
+/// so the caller can flip its post-increment; accesses in nested loops
+/// advance only per outer iteration and are never marked (the `ArAdd`
+/// fallback advances them).
 fn rewrite_streams(
     nodes: &mut [Node],
     var: &Symbol,
-    stream_ars: &HashMap<(Symbol, i64, bool), u16>,
+    streams: &mut [Stream],
     layout: &DataLayout,
-    last_access: &mut HashMap<u16, (usize, usize, bool)>,
+    top_level: bool,
     stats: &mut AddressStats,
 ) -> Result<(), AddressError> {
     for (node_ix, node) in nodes.iter_mut().enumerate() {
         match node {
             Node::Plain(insn) => {
-                for (mem_ix, m) in insn_mem_operands(insn).into_iter().enumerate() {
-                    if m.index.as_ref() == Some(var) {
-                        // spilled streams are handled by rewrite_spilled
-                        let Some(ar) = stream_ars.get(&(m.base.clone(), m.disp, m.down)) else {
-                            continue;
-                        };
-                        let ar = *ar;
-                        let (bank, _) = layout
-                            .addr_of(&m.base, m.disp)
-                            .ok_or_else(|| AddressError::Unplaced { sym: m.base.clone() })?;
-                        m.bank = bank;
-                        m.mode = AddrMode::Indirect { ar, post: 0 };
-                        stats.indirect += 1;
-                        last_access.insert(ar, (node_ix, mem_ix, m.down));
+                let mut mem_ix = 0usize;
+                insn.try_for_each_mem_mut(&mut |m| {
+                    let this = mem_ix;
+                    mem_ix += 1;
+                    if m.index.as_ref() != Some(var) {
+                        return Ok(());
                     }
-                }
+                    // spilled streams are handled by rewrite_spilled
+                    let Some(s) = streams.iter_mut().find(|s| s.matches(m)) else {
+                        return Ok(());
+                    };
+                    let Some(ar) = s.ar else { return Ok(()) };
+                    let (bank, _) = layout
+                        .addr_of(&m.base, m.disp)
+                        .ok_or_else(|| AddressError::Unplaced { sym: m.base.clone() })?;
+                    m.bank = bank;
+                    m.mode = AddrMode::Indirect { ar, post: 0 };
+                    stats.indirect += 1;
+                    if top_level {
+                        s.last = Some((node_ix, this));
+                    }
+                    Ok(())
+                })?;
             }
             Node::Loop { body, .. } => {
-                // nested accesses of the outer stream advance only per
-                // outer iteration: rewrite but never mark as last
-                // (the ArAdd fallback advances them)
-                let mut dummy = HashMap::new();
-                rewrite_streams(body, var, stream_ars, layout, &mut dummy, stats)?;
+                rewrite_streams(body, var, streams, layout, false, stats)?;
             }
         }
     }
@@ -648,7 +680,7 @@ fn rewrite_streams(
 mod tests {
     use super::*;
     use record_ir::Bank;
-    use record_isa::SemExpr;
+    use record_isa::{Loc, SemExpr};
 
     fn mem(name: &str) -> MemLoc {
         MemLoc::scalar(name)

@@ -13,12 +13,16 @@
 //! packing could merge). Greedy placement in decreasing weight order
 //! followed by a local-improvement (flip) pass maximizes the weight of
 //! cross-bank edges. Source-level `bank` hints are honoured as fixed.
+//!
+//! The graph is dense: the layout's symbols are nodes `0..n` in layout
+//! order (operand bases the layout does not place follow them), each with
+//! an adjacency list and its incident weight, so a flip is decided by its
+//! gain over the flipped symbol's own edges.
 
 use std::collections::HashMap;
 
 use record_ir::{Bank, Symbol};
-use record_isa::code::LayoutEntry;
-use record_isa::{Code, InsnKind, Loc, TargetDesc};
+use record_isa::{Code, Insn, InsnKind, Loc, TargetDesc};
 
 use crate::budget::{BudgetExceeded, SearchBudget};
 
@@ -47,10 +51,12 @@ pub fn assign_banks(
         .expect("unlimited budget never fires")
 }
 
-/// [`assign_banks`] under a [`SearchBudget`]: the greedy placement and
-/// the local-improvement loop charge one step per conflict-graph edge
-/// they evaluate. On exhaustion the code is left **unmodified** (layout
-/// and operands are only rewritten once the search completes).
+/// [`assign_banks`] under a [`SearchBudget`]: greedy placement charges
+/// one step per conflict-graph edge for every symbol it places, and each
+/// flip trial of the local-improvement loop two per edge (the size of the
+/// two full cross-bank recounts a flip trial once cost). On exhaustion
+/// the code is left **unmodified** (layout and operands are only
+/// rewritten once the search completes).
 ///
 /// # Errors
 ///
@@ -65,155 +71,208 @@ pub fn assign_banks_budgeted(
     if target.memory.banks < 2 {
         return Ok(stats);
     }
+    let graph = ConflictGraph::build(code);
+    stats.total_weight = graph.edges.iter().map(|e| e.2).sum();
+    let edge_steps = graph.edges.len().max(1) as u64;
+    let layout = code.layout.entries();
 
-    // --- gather pair weights ---------------------------------------------
-    let mut weights: HashMap<(Symbol, Symbol), u32> = HashMap::new();
-    let mut bump = |a: &Symbol, b: &Symbol| {
-        if a == b {
-            return;
-        }
-        let key = if a < b { (a.clone(), b.clone()) } else { (b.clone(), a.clone()) };
-        *weights.entry(key).or_insert(0) += 1;
-    };
-    let windows: Vec<Vec<Symbol>> = operand_windows(code);
-    for w in &windows {
-        for i in 0..w.len() {
-            for j in i + 1..w.len() {
-                bump(&w[i], &w[j]);
-            }
-        }
-    }
-    stats.total_weight = weights.values().sum();
+    // every node's bank, hinted ones fixed from the start
+    let mut bank: Vec<Option<Bank>> = layout
+        .iter()
+        .map(|e| &e.sym)
+        .chain(graph.unplaced.iter().copied())
+        .map(|sym| fixed.get(sym).copied())
+        .collect();
 
-    // --- greedy placement ---------------------------------------------------
-    let mut assignment: HashMap<Symbol, Bank> = fixed.clone();
-    let mut symbols: Vec<Symbol> = code.layout.entries().iter().map(|e| e.sym.clone()).collect();
-    // order by total incident weight, heaviest first
-    let incident = |s: &Symbol| -> u32 {
-        weights.iter().filter(|((a, b), _)| a == s || b == s).map(|(_, w)| *w).sum()
-    };
-    symbols.sort_by(|a, b| incident(b).cmp(&incident(a)).then(a.cmp(b)));
-    for sym in &symbols {
-        if assignment.contains_key(sym) {
-            continue;
-        }
-        budget.charge(weights.len().max(1) as u64)?;
+    // --- greedy placement, heaviest symbol first ----------------------------
+    let mut free: Vec<usize> = (0..layout.len()).filter(|&v| bank[v].is_none()).collect();
+    free.sort_by(|&a, &b| {
+        graph.incident[b].cmp(&graph.incident[a]).then_with(|| layout[a].sym.cmp(&layout[b].sym))
+    });
+    for &v in &free {
+        budget.charge(edge_steps)?;
         // gain of each bank = weight to already-placed neighbours in the
         // other bank
         let mut gain = [0i64, 0i64];
-        for ((a, b), w) in &weights {
-            let other = if a == sym {
-                b
-            } else if b == sym {
-                a
-            } else {
-                continue;
-            };
-            if let Some(bank) = assignment.get(other) {
-                gain[bank.other() as usize] += *w as i64;
+        for &(u, w) in graph.neighbours(v) {
+            if let Some(b) = bank[u] {
+                gain[b.other() as usize] += i64::from(w);
             }
         }
-        let bank = if gain[Bank::Y as usize] > gain[Bank::X as usize] { Bank::Y } else { Bank::X };
-        assignment.insert(sym.clone(), bank);
+        bank[v] =
+            Some(if gain[Bank::Y as usize] > gain[Bank::X as usize] { Bank::Y } else { Bank::X });
     }
 
     // --- local improvement (flip while it helps) ----------------------------
-    let cross = |assignment: &HashMap<Symbol, Bank>| -> u32 {
-        weights
-            .iter()
-            .filter(|((a, b), _)| assignment.get(a) != assignment.get(b))
-            .map(|(_, w)| *w)
-            .sum()
-    };
+    // Flipping `v` changes the cross-bank weight on `v`'s own edges only:
+    // an edge to a neighbour in `v`'s old bank becomes cross-bank (+w),
+    // one to a neighbour in the other bank stops being cross-bank (-w),
+    // and one to a neighbour without a bank counts as cross-bank either
+    // way (0). The sum is the difference of two full recounts.
     let mut improved = true;
     while improved {
         improved = false;
-        for sym in &symbols {
-            if fixed.contains_key(sym) {
-                continue;
-            }
-            // each flip trial recomputes the full cross-bank weight
-            budget.charge(2 * weights.len().max(1) as u64)?;
-            let before = cross(&assignment);
-            let old = assignment[sym];
-            assignment.insert(sym.clone(), old.other());
-            if cross(&assignment) > before {
+        for &v in &free {
+            budget.charge(2 * edge_steps)?;
+            let old = bank[v];
+            let gain: i64 = graph
+                .neighbours(v)
+                .iter()
+                .map(|&(u, w)| match bank[u] {
+                    None => 0,
+                    b if b == old => i64::from(w),
+                    _ => -i64::from(w),
+                })
+                .sum();
+            if gain > 0 {
+                bank[v] = old.map(Bank::other);
                 improved = true;
-            } else {
-                assignment.insert(sym.clone(), old);
             }
         }
     }
-    stats.cross_bank_weight = cross(&assignment);
+    stats.cross_bank_weight =
+        graph.edges.iter().filter(|&&(a, b, _)| bank[a] != bank[b]).map(|e| e.2).sum();
 
     // --- rewrite layout and operands -----------------------------------------
-    let entries: Vec<LayoutEntry> = {
-        let mut next = [0u16, 0u16];
-        code.layout
-            .entries()
-            .iter()
-            .map(|e| {
-                let bank = *assignment.get(&e.sym).unwrap_or(&Bank::X);
-                let addr = next[bank as usize];
-                next[bank as usize] += e.len as u16;
-                LayoutEntry { sym: e.sym.clone(), addr, len: e.len, bank }
-            })
-            .collect()
-    };
-    stats.moved_to_y = entries.iter().filter(|e| e.bank == Bank::Y).count() as u32;
-    code.layout.replace_entries(entries);
+    let mut next = [0u16, 0u16];
+    code.layout.relocate(|v, e| {
+        let b = bank[v].unwrap_or(Bank::X);
+        let addr = next[b as usize];
+        next[b as usize] += e.len as u16;
+        (b, addr)
+    });
+    stats.moved_to_y = code.layout.entries().iter().filter(|e| e.bank == Bank::Y).count() as u32;
+    let layout = &code.layout;
     for insn in &mut code.insns {
-        rewrite_banks(insn, &assignment);
+        insn.for_each_mem_mut(&mut |m| {
+            let assigned = match layout.position(&m.base) {
+                Some(v) => bank[v],
+                None => fixed.get(&m.base).copied(),
+            };
+            if let Some(b) = assigned {
+                m.bank = b;
+            }
+        });
     }
     Ok(stats)
 }
 
-fn rewrite_banks(insn: &mut record_isa::Insn, assignment: &HashMap<Symbol, Bank>) {
-    if let InsnKind::Compute { dst, expr } = &mut insn.kind {
-        for l in expr.reads_mut() {
-            if let Loc::Mem(m) = l {
-                if let Some(b) = assignment.get(&m.base) {
-                    m.bank = *b;
-                }
-            }
-        }
-        if let Loc::Mem(m) = dst {
-            if let Some(b) = assignment.get(&m.base) {
-                m.bank = *b;
-            }
-        }
-    }
-    for p in &mut insn.parallel {
-        rewrite_banks(p, assignment);
-    }
+/// The weighted conflict graph over dense symbol ids: the layout's
+/// symbols are `0..n` in layout order, the operand bases it does not place
+/// follow in order of first appearance.
+struct ConflictGraph<'c> {
+    /// The symbols of nodes `n..`.
+    unplaced: Vec<&'c Symbol>,
+    /// Distinct `(a, b, weight)` edges, `a < b`.
+    edges: Vec<(usize, usize, u32)>,
+    /// Each node's total edge weight.
+    incident: Vec<u32>,
+    /// Node `v`'s `(neighbour, weight)` pairs are
+    /// `adjacency[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    adjacency: Vec<(usize, u32)>,
 }
 
-/// The "wanted together" windows: the distinct memory bases read by each
-/// instruction, and by each adjacent (move, compute) pair.
-fn operand_windows(code: &Code) -> Vec<Vec<Symbol>> {
-    let mut windows = Vec::new();
-    let insn_bases = |insn: &record_isa::Insn| -> Vec<Symbol> {
-        let mut v: Vec<Symbol> =
-            insn.srcs().iter().filter_map(|l| l.as_mem().map(|m| m.base.clone())).collect();
-        v.dedup();
-        v
-    };
-    for (i, insn) in code.insns.iter().enumerate() {
-        let own = insn_bases(insn);
-        if own.len() >= 2 {
-            windows.push(own.clone());
+impl<'c> ConflictGraph<'c> {
+    /// Weighs every "wanted together" window: the memory bases each
+    /// instruction reads, and the distinct bases read by each adjacent
+    /// pair of instructions (a move and the arithmetic it could pack
+    /// into). An instruction's own window drops only consecutive repeats,
+    /// so a base read twice apart weighs its pairs twice.
+    fn build(code: &'c Code) -> Self {
+        let layout = &code.layout;
+        let placed = layout.entries().len();
+        let mut unplaced: Vec<&'c Symbol> = Vec::new();
+        let mut node = |sym: &'c Symbol| match layout.position(sym) {
+            Some(v) => v,
+            None => match unplaced.iter().position(|s| *s == sym) {
+                Some(k) => placed + k,
+                None => {
+                    unplaced.push(sym);
+                    placed + unplaced.len() - 1
+                }
+            },
+        };
+        let mut read_bases = |insn: &'c Insn, out: &mut Vec<usize>| {
+            out.clear();
+            if let InsnKind::Compute { expr, .. } = &insn.kind {
+                expr.for_each_read(&mut |l| {
+                    if let Loc::Mem(m) = l {
+                        let v = node(&m.base);
+                        if out.last() != Some(&v) {
+                            out.push(v);
+                        }
+                    }
+                });
+            }
+        };
+        // every weighed pair once per window, as `(a, b, 1)` with `a < b`
+        let mut edges: Vec<(usize, usize, u32)> = Vec::new();
+        let mut weigh = |window: &[usize]| {
+            for (i, &a) in window.iter().enumerate() {
+                for &b in &window[i + 1..] {
+                    if a != b {
+                        edges.push((a.min(b), a.max(b), 1));
+                    }
+                }
+            }
+        };
+        let (mut own, mut next, mut joint) = (Vec::new(), Vec::new(), Vec::new());
+        if let Some(first) = code.insns.first() {
+            read_bases(first, &mut own);
         }
-        if let Some(next) = code.insns.get(i + 1) {
-            let mut joint = own;
-            joint.extend(insn_bases(next));
-            joint.sort();
-            joint.dedup();
-            if joint.len() >= 2 {
-                windows.push(joint);
+        for i in 0..code.insns.len() {
+            if own.len() >= 2 {
+                weigh(&own);
+            }
+            if let Some(after) = code.insns.get(i + 1) {
+                read_bases(after, &mut next);
+                joint.clear();
+                joint.extend_from_slice(&own);
+                joint.extend_from_slice(&next);
+                joint.sort_unstable();
+                joint.dedup();
+                if joint.len() >= 2 {
+                    weigh(&joint);
+                }
+                std::mem::swap(&mut own, &mut next);
             }
         }
+        edges.sort_unstable();
+        edges.dedup_by(|e, kept| {
+            let same = (e.0, e.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += e.2;
+            }
+            same
+        });
+
+        let nodes = placed + unplaced.len();
+        let mut incident = vec![0u32; nodes];
+        let mut start = vec![0usize; nodes + 1];
+        for &(a, b, w) in &edges {
+            incident[a] += w;
+            incident[b] += w;
+            start[a + 1] += 1;
+            start[b + 1] += 1;
+        }
+        for v in 0..nodes {
+            start[v + 1] += start[v];
+        }
+        let mut cursor = start[..nodes].to_vec();
+        let mut adjacency = vec![(0, 0); 2 * edges.len()];
+        for &(a, b, w) in &edges {
+            adjacency[cursor[a]] = (b, w);
+            cursor[a] += 1;
+            adjacency[cursor[b]] = (a, w);
+            cursor[b] += 1;
+        }
+        ConflictGraph { unplaced, edges, incident, start, adjacency }
     }
-    windows
+
+    fn neighbours(&self, v: usize) -> &[(usize, u32)] {
+        &self.adjacency[self.start[v]..self.start[v + 1]]
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //!   segments ("compiler algorithms, which so far have been rejected due
 //!   to their complexity, should be reconsidered" — Section 3.2).
 
+use record_ir::{Bank, Symbol};
 use record_isa::target::ParallelDesc;
 use record_isa::{Code, Insn, InsnKind, Loc, MemLoc, RegId, TargetDesc};
 
@@ -34,72 +35,109 @@ pub enum ScheduleMode {
     },
 }
 
-/// Read/write effects of an instruction, for dependence tests.
-#[derive(Default, Debug)]
-struct Effects {
-    reg_reads: Vec<RegId>,
-    reg_writes: Vec<RegId>,
-    mem_reads: Vec<MemLoc>,
-    mem_writes: Vec<MemLoc>,
-    /// `(ar, modifies)` pairs for address-register usage.
-    ars: Vec<(u16, bool)>,
+/// One read or write an instruction performs, borrowed from its
+/// operands — the unit of every dependence question.
+#[derive(Clone, Copy)]
+enum Effect<'a> {
+    RegRead(RegId),
+    RegWrite(RegId),
+    MemRead(Mem<'a>),
+    MemWrite(Mem<'a>),
+    /// An address register used, and whether it is modified.
+    Ar(u16, bool),
 }
 
-fn effects(insn: &Insn) -> Effects {
-    let mut e = Effects::default();
-    collect_effects(insn, &mut e);
-    e
+/// A memory cell an instruction touches: an operand, or the pointer or
+/// index cell an address-register instruction names (a scalar access).
+#[derive(Clone, Copy)]
+enum Mem<'a> {
+    Operand(&'a MemLoc),
+    Cell(&'a Symbol),
 }
 
-fn note_mem(e: &mut Effects, m: &MemLoc, write: bool) {
-    if write {
-        e.mem_writes.push(m.clone());
-    } else {
-        e.mem_reads.push(m.clone());
+impl Mem<'_> {
+    /// [`MemLoc::may_alias`], with a cell read as the scalar operand
+    /// `MemLoc::scalar(cell)`.
+    fn may_alias(self, other: Mem<'_>) -> bool {
+        match (self, other) {
+            (Mem::Operand(a), Mem::Operand(b)) => a.may_alias(b),
+            (Mem::Cell(c), Mem::Operand(m)) | (Mem::Operand(m), Mem::Cell(c)) => {
+                *c == m.base && (m.index.is_some() || m.disp == 0)
+            }
+            (Mem::Cell(c), Mem::Cell(d)) => c == d,
+        }
     }
-    if let record_isa::AddrMode::Indirect { ar, post } = m.mode {
-        e.ars.push((ar, post != 0));
+
+    fn bank(self) -> Bank {
+        match self {
+            Mem::Operand(m) => m.bank,
+            Mem::Cell(_) => Bank::X,
+        }
     }
 }
 
-fn collect_effects(insn: &Insn, e: &mut Effects) {
+/// Calls `f` on every effect of `insn`, parallel sub-operations included.
+fn for_each_effect<'a>(insn: &'a Insn, f: &mut impl FnMut(Effect<'a>)) {
     match &insn.kind {
         InsnKind::Compute { dst, expr } => {
-            for l in expr.reads() {
-                match l {
-                    Loc::Reg(r) => e.reg_reads.push(*r),
-                    Loc::Mem(m) => note_mem(e, m, false),
-                    Loc::Imm(_) => {}
-                }
-            }
+            expr.for_each_read(&mut |l| match l {
+                Loc::Reg(r) => f(Effect::RegRead(*r)),
+                Loc::Mem(m) => operand_effects(m, false, f),
+                Loc::Imm(_) => {}
+            });
             match dst {
-                Loc::Reg(r) => e.reg_writes.push(*r),
-                Loc::Mem(m) => note_mem(e, m, true),
+                Loc::Reg(r) => f(Effect::RegWrite(*r)),
+                Loc::Mem(m) => operand_effects(m, true, f),
                 Loc::Imm(_) => {}
             }
         }
-        InsnKind::ArLoad { ar, .. } | InsnKind::ArAdd { ar, .. } => {
-            e.ars.push((*ar, true));
-        }
+        InsnKind::ArLoad { ar, .. } | InsnKind::ArAdd { ar, .. } => f(Effect::Ar(*ar, true)),
         InsnKind::ArLoadIndexed { ar, index, .. } => {
-            e.ars.push((*ar, true));
-            e.mem_reads.push(MemLoc::scalar(index.clone()));
+            f(Effect::Ar(*ar, true));
+            f(Effect::MemRead(Mem::Cell(index)));
         }
         InsnKind::ArLoadMem { ar, cell } => {
-            e.ars.push((*ar, true));
-            e.mem_reads.push(MemLoc::scalar(cell.clone()));
+            f(Effect::Ar(*ar, true));
+            f(Effect::MemRead(Mem::Cell(cell)));
         }
         InsnKind::ArStore { ar, cell } => {
-            e.ars.push((*ar, false));
-            e.mem_writes.push(MemLoc::scalar(cell.clone()));
+            f(Effect::Ar(*ar, false));
+            f(Effect::MemWrite(Mem::Cell(cell)));
         }
-        InsnKind::PtrInit { cell, .. } => {
-            e.mem_writes.push(MemLoc::scalar(cell.clone()));
-        }
+        InsnKind::PtrInit { cell, .. } => f(Effect::MemWrite(Mem::Cell(cell))),
         _ => {}
     }
     for p in &insn.parallel {
-        collect_effects(p, e);
+        for_each_effect(p, f);
+    }
+}
+
+/// A memory operand's access, plus the address register it goes through.
+fn operand_effects<'a>(m: &'a MemLoc, write: bool, f: &mut impl FnMut(Effect<'a>)) {
+    f(if write { Effect::MemWrite(Mem::Operand(m)) } else { Effect::MemRead(Mem::Operand(m)) });
+    if let record_isa::AddrMode::Indirect { ar, post } = m.mode {
+        f(Effect::Ar(ar, post != 0));
+    }
+}
+
+/// Whether any effect of `insn` satisfies `pred`.
+fn any_effect<'a>(insn: &'a Insn, mut pred: impl FnMut(Effect<'a>) -> bool) -> bool {
+    let mut any = false;
+    for_each_effect(insn, &mut |e| any = any || pred(e));
+    any
+}
+
+/// Whether two effects order their instructions: a register or memory
+/// write against a read or write of the same register or a possibly
+/// aliasing cell, or an address register shared with either side
+/// modifying it.
+fn conflicts(a: Effect<'_>, b: Effect<'_>) -> bool {
+    use Effect::{Ar, MemRead, MemWrite, RegRead, RegWrite};
+    match (a, b) {
+        (RegWrite(r), RegRead(s) | RegWrite(s)) | (RegRead(r), RegWrite(s)) => r == s,
+        (MemWrite(m), MemRead(o) | MemWrite(o)) | (MemRead(m), MemWrite(o)) => m.may_alias(o),
+        (Ar(r, a_mod), Ar(s, b_mod)) => r == s && (a_mod || b_mod),
+        _ => false,
     }
 }
 
@@ -109,38 +147,7 @@ fn independent(a: &Insn, b: &Insn) -> bool {
     if !matches!(a.kind, InsnKind::Compute { .. }) || !matches!(b.kind, InsnKind::Compute { .. }) {
         return false;
     }
-    let ea = effects(a);
-    let eb = effects(b);
-    // register conflicts: any write vs. read/write of the same register
-    let reg_conflict = |w: &[RegId], other_r: &[RegId], other_w: &[RegId]| {
-        w.iter().any(|r| other_r.contains(r) || other_w.contains(r))
-    };
-    if reg_conflict(&ea.reg_writes, &eb.reg_reads, &eb.reg_writes)
-        || reg_conflict(&eb.reg_writes, &ea.reg_reads, &ea.reg_writes)
-    {
-        return false;
-    }
-    // memory conflicts
-    let mem_conflict = |w: &[MemLoc], other_r: &[MemLoc], other_w: &[MemLoc]| {
-        w.iter().any(|m| {
-            other_r.iter().any(|o| m.may_alias(o)) || other_w.iter().any(|o| m.may_alias(o))
-        })
-    };
-    if mem_conflict(&ea.mem_writes, &eb.mem_reads, &eb.mem_writes)
-        || mem_conflict(&eb.mem_writes, &ea.mem_reads, &ea.mem_writes)
-    {
-        return false;
-    }
-    // address-register conflicts: sharing an AR is fine only if neither
-    // side modifies it
-    for (ar, amod) in &ea.ars {
-        for (br, bmod) in &eb.ars {
-            if ar == br && (*amod || *bmod) {
-                return false;
-            }
-        }
-    }
-    true
+    !any_effect(a, |ea| any_effect(b, |eb| conflicts(ea, eb)))
 }
 
 /// The operand part of an assembly text (everything after the mnemonic).
@@ -158,52 +165,52 @@ fn operand_part(text: &str) -> &str {
 pub fn fuse(code: &mut Code, target: &TargetDesc) -> u32 {
     let mut fused_total = 0u32;
     loop {
+        // one left-to-right round in place: `prev` is the last kept
+        // instruction, and an instruction fused this round pairs with
+        // nothing more until the next round
         let mut fused_this_round = 0u32;
-        let insns = std::mem::take(&mut code.insns);
-        let mut out: Vec<Insn> = Vec::with_capacity(insns.len());
-        let mut it = insns.into_iter().peekable();
-        while let Some(a) = it.next() {
-            let Some(b) = it.peek() else {
-                out.push(a);
-                continue;
-            };
+        let mut just_fused = false;
+        code.insns.dedup_by(|b, a| {
+            if std::mem::take(&mut just_fused) {
+                return false;
+            }
             let (Some(ra), Some(rb)) = (a.rule, b.rule) else {
-                out.push(a);
-                continue;
+                return false;
             };
             let direct = target.fusions.iter().find(|f| f.first == ra && f.second == rb);
             let swapped = target.fusions.iter().find(|f| f.first == rb && f.second == ra);
             let chosen = match (direct, swapped) {
-                (Some(f), _) if independent(&a, b) => Some((f, false)),
-                (_, Some(f)) if independent(&a, b) => Some((f, true)),
+                (Some(f), _) if independent(a, b) => Some((f, false)),
+                (_, Some(f)) if independent(a, b) => Some((f, true)),
                 _ => None,
             };
-            if let Some((f, swap)) = chosen {
-                let b = it.next().expect("peeked");
-                let (first, second) = if swap { (b, a) } else { (a, b) };
-                let text = f
-                    .asm
-                    .replace("{a}", operand_part(&first.text))
-                    .replace("{b}", operand_part(&second.text));
-                let mut fusedi = second.clone();
-                fusedi.rule = None;
-                fusedi.text = text.trim().to_string();
-                fusedi.words = f.cost.words;
-                fusedi.cycles = f.cost.cycles;
-                fusedi.units = first.units | second.units;
-                let mut firstp = first;
-                firstp.words = 0;
-                firstp.cycles = 0;
-                // the fused text already names both halves
-                firstp.text = String::new();
-                fusedi.parallel.push(firstp);
-                out.push(fusedi);
-                fused_this_round += 1;
-            } else {
-                out.push(a);
-            }
-        }
-        code.insns = out;
+            let Some((f, swap)) = chosen else {
+                return false;
+            };
+            let (a_owned, b_owned) =
+                (std::mem::replace(a, vacated()), std::mem::replace(b, vacated()));
+            let (first, second) = if swap { (b_owned, a_owned) } else { (a_owned, b_owned) };
+            let text = f
+                .asm
+                .replace("{a}", operand_part(&first.text))
+                .replace("{b}", operand_part(&second.text));
+            let mut fusedi = second;
+            fusedi.rule = None;
+            fusedi.text = text.trim().to_string();
+            fusedi.words = f.cost.words;
+            fusedi.cycles = f.cost.cycles;
+            fusedi.units |= first.units;
+            let mut firstp = first;
+            firstp.words = 0;
+            firstp.cycles = 0;
+            // the fused text already names both halves
+            firstp.text = String::new();
+            fusedi.parallel.push(firstp);
+            *a = fusedi;
+            fused_this_round += 1;
+            just_fused = true;
+            true
+        });
         fused_total += fused_this_round;
         if fused_this_round == 0 {
             break;
@@ -212,15 +219,25 @@ pub fn fuse(code: &mut Code, target: &TargetDesc) -> u32 {
     fused_total
 }
 
+/// What an instruction merged into its neighbour leaves in the slot it is
+/// dropped from: allocates nothing.
+fn vacated() -> Insn {
+    Insn::ctrl(InsnKind::Nop, String::new(), 0, 0)
+}
+
 fn is_pure_move(insn: &Insn, pd: &ParallelDesc) -> bool {
     insn.units & pd.move_units != 0
         && matches!(&insn.kind, InsnKind::Compute { expr, .. } if matches!(expr, record_isa::SemExpr::Loc(_)))
 }
 
-/// The memory banks touched by an instruction (reads and writes).
-fn banks_touched(insn: &Insn) -> Vec<record_ir::Bank> {
-    let e = effects(insn);
-    e.mem_reads.iter().chain(e.mem_writes.iter()).map(|m| m.bank).collect()
+/// Counts the memory banks an instruction touches (reads and writes)
+/// into `per_bank`.
+fn count_banks(insn: &Insn, per_bank: &mut [u32; 2]) {
+    for_each_effect(insn, &mut |e| {
+        if let Effect::MemRead(m) | Effect::MemWrite(m) = e {
+            per_bank[m.bank() as usize] += 1;
+        }
+    });
 }
 
 /// Packs following move instructions into arithmetic instructions on
@@ -234,42 +251,36 @@ pub fn pack_moves(code: &mut Code, target: &TargetDesc) -> u32 {
     let Some(pd) = &target.parallel else {
         return 0;
     };
-    let insns = std::mem::take(&mut code.insns);
-    let mut out: Vec<Insn> = Vec::with_capacity(insns.len());
     let mut packed = 0u32;
-    for insn in insns {
-        let can_pack = !out.is_empty() && is_pure_move(&insn, pd);
-        if can_pack {
-            let host = out.last_mut().expect("non-empty");
-            let host_ok = matches!(host.kind, InsnKind::Compute { .. })
-                && host.words <= 1
-                && !is_pure_move(host, pd)
-                && host.parallel.len() < pd.max_moves as usize
-                && independent(host, &insn);
-            let banks_ok = !pd.moves_need_distinct_banks || {
-                let mut banks = banks_touched(&insn);
-                for p in &host.parallel {
-                    banks.extend(banks_touched(p));
-                }
-                banks.sort();
-                let before = banks.len();
-                banks.dedup();
-                banks.len() == before
-            };
-            if host_ok && banks_ok {
-                let mut m = insn;
-                m.words = 0;
-                m.cycles = 0;
-                let host = out.last_mut().expect("non-empty");
-                host.units |= m.units;
-                host.parallel.push(m);
-                packed += 1;
-                continue;
-            }
+    // in place: `host` is the last kept instruction
+    code.insns.dedup_by(|insn, host| {
+        if !is_pure_move(insn, pd) {
+            return false;
         }
-        out.push(insn);
-    }
-    code.insns = out;
+        let host_ok = matches!(host.kind, InsnKind::Compute { .. })
+            && host.words <= 1
+            && !is_pure_move(host, pd)
+            && host.parallel.len() < pd.max_moves as usize
+            && independent(host, insn);
+        let banks_ok = !pd.moves_need_distinct_banks || {
+            let mut per_bank = [0u32; 2];
+            count_banks(insn, &mut per_bank);
+            for p in &host.parallel {
+                count_banks(p, &mut per_bank);
+            }
+            per_bank.iter().all(|&n| n <= 1)
+        };
+        if !(host_ok && banks_ok) {
+            return false;
+        }
+        let mut m = std::mem::replace(insn, vacated());
+        m.words = 0;
+        m.cycles = 0;
+        host.units |= m.units;
+        host.parallel.push(m);
+        packed += 1;
+        true
+    });
     packed
 }
 
@@ -284,54 +295,44 @@ pub fn pack_moves(code: &mut Code, target: &TargetDesc) -> u32 {
 ///
 /// Returns the number of instructions hoisted.
 pub fn hoist_invariant_prefix(code: &mut Code) -> u32 {
+    let insns = &mut code.insns;
     let mut hoisted = 0u32;
     loop {
+        // one round over the top-level loops; hoisting swaps a loop's
+        // first body instruction with its `LoopStart`, in place
         let mut changed = false;
-        let insns = std::mem::take(&mut code.insns);
-        let mut out: Vec<Insn> = Vec::with_capacity(insns.len());
         let mut i = 0usize;
         while i < insns.len() {
-            let insn = &insns[i];
-            if let InsnKind::LoopStart { var, .. } = &insn.kind {
-                // find the matching end
-                let mut depth = 1;
-                let mut j = i + 1;
-                while j < insns.len() && depth > 0 {
-                    match insns[j].kind {
-                        InsnKind::LoopStart { .. } => depth += 1,
-                        InsnKind::LoopEnd => depth -= 1,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                let body = &insns[i + 1..j - 1];
-                if let Some(first) = body.first() {
-                    if hoistable(first, &body[1..], var) {
-                        out.push(first.clone()); // preheader
-                        out.push(insn.clone()); // LoopStart
-                        out.extend(body[1..].iter().cloned());
-                        out.push(insns[j - 1].clone()); // LoopEnd
-                        i = j;
-                        hoisted += 1;
-                        changed = true;
-                        continue;
-                    }
-                }
-                out.extend(insns[i..j].iter().cloned());
-                i = j;
+            if !matches!(insns[i].kind, InsnKind::LoopStart { .. }) {
+                i += 1;
                 continue;
             }
-            out.push(insn.clone());
-            i += 1;
+            // find the matching end
+            let mut depth = 1;
+            let mut j = i + 1;
+            while j < insns.len() && depth > 0 {
+                match insns[j].kind {
+                    InsnKind::LoopStart { .. } => depth += 1,
+                    InsnKind::LoopEnd => depth -= 1,
+                    _ => {}
+                }
+                j += 1;
+            }
+            let body = &insns[i + 1..j - 1];
+            if body.first().is_some_and(|first| hoistable(first, &body[1..])) {
+                insns.swap(i, i + 1);
+                hoisted += 1;
+                changed = true;
+            }
+            i = j;
         }
-        code.insns = out;
         if !changed {
             return hoisted;
         }
     }
 }
 
-fn hoistable(first: &Insn, rest: &[Insn], loop_var: &record_ir::Symbol) -> bool {
+fn hoistable(first: &Insn, rest: &[Insn]) -> bool {
     let InsnKind::Compute { dst, expr } = &first.kind else {
         return false;
     };
@@ -340,51 +341,29 @@ fn hoistable(first: &Insn, rest: &[Insn], loop_var: &record_ir::Symbol) -> bool 
     }
     // destination must be a register no other body instruction writes
     let Loc::Reg(dst_reg) = dst else { return false };
+    let writes_reg =
+        |o: &Insn, r: RegId| any_effect(o, |e| matches!(e, Effect::RegWrite(w) if w == r));
+    let writes_mem = |o: &Insn, m: &MemLoc| {
+        any_effect(o, |e| matches!(e, Effect::MemWrite(w) if w.may_alias(Mem::Operand(m))))
+    };
     // reads must be loop-invariant: immediates or memory with no loop-var
     // index, and the instruction must not read its own destination
-    for l in expr.reads() {
-        match l {
-            Loc::Imm(_) => {}
-            Loc::Reg(r) => {
-                if r == dst_reg {
-                    return false;
-                }
-                let written_later = rest.iter().any(|o| {
-                    let e = effects(o);
-                    e.reg_writes.contains(r)
-                });
-                if written_later {
-                    return false;
-                }
-            }
-            Loc::Mem(m) => {
-                if m.index.is_some() {
-                    return false;
-                }
-                let written_later = rest.iter().any(|o| {
-                    let e = effects(o);
-                    e.mem_writes.iter().any(|w| w.may_alias(m))
-                });
-                if written_later {
-                    return false;
-                }
-            }
-        }
-    }
-    let _ = loop_var;
+    let mut invariant = true;
+    expr.for_each_read(&mut |l| {
+        invariant = invariant
+            && match l {
+                Loc::Imm(_) => true,
+                Loc::Reg(r) => r != dst_reg && !rest.iter().any(|o| writes_reg(o, *r)),
+                Loc::Mem(m) => m.index.is_none() && !rest.iter().any(|o| writes_mem(o, m)),
+            };
+    });
     // no body instruction may write the destination, and saturation-mode
     // boundaries inside the body would make the hoisted value's context
     // ambiguous — be conservative
-    for o in rest {
-        let e = effects(o);
-        if e.reg_writes.contains(dst_reg) {
-            return false;
-        }
-        if matches!(o.kind, InsnKind::SetMode { .. }) {
-            return false;
-        }
-    }
-    true
+    invariant
+        && !rest
+            .iter()
+            .any(|o| writes_reg(o, *dst_reg) || matches!(o.kind, InsnKind::SetMode { .. }))
 }
 
 /// Scheduling statistics.
@@ -419,51 +398,55 @@ pub fn schedule_budgeted(
     budget: &SearchBudget,
 ) -> Result<ScheduleStats, BudgetExceeded> {
     let mut stats = ScheduleStats::default();
-    let Some(pd) = target.parallel.clone() else {
+    let Some(pd) = &target.parallel else {
         let n = code.insns.len();
         return Ok(ScheduleStats { insns_before: n, bundles_after: n });
     };
+    // plan every straight-line segment by reference first: the code is
+    // only rewritten once every search has finished
     let insns = &code.insns;
-    let mut out = Vec::with_capacity(insns.len());
-    let mut segment: Vec<Insn> = Vec::new();
-    for insn in insns {
-        if matches!(insn.kind, InsnKind::Compute { .. }) {
-            segment.push(insn.clone());
-        } else {
-            flush_segment(&mut segment, &pd, mode, &mut out, &mut stats, budget)?;
-            out.push(insn.clone());
+    let mut plan: Vec<(usize, Vec<Bundle>)> = Vec::new();
+    let mut i = 0usize;
+    while i < insns.len() {
+        if !matches!(insns[i].kind, InsnKind::Compute { .. }) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < insns.len() && matches!(insns[i].kind, InsnKind::Compute { .. }) {
+            i += 1;
+        }
+        let seg = &insns[start..i];
+        stats.insns_before += seg.len();
+        let bundles = match mode {
+            ScheduleMode::List => list_schedule(seg, pd),
+            ScheduleMode::BranchAndBound { max_segment } if seg.len() <= max_segment => {
+                branch_and_bound(seg, pd, budget)?
+            }
+            ScheduleMode::BranchAndBound { .. } => list_schedule(seg, pd),
+        };
+        stats.bundles_after += bundles.len();
+        plan.push((start, bundles));
+    }
+
+    // then move every instruction into place: each segment's bundles,
+    // the instructions between segments as they are
+    let mut slots: Vec<Option<Insn>> =
+        std::mem::take(&mut code.insns).into_iter().map(Some).collect();
+    let mut out = Vec::with_capacity(slots.len());
+    let mut take = |slot: &mut Option<Insn>| slot.take().expect("every instruction is placed once");
+    let mut next = 0usize;
+    for (start, bundles) in plan {
+        out.extend(slots[next..start].iter_mut().map(&mut take));
+        next = start;
+        for bundle in bundles {
+            next += bundle.len();
+            out.push(build_bundle(&mut slots[start..], &bundle));
         }
     }
-    flush_segment(&mut segment, &pd, mode, &mut out, &mut stats, budget)?;
+    out.extend(slots[next..].iter_mut().map(&mut take));
     code.insns = out;
     Ok(stats)
-}
-
-fn flush_segment(
-    segment: &mut Vec<Insn>,
-    pd: &ParallelDesc,
-    mode: ScheduleMode,
-    out: &mut Vec<Insn>,
-    stats: &mut ScheduleStats,
-    budget: &SearchBudget,
-) -> Result<(), BudgetExceeded> {
-    if segment.is_empty() {
-        return Ok(());
-    }
-    let seg = std::mem::take(segment);
-    stats.insns_before += seg.len();
-    let bundles = match mode {
-        ScheduleMode::List => list_schedule(&seg, pd),
-        ScheduleMode::BranchAndBound { max_segment } if seg.len() <= max_segment => {
-            branch_and_bound(&seg, pd, budget)?
-        }
-        ScheduleMode::BranchAndBound { .. } => list_schedule(&seg, pd),
-    };
-    stats.bundles_after += bundles.len();
-    for bundle in bundles {
-        out.push(build_bundle(&seg, bundle));
-    }
-    Ok(())
 }
 
 /// A bundle: indices into the segment; the first is the host.
@@ -499,16 +482,13 @@ fn fits(seg: &[Insn], pd: &ParallelDesc, bundle: &Bundle, cand: usize) -> bool {
         }
     }
     if pd.moves_need_distinct_banks {
-        let mut banks = Vec::new();
+        let mut per_bank = [0u32; 2];
         for &i in bundle.iter().chain(std::iter::once(&cand)) {
             if moves_in(i) {
-                banks.extend(banks_touched(&seg[i]));
+                count_banks(&seg[i], &mut per_bank);
             }
         }
-        banks.sort();
-        let before = banks.len();
-        banks.dedup();
-        if banks.len() != before {
+        if per_bank.iter().any(|&n| n > 1) {
             return false;
         }
     }
@@ -638,19 +618,23 @@ fn branch_and_bound(
     Ok(best)
 }
 
-fn build_bundle(seg: &[Insn], bundle: Bundle) -> Insn {
-    // host: the non-move if present, else the first member
-    let host_ix = bundle
-        .iter()
-        .copied()
-        .find(|&i| !matches!(&seg[i].kind, InsnKind::Compute { expr, .. } if matches!(expr, record_isa::SemExpr::Loc(_))))
-        .unwrap_or(bundle[0]);
-    let mut host = seg[host_ix].clone();
-    for &i in &bundle {
+/// Moves a bundle's members out of the segment's `slots` into one
+/// instruction: the host (the non-move if present, else the first member)
+/// carrying the others as parallel operations.
+fn build_bundle(slots: &mut [Option<Insn>], bundle: &Bundle) -> Insn {
+    let is_move = |slot: &Option<Insn>| {
+        matches!(
+            slot,
+            Some(Insn { kind: InsnKind::Compute { expr: record_isa::SemExpr::Loc(_), .. }, .. })
+        )
+    };
+    let host_ix = bundle.iter().copied().find(|&i| !is_move(&slots[i])).unwrap_or(bundle[0]);
+    let mut host = slots[host_ix].take().expect("bundle members are placed once");
+    for &i in bundle {
         if i == host_ix {
             continue;
         }
-        let mut m = seg[i].clone();
+        let mut m = slots[i].take().expect("bundle members are placed once");
         m.words = 0;
         m.cycles = 0;
         host.units |= m.units;

@@ -96,7 +96,8 @@ pub fn layout_in_order(
     vars: impl IntoIterator<Item = (Symbol, u32, Option<Bank>)>,
     target: &TargetDesc,
 ) -> Result<DataLayout, LayoutError> {
-    let mut layout = DataLayout::new();
+    let vars = vars.into_iter();
+    let mut layout = DataLayout::with_capacity(vars.size_hint().0);
     let mut next = [0u32; 2];
     for (sym, len, bank) in vars {
         let bank = bank.unwrap_or(Bank::X);

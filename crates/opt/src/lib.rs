@@ -45,4 +45,4 @@ pub use compact::{
 };
 pub use layout::{declaration_layout, layout_in_order, LayoutError};
 pub use modes::{insert_mode_changes, ModeStrategy};
-pub use offset::{goa, soa_cost, soa_order, soa_order_budgeted};
+pub use offset::{goa, soa_cost, soa_order, soa_order_budgeted, soa_order_ids};

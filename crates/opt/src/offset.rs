@@ -55,12 +55,46 @@ pub fn soa_order_budgeted(
     accesses: &[Symbol],
     budget: &SearchBudget,
 ) -> Result<Vec<Symbol>, BudgetExceeded> {
-    let mut first_seen: Vec<Symbol> = Vec::new();
-    let mut index: HashMap<&Symbol, usize> = HashMap::new();
-    for a in accesses {
-        if !index.contains_key(a) {
-            index.insert(a, first_seen.len());
-            first_seen.push(a.clone());
+    let mut symbols: Vec<&Symbol> = Vec::new();
+    let mut index: HashMap<&Symbol, u32> = HashMap::new();
+    let ids: Vec<u32> = accesses
+        .iter()
+        .map(|a| {
+            *index.entry(a).or_insert_with(|| {
+                symbols.push(a);
+                symbols.len() as u32 - 1
+            })
+        })
+        .collect();
+    let order = soa_order_ids(&ids, symbols.len(), budget)?;
+    Ok(order.into_iter().map(|id| symbols[id as usize].clone()).collect())
+}
+
+/// [`soa_order_budgeted`] over dense ids instead of symbols: `accesses`
+/// holds ids below `bound` (say, variable indices), and the result orders
+/// the distinct ids accessed exactly as [`soa_order_budgeted`] orders the
+/// symbols they stand for, charging the same steps.
+///
+/// # Errors
+///
+/// [`BudgetExceeded`] if the budget runs out mid-search.
+///
+/// # Panics
+///
+/// Panics if an access is not below `bound`.
+pub fn soa_order_ids(
+    accesses: &[u32],
+    bound: usize,
+    budget: &SearchBudget,
+) -> Result<Vec<u32>, BudgetExceeded> {
+    // nodes are numbered in first-access order; ties break on that order
+    const UNSEEN: u32 = u32::MAX;
+    let mut node_of = vec![UNSEEN; bound];
+    let mut first_seen: Vec<u32> = Vec::new();
+    for &a in accesses {
+        if node_of[a as usize] == UNSEEN {
+            node_of[a as usize] = first_seen.len() as u32;
+            first_seen.push(a);
         }
     }
     let n = first_seen.len();
@@ -69,44 +103,51 @@ pub fn soa_order_budgeted(
     }
     budget.charge(accesses.len() as u64)?;
 
-    // access graph
-    let mut weight: HashMap<(usize, usize), u32> = HashMap::new();
-    for pair in accesses.windows(2) {
-        let (u, v) = (index[&pair[0]], index[&pair[1]]);
-        if u == v {
-            continue;
+    // access graph: one `((u, v), weight)` edge, u < v, per adjacent pair
+    let mut edges: Vec<((u32, u32), u32)> = accesses
+        .windows(2)
+        .map(|pair| (node_of[pair[0] as usize], node_of[pair[1] as usize]))
+        .filter(|(u, v)| u != v)
+        .map(|(u, v)| ((u.min(v), u.max(v)), 1))
+        .collect();
+    edges.sort_unstable();
+    edges.dedup_by(|e, kept| {
+        let same = e.0 == kept.0;
+        if same {
+            kept.1 += e.1;
         }
-        let key = (u.min(v), u.max(v));
-        *weight.entry(key).or_insert(0) += 1;
-    }
+        same
+    });
 
     // greedy max-weight path cover
-    let mut edges: Vec<((usize, usize), u32)> = weight.into_iter().collect();
     edges.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut degree = vec![0u8; n];
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    fn find(parent: &mut [u32], x: u32) -> u32 {
+        let p = parent[x as usize];
+        if p != x {
+            let r = find(parent, p);
+            parent[x as usize] = r;
         }
-        parent[x]
+        parent[x as usize]
     }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // a path node has at most two neighbours
+    let mut adj = vec![[0u32; 2]; n];
     for ((u, v), _) in edges {
         budget.charge(1)?;
-        if degree[u] >= 2 || degree[v] >= 2 {
+        let (ui, vi) = (u as usize, v as usize);
+        if degree[ui] >= 2 || degree[vi] >= 2 {
             continue;
         }
         let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
         if ru == rv {
             continue; // would close a cycle
         }
-        parent[ru] = rv;
-        degree[u] += 1;
-        degree[v] += 1;
-        adj[u].push(v);
-        adj[v].push(u);
+        parent[ru as usize] = rv;
+        adj[ui][degree[ui] as usize] = v;
+        adj[vi][degree[vi] as usize] = u;
+        degree[ui] += 1;
+        degree[vi] += 1;
     }
 
     // walk each path from an endpoint; then isolated nodes
@@ -121,8 +162,11 @@ pub fn soa_order_budgeted(
         let mut prev = usize::MAX;
         loop {
             visited[cur] = true;
-            order.push(first_seen[cur].clone());
-            let next = adj[cur].iter().copied().find(|&x| x != prev && !visited[x]);
+            order.push(first_seen[cur]);
+            let next = adj[cur][..degree[cur] as usize]
+                .iter()
+                .map(|&x| x as usize)
+                .find(|&x| x != prev && !visited[x]);
             match next {
                 Some(nx) => {
                     prev = cur;
@@ -135,7 +179,7 @@ pub fn soa_order_budgeted(
     // safety: anything missed (cycles cannot occur, but be robust)
     for i in 0..n {
         if !visited[i] {
-            order.push(first_seen[i].clone());
+            order.push(first_seen[i]);
         }
     }
     Ok(order)

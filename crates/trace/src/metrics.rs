@@ -203,9 +203,13 @@ impl MetricsRegistry {
     /// Adds `n` to the counter `name` (created at zero on first use).
     pub fn add(&self, name: &str, n: u64) {
         let mut inner = self.inner.lock().expect("metrics lock");
-        match inner.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(c) => *c += n,
-            other => debug_assert!(false, "{name} is not a counter: {other:?}"),
+        // the key is allocated only when the series is new
+        match inner.get_mut(name) {
+            Some(Metric::Counter(c)) => *c += n,
+            Some(other) => debug_assert!(false, "{name} is not a counter: {other:?}"),
+            None => {
+                inner.insert(name.to_string(), Metric::Counter(n));
+            }
         }
     }
 
@@ -258,9 +262,12 @@ impl MetricsRegistry {
     /// Sets the gauge `name` to `v` (last write wins).
     pub fn set_gauge(&self, name: &str, v: f64) {
         let mut inner = self.inner.lock().expect("metrics lock");
-        match inner.entry(name.to_string()).or_insert(Metric::Gauge(v)) {
-            Metric::Gauge(g) => *g = v,
-            other => debug_assert!(false, "{name} is not a gauge: {other:?}"),
+        match inner.get_mut(name) {
+            Some(Metric::Gauge(g)) => *g = v,
+            Some(other) => debug_assert!(false, "{name} is not a gauge: {other:?}"),
+            None => {
+                inner.insert(name.to_string(), Metric::Gauge(v));
+            }
         }
     }
 
@@ -268,12 +275,14 @@ impl MetricsRegistry {
     /// on first use (later calls must pass the same bounds).
     pub fn observe(&self, name: &str, bounds: &[f64], v: f64) {
         let mut inner = self.inner.lock().expect("metrics lock");
-        match inner
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
-        {
-            Metric::Histogram(h) => h.observe(v),
-            other => debug_assert!(false, "{name} is not a histogram: {other:?}"),
+        match inner.get_mut(name) {
+            Some(Metric::Histogram(h)) => h.observe(v),
+            Some(other) => debug_assert!(false, "{name} is not a histogram: {other:?}"),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(v);
+                inner.insert(name.to_string(), Metric::Histogram(h));
+            }
         }
     }
 

@@ -167,7 +167,7 @@ fn timed_compiles_record_one_pass_record_per_pass() {
     let plan = PassPlan::default();
     let Compiled { code, timings } = compiler.compile(&lir_of("fir"), plan.clone()).unwrap();
 
-    let recorded: Vec<&str> = timings.passes.iter().map(|p| p.name.as_str()).collect();
+    let recorded: Vec<&str> = timings.passes.iter().map(|p| p.name).collect();
     assert_eq!(recorded, plan.names(), "one record per pass, in plan order");
     for p in &timings.passes {
         assert_eq!(p.runs, 1, "{}", p.name);

@@ -93,7 +93,7 @@ fn session_compile_span_tree_covers_every_pass() {
     assert_eq!(root.attr("target"), Some(&AttrValue::Str("tic25".into())));
 
     let span_names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
-    let pass_names: Vec<&str> = timings.passes.iter().map(|p| p.name.as_str()).collect();
+    let pass_names: Vec<&str> = timings.passes.iter().map(|p| p.name).collect();
     assert!(!pass_names.is_empty());
     assert_eq!(span_names, pass_names, "one child span per executed pass, in order");
 
