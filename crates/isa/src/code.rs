@@ -455,9 +455,33 @@ impl DataLayout {
     ///
     /// Panics if the symbol is already placed.
     pub fn place(&mut self, sym: Symbol, addr: u16, len: u32, bank: Bank) {
-        assert!(!self.by_sym.contains_key(&sym), "symbol {sym} placed twice in data layout");
-        self.by_sym.insert(sym.clone(), self.entries.len());
-        self.entries.push(LayoutEntry { sym, addr, len, bank });
+        if let Err(sym) = self.try_place(sym, addr, len, bank) {
+            panic!("symbol {sym} placed twice in data layout");
+        }
+    }
+
+    /// [`place`](DataLayout::place) that hands the symbol back instead of
+    /// panicking when it is already placed.
+    ///
+    /// # Errors
+    ///
+    /// The symbol, when it is already placed (the layout is unchanged).
+    pub fn try_place(
+        &mut self,
+        sym: Symbol,
+        addr: u16,
+        len: u32,
+        bank: Bank,
+    ) -> Result<(), Symbol> {
+        match self.by_sym.entry(sym) {
+            std::collections::hash_map::Entry::Occupied(e) => Err(e.key().clone()),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let sym = e.key().clone();
+                e.insert(self.entries.len());
+                self.entries.push(LayoutEntry { sym, addr, len, bank });
+                Ok(())
+            }
+        }
     }
 
     /// An empty layout with room for `n` symbols.

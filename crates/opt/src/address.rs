@@ -18,6 +18,7 @@
 //!   the [`offset`](crate::offset) pass minimizes by reordering storage.
 
 use std::fmt;
+use std::ops::Range;
 
 use record_ir::Symbol;
 use record_isa::target::AguDesc;
@@ -130,9 +131,8 @@ pub fn assign_addresses(
     target: &TargetDesc,
 ) -> Result<AddressStats, AddressError> {
     let mut stats = AddressStats::default();
-    let insns = std::mem::take(&mut code.insns);
-    let mut out = Vec::with_capacity(insns.len());
-    let nodes = parse_structure(insns)?;
+    let mut insns = std::mem::take(&mut code.insns);
+    check_loops(&insns)?;
 
     let mut ctx = Ctx {
         target,
@@ -151,12 +151,17 @@ pub fn assign_addresses(
         has_direct: target.memory.has_direct,
         next_cell: 0,
         new_cells: Vec::new(),
+        reloads: Vec::new(),
     };
     if !ctx.has_direct && ctx.agu.is_none() {
         return Err(AddressError::NoAddressingMechanism { target: target.name.to_string() });
     }
 
-    ctx.process_seq(nodes, &mut out, None)?;
+    // instructions move from `insns` to `out` in order, with the
+    // address-register bookkeeping inserted between them
+    let mut out = Vec::with_capacity(insns.len() + insns.len() / 4);
+    let all = 0..insns.len();
+    ctx.process_seq(&mut insns, all, &mut out, None)?;
     let new_cells = std::mem::take(&mut ctx.new_cells);
     code.insns = out;
     for cell in new_cells {
@@ -165,33 +170,61 @@ pub fn assign_addresses(
     Ok(stats)
 }
 
-/// Structured view of the flat instruction list.
-#[allow(clippy::large_enum_variant)] // Plain is the overwhelmingly common case
-enum Node {
-    Plain(Insn),
-    Loop { start: Insn, body: Vec<Node>, end: Insn },
-}
-
-fn parse_structure(insns: Vec<Insn>) -> Result<Vec<Node>, AddressError> {
-    let mut stack: Vec<(Insn, Vec<Node>)> = Vec::new();
-    let mut cur: Vec<Node> = Vec::new();
+/// Checks that `LoopStart`/`LoopEnd` nest, before anything is rewritten.
+fn check_loops(insns: &[Insn]) -> Result<(), AddressError> {
+    let mut depth = 0usize;
     for insn in insns {
-        match &insn.kind {
-            InsnKind::LoopStart { .. } => {
-                stack.push((insn, std::mem::take(&mut cur)));
-            }
+        match insn.kind {
+            InsnKind::LoopStart { .. } => depth += 1,
             InsnKind::LoopEnd => {
-                let (start, outer) = stack.pop().ok_or(AddressError::UnmatchedLoopEnd)?;
-                let body = std::mem::replace(&mut cur, outer);
-                cur.push(Node::Loop { start, body, end: insn });
+                depth = depth.checked_sub(1).ok_or(AddressError::UnmatchedLoopEnd)?;
             }
-            _ => cur.push(Node::Plain(insn)),
+            _ => {}
         }
     }
-    if !stack.is_empty() {
+    if depth > 0 {
         return Err(AddressError::UnclosedLoopStart);
     }
-    Ok(cur)
+    Ok(())
+}
+
+/// The index of the `LoopEnd` matching the `LoopStart` at `start` (loops
+/// nest: checked by [`check_loops`]).
+fn loop_end(insns: &[Insn], start: usize) -> usize {
+    let mut depth = 0usize;
+    for (k, insn) in insns.iter().enumerate().skip(start) {
+        match insn.kind {
+            InsnKind::LoopStart { .. } => depth += 1,
+            InsnKind::LoopEnd => {
+                depth -= 1;
+                if depth == 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    unreachable!("check_loops matched every LoopStart")
+}
+
+/// Calls `f` on every instruction of `insns[range]` that sits in no loop
+/// nested inside the range (loop markers excluded).
+fn for_each_top_level<'i>(insns: &'i [Insn], range: Range<usize>, mut f: impl FnMut(&'i Insn)) {
+    let mut depth = 0usize;
+    for insn in &insns[range] {
+        match insn.kind {
+            InsnKind::LoopStart { .. } => depth += 1,
+            InsnKind::LoopEnd => depth -= 1,
+            _ if depth == 0 => f(insn),
+            _ => {}
+        }
+    }
+}
+
+/// What an instruction moved to the output leaves behind: allocates
+/// nothing.
+fn vacated() -> Insn {
+    Insn::ctrl(InsnKind::Nop, String::new(), 0, 0)
 }
 
 struct Ctx<'a> {
@@ -208,6 +241,10 @@ struct Ctx<'a> {
     next_cell: u32,
     /// Spill cells created; appended to the layout afterwards.
     new_cells: Vec<Symbol>,
+    /// Reloads of a spare register from a spilled stream's pointer cell,
+    /// each emitted right before the instruction (by index) it serves,
+    /// outer loops' first.
+    reloads: Vec<(usize, Insn)>,
 }
 
 /// Position of the scalar pointer register, threaded through the walk.
@@ -226,8 +263,8 @@ struct Stream {
     ar: Option<u16>,
     /// The pointer cell of a spilled stream.
     cell: Option<Symbol>,
-    /// `(top-level node index, operand index)` of the stream's last
-    /// top-level access: the one that can advance it for free.
+    /// `(instruction index, operand index)` of the stream's last access
+    /// outside nested loops: the one that can advance it for free.
     last: Option<(usize, usize)>,
     /// Whether that access's post-modify advances the stream.
     advanced: bool,
@@ -252,45 +289,50 @@ impl Stream {
 }
 
 impl<'a> Ctx<'a> {
-    fn addr_of(&self, sym: &Symbol, disp: i64) -> Result<(record_ir::Bank, u16), AddressError> {
-        self.layout.addr_of(sym, disp).ok_or_else(|| AddressError::Unplaced { sym: sym.clone() })
-    }
-
-    /// Processes a sequence of nodes, appending rewritten instructions to
-    /// `out`. `pos` tracks the scalar pointer position (targets without
-    /// direct addressing). Returns the exit position.
+    /// Moves the instructions of `range` to `out`, rewriting their
+    /// operands and inserting bookkeeping. `pos` tracks the scalar
+    /// pointer position (targets without direct addressing). Returns the
+    /// exit position.
     fn process_seq(
         &mut self,
-        nodes: Vec<Node>,
+        insns: &mut [Insn],
+        range: Range<usize>,
         out: &mut Vec<Insn>,
         mut pos: ScalarPos,
     ) -> Result<ScalarPos, AddressError> {
         // Pre-scan: the scalar accesses of this sequence in order, so each
         // access can set its post-modify toward the next one.
         let mut idx = 0usize;
-        let accesses = scalar_access_addrs(&nodes, self.layout)?;
-        for node in nodes {
-            match node {
-                Node::Plain(mut insn) => {
-                    pos = self.rewrite_insn(&mut insn, &accesses, &mut idx, pos, out)?;
-                    out.push(insn);
-                }
-                Node::Loop { start, body, end } => {
-                    pos = self.process_loop(start, body, end, out, pos)?;
+        let accesses = scalar_accesses(insns, range.clone(), self.layout)?;
+        let mut k = range.start;
+        while k < range.end {
+            if matches!(insns[k].kind, InsnKind::LoopStart { .. }) {
+                let end = loop_end(insns, k);
+                pos = self.process_loop(insns, k, end, out, pos)?;
+                k = end + 1;
+                continue;
+            }
+            for (at, reload) in &mut self.reloads {
+                if *at == k {
+                    out.push(std::mem::replace(reload, vacated()));
                 }
             }
+            let mut insn = std::mem::replace(&mut insns[k], vacated());
+            pos = self.rewrite_insn(&mut insn, &accesses, &mut idx, pos, out)?;
+            out.push(insn);
+            k += 1;
         }
         Ok(pos)
     }
 
     /// Rewrites one instruction's memory operands. Scalar (loop-invariant)
-    /// operands use direct mode or the scalar-pointer chain; returns the
-    /// updated pointer position. Stream operands were already resolved by
-    /// the enclosing loop.
+    /// operands — the next ones in `accesses` — use direct mode or the
+    /// scalar-pointer chain; returns the updated pointer position. Stream
+    /// operands were already resolved by the enclosing loop.
     fn rewrite_insn(
         &mut self,
         insn: &mut Insn,
-        accesses: &[i64],
+        accesses: &[(record_ir::Bank, u16)],
         idx: &mut usize,
         mut pos: ScalarPos,
         out: &mut Vec<Insn>,
@@ -302,11 +344,12 @@ impl<'a> Ctx<'a> {
             if m.index.is_some() {
                 return Err(AddressError::StrayLoopVariant { operand: m.to_string() });
             }
-            let (bank, addr) = self.addr_of(&m.base, m.disp)?;
+            let (bank, addr) = accesses[*idx];
             m.bank = bank;
             if self.has_direct {
                 m.mode = AddrMode::Direct(addr);
                 self.stats.direct += 1;
+                *idx += 1;
                 return Ok(());
             }
             // scalar-pointer chain
@@ -317,7 +360,7 @@ impl<'a> Ctx<'a> {
                 self.stats.ar_loads += 1;
             }
             // post-modify toward the next scalar access if within range
-            let next = accesses.get(*idx + 1).copied();
+            let next = accesses.get(*idx + 1).map(|&(_, a)| a as i64);
             let post = match next {
                 Some(n) if (n - addr as i64).abs() <= agu.post_range as i64 => {
                     (n - addr as i64) as i8
@@ -333,21 +376,33 @@ impl<'a> Ctx<'a> {
         Ok(pos)
     }
 
+    /// Moves the loop `insns[start..=end]` to `out`: stream preloads, the
+    /// `LoopStart`, the rewritten body, stream advances, the `LoopEnd`.
     fn process_loop(
         &mut self,
-        start: Insn,
-        mut body: Vec<Node>,
-        end: Insn,
+        insns: &mut [Insn],
+        start: usize,
+        end: usize,
         out: &mut Vec<Insn>,
         pos: ScalarPos,
     ) -> Result<ScalarPos, AddressError> {
-        let InsnKind::LoopStart { var, .. } = &start.kind else {
-            unreachable!("loop node starts with LoopStart")
+        let (head, rest) = insns.split_at_mut(start + 1);
+        let InsnKind::LoopStart { var, .. } = &head[start].kind else {
+            unreachable!("loop starts with LoopStart")
         };
+        // the body, indexed from `start + 1`
+        let body = &mut rest[..end - start - 1];
+        let body_at = start + 1;
 
         // 1. discover this loop's streams
         let mut streams: Vec<Stream> = Vec::new();
-        collect_streams(&body, var, &mut streams);
+        for insn in body.iter() {
+            insn.for_each_mem(&mut |m| {
+                if m.index.as_ref() == Some(var) && !streams.iter().any(|s| s.matches(m)) {
+                    streams.push(Stream::of(m));
+                }
+            });
+        }
         let agu = if streams.is_empty() {
             self.agu
         } else {
@@ -394,47 +449,57 @@ impl<'a> Ctx<'a> {
         }
 
         // 3. rewrite stream operands inside the body (any depth); mark the
-        // last top-level access of each stream for the free post-increment
+        // last access of each stream outside nested loops for the free
+        // post-increment
         let post_range = agu.map(|a| a.post_range).unwrap_or(0);
-        rewrite_streams(&mut body, var, &mut streams, self.layout, true, self.stats)?;
+        rewrite_streams(body, body_at, var, &mut streams, self.layout, self.stats)?;
         if post_range >= 1 {
             for s in &mut streams {
-                let Some((node_ix, mem_ix)) = s.last else { continue };
-                if let Node::Plain(insn) = &mut body[node_ix] {
-                    let mut k = 0usize;
-                    insn.for_each_mem_mut(&mut |m| {
-                        if k == mem_ix {
-                            if let AddrMode::Indirect { post, .. } = &mut m.mode {
-                                *post = if s.down { -1 } else { 1 };
-                                s.advanced = true;
-                            }
+                let Some((k, mem_ix)) = s.last else { continue };
+                let mut operand = 0usize;
+                body[k - body_at].for_each_mem_mut(&mut |m| {
+                    if operand == mem_ix {
+                        if let AddrMode::Indirect { post, .. } = &mut m.mode {
+                            *post = if s.down { -1 } else { 1 };
+                            s.advanced = true;
                         }
-                        k += 1;
-                    });
-                }
+                    }
+                    operand += 1;
+                });
             }
         }
 
         // 3b. spilled streams: reload the spare register from the pointer
         // cell before every access (the operand itself stays post-free;
         // the advance happens once per iteration below)
+        let reloads_before = self.reloads.len();
         if let Some(spare_ar) = spare {
-            body = rewrite_spilled(body, var, &streams, spare_ar, self.layout, self.stats)?;
+            for (k, insn) in body.iter_mut().enumerate() {
+                let cell = rewrite_spilled(insn, var, &streams, spare_ar, self.layout, self.stats)?;
+                if let Some(cell) = cell {
+                    self.reloads.push((body_at + k, ar_load_mem(spare_ar, cell)));
+                }
+            }
         }
 
         // 4. recurse into the body for scalars and nested loops. The
         // scalar pointer must re-enter each iteration at the same
         // position: we pin it by reloading at loop entry if the body uses
         // it at all.
-        let entry_pos = if self.has_direct || !has_scalar_access(&body) {
+        let mut body_scalars = false;
+        for_each_top_level(insns, body_at..end, |insn| {
+            insn.for_each_mem(&mut |m| body_scalars |= is_scalar_access(m));
+        });
+        let entry_pos = if self.has_direct || !body_scalars {
             pos
         } else {
             // force a deterministic entry state: unknown, so the first
             // access inside reloads
             None
         };
-        out.push(start);
-        let exit_pos = self.process_seq(body, out, entry_pos)?;
+        out.push(std::mem::replace(&mut insns[start], vacated()));
+        let exit_pos = self.process_seq(insns, body_at..end, out, entry_pos)?;
+        self.reloads.truncate(reloads_before);
 
         // 5. advance streams that did not get a free post-increment, in
         // register order (dedicated registers were handed out in stream
@@ -457,7 +522,7 @@ impl<'a> Ctx<'a> {
                 self.stats.ar_adds += 1;
             }
         }
-        out.push(end);
+        out.push(std::mem::replace(&mut insns[end], vacated()));
 
         // release stream registers
         self.next_stream_ar = first_stream_ar;
@@ -516,162 +581,121 @@ fn ptr_init(target: &TargetDesc, cell: &Symbol, base: &Symbol, disp: i64) -> Ins
     )
 }
 
-/// Rewrites spilled-stream operands: a reload of the spare register from
-/// the pointer cell is inserted before each containing instruction, and
-/// the operand becomes plain indirect through the spare.
-fn rewrite_spilled(
-    nodes: Vec<Node>,
+/// Rewrites one instruction's spilled-stream operands to plain indirect
+/// through the spare register; returns the pointer cell the spare must be
+/// reloaded from before the instruction, if any.
+fn rewrite_spilled<'s>(
+    insn: &mut Insn,
     var: &Symbol,
-    streams: &[Stream],
+    streams: &'s [Stream],
     spare: u16,
     layout: &DataLayout,
     stats: &mut AddressStats,
-) -> Result<Vec<Node>, AddressError> {
-    let mut out = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        match node {
-            Node::Plain(mut insn) => {
-                let mut cell_needed: Option<&Symbol> = None;
-                let rewritten = insn.try_for_each_mem_mut(&mut |m| {
-                    if m.index.as_ref() != Some(var) {
-                        return Ok(());
-                    }
-                    let Some(cell) =
-                        streams.iter().find(|s| s.matches(m)).and_then(|s| s.cell.as_ref())
-                    else {
-                        return Ok(());
-                    };
-                    if cell_needed.is_some_and(|prev| prev != cell) {
-                        // the instruction text is filled in below
-                        return Err(AddressError::TwoSpilledStreams { insn: String::new() });
-                    }
-                    let (bank, _) = layout
-                        .addr_of(&m.base, m.disp)
-                        .ok_or_else(|| AddressError::Unplaced { sym: m.base.clone() })?;
-                    m.bank = bank;
-                    m.mode = AddrMode::Indirect { ar: spare, post: 0 };
-                    stats.indirect += 1;
-                    cell_needed = Some(cell);
-                    Ok(())
-                });
-                if let Err(mut e) = rewritten {
-                    if let AddressError::TwoSpilledStreams { insn: text } = &mut e {
-                        text.clone_from(&insn.text);
-                    }
-                    return Err(e);
-                }
-                if let Some(cell) = cell_needed {
-                    out.push(Node::Plain(ar_load_mem(spare, cell)));
-                }
-                out.push(Node::Plain(insn));
-            }
-            Node::Loop { start, body, end } => {
-                let body = rewrite_spilled(body, var, streams, spare, layout, stats)?;
-                out.push(Node::Loop { start, body, end });
-            }
+) -> Result<Option<&'s Symbol>, AddressError> {
+    let mut cell_needed: Option<&Symbol> = None;
+    let rewritten = insn.try_for_each_mem_mut(&mut |m| {
+        if m.index.as_ref() != Some(var) {
+            return Ok(());
         }
+        let Some(cell) = streams.iter().find(|s| s.matches(m)).and_then(|s| s.cell.as_ref()) else {
+            return Ok(());
+        };
+        if cell_needed.is_some_and(|prev| prev != cell) {
+            // the instruction text is filled in below
+            return Err(AddressError::TwoSpilledStreams { insn: String::new() });
+        }
+        let (bank, _) = layout
+            .addr_of(&m.base, m.disp)
+            .ok_or_else(|| AddressError::Unplaced { sym: m.base.clone() })?;
+        m.bank = bank;
+        m.mode = AddrMode::Indirect { ar: spare, post: 0 };
+        stats.indirect += 1;
+        cell_needed = Some(cell);
+        Ok(())
+    });
+    if let Err(mut e) = rewritten {
+        if let AddressError::TwoSpilledStreams { insn: text } = &mut e {
+            text.clone_from(&insn.text);
+        }
+        return Err(e);
     }
-    Ok(out)
+    Ok(cell_needed)
 }
 
-/// Whether a scalar (unresolved, loop-invariant) access sits among the
-/// top-level instructions of a node sequence.
+/// Whether an operand is a scalar (unresolved, loop-invariant) access.
 fn is_scalar_access(m: &MemLoc) -> bool {
     m.mode == AddrMode::Unresolved && m.index.is_none()
 }
 
-fn has_scalar_access(nodes: &[Node]) -> bool {
-    nodes.iter().any(|node| {
-        let mut any = false;
-        if let Node::Plain(insn) = node {
-            insn.for_each_mem(&mut |m| any |= is_scalar_access(m));
-        }
-        any
-    })
-}
-
-/// The addresses of the scalar (unresolved, loop-invariant) accesses of a
-/// node sequence, in execution order, *stopping at loop boundaries* (loop
-/// bodies handle their own chains).
-fn scalar_access_addrs(nodes: &[Node], layout: &DataLayout) -> Result<Vec<i64>, AddressError> {
+/// The placements of the scalar accesses of `range`, in execution order,
+/// *skipping nested loops* (loop bodies handle their own chains).
+fn scalar_accesses(
+    insns: &[Insn],
+    range: Range<usize>,
+    layout: &DataLayout,
+) -> Result<Vec<(record_ir::Bank, u16)>, AddressError> {
     let mut out = Vec::new();
-    for node in nodes {
-        if let Node::Plain(insn) = node {
-            let mut unplaced: Option<&Symbol> = None;
-            insn.for_each_mem(&mut |m| {
-                if unplaced.is_none() && is_scalar_access(m) {
-                    match layout.addr_of(&m.base, m.disp) {
-                        Some((_, addr)) => out.push(addr as i64),
-                        None => unplaced = Some(&m.base),
-                    }
+    let mut unplaced: Option<&Symbol> = None;
+    for_each_top_level(insns, range, |insn| {
+        insn.for_each_mem(&mut |m| {
+            if unplaced.is_none() && is_scalar_access(m) {
+                match layout.addr_of(&m.base, m.disp) {
+                    Some(placement) => out.push(placement),
+                    None => unplaced = Some(&m.base),
                 }
-            });
-            if let Some(sym) = unplaced {
-                return Err(AddressError::Unplaced { sym: sym.clone() });
             }
-        }
-    }
-    Ok(out)
-}
-
-fn collect_streams(nodes: &[Node], var: &Symbol, streams: &mut Vec<Stream>) {
-    for node in nodes {
-        match node {
-            Node::Plain(insn) => insn.for_each_mem(&mut |m| {
-                if m.index.as_ref() == Some(var) && !streams.iter().any(|s| s.matches(m)) {
-                    streams.push(Stream::of(m));
-                }
-            }),
-            Node::Loop { body, .. } => collect_streams(body, var, streams),
-        }
+        });
+    });
+    match unplaced {
+        Some(sym) => Err(AddressError::Unplaced { sym: sym.clone() }),
+        None => Ok(out),
     }
 }
 
 /// Rewrites the operands of streams with a dedicated register to
-/// indirect mode (post 0 for now). At the top level (`top_level`) it also
-/// records each stream's last access — `(node index, operand index)` —
-/// so the caller can flip its post-increment; accesses in nested loops
-/// advance only per outer iteration and are never marked (the `ArAdd`
-/// fallback advances them).
+/// indirect mode (post 0 for now), and records each stream's last access
+/// outside nested loops — `(instruction index, operand index)`, the body
+/// starting at index `body_at` — so the caller can flip its
+/// post-increment; accesses in nested loops advance only per outer
+/// iteration and are never marked (the `ArAdd` fallback advances them).
 fn rewrite_streams(
-    nodes: &mut [Node],
+    body: &mut [Insn],
+    body_at: usize,
     var: &Symbol,
     streams: &mut [Stream],
     layout: &DataLayout,
-    top_level: bool,
     stats: &mut AddressStats,
 ) -> Result<(), AddressError> {
-    for (node_ix, node) in nodes.iter_mut().enumerate() {
-        match node {
-            Node::Plain(insn) => {
-                let mut mem_ix = 0usize;
-                insn.try_for_each_mem_mut(&mut |m| {
-                    let this = mem_ix;
-                    mem_ix += 1;
-                    if m.index.as_ref() != Some(var) {
-                        return Ok(());
-                    }
-                    // spilled streams are handled by rewrite_spilled
-                    let Some(s) = streams.iter_mut().find(|s| s.matches(m)) else {
-                        return Ok(());
-                    };
-                    let Some(ar) = s.ar else { return Ok(()) };
-                    let (bank, _) = layout
-                        .addr_of(&m.base, m.disp)
-                        .ok_or_else(|| AddressError::Unplaced { sym: m.base.clone() })?;
-                    m.bank = bank;
-                    m.mode = AddrMode::Indirect { ar, post: 0 };
-                    stats.indirect += 1;
-                    if top_level {
-                        s.last = Some((node_ix, this));
-                    }
-                    Ok(())
-                })?;
-            }
-            Node::Loop { body, .. } => {
-                rewrite_streams(body, var, streams, layout, false, stats)?;
-            }
+    let mut depth = 0usize;
+    for (k, insn) in body.iter_mut().enumerate() {
+        match insn.kind {
+            InsnKind::LoopStart { .. } => depth += 1,
+            InsnKind::LoopEnd => depth -= 1,
+            _ => {}
         }
+        let mut mem_ix = 0usize;
+        insn.try_for_each_mem_mut(&mut |m| {
+            let this = mem_ix;
+            mem_ix += 1;
+            if m.index.as_ref() != Some(var) {
+                return Ok(());
+            }
+            // spilled streams are handled by rewrite_spilled
+            let Some(s) = streams.iter_mut().find(|s| s.matches(m)) else {
+                return Ok(());
+            };
+            let Some(ar) = s.ar else { return Ok(()) };
+            let (bank, _) = layout
+                .addr_of(&m.base, m.disp)
+                .ok_or_else(|| AddressError::Unplaced { sym: m.base.clone() })?;
+            m.bank = bank;
+            m.mode = AddrMode::Indirect { ar, post: 0 };
+            stats.indirect += 1;
+            if depth == 0 {
+                s.last = Some((body_at + k, this));
+            }
+            Ok(())
+        })?;
     }
     Ok(())
 }

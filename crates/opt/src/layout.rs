@@ -109,10 +109,9 @@ pub fn layout_in_order(
         if addr + len > target.memory.words_per_bank as u32 {
             return Err(LayoutError::BankOverflow { bank, sym, len, addr });
         }
-        if layout.entry(&sym).is_some() {
-            return Err(LayoutError::DuplicateSymbol { sym });
-        }
-        layout.place(sym, addr as u16, len, bank);
+        layout
+            .try_place(sym, addr as u16, len, bank)
+            .map_err(|sym| LayoutError::DuplicateSymbol { sym })?;
         next[slot] += len;
     }
     Ok(layout)
