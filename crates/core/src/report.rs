@@ -473,12 +473,12 @@ pub fn render_asm_listings(session: &Session) -> Result<String, CompileError> {
 /// * 47 — one bank of 128 words, four address registers: one kernel does
 ///   not fit, which pins an `error:` line;
 /// * 169 — dual banks, eight address registers, one parallel-move slot.
-pub const BACKEND_CUBE_SEEDS: [u64; 3] = [35, 47, 169];
+const BACKEND_CUBE_SEEDS: [u64; 3] = [35, 47, 169];
 
 /// Renders the assembly listings of the backend paths the DSPStone
 /// listings ([`render_asm_listings`]) do not pin: every DSPStone kernel
-/// on `asip-dsp`, `asip-min`, `risc4` and the cube points of
-/// [`BACKEND_CUBE_SEEDS`] under `O0`, `O2` and `service`, then on dsp56k
+/// on `asip-dsp`, `asip-min`, `risc4` and the processor-cube points of
+/// seeds 35, 47 and 169 under `O0`, `O2` and `service`, then on dsp56k
 /// under `O2` with list scheduling (`O2-list`) and with branch-and-bound
 /// scheduling of segments up to 10 instructions (`O2-bnb10`, the limit
 /// the ablation bench uses). Each listing is preceded by a

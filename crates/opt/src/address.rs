@@ -24,6 +24,8 @@ use record_ir::Symbol;
 use record_isa::target::AguDesc;
 use record_isa::{AddrMode, Code, DataLayout, Insn, InsnKind, MemLoc, TargetDesc};
 
+use crate::vacated;
+
 /// A structured address-assignment failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AddressError {
@@ -219,12 +221,6 @@ fn for_each_top_level<'i>(insns: &'i [Insn], range: Range<usize>, mut f: impl Fn
             _ => {}
         }
     }
-}
-
-/// What an instruction moved to the output leaves behind: allocates
-/// nothing.
-fn vacated() -> Insn {
-    Insn::ctrl(InsnKind::Nop, String::new(), 0, 0)
 }
 
 struct Ctx<'a> {

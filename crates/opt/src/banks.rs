@@ -53,10 +53,10 @@ pub fn assign_banks(
 
 /// [`assign_banks`] under a [`SearchBudget`]: greedy placement charges
 /// one step per conflict-graph edge for every symbol it places, and each
-/// flip trial of the local-improvement loop two per edge (the size of the
-/// two full cross-bank recounts a flip trial once cost). On exhaustion
-/// the code is left **unmodified** (layout and operands are only
-/// rewritten once the search completes).
+/// flip trial of the local-improvement loop two per edge. The charges
+/// measure the search by the graph's size, whatever a step costs to
+/// evaluate. On exhaustion the code is left **unmodified** (layout and
+/// operands are only rewritten once the search completes).
 ///
 /// # Errors
 ///

@@ -21,6 +21,7 @@ use record_isa::target::ParallelDesc;
 use record_isa::{Code, Insn, InsnKind, Loc, MemLoc, RegId, TargetDesc};
 
 use crate::budget::{BudgetExceeded, SearchBudget};
+use crate::vacated;
 
 /// Which scheduling algorithm [`schedule`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -217,12 +218,6 @@ pub fn fuse(code: &mut Code, target: &TargetDesc) -> u32 {
         }
     }
     fused_total
-}
-
-/// What an instruction merged into its neighbour leaves in the slot it is
-/// dropped from: allocates nothing.
-fn vacated() -> Insn {
-    Insn::ctrl(InsnKind::Nop, String::new(), 0, 0)
 }
 
 fn is_pure_move(insn: &Insn, pd: &ParallelDesc) -> bool {

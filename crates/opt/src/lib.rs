@@ -46,3 +46,9 @@ pub use compact::{
 pub use layout::{declaration_layout, layout_in_order, LayoutError};
 pub use modes::{insert_mode_changes, ModeStrategy};
 pub use offset::{goa, soa_cost, soa_order, soa_order_budgeted, soa_order_ids};
+
+/// What an instruction moved out of a slot leaves behind, so passes can
+/// move instructions instead of copying them: allocates nothing.
+pub(crate) fn vacated() -> record_isa::Insn {
+    record_isa::Insn::ctrl(record_isa::InsnKind::Nop, String::new(), 0, 0)
+}

@@ -60,7 +60,9 @@ const BACKEND: [&str; 8] =
 
 /// Allocations the backend passes (`layout` through `rpt`) made over
 /// every DSPStone kernel at `O2` on tic25 and dsp56k at the commit before
-/// the passes stopped copying.
+/// the passes stopped copying. The passes that work on the program they
+/// are handed make 724 (layout 100, offset 245, banks 109, address 170,
+/// compact 68, hoist 0, modes 32, rpt 0).
 const BACKEND_ALLOCATIONS_BEFORE: u64 = 6298;
 
 /// Per-pass allocation counts over every DSPStone kernel at `O2` on
