@@ -539,8 +539,8 @@ impl DataLayout {
         }
     }
 
-    /// Rebuilds the layout with new entries (used by offset/bank
-    /// assignment when they permute storage).
+    /// Rebuilds the layout with new entries (the compile cache decodes
+    /// stored layouts this way).
     pub fn replace_entries(&mut self, entries: Vec<LayoutEntry>) {
         self.by_sym = entries.iter().enumerate().map(|(i, e)| (e.sym.clone(), i)).collect();
         assert_eq!(self.by_sym.len(), entries.len(), "duplicate symbol in layout");
