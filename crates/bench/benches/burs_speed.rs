@@ -5,16 +5,22 @@
 
 //!
 //! `cargo bench --bench burs_speed -- smoke` runs the CI smoke subset:
-//! the streamed/interned hot path is checked against the boxed reference
-//! (same variant counts, same best cover) and the deterministic work
-//! counters — dedup hits, memoized labels, skipped enumeration — are
-//! printed and asserted non-trivial.
+//! on tic25 and dsp56k the streamed/interned hot path is checked against
+//! the boxed reference (same variant counts, same best cover) and the
+//! deterministic work counters — dedup hits, memoized labels, skipped
+//! enumeration — are printed and asserted non-trivial. On dsp56k, where
+//! DAG covering takes shares, every cut the share-vs-recompute model
+//! would accept on a complex-multiply block is labelled through the
+//! long-lived label store and checked against a labelling on a fresh
+//! store.
 
+use record::select::Emitter;
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
-use record_burg::{LabelCache, Matcher};
+use record_burg::{best_candidate, CutSet, LabelCache, Matcher};
 use record_ir::transform::{variants, variants_interned, RuleSet, VariantStream};
-use record_ir::{BinOp, Tree, TreePool};
+use record_ir::{AssignStmt, BinOp, BlockDag, MemRef, Tree, TreePool};
+use record_isa::{NonTermId, NonTermKind, TargetDesc};
 
 fn statement_tree() -> Tree {
     // dr := cr + ar*br - ai*bi — a typical Table 1 statement
@@ -59,11 +65,22 @@ fn print_stats() {
 /// CI smoke: the interned hot path (hash-consed pool + streamed
 /// enumeration + memoized labelling) must agree with the boxed reference
 /// on every variant count and best-cover weight, and its deterministic
-/// work counters must show it actually saved work.
+/// work counters must show it actually saved work; on dsp56k, labels
+/// under accepted DAG cuts must not depend on what the store holds.
 fn smoke() {
-    let target = record_isa::targets::tic25::target();
-    let matcher = Matcher::new(&target);
-    let acc = target.nt("acc").unwrap();
+    let tic25 = record_isa::targets::tic25::target();
+    let dsp56k = record_isa::targets::dsp56k::target();
+    smoke_variants(&tic25, "acc");
+    smoke_variants(&dsp56k, "a");
+    smoke_cuts(&dsp56k);
+    println!("burs_speed smoke OK");
+}
+
+/// The streamed, memoized path against the boxed one on the statement
+/// tree of `target`, covered to the nonterminal `goal`.
+fn smoke_variants(target: &TargetDesc, goal: &str) {
+    let matcher = Matcher::new(target);
+    let goal = target.nt(goal).unwrap();
     let tree = statement_tree();
 
     let mut pool = TreePool::new();
@@ -73,13 +90,14 @@ fn smoke() {
         let ids = variants_interned(&mut pool, &tree, &RuleSet::all(), limit);
         assert_eq!(boxed.len(), ids.len(), "limit {limit}: streamed count diverges");
         for (v, &id) in boxed.iter().zip(&ids) {
-            let reference = matcher.cover(v, acc).map(|c| c.cost.weight());
+            let reference = matcher.cover(v, goal).map(|c| c.cost.weight());
             let interned =
-                matcher.cover_interned(&pool, id, &mut cache, acc).map(|c| c.cost.weight());
+                matcher.cover_interned(&pool, id, &mut cache, goal).map(|c| c.cost.weight());
             assert_eq!(reference, interned, "limit {limit}: cover diverges on a variant");
         }
         println!(
-            "smoke limit {limit:>4}: {:>4} variants, pool {:>4} nodes, {:>5} dedup hits, labels {:>4} computed / {:>5} memoized",
+            "smoke {} limit {limit:>4}: {:>4} variants, pool {:>4} nodes, {:>5} dedup hits, labels {:>4} computed / {:>5} memoized",
+            target.name,
             ids.len(),
             pool.len(),
             pool.dedup_hits(),
@@ -96,15 +114,93 @@ fn smoke() {
     let mut stream = VariantStream::new(&mut pool, &tree, RuleSet::all(), 128);
     for _ in 0..2 {
         let id = stream.next(&mut pool).expect("variant streams on demand");
-        let _ = matcher.cover_interned(&pool, id, &mut cache, acc);
+        let _ = matcher.cover_interned(&pool, id, &mut cache, goal);
     }
     assert!(stream.pending() > 0, "early stop skipped no buffered variants");
     println!(
-        "smoke early-stop: 2 variants consumed, {} generated-but-unread skipped, {} rewrite steps charged",
+        "smoke {} early-stop: 2 variants consumed, {} generated-but-unread skipped, {} rewrite steps charged",
+        target.name,
         stream.pending(),
         stream.steps()
     );
-    println!("burs_speed smoke OK");
+}
+
+/// On the complex-multiply block, which DAG covering shares on dsp56k:
+/// every single cut the share-vs-recompute model would accept is
+/// labelled through a store that already holds every variant's plain
+/// labels and the other cuts' labels, and the result must equal a
+/// labelling on a fresh store.
+fn smoke_cuts(target: &TargetDesc) {
+    let mul = |a: &str, b: &str| Tree::bin(BinOp::Mul, Tree::var(a), Tree::var(b));
+    let block = [
+        AssignStmt {
+            dst: MemRef::scalar("cr"),
+            src: Tree::bin(BinOp::Sub, mul("ar", "br"), mul("ai", "bi")),
+        },
+        AssignStmt {
+            dst: MemRef::scalar("ci"),
+            src: Tree::bin(BinOp::Add, mul("ar", "bi"), mul("ai", "br")),
+        },
+    ];
+    let (_, stats) = Emitter::new(target).emit_block(&block, &RuleSet::all(), 32, false).unwrap();
+    assert!(stats.shares_taken > 0, "DAG covering took no share on {}", target.name);
+
+    let matcher = Matcher::new(target);
+    let candidates: Vec<_> = target.stores.iter().map(|s| (s.nt, s.cost)).collect();
+    let park: Vec<NonTermId> = (0..target.nonterms.len())
+        .map(|ix| NonTermId(ix as u16))
+        .filter(|&nt| match target.nonterm(nt).kind {
+            NonTermKind::Reg(class) => !target.class(class).is_singleton(),
+            _ => false,
+        })
+        .collect();
+    let mut pool = TreePool::new();
+    let mut store = LabelCache::new();
+    for stmt in &block {
+        for id in variants_interned(&mut pool, &stmt.src, &RuleSet::all(), 32) {
+            matcher.label_interned(&pool, id, &mut store);
+        }
+    }
+    let dag = BlockDag::build(&mut pool, &block);
+    let weight = |cache: &LabelCache, label| {
+        best_candidate(cache.entries(label), &candidates)
+            .map(|(nt, derive)| {
+                let store = target.stores.iter().find(|s| s.nt == nt).unwrap();
+                derive.add(store.cost).weight()
+            })
+            .unwrap()
+    };
+    let (mut accepted, mut checked) = (0usize, 0usize);
+    for cand in &dag.shared {
+        for &nt in &park {
+            let def = matcher.label_interned(&pool, cand.id, &mut store);
+            let Some(def_cost) = store.cost(def, nt) else { continue };
+            let cuts: CutSet = [(cand.id, (0, nt))].into_iter().collect();
+            let mut gain = -i128::from(def_cost.weight());
+            for &s in &cand.uses {
+                let root = dag.roots[s];
+                let plain = matcher.label_interned(&pool, root, &mut store);
+                let cut = matcher.label_interned_cut(&pool, root, &mut store, &cuts);
+                let mut fresh = LabelCache::new();
+                let reference = matcher.label_interned_cut(&pool, root, &mut fresh, &cuts);
+                assert_eq!(
+                    store.entries(cut),
+                    fresh.entries(reference),
+                    "{} under {cuts:?}: the long-lived store and a fresh one disagree",
+                    pool.to_tree(root)
+                );
+                checked += 1;
+                gain += i128::from(weight(&store, plain)) - i128::from(weight(&store, cut));
+            }
+            accepted += usize::from(gain > 0);
+        }
+    }
+    assert!(accepted > 0, "no cut on the block pays on {}", target.name);
+    println!(
+        "smoke {} cuts: {checked} labellings under {} single cuts checked against a fresh store, {accepted} of them accepted by the cost model",
+        target.name,
+        dag.shared.len() * park.len()
+    );
 }
 
 fn bench(c: &mut Criterion) {

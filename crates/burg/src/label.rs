@@ -1,7 +1,6 @@
 //! Labels: the per-node dynamic-programming state.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use record_ir::{Tree, TreeId};
 use record_isa::{Cost, NonTermId, RuleId};
@@ -58,57 +57,72 @@ impl<'a> Labeled<'a> {
     }
 }
 
-/// A labelled *interned* tree node — the hash-consed counterpart of
-/// [`Labeled`].
+/// A handle to one label state in a [`LabelCache`]: an interned node's
+/// best entry per nonterminal, plus the labels of its children.
 ///
 /// Label state is context-free (the bottom-up dynamic program depends
-/// only on the subtree and the grammar), so nodes are shared behind
-/// `Arc` and memoized per [`TreeId`] in a [`LabelCache`]: a subtree that
-/// appears in many variants is labelled exactly once.
-#[derive(Debug)]
-pub struct LabeledNode {
-    /// The interned tree node this label belongs to.
-    pub id: TreeId,
-    /// Labels of the node's children, in order (shared via the cache).
-    pub children: Vec<Arc<LabeledNode>>,
-    /// `entries[nt]` is the best derivation to nonterminal `nt`, if any.
-    pub entries: Vec<Option<Entry>>,
+/// only on the subtree and the grammar, and under DAG cuts only on the
+/// cuts inside the subtree), so one state serves every occurrence of
+/// its subtree: a subtree that appears in many variants is labelled
+/// exactly once.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct LabelId(u32);
+
+/// The node a label state belongs to and the labels of its children, in
+/// order (unused slots are `None`).
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    node: TreeId,
+    kids: [Option<LabelId>; 2],
 }
 
-impl LabeledNode {
-    /// The best cost of deriving this node to `nt`, if derivable.
-    pub fn cost(&self, nt: NonTermId) -> Option<Cost> {
-        self.entries[nt.index()].map(|e| e.cost)
-    }
+/// An interned cut context: which cuts lie inside one node's subtree.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct ContextId(u32);
 
-    /// The winning rule for `nt`, if derivable.
-    pub fn rule(&self, nt: NonTermId) -> Option<RuleId> {
-        self.entries[nt.index()].map(|e| e.rule)
-    }
+/// The cuts inside one subtree, built from the node's own cut (the
+/// nonterminal it is parked in, if it is cut) and the contexts of its
+/// children (`None` for a child whose subtree holds no cut).
+///
+/// Pool ids are canonical and a child's context is determined by the
+/// cuts inside the parent's subtree, so two cut sets give a node the same
+/// key exactly when they agree on the `(cut node, parked nonterminal)`
+/// pairs inside its subtree. Shared-value slots are left out: labels do
+/// not depend on them.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct ContextKey {
+    pub(crate) node: TreeId,
+    pub(crate) parked: Option<NonTermId>,
+    pub(crate) kids: [Option<ContextId>; 2],
 }
 
-/// The DAG cuts inside one subtree, as `(cut node, parked nonterminal)`
-/// pairs sorted by node. A label computed under a cut set depends on
-/// exactly these: the subtree, and which of its nodes are parked where.
-pub type CutContext = Vec<(TreeId, NonTermId)>;
-
-/// Memoized label states, keyed by interned [`TreeId`] and, for labels
-/// computed under DAG cuts, by the [`CutContext`] of the node's subtree.
+/// Memoized label states in one flat store.
+///
+/// Every state is a fixed-size record: `n_nts` entry slots in one
+/// vector, in label order, and the node with its children's labels in
+/// another. Cut-free states are found by [`TreeId`] (pool ids are dense,
+/// so that is a vector index); states computed under DAG cuts by their
+/// interned cut context. Labelling a node allocates nothing of its own:
+/// the store grows, amortized, as the pool does.
 ///
 /// Valid for one (pool, grammar) pair: the selector keeps one cache per
-/// target next to its [`TreePool`](record_ir::TreePool). A subtree with
+/// compile next to its [`TreePool`](record_ir::TreePool). A subtree with
 /// no cut inside labels context-free, so cut-aware labelling answers it
-/// from the same entries plain labelling fills. `hits` counts labellings
+/// from the same states plain labelling fills. `hits` counts labellings
 /// answered from the cache (work avoided by sharing); `misses` counts
 /// label states actually computed.
-///
-/// Pool ids are dense (`0..pool.len()`), so the cut-free labels sit in a
-/// vector indexed by id: a lookup is a bounds check, not a hash.
 #[derive(Debug, Default)]
 pub struct LabelCache {
-    plain: Vec<Option<Arc<LabeledNode>>>,
-    /// Labels under cuts, per node, one per non-empty cut context seen.
-    cut_map: HashMap<TreeId, Vec<(CutContext, Arc<LabeledNode>)>>,
+    /// Entry slots per label state: the grammar's nonterminal count.
+    n_nts: usize,
+    /// `n_nts` slots per label state, in label order.
+    entries: Vec<Option<Entry>>,
+    records: Vec<Record>,
+    /// The cut-free label state of each pool node, indexed by id.
+    plain: Vec<Option<LabelId>>,
+    context_ids: HashMap<ContextKey, ContextId>,
+    /// Per context id: its key and the label state computed under it.
+    contexts: Vec<(ContextKey, Option<LabelId>)>,
     hits: u64,
     misses: u64,
 }
@@ -131,61 +145,145 @@ impl LabelCache {
 
     /// Number of cached label states, cut-free and under cuts.
     pub fn len(&self) -> usize {
-        self.plain.iter().flatten().count() + self.cut_map.values().map(Vec::len).sum::<usize>()
+        self.records.len()
     }
 
     /// `true` when nothing has been labelled yet.
     pub fn is_empty(&self) -> bool {
-        self.plain.iter().all(Option::is_none) && self.cut_map.is_empty()
+        self.records.is_empty()
     }
 
-    /// Looks up the label state for `id`, counting a hit on success.
-    pub fn lookup(&mut self, id: TreeId) -> Option<Arc<LabeledNode>> {
-        let found = self.plain.get(id.index()).and_then(Option::clone);
+    /// The best derivation of `label`'s node per nonterminal
+    /// (`entries[nt]`, `None` when not derivable).
+    pub fn entries(&self, label: LabelId) -> &[Option<Entry>] {
+        let start = label.0 as usize * self.n_nts;
+        &self.entries[start..start + self.n_nts]
+    }
+
+    /// The best cost of deriving `label`'s node to `nt`, if derivable.
+    pub fn cost(&self, label: LabelId, nt: NonTermId) -> Option<Cost> {
+        self.entries(label)[nt.index()].map(|e| e.cost)
+    }
+
+    /// Looks up the cut-free label state of `id`, counting a hit on
+    /// success.
+    pub fn lookup(&mut self, id: TreeId) -> Option<LabelId> {
+        let found = self.plain.get(id.index()).copied().flatten();
         if found.is_some() {
             self.hits += 1;
         }
         found
-    }
-
-    /// Records a freshly computed label state, counting a miss.
-    pub fn store(&mut self, id: TreeId, node: Arc<LabeledNode>) {
-        self.misses += 1;
-        if self.plain.len() <= id.index() {
-            self.plain.resize(id.index() + 1, None);
-        }
-        self.plain[id.index()] = Some(node);
-    }
-
-    /// Looks up the label state of `id` under the cuts `context` (the
-    /// cuts inside its subtree), counting a hit on success.
-    pub(crate) fn lookup_cut(
-        &mut self,
-        id: TreeId,
-        context: &[(TreeId, NonTermId)],
-    ) -> Option<Arc<LabeledNode>> {
-        let found = self
-            .cut_map
-            .get(&id)
-            .and_then(|seen| seen.iter().find(|(c, _)| c.as_slice() == context))
-            .map(|(_, node)| node.clone());
-        if found.is_some() {
-            self.hits += 1;
-        }
-        found
-    }
-
-    /// Records a label state freshly computed under the cuts `context`,
-    /// counting a miss.
-    pub(crate) fn store_cut(&mut self, id: TreeId, context: CutContext, node: Arc<LabeledNode>) {
-        self.misses += 1;
-        self.cut_map.entry(id).or_default().push((context, node));
     }
 
     /// Drops all cached states (counters are preserved). Required when
     /// the backing pool or grammar changes.
     pub fn clear(&mut self) {
+        self.n_nts = 0;
+        self.entries.clear();
+        self.records.clear();
         self.plain.clear();
-        self.cut_map.clear();
+        self.context_ids.clear();
+        self.contexts.clear();
+    }
+
+    /// Sizes the entry slots for a grammar of `n_nts` nonterminals; the
+    /// first labelling fixes it.
+    pub(crate) fn bind(&mut self, n_nts: usize) {
+        if self.records.is_empty() {
+            self.n_nts = n_nts;
+        }
+        debug_assert_eq!(self.n_nts, n_nts, "label cache used with another grammar");
+    }
+
+    /// Appends an empty label state for `node` over the labels `kids`.
+    pub(crate) fn push(&mut self, node: TreeId, kids: [Option<LabelId>; 2]) -> LabelId {
+        let label = LabelId(u32::try_from(self.records.len()).expect("label store overflow"));
+        self.records.push(Record { node, kids });
+        self.entries.resize(self.entries.len() + self.n_nts, None);
+        label
+    }
+
+    /// The last label state's entry slots, writable, and a read view of
+    /// every earlier state (its children among them).
+    pub(crate) fn split_last(&mut self) -> (Labels<'_>, &mut [Option<Entry>]) {
+        let start = self.entries.len() - self.n_nts;
+        let (done, last) = self.entries.split_at_mut(start);
+        (Labels { entries: done, records: &self.records, n_nts: self.n_nts }, last)
+    }
+
+    /// A read view of every label state.
+    pub(crate) fn labels(&self) -> Labels<'_> {
+        Labels { entries: &self.entries, records: &self.records, n_nts: self.n_nts }
+    }
+
+    /// Records `label` as the cut-free state of `id`, counting a miss.
+    pub(crate) fn store(&mut self, id: TreeId, label: LabelId) {
+        self.misses += 1;
+        if self.plain.len() <= id.index() {
+            self.plain.resize(id.index() + 1, None);
+        }
+        self.plain[id.index()] = Some(label);
+    }
+
+    /// The id of the cut context `key`, interning it on first sight.
+    pub(crate) fn intern_context(&mut self, key: ContextKey) -> ContextId {
+        let next = ContextId(u32::try_from(self.contexts.len()).expect("cut context overflow"));
+        let id = *self.context_ids.entry(key).or_insert(next);
+        if id == next {
+            self.contexts.push((key, None));
+        }
+        id
+    }
+
+    /// The key of an interned cut context.
+    pub(crate) fn context(&self, context: ContextId) -> ContextKey {
+        self.contexts[context.0 as usize].0
+    }
+
+    /// Looks up the label state computed under `context`, counting a hit
+    /// on success.
+    pub(crate) fn lookup_cut(&mut self, context: ContextId) -> Option<LabelId> {
+        let found = self.contexts[context.0 as usize].1;
+        if found.is_some() {
+            self.hits += 1;
+        }
+        found
+    }
+
+    /// Records `label` as the state computed under `context`, counting a
+    /// miss.
+    pub(crate) fn store_cut(&mut self, context: ContextId, label: LabelId) {
+        self.misses += 1;
+        self.contexts[context.0 as usize].1 = Some(label);
+    }
+}
+
+/// A read view of label states: what matching and reduction look up.
+#[derive(Clone, Copy)]
+pub(crate) struct Labels<'a> {
+    entries: &'a [Option<Entry>],
+    records: &'a [Record],
+    n_nts: usize,
+}
+
+impl<'a> Labels<'a> {
+    /// The entry of `label` for `nt`.
+    pub(crate) fn entry(self, label: LabelId, nt: NonTermId) -> Option<Entry> {
+        self.entries[label.0 as usize * self.n_nts + nt.index()]
+    }
+
+    /// The best cost of deriving `label`'s node to `nt`, if derivable.
+    pub(crate) fn cost(self, label: LabelId, nt: NonTermId) -> Option<Cost> {
+        self.entry(label, nt).map(|e| e.cost)
+    }
+
+    /// The interned node `label` belongs to.
+    pub(crate) fn node(self, label: LabelId) -> TreeId {
+        self.records[label.0 as usize].node
+    }
+
+    /// The labels of the node's children, in order.
+    pub(crate) fn children(self, label: LabelId) -> impl Iterator<Item = LabelId> + 'a {
+        self.records[label.0 as usize].kids.into_iter().flatten()
     }
 }

@@ -27,6 +27,6 @@ pub mod cover;
 pub mod label;
 pub mod matcher;
 
-pub use cover::{Cover, CoverNode, Operand, SHARED_RULE};
-pub use label::{Entry, LabelCache, Labeled, LabeledNode};
+pub use cover::{Cover, CoverBuf, CoverNode, FlatOperand, Operand, SHARED_RULE};
+pub use label::{Entry, LabelCache, LabelId, Labeled};
 pub use matcher::{best_candidate, CutSet, Matcher, Tables};

@@ -7,8 +7,8 @@ use record_ir::{Op, Tree, TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 use record_trace::codec;
 
-use crate::cover::{Cover, CoverNode, Operand, SHARED_RULE};
-use crate::label::{CutContext, Entry, LabelCache, Labeled, LabeledNode};
+use crate::cover::{Cover, CoverBuf, CoverNode, FlatOperand, Operand, SHARED_RULE};
+use crate::label::{ContextId, ContextKey, Entry, LabelCache, LabelId, Labeled, Labels};
 
 /// The cut set for DAG covering: interned subtrees whose value is
 /// computed once per block and parked in a register. Each cut maps the
@@ -17,10 +17,10 @@ use crate::label::{CutContext, Entry, LabelCache, Labeled, LabeledNode};
 /// Labelling under a cut set seeds a zero-cost [`SHARED_RULE`] entry at
 /// every cut node *before* chain closure, so consumers reach the parked
 /// value through the grammar's ordinary move chains. A node's label under
-/// a cut set depends only on the cuts inside its subtree (its
-/// [`CutContext`]), so one long-lived [`LabelCache`] serves every cut set:
-/// each label is memoized under that context, and cut-free subtrees share
-/// the plain entries.
+/// a cut set depends only on the cuts inside its subtree (its cut
+/// context), so one long-lived [`LabelCache`] serves every cut set: each
+/// label is memoized under that context, and cut-free subtrees share the
+/// plain entries.
 pub type CutSet = HashMap<TreeId, (usize, NonTermId)>;
 
 /// The generated matcher tables for one target grammar: pattern rules
@@ -235,24 +235,7 @@ impl<'t> Matcher<'t> {
         }
 
         // 2. chain-rule closure to a fixpoint
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for rule_id in &self.tables.chains {
-                let rule = self.target.rule(*rule_id);
-                let src = match &rule.rhs {
-                    Rhs::Chain(nt) => *nt,
-                    Rhs::Pat(PatNode::Nt(nt)) => *nt,
-                    _ => unreachable!("indexed as chain"),
-                };
-                if let Some(e) = entries[src.index()] {
-                    let total = e.cost.add(rule.cost);
-                    if improve(&mut entries, rule.lhs, total, *rule_id) {
-                        changed = true;
-                    }
-                }
-            }
-        }
+        self.close_chains(&mut entries);
 
         Labeled { tree, children, entries }
     }
@@ -404,17 +387,14 @@ impl<'t> Matcher<'t> {
     // -----------------------------------------------------------------
 
     /// Interned counterpart of [`label`](Matcher::label): labels `id`
-    /// bottom-up, answering every already-seen subtree from `cache`.
+    /// bottom-up, answering every already-seen subtree from `cache`, and
+    /// returns the label state of `id`.
     ///
     /// Label state is context-free, so memoization is exact — the entries
     /// equal what [`label`](Matcher::label) computes on the extracted
     /// boxed tree. The cache must be used with one pool and one grammar.
-    pub fn label_interned(
-        &self,
-        pool: &TreePool,
-        id: TreeId,
-        cache: &mut LabelCache,
-    ) -> Arc<LabeledNode> {
+    pub fn label_interned(&self, pool: &TreePool, id: TreeId, cache: &mut LabelCache) -> LabelId {
+        cache.bind(self.tables.n_nts);
         self.label_interned_impl(pool, id, cache, None)
     }
 
@@ -426,48 +406,54 @@ impl<'t> Matcher<'t> {
     /// the cost comparison weighs against the share.
     ///
     /// `cache` is the same long-lived cache plain labelling uses: every
-    /// node is memoized under its [`CutContext`], and a subtree without
-    /// cuts is answered from (or added to) the plain entries.
+    /// node with a cut inside is memoized under its interned cut context
+    /// (the cuts inside its subtree), and a subtree without cuts is
+    /// answered from (or added to) the plain states.
     pub fn label_interned_cut(
         &self,
         pool: &TreePool,
         id: TreeId,
         cache: &mut LabelCache,
         cuts: &CutSet,
-    ) -> Arc<LabeledNode> {
-        let mut contexts = HashMap::new();
-        if let Some(&first) = cuts.keys().min() {
-            cut_contexts(pool, id, cuts, first, &mut contexts);
-        }
-        self.label_interned_impl(pool, id, cache, Some((cuts, &contexts)))
+    ) -> LabelId {
+        cache.bind(self.tables.n_nts);
+        let context =
+            cuts.keys().min().and_then(|&first| cut_context(pool, id, cuts, first, cache));
+        self.label_interned_impl(pool, id, cache, context)
     }
 
-    /// Labels `id`; with `cuts`, nodes listed in its context map are
-    /// labelled under their cuts (every other node is cut-free).
+    /// Labels `id`; under a cut `context` every node with a cut inside is
+    /// labelled under its own context (every other node is cut-free).
     fn label_interned_impl(
         &self,
         pool: &TreePool,
         id: TreeId,
         cache: &mut LabelCache,
-        cuts: Option<(&CutSet, &HashMap<TreeId, CutContext>)>,
-    ) -> Arc<LabeledNode> {
-        let context = cuts.and_then(|(_, contexts)| contexts.get(&id));
-        // below a cut-free node every node is cut-free: label plainly
-        let cuts = context.and(cuts);
+        context: Option<ContextId>,
+    ) -> LabelId {
         let hit = match context {
-            Some(context) => cache.lookup_cut(id, context),
+            Some(context) => cache.lookup_cut(context),
             None => cache.lookup(id),
         };
         if let Some(hit) = hit {
             return hit;
         }
-        let mut label = |c| self.label_interned_impl(pool, c, cache, cuts);
-        let children: Vec<Arc<LabeledNode>> = match *pool.node(id) {
-            TreeNode::Bin(_, a, b) => vec![label(a), label(b)],
-            TreeNode::Un(_, a) => vec![label(a)],
-            TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => Vec::new(),
+        // below a cut-free node every node is cut-free: label plainly
+        let (parked, inner) = match context {
+            Some(context) => {
+                let key = cache.context(context);
+                (key.parked, key.kids)
+            }
+            None => (None, [None, None]),
         };
-        let mut entries: Vec<Option<Entry>> = vec![None; self.tables.n_nts];
+        let mut label = |c, context| Some(self.label_interned_impl(pool, c, cache, context));
+        let kids = match *pool.node(id) {
+            TreeNode::Bin(_, a, b) => [label(a, inner[0]), label(b, inner[1])],
+            TreeNode::Un(_, a) => [label(a, inner[0]), None],
+            TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => [None, None],
+        };
+        let label = cache.push(id, kids);
+        let (labels, entries) = cache.split_last();
 
         // 1. structural pattern rules rooted at this operator
         for rule_id in &self.tables.rules_by_op[pool.op(id).index()] {
@@ -476,19 +462,30 @@ impl<'t> Matcher<'t> {
                 Rhs::Pat(p) => p,
                 Rhs::Chain(_) => unreachable!("indexed as pattern"),
             };
-            if let Some(cost) = self.match_cost_interned(pat, pool, id, &children, rule.pred) {
+            if let Some(cost) = self.match_cost_interned(pat, pool, id, &kids, labels, rule.pred) {
                 let total = cost.add(rule.cost);
-                improve(&mut entries, rule.lhs, total, *rule_id);
+                improve(entries, rule.lhs, total, *rule_id);
             }
         }
 
         // 1b. a cut node's value is already parked: free at its
         // nonterminal, before chains so moves out of it close normally
-        if let Some((_, nt)) = cuts.and_then(|(c, _)| c.get(&id)) {
-            improve(&mut entries, *nt, Cost::zero(), SHARED_RULE);
+        if let Some(nt) = parked {
+            improve(entries, nt, Cost::zero(), SHARED_RULE);
         }
 
         // 2. chain-rule closure to a fixpoint
+        self.close_chains(entries);
+
+        match context {
+            Some(context) => cache.store_cut(context, label),
+            None => cache.store(id, label),
+        }
+        label
+    }
+
+    /// Closes `entries` over the chain rules, to a fixpoint.
+    fn close_chains(&self, entries: &mut [Option<Entry>]) {
         let mut changed = true;
         while changed {
             changed = false;
@@ -501,19 +498,12 @@ impl<'t> Matcher<'t> {
                 };
                 if let Some(e) = entries[src.index()] {
                     let total = e.cost.add(rule.cost);
-                    if improve(&mut entries, rule.lhs, total, *rule_id) {
+                    if improve(entries, rule.lhs, total, *rule_id) {
                         changed = true;
                     }
                 }
             }
         }
-
-        let node = Arc::new(LabeledNode { id, children, entries });
-        match context {
-            Some(context) => cache.store_cut(id, context.clone(), node.clone()),
-            None => cache.store(id, node.clone()),
-        }
-        node
     }
 
     fn match_cost_interned(
@@ -521,7 +511,8 @@ impl<'t> Matcher<'t> {
         pat: &PatNode,
         pool: &TreePool,
         id: TreeId,
-        children: &[Arc<LabeledNode>],
+        kids: &[Option<LabelId>; 2],
+        labels: Labels<'_>,
         pred: Option<Predicate>,
     ) -> Option<Cost> {
         // the predicate only ever reads the first constant the pattern
@@ -538,8 +529,8 @@ impl<'t> Matcher<'t> {
             first_const = Some(*v);
         }
         let mut cost = Cost::zero();
-        for (pc, nc) in pat_children.iter().zip(children.iter()) {
-            cost = cost.add(self.match_rec_interned(pc, pool, nc, &mut first_const)?);
+        for (pc, &nc) in pat_children.iter().zip(kids.iter().flatten()) {
+            cost = cost.add(self.match_rec_interned(pc, pool, nc, labels, &mut first_const)?);
         }
         if let Some(p) = pred {
             if !p.check_const(first_const?) {
@@ -553,35 +544,42 @@ impl<'t> Matcher<'t> {
         &self,
         pat: &PatNode,
         pool: &TreePool,
-        node: &LabeledNode,
+        label: LabelId,
+        labels: Labels<'_>,
         first_const: &mut Option<i64>,
     ) -> Option<Cost> {
         match pat {
-            PatNode::Nt(nt) => node.cost(*nt),
+            PatNode::Nt(nt) => labels.cost(label, *nt),
             PatNode::Op(op, children) => {
-                if pool.op(node.id) != *op {
+                let node = labels.node(label);
+                if pool.op(node) != *op {
                     return None;
                 }
-                if let TreeNode::Const(v) = pool.node(node.id) {
+                if let TreeNode::Const(v) = pool.node(node) {
                     first_const.get_or_insert(*v);
                 }
                 let mut total = Cost::zero();
-                for (pc, nc) in children.iter().zip(node.children.iter()) {
-                    total = total.add(self.match_rec_interned(pc, pool, nc, first_const)?);
+                for (pc, nc) in children.iter().zip(labels.children(label)) {
+                    total =
+                        total.add(self.match_rec_interned(pc, pool, nc, labels, first_const)?);
                 }
                 Some(total)
             }
         }
     }
 
-    /// Interned counterpart of [`reduce`](Matcher::reduce).
+    /// Interned counterpart of [`reduce`](Matcher::reduce): the cover of
+    /// `label` (a state in `cache`) for `goal`.
     pub fn reduce_interned(
         &self,
         pool: &TreePool,
-        labeled: &LabeledNode,
+        cache: &LabelCache,
+        label: LabelId,
         goal: NonTermId,
     ) -> Option<CoverNode> {
-        self.reduce_interned_impl(pool, labeled, goal, None)
+        let mut buf = CoverBuf::default();
+        let root = self.reduce_into(pool, cache, label, goal, None, &mut buf)?;
+        Some(buf.to_tree(root))
     }
 
     /// Reduces labels computed by
@@ -591,71 +589,103 @@ impl<'t> Matcher<'t> {
     pub fn reduce_interned_cut(
         &self,
         pool: &TreePool,
-        labeled: &LabeledNode,
+        cache: &LabelCache,
+        label: LabelId,
         goal: NonTermId,
         cuts: &CutSet,
     ) -> Option<CoverNode> {
-        self.reduce_interned_impl(pool, labeled, goal, Some(cuts))
+        let mut buf = CoverBuf::default();
+        let root = self.reduce_into(pool, cache, label, goal, Some(cuts), &mut buf)?;
+        Some(buf.to_tree(root))
     }
 
-    fn reduce_interned_impl(
+    /// Reduces `label` for `goal` into `buf` — under `cuts` when the
+    /// label was computed under them — and returns the cover's root node.
+    /// On `None` (not derivable) `buf` may hold part of a cover.
+    pub fn reduce_into(
         &self,
         pool: &TreePool,
-        labeled: &LabeledNode,
+        cache: &LabelCache,
+        label: LabelId,
         goal: NonTermId,
         cuts: Option<&CutSet>,
-    ) -> Option<CoverNode> {
-        let entry = labeled.entries[goal.index()]?;
+        buf: &mut CoverBuf,
+    ) -> Option<usize> {
+        self.reduce_flat(pool, cache.labels(), label, goal, cuts, buf)
+    }
+
+    fn reduce_flat(
+        &self,
+        pool: &TreePool,
+        labels: Labels<'_>,
+        label: LabelId,
+        goal: NonTermId,
+        cuts: Option<&CutSet>,
+        buf: &mut CoverBuf,
+    ) -> Option<usize> {
+        let entry = labels.entry(label, goal)?;
         if entry.rule == SHARED_RULE {
-            let (slot, nt) = *cuts.expect("shared entry without a cut set").get(&labeled.id)?;
+            let cuts = cuts.expect("shared entry without a cut set");
+            let (slot, nt) = *cuts.get(&labels.node(label))?;
             debug_assert_eq!(nt, goal, "shared entries live at the parked nonterminal");
-            return Some(CoverNode {
-                rule: SHARED_RULE,
-                operands: vec![Operand::Shared { slot, nt }],
-            });
+            let (node, at) = buf.push_node(SHARED_RULE, 1);
+            buf.set_operand(at, FlatOperand::Shared { slot, nt });
+            return Some(node);
         }
         let rule = self.target.rule(entry.rule);
         match &rule.rhs {
             Rhs::Chain(src) | Rhs::Pat(PatNode::Nt(src)) => {
-                let inner = self.reduce_interned_impl(pool, labeled, *src, cuts)?;
-                Some(CoverNode { rule: entry.rule, operands: vec![Operand::Derived(inner)] })
+                let (node, at) = buf.push_node(entry.rule, 1);
+                let inner = self.reduce_flat(pool, labels, label, *src, cuts, buf)?;
+                buf.set_operand(at, FlatOperand::Derived(inner));
+                Some(node)
             }
             Rhs::Pat(pat) => {
-                let mut operands = Vec::new();
-                self.reduce_pattern_interned(pat, pool, labeled, &mut operands, cuts)?;
-                Some(CoverNode { rule: entry.rule, operands })
+                let (node, mut at) = buf.push_node(entry.rule, operand_count(pat));
+                self.reduce_pattern_flat(pat, pool, labels, label, &mut at, cuts, buf)?;
+                Some(node)
             }
         }
     }
 
-    fn reduce_pattern_interned(
+    /// Fills the operand slots from `at` on with the bindings of `pat`
+    /// matched at `label`'s node, in pre-order.
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_pattern_flat(
         &self,
         pat: &PatNode,
         pool: &TreePool,
-        node: &LabeledNode,
-        operands: &mut Vec<Operand>,
+        labels: Labels<'_>,
+        label: LabelId,
+        at: &mut usize,
         cuts: Option<&CutSet>,
+        buf: &mut CoverBuf,
     ) -> Option<()> {
         match pat {
             PatNode::Nt(nt) => {
-                let child = self.reduce_interned_impl(pool, node, *nt, cuts)?;
-                operands.push(Operand::Derived(child));
-                Some(())
+                let child = self.reduce_flat(pool, labels, label, *nt, cuts, buf)?;
+                buf.set_operand(*at, FlatOperand::Derived(child));
+                *at += 1;
             }
             PatNode::Op(op, children) => {
-                debug_assert_eq!(pool.op(node.id), *op, "reduce follows the label");
-                match pool.node(node.id) {
-                    TreeNode::Const(v) => operands.push(Operand::Const(*v)),
-                    TreeNode::Mem(m) => operands.push(Operand::Mem(m.clone())),
-                    TreeNode::Temp(t) => operands.push(Operand::Temp(t.clone())),
-                    _ => {}
+                let node = labels.node(label);
+                debug_assert_eq!(pool.op(node), *op, "reduce follows the label");
+                let bound = match pool.node(node) {
+                    TreeNode::Const(v) => Some(FlatOperand::Const(*v)),
+                    TreeNode::Mem(m) => Some(FlatOperand::Mem(m.clone())),
+                    TreeNode::Temp(t) => Some(FlatOperand::Temp(t.clone())),
+                    TreeNode::Bin(..) | TreeNode::Un(..) => None,
+                };
+                if let Some(bound) = bound {
+                    buf.set_operand(*at, bound);
+                    *at += 1;
                 }
-                for (pc, nc) in children.iter().zip(node.children.iter()) {
-                    self.reduce_pattern_interned(pc, pool, nc, operands, cuts)?;
+                for (pc, nc) in children.iter().zip(labels.children(label)) {
+                    self.reduce_pattern_flat(pc, pool, labels, nc, at, cuts, buf)?;
                 }
-                Some(())
             }
         }
+        Some(())
     }
 
     /// Interned counterpart of [`cover`](Matcher::cover).
@@ -666,9 +696,9 @@ impl<'t> Matcher<'t> {
         cache: &mut LabelCache,
         goal: NonTermId,
     ) -> Option<Cover> {
-        let labeled = self.label_interned(pool, id, cache);
-        let cost = labeled.cost(goal)?;
-        let root = self.reduce_interned(pool, &labeled, goal)?;
+        let label = self.label_interned(pool, id, cache);
+        let cost = cache.cost(label, goal)?;
+        let root = self.reduce_interned(pool, cache, label, goal)?;
         Some(Cover { root, cost })
     }
 
@@ -681,9 +711,9 @@ impl<'t> Matcher<'t> {
         goal: NonTermId,
         cuts: &CutSet,
     ) -> Option<Cover> {
-        let labeled = self.label_interned_cut(pool, id, cache, cuts);
-        let cost = labeled.cost(goal)?;
-        let root = self.reduce_interned_cut(pool, &labeled, goal, cuts)?;
+        let label = self.label_interned_cut(pool, id, cache, cuts);
+        let cost = cache.cost(label, goal)?;
+        let root = self.reduce_interned_cut(pool, cache, label, goal, cuts)?;
         Some(Cover { root, cost })
     }
 
@@ -722,31 +752,33 @@ impl<'t> Matcher<'t> {
         candidates: &[(NonTermId, Cost)],
         cuts: Option<&CutSet>,
     ) -> Option<(NonTermId, Cover)> {
-        let labeled = match cuts {
+        let label = match cuts {
             Some(cuts) => self.label_interned_cut(pool, id, cache, cuts),
             None => self.label_interned(pool, id, cache),
         };
-        let (nt, derive_cost) = best_candidate(&labeled, candidates)?;
-        let root = self.reduce_interned_impl(pool, &labeled, nt, cuts)?;
-        Some((nt, Cover { root, cost: derive_cost }))
+        let (nt, derive_cost) = best_candidate(cache.entries(label), candidates)?;
+        let mut buf = CoverBuf::default();
+        let root = self.reduce_into(pool, cache, label, nt, cuts, &mut buf)?;
+        Some((nt, Cover { root: buf.to_tree(root), cost: derive_cost }))
     }
 }
 
 /// The cheapest of `candidates` — `(nonterminal, extra cost)` pairs, the
-/// extra being the store that follows — that `labeled` derives to, as
-/// `(nonterminal, derivation cost)`. Ties go to the earlier candidate
-/// (strict improvement), as in [`Matcher::best_cover`].
+/// extra being the store that follows — that a node with the label
+/// `entries` derives to, as `(nonterminal, derivation cost)`. Ties go to
+/// the earlier candidate (strict improvement), as in
+/// [`Matcher::best_cover`].
 ///
 /// Reads the label only: a caller that just compares weights never pays
 /// for a reduction, and one that does reduce gets the same cover
 /// [`Matcher::best_cover_interned`] would have built.
 pub fn best_candidate(
-    labeled: &LabeledNode,
+    entries: &[Option<Entry>],
     candidates: &[(NonTermId, Cost)],
 ) -> Option<(NonTermId, Cost)> {
     let mut best: Option<(NonTermId, Cost, u64)> = None; // (nt, derive, total weight)
     for (nt, extra) in candidates {
-        if let Some(c) = labeled.cost(*nt) {
+        if let Some(c) = entries[nt.index()].map(|e| e.cost) {
             let total = c.add(*extra).weight();
             if best.map_or(true, |(_, _, bt)| total < bt) {
                 best = Some((*nt, c, total));
@@ -756,32 +788,43 @@ pub fn best_candidate(
     best.map(|(nt, c, _)| (nt, c))
 }
 
-/// Records in `contexts` the [`CutContext`] of `id` and of every node below
-/// it whose subtree holds a cut; cut-free nodes get no entry. `first` is
-/// the smallest cut id: pool ids grow from children to parents, so a node
-/// with a smaller id has no cut inside.
-fn cut_contexts(
+/// The number of operands a reduction binds for `pat`: one per
+/// nonterminal leaf and one per leaf operator (constant, memory or
+/// temporary), in pre-order.
+fn operand_count(pat: &PatNode) -> usize {
+    match pat {
+        PatNode::Nt(_) => 1,
+        PatNode::Op(op, children) => {
+            usize::from(op.is_leaf()) + children.iter().map(operand_count).sum::<usize>()
+        }
+    }
+}
+
+/// The interned cut context of `id` under `cuts`, or `None` when its
+/// subtree holds no cut. `first` is the smallest cut id: pool ids grow
+/// from children to parents, so a node with a smaller id has no cut
+/// inside.
+fn cut_context(
     pool: &TreePool,
     id: TreeId,
     cuts: &CutSet,
     first: TreeId,
-    contexts: &mut HashMap<TreeId, CutContext>,
-) {
-    if id < first || contexts.contains_key(&id) {
-        return;
+    cache: &mut LabelCache,
+) -> Option<ContextId> {
+    if id < first {
+        return None;
     }
-    let mut context: CutContext = cuts.get(&id).map(|&(_, nt)| (id, nt)).into_iter().collect();
-    for child in pool.node(id).children() {
-        cut_contexts(pool, child, cuts, first, contexts);
-        if let Some(inner) = contexts.get(&child) {
-            context.extend_from_slice(inner);
-        }
+    let parked = cuts.get(&id).map(|&(_, nt)| nt);
+    let mut inner = |c| cut_context(pool, c, cuts, first, cache);
+    let kids = match *pool.node(id) {
+        TreeNode::Bin(_, a, b) => [inner(a), inner(b)],
+        TreeNode::Un(_, a) => [inner(a), None],
+        TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => [None, None],
+    };
+    if parked.is_none() && kids == [None, None] {
+        return None;
     }
-    if !context.is_empty() {
-        context.sort_unstable();
-        context.dedup();
-        contexts.insert(id, context);
-    }
+    Some(cache.intern_context(ContextKey { node: id, parked, kids }))
 }
 
 fn improve(entries: &mut [Option<Entry>], nt: NonTermId, cost: Cost, rule: RuleId) -> bool {
@@ -795,6 +838,9 @@ fn improve(entries: &mut [Option<Entry>], nt: NonTermId, cost: Cost, rule: RuleI
     }
     better
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1123,7 +1169,7 @@ mod tests {
 
         let mut cache = LabelCache::new();
         let labeled = m.label_interned_cut(&pool, sub_id, &mut cache, &cuts);
-        let e = labeled.entries[reg.index()].unwrap();
+        let e = cache.entries(labeled)[reg.index()].unwrap();
         assert_eq!(e.rule, SHARED_RULE);
         assert_eq!(e.cost.weight(), 0);
 
@@ -1160,14 +1206,14 @@ mod tests {
         cuts.insert(id, (0, x));
         let mut cache = LabelCache::new();
         let labeled = m.label_interned_cut(&pool, id, &mut cache, &cuts);
-        let free = labeled.entries[x.index()].unwrap();
+        let free = cache.entries(labeled)[x.index()].unwrap();
         assert_eq!(free.rule, SHARED_RULE);
-        let via_chain = labeled.entries[a.index()].unwrap();
+        let via_chain = cache.entries(labeled)[a.index()].unwrap();
         assert!(via_chain.cost.weight() > 0, "reaching a costs a move");
         let mut plain = LabelCache::new();
         let uncut = m.label_interned(&pool, id, &mut plain);
         assert!(
-            via_chain.cost.weight() <= uncut.entries[a.index()].unwrap().cost.weight(),
+            via_chain.cost.weight() <= plain.entries(uncut)[a.index()].unwrap().cost.weight(),
             "the parked value is never worse than recomputing"
         );
     }

@@ -427,6 +427,7 @@ impl PassPlan {
                 }));
             }
         }
+        timings.passes.reserve(self.passes.len());
         // nothing touches the code between two passes, so each pass's
         // `after` snapshot is the next one's `before`
         let mut before = CodeStats::of(&unit.code);
@@ -714,6 +715,7 @@ impl Pass for SelectPass {
             &body,
             target,
             &mut emitter,
+            &mut Vec::new(),
             &mut insns,
             &mut stats,
             &budget,
@@ -742,12 +744,15 @@ impl Pass for SelectPass {
 }
 
 impl SelectPass {
+    /// Emits `items`, gathering each straight-line run of assignments in
+    /// `block` (borrowed, empty between runs) before covering it.
     #[allow(clippy::too_many_arguments)]
-    fn emit_rec(
+    fn emit_rec<'a>(
         &self,
-        items: &[LirItem],
+        items: &'a [LirItem],
         target: &TargetDesc,
         emitter: &mut Emitter<'_>,
+        block: &mut Vec<&'a AssignStmt>,
         out: &mut Vec<Insn>,
         stats: &mut SelectStats,
         budget: &record_opt::SearchBudget,
@@ -756,12 +761,11 @@ impl SelectPass {
         // Consecutive assignments form a straight-line block; DAG
         // covering works across it, so gather runs and flush at loop
         // boundaries (the same block notion `treeify` uses).
-        let mut block: Vec<AssignStmt> = Vec::new();
         for item in items {
             match item {
-                LirItem::Assign(stmt) => block.push(stmt.clone()),
+                LirItem::Assign(stmt) => block.push(stmt),
                 LirItem::Loop { var, count, body } => {
-                    self.flush_block(&mut block, emitter, out, stats, budget, max_variants)?;
+                    self.flush_block(block, emitter, out, stats, budget, max_variants)?;
                     let init = target.loop_ctrl.init_cost;
                     out.push(Insn::ctrl(
                         InsnKind::LoopStart { var: var.clone(), count: *count },
@@ -769,13 +773,13 @@ impl SelectPass {
                         init.words,
                         init.cycles,
                     ));
-                    self.emit_rec(body, target, emitter, out, stats, budget, max_variants)?;
+                    self.emit_rec(body, target, emitter, block, out, stats, budget, max_variants)?;
                     let end = target.loop_ctrl.end_cost;
                     out.push(Insn::ctrl(InsnKind::LoopEnd, "ENDLP", end.words, end.cycles));
                 }
             }
         }
-        self.flush_block(&mut block, emitter, out, stats, budget, max_variants)
+        self.flush_block(block, emitter, out, stats, budget, max_variants)
     }
 
     /// Emits a gathered straight-line block: as one DAG cover when the
@@ -784,7 +788,7 @@ impl SelectPass {
     /// on the legacy path), otherwise statement by statement.
     fn flush_block(
         &self,
-        block: &mut Vec<AssignStmt>,
+        block: &mut Vec<&AssignStmt>,
         emitter: &mut Emitter<'_>,
         out: &mut Vec<Insn>,
         stats: &mut SelectStats,
@@ -799,12 +803,11 @@ impl SelectPass {
             resource: resource.to_string(),
         };
         if self.dag_cover && !self.reference && max_variants.is_none() {
-            let stmts = std::mem::take(block);
-            let (insns, one) =
-                emitter.emit_block(&stmts, &self.rules, self.variant_limit, false)?;
+            let one =
+                emitter.emit_block_into(block, &self.rules, self.variant_limit, false, out)?;
             stats.absorb(&one);
-            stats.statements += stmts.len() as u64;
-            out.extend(insns);
+            stats.statements += block.len() as u64;
+            block.clear();
             budget.charge(one.variants.max(1)).map_err(|e| exceeded(e.resource))?;
             return Ok(());
         }
@@ -820,10 +823,9 @@ impl SelectPass {
                 }
                 None => self.variant_limit,
             };
-            let (insns, one) = emitter.emit_assign(&stmt, &self.rules, limit, false)?;
+            let one = emitter.emit_assign_into(stmt, &self.rules, limit, false, out)?;
             stats.absorb(&one);
             stats.statements += 1;
-            out.extend(insns);
             // one statement per charge: enough granularity for the
             // per-pass deadline without touching the clock inside
             // variant enumeration

@@ -16,15 +16,15 @@
 //! register sets: the BURS nonterminals already decided which class each
 //! value lives in; the emitter only picks member indices.
 
-use std::collections::BTreeMap;
+use std::borrow::{Borrow, Cow};
 use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use record_burg::{
-    best_candidate, Cover, CoverNode, CutSet, LabelCache, Matcher, Operand, Tables, SHARED_RULE,
+    best_candidate, Cover, CoverBuf, CutSet, FlatOperand, LabelCache, Matcher, Tables, SHARED_RULE,
 };
 use record_ir::transform::{variants, RuleSet, VariantStream};
-use record_ir::{fold, AssignStmt, BlockDag, Symbol, Tree, TreePool};
+use record_ir::{fold, AssignStmt, BlockDag, DagScratch, Symbol, Tree, TreePool};
 use record_isa::{
     Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, Rule, SemExpr,
     TargetDesc,
@@ -136,9 +136,14 @@ pub struct Emitter<'t> {
     /// Memoized label states keyed by interned tree id (one grammar, one
     /// pool — both fixed for this emitter's lifetime).
     label_cache: LabelCache,
+    /// The variant stream, restarted for every statement.
+    stream: VariantStream,
     /// Store candidates, hoisted out of the per-statement loop: the
     /// target's store rules are immutable for the emitter's lifetime.
     candidates: Vec<(NonTermId, Cost)>,
+    /// Parking spots for block-shared values: the multi-member register
+    /// nonterminals, with their class sizes.
+    park_nts: Vec<(NonTermId, u16)>,
     /// Use the boxed (non-interned) selection path. Slower but
     /// independent of the interning machinery; the golden byte-
     /// equivalence test pins the two paths against each other.
@@ -166,11 +171,97 @@ pub struct Emitter<'t> {
     /// The machine every verification probe runs on, reset before each
     /// seed (see [`verify_statement`](Self::verify_statement)).
     probe: record_sim::Machine<'t>,
+    /// Working memory of selection, cleared between statements and
+    /// blocks and never shrunk.
+    buffers: Buffers,
     /// Every stage-C trial of [`emit_block`](Self::emit_block) as
     /// (statement root, trial cuts, label-only weight), so the tests can
     /// check each weight against a full reduction.
     #[cfg(test)]
     stage_c_trials: Vec<(record_ir::TreeId, CutSet, Option<u64>)>,
+}
+
+/// The emitter's working memory. Everything here is scratch: it is
+/// cleared before use, and what it holds between uses means nothing.
+#[derive(Default)]
+struct Buffers {
+    /// The cover being emitted: the incumbent of the variant search, or
+    /// a stage-D cover.
+    cover: CoverBuf,
+    /// Operand locations of the cover nodes being emitted, a stack with
+    /// one frame per node.
+    locs: Vec<Loc>,
+    /// The block's DAG and the working state that builds it.
+    dag: BlockDag,
+    dag_scratch: DagScratch,
+    /// Where each statement's baseline instructions end, relative to the
+    /// block's first instruction.
+    baseline_ends: Vec<usize>,
+    /// Each statement's best known weight during stage C.
+    current: Vec<u64>,
+    /// Accepted cuts as (candidate index, parked nonterminal).
+    accepted: Vec<(usize, NonTermId)>,
+    /// The stage-C trial cut set, and the cuts of a stage-D statement.
+    cuts: CutSet,
+    /// Per-use weights a parking choice improves, for the choice being
+    /// tried and for the best one so far.
+    improved: Vec<(usize, u64)>,
+    best_improved: Vec<(usize, u64)>,
+    /// The allocator state stage D restores when it falls back.
+    snapshot: AllocSnapshot,
+    /// Stage D's output, before it replaces the baseline.
+    cut_code: CutCode,
+    /// The baseline instructions, moved aside while stage D's output is
+    /// assembled.
+    baseline: Vec<Insn>,
+    /// The verification probe's program and tables.
+    probe: Probe,
+}
+
+/// The register and scratch-word allocator state.
+#[derive(Default)]
+struct AllocSnapshot {
+    reg_used: Vec<Vec<bool>>,
+    reg_cursor: Vec<u16>,
+    scratch_pool: Vec<Symbol>,
+    scratch_free: Vec<Symbol>,
+}
+
+/// A block emitted with DAG cuts, as runs in block order.
+#[derive(Default)]
+struct CutCode {
+    /// Every definition of a shared value, in emission order.
+    defs: Vec<Insn>,
+    /// The statements emitted anew (cut covers and re-emissions).
+    stmts: Vec<Insn>,
+    /// The block's code: runs of `defs`, runs of `stmts` and statements
+    /// kept from the baseline.
+    runs: Vec<Run>,
+}
+
+/// One run of [`CutCode`].
+#[derive(Clone, Copy)]
+enum Run {
+    /// The next `n` instructions of `defs`.
+    Defs(usize),
+    /// The next `n` instructions of `stmts`.
+    Stmts(usize),
+    /// Statement `s`'s baseline instructions.
+    Baseline(usize),
+}
+
+/// The verification probe: one program, rebuilt for every statement.
+#[derive(Default)]
+struct Probe {
+    code: record_isa::Code,
+    /// Every symbol the probe touches with its length in words, in
+    /// layout (symbol) order.
+    lens: Vec<(Symbol, i64)>,
+    index_vars: Vec<Symbol>,
+    /// Every probe word as (symbol in `lens`, element, address).
+    words: Vec<(usize, i64, u16)>,
+    /// The decoded program's vectors between probes.
+    decoded: record_sim::DecodeBuffers,
 }
 
 impl<'t> Emitter<'t> {
@@ -184,12 +275,28 @@ impl<'t> Emitter<'t> {
     pub fn with_tables(target: &'t TargetDesc, tables: Arc<Tables>) -> Self {
         let reg_used = target.reg_classes.iter().map(|c| vec![false; c.count as usize]).collect();
         let reg_cursor = vec![0u16; target.reg_classes.len()];
+        let park_nts = target
+            .nonterms
+            .iter()
+            .enumerate()
+            .filter_map(|(ix, nt)| match nt.kind {
+                NonTermKind::Reg(class) if !target.class(class).is_singleton() => {
+                    Some((NonTermId(ix as u16), target.class(class).count))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut buffers = Buffers::default();
+        buffers.probe.code.target = target.name.clone();
+        buffers.probe.code.name = "verify".into();
         Emitter {
             target,
             matcher: Matcher::with_tables(target, tables),
             pool: TreePool::new(),
             label_cache: LabelCache::new(),
+            stream: VariantStream::default(),
             candidates: target.stores.iter().map(|s| (s.nt, s.cost)).collect(),
+            park_nts,
             reference: false,
             step_cap: None,
             steps_used: 0,
@@ -200,6 +307,7 @@ impl<'t> Emitter<'t> {
             held: Vec::new(),
             shared_locs: Vec::new(),
             probe: record_sim::Machine::new(target),
+            buffers,
             #[cfg(test)]
             stage_c_trials: Vec::new(),
         }
@@ -256,18 +364,35 @@ impl<'t> Emitter<'t> {
         variant_limit: usize,
         fold_constants: bool,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
-        let mut total_stats = SelectStats::default();
         let mut out = Vec::new();
-        // Worklist of statements; a statement whose emitted code fails
-        // verification is split at an operand boundary and re-tried.
-        let mut work: Vec<AssignStmt> = vec![stmt.clone()];
-        while let Some(cur) = work.pop() {
-            let (insns, stats) = self.emit_one(&cur, rules, variant_limit, fold_constants)?;
+        let stats = self.emit_assign_into(stmt, rules, variant_limit, fold_constants, &mut out)?;
+        Ok((out, stats))
+    }
+
+    /// [`emit_assign`](Self::emit_assign), appending the instructions to
+    /// `out`. On an error, `out` may hold part of the statement's code.
+    pub(crate) fn emit_assign_into(
+        &mut self,
+        stmt: &AssignStmt,
+        rules: &RuleSet,
+        variant_limit: usize,
+        fold_constants: bool,
+        out: &mut Vec<Insn>,
+    ) -> Result<SelectStats, CompileError> {
+        let mut total_stats = SelectStats::default();
+        // The statement, then the halves of every split, last split
+        // first: a statement whose emitted code fails verification is
+        // split at an operand boundary and re-tried.
+        let mut next = Some(Cow::Borrowed(stmt));
+        let mut split: Vec<AssignStmt> = Vec::new();
+        while let Some(cur) = next.take().or_else(|| split.pop().map(Cow::Owned)) {
+            let start = out.len();
+            let stats = self.emit_one(&cur, rules, variant_limit, fold_constants, out)?;
             total_stats.absorb(&stats);
-            if self.verify_statement(&cur, &[], &insns) {
-                out.extend(insns);
+            if self.verify_statement(&cur, &mut Vec::new(), out, start) {
                 continue;
             }
+            out.truncate(start);
             // Clobber hazard: the cover routed two values through the same
             // special register in a conflicting order. Split one non-leaf
             // operand into an explicit memory temporary and retry — each
@@ -277,12 +402,12 @@ impl<'t> Emitter<'t> {
                     stmt: cur.to_string(),
                 }));
             };
-            // process `first` next, then re-attempt `second` (LIFO order)
-            work.push(second);
-            work.push(first);
+            // process `first` next, then re-attempt `second`
+            split.push(second);
+            next = Some(Cow::Owned(first));
         }
-        self.scratch_free = self.scratch_pool.clone();
-        Ok((out, total_stats))
+        self.scratch_free.clone_from(&self.scratch_pool);
+        Ok(total_stats)
     }
 
     /// Selects and emits a whole basic block as a DAG: soundly repeated
@@ -312,75 +437,109 @@ impl<'t> Emitter<'t> {
     /// Only multi-member register classes are eligible parking spots: a
     /// singleton class (accumulator-style machines) cannot hold a value
     /// across statements without being clobbered.
-    pub fn emit_block(
+    pub fn emit_block<S: Borrow<AssignStmt>>(
         &mut self,
-        stmts: &[AssignStmt],
+        stmts: &[S],
         rules: &RuleSet,
         variant_limit: usize,
         fold_constants: bool,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
+        let stmts: Vec<&AssignStmt> = stmts.iter().map(Borrow::borrow).collect();
+        let mut out = Vec::new();
+        let stats = self.emit_block_into(&stmts, rules, variant_limit, fold_constants, &mut out)?;
+        Ok((out, stats))
+    }
+
+    /// [`emit_block`](Self::emit_block), appending the instructions to
+    /// `out`. On an error, `out` may hold part of the block's code.
+    pub(crate) fn emit_block_into(
+        &mut self,
+        stmts: &[&AssignStmt],
+        rules: &RuleSet,
+        variant_limit: usize,
+        fold_constants: bool,
+        out: &mut Vec<Insn>,
+    ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
 
-        // Stage A: verified per-statement baseline (also the fallback).
-        let mut baseline: Vec<Vec<Insn>> = Vec::with_capacity(stmts.len());
+        // Stage A: verified per-statement baseline (also the fallback),
+        // emitted straight into `out`.
+        let start = out.len();
+        let mut ends = std::mem::take(&mut self.buffers.baseline_ends);
+        ends.clear();
         for stmt in stmts {
-            let (insns, s) = self.emit_assign(stmt, rules, variant_limit, fold_constants)?;
+            let s = self.emit_assign_into(stmt, rules, variant_limit, fold_constants, out)?;
             stats.absorb(&s);
-            baseline.push(insns);
+            ends.push(out.len() - start);
         }
-        let flatten = |b: Vec<Vec<Insn>>| b.into_iter().flatten().collect::<Vec<Insn>>();
 
         // Stage B: DAG analysis over the trees selection actually sees.
-        let analyzed: Vec<AssignStmt>;
-        let analyzed: &[AssignStmt] = if fold_constants {
-            analyzed = stmts
+        let folded: Vec<AssignStmt>;
+        let folded_refs: Vec<&AssignStmt>;
+        let analyzed: &[&AssignStmt] = if fold_constants {
+            let width = self.target.word_width;
+            folded = stmts
                 .iter()
-                .map(|s| AssignStmt {
-                    dst: s.dst.clone(),
-                    src: fold::fold(&s.src, self.target.word_width),
-                })
+                .map(|s| AssignStmt { dst: s.dst.clone(), src: fold::fold(&s.src, width) })
                 .collect();
-            &analyzed
+            folded_refs = folded.iter().collect();
+            &folded_refs
         } else {
             stmts
         };
         let pool_len0 = self.pool.len() as u64;
         let dedup0 = self.pool.dedup_hits();
-        let dag = BlockDag::build(&mut self.pool, analyzed);
+        let Buffers { dag, dag_scratch, .. } = &mut self.buffers;
+        dag.rebuild(&mut self.pool, analyzed, dag_scratch);
+        let dag = std::mem::take(dag);
         stats.interned_nodes += self.pool.len() as u64 - pool_len0;
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
-        if dag.shared.is_empty() {
-            return Ok((flatten(baseline), stats));
-        }
 
-        // Eligible parking spots: multi-member register classes.
-        let park_nts: Vec<(NonTermId, u16)> = self
-            .target
-            .nonterms
-            .iter()
-            .enumerate()
-            .filter_map(|(ix, nt)| match nt.kind {
-                NonTermKind::Reg(class) if !self.target.class(class).is_singleton() => {
-                    Some((NonTermId(ix as u16), self.target.class(class).count))
-                }
-                _ => None,
-            })
-            .collect();
-        if park_nts.is_empty() {
+        let baseline = Baseline { start, ends: &ends };
+        let limits = (rules, variant_limit, fold_constants);
+        let result = self.cover_block_dag(analyzed, &dag, baseline, limits, out);
+        self.buffers.dag = dag;
+        self.buffers.baseline_ends = ends;
+        stats.absorb(&result?);
+        Ok(stats)
+    }
+
+    /// Stages C and D of [`emit_block`](Self::emit_block) for a block
+    /// whose verified baseline is `out[baseline.start..]`: chooses the
+    /// cuts, and when any is accepted replaces the baseline with the cut
+    /// code if that verifies. Returns the stages' counters.
+    fn cover_block_dag(
+        &mut self,
+        stmts: &[&AssignStmt],
+        dag: &BlockDag,
+        baseline: Baseline<'_>,
+        limits: (&RuleSet, usize, bool),
+        out: &mut Vec<Insn>,
+    ) -> Result<SelectStats, CompileError> {
+        let mut stats = SelectStats::default();
+        if dag.shared.is_empty() {
+            return Ok(stats);
+        }
+        if self.park_nts.is_empty() {
             stats.recomputes_chosen += dag.shared.len() as u64;
-            return Ok((flatten(baseline), stats));
+            return Ok(stats);
         }
 
         // Stage C: greedy cut acceptance under the share-vs-recompute
         // cost model. `current[s]` is the statement's best known weight.
-        let mut current: Vec<u64> = baseline.iter().map(|b| insns_weight(b)).collect();
-        let mut accepted: Vec<(usize, NonTermId)> = Vec::new(); // (candidate ix, parked nt)
+        let mut current = std::mem::take(&mut self.buffers.current);
+        current.clear();
+        current.extend((0..stmts.len()).map(|s| insns_weight(baseline.stmt(out, s))));
+        let mut accepted = std::mem::take(&mut self.buffers.accepted);
+        accepted.clear();
+        let mut improved = std::mem::take(&mut self.buffers.improved);
+        let mut best_improved = std::mem::take(&mut self.buffers.best_improved);
         for (cand_ix, cand) in dag.shared.iter().enumerate() {
-            // best parking choice: (gain, nonterminal, per-use new weights)
-            type ParkChoice = (i128, NonTermId, Vec<(usize, u64)>);
-            let mut best: Option<ParkChoice> = None;
-            for &(nt, class_count) in &park_nts {
+            // best parking choice: (gain, nonterminal); its per-use new
+            // weights are in `best_improved`
+            let mut best: Option<(i128, NonTermId)> = None;
+            for &(nt, class_count) in &self.park_nts {
                 // leave at least one class member free for per-statement
                 // temporaries; fallback still guards the hard limit
                 let parked_here = accepted.iter().filter(|(_, n)| *n == nt).count();
@@ -389,27 +548,28 @@ impl<'t> Emitter<'t> {
                 }
                 // computing the value once into `nt`
                 let def_cost = count_labels(&mut self.label_cache, &mut stats, |cache| {
-                    self.matcher.label_interned(&self.pool, cand.id, cache).cost(nt)
+                    let label = self.matcher.label_interned(&self.pool, cand.id, cache);
+                    cache.cost(label, nt)
                 });
                 let Some(def_cost) = def_cost else { continue };
                 let mut gain: i128 = -i128::from(def_cost.weight());
-                let mut improved: Vec<(usize, u64)> = Vec::new();
+                improved.clear();
                 for &s in &cand.uses {
                     // trial cut set: this candidate plus every accepted cut
                     // that is sound in statement `s`
-                    let mut trial = cuts_for_stmt(&dag, &accepted, s);
+                    let trial = &mut self.buffers.cuts;
+                    fill_cuts(trial, dag, &accepted, s);
                     trial.insert(cand.id, (accepted.len(), nt));
                     // only the weight matters here: label, never reduce
                     let best = count_labels(&mut self.label_cache, &mut stats, |cache| {
                         let root = dag.roots[s];
-                        let labeled =
-                            self.matcher.label_interned_cut(&self.pool, root, cache, &trial);
-                        best_candidate(&labeled, &self.candidates)
+                        let label = self.matcher.label_interned_cut(&self.pool, root, cache, trial);
+                        best_candidate(cache.entries(label), &self.candidates)
                     });
                     let w = best
                         .map(|(store_nt, derive)| derive.add(self.store_cost(store_nt)).weight());
                     #[cfg(test)]
-                    self.stage_c_trials.push((dag.roots[s], trial.clone(), w));
+                    self.stage_c_trials.push((dag.roots[s], self.buffers.cuts.clone(), w));
                     if let Some(w) = w {
                         if w < current[s] {
                             gain += i128::from(current[s] - w);
@@ -419,15 +579,16 @@ impl<'t> Emitter<'t> {
                 }
                 let better = match &best {
                     None => gain > 0,
-                    Some((g, ..)) => gain > *g,
+                    Some((g, _)) => gain > *g,
                 };
                 if better {
-                    best = Some((gain, nt, improved));
+                    best = Some((gain, nt));
+                    std::mem::swap(&mut improved, &mut best_improved);
                 }
             }
             match best {
-                Some((_, nt, improved)) => {
-                    for (s, w) in improved {
+                Some((_, nt)) => {
+                    for &(s, w) in &best_improved {
                         current[s] = current[s].min(w);
                     }
                     accepted.push((cand_ix, nt));
@@ -435,131 +596,215 @@ impl<'t> Emitter<'t> {
                 None => stats.recomputes_chosen += 1,
             }
         }
+        self.buffers.current = current;
+        self.buffers.improved = improved;
+        self.buffers.best_improved = best_improved;
         if accepted.is_empty() {
-            return Ok((flatten(baseline), stats));
+            self.buffers.accepted = accepted;
+            return Ok(stats);
         }
 
         // Stage D: emit with cuts, falling back to the verified baseline
         // on any failure (allocator state is snapshotted around the try).
-        let snap_used = self.reg_used.clone();
-        let snap_cursor = self.reg_cursor.clone();
-        let snap_pool = self.scratch_pool.clone();
-        let snap_free = self.scratch_free.clone();
+        self.snapshot_allocators();
+        let mut code = std::mem::take(&mut self.buffers.cut_code);
+        code.defs.clear();
+        code.stmts.clear();
+        code.runs.clear();
         let attempt = self.emit_block_cuts(
-            analyzed,
-            &dag,
+            stmts,
+            dag,
             &accepted,
-            &baseline,
-            rules,
-            variant_limit,
-            fold_constants,
+            (baseline, out.as_slice()),
+            limits,
+            &mut code,
             &mut stats,
         );
         self.release_held();
         match attempt {
-            Ok(Some(out)) => {
+            Ok(true) => {
                 stats.shares_taken += accepted.len() as u64;
-                Ok((out, stats))
+                self.replace_baseline(baseline, &mut code, out);
             }
-            Ok(None) | Err(_) => {
-                self.reg_used = snap_used;
-                self.reg_cursor = snap_cursor;
-                self.scratch_pool = snap_pool;
-                self.scratch_free = snap_free;
+            Ok(false) | Err(_) => {
+                self.restore_allocators();
                 stats.recomputes_chosen += accepted.len() as u64;
-                Ok((flatten(baseline), stats))
             }
         }
+        self.buffers.cut_code = code;
+        self.buffers.accepted = accepted;
+        Ok(stats)
+    }
+
+    /// Replaces the baseline `out[baseline.start..]` with the block's cut
+    /// code, moving every instruction into place.
+    fn replace_baseline(
+        &mut self,
+        baseline: Baseline<'_>,
+        code: &mut CutCode,
+        out: &mut Vec<Insn>,
+    ) {
+        let moved = &mut self.buffers.baseline;
+        moved.clear();
+        moved.extend(out.drain(baseline.start..));
+        let (mut defs, mut stmts) = (code.defs.drain(..), code.stmts.drain(..));
+        let mut kept = moved.drain(..);
+        let mut at = 0;
+        for &run in &code.runs {
+            match run {
+                Run::Defs(n) => out.extend(defs.by_ref().take(n)),
+                Run::Stmts(n) => out.extend(stmts.by_ref().take(n)),
+                Run::Baseline(s) => {
+                    let from = baseline.begin(s);
+                    kept.by_ref().take(from - at).for_each(drop);
+                    out.extend(kept.by_ref().take(baseline.ends[s] - from));
+                    at = baseline.ends[s];
+                }
+            }
+        }
+    }
+
+    /// Copies the register and scratch-word allocator state aside.
+    fn snapshot_allocators(&mut self) {
+        let snap = &mut self.buffers.snapshot;
+        snap.reg_used.clone_from(&self.reg_used);
+        snap.reg_cursor.clone_from(&self.reg_cursor);
+        snap.scratch_pool.clone_from(&self.scratch_pool);
+        snap.scratch_free.clone_from(&self.scratch_free);
+    }
+
+    /// Restores the allocator state [`snapshot_allocators`]
+    /// (Self::snapshot_allocators) set aside.
+    fn restore_allocators(&mut self) {
+        let snap = &self.buffers.snapshot;
+        self.reg_used.clone_from(&snap.reg_used);
+        self.reg_cursor.clone_from(&snap.reg_cursor);
+        self.scratch_pool.clone_from(&snap.scratch_pool);
+        self.scratch_free.clone_from(&snap.scratch_free);
     }
 
     /// The emission half of [`emit_block`](Self::emit_block): walks the
     /// block once, placing each accepted definition immediately before
     /// its first consumer and choosing per statement between the cut
-    /// cover and a plain re-emission. Returns `Ok(None)` when a cut
-    /// statement fails simulator verification (caller falls back).
+    /// cover and the baseline or a plain re-emission, into `code`.
+    /// Returns `Ok(false)` when a cut statement fails simulator
+    /// verification (caller falls back).
     #[allow(clippy::too_many_arguments)]
     fn emit_block_cuts(
         &mut self,
-        stmts: &[AssignStmt],
+        stmts: &[&AssignStmt],
         dag: &BlockDag,
         accepted: &[(usize, NonTermId)],
-        baseline: &[Vec<Insn>],
-        rules: &RuleSet,
-        variant_limit: usize,
-        fold_constants: bool,
+        (baseline, emitted): (Baseline<'_>, &[Insn]),
+        (rules, variant_limit, fold_constants): (&RuleSet, usize, bool),
+        code: &mut CutCode,
         stats: &mut SelectStats,
-    ) -> Result<Option<Vec<Insn>>, CompileError> {
-        self.shared_locs = vec![None; accepted.len()];
+    ) -> Result<bool, CompileError> {
+        self.shared_locs.clear();
+        self.shared_locs.resize(accepted.len(), None);
         self.held.clear();
-        let mut out: Vec<Insn> = Vec::new();
-        // every definition emitted so far: prepended to verification
-        // probes so cut statements run with their inputs parked
-        let mut def_insns: Vec<Insn> = Vec::new();
-        for (s, stmt) in stmts.iter().enumerate() {
-            // definitions whose first consumer is this statement
+        for (s, &stmt) in stmts.iter().enumerate() {
+            // definitions whose first consumer is this statement: every
+            // one emitted so far is prepended to verification probes, so
+            // cut statements run with their inputs parked
+            let defs_before = code.defs.len();
             for (slot, &(cand_ix, nt)) in accepted.iter().enumerate() {
                 let cand = &dag.shared[cand_ix];
                 if cand.first_use() != s {
                     continue;
                 }
-                let cover = count_labels(&mut self.label_cache, stats, |cache| {
-                    self.matcher.cover_interned(&self.pool, cand.id, cache, nt)
+                let label = count_labels(&mut self.label_cache, stats, |cache| {
+                    self.matcher.label_interned(&self.pool, cand.id, cache)
                 });
-                let Some(cover) = cover else { return Ok(None) };
-                let mut insns = Vec::new();
-                let loc = self.emit_cover(&cover.root, &mut insns, &format_args!("$dag{slot}"))?;
+                let mut cover = std::mem::take(&mut self.buffers.cover);
+                cover.clear();
+                let root = self.matcher.reduce_into(
+                    &self.pool,
+                    &self.label_cache,
+                    label,
+                    nt,
+                    None,
+                    &mut cover,
+                );
+                let loc = match root {
+                    Some(root) => {
+                        self.buffers.locs.clear();
+                        let stmt = format_args!("$dag{slot}");
+                        self.emit_cover(&cover, root, &mut code.defs, &stmt).map(Some)
+                    }
+                    None => Ok(None),
+                };
+                self.buffers.cover = cover;
+                let Some(loc) = loc? else { return Ok(false) };
                 self.held.push(loc.clone());
                 self.shared_locs[slot] = Some(loc);
-                def_insns.extend(insns.iter().cloned());
-                out.extend(insns);
+            }
+            if code.defs.len() > defs_before {
+                code.runs.push(Run::Defs(code.defs.len() - defs_before));
             }
 
             // cut cover vs plain re-emission for the statement itself
-            let cuts = cuts_for_stmt(dag, accepted, s);
-            let mut chosen: Option<Vec<Insn>> = None;
+            let from = code.stmts.len();
+            let cuts = &mut self.buffers.cuts;
+            fill_cuts(cuts, dag, accepted, s);
+            let mut chosen = false;
             if !cuts.is_empty() {
-                let best = count_labels(&mut self.label_cache, stats, |cache| {
-                    self.matcher.best_cover_interned_cut(
-                        &self.pool,
-                        dag.roots[s],
-                        cache,
-                        &self.candidates,
-                        &cuts,
-                    )
+                let label = count_labels(&mut self.label_cache, stats, |cache| {
+                    self.matcher.label_interned_cut(&self.pool, dag.roots[s], cache, cuts)
                 });
-                if let Some((store_nt, cover)) = best {
-                    let total = cover.cost.add(self.store_cost(store_nt)).weight();
-                    if total < insns_weight(&baseline[s]) {
-                        let mut insns = Vec::new();
-                        self.emit_stored(stmt, self.store_index(store_nt), &cover, &mut insns)?;
+                let best = best_candidate(self.label_cache.entries(label), &self.candidates);
+                if let Some((store_nt, derive)) = best {
+                    let total = derive.add(self.store_cost(store_nt)).weight();
+                    if total < insns_weight(baseline.stmt(emitted, s)) {
+                        let store_ix = self.store_index(store_nt);
+                        let mut cover = std::mem::take(&mut self.buffers.cover);
+                        cover.clear();
+                        let root = self
+                            .matcher
+                            .reduce_into(
+                                &self.pool,
+                                &self.label_cache,
+                                label,
+                                store_nt,
+                                Some(&self.buffers.cuts),
+                                &mut cover,
+                            )
+                            .expect("a derivable label reduces");
+                        let emitted =
+                            self.emit_stored(stmt, store_ix, &cover, root, &mut code.stmts);
+                        self.buffers.cover = cover;
+                        emitted?;
                         // the probe must include the definitions: the cut
                         // statement reads registers they populate
-                        if !self.verify_statement(stmt, &def_insns, &insns) {
-                            return Ok(None);
+                        if !self.verify_statement(stmt, &mut code.defs, &mut code.stmts, from) {
+                            return Ok(false);
                         }
-                        chosen = Some(insns);
+                        chosen = true;
                     }
                 }
             }
-            match chosen {
-                Some(insns) => out.extend(insns),
-                None if self.held.is_empty() => {
-                    // no definition emitted yet: the baseline's register
-                    // choices are still valid verbatim
-                    out.extend(baseline[s].iter().cloned());
-                }
-                None => {
+            if !chosen && self.held.is_empty() {
+                // no definition emitted yet: the baseline's register
+                // choices are still valid verbatim
+                code.runs.push(Run::Baseline(s));
+            } else {
+                if !chosen {
                     // re-emit from scratch: the baseline may have used a
                     // register that now holds a parked value
-                    let (insns, st) =
-                        self.emit_assign(stmt, rules, variant_limit, fold_constants)?;
+                    let st = self.emit_assign_into(
+                        stmt,
+                        rules,
+                        variant_limit,
+                        fold_constants,
+                        &mut code.stmts,
+                    )?;
                     stats.absorb(&st);
-                    out.extend(insns);
                 }
+                code.runs.push(Run::Stmts(code.stmts.len() - from));
             }
-            self.scratch_free = self.scratch_pool.clone();
+            self.scratch_free.clone_from(&self.scratch_pool);
         }
-        Ok(Some(out))
+        Ok(true)
     }
 
     /// The first store rule for a candidate nonterminal (candidates always
@@ -616,23 +861,36 @@ impl<'t> Emitter<'t> {
     /// every probe.
     ///
     /// The probe program is `parked` (the block-shared definitions a cut
-    /// statement reads) followed by `insns`. It depends only on the code,
-    /// so it is built, mode-completed and decoded once, and its symbols'
-    /// addresses are resolved once; each of the four seeds then resets the
-    /// emitter's probe machine, pokes the inputs, executes and peeks the
-    /// destination.
-    fn verify_statement(&mut self, stmt: &AssignStmt, parked: &[Insn], insns: &[Insn]) -> bool {
+    /// statement reads) followed by `insns[from..]`. The instructions are
+    /// moved into the emitter's probe program and back, never copied. The
+    /// program depends only on the code, so it is built, mode-completed
+    /// and decoded once, and its symbols' addresses are resolved once;
+    /// each of the four seeds then resets the emitter's probe machine,
+    /// pokes the inputs, executes and peeks the destination.
+    fn verify_statement(
+        &mut self,
+        stmt: &AssignStmt,
+        parked: &mut Vec<Insn>,
+        insns: &mut Vec<Insn>,
+        from: usize,
+    ) -> bool {
+        let n_parked = parked.len();
+        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
+        let probe = &mut self.buffers.probe;
         // Collect every symbol the statement and its code touch, in the
         // symbol order the probe lays them out in.
-        let mut lens: BTreeMap<Symbol, i64> = BTreeMap::new();
-        let mut index_vars: Vec<Symbol> = Vec::new();
-        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
+        probe.lens.clear();
+        probe.index_vars.clear();
         {
+            let Probe { lens, index_vars, .. } = probe;
             let mut note = |base: &Symbol, disp: i64| {
-                let e = lens.entry(base.clone()).or_insert(1);
-                *e = (*e).max(disp.abs() + 1);
+                let len = disp.abs() + 1;
+                match lens.iter_mut().find(|(sym, _)| sym == base) {
+                    Some((_, known)) => *known = (*known).max(len),
+                    None => lens.push((base.clone(), len)),
+                }
             };
-            for insn in parked.iter().chain(insns) {
+            for insn in parked.iter().chain(&insns[from..]) {
                 if let InsnKind::Compute { dst, expr } = &insn.kind {
                     let mut visit = |l: &Loc| {
                         if let Loc::Mem(m) = l {
@@ -649,100 +907,64 @@ impl<'t> Emitter<'t> {
                 }
             }
             note(&dst_loc.base, dst_loc.disp);
+            lens.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
 
-        // build the probe program: one copy of the instructions, the mode
-        // changes spliced in around them
-        let mut code = record_isa::Code {
-            insns: Vec::with_capacity(parked.len() + insns.len() + 2 * index_vars.len()),
-            layout: Default::default(),
-            target: self.target.name.clone(),
-            name: "verify".into(),
-        };
-        // every probe word, as (symbol, element, address)
-        let mut words = Vec::new();
+        // build the probe program around the instructions, the mode
+        // changes spliced in
+        let code = &mut probe.code;
+        code.layout.clear();
+        code.insns.clear();
+        probe.words.clear();
         let mut addr = 0u16;
-        for (sym, &len) in &lens {
-            code.layout.place(sym.clone(), addr, len as u32, record_ir::Bank::X);
-            words.extend((0..len).map(|ix| (sym, ix, (addr as i64 + ix) as u16)));
-            addr += len as u16;
+        for (ix, (sym, len)) in probe.lens.iter().enumerate() {
+            code.layout.place(sym.clone(), addr, *len as u32, record_ir::Bank::X);
+            probe.words.extend((0..*len).map(|el| (ix, el, (addr as i64 + el) as u16)));
+            addr += *len as u16;
         }
-        for v in &index_vars {
-            code.insns.push(Insn::ctrl(
-                InsnKind::LoopStart { var: v.clone(), count: 1 },
-                "probe-loop",
-                0,
-                0,
-            ));
+        // one-trip loops around the code give every index variable the
+        // value 0 (an empty text allocates nothing; the probe never
+        // prints it)
+        for v in &probe.index_vars {
+            let start = InsnKind::LoopStart { var: v.clone(), count: 1 };
+            code.insns.push(Insn::ctrl(start, String::new(), 0, 0));
         }
-        code.insns.extend(parked.iter().cloned());
-        code.insns.extend(insns.iter().cloned());
-        for _ in &index_vars {
-            code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
+        let handed = parked.len() + insns.len() - from;
+        code.insns.append(parked);
+        code.insns.extend(insns.drain(from..));
+        for _ in &probe.index_vars {
+            code.insns.push(Insn::ctrl(InsnKind::LoopEnd, String::new(), 0, 0));
         }
-        record_opt::insert_mode_changes(&mut code, self.target, record_opt::ModeStrategy::Lazy);
+        record_opt::insert_mode_changes(code, self.target, record_opt::ModeStrategy::Lazy);
 
-        let machine = &mut self.probe;
-        if words.iter().any(|&(.., addr)| machine.peek_at(record_ir::Bank::X, addr).is_none()) {
-            return true; // unplaceable probe: skip verification
-        }
-        let (dst_bank, dst_addr) =
-            code.layout.addr_of(&dst_loc.base, dst_loc.disp.max(0)).expect("destination is placed");
-        let Ok(program) = machine.decode(&code) else { return false };
+        let verdict = run_probe(&mut self.probe, probe, stmt, &dst_loc, self.target.word_width);
 
-        let width = self.target.word_width;
-        for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
-            // deterministic, bit-rich per-symbol-element values: full-width
-            // patterns make value coincidences (a clobbered computation
-            // accidentally matching the reference) vanishingly unlikely
-            let value_of = move |sym: &Symbol, ix: i64| -> i64 {
-                let mut h = seed;
-                for b in sym.as_str().bytes() {
-                    h = h.wrapping_mul(1099511628211).wrapping_add(b as u64);
+        // hand the instructions back, dropping the loops and mode changes
+        let mut seen = 0;
+        for insn in probe.code.insns.drain(..) {
+            match insn.kind {
+                InsnKind::LoopStart { .. } | InsnKind::LoopEnd | InsnKind::SetMode { .. } => {}
+                _ if seen < n_parked => {
+                    seen += 1;
+                    parked.push(insn);
                 }
-                h = h.wrapping_mul(1099511628211).wrapping_add(ix as u64);
-                // splitmix64 finalizer: every input bit reaches every
-                // output bit, so distinct symbols get unrelated values
-                h ^= h >> 30;
-                h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-                h ^= h >> 27;
-                h = h.wrapping_mul(0x94d049bb133111eb);
-                h ^= h >> 31;
-                record_ir::ops::wrap_to_width(h as i64, width)
-            };
-
-            // reference evaluation (index vars are 0 under the probe loop)
-            let mut read_mem = |r: &record_ir::MemRef| {
-                let m = MemLoc::from_mem_ref(r);
-                value_of(&m.base, m.disp)
-            };
-            let mut read_temp = |s: &Symbol| value_of(s, 0);
-            let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
-
-            machine.reset();
-            for &(sym, ix, addr) in &words {
-                let value = value_of(sym, ix);
-                machine.poke_at(record_ir::Bank::X, addr, value).expect("probe words are in range");
-            }
-            if machine.execute(&program).is_err() {
-                return false;
-            }
-            let got = machine.peek_at(dst_bank, dst_addr);
-            if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
-                return false;
+                _ => insns.push(insn),
             }
         }
-        true
+        debug_assert_eq!(parked.len() + insns.len() - from, handed, "probe lost an instruction");
+        verdict
     }
 
-    /// Emits one statement without the verification/split loop.
+    /// Emits one statement without the verification/split loop,
+    /// appending its instructions to `out`.
     fn emit_one(
         &mut self,
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
         fold_constants: bool,
-    ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
+        out: &mut Vec<Insn>,
+    ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
         // borrow the source tree unless folding actually rewrites it
         let folded;
@@ -763,15 +985,17 @@ impl<'t> Emitter<'t> {
         } else {
             self.find_best_interned(base, rules, variant_limit, &mut stats)
         };
-        let Some((store_ix, cover)) = best else {
+        let Some((store_ix, root)) = best else {
             return Err(CompileError::Uncoverable {
                 stmt: stmt.to_string(),
                 target: self.target.name.clone(),
             });
         };
 
-        let mut insns = Vec::new();
-        self.emit_stored(stmt, store_ix, &cover, &mut insns)?;
+        let cover = std::mem::take(&mut self.buffers.cover);
+        let emitted = self.emit_stored(stmt, store_ix, &cover, root, out);
+        self.buffers.cover = cover;
+        emitted?;
         debug_assert!(
             self.reg_used.iter().enumerate().all(|(class, c)| {
                 c.iter().enumerate().all(|(ix, u)| {
@@ -783,19 +1007,20 @@ impl<'t> Emitter<'t> {
             }),
             "register leak after statement"
         );
-        Ok((insns, stats))
+        Ok(stats)
     }
 
     /// The boxed reference selection loop: materializes every variant up
     /// front and matches each one. Kept verbatim as the semantic anchor
-    /// the interned path is pinned against.
+    /// the interned path is pinned against; the winning cover is copied
+    /// into the cover buffer, and `(store rule, root node)` returned.
     fn find_best_reference(
         &mut self,
         base: &Tree,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
-    ) -> Option<(usize, Cover)> {
+    ) -> Option<(usize, usize)> {
         let mut best: Option<(Cost, usize, Cover)> = None;
         let all = variants(base, rules, variant_limit);
         stats.variants += all.len() as u64;
@@ -813,7 +1038,9 @@ impl<'t> Emitter<'t> {
                 }
             }
         }
-        best.map(|(_, store_ix, cover)| (store_ix, cover))
+        let (_, store_ix, cover) = best?;
+        self.buffers.cover.clear();
+        Some((store_ix, self.buffers.cover.push_tree(&cover.root)))
     }
 
     /// The interned selection loop: streams variants lazily out of the
@@ -833,63 +1060,73 @@ impl<'t> Emitter<'t> {
     /// strictly beats the incumbent. The incumbent changes only on a
     /// strict `<`, and a reduction is a pure function of its label, so
     /// this picks the cover a loop reducing every variant would pick.
+    /// The incumbent is reduced into the cover buffer; the result is
+    /// `(store rule, root node)`.
     fn find_best_interned(
         &mut self,
         base: &Tree,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
-    ) -> Option<(usize, Cover)> {
+    ) -> Option<(usize, usize)> {
         let pool_len0 = self.pool.len() as u64;
         let dedup0 = self.pool.dedup_hits();
         let hits0 = self.label_cache.hits();
         let misses0 = self.label_cache.misses();
         let floor = self.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        let mut stream = VariantStream::new(&mut self.pool, base, *rules, variant_limit);
-        let mut best: Option<(u64, usize, Cover)> = None; // (total weight, store, cover)
-        while let Some(id) = stream.next(&mut self.pool) {
+        let root = self.pool.intern(base);
+        self.stream.restart(root, *rules, variant_limit);
+        let mut best: Option<(u64, usize, usize)> = None; // (total weight, store, root)
+        while let Some(id) = self.stream.next(&mut self.pool) {
             stats.variants += 1;
-            let labeled = self.matcher.label_interned(&self.pool, id, &mut self.label_cache);
-            if let Some((nt, derive)) = best_candidate(&labeled, &self.candidates) {
+            let label = self.matcher.label_interned(&self.pool, id, &mut self.label_cache);
+            if let Some((nt, derive)) =
+                best_candidate(self.label_cache.entries(label), &self.candidates)
+            {
                 stats.covered += 1;
                 let store_ix = self.store_index(nt);
                 let total = derive.add(self.target.stores[store_ix].cost).weight();
                 if best.as_ref().map_or(true, |(bw, ..)| total < *bw) {
+                    let cover = &mut self.buffers.cover;
+                    cover.clear();
                     let root = self
                         .matcher
-                        .reduce_interned(&self.pool, &labeled, nt)
+                        .reduce_into(&self.pool, &self.label_cache, label, nt, None, cover)
                         .expect("a derivable label reduces");
-                    best = Some((total, store_ix, Cover { root, cost: derive }));
+                    best = Some((total, store_ix, root));
                 }
                 if best.as_ref().is_some_and(|(bw, ..)| *bw <= floor) {
-                    stats.variants_pruned += stream.pending() as u64;
+                    stats.variants_pruned += self.stream.pending() as u64;
                     break;
                 }
             }
-            if self.step_cap.is_some_and(|cap| self.steps_used + stream.steps() >= cap) {
-                stats.variants_pruned += stream.pending() as u64;
+            if self.step_cap.is_some_and(|cap| self.steps_used + self.stream.steps() >= cap) {
+                stats.variants_pruned += self.stream.pending() as u64;
                 break;
             }
         }
-        self.steps_used += stream.steps();
-        stats.search_steps += stream.steps();
+        self.steps_used += self.stream.steps();
+        stats.search_steps += self.stream.steps();
         stats.interned_nodes += self.pool.len() as u64 - pool_len0;
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.labels_memoized += self.label_cache.hits() - hits0;
         stats.labels_computed += self.label_cache.misses() - misses0;
-        best.map(|(_, store_ix, cover)| (store_ix, cover))
+        best.map(|(_, store_ix, root)| (store_ix, root))
     }
 
-    /// Emits `stmt` as `cover` followed by store rule `store_ix`.
+    /// Emits `stmt` as the cover below `root` followed by store rule
+    /// `store_ix`.
     fn emit_stored(
         &mut self,
         stmt: &AssignStmt,
         store_ix: usize,
-        cover: &Cover,
+        cover: &CoverBuf,
+        root: usize,
         out: &mut Vec<Insn>,
     ) -> Result<(), CompileError> {
-        let value = self.emit_cover(&cover.root, out, stmt)?;
+        self.buffers.locs.clear();
+        let value = self.emit_cover(cover, root, out, stmt)?;
         let store = &self.target.stores[store_ix];
         let dst = Loc::Mem(MemLoc::from_mem_ref(&stmt.dst));
         let text = render_asm(self.target, &store.asm, &dst, std::slice::from_ref(&value));
@@ -904,60 +1141,66 @@ impl<'t> Emitter<'t> {
     /// Emits the instructions of a cover node; returns the location of
     /// its value. `stmt` names the statement in an out-of-registers
     /// error and is only rendered then.
+    ///
+    /// The operand locations of the node are a frame on the emitter's
+    /// location stack, popped when the node is emitted.
     fn emit_cover(
         &mut self,
-        node: &CoverNode,
+        cover: &CoverBuf,
+        node: usize,
         out: &mut Vec<Insn>,
         stmt: &dyn fmt::Display,
     ) -> Result<Loc, CompileError> {
+        let operands = cover.operands(node);
         // A shared-value reference emits nothing: the value already sits
         // in the register the block parked it in.
-        if node.rule == SHARED_RULE {
-            return Ok(self.operand_loc(&node.operands[0]));
+        if cover.rule(node) == SHARED_RULE {
+            return Ok(self.operand_loc(&operands[0]));
         }
         // borrowed from the target, not the emitter, so `self` stays free
         // for the recursive calls below
         let target: &'t TargetDesc = self.target;
-        let rule = target.rule(node.rule);
+        let rule = target.rule(cover.rule(node));
 
         // Identity (base) rules: a leaf pattern with zero cost just
         // forwards its binding.
         if rule.cost.weight() == 0 {
             if let Rhs::Pat(PatNode::Op(op, _)) = &rule.rhs {
                 if op.is_leaf() {
-                    return Ok(self.operand_loc(&node.operands[0]));
+                    return Ok(self.operand_loc(&operands[0]));
                 }
             }
         }
 
         // evaluate operands in the rule's order (left to right unless the
         // rule says otherwise)
-        let n = node.operands.len();
+        let n = operands.len();
+        let frame = self.buffers.locs.len();
+        self.buffers.locs.resize(frame + n, Loc::Imm(0));
         let ordered = rule.eval_order.iter().flatten().map(|&i| usize::from(i));
         let left_to_right = (0..n).filter(|_| rule.eval_order.is_none());
-        let mut locs: Vec<Option<Loc>> = vec![None; n];
         for i in ordered.chain(left_to_right) {
-            let loc = match &node.operands[i] {
-                Operand::Derived(child) => self.emit_cover(child, out, stmt)?,
+            let loc = match &operands[i] {
+                FlatOperand::Derived(child) => self.emit_cover(cover, *child, out, stmt)?,
                 other => self.operand_loc(other),
             };
-            locs[i] = Some(loc);
+            self.buffers.locs[frame + i] = loc;
         }
-        let locs: Vec<Loc> = locs.into_iter().map(|l| l.expect("all operands visited")).collect();
 
         // destination for the produced value
         let dst = self.lhs_loc(rule, stmt)?;
+        let locs = &self.buffers.locs[frame..];
 
         // semantics from the pattern shape
         let expr = match &rule.rhs {
             Rhs::Chain(_) | Rhs::Pat(PatNode::Nt(_)) => SemExpr::Loc(locs[0].clone()),
             Rhs::Pat(pat) => {
                 let mut next = 0usize;
-                sem_from_pattern(pat, &locs, &mut next)
+                sem_from_pattern(pat, locs, &mut next)
             }
         };
 
-        let text = render_asm(target, &rule.asm, &dst, &locs);
+        let text = render_asm(target, &rule.asm, &dst, locs);
         let mut insn = Insn::compute(dst.clone(), expr, text, rule.cost.words, rule.cost.cycles);
         insn.rule = Some(rule.id);
         insn.units = rule.units;
@@ -972,9 +1215,10 @@ impl<'t> Emitter<'t> {
         out.push(insn);
 
         // operands are dead now
-        for loc in &locs {
-            self.release(loc);
+        for loc in &self.buffers.locs[frame..] {
+            release_in(target, &self.held, &mut self.reg_used, loc);
         }
+        self.buffers.locs.truncate(frame);
         Ok(dst)
     }
 
@@ -1029,15 +1273,15 @@ impl<'t> Emitter<'t> {
         }
     }
 
-    fn operand_loc(&self, op: &Operand) -> Loc {
+    fn operand_loc(&self, op: &FlatOperand) -> Loc {
         match op {
-            Operand::Const(v) => Loc::Imm(*v),
-            Operand::Mem(m) => Loc::Mem(MemLoc::from_mem_ref(m)),
-            Operand::Temp(t) => Loc::Mem(MemLoc::scalar(t.clone())),
-            Operand::Shared { slot, .. } => {
+            FlatOperand::Const(v) => Loc::Imm(*v),
+            FlatOperand::Mem(m) => Loc::Mem(MemLoc::from_mem_ref(m)),
+            FlatOperand::Temp(t) => Loc::Mem(MemLoc::scalar(t.clone())),
+            FlatOperand::Shared { slot, .. } => {
                 self.shared_locs[*slot].clone().expect("shared value emitted before use")
             }
-            Operand::Derived(_) => unreachable!("derived operands are emitted"),
+            FlatOperand::Derived(_) => unreachable!("derived operands are emitted"),
         }
     }
 
@@ -1046,22 +1290,13 @@ impl<'t> Emitter<'t> {
     /// block-shared values stay parked until [`release_held`]
     /// (Self::release_held) at the end of the block.
     fn release(&mut self, loc: &Loc) {
-        if let Loc::Reg(r) = loc {
-            if self.held.contains(loc) {
-                return;
-            }
-            let class = &self.target.reg_classes[r.class.0 as usize];
-            if !class.is_singleton() {
-                self.reg_used[r.class.0 as usize][r.index as usize] = false;
-            }
-        }
+        release_in(self.target, &self.held, &mut self.reg_used, loc);
     }
 
     /// Frees every register parked for a block-shared value; called once
     /// at the end of the block (successful or not).
     fn release_held(&mut self) {
-        let held = std::mem::take(&mut self.held);
-        for loc in held {
+        for loc in self.held.drain(..) {
             if let Loc::Reg(r) = loc {
                 let class = &self.target.reg_classes[r.class.0 as usize];
                 if !class.is_singleton() {
@@ -1071,6 +1306,124 @@ impl<'t> Emitter<'t> {
         }
         self.shared_locs.clear();
     }
+}
+
+/// Where a block's verified baseline sits in the output: statement `s`
+/// occupies `start + begin(s)..start + ends[s]`.
+#[derive(Clone, Copy)]
+struct Baseline<'a> {
+    start: usize,
+    ends: &'a [usize],
+}
+
+impl<'a> Baseline<'a> {
+    /// Where statement `s` begins, relative to `start`.
+    fn begin(self, s: usize) -> usize {
+        if s == 0 {
+            0
+        } else {
+            self.ends[s - 1]
+        }
+    }
+
+    /// Statement `s`'s baseline instructions in `out`.
+    fn stmt(self, out: &[Insn], s: usize) -> &[Insn] {
+        &out[self.start + self.begin(s)..self.start + self.ends[s]]
+    }
+}
+
+/// Releases `loc` when it is a multi-member register not holding a
+/// block-shared value (see [`Emitter::release`]).
+fn release_in(target: &TargetDesc, held: &[Loc], reg_used: &mut [Vec<bool>], loc: &Loc) {
+    if let Loc::Reg(r) = loc {
+        if held.contains(loc) {
+            return;
+        }
+        if !target.reg_classes[r.class.0 as usize].is_singleton() {
+            reg_used[r.class.0 as usize][r.index as usize] = false;
+        }
+    }
+}
+
+/// Runs the probe program of `probe` on `machine` under four seeds and
+/// compares the destination with the reference evaluation of `stmt`;
+/// `true` when they agree under every seed (or the probe cannot be
+/// placed on the machine).
+fn run_probe(
+    machine: &mut record_sim::Machine<'_>,
+    probe: &mut Probe,
+    stmt: &AssignStmt,
+    dst_loc: &MemLoc,
+    width: u32,
+) -> bool {
+    if probe.words.iter().any(|&(.., addr)| machine.peek_at(record_ir::Bank::X, addr).is_none()) {
+        return true; // unplaceable probe: skip verification
+    }
+    let (dst_bank, dst_addr) = probe
+        .code
+        .layout
+        .addr_of(&dst_loc.base, dst_loc.disp.max(0))
+        .expect("destination is placed");
+    let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
+        return false;
+    };
+    let verdict = run_seeds(machine, &program, probe, stmt, (dst_bank, dst_addr), width);
+    program.recycle(&mut probe.decoded);
+    verdict
+}
+
+/// Runs the decoded probe `program` under each seed; `true` when the
+/// destination word `dst` holds the reference value of `stmt` every time.
+fn run_seeds(
+    machine: &mut record_sim::Machine<'_>,
+    program: &record_sim::Program<'_>,
+    probe: &Probe,
+    stmt: &AssignStmt,
+    (dst_bank, dst_addr): (record_ir::Bank, u16),
+    width: u32,
+) -> bool {
+    for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
+        // deterministic, bit-rich per-symbol-element values: full-width
+        // patterns make value coincidences (a clobbered computation
+        // accidentally matching the reference) vanishingly unlikely
+        let value_of = move |sym: &Symbol, ix: i64| -> i64 {
+            let mut h = seed;
+            for b in sym.as_str().bytes() {
+                h = h.wrapping_mul(1099511628211).wrapping_add(b as u64);
+            }
+            h = h.wrapping_mul(1099511628211).wrapping_add(ix as u64);
+            // splitmix64 finalizer: every input bit reaches every
+            // output bit, so distinct symbols get unrelated values
+            h ^= h >> 30;
+            h = h.wrapping_mul(0xbf58476d1ce4e5b9);
+            h ^= h >> 27;
+            h = h.wrapping_mul(0x94d049bb133111eb);
+            h ^= h >> 31;
+            record_ir::ops::wrap_to_width(h as i64, width)
+        };
+
+        // reference evaluation (index vars are 0 under the probe loop)
+        let mut read_mem = |r: &record_ir::MemRef| {
+            let m = MemLoc::from_mem_ref(r);
+            value_of(&m.base, m.disp)
+        };
+        let mut read_temp = |s: &Symbol| value_of(s, 0);
+        let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
+
+        machine.reset();
+        for &(sym, ix, addr) in &probe.words {
+            let value = value_of(&probe.lens[sym].0, ix);
+            machine.poke_at(record_ir::Bank::X, addr, value).expect("probe words are in range");
+        }
+        if machine.execute(program).is_err() {
+            return false;
+        }
+        let got = machine.peek_at(dst_bank, dst_addr);
+        if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
+            return false;
+        }
+    }
+    true
 }
 
 /// Renders an assembly template in one pass: `{d}` becomes the text of
@@ -1151,19 +1504,18 @@ fn count_labels<R>(
     result
 }
 
-/// The cuts applicable to statement `s`: accepted candidates that list
-/// `s` among their sound uses. The same subtree occurring elsewhere in
-/// the block may denote a *different* value (a store intervened), so a
-/// cut set is always built per statement.
-fn cuts_for_stmt(dag: &BlockDag, accepted: &[(usize, NonTermId)], s: usize) -> CutSet {
-    let mut cuts = CutSet::new();
+/// Fills `cuts` with the cuts applicable to statement `s`: accepted
+/// candidates that list `s` among their sound uses. The same subtree
+/// occurring elsewhere in the block may denote a *different* value (a
+/// store intervened), so a cut set is always built per statement.
+fn fill_cuts(cuts: &mut CutSet, dag: &BlockDag, accepted: &[(usize, NonTermId)], s: usize) {
+    cuts.clear();
     for (slot, &(cand_ix, nt)) in accepted.iter().enumerate() {
         let cand = &dag.shared[cand_ix];
         if cand.uses.contains(&s) {
             cuts.insert(cand.id, (slot, nt));
         }
     }
-    cuts
 }
 
 fn sem_from_pattern(pat: &PatNode, locs: &[Loc], next: &mut usize) -> SemExpr {
@@ -1385,13 +1737,24 @@ mod tests {
             ),
         );
         // raw emission (no verify loop)
-        let (insns, _) = e.emit_one(&stmt, &RuleSet::none(), 1, false).unwrap();
-        let ok = e.verify_statement(&stmt, &[], &insns);
+        let mut insns = Vec::new();
+        e.emit_one(&stmt, &RuleSet::none(), 1, false, &mut insns).unwrap();
+        let ok = verify(&mut e, &stmt, &insns);
         // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
         // and the public entry point must produce correct code
         let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
-        assert!(e.verify_statement(&stmt, &[], &fixed), "{:?}", texts(&fixed));
+        assert!(verify(&mut e, &stmt, &fixed), "{:?}", texts(&fixed));
+    }
+
+    /// Verifies a copy of `insns` as the code of `stmt`, checking that
+    /// the probe hands the instructions back unchanged.
+    fn verify(e: &mut Emitter<'_>, stmt: &AssignStmt, insns: &[Insn]) -> bool {
+        let mut code = vec![Insn::ctrl(InsnKind::Nop, "before", 0, 0)];
+        code.extend_from_slice(insns);
+        let verdict = e.verify_statement(stmt, &mut Vec::new(), &mut code, 1);
+        assert_eq!(code[1..], *insns, "the probe changed the instructions");
+        verdict
     }
 
     /// The per-seed verifier the single-probe one replaced, kept as its
@@ -1618,9 +1981,12 @@ mod tests {
             };
             let stmt = AssignStmt { dst, src: gen_probe_tree(rng, 3) };
             let mut e = Emitter::new(t);
-            let Ok((insns, _)) = e.emit_one(&stmt, &RuleSet::none(), 1, false) else { return };
+            let mut insns = Vec::new();
+            if e.emit_one(&stmt, &RuleSet::none(), 1, false, &mut insns).is_err() {
+                return;
+            }
             let mut verdict = |code: &[Insn]| {
-                let got = e.verify_statement(&stmt, &[], code);
+                let got = verify(&mut e, &stmt, code);
                 assert_eq!(
                     got,
                     verify_statement_reference(&e, &stmt, code),
@@ -1850,7 +2216,9 @@ mod tests {
             for stmt in &stmts {
                 let (mut got_stats, mut want_stats) =
                     (SelectStats::default(), SelectStats::default());
-                let got = cost_first.find_best_interned(&stmt.src, &rules, limit, &mut got_stats);
+                let got = cost_first
+                    .find_best_interned(&stmt.src, &rules, limit, &mut got_stats)
+                    .map(|(store_ix, root)| (store_ix, cost_first.buffers.cover.to_tree(root)));
                 let want = find_best_interned_reference(
                     &mut reference,
                     &stmt.src,
@@ -1858,6 +2226,10 @@ mod tests {
                     limit,
                     &mut want_stats,
                 );
+                let want = want.map(|(store_ix, cover)| {
+                    assert_eq!(cover.cost, cover.root.cost(t), "{stmt} on {}", t.name);
+                    (store_ix, cover.root)
+                });
                 assert_eq!(got, want, "{stmt} on {}", t.name);
                 assert_eq!(got_stats, want_stats, "{stmt} on {}", t.name);
                 statements[which] += 1;

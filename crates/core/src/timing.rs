@@ -39,14 +39,12 @@ impl CodeStats {
     /// Measures `code`.
     pub fn of(code: &Code) -> Self {
         let mut stats = CodeStats { words: code.size_words(), ..Default::default() };
-        // a handful of distinct registers per program: a linear scan
-        // beats hashing every operand
-        let mut regs: Vec<RegId> = Vec::new();
+        let mut regs = RegSet::default();
         for insn in &code.insns {
             stats.insns += 1;
             count_insn(insn, &mut stats, &mut regs);
         }
-        stats.regs_used = regs.len();
+        stats.regs_used = regs.len;
         stats
     }
 
@@ -60,16 +58,46 @@ impl CodeStats {
     }
 }
 
-fn count_insn(insn: &record_isa::Insn, stats: &mut CodeStats, regs: &mut Vec<RegId>) {
+/// The distinct registers of a program. A program references a handful,
+/// so they sit in an inline array searched linearly (no hashing, no heap);
+/// only registers past the first [`RegSet::INLINE`] spill to a vector.
+struct RegSet {
+    inline: [RegId; RegSet::INLINE],
+    spilled: Vec<RegId>,
+    len: usize,
+}
+
+impl RegSet {
+    const INLINE: usize = 32;
+
+    fn insert(&mut self, r: RegId) {
+        let inline = &self.inline[..self.len.min(Self::INLINE)];
+        if inline.contains(&r) || self.spilled.contains(&r) {
+            return;
+        }
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = r,
+            None => self.spilled.push(r),
+        }
+        self.len += 1;
+    }
+}
+
+impl Default for RegSet {
+    fn default() -> Self {
+        let none = RegId::new(record_isa::RegClassId(0), 0);
+        RegSet { inline: [none; RegSet::INLINE], spilled: Vec::new(), len: 0 }
+    }
+}
+
+fn count_insn(insn: &record_isa::Insn, stats: &mut CodeStats, regs: &mut RegSet) {
     if insn.text == "NOP" {
         stats.nops += 1;
     }
     if let InsnKind::Compute { dst, expr } = &insn.kind {
         let mut note = |l: &Loc| {
             if let Loc::Reg(r) = l {
-                if !regs.contains(r) {
-                    regs.push(*r);
-                }
+                regs.insert(*r);
             }
         };
         note(dst);
@@ -206,6 +234,24 @@ fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inline register set counts exactly what a vector of distinct
+    /// registers counts, below and past its inline capacity.
+    #[test]
+    fn register_set_counts_distinct_registers() {
+        for classes in [1u16, 3, 9] {
+            let mut set = RegSet::default();
+            let mut reference: Vec<RegId> = Vec::new();
+            for k in 0..200u16 {
+                let r = RegId::new(record_isa::RegClassId(k % classes), (k * 7) % 11);
+                set.insert(r);
+                if !reference.contains(&r) {
+                    reference.push(r);
+                }
+                assert_eq!(set.len, reference.len(), "{classes} classes after {k}");
+            }
+        }
+    }
 
     fn select(micros: u64) -> PassRecord {
         PassRecord {

@@ -24,6 +24,7 @@
 //! The builder decides *what may be shared*; whether sharing pays is the
 //! back end's call (see the emitter's share-vs-recompute cost model).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::lir::AssignStmt;
@@ -64,6 +65,42 @@ pub struct BlockDag {
     pub shared: Vec<SharedValue>,
 }
 
+/// The occurrences of one subtree under one last-store key. A subtree's
+/// key never falls as the block goes on, so its groups follow one another
+/// and only the latest can grow.
+#[derive(Debug)]
+struct Group {
+    id: TreeId,
+    key: usize,
+    count: usize,
+    /// The last statement that joined the group.
+    stmt: usize,
+}
+
+/// The working state of [`BlockDag::rebuild`]. Its vectors and map keep
+/// their capacity between blocks, so a caller that covers block after
+/// block allocates them once.
+#[derive(Debug, Default)]
+pub struct DagScratch {
+    /// Dense ids of the block's base symbols.
+    syms: HashMap<Symbol, usize>,
+    /// Per symbol id, 1 + the index of the last statement that stored to
+    /// it (0: none yet).
+    last_store: Vec<usize>,
+    bases: Bases,
+    /// Per `TreeId`, the group its latest occurrence joined.
+    latest: Vec<Option<usize>>,
+    /// Groups in order of their first occurrence.
+    groups: Vec<Group>,
+    /// (group, statement) each time a group gains a statement.
+    joined: Vec<(usize, usize)>,
+    stack: Vec<TreeId>,
+    /// Per group, its index in `shared` (if it occurs twice or more).
+    slot: Vec<Option<usize>>,
+    /// Shared values of earlier blocks, kept for their `uses` vectors.
+    spare: Vec<SharedValue>,
+}
+
 impl BlockDag {
     /// Interns every statement of `stmts` into `pool` and detects the
     /// multi-use values that are sound to share.
@@ -73,33 +110,35 @@ impl BlockDag {
     /// nodes are. Candidates come out in first-occurrence order, which
     /// puts an outer repeated subtree before its own repeated children.
     pub fn build(pool: &mut TreePool, stmts: &[AssignStmt]) -> BlockDag {
-        /// The occurrences of one subtree under one last-store key. A
-        /// subtree's key never falls as the block goes on, so its groups
-        /// follow one another and only the latest can grow.
-        struct Group {
-            id: TreeId,
-            key: usize,
-            count: usize,
-            /// The last statement that joined the group.
-            stmt: usize,
-        }
-        // dense ids of the block's base symbols; per id, 1 + the index of
-        // the last statement that stored to it (0: none yet)
-        let mut syms: HashMap<Symbol, usize> = HashMap::new();
-        let mut last_store: Vec<usize> = Vec::new();
-        let mut bases = Bases::default();
-        // per `TreeId`, the group its latest occurrence joined
-        let mut latest: Vec<Option<usize>> = Vec::new();
-        // groups in order of their first occurrence
-        let mut groups: Vec<Group> = Vec::new();
-        // (group, statement) each time a group gains a statement
-        let mut joined: Vec<(usize, usize)> = Vec::new();
-        let mut roots = Vec::with_capacity(stmts.len());
-        let mut stack = Vec::new();
+        let mut dag = BlockDag::default();
+        dag.rebuild(pool, stmts, &mut DagScratch::default());
+        dag
+    }
+
+    /// [`build`](BlockDag::build) into `self`, reusing its vectors and
+    /// the working state in `scratch`: the result is the DAG `build`
+    /// returns for the same statements and pool.
+    pub fn rebuild<S: Borrow<AssignStmt>>(
+        &mut self,
+        pool: &mut TreePool,
+        stmts: &[S],
+        scratch: &mut DagScratch,
+    ) {
+        let DagScratch { syms, last_store, bases, latest, groups, joined, stack, slot, spare } =
+            scratch;
+        syms.clear();
+        last_store.clear();
+        bases.clear();
+        latest.clear();
+        groups.clear();
+        joined.clear();
+        self.roots.clear();
+        spare.append(&mut self.shared);
 
         for (i, stmt) in stmts.iter().enumerate() {
+            let stmt = stmt.borrow();
             let root = pool.intern(&stmt.src);
-            roots.push(root);
+            self.roots.push(root);
             latest.resize(pool.len(), None);
             // Visit every occurrence (with multiplicity) in pre-order.
             stack.push(root);
@@ -110,7 +149,7 @@ impl BlockDag {
                     TreeNode::Un(_, a) => stack.push(a),
                     TreeNode::Mem(_) | TreeNode::Temp(_) => {}
                 }
-                let mut sym_id = |s: &Symbol| dense_id(&mut syms, &mut last_store, s);
+                let mut sym_id = |s: &Symbol| dense_id(syms, last_store, s);
                 let read = bases.of(pool, id, &mut sym_id);
                 let key = read.iter().map(|&s| last_store[s]).max().unwrap_or(0);
                 let g = match latest[id.index()] {
@@ -131,22 +170,25 @@ impl BlockDag {
             // The statement's store happens after its reads: later
             // occurrences that read the destination are keyed apart from
             // the ones above.
-            let dst = dense_id(&mut syms, &mut last_store, stmt.dst.base());
+            let dst = dense_id(syms, last_store, stmt.dst.base());
             last_store[dst] = i + 1;
         }
 
-        let mut slot: Vec<Option<usize>> = vec![None; groups.len()];
-        let mut shared = Vec::new();
+        slot.clear();
+        slot.resize(groups.len(), None);
         for (g, group) in groups.iter().enumerate().filter(|(_, group)| group.count >= 2) {
-            slot[g] = Some(shared.len());
-            shared.push(SharedValue { id: group.id, uses: Vec::new(), use_count: group.count });
+            slot[g] = Some(self.shared.len());
+            let uses = spare.pop().map(|spare| spare.uses).unwrap_or_default();
+            self.shared.push(SharedValue { id: group.id, uses, use_count: group.count });
         }
-        for (g, stmt) in joined {
+        for value in &mut self.shared {
+            value.uses.clear();
+        }
+        for &(g, stmt) in joined.iter() {
             if let Some(ix) = slot[g] {
-                shared[ix].uses.push(stmt);
+                self.shared[ix].uses.push(stmt);
             }
         }
-        BlockDag { roots, shared }
     }
 }
 
@@ -162,14 +204,19 @@ fn dense_id(syms: &mut HashMap<Symbol, usize>, last_store: &mut Vec<usize>, sym:
 }
 
 /// The dense symbol ids each subtree reads, sorted and deduplicated:
-/// one range of a shared arena per `TreeId`, computed once.
-#[derive(Default)]
+/// one range of a shared arena per `TreeId`, computed once per block.
+#[derive(Debug, Default)]
 struct Bases {
     ranges: Vec<Option<(usize, usize)>>,
     arena: Vec<usize>,
 }
 
 impl Bases {
+    fn clear(&mut self) {
+        self.ranges.clear();
+        self.arena.clear();
+    }
+
     fn of(
         &mut self,
         pool: &TreePool,
@@ -531,5 +578,24 @@ mod tests {
         });
         assert!(blocks_with_shares >= 500, "only {blocks_with_shares} blocks share");
         assert!(split >= 500, "only {split} blocks split a repeated value at a store");
+    }
+
+    /// One DAG and one scratch state rebuilt block after block, over one
+    /// pool, give every block the DAG a fresh `build` gives it.
+    #[test]
+    fn rebuild_in_reused_buffers_equals_a_fresh_build() {
+        let (mut pool, mut fresh_pool) = (TreePool::new(), TreePool::new());
+        let (mut dag, mut scratch) = (BlockDag::default(), DagScratch::default());
+        let mut shares = 0usize;
+        record_prop::run_cases(500, |rng| {
+            let stmts = gen_block(rng);
+            let refs: Vec<&AssignStmt> = stmts.iter().collect();
+            dag.rebuild(&mut pool, &refs, &mut scratch);
+            let fresh = BlockDag::build(&mut fresh_pool, &stmts);
+            assert_eq!(dag.roots, fresh.roots, "{stmts:?}");
+            assert_eq!(dag.shared, fresh.shared, "{stmts:?}");
+            shares += dag.shared.len();
+        });
+        assert!(shares >= 500, "only {shares} shared values");
     }
 }

@@ -51,5 +51,5 @@ use crate::Error;
 /// ```
 pub fn parse(source: &str) -> Result<Program, Error> {
     let tokens = lexer::lex(source)?;
-    parser::parse_tokens(&tokens)
+    parser::parse_tokens(tokens)
 }

@@ -6,16 +6,17 @@ use super::ast::{BaseTy, Decl, Expr, LValue, Program, Stmt, VarDecl, VarKind};
 use super::token::{Keyword, Token, TokenKind};
 
 /// Parses a token stream (as produced by [`lexer::lex`](super::lexer::lex))
-/// into an AST.
+/// into an AST. The stream is consumed: each identifier's text moves
+/// into the AST instead of being copied.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Parse`] with the offending line on malformed input.
-pub fn parse_tokens(tokens: &[Token]) -> Result<Program, Error> {
+pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, Error> {
     if tokens.is_empty() {
         return Err(Error::parse(1, "empty token stream"));
     }
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser { tokens: &mut tokens, pos: 0, depth: 0 };
     p.program()
 }
 
@@ -26,7 +27,7 @@ pub fn parse_tokens(tokens: &[Token]) -> Result<Program, Error> {
 const MAX_EXPR_DEPTH: u32 = 200;
 
 struct Parser<'a> {
-    tokens: &'a [Token],
+    tokens: &'a mut [Token],
     pos: usize,
     depth: u32,
 }
@@ -70,14 +71,23 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::Keyword(kw))
     }
 
-    fn ident(&mut self) -> Result<String, Error> {
-        match self.peek().clone() {
+    /// Takes the identifier at the cursor and advances past it. The text
+    /// is moved out of its token: the parser never looks back.
+    fn take_ident(&mut self) -> Option<String> {
+        match &mut self.tokens[self.pos].kind {
             TokenKind::Ident(s) => {
+                let s = std::mem::take(s);
                 self.bump();
-                Ok(s)
+                Some(s)
             }
-            other => Err(Error::parse(self.line(), format!("expected identifier, found {other}"))),
+            _ => None,
         }
+    }
+
+    fn ident(&mut self) -> Result<String, Error> {
+        self.take_ident().ok_or_else(|| {
+            Error::parse(self.line(), format!("expected identifier, found {}", self.peek()))
+        })
     }
 
     fn program(&mut self) -> Result<Program, Error> {
@@ -325,7 +335,34 @@ impl<'a> Parser<'a> {
 
     fn postfix(&mut self) -> Result<Expr, Error> {
         let line = self.line();
-        match self.peek().clone() {
+        if let Some(name) = self.take_ident() {
+            if self.eat(&TokenKind::LParen) {
+                return self.intrinsic(&name, line);
+            }
+            if self.eat(&TokenKind::LBracket) {
+                let idx = self.expr()?;
+                self.expect(TokenKind::RBracket)?;
+                return Ok(Expr::Elem(name, Box::new(idx)));
+            }
+            if self.eat(&TokenKind::At) {
+                match self.bump().clone() {
+                    TokenKind::Num(k) if (1..=i64::from(u32::MAX)).contains(&k) => {
+                        return Ok(Expr::Delay(name, k as u32))
+                    }
+                    other => {
+                        return Err(Error::parse(
+                            line,
+                            format!(
+                                "delay `@` needs a positive literal (at most 2^32-1), \
+                                 found {other}"
+                            ),
+                        ))
+                    }
+                }
+            }
+            return Ok(Expr::Name(name));
+        }
+        match *self.peek() {
             TokenKind::Num(n) => {
                 self.bump();
                 Ok(Expr::Num(n))
@@ -336,35 +373,7 @@ impl<'a> Parser<'a> {
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.eat(&TokenKind::LParen) {
-                    return self.intrinsic(&name, line);
-                }
-                if self.eat(&TokenKind::LBracket) {
-                    let idx = self.expr()?;
-                    self.expect(TokenKind::RBracket)?;
-                    return Ok(Expr::Elem(name, Box::new(idx)));
-                }
-                if self.eat(&TokenKind::At) {
-                    match self.bump().clone() {
-                        TokenKind::Num(k) if (1..=i64::from(u32::MAX)).contains(&k) => {
-                            return Ok(Expr::Delay(name, k as u32))
-                        }
-                        other => {
-                            return Err(Error::parse(
-                                line,
-                                format!(
-                                    "delay `@` needs a positive literal (at most 2^32-1), \
-                                     found {other}"
-                                ),
-                            ))
-                        }
-                    }
-                }
-                Ok(Expr::Name(name))
-            }
-            other => Err(Error::parse(line, format!("expected expression, found {other}"))),
+            ref other => Err(Error::parse(line, format!("expected expression, found {other}"))),
         }
     }
 
@@ -493,7 +502,7 @@ mod tests {
 
     #[test]
     fn empty_token_stream_is_an_error_not_a_panic() {
-        assert!(parse_tokens(&[]).is_err());
+        assert!(parse_tokens(Vec::new()).is_err());
     }
 
     #[test]

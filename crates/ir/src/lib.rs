@@ -60,7 +60,7 @@ pub mod treeify;
 
 mod error;
 
-pub use blockdag::{BlockDag, SharedValue};
+pub use blockdag::{BlockDag, DagScratch, SharedValue};
 pub use error::Error;
 pub use lir::{AssignStmt, Lir, LirItem};
 pub use mem::{Bank, Index, MemRef};

@@ -30,6 +30,7 @@
 //! assert_eq!(pool.to_tree(a), t); // round-trips
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::{BinOp, MemRef, Op, Symbol, Tree, UnOp};
@@ -125,16 +126,20 @@ impl TreePool {
     }
 
     /// Interns one node, returning the id of the existing copy when the
-    /// same structure is already present.
+    /// same structure is already present. The node is hashed once.
     pub fn insert(&mut self, node: TreeNode) -> TreeId {
-        if let Some(&id) = self.index.get(&node) {
-            self.dedup_hits += 1;
-            return id;
+        match self.index.entry(node) {
+            Entry::Occupied(found) => {
+                self.dedup_hits += 1;
+                *found.get()
+            }
+            Entry::Vacant(slot) => {
+                let id = TreeId(u32::try_from(self.nodes.len()).expect("tree pool overflow"));
+                self.nodes.push(slot.key().clone());
+                slot.insert(id);
+                id
+            }
         }
-        let id = TreeId(u32::try_from(self.nodes.len()).expect("tree pool overflow"));
-        self.nodes.push(node.clone());
-        self.index.insert(node, id);
-        id
     }
 
     /// The node behind `id`.

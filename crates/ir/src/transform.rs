@@ -400,12 +400,15 @@ fn root_rewrites_interned(pool: &mut TreePool, id: TreeId, rules: &RuleSet, out:
 /// * nothing beyond the next frontier is materialized; abandoning the
 ///   stream early (search budget exhausted, or the current best cover
 ///   provably unbeatable) skips the remaining enumeration entirely,
-/// * de-duplication is a `TreeId` hash-set instead of deep tree hashing,
+/// * de-duplication is one bit per `TreeId` (pool ids are dense) instead
+///   of deep tree hashing,
 /// * rewrites share all untouched subtrees with their parents.
 ///
 /// The pool is passed to [`next`](VariantStream::next) per call rather
 /// than borrowed by the stream, so the caller is free to read interned
-/// trees between yields.
+/// trees between yields. [`restart`](VariantStream::restart) begins a
+/// new enumeration in the same buffers, so a caller that enumerates
+/// statement after statement allocates them once.
 ///
 /// ```
 /// use record_ir::pool::TreePool;
@@ -421,17 +424,20 @@ fn root_rewrites_interned(pool: &mut TreePool, id: TreeId, rules: &RuleSet, out:
 /// }
 /// assert_eq!(got, variants(&t, &RuleSet::all(), 16));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct VariantStream {
     rules: RuleSet,
     limit: usize,
     yielded: usize,
     steps: u64,
-    seen: HashSet<TreeId>,
+    /// One bit per pool id, set once the id has been generated.
+    seen: Vec<u64>,
     /// Distinct successors generated but not yet yielded.
     ready: VecDeque<TreeId>,
     /// Yielded trees awaiting breadth-first expansion.
     queue: VecDeque<TreeId>,
+    /// The successors of the tree being expanded.
+    successors: Vec<TreeId>,
     /// The original tree, until the first `next` call yields it.
     root: Option<TreeId>,
 }
@@ -446,18 +452,35 @@ impl VariantStream {
 
     /// Enumerates from an already-interned root.
     pub fn from_id(root: TreeId, rules: RuleSet, limit: usize) -> Self {
-        let mut seen = HashSet::new();
-        seen.insert(root);
-        VariantStream {
-            rules,
-            limit,
-            yielded: 0,
-            steps: 0,
-            seen,
-            ready: VecDeque::new(),
-            queue: VecDeque::new(),
-            root: Some(root),
+        let mut stream = VariantStream::default();
+        stream.restart(root, rules, limit);
+        stream
+    }
+
+    /// Starts a new enumeration from `root`, exactly as
+    /// [`from_id`](VariantStream::from_id) would, in this stream's
+    /// buffers.
+    pub fn restart(&mut self, root: TreeId, rules: RuleSet, limit: usize) {
+        self.rules = rules;
+        self.limit = limit;
+        self.yielded = 0;
+        self.steps = 0;
+        self.seen.fill(0);
+        self.ready.clear();
+        self.queue.clear();
+        self.root = Some(root);
+        self.mark(root);
+    }
+
+    /// Marks `id` as generated; `true` when it was not marked before.
+    fn mark(&mut self, id: TreeId) -> bool {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
         }
+        let fresh = self.seen[word] & bit == 0;
+        self.seen[word] |= bit;
+        fresh
     }
 
     /// The next distinct variant, or `None` when the limit is reached or
@@ -478,13 +501,16 @@ impl VariantStream {
                 return Some(id);
             }
             let cur = self.queue.pop_front()?;
-            let successors = single_step_interned(pool, cur, &self.rules);
+            let mut successors = std::mem::take(&mut self.successors);
+            successors.clear();
+            rewrite_at_each_node_interned(pool, cur, &self.rules, &mut successors);
             self.steps += successors.len() as u64;
-            for next in successors {
-                if self.seen.insert(next) {
+            for &next in &successors {
+                if self.mark(next) {
                     self.ready.push_back(next);
                 }
             }
+            self.successors = successors;
         }
     }
 
@@ -716,6 +742,141 @@ mod tests {
         stream2.next(&mut pool);
         stream2.next(&mut pool);
         assert!(stream2.pending() > 0);
+    }
+
+    /// The stream the bitmap stream replaced, kept as its reference: a
+    /// `HashSet` of seen ids, its own queues and a fresh successor vector
+    /// per expansion.
+    struct ReferenceStream {
+        rules: RuleSet,
+        limit: usize,
+        yielded: usize,
+        steps: u64,
+        seen: HashSet<TreeId>,
+        ready: VecDeque<TreeId>,
+        queue: VecDeque<TreeId>,
+        root: Option<TreeId>,
+    }
+
+    impl ReferenceStream {
+        fn from_id(root: TreeId, rules: RuleSet, limit: usize) -> Self {
+            let mut seen = HashSet::new();
+            seen.insert(root);
+            ReferenceStream {
+                rules,
+                limit,
+                yielded: 0,
+                steps: 0,
+                seen,
+                ready: VecDeque::new(),
+                queue: VecDeque::new(),
+                root: Some(root),
+            }
+        }
+
+        fn next(&mut self, pool: &mut TreePool) -> Option<TreeId> {
+            if self.yielded >= self.limit {
+                return None;
+            }
+            if let Some(root) = self.root.take() {
+                self.yielded += 1;
+                self.queue.push_back(root);
+                return Some(root);
+            }
+            loop {
+                if let Some(id) = self.ready.pop_front() {
+                    self.yielded += 1;
+                    self.queue.push_back(id);
+                    return Some(id);
+                }
+                let cur = self.queue.pop_front()?;
+                let successors = single_step_interned(pool, cur, &self.rules);
+                self.steps += successors.len() as u64;
+                for next in successors {
+                    if self.seen.insert(next) {
+                        self.ready.push_back(next);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every assignment source of `items`, loop bodies included, as
+    /// lowered and after tree decomposition of each straight-line block.
+    fn sources(items: &[crate::LirItem], out: &mut Vec<Tree>) {
+        let mut block = Vec::new();
+        let flush = |block: &mut Vec<crate::AssignStmt>, out: &mut Vec<Tree>| {
+            let (forest, _) = crate::treeify::treeify(block, 0);
+            out.extend(block.drain(..).map(|a| a.src));
+            out.extend(forest.assigns.into_iter().map(|a| a.src));
+        };
+        for item in items {
+            match item {
+                crate::LirItem::Assign(a) => block.push(a.clone()),
+                crate::LirItem::Loop { body, .. } => {
+                    flush(&mut block, out);
+                    sources(body, out);
+                }
+            }
+        }
+        flush(&mut block, out);
+    }
+
+    /// The statements of the DSPStone kernels and of 300 generated
+    /// programs.
+    fn corpus() -> Vec<Tree> {
+        let lowered = |src: &str| crate::lower::lower(&crate::dfl::parse(src).unwrap()).unwrap();
+        let mut trees = Vec::new();
+        for kernel in record_dspstone::kernels() {
+            sources(&lowered(kernel.source).body, &mut trees);
+        }
+        record_prop::run_cases(300, |rng| {
+            sources(&lowered(&record_prop::dfl::gen_program(rng)).body, &mut trees);
+        });
+        trees
+    }
+
+    /// One stream restarted for every statement, over one pool, yields
+    /// the sequence a fresh `HashSet` stream yields, with the same
+    /// `steps()`, `pending()` and `yielded()` after every call, and
+    /// interns the same nodes.
+    #[test]
+    fn bitmap_stream_equals_the_hash_set_reference() {
+        let configs = [
+            (RuleSet::all(), 32),
+            (RuleSet::all(), 4),
+            (RuleSet::all(), 200),
+            (RuleSet::none(), 1),
+            (RuleSet { commutativity: true, ..RuleSet::none() }, 64),
+            (RuleSet { associativity: true, sub_neg: true, ..RuleSet::none() }, 16),
+        ];
+        let trees = corpus();
+        assert!(trees.len() >= 1000, "{} statements", trees.len());
+        let (mut pool, mut reference_pool) = (TreePool::new(), TreePool::new());
+        let mut stream = VariantStream::default();
+        let mut yielded = 0usize;
+        for tree in &trees {
+            for (rules, limit) in configs {
+                stream.restart(pool.intern(tree), rules, limit);
+                let root = reference_pool.intern(tree);
+                let mut reference = ReferenceStream::from_id(root, rules, limit);
+                loop {
+                    let got = stream.next(&mut pool);
+                    let want = reference.next(&mut reference_pool);
+                    assert_eq!(got, want, "{tree} under {rules:?} limit {limit}");
+                    assert_eq!(stream.steps(), reference.steps, "{tree} under {rules:?}");
+                    assert_eq!(stream.pending(), reference.ready.len(), "{tree} under {rules:?}");
+                    assert_eq!(stream.yielded(), reference.yielded, "{tree} under {rules:?}");
+                    if got.is_none() {
+                        break;
+                    }
+                    yielded += 1;
+                }
+                assert_eq!(pool.len(), reference_pool.len());
+                assert_eq!(pool.dedup_hits(), reference_pool.dedup_hits());
+            }
+        }
+        assert!(yielded > 20 * trees.len(), "{yielded} variants over {} statements", trees.len());
     }
 
     #[test]

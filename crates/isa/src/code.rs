@@ -449,6 +449,12 @@ impl DataLayout {
         DataLayout::default()
     }
 
+    /// Removes every entry, keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.by_sym.clear();
+    }
+
     /// Adds a symbol at the given address.
     ///
     /// # Panics

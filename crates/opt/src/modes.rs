@@ -61,8 +61,12 @@ pub fn insert_mode_changes(code: &mut Code, target: &TargetDesc, strategy: ModeS
             }
         }
         ModeStrategy::Lazy => {
-            let mut state: Vec<bool> = target.modes.iter().map(|m| m.default_on).collect();
-            lazy(insns, 0, &mut state, &mut plan);
+            let (mut inline, mut heap) = ([false; INLINE_MODES], Vec::new());
+            let state = mode_state(&mut inline, &mut heap, target.modes.len());
+            for (on, mode) in state.iter_mut().zip(&target.modes) {
+                *on = mode.default_on;
+            }
+            lazy(insns, 0, state, &mut plan);
         }
     }
     if plan.is_empty() {
@@ -87,6 +91,25 @@ fn set_mode(target: &TargetDesc, mode: usize, on: bool) -> Insn {
     let desc = &target.modes[mode];
     let text = if on { desc.set_asm.clone() } else { desc.clear_asm.clone() };
     Insn::ctrl(InsnKind::SetMode { mode, on }, text, desc.cost.words, desc.cost.cycles)
+}
+
+/// Modes whose tracked state fits on the stack; a target with more keeps
+/// it on the heap.
+const INLINE_MODES: usize = 8;
+
+/// A mode-state slice of `n` modes: the front of `inline` when it fits,
+/// else `heap`, grown to `n`.
+fn mode_state<'a>(
+    inline: &'a mut [bool; INLINE_MODES],
+    heap: &'a mut Vec<bool>,
+    n: usize,
+) -> &'a mut [bool] {
+    if n <= INLINE_MODES {
+        &mut inline[..n]
+    } else {
+        heap.resize(n, false);
+        heap
+    }
 }
 
 /// Plans lazy insertion over a (possibly loop-structured) instruction
@@ -117,7 +140,9 @@ fn lazy(insns: &[Insn], at: usize, state: &mut [bool], plan: &mut Vec<(usize, us
                         change(plan, state, at + i, mode, polarity);
                     }
                 }
-                let entry = state.to_vec();
+                let (mut inline, mut heap) = ([false; INLINE_MODES], Vec::new());
+                let entry = mode_state(&mut inline, &mut heap, state.len());
+                entry.copy_from_slice(state);
                 lazy(body, at + i + 1, state, plan);
                 // restore entry state so every iteration sees it
                 for (mode, &on) in entry.iter().enumerate() {
@@ -502,6 +527,22 @@ mod tests {
         target
     }
 
+    /// A target with ten modes, more than the mode state holds on the
+    /// stack: tic25's `ovm` and nine more with alternating defaults.
+    fn ten_mode_target() -> TargetDesc {
+        let mut target = t();
+        for k in 0..9 {
+            target.modes.push(record_isa::target::ModeDesc {
+                name: format!("m{k}"),
+                set_asm: format!("SET{k}"),
+                clear_asm: format!("CLR{k}"),
+                cost: record_isa::Cost::new(1, 1),
+                default_on: k % 2 == 0,
+            });
+        }
+        target
+    }
+
     /// A random structured block: requiring and plain instructions, RPT
     /// pairs, pre-existing mode changes and nested loops.
     fn gen_block(rng: &mut record_prop::Rng, depth: u32, modes: usize, out: &mut Vec<Insn>) {
@@ -539,10 +580,10 @@ mod tests {
 
     /// Planned, moving insertion reproduces the cloning insertion it
     /// replaced: the same program and the same count, under both
-    /// strategies, on one- and two-mode targets.
+    /// strategies, on one-, two- and ten-mode targets.
     #[test]
     fn planned_insertion_equals_the_cloning_reference() {
-        let targets = [t(), two_mode_target()];
+        let targets = [t(), two_mode_target(), ten_mode_target()];
         let (mut changed, mut untouched) = (0usize, 0usize);
         record_prop::run_cases(2000, |rng| {
             let target = &targets[rng.usize(targets.len())];

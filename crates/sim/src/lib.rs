@@ -28,7 +28,7 @@ use record_isa::{Code, RegId, StructureError, TargetDesc};
 
 mod program;
 
-pub use program::Program;
+pub use program::{DecodeBuffers, Program};
 use program::{Node, Op, Operand, StepKind};
 
 /// An error raised during simulation.
@@ -268,7 +268,22 @@ impl<'t> Machine<'t> {
     ///
     /// [`SimError::Structure`] when [`Code::verify`] rejects the code.
     pub fn decode<'c>(&self, code: &'c Code) -> Result<Program<'c>, SimError> {
-        Program::decode(code, self)
+        Program::decode(code, self, &mut DecodeBuffers::default())
+    }
+
+    /// [`decode`](Machine::decode) into the vectors of `buffers`, which
+    /// [`Program::recycle`] returns them to: decoding program after
+    /// program this way allocates only when a program outgrows them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Structure`] when [`Code::verify`] rejects the code.
+    pub fn decode_reusing<'c>(
+        &self,
+        code: &'c Code,
+        buffers: &mut DecodeBuffers,
+    ) -> Result<Program<'c>, SimError> {
+        Program::decode(code, self, buffers)
     }
 
     /// Executes a program to completion: decodes it, then runs
@@ -292,8 +307,7 @@ impl<'t> Machine<'t> {
         let steps = &program.steps;
         let mut result = RunResult::default();
         let mut pc = 0usize;
-        // (loop-start pc, trip count, counter slot, iteration)
-        let mut loops: Vec<(usize, u32, usize, u32)> = Vec::new();
+        self.scratch.loops.clear();
         self.counters.clear();
         self.counters.resize(program.counters.len(), None);
         let mut executed = 0u64;
@@ -316,16 +330,19 @@ impl<'t> Machine<'t> {
                         pc = end + 1;
                         continue;
                     }
-                    loops.push((pc - 1, *count, *counter, 0));
+                    self.scratch.loops.push((pc - 1, *count, *counter, 0));
                     self.counters[*counter] = Some(0);
                 }
                 StepKind::LoopEnd => {
-                    let (start, count, counter, iter) =
-                        loops.pop().ok_or(SimError::Structure(StructureError::StrayLoopEnd))?;
+                    let (start, count, counter, iter) = self
+                        .scratch
+                        .loops
+                        .pop()
+                        .ok_or(SimError::Structure(StructureError::StrayLoopEnd))?;
                     let next_iter = iter + 1;
                     if next_iter < count {
                         self.counters[counter] = Some(next_iter as i64);
-                        loops.push((start, count, counter, next_iter));
+                        self.scratch.loops.push((start, count, counter, next_iter));
                         pc = start + 1;
                     } else {
                         self.counters[counter] = None;
@@ -585,6 +602,9 @@ impl<'t> Machine<'t> {
 /// Buffers a bundle reuses, so executing one allocates nothing.
 #[derive(Debug, Default)]
 struct Scratch {
+    /// The active loops, innermost last, as (loop-start pc, trip count,
+    /// counter slot, iteration).
+    loops: Vec<(usize, u32, usize, u32)>,
     /// The postfix value stack.
     stack: Vec<i64>,
     /// One value per operation, written after every read.

@@ -162,26 +162,49 @@ pub(crate) enum Operand {
     Unplaced { counter: Option<usize>, sym: Symbol },
 }
 
+/// The vectors of a decoded [`Program`], kept from one decode to the
+/// next: [`Machine::decode_reusing`](crate::Machine::decode_reusing)
+/// decodes into them and [`Program::recycle`] hands them back, so a
+/// caller that decodes program after program allocates them once.
+#[derive(Debug, Default)]
+pub struct DecodeBuffers {
+    steps: Vec<Step>,
+    ops: Vec<Op>,
+    nodes: Vec<Node>,
+    counters: Vec<Symbol>,
+}
+
 impl<'c> Program<'c> {
-    /// Decodes `code` for `machine`'s target.
+    /// Decodes `code` for `machine`'s target in the vectors of `buffers`
+    /// (left empty until [`recycle`](Program::recycle)).
     ///
     /// # Errors
     ///
     /// [`SimError::Structure`] when [`Code::verify`] rejects the code.
-    pub(crate) fn decode(code: &'c Code, machine: &Machine<'_>) -> Result<Self, SimError> {
+    pub(crate) fn decode(
+        code: &'c Code,
+        machine: &Machine<'_>,
+        buffers: &mut DecodeBuffers,
+    ) -> Result<Self, SimError> {
         code.verify().map_err(SimError::Structure)?;
+        let mut steps = std::mem::take(&mut buffers.steps);
+        steps.clear();
+        steps.reserve(code.insns.len());
         let mut d = Decoder {
             machine,
             layout: &code.layout,
             program: Program {
                 code,
-                steps: Vec::with_capacity(code.insns.len()),
-                ops: Vec::new(),
-                nodes: Vec::new(),
-                counters: Vec::new(),
+                steps,
+                ops: std::mem::take(&mut buffers.ops),
+                nodes: std::mem::take(&mut buffers.nodes),
+                counters: std::mem::take(&mut buffers.counters),
                 sat_mode: machine.target.sat_mode(),
             },
         };
+        d.program.ops.clear();
+        d.program.nodes.clear();
+        d.program.counters.clear();
         // `LoopStart` steps still waiting for their end
         let mut open: Vec<usize> = Vec::new();
         for (pc, insn) in code.insns.iter().enumerate() {
@@ -234,6 +257,15 @@ impl<'c> Program<'c> {
             d.program.steps.push(Step { kind, cycles: insn.cycles });
         }
         Ok(d.program)
+    }
+
+    /// Hands the program's vectors back to `buffers` for the next
+    /// [`Machine::decode_reusing`](crate::Machine::decode_reusing).
+    pub fn recycle(self, buffers: &mut DecodeBuffers) {
+        buffers.steps = self.steps;
+        buffers.ops = self.ops;
+        buffers.nodes = self.nodes;
+        buffers.counters = self.counters;
     }
 }
 

@@ -1,5 +1,5 @@
-//! Heap allocations of the backend passes, counted by a counting global
-//! allocator.
+//! Heap allocations of the `select` pass and of the backend passes,
+//! counted by a counting global allocator.
 //!
 //! Each pass's [`Pass::run`] is called directly on a [`CompilationUnit`],
 //! the stage-by-stage path (no pass-manager bookkeeping), for every
@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use record::{CompilationUnit, Compiler, PassPlan};
+use record::{CompilationUnit, Compiler, PassPlan, Session};
 use record_ir::{dfl, lower};
 
 struct Counting;
@@ -65,28 +65,37 @@ const BACKEND: [&str; 8] =
 /// compact 68, hoist 0, modes 32, rpt 0).
 const BACKEND_ALLOCATIONS_BEFORE: u64 = 6298;
 
-/// Per-pass allocation counts over every DSPStone kernel at `O2` on
-/// tic25 and dsp56k, plus the `(pass, kernel, target)` runs of `hoist`
-/// and `rpt` that left the code unchanged yet allocated.
-fn count_backend() -> (Vec<(&'static str, u64)>, Vec<String>) {
+/// Allocations the `select` pass made over every DSPStone kernel at `O2`
+/// on tic25 and dsp56k before it kept its scratch state in the emitter:
+/// 3942 on tic25 and 6680 on dsp56k.
+const SELECT_ALLOCATIONS_BEFORE: u64 = 10_622;
+
+/// The two targets every count here covers.
+fn targets() -> [record_isa::TargetDesc; 2] {
+    [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()]
+}
+
+/// Per-pass allocation counts over every DSPStone kernel at `O2`, one
+/// column per target of [`targets`], plus the `(pass, kernel, target)`
+/// runs of `hoist` and `rpt` that left the code unchanged yet allocated.
+fn count_passes() -> (Vec<(&'static str, [u64; 2])>, Vec<String>) {
     let plan = PassPlan::o2();
-    let mut per_pass: Vec<(&'static str, u64)> = BACKEND.iter().map(|&p| (p, 0)).collect();
+    let mut per_pass: Vec<(&'static str, [u64; 2])> =
+        plan.passes().iter().map(|p| (p.name(), [0; 2])).collect();
     let mut wasteful = Vec::new();
-    for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()] {
+    for (column, target) in targets().into_iter().enumerate() {
         let compiler = Compiler::for_target(target).unwrap();
         for kernel in record_dspstone::kernels() {
             let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
             let mut unit = CompilationUnit::new(compiler.target(), compiler.tables(), &lir);
             unit.budgets = *plan.budgets();
-            for pass in plan.passes() {
+            for (ix, pass) in plan.passes().iter().enumerate() {
                 let unchanged_check = matches!(pass.name(), "hoist" | "rpt");
                 let before = unchanged_check.then(|| unit.code.clone());
                 let start = allocations();
                 pass.run(&mut unit).unwrap();
                 let made = allocations() - start;
-                if let Some(slot) = per_pass.iter_mut().find(|(p, _)| *p == pass.name()) {
-                    slot.1 += made;
-                }
+                per_pass[ix].1[column] += made;
                 if before.is_some_and(|b| b == unit.code) && made > 0 {
                     wasteful.push(format!(
                         "{} on {} {}: {made} allocations",
@@ -101,12 +110,17 @@ fn count_backend() -> (Vec<(&'static str, u64)>, Vec<String>) {
     (per_pass, wasteful)
 }
 
+/// The summed count of the passes named in `names`, over both targets.
+fn total_of(per_pass: &[(&'static str, [u64; 2])], names: &[&str]) -> u64 {
+    per_pass.iter().filter(|(p, _)| names.contains(p)).map(|(_, n)| n[0] + n[1]).sum()
+}
+
 #[test]
 fn backend_passes_allocate_at_most_half_of_before() {
     // warm up once so lazily initialized state is not charged to a pass
-    count_backend();
-    let (per_pass, _) = count_backend();
-    let total: u64 = per_pass.iter().map(|(_, n)| n).sum();
+    count_passes();
+    let (per_pass, _) = count_passes();
+    let total = total_of(&per_pass, &BACKEND);
     println!("backend allocations: {per_pass:?} total {total}");
     assert!(
         total * 2 <= BACKEND_ALLOCATIONS_BEFORE,
@@ -117,7 +131,62 @@ fn backend_passes_allocate_at_most_half_of_before() {
 
 #[test]
 fn hoist_and_rpt_allocate_nothing_on_code_they_leave_unchanged() {
-    count_backend();
-    let (_, wasteful) = count_backend();
+    count_passes();
+    let (_, wasteful) = count_passes();
     assert!(wasteful.is_empty(), "{wasteful:#?}");
+}
+
+#[test]
+fn select_allocates_at_most_a_third_of_before() {
+    count_passes();
+    let (per_pass, _) = count_passes();
+    let select = per_pass.iter().find(|(p, _)| *p == "select").unwrap().1;
+    let total = select[0] + select[1];
+    println!("select allocations: tic25 {} dsp56k {} total {total}", select[0], select[1]);
+    assert!(
+        total * 3 <= SELECT_ALLOCATIONS_BEFORE,
+        "select allocated {total} times (tic25 {}, dsp56k {}), more than a third of the \
+         {SELECT_ALLOCATIONS_BEFORE} before",
+        select[0],
+        select[1]
+    );
+}
+
+/// Reports what a warm [`Session`] compile allocates per DSPStone kernel
+/// at `O2` (mean over the ten kernels; the session's compiler and tables
+/// already exist, there is no code cache). Strict inter-pass checks are
+/// off, as in a release build.
+#[test]
+fn report_whole_session_compile_allocations() {
+    let session = Session::new().with_plan(PassPlan::o2().strict(false));
+    let kernels = record_dspstone::kernels();
+    for target in targets() {
+        for kernel in &kernels {
+            session.compile_source(&target, kernel.source).unwrap();
+        }
+        let start = allocations();
+        for kernel in &kernels {
+            session.compile_source(&target, kernel.source).unwrap();
+        }
+        let per_kernel = (allocations() - start) as f64 / kernels.len() as f64;
+        println!("warm Session compile on {}: {per_kernel:.1} allocations per kernel", target.name);
+        assert!(per_kernel > 0.0);
+    }
+}
+
+/// Reports what parsing a DSPStone kernel allocates (mean over the ten
+/// kernels): the token vector, the AST and each identifier's text once.
+#[test]
+fn report_parse_allocations() {
+    let kernels = record_dspstone::kernels();
+    for kernel in &kernels {
+        dfl::parse(kernel.source).unwrap();
+    }
+    let start = allocations();
+    for kernel in &kernels {
+        dfl::parse(kernel.source).unwrap();
+    }
+    let per_kernel = (allocations() - start) as f64 / kernels.len() as f64;
+    println!("parse: {per_kernel:.1} allocations per kernel");
+    assert!(per_kernel > 0.0);
 }
