@@ -134,16 +134,6 @@ fn print_ablations() {
         record_opt::soa_cost(&soa, &acc_seq, 1),
     );
 
-    // 6b. general offset assignment: more pointers, fewer AR operations
-    let goa_seq: Vec<Symbol> =
-        "a b c a b c a b c d e d e".split_whitespace().map(Symbol::new).collect();
-    let (_, g1) = record_opt::goa(&goa_seq, 1, 1);
-    let (_, g2) = record_opt::goa(&goa_seq, 2, 1);
-    println!(
-        "{:<44} {:>5} -> {:>5}   (AR ops, 1 vs 2 pointers)",
-        "general offset assignment (synthetic)", g1, g2,
-    );
-
     // 7. mode-change minimization: two saturating updates per iteration —
     // lazy switching hoists one SOVM before the loop; per-use pays twice
     // per statement per iteration. The strategy is a parameter of the

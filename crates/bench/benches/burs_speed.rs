@@ -142,7 +142,7 @@ fn smoke_cuts(target: &TargetDesc) {
             src: Tree::bin(BinOp::Add, mul("ar", "bi"), mul("ai", "br")),
         },
     ];
-    let (_, stats) = Emitter::new(target).emit_block(&block, &RuleSet::all(), 32, false).unwrap();
+    let (_, stats) = Emitter::new(target).emit_block(&block, &RuleSet::all(), 32).unwrap();
     assert!(stats.shares_taken > 0, "DAG covering took no share on {}", target.name);
 
     let matcher = Matcher::new(target);

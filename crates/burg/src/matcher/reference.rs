@@ -358,7 +358,8 @@ mod tests {
         let mut block = Vec::new();
         let flush = |block: &mut Vec<AssignStmt>, out: &mut Vec<Vec<AssignStmt>>| {
             if !block.is_empty() {
-                out.push(record_ir::treeify::treeify(block, 0).0.assigns);
+                let pool = &mut record_ir::TreePool::new();
+                out.push(record_ir::treeify::treeify(pool, block.clone(), 0).0.assigns);
                 out.push(std::mem::take(block));
             }
         };

@@ -124,7 +124,7 @@ fn emit_items(
     for item in items {
         match item {
             LirItem::Assign(stmt) => {
-                let (stmt_insns, _) = emitter.emit_assign(stmt, &RuleSet::none(), 1, false)?;
+                let (stmt_insns, _) = emitter.emit_assign(stmt, &RuleSet::none(), 1)?;
                 emit_statement_with_addressing(stmt_insns, out);
             }
             LirItem::Loop { var, count, body } => {

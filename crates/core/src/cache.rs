@@ -1,20 +1,20 @@
 //! Two-level content-addressed compile cache.
 //!
 //! Compiled code is keyed by [`CacheKey`] — the program's fingerprint
-//! (over its interned [`TreePool`](record_ir::pool::TreePool) form), the
-//! target's fingerprint, and the pass plan's fingerprint — so a repeat
-//! compile becomes a lookup. An in-memory LRU answers warm lookups
-//! within a process; an optional on-disk store answers them across
-//! processes.
+//! (over its canonical bytes, [`record_ir::fingerprint`]), the target's
+//! fingerprint, and the pass plan's fingerprint — so a repeat compile
+//! becomes a lookup. An in-memory LRU answers warm lookups within a
+//! process; an optional on-disk store answers them across processes.
 //!
 //! The BURS matcher tables are not stored: building them for a target
 //! costs no more than decoding them would, so a [`Session`](crate::Session)
 //! builds them once per process.
 //!
 //! Fingerprints are 64-bit, so collisions are improbable but not
-//! impossible; every code hit is therefore confirmed by *exact
-//! structural equality* of the stored [`Lir`] (and target name) against
-//! the request — a collision degrades to a miss, never to wrong code.
+//! impossible; every entry therefore keeps the program's canonical bytes
+//! ([`program_bytes`]) and the target name, and a code hit needs both
+//! to equal the request's. Equal bytes mean a structurally equal program,
+//! so a collision degrades to a miss, never to wrong code.
 //!
 //! The disk format is hand-rolled (no serde): each file is a
 //! [`codec::seal`]ed container — versioned magic header,
@@ -28,21 +28,23 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use record_ir::lir::{AssignStmt, Lir, LirItem, StorageKind, VarInfo};
-use record_ir::{Bank, BinOp, Index, MemRef, Symbol, Tree, UnOp};
+use record_ir::fingerprint::program_bytes;
+use record_ir::lir::Lir;
+use record_ir::{Bank, BinOp, Symbol, UnOp};
 use record_isa::code::LayoutEntry;
 use record_isa::{
     AddrMode, Code, DataLayout, Insn, InsnKind, Loc, MemLoc, RegClassId, RegId, RuleId, SemExpr,
 };
 use record_trace::codec::{self, ByteReader, ByteWriter, CodecError};
 
-/// Magic + version framing a cached-code file.
+/// Magic + version framing a cached-code file. Version 2 stores the
+/// program's canonical bytes where version 1 stored an encoded `Lir`.
 const CODE_MAGIC: &[u8; 8] = b"RECCODE\0";
-const CODE_VERSION: u32 = 1;
+const CODE_VERSION: u32 = 2;
 
-/// Decode recursion guard: trees, expressions and loop nests deeper
-/// than this are rejected as corrupt rather than risking stack
-/// exhaustion on hostile bytes. Real kernels nest a handful of levels.
+/// Decode recursion guard: expressions and parallel bundles deeper than
+/// this are rejected as corrupt rather than risking stack exhaustion on
+/// hostile bytes. Real kernels nest a handful of levels.
 const MAX_DECODE_DEPTH: usize = 512;
 
 /// The content-derived identity of one compile:
@@ -72,12 +74,12 @@ pub struct CacheStats {
     pub corruptions: u64,
 }
 
-/// One resident cache entry. The request's `Lir` and target name are
-/// kept alongside the code so a later lookup under a colliding
-/// fingerprint can be refused by structural comparison.
+/// One resident cache entry. The program's canonical bytes and the
+/// target name are kept alongside the code so a later lookup under a
+/// colliding fingerprint can be refused.
 struct Slot {
     tick: u64,
-    lir: Lir,
+    program: Vec<u8>,
     target_name: String,
     code: Code,
 }
@@ -138,12 +140,13 @@ impl CompileCache {
     }
 
     /// Looks up compiled code for `(key, lir, target_name)`: memory
-    /// first, then disk. A fingerprint collision (stored program or
-    /// target differs structurally) and a corrupt disk entry both
-    /// answer `None`; the corrupt file is deleted.
+    /// first, then disk. A fingerprint collision (stored program bytes or
+    /// target name differ) and a corrupt disk entry both answer `None`;
+    /// the corrupt file is deleted. The program's bytes are computed only
+    /// when an entry exists for `key`.
     pub fn lookup(&mut self, key: &CacheKey, lir: &Lir, target_name: &str) -> Option<Code> {
         if let Some(slot) = self.slots.get_mut(key) {
-            if slot.lir == *lir && slot.target_name == target_name {
+            if slot.target_name == target_name && slot.program == program_bytes(lir) {
                 self.tick += 1;
                 slot.tick = self.tick;
                 self.stats.hits += 1;
@@ -152,8 +155,8 @@ impl CompileCache {
             self.stats.misses += 1;
             return None;
         }
-        if let Some(code) = self.lookup_disk(key, lir, target_name) {
-            self.remember(*key, lir.clone(), target_name.to_string(), code.clone());
+        if let Some((program, code)) = self.lookup_disk(key, lir, target_name) {
+            self.remember(*key, program, target_name.to_string(), code.clone());
             self.stats.hits += 1;
             return Some(code);
         }
@@ -164,17 +167,18 @@ impl CompileCache {
     /// Stores a freshly compiled `code` under `key`, in memory and (when
     /// configured) on disk.
     pub fn insert(&mut self, key: CacheKey, lir: &Lir, target_name: &str, code: &Code) {
-        self.remember(key, lir.clone(), target_name.to_string(), code.clone());
+        let program = program_bytes(lir);
         if self.dir.is_some() {
-            let payload = encode_entry(&key, lir, target_name, code);
+            let payload = encode_entry(&key, target_name, &program, code);
             let sealed = codec::seal(CODE_MAGIC, CODE_VERSION, &payload);
             self.write_file(&Self::code_file_name(&key), &sealed);
         }
+        self.remember(key, program, target_name.to_string(), code.clone());
     }
 
-    fn remember(&mut self, key: CacheKey, lir: Lir, target_name: String, code: Code) {
+    fn remember(&mut self, key: CacheKey, program: Vec<u8>, target_name: String, code: Code) {
         self.tick += 1;
-        self.slots.insert(key, Slot { tick: self.tick, lir, target_name, code });
+        self.slots.insert(key, Slot { tick: self.tick, program, target_name, code });
         while self.slots.len() > self.capacity {
             let oldest = self
                 .slots
@@ -187,23 +191,30 @@ impl CompileCache {
         }
     }
 
-    fn lookup_disk(&mut self, key: &CacheKey, lir: &Lir, target_name: &str) -> Option<Code> {
+    /// The disk entry for `key`, as the program bytes it holds and its
+    /// code, when it is the request's.
+    fn lookup_disk(
+        &mut self,
+        key: &CacheKey,
+        lir: &Lir,
+        target_name: &str,
+    ) -> Option<(Vec<u8>, Code)> {
         let path = self.dir.as_ref()?.join(Self::code_file_name(key));
         let bytes = std::fs::read(&path).ok()?;
         match decode_entry(&bytes) {
-            Ok((stored_key, stored_lir, stored_target, code)) => {
-                if stored_key == *key && stored_lir == *lir && stored_target == target_name {
-                    Some(code)
-                } else if stored_key != *key {
-                    // the file does not even claim to be this entry:
-                    // overwritten or damaged in a way that still decodes
-                    self.discard(&path);
-                    None
-                } else {
-                    // true fingerprint collision: the entry is valid for
-                    // some *other* program — leave it, miss here
-                    None
-                }
+            Ok(entry) if entry.key != *key => {
+                // the file does not even claim to be this entry:
+                // overwritten or damaged in a way that still decodes
+                self.discard(&path);
+                None
+            }
+            Ok(entry) => {
+                let program = program_bytes(lir);
+                // a differing program or target is a true fingerprint
+                // collision: the entry is valid for some *other* compile
+                // — leave it, miss here
+                (entry.target_name == target_name && entry.program == program)
+                    .then_some((program, entry.code))
             }
             Err(_) => {
                 self.discard(&path);
@@ -308,32 +319,38 @@ fn sweep_tmp_files(dir: &Path) {
 }
 
 // ---------------------------------------------------------------------------
-// Entry codec: (key, lir, target name, code) in one sealed payload.
+// Entry codec: (key, target name, program bytes, code) in one sealed payload.
 // ---------------------------------------------------------------------------
 
-fn encode_entry(key: &CacheKey, lir: &Lir, target_name: &str, code: &Code) -> Vec<u8> {
+/// A decoded disk entry; `program` borrows the file's bytes.
+struct Entry<'a> {
+    key: CacheKey,
+    target_name: &'a str,
+    program: &'a [u8],
+    code: Code,
+}
+
+fn encode_entry(key: &CacheKey, target_name: &str, program: &[u8], code: &Code) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(key.program);
     w.u64(key.target);
     w.u64(key.plan);
     w.str(target_name);
-    encode_lir(&mut w, lir);
+    w.bytes(program);
     encode_code(&mut w, code);
     w.into_bytes()
 }
 
-fn decode_entry(bytes: &[u8]) -> Result<(CacheKey, Lir, String, Code), CodecError> {
+fn decode_entry(bytes: &[u8]) -> Result<Entry<'_>, CodecError> {
     let payload = codec::unseal(CODE_MAGIC, CODE_VERSION, bytes)?;
     let mut r = ByteReader::new(payload);
     let key = CacheKey { program: r.u64()?, target: r.u64()?, plan: r.u64()? };
-    let target_name = r.str()?.to_string();
-    let lir = decode_lir(&mut r)?;
+    let target_name = r.str()?;
+    let program = r.bytes_record()?;
     let code = decode_code(&mut r)?;
     r.finish()?;
-    Ok((key, lir, target_name, code))
+    Ok(Entry { key, target_name, program, code })
 }
-
-// -- IR side ----------------------------------------------------------------
 
 fn encode_symbol(w: &mut ByteWriter, s: &Symbol) {
     w.str(s.as_str());
@@ -355,56 +372,6 @@ fn decode_bank(r: &mut ByteReader<'_>) -> Result<Bank, CodecError> {
         0 => Ok(Bank::X),
         1 => Ok(Bank::Y),
         t => Err(r.error(format!("bad bank tag {t}"))),
-    }
-}
-
-fn encode_index(w: &mut ByteWriter, ix: &Index) {
-    match ix {
-        Index::Const(c) => {
-            w.u8(0);
-            w.i64(*c);
-        }
-        Index::Var { var, offset } => {
-            w.u8(1);
-            encode_symbol(w, var);
-            w.i64(*offset);
-        }
-        Index::RevVar { var, offset } => {
-            w.u8(2);
-            encode_symbol(w, var);
-            w.i64(*offset);
-        }
-    }
-}
-
-fn decode_index(r: &mut ByteReader<'_>) -> Result<Index, CodecError> {
-    match r.u8()? {
-        0 => Ok(Index::Const(r.i64()?)),
-        1 => Ok(Index::Var { var: decode_symbol(r)?, offset: r.i64()? }),
-        2 => Ok(Index::RevVar { var: decode_symbol(r)?, offset: r.i64()? }),
-        t => Err(r.error(format!("bad index tag {t}"))),
-    }
-}
-
-fn encode_mem_ref(w: &mut ByteWriter, m: &MemRef) {
-    match m {
-        MemRef::Scalar(s) => {
-            w.u8(0);
-            encode_symbol(w, s);
-        }
-        MemRef::Array { base, index } => {
-            w.u8(1);
-            encode_symbol(w, base);
-            encode_index(w, index);
-        }
-    }
-}
-
-fn decode_mem_ref(r: &mut ByteReader<'_>) -> Result<MemRef, CodecError> {
-    match r.u8()? {
-        0 => Ok(MemRef::Scalar(decode_symbol(r)?)),
-        1 => Ok(MemRef::Array { base: decode_symbol(r)?, index: decode_index(r)? }),
-        t => Err(r.error(format!("bad memref tag {t}"))),
     }
 }
 
@@ -444,162 +411,6 @@ fn decode_un_op(r: &mut ByteReader<'_>) -> Result<UnOp, CodecError> {
         4 => UnOp::Round,
         t => return Err(r.error(format!("bad unop tag {t}"))),
     })
-}
-
-fn encode_tree(w: &mut ByteWriter, t: &Tree) {
-    match t {
-        Tree::Const(c) => {
-            w.u8(0);
-            w.i64(*c);
-        }
-        Tree::Mem(m) => {
-            w.u8(1);
-            encode_mem_ref(w, m);
-        }
-        Tree::Temp(s) => {
-            w.u8(2);
-            encode_symbol(w, s);
-        }
-        Tree::Bin(op, a, b) => {
-            w.u8(3);
-            encode_bin_op(w, *op);
-            encode_tree(w, a);
-            encode_tree(w, b);
-        }
-        Tree::Un(op, a) => {
-            w.u8(4);
-            encode_un_op(w, *op);
-            encode_tree(w, a);
-        }
-    }
-}
-
-fn decode_tree(r: &mut ByteReader<'_>, depth: usize) -> Result<Tree, CodecError> {
-    if depth > MAX_DECODE_DEPTH {
-        return Err(r.error("tree nesting too deep"));
-    }
-    match r.u8()? {
-        0 => Ok(Tree::Const(r.i64()?)),
-        1 => Ok(Tree::Mem(decode_mem_ref(r)?)),
-        2 => Ok(Tree::Temp(decode_symbol(r)?)),
-        3 => {
-            let op = decode_bin_op(r)?;
-            let a = decode_tree(r, depth + 1)?;
-            let b = decode_tree(r, depth + 1)?;
-            Ok(Tree::Bin(op, Box::new(a), Box::new(b)))
-        }
-        4 => {
-            let op = decode_un_op(r)?;
-            Ok(Tree::Un(op, Box::new(decode_tree(r, depth + 1)?)))
-        }
-        t => Err(r.error(format!("bad tree tag {t}"))),
-    }
-}
-
-fn encode_var_info(w: &mut ByteWriter, v: &VarInfo) {
-    encode_symbol(w, &v.name);
-    w.u32(v.len);
-    w.u8(match v.kind {
-        StorageKind::Var => 0,
-        StorageKind::In => 1,
-        StorageKind::Out => 2,
-    });
-    match v.bank {
-        None => w.u8(0),
-        Some(b) => {
-            w.u8(1);
-            encode_bank(w, b);
-        }
-    }
-    w.bool(v.is_fix);
-}
-
-fn decode_var_info(r: &mut ByteReader<'_>) -> Result<VarInfo, CodecError> {
-    let name = decode_symbol(r)?;
-    let len = r.u32()?;
-    let kind = match r.u8()? {
-        0 => StorageKind::Var,
-        1 => StorageKind::In,
-        2 => StorageKind::Out,
-        t => return Err(r.error(format!("bad storage kind tag {t}"))),
-    };
-    let bank = match r.u8()? {
-        0 => None,
-        1 => Some(decode_bank(r)?),
-        t => return Err(r.error(format!("bad option tag {t}"))),
-    };
-    let is_fix = r.bool()?;
-    Ok(VarInfo { name, len, kind, bank, is_fix })
-}
-
-fn encode_lir_item(w: &mut ByteWriter, item: &LirItem) {
-    match item {
-        LirItem::Assign(a) => {
-            w.u8(0);
-            encode_mem_ref(w, &a.dst);
-            encode_tree(w, &a.src);
-        }
-        LirItem::Loop { var, count, body } => {
-            w.u8(1);
-            encode_symbol(w, var);
-            w.u32(*count);
-            w.u32(body.len() as u32);
-            for it in body {
-                encode_lir_item(w, it);
-            }
-        }
-    }
-}
-
-fn decode_lir_item(r: &mut ByteReader<'_>, depth: usize) -> Result<LirItem, CodecError> {
-    if depth > MAX_DECODE_DEPTH {
-        return Err(r.error("loop nesting too deep"));
-    }
-    match r.u8()? {
-        0 => {
-            let dst = decode_mem_ref(r)?;
-            let src = decode_tree(r, 0)?;
-            Ok(LirItem::Assign(AssignStmt { dst, src }))
-        }
-        1 => {
-            let var = decode_symbol(r)?;
-            let count = r.u32()?;
-            let n = r.seq_len(1)?;
-            let mut body = Vec::with_capacity(n);
-            for _ in 0..n {
-                body.push(decode_lir_item(r, depth + 1)?);
-            }
-            Ok(LirItem::Loop { var, count, body })
-        }
-        t => Err(r.error(format!("bad lir item tag {t}"))),
-    }
-}
-
-fn encode_lir(w: &mut ByteWriter, lir: &Lir) {
-    encode_symbol(w, &lir.name);
-    w.u32(lir.vars.len() as u32);
-    for v in &lir.vars {
-        encode_var_info(w, v);
-    }
-    w.u32(lir.body.len() as u32);
-    for item in &lir.body {
-        encode_lir_item(w, item);
-    }
-}
-
-fn decode_lir(r: &mut ByteReader<'_>) -> Result<Lir, CodecError> {
-    let name = decode_symbol(r)?;
-    let n_vars = r.seq_len(8)?;
-    let mut vars = Vec::with_capacity(n_vars);
-    for _ in 0..n_vars {
-        vars.push(decode_var_info(r)?);
-    }
-    let n_items = r.seq_len(1)?;
-    let mut body = Vec::with_capacity(n_items);
-    for _ in 0..n_items {
-        body.push(decode_lir_item(r, 0)?);
-    }
-    Ok(Lir { name, vars, body })
 }
 
 // -- Code side --------------------------------------------------------------
@@ -949,18 +760,22 @@ mod tests {
         CacheKey { program: program_fingerprint(lir), target: 7, plan: 9 }
     }
 
+    /// A sealed entry for the compiled test program.
+    fn sealed_entry(lir: &Lir, code: &Code) -> Vec<u8> {
+        let payload = encode_entry(&key_of(lir), "tic25", &program_bytes(lir), code);
+        codec::seal(CODE_MAGIC, CODE_VERSION, &payload)
+    }
+
     #[test]
     fn entry_round_trips_structurally() {
         let (lir, code) = compiled();
-        let key = key_of(&lir);
-        let bytes =
-            codec::seal(CODE_MAGIC, CODE_VERSION, &encode_entry(&key, &lir, "tic25", &code));
-        let (k2, lir2, tname, code2) = decode_entry(&bytes).unwrap();
-        assert_eq!(k2, key);
-        assert_eq!(lir2, lir);
-        assert_eq!(tname, "tic25");
-        assert_eq!(code2, code);
-        assert_eq!(code2.render(), code.render());
+        let bytes = sealed_entry(&lir, &code);
+        let entry = decode_entry(&bytes).unwrap();
+        assert_eq!(entry.key, key_of(&lir));
+        assert_eq!(entry.program, program_bytes(&lir));
+        assert_eq!(entry.target_name, "tic25");
+        assert_eq!(entry.code, code);
+        assert_eq!(entry.code.render(), code.render());
     }
 
     #[test]
@@ -969,9 +784,7 @@ mod tests {
         // or (if it flips a payload bit *and* the matching checksum bit —
         // impossible for one flip) be caught; it must never panic.
         let (lir, code) = compiled();
-        let key = key_of(&lir);
-        let bytes =
-            codec::seal(CODE_MAGIC, CODE_VERSION, &encode_entry(&key, &lir, "tic25", &code));
+        let bytes = sealed_entry(&lir, &code);
         for byte in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[byte] ^= 1;
@@ -982,12 +795,17 @@ mod tests {
     #[test]
     fn truncation_at_every_length_is_rejected() {
         let (lir, code) = compiled();
-        let key = key_of(&lir);
-        let bytes =
-            codec::seal(CODE_MAGIC, CODE_VERSION, &encode_entry(&key, &lir, "tic25", &code));
+        let bytes = sealed_entry(&lir, &code);
         for len in 0..bytes.len() {
             assert!(decode_entry(&bytes[..len]).is_err(), "truncation to {len} accepted");
         }
+    }
+
+    #[test]
+    fn a_version_1_entry_is_rejected() {
+        let (lir, code) = compiled();
+        let payload = encode_entry(&key_of(&lir), "tic25", &program_bytes(&lir), &code);
+        assert!(decode_entry(&codec::seal(CODE_MAGIC, 1, &payload)).is_err());
     }
 
     #[test]
@@ -1036,6 +854,13 @@ mod tests {
         let mut reader = CompileCache::new(8).with_dir(&dir);
         assert_eq!(reader.lookup(&key, &lir, "tic25"), Some(code.clone()));
         assert_eq!(reader.stats().hits, 1);
+
+        // another program under the same key misses and leaves the entry
+        let other = lower("program q; var x, y: fix; begin y := x + 1; end");
+        let mut colliding = CompileCache::new(8).with_dir(&dir);
+        assert!(colliding.lookup(&key, &other, "tic25").is_none());
+        assert_eq!(colliding.stats().corruptions, 0);
+        assert_eq!(colliding.lookup(&key, &lir, "tic25"), Some(code.clone()));
 
         // corrupt the file: the entry becomes a miss, the file is deleted
         let path = dir.join(CompileCache::code_file_name(&key));

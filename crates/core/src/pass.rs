@@ -24,7 +24,7 @@ use std::time::Instant;
 use record_burg::Tables;
 use record_ir::lir::{Lir, LirItem, StorageKind, VarInfo};
 use record_ir::transform::RuleSet;
-use record_ir::{fold, AssignStmt, Bank, Symbol};
+use record_ir::{fold, AssignStmt, Bank, Symbol, TreePool};
 use record_isa::{AddrMode, Code, Insn, InsnKind, StructureError, TargetDesc};
 use record_opt::compact::ScheduleMode;
 use record_opt::modes::ModeStrategy;
@@ -373,7 +373,6 @@ impl PassPlan {
         opt_usize(&mut h, self.budgets.max_variants);
         opt_u64(&mut h, self.budgets.max_schedule_steps);
         opt_u64(&mut h, self.budgets.max_search_steps);
-        opt_u64(&mut h, self.budgets.max_sim_steps);
         match self.budgets.pass_deadline {
             None => h.write_u8(0),
             Some(d) => {
@@ -595,9 +594,10 @@ impl Pass for FoldPass {
     }
 }
 
-/// Data-flow-graph construction and tree decomposition (CSE): shares
-/// common subexpressions within each straight-line block, materializing
-/// them as temporaries appended to the unit's storage.
+/// Tree decomposition of each straight-line block's data-flow graph
+/// (CSE, [`record_ir::treeify`]): shares common subexpressions within the
+/// block, materializing them as temporaries appended to the unit's
+/// storage. One tree pool serves every block of the compile.
 struct TreeifyPass;
 
 impl Pass for TreeifyPass {
@@ -606,52 +606,52 @@ impl Pass for TreeifyPass {
     }
 
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
-        let mut next_temp = 0usize;
-        fn flush(
-            block: &mut Vec<AssignStmt>,
-            out: &mut Vec<LirItem>,
-            next_temp: &mut usize,
-            vars: &mut Vec<VarInfo>,
-        ) {
-            if block.is_empty() {
-                return;
-            }
-            let (forest, next) = record_ir::treeify::treeify(block, *next_temp);
-            *next_temp = next;
-            block.clear();
-            for t in &forest.temps {
-                vars.push(VarInfo {
-                    name: t.clone(),
+        struct Blocks<'u> {
+            pool: TreePool,
+            next_temp: usize,
+            vars: &'u mut Vec<VarInfo>,
+        }
+        impl Blocks<'_> {
+            fn flush(&mut self, block: &mut Vec<AssignStmt>, out: &mut Vec<LirItem>) {
+                if block.is_empty() {
+                    return;
+                }
+                let (forest, next) = record_ir::treeify::treeify(
+                    &mut self.pool,
+                    std::mem::take(block),
+                    self.next_temp,
+                );
+                self.next_temp = next;
+                self.vars.extend(forest.temps.into_iter().map(|name| VarInfo {
+                    name,
                     len: 1,
                     kind: StorageKind::Var,
                     bank: None,
                     is_fix: true,
-                });
+                }));
+                out.extend(forest.assigns.into_iter().map(LirItem::Assign));
             }
-            out.extend(forest.assigns.into_iter().map(LirItem::Assign));
-        }
-        fn walk(
-            items: Vec<LirItem>,
-            next_temp: &mut usize,
-            vars: &mut Vec<VarInfo>,
-        ) -> Vec<LirItem> {
-            let mut out = Vec::with_capacity(items.len());
-            let mut block: Vec<AssignStmt> = Vec::new();
-            for item in items {
-                match item {
-                    LirItem::Assign(a) => block.push(a),
-                    LirItem::Loop { var, count, body } => {
-                        flush(&mut block, &mut out, next_temp, vars);
-                        let body = walk(body, next_temp, vars);
-                        out.push(LirItem::Loop { var, count, body });
+
+            fn walk(&mut self, items: Vec<LirItem>) -> Vec<LirItem> {
+                let mut out = Vec::with_capacity(items.len());
+                let mut block: Vec<AssignStmt> = Vec::new();
+                for item in items {
+                    match item {
+                        LirItem::Assign(a) => block.push(a),
+                        LirItem::Loop { var, count, body } => {
+                            self.flush(&mut block, &mut out);
+                            let body = self.walk(body);
+                            out.push(LirItem::Loop { var, count, body });
+                        }
                     }
                 }
+                self.flush(&mut block, &mut out);
+                out
             }
-            flush(&mut block, &mut out, next_temp, vars);
-            out
         }
         let body = std::mem::take(&mut unit.lir.body);
-        unit.lir.body = walk(body, &mut next_temp, &mut unit.vars);
+        let mut blocks = Blocks { pool: TreePool::new(), next_temp: 0, vars: &mut unit.vars };
+        unit.lir.body = blocks.walk(body);
         Ok(())
     }
 }
@@ -803,8 +803,7 @@ impl SelectPass {
             resource: resource.to_string(),
         };
         if self.dag_cover && !self.reference && max_variants.is_none() {
-            let one =
-                emitter.emit_block_into(block, &self.rules, self.variant_limit, false, out)?;
+            let one = emitter.emit_block_into(block, &self.rules, self.variant_limit, out)?;
             stats.absorb(&one);
             stats.statements += block.len() as u64;
             block.clear();
@@ -823,7 +822,7 @@ impl SelectPass {
                 }
                 None => self.variant_limit,
             };
-            let one = emitter.emit_assign_into(stmt, &self.rules, limit, false, out)?;
+            let one = emitter.emit_assign_into(stmt, &self.rules, limit, out)?;
             stats.absorb(&one);
             stats.statements += 1;
             // one statement per charge: enough granularity for the

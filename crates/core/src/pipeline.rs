@@ -53,9 +53,6 @@ pub struct Budgets {
     /// a compile finishes, never what code it produces, so cached code
     /// stays shareable across requests with different deadlines.
     pub hard_deadline: Option<std::time::Instant>,
-    /// Simulator step cap used when validating salvaged output
-    /// bit-exactly (defaults to [`record_sim::DEFAULT_MAX_STEPS`]).
-    pub max_sim_steps: Option<u64>,
 }
 
 impl Budgets {
@@ -75,7 +72,6 @@ impl Budgets {
             max_search_steps: Some(20_000_000),
             pass_deadline: Some(Duration::from_secs(10)),
             hard_deadline: None,
-            max_sim_steps: Some(record_sim::DEFAULT_MAX_STEPS),
         }
     }
 
@@ -104,8 +100,9 @@ pub struct CompileOptions {
     /// RECORD "does not contain any standard optimization technique (such
     /// as constant folding)" and Table 1 was measured that way.
     pub fold_constants: bool,
-    /// Share common subexpressions via data-flow-graph value numbering
-    /// before tree decomposition.
+    /// Share common subexpressions within each straight-line block: the
+    /// `treeify` pass cuts the block's data-flow graph into trees at its
+    /// multi-use values.
     pub cse: bool,
     /// Apply instruction fusion / parallel-move packing.
     pub compact: bool,
@@ -552,9 +549,8 @@ impl Compiler {
             .map_err(|e| fail(format!("salvage validation baseline failed to compile: {e}")))?;
 
         let inputs = deterministic_inputs(lir);
-        let max_steps = plan.budgets().max_sim_steps.unwrap_or(record_sim::DEFAULT_MAX_STEPS);
         let run = |code: &Code, label: &str| {
-            record_sim::run_program_with_steps(code, &self.target, &inputs, max_steps)
+            record_sim::run_program(code, &self.target, &inputs)
                 .map(|(out, _)| out)
                 .map_err(|e| fail(format!("salvage validation: {label} run failed: {e}")))
         };

@@ -24,7 +24,7 @@ use record_burg::{
     best_candidate, Cover, CoverBuf, CutSet, FlatOperand, LabelCache, Matcher, Tables, SHARED_RULE,
 };
 use record_ir::transform::{variants, RuleSet, VariantStream};
-use record_ir::{fold, AssignStmt, BlockDag, DagScratch, Symbol, Tree, TreePool};
+use record_ir::{AssignStmt, BlockDag, DagScratch, Symbol, Tree, TreePool};
 use record_isa::{
     Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, Rule, SemExpr,
     TargetDesc,
@@ -349,9 +349,7 @@ impl<'t> Emitter<'t> {
 
     /// Selects and emits one assignment.
     ///
-    /// `rules`/`variant_limit` control the algebraic enumeration;
-    /// `fold_constants` applies [`record_ir::fold`] first (off in the
-    /// paper's configuration).
+    /// `rules`/`variant_limit` control the algebraic enumeration.
     ///
     /// # Errors
     ///
@@ -362,10 +360,9 @@ impl<'t> Emitter<'t> {
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
         let mut out = Vec::new();
-        let stats = self.emit_assign_into(stmt, rules, variant_limit, fold_constants, &mut out)?;
+        let stats = self.emit_assign_into(stmt, rules, variant_limit, &mut out)?;
         Ok((out, stats))
     }
 
@@ -376,7 +373,6 @@ impl<'t> Emitter<'t> {
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
         out: &mut Vec<Insn>,
     ) -> Result<SelectStats, CompileError> {
         let mut total_stats = SelectStats::default();
@@ -387,7 +383,7 @@ impl<'t> Emitter<'t> {
         let mut split: Vec<AssignStmt> = Vec::new();
         while let Some(cur) = next.take().or_else(|| split.pop().map(Cow::Owned)) {
             let start = out.len();
-            let stats = self.emit_one(&cur, rules, variant_limit, fold_constants, out)?;
+            let stats = self.emit_one(&cur, rules, variant_limit, out)?;
             total_stats.absorb(&stats);
             if self.verify_statement(&cur, &mut Vec::new(), out, start) {
                 continue;
@@ -442,11 +438,10 @@ impl<'t> Emitter<'t> {
         stmts: &[S],
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
         let stmts: Vec<&AssignStmt> = stmts.iter().map(Borrow::borrow).collect();
         let mut out = Vec::new();
-        let stats = self.emit_block_into(&stmts, rules, variant_limit, fold_constants, &mut out)?;
+        let stats = self.emit_block_into(&stmts, rules, variant_limit, &mut out)?;
         Ok((out, stats))
     }
 
@@ -457,7 +452,6 @@ impl<'t> Emitter<'t> {
         stmts: &[&AssignStmt],
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
         out: &mut Vec<Insn>,
     ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
@@ -468,37 +462,23 @@ impl<'t> Emitter<'t> {
         let mut ends = std::mem::take(&mut self.buffers.baseline_ends);
         ends.clear();
         for stmt in stmts {
-            let s = self.emit_assign_into(stmt, rules, variant_limit, fold_constants, out)?;
+            let s = self.emit_assign_into(stmt, rules, variant_limit, out)?;
             stats.absorb(&s);
             ends.push(out.len() - start);
         }
 
-        // Stage B: DAG analysis over the trees selection actually sees.
-        let folded: Vec<AssignStmt>;
-        let folded_refs: Vec<&AssignStmt>;
-        let analyzed: &[&AssignStmt] = if fold_constants {
-            let width = self.target.word_width;
-            folded = stmts
-                .iter()
-                .map(|s| AssignStmt { dst: s.dst.clone(), src: fold::fold(&s.src, width) })
-                .collect();
-            folded_refs = folded.iter().collect();
-            &folded_refs
-        } else {
-            stmts
-        };
+        // Stage B: DAG analysis over the block's trees.
         let pool_len0 = self.pool.len() as u64;
         let dedup0 = self.pool.dedup_hits();
         let Buffers { dag, dag_scratch, .. } = &mut self.buffers;
-        dag.rebuild(&mut self.pool, analyzed, dag_scratch);
+        dag.rebuild(&mut self.pool, stmts, dag_scratch);
         let dag = std::mem::take(dag);
         stats.interned_nodes += self.pool.len() as u64 - pool_len0;
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
 
         let baseline = Baseline { start, ends: &ends };
-        let limits = (rules, variant_limit, fold_constants);
-        let result = self.cover_block_dag(analyzed, &dag, baseline, limits, out);
+        let result = self.cover_block_dag(stmts, &dag, baseline, (rules, variant_limit), out);
         self.buffers.dag = dag;
         self.buffers.baseline_ends = ends;
         stats.absorb(&result?);
@@ -514,7 +494,7 @@ impl<'t> Emitter<'t> {
         stmts: &[&AssignStmt],
         dag: &BlockDag,
         baseline: Baseline<'_>,
-        limits: (&RuleSet, usize, bool),
+        limits: (&RuleSet, usize),
         out: &mut Vec<Insn>,
     ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
@@ -696,7 +676,7 @@ impl<'t> Emitter<'t> {
         dag: &BlockDag,
         accepted: &[(usize, NonTermId)],
         (baseline, emitted): (Baseline<'_>, &[Insn]),
-        (rules, variant_limit, fold_constants): (&RuleSet, usize, bool),
+        (rules, variant_limit): (&RuleSet, usize),
         code: &mut CutCode,
         stats: &mut SelectStats,
     ) -> Result<bool, CompileError> {
@@ -791,13 +771,7 @@ impl<'t> Emitter<'t> {
                 if !chosen {
                     // re-emit from scratch: the baseline may have used a
                     // register that now holds a parked value
-                    let st = self.emit_assign_into(
-                        stmt,
-                        rules,
-                        variant_limit,
-                        fold_constants,
-                        &mut code.stmts,
-                    )?;
+                    let st = self.emit_assign_into(stmt, rules, variant_limit, &mut code.stmts)?;
                     stats.absorb(&st);
                 }
                 code.runs.push(Run::Stmts(code.stmts.len() - from));
@@ -962,18 +936,9 @@ impl<'t> Emitter<'t> {
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
-        fold_constants: bool,
         out: &mut Vec<Insn>,
     ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
-        // borrow the source tree unless folding actually rewrites it
-        let folded;
-        let base: &Tree = if fold_constants {
-            folded = fold::fold(&stmt.src, self.target.word_width);
-            &folded
-        } else {
-            &stmt.src
-        };
         if self.candidates.is_empty() {
             return Err(CompileError::Target(crate::TargetError::NoStoreRules {
                 target: self.target.name.to_string(),
@@ -981,9 +946,9 @@ impl<'t> Emitter<'t> {
         }
 
         let best = if self.reference {
-            self.find_best_reference(base, rules, variant_limit, &mut stats)
+            self.find_best_reference(&stmt.src, rules, variant_limit, &mut stats)
         } else {
-            self.find_best_interned(base, rules, variant_limit, &mut stats)
+            self.find_best_interned(&stmt.src, rules, variant_limit, &mut stats)
         };
         let Some((store_ix, root)) = best else {
             return Err(CompileError::Uncoverable {
@@ -1573,7 +1538,7 @@ mod tests {
                 Tree::bin(BinOp::Mul, Tree::var("c"), Tree::var("x")),
             ),
         );
-        let (insns, stats) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).expect("coverable");
+        let (insns, stats) = e.emit_assign(&stmt, &RuleSet::none(), 1).expect("coverable");
         assert_eq!(texts(&insns), vec!["LAC y", "LT c", "MPY x", "APAC", "SACL y"],);
         assert_eq!(stats.variants, 1);
     }
@@ -1587,10 +1552,10 @@ mod tests {
         // multiplier input (6 words); the mul-to-shift variant covers the
         // whole thing with one load-with-shift (2 words).
         let stmt = assign("y", Tree::bin(BinOp::Mul, Tree::constant(2), Tree::var("x")));
-        let (no_variants, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (no_variants, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let words = |v: &[Insn]| v.iter().map(|i| i.words).sum::<u32>();
         assert_eq!(words(&no_variants), 6, "{:?}", texts(&no_variants));
-        let (with_variants, stats) = e.emit_assign(&stmt, &RuleSet::all(), 32, false).unwrap();
+        let (with_variants, stats) = e.emit_assign(&stmt, &RuleSet::all(), 32).unwrap();
         assert!(stats.variants > 1);
         assert_eq!(texts(&with_variants), vec!["LAC x,1", "SACL y"]);
     }
@@ -1608,7 +1573,7 @@ mod tests {
                 Tree::bin(BinOp::Add, Tree::var("c"), Tree::var("d")),
             ),
         );
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert!(texts(&insns).iter().any(|t| t.starts_with("SACL $s")), "{:?}", texts(&insns));
         assert!(!e.scratch_symbols().is_empty());
     }
@@ -1627,9 +1592,9 @@ mod tests {
                 ),
             )
         };
-        e.emit_assign(&spilly("y"), &RuleSet::none(), 1, false).unwrap();
+        e.emit_assign(&spilly("y"), &RuleSet::none(), 1).unwrap();
         let n1 = e.scratch_symbols().len();
-        e.emit_assign(&spilly("z"), &RuleSet::none(), 1, false).unwrap();
+        e.emit_assign(&spilly("z"), &RuleSet::none(), 1).unwrap();
         assert_eq!(e.scratch_symbols().len(), n1, "pool reused");
     }
 
@@ -1645,7 +1610,7 @@ mod tests {
                 Tree::bin(BinOp::Sub, Tree::var("c"), Tree::var("d")),
             ),
         );
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         // loads into distinct registers, computes, stores
         let t0 = texts(&insns);
         assert!(t0.iter().any(|s| s.starts_with("LW r0,")), "{t0:?}");
@@ -1672,7 +1637,7 @@ mod tests {
                 ),
             ),
         );
-        let err = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap_err();
+        let err = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap_err();
         assert!(matches!(err, CompileError::OutOfRegisters { .. }), "{err}");
     }
 
@@ -1682,7 +1647,7 @@ mod tests {
         let mut e = Emitter::new(&t);
         // the C25 model has no division instruction
         let stmt = assign("y", Tree::bin(BinOp::Div, Tree::var("a"), Tree::var("b")));
-        let err = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap_err();
+        let err = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap_err();
         match err {
             CompileError::Uncoverable { stmt, target } => {
                 assert!(stmt.contains("/"));
@@ -1693,23 +1658,11 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_is_optional() {
-        let t = record_isa::targets::tic25::target();
-        let mut e = Emitter::new(&t);
-        let stmt = assign("y", Tree::bin(BinOp::Add, Tree::constant(2), Tree::constant(3)));
-        let (unfolded, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
-        let (folded, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, true).unwrap();
-        let words = |v: &[Insn]| v.iter().map(|i| i.words).sum::<u32>();
-        assert!(words(&folded) <= words(&unfolded));
-        assert!(texts(&folded).contains(&"LACK 5".to_string()));
-    }
-
-    #[test]
     fn saturating_add_requires_ovm() {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign("y", Tree::bin(BinOp::SatAdd, Tree::var("y"), Tree::var("x")));
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let ovm = t.mode("ovm").unwrap();
         assert!(insns.iter().any(|i| i.mode_req == Some((ovm, true))));
     }
@@ -1719,7 +1672,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign("y", Tree::bin(BinOp::Add, Tree::var("y"), Tree::var("x")));
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let ovm = t.mode("ovm").unwrap();
         assert!(insns.iter().any(|i| i.mode_req == Some((ovm, false))));
     }
@@ -1738,12 +1691,12 @@ mod tests {
         );
         // raw emission (no verify loop)
         let mut insns = Vec::new();
-        e.emit_one(&stmt, &RuleSet::none(), 1, false, &mut insns).unwrap();
+        e.emit_one(&stmt, &RuleSet::none(), 1, &mut insns).unwrap();
         let ok = verify(&mut e, &stmt, &insns);
         // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
         // and the public entry point must produce correct code
-        let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert!(verify(&mut e, &stmt, &fixed), "{:?}", texts(&fixed));
     }
 
@@ -1982,7 +1935,7 @@ mod tests {
             let stmt = AssignStmt { dst, src: gen_probe_tree(rng, 3) };
             let mut e = Emitter::new(t);
             let mut insns = Vec::new();
-            if e.emit_one(&stmt, &RuleSet::none(), 1, false, &mut insns).is_err() {
+            if e.emit_one(&stmt, &RuleSet::none(), 1, &mut insns).is_err() {
                 return;
             }
             let mut verdict = |code: &[Insn]| {
@@ -2017,7 +1970,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign("y", Tree::bin(BinOp::Add, Tree::temp("$t0"), Tree::var("x")));
-        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1, false).unwrap();
+        let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert_eq!(texts(&insns)[0], "LAC $t0");
     }
 
@@ -2044,11 +1997,11 @@ mod tests {
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
         for s in &stmts {
-            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32, false).unwrap();
+            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32, false).unwrap();
+        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32).unwrap();
         assert!(stats.shared_subtrees >= 4, "{stats:?}");
         assert!(stats.shares_taken > 0, "{stats:?}");
         assert!(words(&insns) < words(&baseline), "{:?}", texts(&insns));
@@ -2067,11 +2020,11 @@ mod tests {
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
         for s in &stmts {
-            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32, false).unwrap();
+            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32, false).unwrap();
+        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32).unwrap();
         assert!(stats.shared_subtrees >= 4, "{stats:?}");
         assert_eq!(stats.shares_taken, 0, "{stats:?}");
         assert_eq!(stats.recomputes_chosen, stats.shared_subtrees, "{stats:?}");
@@ -2088,11 +2041,11 @@ mod tests {
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
         for s in &stmts {
-            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::none(), 1, false).unwrap();
+            let (insns, _) = per_stmt.emit_assign(s, &RuleSet::none(), 1).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::none(), 1, false).unwrap();
+        let (insns, stats) = e.emit_block(&stmts, &RuleSet::none(), 1).unwrap();
         assert_eq!(stats.shares_taken, 0);
         assert_eq!(texts(&insns), texts(&baseline));
     }
@@ -2109,7 +2062,7 @@ mod tests {
             assign("z", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
         ];
         let mut e = Emitter::new(&t);
-        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32, false).unwrap();
+        let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32).unwrap();
         // `a` may share; `(a + w)` and `w` must not be candidates at all
         assert!(stats.shared_subtrees <= 1, "{stats:?}");
         // the stored-to symbol is still written by the middle statement
@@ -2279,9 +2232,10 @@ mod tests {
             let mut e = Emitter::with_tables(unit.target, Arc::clone(unit.tables));
             // register pressure may refuse a block on a cube point; the
             // trials made before that are still checked
-            let emitted = all.iter().filter(|b| !b.is_empty()).try_for_each(|b| {
-                e.emit_block(b, &self.rules, self.variant_limit, false).map(drop)
-            });
+            let emitted = all
+                .iter()
+                .filter(|b| !b.is_empty())
+                .try_for_each(|b| e.emit_block(b, &self.rules, self.variant_limit).map(drop));
             for (root, cuts, weight) in &e.stage_c_trials {
                 let mut fresh = LabelCache::new();
                 let full = e

@@ -89,8 +89,7 @@ pub fn generate(target: &TargetDesc, seed: u64) -> Result<SelfTest, CompileError
     // a justified, known-nonzero operand cell every probe tree reads
     let init =
         record_ir::AssignStmt { dst: record_ir::MemRef::scalar("$j"), src: Tree::constant(21) };
-    let (init_insns, _) =
-        emitter.emit_assign(&init, &record_ir::transform::RuleSet::none(), 1, false)?;
+    let (init_insns, _) = emitter.emit_assign(&init, &record_ir::transform::RuleSet::none(), 1)?;
     code.insns.extend(init_insns);
 
     let mut response = 0usize;
@@ -118,7 +117,7 @@ pub fn generate(target: &TargetDesc, seed: u64) -> Result<SelfTest, CompileError
         let dst = Symbol::new(format!("$r{response}"));
         response += 1;
         let stmt = record_ir::AssignStmt { dst: record_ir::MemRef::Scalar(dst), src: tree };
-        match emitter.emit_assign(&stmt, &record_ir::transform::RuleSet::none(), 1, false) {
+        match emitter.emit_assign(&stmt, &record_ir::transform::RuleSet::none(), 1) {
             Ok((insns, _)) => {
                 // ensure the rule under test is actually in the emitted code
                 if insns.iter().any(|i| i.rule == Some(rule.id)) {

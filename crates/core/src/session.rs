@@ -33,9 +33,7 @@ use crate::cache::{CacheKey, CacheStats, CompileCache};
 use crate::pipeline::Frontend;
 use crate::select::SelectStats;
 use crate::timing::PhaseTimings;
-use crate::{
-    CompileError, CompileInput, CompileOptions, CompileRequest, Compiled, Compiler, PassPlan,
-};
+use crate::{CompileError, CompileInput, CompileRequest, Compiled, Compiler, PassPlan};
 
 /// In-memory entry bound of the code cache when
 /// [`Session::with_cache_dir`] is called without a preceding
@@ -126,9 +124,8 @@ pub struct SessionStats {
 /// # Ok::<(), record::CompileError>(())
 /// ```
 pub struct Session {
-    options: CompileOptions,
-    /// Overrides `options` when set: every compile runs this exact plan.
-    plan: Option<PassPlan>,
+    /// The plan of every compile whose request names none.
+    plan: PassPlan,
     /// Buckets by [`cache_key`]; entries within a bucket are confirmed
     /// by full `TargetDesc` equality, so key collisions are harmless.
     compilers: RwLock<HashMap<u64, Vec<Arc<Compiler>>>>,
@@ -156,17 +153,10 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A session compiling with [`CompileOptions::default`].
+    /// A session compiling with [`PassPlan::default`].
     pub fn new() -> Self {
-        Self::with_options(CompileOptions::default())
-    }
-
-    /// A session compiling with explicit options (applied to every
-    /// compile routed through it).
-    pub fn with_options(options: CompileOptions) -> Self {
         Session {
-            options,
-            plan: None,
+            plan: PassPlan::default(),
             compilers: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -254,18 +244,12 @@ impl Session {
     }
 
     /// Routes every compile in this session through an explicit
-    /// [`PassPlan`] instead of the plan derived from the options —
-    /// the hook for injecting custom passes (or custom budgets) into
-    /// batch compilation.
+    /// [`PassPlan`] instead of the default one — the hook for injecting
+    /// custom passes (or custom budgets) into batch compilation.
     #[must_use]
     pub fn with_plan(mut self, plan: PassPlan) -> Self {
-        self.plan = Some(plan);
+        self.plan = plan;
         self
-    }
-
-    /// The options every compile in this session uses.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
     }
 
     /// The cached compiler for `target`, generating (and caching) it on
@@ -331,8 +315,8 @@ impl Session {
     /// Compiles `input` — mini-DFL source text or a lowered program —
     /// through the compiler cache (and the code cache, when enabled),
     /// the way `req` asks. A request without a plan runs the session's
-    /// plan: the one set with [`with_plan`](Session::with_plan), or the
-    /// one its options derive.
+    /// plan: the one set with [`with_plan`](Session::with_plan), or
+    /// [`PassPlan::default`].
     ///
     /// A request deadline is checked on arrival: a request that is
     /// already past it fails before any work (the cache lookup included)
@@ -552,10 +536,7 @@ impl Session {
                 });
             }
         }
-        let mut plan = match plan.or(self.plan.as_ref()) {
-            Some(plan) => plan.clone(),
-            None => PassPlan::from_options(&self.options),
-        };
+        let mut plan = plan.unwrap_or(&self.plan).clone();
         // the hard deadline is excluded from the plan fingerprint, so
         // folding it in never fragments the code cache
         if let Some(at) = deadline {

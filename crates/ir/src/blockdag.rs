@@ -77,16 +77,55 @@ struct Group {
     stmt: usize,
 }
 
+/// The last store to each base symbol of a block, under dense symbol
+/// ids: the state behind the last-store key of [`BlockDag`] and of
+/// [`treeify`](crate::treeify::treeify).
+#[derive(Debug, Default)]
+pub(crate) struct LastStores {
+    /// Dense ids of the block's base symbols.
+    ids: HashMap<Symbol, usize>,
+    /// Per symbol id, 1 + the index of the last statement that stored to
+    /// it (0: none yet).
+    last: Vec<usize>,
+}
+
+impl LastStores {
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
+        self.last.clear();
+    }
+
+    /// The dense id of `sym`; a new symbol gets the next id and no store
+    /// yet.
+    pub(crate) fn id(&mut self, sym: &Symbol) -> usize {
+        if let Some(&ix) = self.ids.get(sym) {
+            return ix;
+        }
+        self.ids.insert(sym.clone(), self.last.len());
+        self.last.push(0);
+        self.last.len() - 1
+    }
+
+    /// 1 + the index of the last statement that stored to symbol `id`
+    /// (0: none yet).
+    pub(crate) fn last(&self, id: usize) -> usize {
+        self.last[id]
+    }
+
+    /// Records that statement `stmt` stores to `sym`. A statement's store
+    /// happens after its reads, so call this once its reads are keyed.
+    pub(crate) fn store(&mut self, sym: &Symbol, stmt: usize) {
+        let id = self.id(sym);
+        self.last[id] = stmt + 1;
+    }
+}
+
 /// The working state of [`BlockDag::rebuild`]. Its vectors and map keep
 /// their capacity between blocks, so a caller that covers block after
 /// block allocates them once.
 #[derive(Debug, Default)]
 pub struct DagScratch {
-    /// Dense ids of the block's base symbols.
-    syms: HashMap<Symbol, usize>,
-    /// Per symbol id, 1 + the index of the last statement that stored to
-    /// it (0: none yet).
-    last_store: Vec<usize>,
+    stores: LastStores,
     bases: Bases,
     /// Per `TreeId`, the group its latest occurrence joined.
     latest: Vec<Option<usize>>,
@@ -124,10 +163,8 @@ impl BlockDag {
         stmts: &[S],
         scratch: &mut DagScratch,
     ) {
-        let DagScratch { syms, last_store, bases, latest, groups, joined, stack, slot, spare } =
-            scratch;
-        syms.clear();
-        last_store.clear();
+        let DagScratch { stores, bases, latest, groups, joined, stack, slot, spare } = scratch;
+        stores.clear();
         bases.clear();
         latest.clear();
         groups.clear();
@@ -149,9 +186,8 @@ impl BlockDag {
                     TreeNode::Un(_, a) => stack.push(a),
                     TreeNode::Mem(_) | TreeNode::Temp(_) => {}
                 }
-                let mut sym_id = |s: &Symbol| dense_id(syms, last_store, s);
-                let read = bases.of(pool, id, &mut sym_id);
-                let key = read.iter().map(|&s| last_store[s]).max().unwrap_or(0);
+                let read = bases.of(pool, id, &mut |s| stores.id(s));
+                let key = read.iter().map(|&s| stores.last(s)).max().unwrap_or(0);
                 let g = match latest[id.index()] {
                     Some(g) if groups[g].key == key => g,
                     _ => {
@@ -170,8 +206,7 @@ impl BlockDag {
             // The statement's store happens after its reads: later
             // occurrences that read the destination are keyed apart from
             // the ones above.
-            let dst = dense_id(syms, last_store, stmt.dst.base());
-            last_store[dst] = i + 1;
+            stores.store(stmt.dst.base(), i);
         }
 
         slot.clear();
@@ -190,17 +225,6 @@ impl BlockDag {
             }
         }
     }
-}
-
-/// The dense id of `sym` in `syms`; a new symbol gets the next id and no
-/// store yet.
-fn dense_id(syms: &mut HashMap<Symbol, usize>, last_store: &mut Vec<usize>, sym: &Symbol) -> usize {
-    if let Some(&ix) = syms.get(sym) {
-        return ix;
-    }
-    syms.insert(sym.clone(), last_store.len());
-    last_store.push(0);
-    last_store.len() - 1
 }
 
 /// The dense symbol ids each subtree reads, sorted and deduplicated:

@@ -1,19 +1,17 @@
-//! Data-flow graphs for straight-line code (Fig. 4 of the paper).
+//! The value-numbered data-flow graph that tree decomposition used
+//! before it worked on the tree pool, kept as the reference
+//! [`treeify`](crate::treeify::treeify) is compared against.
 //!
 //! A [`Dfg`] is built from a sequence of assignments with hash-consing
 //! (value numbering), so a subexpression that occurs several times becomes
 //! a single node with several uses. Stores create new *versions* of the
 //! affected memory locations, so loads are only shared when no intervening
 //! store may alias them.
-//!
-//! The back end does not work on graphs directly — like the original
-//! RECORD (and essentially all tree-covering code generators), it first
-//! decomposes the graph into trees at multi-use points; see
-//! [`treeify`](crate::treeify).
 
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::treeify::Forest;
 use crate::{AssignStmt, BinOp, MemRef, Symbol, Tree, UnOp};
 
 /// Identifies a node inside its [`Dfg`].
@@ -86,27 +84,6 @@ impl Dfg {
     ///
     /// Identical subexpressions are shared (value numbering) as long as no
     /// intervening store may alias the memory they read.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use record_ir::{dfg::Dfg, dfl, lower};
-    ///
-    /// let lir = lower::lower(&dfl::parse(
-    ///     "program p; var a, b, y, z: fix;
-    ///      begin y := a * b + a * b; z := a * b; end",
-    /// )?)?;
-    /// let assigns: Vec<_> = {
-    ///     let mut v = Vec::new();
-    ///     lir.for_each_assign(|a| v.push(a.clone()));
-    ///     v
-    /// };
-    /// let dfg = Dfg::from_assigns(&assigns);
-    /// // `a * b` is one shared node with three uses
-    /// let shared = dfg.iter().find(|(_, n)| n.uses == 3);
-    /// assert!(shared.is_some());
-    /// # Ok::<(), record_ir::Error>(())
-    /// ```
     pub fn from_assigns(assigns: &[AssignStmt]) -> Self {
         let mut b =
             Builder { dfg: Dfg::new(), value_numbers: HashMap::new(), mem_version: HashMap::new() };
@@ -132,11 +109,6 @@ impl Dfg {
     /// The number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Returns `true` if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Iterates over `(id, node)` pairs in creation (topological) order.
@@ -224,6 +196,68 @@ impl Builder {
     /// later loads that may alias from unifying with earlier ones.
     fn invalidate(&mut self, dst: &MemRef) {
         *self.mem_version.entry(dst.base().clone()).or_insert(0) += 1;
+    }
+}
+
+/// The decomposition [`treeify`](crate::treeify::treeify) makes, over a
+/// [`Dfg`]: every computed node with more than one use becomes a
+/// temporary, numbered in node creation order and defined immediately
+/// before its first user store.
+pub(crate) fn treeify(assigns: &[AssignStmt], mut next_temp: usize) -> (Forest, usize) {
+    let dfg = Dfg::from_assigns(assigns);
+    let mut forest = Forest::default();
+    let mut temp_of: HashMap<NodeId, Symbol> = HashMap::new();
+    for id in dfg.shared_nodes() {
+        let name = Symbol::temp(next_temp);
+        next_temp += 1;
+        forest.temps.push(name.clone());
+        temp_of.insert(id, name);
+    }
+    let mut emitted = std::collections::HashSet::new();
+    for store in dfg.stores() {
+        emit_needed_temps(&dfg, store.value, &temp_of, &mut emitted, &mut forest);
+        let tree = build_tree(&dfg, store.value, &temp_of, false);
+        forest.assigns.push(AssignStmt { dst: store.dst.clone(), src: tree });
+    }
+    (forest, next_temp)
+}
+
+/// Emits (recursively, in dependency order) the definitions of any
+/// not-yet-emitted temps the subtree rooted at `id` uses.
+fn emit_needed_temps(
+    dfg: &Dfg,
+    id: NodeId,
+    temp_of: &HashMap<NodeId, Symbol>,
+    emitted: &mut std::collections::HashSet<NodeId>,
+    forest: &mut Forest,
+) {
+    // visit operands first so inner temps are defined before outer ones
+    for arg in &dfg.node(id).args {
+        emit_needed_temps(dfg, *arg, temp_of, emitted, forest);
+    }
+    if temp_of.contains_key(&id) && emitted.insert(id) {
+        let tree = build_tree(dfg, id, temp_of, true);
+        forest.assigns.push(AssignStmt { dst: MemRef::Scalar(temp_of[&id].clone()), src: tree });
+    }
+}
+
+fn build_tree(dfg: &Dfg, id: NodeId, temp_of: &HashMap<NodeId, Symbol>, as_def: bool) -> Tree {
+    if !as_def {
+        if let Some(t) = temp_of.get(&id) {
+            return Tree::Temp(t.clone());
+        }
+    }
+    let node = dfg.node(id);
+    match &node.kind {
+        NodeKind::Const(c) => Tree::Const(*c),
+        NodeKind::Load(m, _) => Tree::Mem(m.clone()),
+        NodeKind::Temp(s) => Tree::Temp(s.clone()),
+        NodeKind::Bin(op) => {
+            let a = build_tree(dfg, node.args[0], temp_of, false);
+            let b = build_tree(dfg, node.args[1], temp_of, false);
+            Tree::bin(*op, a, b)
+        }
+        NodeKind::Un(op) => Tree::un(*op, build_tree(dfg, node.args[0], temp_of, false)),
     }
 }
 

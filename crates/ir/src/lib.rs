@@ -7,10 +7,11 @@
 //! * a small DSP-oriented source language in the spirit of DFL
 //!   (module [`dfl`]): fixed-point scalars and arrays, bounded `for` loops,
 //!   delayed signals (`x@1`) and saturating operators,
-//! * data-flow graphs ([`dfg`]) and expression trees ([`tree`]) over a
-//!   shared operator vocabulary ([`ops`]),
-//! * decomposition of data-flow graphs into trees at multi-use points
-//!   ([`treeify`]), the standard preprocessing step before BURS covering,
+//! * expression trees ([`tree`]) over a shared operator vocabulary
+//!   ([`ops`]), and their hash-consed form ([`pool`]),
+//! * decomposition of each block's data-flow graph into trees at
+//!   multi-use points ([`treeify`]), the standard preprocessing step
+//!   before BURS covering,
 //! * block-level DAG construction over the interned pool ([`blockdag`]):
 //!   common-subtree detection across statements with a store-version
 //!   soundness analysis, the input to DAG covering in the back end,
@@ -44,7 +45,8 @@
 //! ```
 
 pub mod blockdag;
-pub mod dfg;
+#[cfg(test)]
+mod dfg;
 pub mod dfl;
 pub mod fingerprint;
 pub mod fold;

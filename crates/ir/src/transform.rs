@@ -806,7 +806,7 @@ mod tests {
     fn sources(items: &[crate::LirItem], out: &mut Vec<Tree>) {
         let mut block = Vec::new();
         let flush = |block: &mut Vec<crate::AssignStmt>, out: &mut Vec<Tree>| {
-            let (forest, _) = crate::treeify::treeify(block, 0);
+            let (forest, _) = crate::treeify::treeify(&mut TreePool::new(), block.clone(), 0);
             out.extend(block.drain(..).map(|a| a.src));
             out.extend(forest.assigns.into_iter().map(|a| a.src));
         };

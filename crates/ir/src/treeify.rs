@@ -1,11 +1,22 @@
-//! Decomposition of data-flow graphs into trees (Fig. 5 preprocessing).
+//! Decomposition of a block's data-flow graph into trees (Fig. 5
+//! preprocessing).
 //!
 //! Optimal covering of general graphs is NP-complete, so — like the
 //! original RECORD and most practical code generators — we cut the graph
 //! at every multi-use node, assign the shared value to a compiler
 //! temporary, and cover the resulting trees independently.
+//!
+//! The graph is the block interned into a [`TreePool`]. One of its values
+//! is an interned subtree under the last-store key [`BlockDag`] gives its
+//! sharing candidates: 1 + the index of the last statement that stored to
+//! a symbol the subtree reads. Two occurrences of a subtree are one value
+//! exactly when no statement between them stores to a symbol it reads, so
+//! a store never merges the loads before it with the loads after it.
+//!
+//! [`BlockDag`]: crate::BlockDag
 
-use crate::dfg::{Dfg, NodeId, NodeKind};
+use crate::blockdag::LastStores;
+use crate::pool::{TreeId, TreeNode, TreePool};
 use crate::{AssignStmt, MemRef, Symbol, Tree};
 
 /// The result of tree decomposition: a forest in dependency order plus the
@@ -26,7 +37,14 @@ impl Forest {
 }
 
 /// Decomposes a straight-line assignment sequence into a forest of trees,
-/// introducing a temporary for every internal node used more than once.
+/// introducing a temporary for every computed value that two parent
+/// values or stores reference. Leaves are never cut: re-reading a memory
+/// word or re-materializing a constant costs nothing extra on a
+/// memory-operand machine, while routing it through a temporary would add
+/// a store and a load.
+///
+/// The statements are interned into `pool`. A statement that reads no
+/// temporary is moved into the forest unchanged.
 ///
 /// `next_temp` seeds temporary numbering so callers can keep names unique
 /// across blocks; the function returns the updated counter.
@@ -34,7 +52,7 @@ impl Forest {
 /// # Example
 ///
 /// ```
-/// use record_ir::{treeify, AssignStmt, BinOp, MemRef, Tree};
+/// use record_ir::{treeify, AssignStmt, BinOp, MemRef, Tree, TreePool};
 ///
 /// // y := (a*b) + (a*b)  — the product is shared
 /// let ab = Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"));
@@ -42,95 +60,160 @@ impl Forest {
 ///     dst: MemRef::scalar("y"),
 ///     src: Tree::bin(BinOp::Add, ab.clone(), ab),
 /// };
-/// let (forest, next) = treeify::treeify(&[stmt], 0);
+/// let (forest, next) = treeify::treeify(&mut TreePool::new(), vec![stmt], 0);
 /// assert_eq!(forest.assigns.len(), 2); // $t0 := a*b; y := $t0 + $t0
 /// assert_eq!(forest.temps.len(), 1);
 /// assert_eq!(next, 1);
 /// ```
-pub fn treeify(assigns: &[AssignStmt], next_temp: usize) -> (Forest, usize) {
-    let dfg = Dfg::from_assigns(assigns);
-    treeify_dfg(&dfg, next_temp)
-}
+pub fn treeify(
+    pool: &mut TreePool,
+    block: Vec<AssignStmt>,
+    mut next_temp: usize,
+) -> (Forest, usize) {
+    let mut graph = Graph::default();
+    let mut roots = Vec::with_capacity(block.len());
+    for (i, stmt) in block.iter().enumerate() {
+        let id = pool.intern(&stmt.src);
+        graph.latest.resize(pool.len(), None);
+        let root = graph.value(pool, id);
+        graph.values[root].uses += 1;
+        graph.stores.store(stmt.dst.base(), i);
+        roots.push(root);
+    }
 
-/// Decomposes an already-built data-flow graph. See [`treeify`].
-pub fn treeify_dfg(dfg: &Dfg, mut next_temp: usize) -> (Forest, usize) {
+    // Name the temporaries up front, in the order their values were
+    // created (post-order of first occurrence), but emit each definition
+    // lazily, immediately before its *first user* store. This placement
+    // is what makes sharing sound in the presence of memory writes: a
+    // shared load of some location only ever appears in statements after
+    // the last store to it, so defining the temp right before its first
+    // user is always after that store — while defining all temps at the
+    // head of the block (the naive order) would read pre-store values.
     let mut forest = Forest::default();
-    // Map from shared node to the temp that carries its value.
-    let mut temp_of: std::collections::HashMap<NodeId, Symbol> = std::collections::HashMap::new();
-    let shared: std::collections::HashSet<NodeId> = dfg.shared_nodes().into_iter().collect();
-
-    // Assign temp names up front (in creation order) but emit each
-    // definition lazily, immediately before its *first user* store. This
-    // placement is what makes sharing sound in the presence of memory
-    // writes: a shared load of version v of some location only ever
-    // appears in statements lowered after the store that created v, so
-    // defining the temp right before its first user is always after that
-    // store — while defining all temps at the head of the block (the
-    // naive order) would read pre-store values.
-    for (id, _) in dfg.iter() {
-        if shared.contains(&id) {
+    for value in &mut graph.values {
+        if value.uses > 1 && matches!(pool.node(value.id), TreeNode::Bin(..) | TreeNode::Un(..)) {
             let name = Symbol::temp(next_temp);
             next_temp += 1;
             forest.temps.push(name.clone());
-            temp_of.insert(id, name);
+            value.temp = Some(name);
         }
     }
-
-    let mut emitted: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    for store in dfg.stores() {
-        emit_needed_temps(dfg, store.value, &shared, &temp_of, &mut emitted, &mut forest);
-        let tree = build_tree(dfg, store.value, &temp_of, false);
-        forest.assigns.push(AssignStmt { dst: store.dst.clone(), src: tree });
+    if forest.temps.is_empty() {
+        forest.assigns = block;
+        return (forest, next_temp);
+    }
+    forest.assigns.reserve(block.len() + forest.temps.len());
+    for (stmt, root) in block.into_iter().zip(roots) {
+        if graph.define_temps(pool, root, &mut forest.assigns) {
+            let src = graph.operand(pool, root);
+            forest.assigns.push(AssignStmt { dst: stmt.dst, src });
+        } else {
+            forest.assigns.push(stmt);
+        }
     }
     (forest, next_temp)
 }
 
-/// Emits (recursively, in dependency order) the definitions of any
-/// not-yet-emitted temps the subtree rooted at `id` uses.
-fn emit_needed_temps(
-    dfg: &Dfg,
-    id: NodeId,
-    shared: &std::collections::HashSet<NodeId>,
-    temp_of: &std::collections::HashMap<NodeId, Symbol>,
-    emitted: &mut std::collections::HashSet<NodeId>,
-    forest: &mut Forest,
-) {
-    // visit operands first so inner temps are defined before outer ones
-    for arg in &dfg.node(id).args {
-        emit_needed_temps(dfg, *arg, shared, temp_of, emitted, forest);
-    }
-    if shared.contains(&id) && !emitted.contains(&id) {
-        emitted.insert(id);
-        let name = temp_of[&id].clone();
-        let tree = build_tree(dfg, id, temp_of, /*as_def=*/ true);
-        forest.assigns.push(AssignStmt { dst: MemRef::Scalar(name), src: tree });
-    }
+/// One value of the block's data-flow graph.
+#[derive(Debug)]
+struct Value {
+    id: TreeId,
+    /// The last-store key of the occurrences that make up the value.
+    key: usize,
+    /// The operands' values (`NONE` past the node's arity).
+    args: [usize; 2],
+    /// References from other values (one per operand) and from stores.
+    uses: u32,
+    /// The temporary that carries a shared computed value.
+    temp: Option<Symbol>,
+    /// Whether the temporary's definition has been emitted.
+    defined: bool,
 }
 
-fn build_tree(
-    dfg: &Dfg,
-    id: NodeId,
-    temp_of: &std::collections::HashMap<NodeId, Symbol>,
-    as_def: bool,
-) -> Tree {
-    if !as_def {
-        if let Some(t) = temp_of.get(&id) {
-            return Tree::Temp(t.clone());
+/// No operand.
+const NONE: usize = usize::MAX;
+
+/// The block's data-flow graph over the pool.
+#[derive(Debug, Default)]
+struct Graph {
+    /// The values in creation order.
+    values: Vec<Value>,
+    /// Per `TreeId`, its latest value. A subtree's key never falls as the
+    /// block goes on, so only its latest value can occur again.
+    latest: Vec<Option<usize>>,
+    stores: LastStores,
+}
+
+impl Graph {
+    /// The value of subtree `id` in the statement being walked. A new
+    /// value is created after its operands' values, and counts one use of
+    /// each.
+    fn value(&mut self, pool: &TreePool, id: TreeId) -> usize {
+        let (args, key) = match *pool.node(id) {
+            TreeNode::Const(_) => ([NONE; 2], 0),
+            TreeNode::Mem(ref r) => ([NONE; 2], self.read(r.base())),
+            TreeNode::Temp(ref t) => ([NONE; 2], self.read(t)),
+            TreeNode::Bin(_, a, b) => {
+                let (a, b) = (self.value(pool, a), self.value(pool, b));
+                ([a, b], self.values[a].key.max(self.values[b].key))
+            }
+            TreeNode::Un(_, a) => {
+                let a = self.value(pool, a);
+                ([a, NONE], self.values[a].key)
+            }
+        };
+        if let Some(v) = self.latest[id.index()].filter(|&v| self.values[v].key == key) {
+            return v;
+        }
+        for arg in args.into_iter().filter(|&a| a != NONE) {
+            self.values[arg].uses += 1;
+        }
+        self.values.push(Value { id, key, args, uses: 0, temp: None, defined: false });
+        self.latest[id.index()] = Some(self.values.len() - 1);
+        self.values.len() - 1
+    }
+
+    /// The last-store key of a leaf that reads `sym`.
+    fn read(&mut self, sym: &Symbol) -> usize {
+        let id = self.stores.id(sym);
+        self.stores.last(id)
+    }
+
+    /// Emits into `out`, operands first, the definition of every temporary
+    /// that value `v` reads and that is not defined yet. Returns whether
+    /// `v` reads a temporary at all.
+    fn define_temps(&mut self, pool: &TreePool, v: usize, out: &mut Vec<AssignStmt>) -> bool {
+        if self.values[v].defined {
+            return true;
+        }
+        let mut reads = false;
+        for arg in self.values[v].args.into_iter().filter(|&a| a != NONE) {
+            reads |= self.define_temps(pool, arg, out);
+        }
+        let Some(name) = self.values[v].temp.clone() else { return reads };
+        let src = self.definition(pool, v);
+        out.push(AssignStmt { dst: MemRef::Scalar(name), src });
+        self.values[v].defined = true;
+        true
+    }
+
+    /// The tree that reads value `v`: its temporary, if it has one.
+    fn operand(&self, pool: &TreePool, v: usize) -> Tree {
+        match &self.values[v].temp {
+            Some(t) => Tree::Temp(t.clone()),
+            None => self.definition(pool, v),
         }
     }
-    let node = dfg.node(id);
-    match &node.kind {
-        NodeKind::Const(c) => Tree::Const(*c),
-        NodeKind::Load(m, _) => Tree::Mem(m.clone()),
-        NodeKind::Temp(s) => Tree::Temp(s.clone()),
-        NodeKind::Bin(op) => {
-            let a = build_tree(dfg, node.args[0], temp_of, false);
-            let b = build_tree(dfg, node.args[1], temp_of, false);
-            Tree::bin(*op, a, b)
-        }
-        NodeKind::Un(op) => {
-            let a = build_tree(dfg, node.args[0], temp_of, false);
-            Tree::un(*op, a)
+
+    /// The tree that computes value `v` from its operands.
+    fn definition(&self, pool: &TreePool, v: usize) -> Tree {
+        let [a, b] = self.values[v].args;
+        match pool.node(self.values[v].id) {
+            TreeNode::Const(c) => Tree::Const(*c),
+            TreeNode::Mem(r) => Tree::Mem(r.clone()),
+            TreeNode::Temp(t) => Tree::Temp(t.clone()),
+            TreeNode::Bin(op, ..) => Tree::bin(*op, self.operand(pool, a), self.operand(pool, b)),
+            TreeNode::Un(op, _) => Tree::un(*op, self.operand(pool, a)),
         }
     }
 }
@@ -138,16 +221,20 @@ fn build_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BinOp;
+    use crate::{BinOp, LirItem};
 
     fn assign(dst: &str, src: Tree) -> AssignStmt {
         AssignStmt { dst: MemRef::scalar(dst), src }
     }
 
+    fn decompose(stmts: Vec<AssignStmt>, next_temp: usize) -> (Forest, usize) {
+        treeify(&mut TreePool::new(), stmts, next_temp)
+    }
+
     #[test]
     fn no_sharing_passes_through() {
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b")))];
-        let (forest, next) = treeify(&stmts, 0);
+        let (forest, next) = decompose(stmts, 0);
         assert_eq!(forest.assigns.len(), 1);
         assert!(forest.temps.is_empty());
         assert_eq!(next, 0);
@@ -161,7 +248,7 @@ mod tests {
             assign("y", Tree::bin(BinOp::Add, ab.clone(), Tree::constant(1))),
             assign("z", Tree::bin(BinOp::Sub, ab, Tree::constant(2))),
         ];
-        let (forest, _) = treeify(&stmts, 0);
+        let (forest, _) = decompose(stmts, 0);
         assert_eq!(forest.assigns.len(), 3);
         assert_eq!(forest.assigns[0].to_string(), "$t0 := (a * b)");
         assert_eq!(forest.assigns[1].to_string(), "y := ($t0 + 1)");
@@ -174,7 +261,7 @@ mod tests {
         let s = Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b"));
         let t = Tree::bin(BinOp::Mul, s.clone(), s.clone());
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, t.clone(), t))];
-        let (forest, _) = treeify(&stmts, 0);
+        let (forest, _) = decompose(stmts, 0);
         // $t0 := a+b; $t1 := $t0*$t0; y := $t1+$t1
         assert_eq!(forest.assigns.len(), 3);
         assert_eq!(forest.assigns[0].to_string(), "$t0 := (a + b)");
@@ -193,7 +280,7 @@ mod tests {
             assign("y", Tree::bin(BinOp::Add, ww.clone(), ww)),
             assign("z", Tree::var("w")),
         ];
-        let (forest, _) = treeify(&stmts, 0);
+        let (forest, _) = decompose(stmts, 0);
         let texts: Vec<String> = forest.assigns.iter().map(|a| a.to_string()).collect();
         assert_eq!(
             texts,
@@ -203,10 +290,21 @@ mod tests {
     }
 
     #[test]
+    fn a_store_between_two_occurrences_keeps_them_apart() {
+        // y := a*b; a := 1; z := a*b — the two products read different a
+        let ab = Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"));
+        let stmts = vec![assign("y", ab.clone()), assign("a", Tree::constant(1)), assign("z", ab)];
+        let (forest, next) = decompose(stmts.clone(), 0);
+        assert!(forest.temps.is_empty());
+        assert_eq!(next, 0);
+        assert_eq!(forest.assigns, stmts);
+    }
+
+    #[test]
     fn shared_leaves_are_not_cut() {
         // the load of `a` is used twice but stays a plain re-read
         let stmts = vec![assign("y", Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("a")))];
-        let (forest, _) = treeify(&stmts, 0);
+        let (forest, _) = decompose(stmts, 0);
         assert!(forest.temps.is_empty());
         assert_eq!(forest.assigns[0].to_string(), "y := (a * a)");
     }
@@ -215,14 +313,70 @@ mod tests {
     fn temp_counter_threads_across_calls() {
         let ab = Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"));
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, ab.clone(), ab))];
-        let (_, next) = treeify(&stmts, 7);
+        let (_, next) = decompose(stmts, 7);
         assert_eq!(next, 8);
     }
 
     #[test]
     fn forest_node_count() {
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b")))];
-        let (forest, _) = treeify(&stmts, 0);
+        let (forest, _) = decompose(stmts, 0);
         assert_eq!(forest.node_count(), 3);
+    }
+
+    /// The straight-line blocks of `items`, loop bodies included.
+    fn blocks(items: &[LirItem], out: &mut Vec<Vec<AssignStmt>>) {
+        let mut block = Vec::new();
+        for item in items {
+            match item {
+                LirItem::Assign(a) => block.push(a.clone()),
+                LirItem::Loop { body, .. } => {
+                    out.extend((!block.is_empty()).then(|| std::mem::take(&mut block)));
+                    blocks(body, out);
+                }
+            }
+        }
+        out.extend((!block.is_empty()).then_some(block));
+    }
+
+    /// Decomposition on the pool gives every straight-line block of the
+    /// DSPStone kernels and of 2000 generated programs the assignments,
+    /// temporaries and temporary counter the value-numbered `Dfg`
+    /// decomposition gives it. One pool serves every block, as in a
+    /// compile, and the counter threads through the blocks of a program.
+    #[test]
+    fn pool_decomposition_equals_the_dfg_reference() {
+        let lowered = |src: &str| crate::lower::lower(&crate::dfl::parse(src).unwrap()).unwrap();
+        let mut programs: Vec<Vec<Vec<AssignStmt>>> = Vec::new();
+        let mut add = |src: &str| {
+            let mut out = Vec::new();
+            blocks(&lowered(src).body, &mut out);
+            programs.push(out);
+        };
+        for kernel in record_dspstone::kernels() {
+            add(kernel.source);
+        }
+        let mut rng = record_prop::Rng::new(0xDAC97);
+        for _ in 0..2000 {
+            add(&record_prop::dfl::gen_program(&mut rng));
+        }
+        let (mut blocks_seen, mut temps) = (0usize, 0usize);
+        let mut pool = TreePool::new();
+        for program in programs {
+            let (mut next, mut next_reference) = (0, 0);
+            for block in program {
+                let reference = crate::dfg::treeify(&block, next_reference);
+                let got = treeify(&mut pool, block.clone(), next);
+                assert_eq!(got.0.assigns, reference.0.assigns, "{block:#?}");
+                assert_eq!(got.0.temps, reference.0.temps, "{block:#?}");
+                assert_eq!(got.1, reference.1, "{block:#?}");
+                (next, next_reference) = (got.1, reference.1);
+                blocks_seen += 1;
+                temps += got.0.temps.len();
+            }
+        }
+        println!("{blocks_seen} blocks, {temps} temporaries");
+        assert!(blocks_seen >= 3000, "only {blocks_seen} blocks");
+        assert!(temps >= 150, "only {temps} temporaries");
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use record_ir::transform::{variants, RuleSet};
 use record_ir::treeify::treeify;
-use record_ir::{dfl, AssignStmt, BinOp, MemRef, Symbol, Tree, UnOp};
+use record_ir::{dfl, AssignStmt, BinOp, MemRef, Symbol, Tree, TreePool, UnOp};
 use record_prop::{run_cases, Rng};
 
 /// The lexer and parser must reject garbage gracefully, never panic.
@@ -96,7 +96,7 @@ fn treeify_preserves_block_semantics() {
             })
             .collect();
         let init: Vec<i64> = (0..4).map(|_| rng.i64_in(-100, 100)).collect();
-        let (forest, _) = treeify(&assigns, 0);
+        let (forest, _) = treeify(&mut TreePool::new(), assigns.clone(), 0);
 
         let mut env_a: HashMap<Symbol, i64> =
             LEAF_VARS.iter().zip(&init).map(|(v, x)| (Symbol::new(*v), *x)).collect();

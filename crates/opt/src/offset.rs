@@ -203,75 +203,6 @@ pub fn soa_cost(order: &[Symbol], accesses: &[Symbol], post_range: i8) -> u32 {
     cost
 }
 
-/// General offset assignment (GOA): partitions the access sequence among
-/// `k` address registers and offset-assigns each partition independently
-/// (Leupers' formulation). Returns the per-register variable partitions
-/// and the total residual cost.
-///
-/// The partitioner is the standard greedy: variables are assigned to the
-/// register whose access subsequence they extend most cheaply, seeded by
-/// total access frequency. `k = 1` degenerates to [`soa_order`].
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-///
-/// # Example
-///
-/// ```
-/// use record_ir::Symbol;
-/// use record_opt::offset::goa;
-///
-/// let acc: Vec<Symbol> =
-///     "a x a x b y b y".split_whitespace().map(Symbol::new).collect();
-/// // two interleaved chains: two pointers cover them with zero cost
-/// let (parts, cost) = goa(&acc, 2, 1);
-/// assert_eq!(parts.len(), 2);
-/// assert_eq!(cost, 0);
-/// ```
-pub fn goa(accesses: &[Symbol], k: usize, post_range: i8) -> (Vec<Vec<Symbol>>, u32) {
-    assert!(k >= 1, "GOA needs at least one address register");
-    // distinct variables by access frequency, heaviest first
-    let mut freq: HashMap<&Symbol, u32> = HashMap::new();
-    for a in accesses {
-        *freq.entry(a).or_insert(0) += 1;
-    }
-    let mut vars: Vec<&Symbol> = freq.keys().copied().collect();
-    vars.sort_by(|a, b| freq[b].cmp(&freq[a]).then(a.cmp(b)));
-
-    let mut partitions: Vec<Vec<Symbol>> = vec![Vec::new(); k];
-    for var in vars {
-        // try each register; keep the one minimizing the combined cost of
-        // its (re-offset-assigned) partition
-        let mut best: Option<(usize, u32)> = None;
-        #[allow(clippy::needless_range_loop)] // r is also the result index
-        for r in 0..k {
-            let mut trial: Vec<Symbol> = partitions[r].clone();
-            trial.push(var.clone());
-            let cost = partition_cost(&trial, accesses, post_range);
-            if best.map(|(_, c)| cost < c).unwrap_or(true) {
-                best = Some((r, cost));
-            }
-        }
-        let (r, _) = best.expect("k >= 1");
-        partitions[r].push(var.clone());
-    }
-
-    let total = partitions.iter().map(|p| partition_cost(p, accesses, post_range)).sum();
-    (partitions, total)
-}
-
-/// The SOA cost of the subsequence of `accesses` restricted to `members`,
-/// under the best ordering [`soa_order`] finds for that subsequence.
-fn partition_cost(members: &[Symbol], accesses: &[Symbol], post_range: i8) -> u32 {
-    if members.is_empty() {
-        return 0;
-    }
-    let sub: Vec<Symbol> = accesses.iter().filter(|a| members.contains(a)).cloned().collect();
-    let order = soa_order(&sub);
-    soa_cost(&order, &sub, post_range)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,52 +264,5 @@ mod tests {
         let order = seq("a b");
         let acc = seq("a a a");
         assert_eq!(soa_cost(&order, &acc, 0), 0);
-    }
-
-    #[test]
-    fn goa_with_one_register_equals_soa() {
-        let acc = seq("a b a b c d c d a b");
-        let order = soa_order(&acc);
-        let (parts, cost) = goa(&acc, 1, 1);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(cost, soa_cost(&order, &acc, 1));
-    }
-
-    #[test]
-    fn goa_extra_registers_never_hurt() {
-        let acc = seq("a x b y a x b y c z c z");
-        let (_, c1) = goa(&acc, 1, 1);
-        let (_, c2) = goa(&acc, 2, 1);
-        let (_, c4) = goa(&acc, 4, 1);
-        assert!(c2 <= c1, "2 regs {c2} > 1 reg {c1}");
-        assert!(c4 <= c2, "4 regs {c4} > 2 regs {c2}");
-    }
-
-    #[test]
-    fn goa_splits_three_way_cycles() {
-        // a->b->c->a cycles defeat one pointer (the wrap always costs),
-        // but two pointers split the triangle into free chains
-        let acc = seq("a b c a b c a b c");
-        let (_, c1) = goa(&acc, 1, 1);
-        let (parts, c2) = goa(&acc, 2, 1);
-        assert!(c1 > 0);
-        assert!(c2 < c1, "2 regs {c2} vs 1 reg {c1}");
-        let nonempty: Vec<_> = parts.iter().filter(|p| !p.is_empty()).collect();
-        assert_eq!(nonempty.len(), 2);
-    }
-
-    #[test]
-    fn goa_partitions_cover_all_variables() {
-        let acc = seq("p q r s p q r s");
-        let (parts, _) = goa(&acc, 3, 1);
-        let mut all: Vec<String> = parts.iter().flatten().map(|v| v.to_string()).collect();
-        all.sort();
-        assert_eq!(all, vec!["p", "q", "r", "s"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one address register")]
-    fn goa_rejects_zero_registers() {
-        goa(&seq("a"), 0, 1);
     }
 }

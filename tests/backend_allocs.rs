@@ -1,5 +1,5 @@
-//! Heap allocations of the `select` pass and of the backend passes,
-//! counted by a counting global allocator.
+//! Heap allocations of the `treeify` and `select` passes and of the
+//! backend passes, counted by a counting global allocator.
 //!
 //! Each pass's [`Pass::run`] is called directly on a [`CompilationUnit`],
 //! the stage-by-stage path (no pass-manager bookkeeping), for every
@@ -69,6 +69,11 @@ const BACKEND_ALLOCATIONS_BEFORE: u64 = 6298;
 /// on tic25 and dsp56k before it kept its scratch state in the emitter:
 /// 3942 on tic25 and 6680 on dsp56k.
 const SELECT_ALLOCATIONS_BEFORE: u64 = 10_622;
+
+/// Allocations the `treeify` pass made over every DSPStone kernel at `O2`
+/// on tic25 and dsp56k while it value-numbered each block into a data-flow
+/// graph of its own (340 per target).
+const TREEIFY_ALLOCATIONS_BEFORE: u64 = 680;
 
 /// The two targets every count here covers.
 fn targets() -> [record_isa::TargetDesc; 2] {
@@ -152,6 +157,49 @@ fn select_allocates_at_most_a_third_of_before() {
     );
 }
 
+#[test]
+fn treeify_allocates_less_than_the_dfg_version() {
+    count_passes();
+    let (per_pass, _) = count_passes();
+    let treeify = per_pass.iter().find(|(p, _)| *p == "treeify").unwrap().1;
+    let total = treeify[0] + treeify[1];
+    println!("treeify allocations: tic25 {} dsp56k {} total {total}", treeify[0], treeify[1]);
+    assert!(
+        total < TREEIFY_ALLOCATIONS_BEFORE,
+        "treeify allocated {total} times (tic25 {}, dsp56k {}), not fewer than the \
+         {TREEIFY_ALLOCATIONS_BEFORE} of the data-flow-graph version",
+        treeify[0],
+        treeify[1]
+    );
+}
+
+/// Allocations of compiling every DSPStone kernel once on `target`
+/// through `session`, after one warm-up round.
+fn warm_compile_allocations(session: &Session, target: &record_isa::TargetDesc) -> u64 {
+    let kernels = record_dspstone::kernels();
+    for kernel in &kernels {
+        session.compile_source(target, kernel.source).unwrap();
+    }
+    let start = allocations();
+    for kernel in &kernels {
+        session.compile_source(target, kernel.source).unwrap();
+    }
+    allocations() - start
+}
+
+/// A session without an explicit plan builds none per compile: it
+/// allocates no more than one given the same default plan.
+#[test]
+fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
+    for target in targets() {
+        let default = warm_compile_allocations(&Session::new(), &target);
+        let explicit =
+            warm_compile_allocations(&Session::new().with_plan(PassPlan::default()), &target);
+        println!("{}: Session::new() {default}, with_plan(default) {explicit}", target.name);
+        assert!(default <= explicit, "{}: {default} > {explicit}", target.name);
+    }
+}
+
 /// Reports what a warm [`Session`] compile allocates per DSPStone kernel
 /// at `O2` (mean over the ten kernels; the session's compiler and tables
 /// already exist, there is no code cache). Strict inter-pass checks are
@@ -161,14 +209,8 @@ fn report_whole_session_compile_allocations() {
     let session = Session::new().with_plan(PassPlan::o2().strict(false));
     let kernels = record_dspstone::kernels();
     for target in targets() {
-        for kernel in &kernels {
-            session.compile_source(&target, kernel.source).unwrap();
-        }
-        let start = allocations();
-        for kernel in &kernels {
-            session.compile_source(&target, kernel.source).unwrap();
-        }
-        let per_kernel = (allocations() - start) as f64 / kernels.len() as f64;
+        let made = warm_compile_allocations(&session, &target);
+        let per_kernel = made as f64 / kernels.len() as f64;
         println!("warm Session compile on {}: {per_kernel:.1} allocations per kernel", target.name);
         assert!(per_kernel > 0.0);
     }
