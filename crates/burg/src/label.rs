@@ -1,7 +1,6 @@
 //! Labels: the per-node dynamic-programming state.
 
-use std::collections::HashMap;
-
+use record_ir::hash::FoldMap;
 use record_ir::{Tree, TreeId};
 use record_isa::{Cost, NonTermId, RuleId};
 
@@ -105,12 +104,12 @@ pub(crate) struct ContextKey {
 /// interned cut context. Labelling a node allocates nothing of its own:
 /// the store grows, amortized, as the pool does.
 ///
-/// Valid for one (pool, grammar) pair: the selector keeps one cache per
-/// compile next to its [`TreePool`](record_ir::TreePool). A subtree with
-/// no cut inside labels context-free, so cut-aware labelling answers it
-/// from the same states plain labelling fills. `hits` counts labellings
-/// answered from the cache (work avoided by sharing); `misses` counts
-/// label states actually computed.
+/// Valid for one (pool, grammar) pair: the selector keeps one cache next
+/// to its [`TreePool`](record_ir::TreePool) and clears both before every
+/// compile. A subtree with no cut inside labels context-free, so
+/// cut-aware labelling answers it from the same states plain labelling
+/// fills. `hits` counts labellings answered from the cache (work avoided
+/// by sharing); `misses` counts label states actually computed.
 #[derive(Debug, Default)]
 pub struct LabelCache {
     /// Entry slots per label state: the grammar's nonterminal count.
@@ -120,7 +119,7 @@ pub struct LabelCache {
     records: Vec<Record>,
     /// The cut-free label state of each pool node, indexed by id.
     plain: Vec<Option<LabelId>>,
-    context_ids: HashMap<ContextKey, ContextId>,
+    context_ids: FoldMap<ContextKey, ContextId>,
     /// Per context id: its key and the label state computed under it.
     contexts: Vec<(ContextKey, Option<LabelId>)>,
     hits: u64,
@@ -175,8 +174,10 @@ impl LabelCache {
         found
     }
 
-    /// Drops all cached states (counters are preserved). Required when
-    /// the backing pool or grammar changes.
+    /// Drops every cached state and zeroes the counters, keeping the
+    /// store's capacity: afterwards the cache behaves as
+    /// [`LabelCache::new`], and the next labelling binds it to its
+    /// grammar. Required when the backing pool or grammar changes.
     pub fn clear(&mut self) {
         self.n_nts = 0;
         self.entries.clear();
@@ -184,6 +185,8 @@ impl LabelCache {
         self.plain.clear();
         self.context_ids.clear();
         self.contexts.clear();
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Sizes the entry slots for a grammar of `n_nts` nonterminals; the

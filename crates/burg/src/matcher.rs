@@ -1,8 +1,8 @@
 //! The matcher: table generation, bottom-up labelling, top-down reduction.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use record_ir::hash::FoldMap;
 use record_ir::{Op, Tree, TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 use record_trace::codec;
@@ -21,7 +21,7 @@ use crate::label::{ContextId, ContextKey, Entry, LabelCache, LabelId, Labeled, L
 /// context), so one long-lived [`LabelCache`] serves every cut set: each
 /// label is memoized under that context, and cut-free subtrees share the
 /// plain entries.
-pub type CutSet = HashMap<TreeId, (usize, NonTermId)>;
+pub type CutSet = FoldMap<TreeId, (usize, NonTermId)>;
 
 /// The generated matcher tables for one target grammar: pattern rules
 /// indexed by root operator and chain rules by source nonterminal.
@@ -1136,7 +1136,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let m = Matcher::new(&t);
         let mut pool = record_ir::TreePool::new();
-        let cuts = CutSet::new();
+        let cuts = CutSet::default();
         for tree in [fig4_tree(), Tree::var("x"), Tree::constant(5)] {
             let id = pool.intern(&tree);
             for nt_ix in 0..t.nonterms.len() {
@@ -1164,7 +1164,7 @@ mod tests {
         let whole = Tree::bin(BinOp::Add, sub.clone(), Tree::constant(9));
         let sub_id = pool.intern(&sub);
         let id = pool.intern(&whole);
-        let mut cuts = CutSet::new();
+        let mut cuts = CutSet::default();
         cuts.insert(sub_id, (0, reg));
 
         let mut cache = LabelCache::new();
@@ -1202,7 +1202,7 @@ mod tests {
         let mut pool = record_ir::TreePool::new();
         let leaf = Tree::var("v");
         let id = pool.intern(&leaf);
-        let mut cuts = CutSet::new();
+        let mut cuts = CutSet::default();
         cuts.insert(id, (0, x));
         let mut cache = LabelCache::new();
         let labeled = m.label_interned_cut(&pool, id, &mut cache, &cuts);

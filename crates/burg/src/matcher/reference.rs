@@ -469,7 +469,7 @@ mod tests {
                     for (cand_ix, cand) in dag.shared.iter().enumerate() {
                         for &nt in &park {
                             for &s in &cand.uses {
-                                let mut trial = CutSet::new();
+                                let mut trial = CutSet::default();
                                 for (slot, &(ix, parked)) in accepted.iter().enumerate() {
                                     if dag.shared[ix].uses.contains(&s) {
                                         trial.insert(dag.shared[ix].id, (slot, parked));

@@ -31,7 +31,7 @@ use record_opt::modes::ModeStrategy;
 use record_trace::SpanRecorder;
 
 use crate::pipeline::{convert_rpt, order_vars, order_vars_budgeted, Budgets, CompileOptions};
-use crate::select::{Emitter, SelectStats};
+use crate::select::{Emitter, SelectScratch, SelectStats};
 use crate::timing::{CodeStats, PassRecord, PhaseTimings};
 use crate::CompileError;
 
@@ -660,6 +660,10 @@ impl Pass for TreeifyPass {
 /// the paper's retargetable selection (§4). Consumes the LIR into
 /// [`CompilationUnit::code`]; spill scratch cells join the storage list.
 ///
+/// Each run selects in the [`SelectScratch`] the thread's previous run
+/// left and leaves it for the next, failed runs included, so a thread's
+/// compiles reuse one set of buffers.
+///
 /// The default configuration streams interned variants out of a
 /// hash-consing pool with memoized labelling; `reference` switches to
 /// the boxed pre-interning path (see [`reference_select_pass`]).
@@ -705,7 +709,8 @@ impl Pass for SelectPass {
         let target = unit.target;
         let budgets = unit.budgets;
         let budget = search_budget(None, &budgets);
-        let mut emitter = Emitter::with_tables(target, Arc::clone(unit.tables));
+        let work = SelectScratch::take();
+        let mut emitter = Emitter::with_scratch(target, Arc::clone(unit.tables), work);
         emitter.set_reference(self.reference);
         emitter.set_search_cap(budgets.max_search_steps);
         let body = std::mem::take(&mut unit.lir.body);
@@ -728,18 +733,20 @@ impl Pass for SelectPass {
                 unit.trace.attr(counter.name, value);
             }
         }
-        result?;
-        for s in emitter.scratch_symbols() {
-            unit.vars.push(VarInfo {
-                name: s.clone(),
-                len: 1,
-                kind: StorageKind::Var,
-                bank: None,
-                is_fix: true,
-            });
+        if result.is_ok() {
+            for s in emitter.scratch_symbols() {
+                unit.vars.push(VarInfo {
+                    name: s.clone(),
+                    len: 1,
+                    kind: StorageKind::Var,
+                    bank: None,
+                    is_fix: true,
+                });
+            }
+            unit.code.insns = insns;
         }
-        unit.code.insns = insns;
-        Ok(())
+        emitter.into_scratch().retain();
+        result
     }
 }
 

@@ -453,23 +453,26 @@ impl Compiler {
         let mut disabled = SpanRecorder::disabled();
         let recorder = req.recorder.unwrap_or(&mut disabled);
         let frontend = Frontend::run(input.into(), recorder)?;
-        let mut plan = req.plan.unwrap_or_default();
-        if let Some(at) = req.deadline {
-            plan = plan.deadline(at);
-        }
-        let mut compiled = self.run_plan(&frontend.lir, plan, recorder)?;
+        let plan = Cow::Owned(req.plan.unwrap_or_default());
+        let mut compiled = self.run_plan(&frontend.lir, plan, req.deadline, recorder)?;
         frontend.charge(&mut compiled.timings);
         Ok(compiled)
     }
 
-    /// Runs `plan` over `lir`, salvaging failed best-effort passes, with
-    /// the passes' spans nested in a `compile` span on `recorder`.
-    fn run_plan(
+    /// Runs `plan`, with `deadline` folded in, over `lir`, salvaging
+    /// failed best-effort passes, with the passes' spans nested in a
+    /// `compile` span on `recorder`. A borrowed plan is copied only to
+    /// fold in a deadline or drop a salvaged pass.
+    pub(crate) fn run_plan(
         &self,
         lir: &Lir,
-        mut plan: PassPlan,
+        mut plan: Cow<'_, PassPlan>,
+        deadline: Option<Instant>,
         recorder: &mut SpanRecorder,
     ) -> Result<Compiled, CompileError> {
+        if let Some(at) = deadline {
+            plan = Cow::Owned(plan.into_owned().deadline(at));
+        }
         let start = Instant::now();
         recorder.open("compile");
         if recorder.is_enabled() {
@@ -511,7 +514,7 @@ impl Compiler {
                         pass: pass.to_string(),
                         reason: failure.error.to_string(),
                     });
-                    plan = plan.without(pass);
+                    plan = Cow::Owned(plan.into_owned().without(pass));
                 }
             }
         };

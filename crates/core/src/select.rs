@@ -17,6 +17,7 @@
 //! value lives in; the emitter only picks member indices.
 
 use std::borrow::{Borrow, Cow};
+use std::cell::Cell;
 use std::fmt::{self, Write};
 use std::sync::Arc;
 
@@ -130,20 +131,6 @@ select_counters! {
 pub struct Emitter<'t> {
     target: &'t TargetDesc,
     matcher: Matcher<'t>,
-    /// Hash-consing arena the variant stream enumerates into; persists
-    /// across statements so shared subtrees dedup program-wide.
-    pool: TreePool,
-    /// Memoized label states keyed by interned tree id (one grammar, one
-    /// pool — both fixed for this emitter's lifetime).
-    label_cache: LabelCache,
-    /// The variant stream, restarted for every statement.
-    stream: VariantStream,
-    /// Store candidates, hoisted out of the per-statement loop: the
-    /// target's store rules are immutable for the emitter's lifetime.
-    candidates: Vec<(NonTermId, Cost)>,
-    /// Parking spots for block-shared values: the multi-member register
-    /// nonterminals, with their class sizes.
-    park_nts: Vec<(NonTermId, u16)>,
     /// Use the boxed (non-interned) selection path. Slower but
     /// independent of the interning machinery; the golden byte-
     /// equivalence test pins the two paths against each other.
@@ -153,6 +140,54 @@ pub struct Emitter<'t> {
     /// variants instead of failing — selection is mandatory.
     step_cap: Option<u64>,
     steps_used: u64,
+    /// The machine every verification probe runs on, reset before each
+    /// seed (see [`verify_statement`](Self::verify_statement)), built in
+    /// the storage the scratch keeps for it.
+    probe: record_sim::Machine<'t>,
+    /// Everything else selection works in, reset for this target when
+    /// the emitter is built.
+    work: SelectScratch,
+    /// Every stage-C trial of [`emit_block`](Self::emit_block) as
+    /// (statement root, trial cuts, label-only weight), so the tests can
+    /// check each weight against a full reduction.
+    #[cfg(test)]
+    stage_c_trials: Vec<(record_ir::TreeId, CutSet, Option<u64>)>,
+}
+
+/// The most tree nodes one compile's selection may ask its pool for,
+/// new or deduplicated, or hold label states for, and still leave its
+/// working memory to the next compile on the thread. Past it the
+/// `select` pass drops that memory, so one large program cannot pin its
+/// buffers in a thread for the thread's lifetime.
+pub const MAX_RETAINED_NODES: usize = 1 << 16;
+
+/// The working memory of selection: every store, queue, allocator and
+/// buffer an [`Emitter`] owns, without the target they served.
+///
+/// [`Emitter::with_scratch`] selects in a scratch an earlier emitter
+/// handed back through [`Emitter::into_scratch`], after resetting it for
+/// the new target: the pool and the label store empty, the allocators
+/// sized for the target's register classes with every register free and
+/// every cursor at 0, no scratch symbol allocated. A reset scratch
+/// selects exactly as a new one does; only its buffers' capacity
+/// carries over, never a result. The `select` pass keeps one per thread
+/// this way, so a thread's compiles stop growing the same buffers anew.
+#[derive(Default)]
+pub(crate) struct SelectScratch {
+    /// Hash-consing arena the variant stream enumerates into; persists
+    /// across statements so shared subtrees dedup program-wide.
+    pool: TreePool,
+    /// Memoized label states keyed by interned tree id (one grammar, one
+    /// pool — both fixed for the emitter's lifetime).
+    label_cache: LabelCache,
+    /// The variant stream, restarted for every statement.
+    stream: VariantStream,
+    /// Store candidates, hoisted out of the per-statement loop: the
+    /// target's store rules are immutable for the emitter's lifetime.
+    candidates: Vec<(NonTermId, Cost)>,
+    /// Parking spots for block-shared values: the multi-member register
+    /// nonterminals, with their class sizes.
+    park_nts: Vec<(NonTermId, u16)>,
     /// Scratch memory words allocated for spill chains, reused across
     /// statements.
     scratch_pool: Vec<Symbol>,
@@ -168,17 +203,74 @@ pub struct Emitter<'t> {
     held: Vec<Loc>,
     /// Location of each shared value, indexed by cut slot.
     shared_locs: Vec<Option<Loc>>,
-    /// The machine every verification probe runs on, reset before each
-    /// seed (see [`verify_statement`](Self::verify_statement)).
-    probe: record_sim::Machine<'t>,
+    /// The probe machine's storage while no emitter runs the machine.
+    machine: record_sim::MachineStorage,
     /// Working memory of selection, cleared between statements and
     /// blocks and never shrunk.
     buffers: Buffers,
-    /// Every stage-C trial of [`emit_block`](Self::emit_block) as
-    /// (statement root, trial cuts, label-only weight), so the tests can
-    /// check each weight against a full reduction.
-    #[cfg(test)]
-    stage_c_trials: Vec<(record_ir::TreeId, CutSet, Option<u64>)>,
+}
+
+thread_local! {
+    /// The scratch the last compile on this thread left for the next.
+    static RETAINED: Cell<Option<SelectScratch>> = const { Cell::new(None) };
+}
+
+impl SelectScratch {
+    /// This thread's retained scratch, or a new one when it has none: on
+    /// the thread's first compile, after a compile that outgrew
+    /// [`MAX_RETAINED_NODES`], and in a compile nested in another (the
+    /// outer one holds the scratch). The slot stays empty until
+    /// [`retain`](Self::retain), so a compile that panics drops the
+    /// scratch it took.
+    pub(crate) fn take() -> SelectScratch {
+        RETAINED.with(Cell::take).unwrap_or_default()
+    }
+
+    /// Leaves `self` to the next compile on this thread, unless its pool
+    /// was asked for more than [`MAX_RETAINED_NODES`] nodes or its label
+    /// store holds more states: every buffer grows with one of the two
+    /// (a tree that dedups to a few nodes still grows the cover and the
+    /// probe with its size), so no compile pins more than the cap's worth
+    /// of memory in a thread for the thread's lifetime.
+    pub(crate) fn retain(self) {
+        let asked = self.pool.len() as u64 + self.pool.dedup_hits();
+        if asked <= MAX_RETAINED_NODES as u64 && self.label_cache.len() <= MAX_RETAINED_NODES {
+            RETAINED.with(|slot| slot.set(Some(self)));
+        }
+    }
+
+    /// Empties every store and sizes the allocators for `target`.
+    fn reset(&mut self, target: &TargetDesc) {
+        self.pool.clear();
+        self.label_cache.clear();
+        self.stream.clear();
+        self.candidates.clear();
+        self.candidates.extend(target.stores.iter().map(|s| (s.nt, s.cost)));
+        self.park_nts.clear();
+        self.park_nts.extend(target.nonterms.iter().enumerate().filter_map(
+            |(ix, nt)| match nt.kind {
+                NonTermKind::Reg(class) if !target.class(class).is_singleton() => {
+                    Some((NonTermId(ix as u16), target.class(class).count))
+                }
+                _ => None,
+            },
+        ));
+        self.scratch_pool.clear();
+        self.scratch_free.clear();
+        self.reg_used.resize_with(target.reg_classes.len(), Vec::new);
+        for (used, class) in self.reg_used.iter_mut().zip(&target.reg_classes) {
+            used.clear();
+            used.resize(class.count as usize, false);
+        }
+        self.reg_cursor.clear();
+        self.reg_cursor.resize(target.reg_classes.len(), 0);
+        self.held.clear();
+        self.shared_locs.clear();
+        let probe = &mut self.buffers.probe.code;
+        probe.target.clone_from(&target.name);
+        probe.name.clear();
+        probe.name.push_str("verify");
+    }
 }
 
 /// The emitter's working memory. Everything here is scratch: it is
@@ -273,44 +365,38 @@ impl<'t> Emitter<'t> {
     /// Like [`Emitter::new`] but reuses already-generated matcher tables
     /// (see [`record_burg::Tables`]) instead of regenerating them.
     pub fn with_tables(target: &'t TargetDesc, tables: Arc<Tables>) -> Self {
-        let reg_used = target.reg_classes.iter().map(|c| vec![false; c.count as usize]).collect();
-        let reg_cursor = vec![0u16; target.reg_classes.len()];
-        let park_nts = target
-            .nonterms
-            .iter()
-            .enumerate()
-            .filter_map(|(ix, nt)| match nt.kind {
-                NonTermKind::Reg(class) if !target.class(class).is_singleton() => {
-                    Some((NonTermId(ix as u16), target.class(class).count))
-                }
-                _ => None,
-            })
-            .collect();
-        let mut buffers = Buffers::default();
-        buffers.probe.code.target = target.name.clone();
-        buffers.probe.code.name = "verify".into();
+        Self::with_scratch(target, tables, SelectScratch::default())
+    }
+
+    /// Like [`Emitter::with_tables`], selecting in `work`: a scratch an
+    /// emitter for any target handed back (see [`SelectScratch`]). It is
+    /// reset first, so this is the emitter `with_tables` builds.
+    pub(crate) fn with_scratch(
+        target: &'t TargetDesc,
+        tables: Arc<Tables>,
+        mut work: SelectScratch,
+    ) -> Self {
+        work.reset(target);
+        let probe = record_sim::Machine::with_storage(target, std::mem::take(&mut work.machine));
         Emitter {
             target,
             matcher: Matcher::with_tables(target, tables),
-            pool: TreePool::new(),
-            label_cache: LabelCache::new(),
-            stream: VariantStream::default(),
-            candidates: target.stores.iter().map(|s| (s.nt, s.cost)).collect(),
-            park_nts,
             reference: false,
             step_cap: None,
             steps_used: 0,
-            scratch_pool: Vec::new(),
-            scratch_free: Vec::new(),
-            reg_used,
-            reg_cursor,
-            held: Vec::new(),
-            shared_locs: Vec::new(),
-            probe: record_sim::Machine::new(target),
-            buffers,
+            probe,
+            work,
             #[cfg(test)]
             stage_c_trials: Vec::new(),
         }
+    }
+
+    /// Hands back the emitter's working memory, for the next emitter to
+    /// select in (see [`with_scratch`](Self::with_scratch)).
+    pub(crate) fn into_scratch(self) -> SelectScratch {
+        let mut work = self.work;
+        work.machine = self.probe.into_storage();
+        work
     }
 
     /// Switches to the boxed (pre-interning) selection path. Used by the
@@ -328,18 +414,18 @@ impl<'t> Emitter<'t> {
 
     /// The hash-consing pool (diagnostics and benches).
     pub fn pool(&self) -> &TreePool {
-        &self.pool
+        &self.work.pool
     }
 
     /// The label memo cache (diagnostics and benches).
     pub fn label_cache(&self) -> &LabelCache {
-        &self.label_cache
+        &self.work.label_cache
     }
 
     /// The scratch symbols allocated so far (each one data word); the
     /// pipeline adds them to the layout.
     pub fn scratch_symbols(&self) -> &[Symbol] {
-        &self.scratch_pool
+        &self.work.scratch_pool
     }
 
     /// The matcher (for diagnostics and benches).
@@ -402,7 +488,7 @@ impl<'t> Emitter<'t> {
             split.push(second);
             next = Some(Cow::Owned(first));
         }
-        self.scratch_free.clone_from(&self.scratch_pool);
+        self.work.scratch_free.clone_from(&self.work.scratch_pool);
         Ok(total_stats)
     }
 
@@ -459,7 +545,7 @@ impl<'t> Emitter<'t> {
         // Stage A: verified per-statement baseline (also the fallback),
         // emitted straight into `out`.
         let start = out.len();
-        let mut ends = std::mem::take(&mut self.buffers.baseline_ends);
+        let mut ends = std::mem::take(&mut self.work.buffers.baseline_ends);
         ends.clear();
         for stmt in stmts {
             let s = self.emit_assign_into(stmt, rules, variant_limit, out)?;
@@ -468,19 +554,19 @@ impl<'t> Emitter<'t> {
         }
 
         // Stage B: DAG analysis over the block's trees.
-        let pool_len0 = self.pool.len() as u64;
-        let dedup0 = self.pool.dedup_hits();
-        let Buffers { dag, dag_scratch, .. } = &mut self.buffers;
-        dag.rebuild(&mut self.pool, stmts, dag_scratch);
+        let pool_len0 = self.work.pool.len() as u64;
+        let dedup0 = self.work.pool.dedup_hits();
+        let Buffers { dag, dag_scratch, .. } = &mut self.work.buffers;
+        dag.rebuild(&mut self.work.pool, stmts, dag_scratch);
         let dag = std::mem::take(dag);
-        stats.interned_nodes += self.pool.len() as u64 - pool_len0;
-        stats.dedup_hits += self.pool.dedup_hits() - dedup0;
+        stats.interned_nodes += self.work.pool.len() as u64 - pool_len0;
+        stats.dedup_hits += self.work.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
 
         let baseline = Baseline { start, ends: &ends };
         let result = self.cover_block_dag(stmts, &dag, baseline, (rules, variant_limit), out);
-        self.buffers.dag = dag;
-        self.buffers.baseline_ends = ends;
+        self.work.buffers.dag = dag;
+        self.work.buffers.baseline_ends = ends;
         stats.absorb(&result?);
         Ok(stats)
     }
@@ -501,25 +587,25 @@ impl<'t> Emitter<'t> {
         if dag.shared.is_empty() {
             return Ok(stats);
         }
-        if self.park_nts.is_empty() {
+        if self.work.park_nts.is_empty() {
             stats.recomputes_chosen += dag.shared.len() as u64;
             return Ok(stats);
         }
 
         // Stage C: greedy cut acceptance under the share-vs-recompute
         // cost model. `current[s]` is the statement's best known weight.
-        let mut current = std::mem::take(&mut self.buffers.current);
+        let mut current = std::mem::take(&mut self.work.buffers.current);
         current.clear();
         current.extend((0..stmts.len()).map(|s| insns_weight(baseline.stmt(out, s))));
-        let mut accepted = std::mem::take(&mut self.buffers.accepted);
+        let mut accepted = std::mem::take(&mut self.work.buffers.accepted);
         accepted.clear();
-        let mut improved = std::mem::take(&mut self.buffers.improved);
-        let mut best_improved = std::mem::take(&mut self.buffers.best_improved);
+        let mut improved = std::mem::take(&mut self.work.buffers.improved);
+        let mut best_improved = std::mem::take(&mut self.work.buffers.best_improved);
         for (cand_ix, cand) in dag.shared.iter().enumerate() {
             // best parking choice: (gain, nonterminal); its per-use new
             // weights are in `best_improved`
             let mut best: Option<(i128, NonTermId)> = None;
-            for &(nt, class_count) in &self.park_nts {
+            for &(nt, class_count) in &self.work.park_nts {
                 // leave at least one class member free for per-statement
                 // temporaries; fallback still guards the hard limit
                 let parked_here = accepted.iter().filter(|(_, n)| *n == nt).count();
@@ -527,8 +613,8 @@ impl<'t> Emitter<'t> {
                     continue;
                 }
                 // computing the value once into `nt`
-                let def_cost = count_labels(&mut self.label_cache, &mut stats, |cache| {
-                    let label = self.matcher.label_interned(&self.pool, cand.id, cache);
+                let def_cost = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
+                    let label = self.matcher.label_interned(&self.work.pool, cand.id, cache);
                     cache.cost(label, nt)
                 });
                 let Some(def_cost) = def_cost else { continue };
@@ -537,19 +623,20 @@ impl<'t> Emitter<'t> {
                 for &s in &cand.uses {
                     // trial cut set: this candidate plus every accepted cut
                     // that is sound in statement `s`
-                    let trial = &mut self.buffers.cuts;
+                    let trial = &mut self.work.buffers.cuts;
                     fill_cuts(trial, dag, &accepted, s);
                     trial.insert(cand.id, (accepted.len(), nt));
                     // only the weight matters here: label, never reduce
-                    let best = count_labels(&mut self.label_cache, &mut stats, |cache| {
+                    let best = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
                         let root = dag.roots[s];
-                        let label = self.matcher.label_interned_cut(&self.pool, root, cache, trial);
-                        best_candidate(cache.entries(label), &self.candidates)
+                        let label =
+                            self.matcher.label_interned_cut(&self.work.pool, root, cache, trial);
+                        best_candidate(cache.entries(label), &self.work.candidates)
                     });
                     let w = best
                         .map(|(store_nt, derive)| derive.add(self.store_cost(store_nt)).weight());
                     #[cfg(test)]
-                    self.stage_c_trials.push((dag.roots[s], self.buffers.cuts.clone(), w));
+                    self.stage_c_trials.push((dag.roots[s], self.work.buffers.cuts.clone(), w));
                     if let Some(w) = w {
                         if w < current[s] {
                             gain += i128::from(current[s] - w);
@@ -576,18 +663,18 @@ impl<'t> Emitter<'t> {
                 None => stats.recomputes_chosen += 1,
             }
         }
-        self.buffers.current = current;
-        self.buffers.improved = improved;
-        self.buffers.best_improved = best_improved;
+        self.work.buffers.current = current;
+        self.work.buffers.improved = improved;
+        self.work.buffers.best_improved = best_improved;
         if accepted.is_empty() {
-            self.buffers.accepted = accepted;
+            self.work.buffers.accepted = accepted;
             return Ok(stats);
         }
 
         // Stage D: emit with cuts, falling back to the verified baseline
         // on any failure (allocator state is snapshotted around the try).
         self.snapshot_allocators();
-        let mut code = std::mem::take(&mut self.buffers.cut_code);
+        let mut code = std::mem::take(&mut self.work.buffers.cut_code);
         code.defs.clear();
         code.stmts.clear();
         code.runs.clear();
@@ -611,8 +698,8 @@ impl<'t> Emitter<'t> {
                 stats.recomputes_chosen += accepted.len() as u64;
             }
         }
-        self.buffers.cut_code = code;
-        self.buffers.accepted = accepted;
+        self.work.buffers.cut_code = code;
+        self.work.buffers.accepted = accepted;
         Ok(stats)
     }
 
@@ -624,7 +711,7 @@ impl<'t> Emitter<'t> {
         code: &mut CutCode,
         out: &mut Vec<Insn>,
     ) {
-        let moved = &mut self.buffers.baseline;
+        let moved = &mut self.work.buffers.baseline;
         moved.clear();
         moved.extend(out.drain(baseline.start..));
         let (mut defs, mut stmts) = (code.defs.drain(..), code.stmts.drain(..));
@@ -646,21 +733,21 @@ impl<'t> Emitter<'t> {
 
     /// Copies the register and scratch-word allocator state aside.
     fn snapshot_allocators(&mut self) {
-        let snap = &mut self.buffers.snapshot;
-        snap.reg_used.clone_from(&self.reg_used);
-        snap.reg_cursor.clone_from(&self.reg_cursor);
-        snap.scratch_pool.clone_from(&self.scratch_pool);
-        snap.scratch_free.clone_from(&self.scratch_free);
+        let snap = &mut self.work.buffers.snapshot;
+        snap.reg_used.clone_from(&self.work.reg_used);
+        snap.reg_cursor.clone_from(&self.work.reg_cursor);
+        snap.scratch_pool.clone_from(&self.work.scratch_pool);
+        snap.scratch_free.clone_from(&self.work.scratch_free);
     }
 
     /// Restores the allocator state [`snapshot_allocators`]
     /// (Self::snapshot_allocators) set aside.
     fn restore_allocators(&mut self) {
-        let snap = &self.buffers.snapshot;
-        self.reg_used.clone_from(&snap.reg_used);
-        self.reg_cursor.clone_from(&snap.reg_cursor);
-        self.scratch_pool.clone_from(&snap.scratch_pool);
-        self.scratch_free.clone_from(&snap.scratch_free);
+        let snap = &self.work.buffers.snapshot;
+        self.work.reg_used.clone_from(&snap.reg_used);
+        self.work.reg_cursor.clone_from(&snap.reg_cursor);
+        self.work.scratch_pool.clone_from(&snap.scratch_pool);
+        self.work.scratch_free.clone_from(&snap.scratch_free);
     }
 
     /// The emission half of [`emit_block`](Self::emit_block): walks the
@@ -680,9 +767,9 @@ impl<'t> Emitter<'t> {
         code: &mut CutCode,
         stats: &mut SelectStats,
     ) -> Result<bool, CompileError> {
-        self.shared_locs.clear();
-        self.shared_locs.resize(accepted.len(), None);
-        self.held.clear();
+        self.work.shared_locs.clear();
+        self.work.shared_locs.resize(accepted.len(), None);
+        self.work.held.clear();
         for (s, &stmt) in stmts.iter().enumerate() {
             // definitions whose first consumer is this statement: every
             // one emitted so far is prepended to verification probes, so
@@ -693,14 +780,14 @@ impl<'t> Emitter<'t> {
                 if cand.first_use() != s {
                     continue;
                 }
-                let label = count_labels(&mut self.label_cache, stats, |cache| {
-                    self.matcher.label_interned(&self.pool, cand.id, cache)
+                let label = count_labels(&mut self.work.label_cache, stats, |cache| {
+                    self.matcher.label_interned(&self.work.pool, cand.id, cache)
                 });
-                let mut cover = std::mem::take(&mut self.buffers.cover);
+                let mut cover = std::mem::take(&mut self.work.buffers.cover);
                 cover.clear();
                 let root = self.matcher.reduce_into(
-                    &self.pool,
-                    &self.label_cache,
+                    &self.work.pool,
+                    &self.work.label_cache,
                     label,
                     nt,
                     None,
@@ -708,16 +795,16 @@ impl<'t> Emitter<'t> {
                 );
                 let loc = match root {
                     Some(root) => {
-                        self.buffers.locs.clear();
+                        self.work.buffers.locs.clear();
                         let stmt = format_args!("$dag{slot}");
                         self.emit_cover(&cover, root, &mut code.defs, &stmt).map(Some)
                     }
                     None => Ok(None),
                 };
-                self.buffers.cover = cover;
+                self.work.buffers.cover = cover;
                 let Some(loc) = loc? else { return Ok(false) };
-                self.held.push(loc.clone());
-                self.shared_locs[slot] = Some(loc);
+                self.work.held.push(loc.clone());
+                self.work.shared_locs[slot] = Some(loc);
             }
             if code.defs.len() > defs_before {
                 code.runs.push(Run::Defs(code.defs.len() - defs_before));
@@ -725,34 +812,35 @@ impl<'t> Emitter<'t> {
 
             // cut cover vs plain re-emission for the statement itself
             let from = code.stmts.len();
-            let cuts = &mut self.buffers.cuts;
+            let cuts = &mut self.work.buffers.cuts;
             fill_cuts(cuts, dag, accepted, s);
             let mut chosen = false;
             if !cuts.is_empty() {
-                let label = count_labels(&mut self.label_cache, stats, |cache| {
-                    self.matcher.label_interned_cut(&self.pool, dag.roots[s], cache, cuts)
+                let label = count_labels(&mut self.work.label_cache, stats, |cache| {
+                    self.matcher.label_interned_cut(&self.work.pool, dag.roots[s], cache, cuts)
                 });
-                let best = best_candidate(self.label_cache.entries(label), &self.candidates);
+                let best =
+                    best_candidate(self.work.label_cache.entries(label), &self.work.candidates);
                 if let Some((store_nt, derive)) = best {
                     let total = derive.add(self.store_cost(store_nt)).weight();
                     if total < insns_weight(baseline.stmt(emitted, s)) {
                         let store_ix = self.store_index(store_nt);
-                        let mut cover = std::mem::take(&mut self.buffers.cover);
+                        let mut cover = std::mem::take(&mut self.work.buffers.cover);
                         cover.clear();
                         let root = self
                             .matcher
                             .reduce_into(
-                                &self.pool,
-                                &self.label_cache,
+                                &self.work.pool,
+                                &self.work.label_cache,
                                 label,
                                 store_nt,
-                                Some(&self.buffers.cuts),
+                                Some(&self.work.buffers.cuts),
                                 &mut cover,
                             )
                             .expect("a derivable label reduces");
                         let emitted =
                             self.emit_stored(stmt, store_ix, &cover, root, &mut code.stmts);
-                        self.buffers.cover = cover;
+                        self.work.buffers.cover = cover;
                         emitted?;
                         // the probe must include the definitions: the cut
                         // statement reads registers they populate
@@ -763,7 +851,7 @@ impl<'t> Emitter<'t> {
                     }
                 }
             }
-            if !chosen && self.held.is_empty() {
+            if !chosen && self.work.held.is_empty() {
                 // no definition emitted yet: the baseline's register
                 // choices are still valid verbatim
                 code.runs.push(Run::Baseline(s));
@@ -776,7 +864,7 @@ impl<'t> Emitter<'t> {
                 }
                 code.runs.push(Run::Stmts(code.stmts.len() - from));
             }
-            self.scratch_free.clone_from(&self.scratch_pool);
+            self.work.scratch_free.clone_from(&self.work.scratch_pool);
         }
         Ok(true)
     }
@@ -813,8 +901,8 @@ impl<'t> Emitter<'t> {
             .position(|t| !t.is_leaf())
             .or_else(|| op_trees.iter().position(|t| matches!(t, Tree::Const(_))))?;
         // a dedicated, never-recycled cell (it lives across two statements)
-        let name = Symbol::new(format!("$s{}", self.scratch_pool.len()));
-        self.scratch_pool.push(name.clone());
+        let name = Symbol::new(format!("$s{}", self.work.scratch_pool.len()));
+        self.work.scratch_pool.push(name.clone());
         let first = AssignStmt {
             dst: record_ir::MemRef::Scalar(name.clone()),
             src: op_trees[split_ix].clone(),
@@ -850,7 +938,7 @@ impl<'t> Emitter<'t> {
     ) -> bool {
         let n_parked = parked.len();
         let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
-        let probe = &mut self.buffers.probe;
+        let probe = &mut self.work.buffers.probe;
         // Collect every symbol the statement and its code touch, in the
         // symbol order the probe lays them out in.
         probe.lens.clear();
@@ -939,7 +1027,7 @@ impl<'t> Emitter<'t> {
         out: &mut Vec<Insn>,
     ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
-        if self.candidates.is_empty() {
+        if self.work.candidates.is_empty() {
             return Err(CompileError::Target(crate::TargetError::NoStoreRules {
                 target: self.target.name.to_string(),
             }));
@@ -957,14 +1045,14 @@ impl<'t> Emitter<'t> {
             });
         };
 
-        let cover = std::mem::take(&mut self.buffers.cover);
+        let cover = std::mem::take(&mut self.work.buffers.cover);
         let emitted = self.emit_stored(stmt, store_ix, &cover, root, out);
-        self.buffers.cover = cover;
+        self.work.buffers.cover = cover;
         emitted?;
         debug_assert!(
-            self.reg_used.iter().enumerate().all(|(class, c)| {
+            self.work.reg_used.iter().enumerate().all(|(class, c)| {
                 c.iter().enumerate().all(|(ix, u)| {
-                    !u || self.held.iter().any(|h| {
+                    !u || self.work.held.iter().any(|h| {
                         matches!(h, Loc::Reg(r)
                             if r.class.0 as usize == class && r.index as usize == ix)
                     })
@@ -990,7 +1078,7 @@ impl<'t> Emitter<'t> {
         let all = variants(base, rules, variant_limit);
         stats.variants += all.len() as u64;
         for tree in all {
-            if let Some((nt, cover)) = self.matcher.best_cover(&tree, &self.candidates) {
+            if let Some((nt, cover)) = self.matcher.best_cover(&tree, &self.work.candidates) {
                 stats.covered += 1;
                 let store_ix = self.store_index(nt);
                 let total = cover.cost.add(self.target.stores[store_ix].cost);
@@ -1004,8 +1092,8 @@ impl<'t> Emitter<'t> {
             }
         }
         let (_, store_ix, cover) = best?;
-        self.buffers.cover.clear();
-        Some((store_ix, self.buffers.cover.push_tree(&cover.root)))
+        self.work.buffers.cover.clear();
+        Some((store_ix, self.work.buffers.cover.push_tree(&cover.root)))
     }
 
     /// The interned selection loop: streams variants lazily out of the
@@ -1034,49 +1122,57 @@ impl<'t> Emitter<'t> {
         variant_limit: usize,
         stats: &mut SelectStats,
     ) -> Option<(usize, usize)> {
-        let pool_len0 = self.pool.len() as u64;
-        let dedup0 = self.pool.dedup_hits();
-        let hits0 = self.label_cache.hits();
-        let misses0 = self.label_cache.misses();
-        let floor = self.candidates.iter().map(|(_, c)| c.weight()).min()?;
+        let pool_len0 = self.work.pool.len() as u64;
+        let dedup0 = self.work.pool.dedup_hits();
+        let hits0 = self.work.label_cache.hits();
+        let misses0 = self.work.label_cache.misses();
+        let floor = self.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        let root = self.pool.intern(base);
-        self.stream.restart(root, *rules, variant_limit);
+        let root = self.work.pool.intern(base);
+        self.work.stream.restart(root, *rules, variant_limit);
         let mut best: Option<(u64, usize, usize)> = None; // (total weight, store, root)
-        while let Some(id) = self.stream.next(&mut self.pool) {
+        while let Some(id) = self.work.stream.next(&mut self.work.pool) {
             stats.variants += 1;
-            let label = self.matcher.label_interned(&self.pool, id, &mut self.label_cache);
+            let label =
+                self.matcher.label_interned(&self.work.pool, id, &mut self.work.label_cache);
             if let Some((nt, derive)) =
-                best_candidate(self.label_cache.entries(label), &self.candidates)
+                best_candidate(self.work.label_cache.entries(label), &self.work.candidates)
             {
                 stats.covered += 1;
                 let store_ix = self.store_index(nt);
                 let total = derive.add(self.target.stores[store_ix].cost).weight();
                 if best.as_ref().map_or(true, |(bw, ..)| total < *bw) {
-                    let cover = &mut self.buffers.cover;
+                    let cover = &mut self.work.buffers.cover;
                     cover.clear();
                     let root = self
                         .matcher
-                        .reduce_into(&self.pool, &self.label_cache, label, nt, None, cover)
+                        .reduce_into(
+                            &self.work.pool,
+                            &self.work.label_cache,
+                            label,
+                            nt,
+                            None,
+                            cover,
+                        )
                         .expect("a derivable label reduces");
                     best = Some((total, store_ix, root));
                 }
                 if best.as_ref().is_some_and(|(bw, ..)| *bw <= floor) {
-                    stats.variants_pruned += self.stream.pending() as u64;
+                    stats.variants_pruned += self.work.stream.pending() as u64;
                     break;
                 }
             }
-            if self.step_cap.is_some_and(|cap| self.steps_used + self.stream.steps() >= cap) {
-                stats.variants_pruned += self.stream.pending() as u64;
+            if self.step_cap.is_some_and(|cap| self.steps_used + self.work.stream.steps() >= cap) {
+                stats.variants_pruned += self.work.stream.pending() as u64;
                 break;
             }
         }
-        self.steps_used += self.stream.steps();
-        stats.search_steps += self.stream.steps();
-        stats.interned_nodes += self.pool.len() as u64 - pool_len0;
-        stats.dedup_hits += self.pool.dedup_hits() - dedup0;
-        stats.labels_memoized += self.label_cache.hits() - hits0;
-        stats.labels_computed += self.label_cache.misses() - misses0;
+        self.steps_used += self.work.stream.steps();
+        stats.search_steps += self.work.stream.steps();
+        stats.interned_nodes += self.work.pool.len() as u64 - pool_len0;
+        stats.dedup_hits += self.work.pool.dedup_hits() - dedup0;
+        stats.labels_memoized += self.work.label_cache.hits() - hits0;
+        stats.labels_computed += self.work.label_cache.misses() - misses0;
         best.map(|(_, store_ix, root)| (store_ix, root))
     }
 
@@ -1090,7 +1186,7 @@ impl<'t> Emitter<'t> {
         root: usize,
         out: &mut Vec<Insn>,
     ) -> Result<(), CompileError> {
-        self.buffers.locs.clear();
+        self.work.buffers.locs.clear();
         let value = self.emit_cover(cover, root, out, stmt)?;
         let store = &self.target.stores[store_ix];
         let dst = Loc::Mem(MemLoc::from_mem_ref(&stmt.dst));
@@ -1140,8 +1236,8 @@ impl<'t> Emitter<'t> {
         // evaluate operands in the rule's order (left to right unless the
         // rule says otherwise)
         let n = operands.len();
-        let frame = self.buffers.locs.len();
-        self.buffers.locs.resize(frame + n, Loc::Imm(0));
+        let frame = self.work.buffers.locs.len();
+        self.work.buffers.locs.resize(frame + n, Loc::Imm(0));
         let ordered = rule.eval_order.iter().flatten().map(|&i| usize::from(i));
         let left_to_right = (0..n).filter(|_| rule.eval_order.is_none());
         for i in ordered.chain(left_to_right) {
@@ -1149,12 +1245,12 @@ impl<'t> Emitter<'t> {
                 FlatOperand::Derived(child) => self.emit_cover(cover, *child, out, stmt)?,
                 other => self.operand_loc(other),
             };
-            self.buffers.locs[frame + i] = loc;
+            self.work.buffers.locs[frame + i] = loc;
         }
 
         // destination for the produced value
         let dst = self.lhs_loc(rule, stmt)?;
-        let locs = &self.buffers.locs[frame..];
+        let locs = &self.work.buffers.locs[frame..];
 
         // semantics from the pattern shape
         let expr = match &rule.rhs {
@@ -1180,10 +1276,10 @@ impl<'t> Emitter<'t> {
         out.push(insn);
 
         // operands are dead now
-        for loc in &self.buffers.locs[frame..] {
-            release_in(target, &self.held, &mut self.reg_used, loc);
+        for loc in &self.work.buffers.locs[frame..] {
+            release_in(target, &self.work.held, &mut self.work.reg_used, loc);
         }
-        self.buffers.locs.truncate(frame);
+        self.work.buffers.locs.truncate(frame);
         Ok(dst)
     }
 
@@ -1196,8 +1292,8 @@ impl<'t> Emitter<'t> {
                     return Ok(Loc::Reg(RegId::singleton(class)));
                 }
                 let count = decl.count;
-                let cursor = &mut self.reg_cursor[class.0 as usize];
-                let used = &mut self.reg_used[class.0 as usize];
+                let cursor = &mut self.work.reg_cursor[class.0 as usize];
+                let used = &mut self.work.reg_used[class.0 as usize];
                 let mut pick = None;
                 for k in 0..count {
                     let ix = ((*cursor + k) % count) as usize;
@@ -1220,11 +1316,11 @@ impl<'t> Emitter<'t> {
             }
             NonTermKind::Mem => {
                 // spill chain: allocate a scratch word
-                let sym = match self.scratch_free.pop() {
+                let sym = match self.work.scratch_free.pop() {
                     Some(s) => s,
                     None => {
-                        let s = Symbol::new(format!("$s{}", self.scratch_pool.len()));
-                        self.scratch_pool.push(s.clone());
+                        let s = Symbol::new(format!("$s{}", self.work.scratch_pool.len()));
+                        self.work.scratch_pool.push(s.clone());
                         s
                     }
                 };
@@ -1244,7 +1340,7 @@ impl<'t> Emitter<'t> {
             FlatOperand::Mem(m) => Loc::Mem(MemLoc::from_mem_ref(m)),
             FlatOperand::Temp(t) => Loc::Mem(MemLoc::scalar(t.clone())),
             FlatOperand::Shared { slot, .. } => {
-                self.shared_locs[*slot].clone().expect("shared value emitted before use")
+                self.work.shared_locs[*slot].clone().expect("shared value emitted before use")
             }
             FlatOperand::Derived(_) => unreachable!("derived operands are emitted"),
         }
@@ -1255,21 +1351,21 @@ impl<'t> Emitter<'t> {
     /// block-shared values stay parked until [`release_held`]
     /// (Self::release_held) at the end of the block.
     fn release(&mut self, loc: &Loc) {
-        release_in(self.target, &self.held, &mut self.reg_used, loc);
+        release_in(self.target, &self.work.held, &mut self.work.reg_used, loc);
     }
 
     /// Frees every register parked for a block-shared value; called once
     /// at the end of the block (successful or not).
     fn release_held(&mut self) {
-        for loc in self.held.drain(..) {
+        for loc in self.work.held.drain(..) {
             if let Loc::Reg(r) = loc {
                 let class = &self.target.reg_classes[r.class.0 as usize];
                 if !class.is_singleton() {
-                    self.reg_used[r.class.0 as usize][r.index as usize] = false;
+                    self.work.reg_used[r.class.0 as usize][r.index as usize] = false;
                 }
             }
         }
-        self.shared_locs.clear();
+        self.work.shared_locs.clear();
     }
 }
 
@@ -2006,8 +2102,8 @@ mod tests {
         assert!(stats.shares_taken > 0, "{stats:?}");
         assert!(words(&insns) < words(&baseline), "{:?}", texts(&insns));
         // every register the block still holds must be released
-        assert!(e.held.is_empty());
-        assert!(e.reg_used.iter().all(|c| c.iter().all(|u| !u)));
+        assert!(e.work.held.is_empty());
+        assert!(e.work.reg_used.iter().all(|c| c.iter().all(|u| !u)));
     }
 
     #[test]
@@ -2079,19 +2175,22 @@ mod tests {
         variant_limit: usize,
         stats: &mut SelectStats,
     ) -> Option<(usize, Cover)> {
-        let pool_len0 = e.pool.len() as u64;
-        let dedup0 = e.pool.dedup_hits();
-        let hits0 = e.label_cache.hits();
-        let misses0 = e.label_cache.misses();
-        let floor = e.candidates.iter().map(|(_, c)| c.weight()).min()?;
+        let pool_len0 = e.work.pool.len() as u64;
+        let dedup0 = e.work.pool.dedup_hits();
+        let hits0 = e.work.label_cache.hits();
+        let misses0 = e.work.label_cache.misses();
+        let floor = e.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        let mut stream = VariantStream::new(&mut e.pool, base, *rules, variant_limit);
+        let mut stream = VariantStream::new(&mut e.work.pool, base, *rules, variant_limit);
         let mut best: Option<(Cost, usize, Cover)> = None;
-        while let Some(id) = stream.next(&mut e.pool) {
+        while let Some(id) = stream.next(&mut e.work.pool) {
             stats.variants += 1;
-            if let Some((nt, cover)) =
-                e.matcher.best_cover_interned(&e.pool, id, &mut e.label_cache, &e.candidates)
-            {
+            if let Some((nt, cover)) = e.matcher.best_cover_interned(
+                &e.work.pool,
+                id,
+                &mut e.work.label_cache,
+                &e.work.candidates,
+            ) {
                 stats.covered += 1;
                 let store_ix = e
                     .target
@@ -2119,10 +2218,10 @@ mod tests {
         }
         e.steps_used += stream.steps();
         stats.search_steps += stream.steps();
-        stats.interned_nodes += e.pool.len() as u64 - pool_len0;
-        stats.dedup_hits += e.pool.dedup_hits() - dedup0;
-        stats.labels_memoized += e.label_cache.hits() - hits0;
-        stats.labels_computed += e.label_cache.misses() - misses0;
+        stats.interned_nodes += e.work.pool.len() as u64 - pool_len0;
+        stats.dedup_hits += e.work.pool.dedup_hits() - dedup0;
+        stats.labels_memoized += e.work.label_cache.hits() - hits0;
+        stats.labels_computed += e.work.label_cache.misses() - misses0;
         best.map(|(_, store_ix, cover)| (store_ix, cover))
     }
 
@@ -2169,9 +2268,10 @@ mod tests {
             for stmt in &stmts {
                 let (mut got_stats, mut want_stats) =
                     (SelectStats::default(), SelectStats::default());
-                let got = cost_first
-                    .find_best_interned(&stmt.src, &rules, limit, &mut got_stats)
-                    .map(|(store_ix, root)| (store_ix, cost_first.buffers.cover.to_tree(root)));
+                let got =
+                    cost_first.find_best_interned(&stmt.src, &rules, limit, &mut got_stats).map(
+                        |(store_ix, root)| (store_ix, cost_first.work.buffers.cover.to_tree(root)),
+                    );
                 let want = find_best_interned_reference(
                     &mut reference,
                     &stmt.src,
@@ -2240,12 +2340,18 @@ mod tests {
                 let mut fresh = LabelCache::new();
                 let full = e
                     .matcher
-                    .best_cover_interned_cut(&e.pool, *root, &mut fresh, &e.candidates, cuts)
+                    .best_cover_interned_cut(
+                        &e.work.pool,
+                        *root,
+                        &mut fresh,
+                        &e.work.candidates,
+                        cuts,
+                    )
                     .map(|(nt, cover)| cover.cost.add(e.store_cost(nt)).weight());
                 if *weight != full {
                     self.mismatches.lock().unwrap().push(format!(
                         "{} on {} under {cuts:?}: labels say {weight:?}, reduction {full:?}",
-                        e.pool.to_tree(*root),
+                        e.work.pool.to_tree(*root),
                         unit.target.name
                     ));
                 }

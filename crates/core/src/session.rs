@@ -20,6 +20,7 @@
 //! [`PhaseTimings`] aggregate, giving the batch driver a per-phase
 //! profile of where compilation time went.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -536,14 +537,9 @@ impl Session {
                 });
             }
         }
-        let mut plan = plan.unwrap_or(&self.plan).clone();
-        // the hard deadline is excluded from the plan fingerprint, so
-        // folding it in never fragments the code cache
-        if let Some(at) = deadline {
-            plan = plan.deadline(at);
-        }
+        let plan = plan.unwrap_or(&self.plan);
         let Some(cache) = &self.code_cache else {
-            return self.run_compiler(compiler, lir, plan, rec);
+            return self.run_compiler(compiler, lir, plan, deadline, rec);
         };
         let key = CacheKey {
             program: record_ir::fingerprint::program_fingerprint(lir),
@@ -568,7 +564,7 @@ impl Session {
         if let Some(t) = tracer {
             t.instant("code-cache-miss", &[("program", lir.name.as_str().into())]);
         }
-        let result = self.run_compiler(compiler, lir, plan, rec);
+        let result = self.run_compiler(compiler, lir, plan, deadline, rec);
         if let Ok(compiled) = &result {
             let mut guard = cache.lock().expect("code cache lock");
             guard.insert(key, lir, &compiler.target().name, &compiled.code);
@@ -585,18 +581,19 @@ impl Session {
         &self,
         compiler: &Compiler,
         lir: &Lir,
-        plan: PassPlan,
+        plan: &PassPlan,
+        deadline: Option<std::time::Instant>,
         rec: &mut SpanRecorder,
     ) -> Result<Compiled, CompileError> {
-        let req = CompileRequest::from(plan);
+        let plan = Cow::Borrowed(plan);
         match &self.tracer {
             Some(tracer) if !rec.is_enabled() => {
                 let mut own = tracer.recorder();
-                let result = compiler.compile(lir, req.recorder(&mut own));
+                let result = compiler.run_plan(lir, plan, deadline, &mut own);
                 tracer.submit(own);
                 result
             }
-            _ => compiler.compile(lir, req.recorder(rec)),
+            _ => compiler.run_plan(lir, plan, deadline, rec),
         }
     }
 

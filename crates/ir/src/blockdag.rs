@@ -27,6 +27,7 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
+use crate::hash::FoldMap;
 use crate::lir::AssignStmt;
 use crate::pool::{TreeId, TreeNode, TreePool};
 use crate::Symbol;
@@ -83,7 +84,7 @@ struct Group {
 #[derive(Debug, Default)]
 pub(crate) struct LastStores {
     /// Dense ids of the block's base symbols.
-    ids: HashMap<Symbol, usize>,
+    ids: FoldMap<Symbol, usize>,
     /// Per symbol id, 1 + the index of the last statement that stored to
     /// it (0: none yet).
     last: Vec<usize>,

@@ -15,6 +15,8 @@
 //! * block-level DAG construction over the interned pool ([`blockdag`]):
 //!   common-subtree detection across statements with a store-version
 //!   soundness analysis, the input to DAG covering in the back end,
+//! * a fast seeded hasher for the id-keyed tables of selection
+//!   ([`hash`]),
 //! * algebraic transformation rules and bounded variant enumeration
 //!   ([`transform`]), which RECORD uses to offer the tree matcher several
 //!   equivalent trees and keep the cheapest cover,
@@ -50,6 +52,7 @@ mod dfg;
 pub mod dfl;
 pub mod fingerprint;
 pub mod fold;
+pub mod hash;
 pub mod lir;
 pub mod lower;
 pub mod mem;

@@ -31,8 +31,8 @@
 //! ```
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
+use crate::hash::FoldMap;
 use crate::{BinOp, MemRef, Op, Symbol, Tree, UnOp};
 
 /// A handle to an interned tree node in a [`TreePool`].
@@ -99,7 +99,7 @@ impl TreeNode {
 #[derive(Debug, Default)]
 pub struct TreePool {
     nodes: Vec<TreeNode>,
-    index: HashMap<TreeNode, TreeId>,
+    index: FoldMap<TreeNode, TreeId>,
     dedup_hits: u64,
 }
 
@@ -107,6 +107,15 @@ impl TreePool {
     /// An empty pool.
     pub fn new() -> Self {
         TreePool::default()
+    }
+
+    /// Forgets every node and zeroes the dedup counter, keeping the
+    /// arena's and the index's capacity: afterwards the pool behaves as
+    /// [`TreePool::new`] and ids restart at 0.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.index.clear();
+        self.dedup_hits = 0;
     }
 
     /// Number of distinct nodes interned so far.

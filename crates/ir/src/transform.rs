@@ -472,6 +472,21 @@ impl VariantStream {
         self.mark(root);
     }
 
+    /// Forgets the enumeration and every id it has seen, keeping the
+    /// buffers' capacity: the stream of [`VariantStream::default`], ready
+    /// for a pool that was cleared.
+    pub fn clear(&mut self) {
+        self.rules = RuleSet::default();
+        self.limit = 0;
+        self.yielded = 0;
+        self.steps = 0;
+        self.seen.clear();
+        self.ready.clear();
+        self.queue.clear();
+        self.successors.clear();
+        self.root = None;
+    }
+
     /// Marks `id` as generated; `true` when it was not marked before.
     fn mark(&mut self, id: TreeId) -> bool {
         let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));

@@ -129,6 +129,20 @@ pub struct Machine<'t> {
     scratch: Scratch,
 }
 
+/// The vectors of a [`Machine`], without its target: what
+/// [`Machine::into_storage`] leaves for the next machine to be built in.
+/// What they held means nothing; only their capacity is kept.
+#[derive(Debug, Default)]
+pub struct MachineStorage {
+    regs: Vec<i64>,
+    reg_base: Vec<usize>,
+    ars: Vec<i64>,
+    mem: [Vec<i64>; 2],
+    modes: Vec<bool>,
+    counters: Vec<Option<i64>>,
+    scratch: Scratch,
+}
+
 /// The default runaway-loop guard of [`Machine::new`] (in executed
 /// steps); override it per machine with [`Machine::with_max_steps`] or
 /// per run with [`run_program_with_steps`].
@@ -137,27 +151,62 @@ pub const DEFAULT_MAX_STEPS: u64 = 10_000_000;
 impl<'t> Machine<'t> {
     /// Creates a machine with zeroed storage and default mode states.
     pub fn new(target: &'t TargetDesc) -> Self {
+        Machine::with_storage(target, MachineStorage::default())
+    }
+
+    /// [`Machine::new`] built in the vectors of `storage` (see
+    /// [`into_storage`](Machine::into_storage)): the same machine, which
+    /// allocates only where `target` needs more than `storage` holds.
+    pub fn with_storage(target: &'t TargetDesc, storage: MachineStorage) -> Self {
+        let MachineStorage {
+            mut regs,
+            mut reg_base,
+            mut ars,
+            mut mem,
+            mut modes,
+            mut counters,
+            scratch,
+        } = storage;
         let n_ars = target.agu.as_ref().map(|a| a.n_ars as usize).unwrap_or(0);
         let words = target.memory.words_per_bank as usize;
-        let mut reg_base = Vec::with_capacity(target.reg_classes.len());
+        reg_base.clear();
         let mut n_regs = 0;
         for class in &target.reg_classes {
             reg_base.push(n_regs);
             n_regs += class.count as usize;
         }
+        regs.clear();
+        regs.resize(n_regs, 0);
+        ars.clear();
+        ars.resize(n_ars, 0);
+        for bank in &mut mem {
+            bank.clear();
+            bank.reserve(words);
+        }
+        modes.clear();
+        modes.extend(target.modes.iter().map(|m| m.default_on));
+        counters.clear();
         Machine {
             target,
-            regs: vec![0; n_regs],
+            regs,
             reg_base,
-            ars: vec![0; n_ars],
-            mem: [Vec::with_capacity(words), Vec::with_capacity(words)],
+            ars,
+            mem,
             words,
-            modes: target.modes.iter().map(|m| m.default_on).collect(),
+            modes,
             max_steps: DEFAULT_MAX_STEPS,
             trace: None,
-            counters: Vec::new(),
-            scratch: Scratch::default(),
+            counters,
+            scratch,
         }
+    }
+
+    /// Takes the machine apart into its vectors, for
+    /// [`with_storage`](Machine::with_storage) to build the next machine
+    /// in. The trace log is dropped.
+    pub fn into_storage(self) -> MachineStorage {
+        let Machine { regs, reg_base, ars, mem, modes, counters, scratch, .. } = self;
+        MachineStorage { regs, reg_base, ars, mem, modes, counters, scratch }
     }
 
     /// Restores the state of [`Machine::new`]: every register, address
@@ -938,10 +987,10 @@ mod tests {
         (m.regs.clone(), m.ars.clone(), m.mem.clone(), m.modes.clone())
     }
 
-    #[test]
-    fn reset_restores_a_fresh_machine() {
-        // dsp56k: two banks, address registers and a saturation mode
-        let target = record_isa::targets::dsp56k::target();
+    /// A dsp56k program that dirties every piece of [`State`]: both
+    /// banks up to their last word, an address register, a register and
+    /// the saturation mode. It reads its input from `lo`.
+    fn dirtying_program(target: &TargetDesc) -> Code {
         let top = target.memory.words_per_bank - 1;
         let mut code = Code::default();
         code.layout.place(Symbol::new("lo"), 0, 1, Bank::X);
@@ -962,7 +1011,15 @@ mod tests {
         let hy = |disp| MemLoc { disp, bank: Bank::Y, ..MemLoc::scalar("hy") };
         code.insns.push(Insn::mov(Loc::Mem(hy(1)), Loc::Reg(reg), "MOVE x1,hy+1", 1, 1));
         code.insns.push(Insn::mov(Loc::Mem(hy(0)), Loc::Imm(-3), "MOVE #-3,hy", 1, 1));
+        code
+    }
 
+    #[test]
+    fn reset_restores_a_fresh_machine() {
+        // dsp56k: two banks, address registers and a saturation mode
+        let target = record_isa::targets::dsp56k::target();
+        let top = target.memory.words_per_bank - 1;
+        let code = dirtying_program(&target);
         let fresh_state = state(&Machine::new(&target));
         let mut fresh = Machine::new(&target);
         fresh.poke(&Symbol::new("lo"), 0, 1234, &code).unwrap();
@@ -986,6 +1043,36 @@ mod tests {
         assert_eq!(reused.mem[Bank::Y as usize][top as usize - 1], -3);
         reused.reset();
         assert_eq!(state(&reused), fresh_state);
+    }
+
+    /// A machine built in the storage a dirtied machine left, of the same
+    /// target or of another one, starts and runs as a new machine does.
+    #[test]
+    fn a_machine_in_recycled_storage_is_a_new_machine() {
+        let dsp56k = record_isa::targets::dsp56k::target();
+        let tic25 = record_isa::targets::tic25::target();
+        let code = dirtying_program(&dsp56k);
+        let run = |m: &mut Machine<'_>, value| {
+            m.poke(&Symbol::new("lo"), 0, value, &code).unwrap();
+            m.run(&code).unwrap()
+        };
+        let new_state = state(&Machine::new(&dsp56k));
+        let mut new = Machine::new(&dsp56k);
+        let new_run = run(&mut new, 1234);
+
+        let mut dirty = Machine::new(&dsp56k).with_trace();
+        run(&mut dirty, 77);
+        let mut other = Machine::with_storage(&tic25, dirty.into_storage());
+        assert_eq!(other.regs.len(), tic25.reg_classes.iter().map(|c| c.count as usize).sum());
+        other.poke_at(Bank::X, 9, 5).unwrap();
+        for storage in [other.into_storage(), Machine::new(&dsp56k).into_storage()] {
+            let mut recycled = Machine::with_storage(&dsp56k, storage);
+            assert_eq!(state(&recycled), new_state);
+            assert_eq!(recycled.max_steps, DEFAULT_MAX_STEPS);
+            assert!(recycled.take_trace().is_empty());
+            assert_eq!(run(&mut recycled, 1234), new_run);
+            assert_eq!(state(&recycled), state(&new));
+        }
     }
 
     /// The register file holds exactly the registers the target declares:

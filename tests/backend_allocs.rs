@@ -70,6 +70,12 @@ const BACKEND_ALLOCATIONS_BEFORE: u64 = 6298;
 /// 3942 on tic25 and 6680 on dsp56k.
 const SELECT_ALLOCATIONS_BEFORE: u64 = 10_622;
 
+/// Allocations the `select` pass makes over the same 20 compiles once
+/// the thread's selection scratch is warm: 290 on tic25 and 458 on
+/// dsp56k (rustc 1.95). An emitter built and dropped per compile made
+/// 2779 (1225 and 1554).
+const SELECT_ALLOCATIONS_WARM: u64 = 748;
+
 /// Allocations the `treeify` pass made over every DSPStone kernel at `O2`
 /// on tic25 and dsp56k while it value-numbered each block into a data-flow
 /// graph of its own (340 per target).
@@ -158,6 +164,21 @@ fn select_allocates_at_most_a_third_of_before() {
 }
 
 #[test]
+fn warm_select_allocates_at_most_the_pinned_count() {
+    count_passes();
+    let (per_pass, _) = count_passes();
+    let select = per_pass.iter().find(|(p, _)| *p == "select").unwrap().1;
+    let total = select[0] + select[1];
+    assert!(
+        total <= SELECT_ALLOCATIONS_WARM,
+        "select allocated {total} times (tic25 {}, dsp56k {}), more than the pinned \
+         {SELECT_ALLOCATIONS_WARM}",
+        select[0],
+        select[1]
+    );
+}
+
+#[test]
 fn treeify_allocates_less_than_the_dfg_version() {
     count_passes();
     let (per_pass, _) = count_passes();
@@ -197,6 +218,22 @@ fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
             warm_compile_allocations(&Session::new().with_plan(PassPlan::default()), &target);
         println!("{}: Session::new() {default}, with_plan(default) {explicit}", target.name);
         assert!(default <= explicit, "{}: {default} > {explicit}", target.name);
+    }
+}
+
+/// What ten warm `Session::new()` compiles, one per DSPStone kernel,
+/// allocate on tic25 and dsp56k: 201.8 and 229.2 per kernel (rustc
+/// 1.95). They made 2963 and 3398 while the `select` pass built its
+/// emitter anew for every compile and the session copied its plan.
+const SESSION_ALLOCATIONS_WARM: [u64; 2] = [2018, 2292];
+
+#[test]
+fn a_warm_default_session_allocates_at_most_the_pinned_count() {
+    for (target, pinned) in targets().iter().zip(SESSION_ALLOCATIONS_WARM) {
+        let made = warm_compile_allocations(&Session::new(), target);
+        let per_kernel = made as f64 / record_dspstone::kernels().len() as f64;
+        println!("warm Session::new() compile on {}: {per_kernel:.1} per kernel", target.name);
+        assert!(made <= pinned, "{}: {made} allocations, pinned at {pinned}", target.name);
     }
 }
 
