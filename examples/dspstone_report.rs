@@ -32,6 +32,10 @@
 //!   DSPStone listings leave unpinned (`asip-dsp`, `asip-min`, `risc4`,
 //!   seeded cube points, dsp56k with bundle scheduling); this is
 //!   `tests/golden/backend_asm.txt`, which CI regenerates and diffs
+//! * `--fingerprints PATH` — the fingerprint of every DSPStone kernel and
+//!   of 300 generated programs as lowered; this is
+//!   `tests/golden/program_fingerprints.txt`, which CI regenerates and
+//!   diffs
 //! * `--trace PATH` — Chrome trace-event dump of every compile the run
 //!   performed (span per pass, instant per cache event); open it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`
@@ -46,6 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut trace_path: Option<String> = None;
     let mut asm_path: Option<String> = None;
     let mut backend_asm_path: Option<String> = None;
+    let mut fingerprints_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("missing value for {flag}"));
@@ -55,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--trace" => trace_path = Some(value()?),
             "--asm" => asm_path = Some(value()?),
             "--backend-asm" => backend_asm_path = Some(value()?),
+            "--fingerprints" => fingerprints_path = Some(value()?),
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
@@ -110,6 +116,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &backend_asm_path {
         std::fs::write(path, record::report::render_backend_asm_listings(&session))?;
+        println!("wrote {path}");
+    }
+    if let Some(path) = &fingerprints_path {
+        std::fs::write(path, record_repro::programs::render_fingerprints())?;
         println!("wrote {path}");
     }
     if let Some(path) = &trace_path {

@@ -1,5 +1,6 @@
 //! Umbrella crate for the RECORD reproduction workspace.
 pub mod fuzz;
+pub mod programs;
 
 pub use record as compiler;
 pub use record_burg as burg;

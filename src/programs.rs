@@ -1,0 +1,45 @@
+//! The pinned program corpus: the ten DSPStone kernels and a fixed run of
+//! generated programs, each with the fingerprint of its lowered form.
+//!
+//! `tests/golden/program_fingerprints.txt` holds [`render_fingerprints`]
+//! (`dspstone_report --fingerprints` writes it). A fingerprint is the
+//! FNV-1a hash of a program's canonical bytes, so an unchanged file means
+//! the frontend lowers every program of the corpus to the same program,
+//! and the on-disk compile cache keyed by those bytes stays valid.
+
+use std::fmt::Write;
+
+use record_ir::fingerprint::program_fingerprint;
+use record_ir::{dfl, lower};
+use record_prop::Rng;
+
+/// The seed of the generated programs.
+pub const SEED: u64 = 0xDAC97;
+
+/// How many generated programs the corpus holds.
+pub const GENERATED: usize = 300;
+
+/// One line per program: its name and the fingerprint of its lowered
+/// form, or the error that parsing or lowering reported.
+pub fn render_fingerprints() -> String {
+    let mut out = format!(
+        "# program_fingerprint of the DSPStone kernels and of {GENERATED} generated programs \
+         (seed {SEED:#x})\n"
+    );
+    let mut line = |name: &str, source: &str| {
+        let lowered = dfl::parse(source).and_then(|ast| lower::lower(&ast));
+        match lowered {
+            Ok(lir) => writeln!(out, "{name} {:016x}", program_fingerprint(&lir)),
+            Err(e) => writeln!(out, "{name} error: {e}"),
+        }
+        .expect("writing to a String");
+    };
+    for kernel in record_dspstone::kernels() {
+        line(kernel.name, kernel.source);
+    }
+    let mut rng = Rng::new(SEED);
+    for i in 0..GENERATED {
+        line(&format!("gen-{i:03}"), &record_prop::dfl::gen_program(&mut rng));
+    }
+    out
+}

@@ -173,6 +173,20 @@ fn backend_listings_match_the_golden_file() {
     assert_eq!(listings, golden);
 }
 
+/// The DSPStone kernels and 300 generated programs lower to the programs
+/// `tests/golden/program_fingerprints.txt` records (CI regenerates it
+/// with `dspstone_report --fingerprints`): equal fingerprints mean equal
+/// canonical bytes, which the on-disk compile cache is keyed by.
+#[test]
+fn program_fingerprints_match_the_golden_file() {
+    let fingerprints = record_repro::programs::render_fingerprints();
+    let golden = include_str!("golden/program_fingerprints.txt");
+    for (got, want) in fingerprints.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(fingerprints, golden);
+}
+
 #[test]
 fn kernels_compile_on_the_risc_model() {
     let target = record_isa::targets::simple_risc::target(8);
