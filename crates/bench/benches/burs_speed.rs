@@ -132,17 +132,16 @@ fn smoke_variants(target: &TargetDesc, goal: &str) {
 /// labelling on a fresh store.
 fn smoke_cuts(target: &TargetDesc) {
     let mul = |a: &str, b: &str| Tree::bin(BinOp::Mul, Tree::var(a), Tree::var(b));
-    let block = [
-        AssignStmt {
-            dst: MemRef::scalar("cr"),
-            src: Tree::bin(BinOp::Sub, mul("ar", "br"), mul("ai", "bi")),
-        },
-        AssignStmt {
-            dst: MemRef::scalar("ci"),
-            src: Tree::bin(BinOp::Add, mul("ar", "bi"), mul("ai", "br")),
-        },
+    let trees = [
+        ("cr", Tree::bin(BinOp::Sub, mul("ar", "br"), mul("ai", "bi"))),
+        ("ci", Tree::bin(BinOp::Add, mul("ar", "bi"), mul("ai", "br"))),
     ];
-    let (_, stats) = Emitter::new(target).emit_block(&block, &RuleSet::all(), 32).unwrap();
+    let mut emitter = Emitter::new(target);
+    let block: Vec<AssignStmt> = trees
+        .iter()
+        .map(|(dst, src)| AssignStmt::new(emitter.pool_mut(), MemRef::scalar(*dst), src))
+        .collect();
+    let (_, stats) = emitter.emit_block(&block, &RuleSet::all(), 32).unwrap();
     assert!(stats.shares_taken > 0, "DAG covering took no share on {}", target.name);
 
     let matcher = Matcher::new(target);
@@ -156,12 +155,16 @@ fn smoke_cuts(target: &TargetDesc) {
         .collect();
     let mut pool = TreePool::new();
     let mut store = LabelCache::new();
-    for stmt in &block {
-        for id in variants_interned(&mut pool, &stmt.src, &RuleSet::all(), 32) {
+    let block: Vec<AssignStmt> = trees
+        .iter()
+        .map(|(dst, src)| AssignStmt::new(&mut pool, MemRef::scalar(*dst), src))
+        .collect();
+    for (_, tree) in &trees {
+        for id in variants_interned(&mut pool, tree, &RuleSet::all(), 32) {
             matcher.label_interned(&pool, id, &mut store);
         }
     }
-    let dag = BlockDag::build(&mut pool, &block);
+    let dag = BlockDag::build(&pool, &block);
     let weight = |cache: &LabelCache, label| {
         best_candidate(cache.entries(label), &candidates)
             .map(|(nt, derive)| {

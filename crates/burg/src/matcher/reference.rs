@@ -377,20 +377,18 @@ mod tests {
 
     /// The blocks of every DSPStone kernel and of 300 generated programs,
     /// one program per entry.
-    fn programs() -> Vec<Vec<Vec<AssignStmt>>> {
-        let lowered =
-            |src: &str| record_ir::lower::lower(&record_ir::dfl::parse(src).unwrap()).unwrap().body;
+    fn programs() -> Vec<(TreePool, Vec<Vec<AssignStmt>>)> {
         let mut programs = Vec::new();
+        let mut add = |src: &str| {
+            let lir = record_ir::lower::lower(&record_ir::dfl::parse(src).unwrap()).unwrap();
+            let mut out = Vec::new();
+            blocks(&lir.body, &mut out);
+            programs.push((lir.pool, out));
+        };
         for kernel in record_dspstone::kernels() {
-            let mut out = Vec::new();
-            blocks(&lowered(kernel.source), &mut out);
-            programs.push(out);
+            add(kernel.source);
         }
-        record_prop::run_cases(300, |rng| {
-            let mut out = Vec::new();
-            blocks(&lowered(&record_prop::dfl::gen_program(rng)), &mut out);
-            programs.push(out);
-        });
+        record_prop::run_cases(300, |rng| add(&record_prop::dfl::gen_program(rng)));
         programs
     }
 
@@ -446,16 +444,16 @@ mod tests {
                 })
                 .map(|(ix, _)| NonTermId(ix as u16))
                 .collect();
-            for program in &programs {
+            for (program_pool, program) in &programs {
                 // one pool and one pair of caches per compile, as in the
                 // selector
-                let mut pool = TreePool::new();
+                let mut pool = program_pool.clone();
                 let mut cache = LabelCache::new();
                 let mut reference = ReferenceCache::default();
                 let mut stream = VariantStream::default();
                 for block in program {
                     for stmt in block {
-                        stream.restart(pool.intern(&stmt.src), RuleSet::all(), 16);
+                        stream.restart(stmt.src, RuleSet::all(), 16);
                         while let Some(id) = stream.next(&mut pool) {
                             let what = format_args!("{} on {}", pool.to_tree(id), target.name);
                             compare(&m, &pool, id, None, &mut cache, &mut reference, &what);
@@ -464,7 +462,7 @@ mod tests {
                     }
                     // stage C's trials: each candidate at each parking
                     // nonterminal on top of the cuts accepted so far
-                    let dag = BlockDag::build(&mut pool, block);
+                    let dag = BlockDag::build(&pool, block);
                     let mut accepted: Vec<(usize, NonTermId)> = Vec::new();
                     for (cand_ix, cand) in dag.shared.iter().enumerate() {
                         for &nt in &park {

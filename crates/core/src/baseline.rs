@@ -67,6 +67,8 @@ pub fn compile_source(source: &str) -> Result<Code, CompileError> {
 /// style target (the benches only exercise `tic25`).
 pub fn compile_for(lir: &Lir, target: &TargetDesc) -> Result<Code, CompileError> {
     let mut emitter = Emitter::new(target);
+    // the statements are selected in a copy of the program's pool
+    *emitter.pool_mut() = lir.pool.clone();
     let mut insns: Vec<Insn> = Vec::new();
     let mut counter_syms: Vec<Symbol> = Vec::new();
     emit_items(&lir.body, target, &mut emitter, &mut counter_syms, &mut insns)?;

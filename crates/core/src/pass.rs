@@ -38,15 +38,17 @@ use crate::CompileError;
 /// The state a compilation threads through the passes: the (rewritable)
 /// LIR, the storage variables it accumulates, and the output [`Code`].
 ///
-/// LIR-level passes (`fold`, `treeify`) rewrite [`lir`](Self::lir);
-/// `select` consumes it into [`code`](Self::code); every later pass
-/// rewrites `code` in place.
+/// LIR-level passes (`fold`, `treeify`) rewrite the body of
+/// [`lir`](Self::lir), adding the trees they build to its pool; `select`
+/// covers it into [`code`](Self::code), interning its variants into the
+/// same pool; every later pass rewrites `code` in place. The pool only
+/// grows, so the ids of the program as given stay valid throughout.
 pub struct CompilationUnit<'a> {
     /// The target being compiled for.
     pub target: &'a TargetDesc,
     /// Shared BURS matcher tables for the target.
     pub tables: &'a Arc<Tables>,
-    /// The program, in lowered form; LIR passes rewrite it.
+    /// The program, in lowered form; LIR passes rewrite its body.
     pub lir: Lir,
     /// Storage to lay out: program variables plus generated temporaries
     /// and spill scratch, in creation order.
@@ -67,8 +69,14 @@ pub struct CompilationUnit<'a> {
 }
 
 impl<'a> CompilationUnit<'a> {
-    /// Fresh unit for compiling `lir` on `target`.
+    /// Fresh unit for compiling a copy of `lir` on `target` (its pool
+    /// copied flat, node for node).
     pub fn new(target: &'a TargetDesc, tables: &'a Arc<Tables>, lir: &Lir) -> Self {
+        CompilationUnit::of(target, tables, lir.clone())
+    }
+
+    /// Fresh unit for compiling `lir`, which it takes over.
+    pub(crate) fn of(target: &'a TargetDesc, tables: &'a Arc<Tables>, lir: Lir) -> Self {
         CompilationUnit {
             target,
             tables,
@@ -79,11 +87,25 @@ impl<'a> CompilationUnit<'a> {
                 target: target.name.clone(),
                 name: lir.name.to_string(),
             },
-            lir: lir.clone(),
+            lir,
             select: SelectStats::default(),
             budgets: Budgets::unlimited(),
             trace: SpanRecorder::disabled(),
         }
+    }
+
+    /// Makes the unit a fresh one for the program it was built for,
+    /// whose body was `body`: the body and storage start over, the code
+    /// and counters are emptied, and the pool is kept, since the passes
+    /// only added to it and the ids of `body` are still valid.
+    pub(crate) fn restart(&mut self, body: &[LirItem]) {
+        self.lir.body.clear();
+        self.lir.body.extend_from_slice(body);
+        self.vars.clone_from(&self.lir.vars);
+        self.code.insns.clear();
+        self.code.layout = Default::default();
+        self.select = SelectStats::default();
+        self.budgets = Budgets::unlimited();
     }
 }
 
@@ -414,7 +436,7 @@ impl PassPlan {
     ) -> Result<(), PassFailure> {
         unit.budgets = self.budgets;
         if let Some(cap) = self.budgets.max_lir_nodes {
-            let nodes = lir_nodes(&unit.lir.body);
+            let nodes = lir_nodes(&unit.lir.pool, &unit.lir.body);
             if nodes > cap {
                 unit.trace.event(
                     "budget-exceeded",
@@ -535,20 +557,14 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Total tree-node count of a LIR body (the budgeted "DFG size").
-fn lir_nodes(items: &[LirItem]) -> usize {
-    fn tree_nodes(t: &record_ir::Tree) -> usize {
-        match t {
-            record_ir::Tree::Bin(_, a, b) => 1 + tree_nodes(a) + tree_nodes(b),
-            record_ir::Tree::Un(_, a) => 1 + tree_nodes(a),
-            _ => 1,
-        }
-    }
+/// Total tree-node count of a LIR body, each tree counted node by node
+/// (the budgeted "DFG size").
+fn lir_nodes(pool: &TreePool, items: &[LirItem]) -> usize {
     items
         .iter()
         .map(|item| match item {
-            LirItem::Assign(a) => 1 + tree_nodes(&a.src),
-            LirItem::Loop { body, .. } => 1 + lir_nodes(body),
+            LirItem::Assign(a) => 1 + pool.node_count(a.src),
+            LirItem::Loop { body, .. } => 1 + lir_nodes(pool, body),
         })
         .sum()
 }
@@ -581,15 +597,15 @@ impl Pass for FoldPass {
 
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
         let width = unit.target.word_width;
-        fn walk(items: &mut [LirItem], width: u32) {
+        fn walk(pool: &mut TreePool, items: &mut [LirItem], width: u32) {
             for item in items {
                 match item {
-                    LirItem::Assign(a) => a.src = fold::fold(&a.src, width),
-                    LirItem::Loop { body, .. } => walk(body, width),
+                    LirItem::Assign(a) => a.src = fold::fold(pool, a.src, width),
+                    LirItem::Loop { body, .. } => walk(pool, body, width),
                 }
             }
         }
-        walk(&mut unit.lir.body, width);
+        walk(&mut unit.lir.pool, &mut unit.lir.body, width);
         Ok(())
     }
 }
@@ -597,7 +613,8 @@ impl Pass for FoldPass {
 /// Tree decomposition of each straight-line block's data-flow graph
 /// (CSE, [`record_ir::treeify`]): shares common subexpressions within the
 /// block, materializing them as temporaries appended to the unit's
-/// storage. One tree pool serves every block of the compile.
+/// storage. The trees that read the temporaries go into the program's
+/// pool.
 struct TreeifyPass;
 
 impl Pass for TreeifyPass {
@@ -607,7 +624,7 @@ impl Pass for TreeifyPass {
 
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
         struct Blocks<'u> {
-            pool: TreePool,
+            pool: &'u mut TreePool,
             next_temp: usize,
             vars: &'u mut Vec<VarInfo>,
         }
@@ -616,11 +633,8 @@ impl Pass for TreeifyPass {
                 if block.is_empty() {
                     return;
                 }
-                let (forest, next) = record_ir::treeify::treeify(
-                    &mut self.pool,
-                    std::mem::take(block),
-                    self.next_temp,
-                );
+                let (forest, next) =
+                    record_ir::treeify::treeify(self.pool, std::mem::take(block), self.next_temp);
                 self.next_temp = next;
                 self.vars.extend(forest.temps.into_iter().map(|name| VarInfo {
                     name,
@@ -650,15 +664,19 @@ impl Pass for TreeifyPass {
             }
         }
         let body = std::mem::take(&mut unit.lir.body);
-        let mut blocks = Blocks { pool: TreePool::new(), next_temp: 0, vars: &mut unit.vars };
+        let mut blocks = Blocks { pool: &mut unit.lir.pool, next_temp: 0, vars: &mut unit.vars };
         unit.lir.body = blocks.walk(body);
         Ok(())
     }
 }
 
 /// Variant enumeration, BURS covering and code emission — the heart of
-/// the paper's retargetable selection (§4). Consumes the LIR into
+/// the paper's retargetable selection (§4). Covers the LIR into
 /// [`CompilationUnit::code`]; spill scratch cells join the storage list.
+///
+/// The emitter works in the program's pool, lent to it for the pass:
+/// the statements are covered under the ids lowering and `treeify` gave
+/// them, and their variants are interned next to them.
 ///
 /// Each run selects in the [`SelectScratch`] the thread's previous run
 /// left and leaves it for the next, failed runs included, so a thread's
@@ -713,6 +731,7 @@ impl Pass for SelectPass {
         let mut emitter = Emitter::with_scratch(target, Arc::clone(unit.tables), work);
         emitter.set_reference(self.reference);
         emitter.set_search_cap(budgets.max_search_steps);
+        std::mem::swap(emitter.pool_mut(), &mut unit.lir.pool);
         let body = std::mem::take(&mut unit.lir.body);
         let mut insns: Vec<Insn> = Vec::new();
         let mut stats = SelectStats::default();
@@ -727,6 +746,7 @@ impl Pass for SelectPass {
             budgets.max_variants,
         );
         unit.lir.body = body;
+        std::mem::swap(emitter.pool_mut(), &mut unit.lir.pool);
         unit.select.absorb(&stats);
         if unit.trace.is_enabled() {
             for (counter, value) in SelectStats::COUNTERS.iter().zip(stats.values()) {
@@ -745,7 +765,7 @@ impl Pass for SelectPass {
             }
             unit.code.insns = insns;
         }
-        emitter.into_scratch().retain();
+        emitter.into_scratch().retain(&unit.lir.pool);
         result
     }
 }

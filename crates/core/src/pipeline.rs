@@ -16,6 +16,7 @@ use record_opt::compact::ScheduleMode;
 use record_opt::modes::ModeStrategy;
 use record_trace::SpanRecorder;
 
+use crate::pass::CompilationUnit;
 use crate::timing::{PhaseTimings, SalvageRecord};
 use crate::{CompileError, PassPlan};
 
@@ -273,7 +274,15 @@ pub struct Compiled {
 /// The frontend half of a compile: the input as a lowered program, and
 /// how long parsing and lowering took.
 pub(crate) struct Frontend<'a> {
+    /// The program: lowered here from source input (the compile takes it
+    /// over), or the caller's.
     pub(crate) lir: Cow<'a, Lir>,
+    pub(crate) time: FrontendTime,
+}
+
+/// How long a compile's parsing and lowering took.
+#[derive(Clone, Copy)]
+pub(crate) struct FrontendTime {
     parse: Duration,
     lower: Duration,
 }
@@ -287,11 +296,8 @@ impl<'a> Frontend<'a> {
     ) -> Result<Self, CompileError> {
         let source = match input {
             CompileInput::Lir(lir) => {
-                return Ok(Frontend {
-                    lir: Cow::Borrowed(lir),
-                    parse: Duration::ZERO,
-                    lower: Duration::ZERO,
-                })
+                let time = FrontendTime { parse: Duration::ZERO, lower: Duration::ZERO };
+                return Ok(Frontend { lir: Cow::Borrowed(lir), time });
             }
             CompileInput::Source(source) => source,
         };
@@ -300,11 +306,14 @@ impl<'a> Frontend<'a> {
         let parse = t_parse.elapsed();
         let t_lower = Instant::now();
         let lir = stage(recorder, "lower", || lower::lower(&ast))?;
-        Ok(Frontend { lir: Cow::Owned(lir), parse, lower: t_lower.elapsed() })
+        let time = FrontendTime { parse, lower: t_lower.elapsed() };
+        Ok(Frontend { lir: Cow::Owned(lir), time })
     }
+}
 
+impl FrontendTime {
     /// Adds the frontend's time to a compile's `timings`.
-    pub(crate) fn charge(&self, timings: &mut PhaseTimings) {
+    pub(crate) fn charge(self, timings: &mut PhaseTimings) {
         timings.parse = self.parse;
         timings.lower = self.lower;
         timings.total += self.parse + self.lower;
@@ -454,18 +463,19 @@ impl Compiler {
         let recorder = req.recorder.unwrap_or(&mut disabled);
         let frontend = Frontend::run(input.into(), recorder)?;
         let plan = Cow::Owned(req.plan.unwrap_or_default());
-        let mut compiled = self.run_plan(&frontend.lir, plan, req.deadline, recorder)?;
-        frontend.charge(&mut compiled.timings);
+        let mut compiled = self.run_plan(frontend.lir, plan, req.deadline, recorder)?;
+        frontend.time.charge(&mut compiled.timings);
         Ok(compiled)
     }
 
     /// Runs `plan`, with `deadline` folded in, over `lir`, salvaging
     /// failed best-effort passes, with the passes' spans nested in a
     /// `compile` span on `recorder`. A borrowed plan is copied only to
-    /// fold in a deadline or drop a salvaged pass.
+    /// fold in a deadline or drop a salvaged pass. An owned program is
+    /// compiled in place; a borrowed one is copied, its pool flat.
     pub(crate) fn run_plan(
         &self,
-        lir: &Lir,
+        lir: Cow<'_, Lir>,
         mut plan: Cow<'_, PassPlan>,
         deadline: Option<Instant>,
         recorder: &mut SpanRecorder,
@@ -479,12 +489,20 @@ impl Compiler {
             recorder.attr("kernel", lir.name.to_string());
             recorder.attr("target", self.target.name.clone());
         }
+        // the body the passes start from, which a salvage restart puts
+        // back (the passes rewrite the unit's)
+        let (body, mut unit) = match lir {
+            Cow::Borrowed(lir) => (
+                Cow::Borrowed(lir.body.as_slice()),
+                CompilationUnit::new(&self.target, &self.tables, lir),
+            ),
+            Cow::Owned(lir) => {
+                (Cow::Owned(lir.body.clone()), CompilationUnit::of(&self.target, &self.tables, lir))
+            }
+        };
         let mut salvages: Vec<SalvageRecord> = Vec::new();
         let result = loop {
-            // always restart from a fresh unit: a panicking pass may
-            // have left the previous unit half-rewritten
             let mut timings = PhaseTimings::default();
-            let mut unit = crate::pass::CompilationUnit::new(&self.target, &self.tables, lir);
             // the recorder rides inside the unit while the passes run
             // (its open `compile` span survives salvage retries)
             unit.trace = std::mem::take(recorder);
@@ -493,13 +511,22 @@ impl Compiler {
             match run {
                 Ok(()) => {
                     if !salvages.is_empty() {
-                        if let Err(e) = self.validate_salvage(lir, &plan, &unit.code, &salvages) {
+                        // the program as given: the pool only grew
+                        let program = Lir {
+                            name: unit.lir.name.clone(),
+                            vars: unit.lir.vars.clone(),
+                            body: body.to_vec(),
+                            pool: unit.lir.pool.clone(),
+                        };
+                        if let Err(e) =
+                            self.validate_salvage(&program, &plan, &unit.code, &salvages)
+                        {
                             break Err(e);
                         }
                     }
                     timings.salvages = salvages;
                     timings.total = start.elapsed();
-                    break Ok(Compiled { code: unit.code, timings });
+                    break Ok(Compiled { code: std::mem::take(&mut unit.code), timings });
                 }
                 Err(failure) => {
                     let pass = match failure.pass {
@@ -515,6 +542,9 @@ impl Compiler {
                         reason: failure.error.to_string(),
                     });
                     plan = Cow::Owned(plan.into_owned().without(pass));
+                    // the retry starts over from the program as given: a
+                    // panicking pass may have left the unit half-rewritten
+                    unit.restart(&body);
                 }
             }
         };
@@ -546,7 +576,7 @@ impl Compiler {
 
         let baseline_plan = plan.mandatory_only();
         let mut timings = PhaseTimings::default();
-        let mut unit = crate::pass::CompilationUnit::new(&self.target, &self.tables, lir);
+        let mut unit = CompilationUnit::new(&self.target, &self.tables, lir);
         baseline_plan
             .run(&mut unit, &mut timings)
             .map_err(|e| fail(format!("salvage validation baseline failed to compile: {e}")))?;

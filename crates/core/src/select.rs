@@ -18,14 +18,14 @@
 
 use std::borrow::{Borrow, Cow};
 use std::cell::Cell;
-use std::fmt::{self, Write};
+use std::fmt::Write;
 use std::sync::Arc;
 
 use record_burg::{
     best_candidate, Cover, CoverBuf, CutSet, FlatOperand, LabelCache, Matcher, Tables, SHARED_RULE,
 };
 use record_ir::transform::{variants, RuleSet, VariantStream};
-use record_ir::{AssignStmt, BlockDag, DagScratch, Symbol, Tree, TreePool};
+use record_ir::{AssignStmt, BlockDag, DagScratch, MemRef, Symbol, TreeId, TreeNode, TreePool};
 use record_isa::{
     Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, Rule, SemExpr,
     TargetDesc,
@@ -144,6 +144,11 @@ pub struct Emitter<'t> {
     /// seed (see [`verify_statement`](Self::verify_statement)), built in
     /// the storage the scratch keeps for it.
     probe: record_sim::Machine<'t>,
+    /// The pool the statements' trees live in and variants are interned
+    /// into. The `select` pass lends the emitter the program's pool; an
+    /// emitter used on its own interns its statements into this one (see
+    /// [`pool_mut`](Self::pool_mut)).
+    pool: TreePool,
     /// Everything else selection works in, reset for this target when
     /// the emitter is built.
     work: SelectScratch,
@@ -154,8 +159,8 @@ pub struct Emitter<'t> {
     stage_c_trials: Vec<(record_ir::TreeId, CutSet, Option<u64>)>,
 }
 
-/// The most tree nodes one compile's selection may ask its pool for,
-/// new or deduplicated, or hold label states for, and still leave its
+/// The most tree nodes one compile may ask its pool for, new or
+/// deduplicated, or hold label states for, and still leave selection's
 /// working memory to the next compile on the thread. Past it the
 /// `select` pass drops that memory, so one large program cannot pin its
 /// buffers in a thread for the thread's lifetime.
@@ -166,17 +171,16 @@ pub const MAX_RETAINED_NODES: usize = 1 << 16;
 ///
 /// [`Emitter::with_scratch`] selects in a scratch an earlier emitter
 /// handed back through [`Emitter::into_scratch`], after resetting it for
-/// the new target: the pool and the label store empty, the allocators
-/// sized for the target's register classes with every register free and
-/// every cursor at 0, no scratch symbol allocated. A reset scratch
-/// selects exactly as a new one does; only its buffers' capacity
-/// carries over, never a result. The `select` pass keeps one per thread
-/// this way, so a thread's compiles stop growing the same buffers anew.
+/// the new target: the label store empty, the allocators sized for the
+/// target's register classes with every register free and every cursor
+/// at 0, no scratch symbol allocated. A reset scratch selects exactly as
+/// a new one does; only its buffers' capacity carries over, never a
+/// result. The `select` pass keeps one per thread this way, so a
+/// thread's compiles stop growing the same buffers anew. (The tree pool
+/// is the program's; a dropped pool leaves its buffers to the thread's
+/// next one by itself.)
 #[derive(Default)]
 pub(crate) struct SelectScratch {
-    /// Hash-consing arena the variant stream enumerates into; persists
-    /// across statements so shared subtrees dedup program-wide.
-    pool: TreePool,
     /// Memoized label states keyed by interned tree id (one grammar, one
     /// pool — both fixed for the emitter's lifetime).
     label_cache: LabelCache,
@@ -226,14 +230,15 @@ impl SelectScratch {
         RETAINED.with(Cell::take).unwrap_or_default()
     }
 
-    /// Leaves `self` to the next compile on this thread, unless its pool
-    /// was asked for more than [`MAX_RETAINED_NODES`] nodes or its label
-    /// store holds more states: every buffer grows with one of the two
-    /// (a tree that dedups to a few nodes still grows the cover and the
-    /// probe with its size), so no compile pins more than the cap's worth
-    /// of memory in a thread for the thread's lifetime.
-    pub(crate) fn retain(self) {
-        let asked = self.pool.len() as u64 + self.pool.dedup_hits();
+    /// Leaves `self` to the next compile on this thread, unless `pool`,
+    /// the pool selection worked in, was asked for more than
+    /// [`MAX_RETAINED_NODES`] nodes or the label store holds more states:
+    /// every buffer grows with one of the two (a tree that dedups to a
+    /// few nodes still grows the cover and the probe with its size), so
+    /// no compile pins more than the cap's worth of memory in a thread
+    /// for the thread's lifetime.
+    pub(crate) fn retain(self, pool: &TreePool) {
+        let asked = pool.len() as u64 + pool.dedup_hits();
         if asked <= MAX_RETAINED_NODES as u64 && self.label_cache.len() <= MAX_RETAINED_NODES {
             RETAINED.with(|slot| slot.set(Some(self)));
         }
@@ -241,7 +246,6 @@ impl SelectScratch {
 
     /// Empties every store and sizes the allocators for `target`.
     fn reset(&mut self, target: &TargetDesc) {
-        self.pool.clear();
         self.label_cache.clear();
         self.stream.clear();
         self.candidates.clear();
@@ -385,6 +389,7 @@ impl<'t> Emitter<'t> {
             step_cap: None,
             steps_used: 0,
             probe,
+            pool: TreePool::new(),
             work,
             #[cfg(test)]
             stage_c_trials: Vec::new(),
@@ -412,9 +417,16 @@ impl<'t> Emitter<'t> {
         self.step_cap = cap;
     }
 
-    /// The hash-consing pool (diagnostics and benches).
+    /// The pool the emitter's statements and variants live in.
     pub fn pool(&self) -> &TreePool {
-        &self.work.pool
+        &self.pool
+    }
+
+    /// The pool, to intern the trees of statements this emitter is to
+    /// select ([`AssignStmt::new`] builds one from a boxed tree) or to
+    /// swap a program's pool in and out.
+    pub fn pool_mut(&mut self) -> &mut TreePool {
+        &mut self.pool
     }
 
     /// The label memo cache (diagnostics and benches).
@@ -433,7 +445,8 @@ impl<'t> Emitter<'t> {
         &self.matcher
     }
 
-    /// Selects and emits one assignment.
+    /// Selects and emits one assignment, whose tree lives in the
+    /// emitter's [`pool`](Self::pool).
     ///
     /// `rules`/`variant_limit` control the algebraic enumeration.
     ///
@@ -481,7 +494,7 @@ impl<'t> Emitter<'t> {
             // split strictly shrinks the tree, so this terminates.
             let Some((first, second)) = self.split_statement(&cur) else {
                 return Err(CompileError::Target(crate::TargetError::Unsplittable {
-                    stmt: cur.to_string(),
+                    stmt: cur.display(&self.pool).to_string(),
                 }));
             };
             // process `first` next, then re-attempt `second`
@@ -494,7 +507,8 @@ impl<'t> Emitter<'t> {
 
     /// Selects and emits a whole basic block as a DAG: soundly repeated
     /// subtrees (see [`BlockDag`]) may be computed once into a parked
-    /// register and referenced by every consumer statement.
+    /// register and referenced by every consumer statement. The
+    /// statements' trees live in the emitter's [`pool`](Self::pool).
     ///
     /// The method is a strict refinement of per-statement selection:
     ///
@@ -554,13 +568,9 @@ impl<'t> Emitter<'t> {
         }
 
         // Stage B: DAG analysis over the block's trees.
-        let pool_len0 = self.work.pool.len() as u64;
-        let dedup0 = self.work.pool.dedup_hits();
         let Buffers { dag, dag_scratch, .. } = &mut self.work.buffers;
-        dag.rebuild(&mut self.work.pool, stmts, dag_scratch);
+        dag.rebuild(&self.pool, stmts, dag_scratch);
         let dag = std::mem::take(dag);
-        stats.interned_nodes += self.work.pool.len() as u64 - pool_len0;
-        stats.dedup_hits += self.work.pool.dedup_hits() - dedup0;
         stats.shared_subtrees += dag.shared.len() as u64;
 
         let baseline = Baseline { start, ends: &ends };
@@ -614,7 +624,7 @@ impl<'t> Emitter<'t> {
                 }
                 // computing the value once into `nt`
                 let def_cost = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
-                    let label = self.matcher.label_interned(&self.work.pool, cand.id, cache);
+                    let label = self.matcher.label_interned(&self.pool, cand.id, cache);
                     cache.cost(label, nt)
                 });
                 let Some(def_cost) = def_cost else { continue };
@@ -630,7 +640,7 @@ impl<'t> Emitter<'t> {
                     let best = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
                         let root = dag.roots[s];
                         let label =
-                            self.matcher.label_interned_cut(&self.work.pool, root, cache, trial);
+                            self.matcher.label_interned_cut(&self.pool, root, cache, trial);
                         best_candidate(cache.entries(label), &self.work.candidates)
                     });
                     let w = best
@@ -781,12 +791,12 @@ impl<'t> Emitter<'t> {
                     continue;
                 }
                 let label = count_labels(&mut self.work.label_cache, stats, |cache| {
-                    self.matcher.label_interned(&self.work.pool, cand.id, cache)
+                    self.matcher.label_interned(&self.pool, cand.id, cache)
                 });
                 let mut cover = std::mem::take(&mut self.work.buffers.cover);
                 cover.clear();
                 let root = self.matcher.reduce_into(
-                    &self.work.pool,
+                    &self.pool,
                     &self.work.label_cache,
                     label,
                     nt,
@@ -796,8 +806,8 @@ impl<'t> Emitter<'t> {
                 let loc = match root {
                     Some(root) => {
                         self.work.buffers.locs.clear();
-                        let stmt = format_args!("$dag{slot}");
-                        self.emit_cover(&cover, root, &mut code.defs, &stmt).map(Some)
+                        let what = Computing::Shared(slot);
+                        self.emit_cover(&cover, root, &mut code.defs, what).map(Some)
                     }
                     None => Ok(None),
                 };
@@ -817,7 +827,7 @@ impl<'t> Emitter<'t> {
             let mut chosen = false;
             if !cuts.is_empty() {
                 let label = count_labels(&mut self.work.label_cache, stats, |cache| {
-                    self.matcher.label_interned_cut(&self.work.pool, dag.roots[s], cache, cuts)
+                    self.matcher.label_interned_cut(&self.pool, dag.roots[s], cache, cuts)
                 });
                 let best =
                     best_candidate(self.work.label_cache.entries(label), &self.work.candidates);
@@ -830,7 +840,7 @@ impl<'t> Emitter<'t> {
                         let root = self
                             .matcher
                             .reduce_into(
-                                &self.work.pool,
+                                &self.pool,
                                 &self.work.label_cache,
                                 label,
                                 store_nt,
@@ -882,36 +892,31 @@ impl<'t> Emitter<'t> {
 
     /// Splits `dst := f(..., subtree, ...)` into
     /// `$sN := subtree; dst := f(..., Temp($sN), ...)`, choosing the first
-    /// non-leaf operand of the root.
+    /// non-leaf operand of the root. The rebuilt tree is added to the
+    /// pool.
     fn split_statement(&mut self, stmt: &AssignStmt) -> Option<(AssignStmt, AssignStmt)> {
-        enum Shape {
-            Bin(record_ir::BinOp),
-            Un(record_ir::UnOp),
-        }
-        let (op_trees, shape): (Vec<Tree>, Shape) = match &stmt.src {
-            Tree::Bin(op, a, b) => (vec![(**a).clone(), (**b).clone()], Shape::Bin(*op)),
-            Tree::Un(op, a) => (vec![(**a).clone()], Shape::Un(*op)),
+        let pool = &mut self.pool;
+        let mut kids = match *pool.node(stmt.src) {
+            TreeNode::Bin(_, a, b) => vec![a, b],
+            TreeNode::Un(_, a) => vec![a],
             _ => return None,
         };
         // prefer a computed operand; a constant leaf can also clobber
         // (it may route through the accumulator on its way to memory),
         // while memory leaves are always safe to read in place
-        let split_ix = op_trees
-            .iter()
-            .position(|t| !t.is_leaf())
-            .or_else(|| op_trees.iter().position(|t| matches!(t, Tree::Const(_))))?;
+        let computed = |id: &TreeId| matches!(pool.node(*id), TreeNode::Bin(..) | TreeNode::Un(..));
+        let split_ix = kids.iter().position(computed).or_else(|| {
+            kids.iter().position(|id| matches!(pool.node(*id), TreeNode::Const(_)))
+        })?;
         // a dedicated, never-recycled cell (it lives across two statements)
         let name = Symbol::new(format!("$s{}", self.work.scratch_pool.len()));
         self.work.scratch_pool.push(name.clone());
-        let first = AssignStmt {
-            dst: record_ir::MemRef::Scalar(name.clone()),
-            src: op_trees[split_ix].clone(),
-        };
-        let mut kids = op_trees;
-        kids[split_ix] = Tree::Temp(name);
-        let src = match shape {
-            Shape::Bin(op) => Tree::bin(op, kids[0].clone(), kids[1].clone()),
-            Shape::Un(op) => Tree::un(op, kids[0].clone()),
+        let first = AssignStmt { dst: MemRef::Scalar(name.clone()), src: kids[split_ix] };
+        kids[split_ix] = pool.temp(name);
+        let src = match *pool.node(stmt.src) {
+            TreeNode::Bin(op, ..) => pool.bin(op, kids[0], kids[1]),
+            TreeNode::Un(op, _) => pool.un(op, kids[0]),
+            _ => unreachable!("only an operation splits"),
         };
         let second = AssignStmt { dst: stmt.dst.clone(), src };
         Some((first, second))
@@ -999,7 +1004,8 @@ impl<'t> Emitter<'t> {
         }
         record_opt::insert_mode_changes(code, self.target, record_opt::ModeStrategy::Lazy);
 
-        let verdict = run_probe(&mut self.probe, probe, stmt, &dst_loc, self.target.word_width);
+        let verdict =
+            run_probe(&mut self.probe, probe, &self.pool, stmt, &dst_loc, self.target.word_width);
 
         // hand the instructions back, dropping the loops and mode changes
         let mut seen = 0;
@@ -1034,13 +1040,14 @@ impl<'t> Emitter<'t> {
         }
 
         let best = if self.reference {
-            self.find_best_reference(&stmt.src, rules, variant_limit, &mut stats)
+            let tree = self.pool.to_tree(stmt.src);
+            self.find_best_reference(&tree, rules, variant_limit, &mut stats)
         } else {
-            self.find_best_interned(&stmt.src, rules, variant_limit, &mut stats)
+            self.find_best_interned(stmt.src, rules, variant_limit, &mut stats)
         };
         let Some((store_ix, root)) = best else {
             return Err(CompileError::Uncoverable {
-                stmt: stmt.to_string(),
+                stmt: stmt.display(&self.pool).to_string(),
                 target: self.target.name.clone(),
             });
         };
@@ -1069,7 +1076,7 @@ impl<'t> Emitter<'t> {
     /// into the cover buffer, and `(store rule, root node)` returned.
     fn find_best_reference(
         &mut self,
-        base: &Tree,
+        base: &record_ir::Tree,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
@@ -1117,24 +1124,23 @@ impl<'t> Emitter<'t> {
     /// `(store rule, root node)`.
     fn find_best_interned(
         &mut self,
-        base: &Tree,
+        root: TreeId,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
     ) -> Option<(usize, usize)> {
-        let pool_len0 = self.work.pool.len() as u64;
-        let dedup0 = self.work.pool.dedup_hits();
+        let pool_len0 = self.pool.len() as u64;
+        let dedup0 = self.pool.dedup_hits();
         let hits0 = self.work.label_cache.hits();
         let misses0 = self.work.label_cache.misses();
         let floor = self.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        let root = self.work.pool.intern(base);
         self.work.stream.restart(root, *rules, variant_limit);
         let mut best: Option<(u64, usize, usize)> = None; // (total weight, store, root)
-        while let Some(id) = self.work.stream.next(&mut self.work.pool) {
+        while let Some(id) = self.work.stream.next(&mut self.pool) {
             stats.variants += 1;
             let label =
-                self.matcher.label_interned(&self.work.pool, id, &mut self.work.label_cache);
+                self.matcher.label_interned(&self.pool, id, &mut self.work.label_cache);
             if let Some((nt, derive)) =
                 best_candidate(self.work.label_cache.entries(label), &self.work.candidates)
             {
@@ -1147,7 +1153,7 @@ impl<'t> Emitter<'t> {
                     let root = self
                         .matcher
                         .reduce_into(
-                            &self.work.pool,
+                            &self.pool,
                             &self.work.label_cache,
                             label,
                             nt,
@@ -1169,8 +1175,8 @@ impl<'t> Emitter<'t> {
         }
         self.steps_used += self.work.stream.steps();
         stats.search_steps += self.work.stream.steps();
-        stats.interned_nodes += self.work.pool.len() as u64 - pool_len0;
-        stats.dedup_hits += self.work.pool.dedup_hits() - dedup0;
+        stats.interned_nodes += self.pool.len() as u64 - pool_len0;
+        stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.labels_memoized += self.work.label_cache.hits() - hits0;
         stats.labels_computed += self.work.label_cache.misses() - misses0;
         best.map(|(_, store_ix, root)| (store_ix, root))
@@ -1187,7 +1193,7 @@ impl<'t> Emitter<'t> {
         out: &mut Vec<Insn>,
     ) -> Result<(), CompileError> {
         self.work.buffers.locs.clear();
-        let value = self.emit_cover(cover, root, out, stmt)?;
+        let value = self.emit_cover(cover, root, out, Computing::Stmt(stmt))?;
         let store = &self.target.stores[store_ix];
         let dst = Loc::Mem(MemLoc::from_mem_ref(&stmt.dst));
         let text = render_asm(self.target, &store.asm, &dst, std::slice::from_ref(&value));
@@ -1200,8 +1206,8 @@ impl<'t> Emitter<'t> {
     }
 
     /// Emits the instructions of a cover node; returns the location of
-    /// its value. `stmt` names the statement in an out-of-registers
-    /// error and is only rendered then.
+    /// its value. `what` names the value in an out-of-registers error and
+    /// is only rendered then.
     ///
     /// The operand locations of the node are a frame on the emitter's
     /// location stack, popped when the node is emitted.
@@ -1210,7 +1216,7 @@ impl<'t> Emitter<'t> {
         cover: &CoverBuf,
         node: usize,
         out: &mut Vec<Insn>,
-        stmt: &dyn fmt::Display,
+        what: Computing<'_>,
     ) -> Result<Loc, CompileError> {
         let operands = cover.operands(node);
         // A shared-value reference emits nothing: the value already sits
@@ -1242,14 +1248,14 @@ impl<'t> Emitter<'t> {
         let left_to_right = (0..n).filter(|_| rule.eval_order.is_none());
         for i in ordered.chain(left_to_right) {
             let loc = match &operands[i] {
-                FlatOperand::Derived(child) => self.emit_cover(cover, *child, out, stmt)?,
+                FlatOperand::Derived(child) => self.emit_cover(cover, *child, out, what)?,
                 other => self.operand_loc(other),
             };
             self.work.buffers.locs[frame + i] = loc;
         }
 
         // destination for the produced value
-        let dst = self.lhs_loc(rule, stmt)?;
+        let dst = self.lhs_loc(rule, what)?;
         let locs = &self.work.buffers.locs[frame..];
 
         // semantics from the pattern shape
@@ -1284,7 +1290,7 @@ impl<'t> Emitter<'t> {
     }
 
     /// The location a rule's lhs value materializes in.
-    fn lhs_loc(&mut self, rule: &Rule, stmt: &dyn fmt::Display) -> Result<Loc, CompileError> {
+    fn lhs_loc(&mut self, rule: &Rule, what: Computing<'_>) -> Result<Loc, CompileError> {
         match self.target.nonterm(rule.lhs).kind {
             NonTermKind::Reg(class) => {
                 let decl = self.target.class(class);
@@ -1310,7 +1316,10 @@ impl<'t> Emitter<'t> {
                     }
                     None => Err(CompileError::OutOfRegisters {
                         class: decl.name.clone(),
-                        stmt: stmt.to_string(),
+                        stmt: match what {
+                            Computing::Stmt(stmt) => stmt.display(&self.pool).to_string(),
+                            Computing::Shared(slot) => format!("$dag{slot}"),
+                        },
                     }),
                 }
             }
@@ -1369,6 +1378,16 @@ impl<'t> Emitter<'t> {
     }
 }
 
+/// What a cover being emitted computes, named in an out-of-registers
+/// error.
+#[derive(Clone, Copy)]
+enum Computing<'s> {
+    /// A statement's value.
+    Stmt(&'s AssignStmt),
+    /// The block-shared value parked in cut slot `n`, named `$dag{n}`.
+    Shared(usize),
+}
+
 /// Where a block's verified baseline sits in the output: statement `s`
 /// occupies `start + begin(s)..start + ends[s]`.
 #[derive(Clone, Copy)]
@@ -1413,6 +1432,7 @@ fn release_in(target: &TargetDesc, held: &[Loc], reg_used: &mut [Vec<bool>], loc
 fn run_probe(
     machine: &mut record_sim::Machine<'_>,
     probe: &mut Probe,
+    pool: &TreePool,
     stmt: &AssignStmt,
     dst_loc: &MemLoc,
     width: u32,
@@ -1428,17 +1448,19 @@ fn run_probe(
     let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
         return false;
     };
-    let verdict = run_seeds(machine, &program, probe, stmt, (dst_bank, dst_addr), width);
+    let verdict = run_seeds(machine, &program, probe, pool, stmt, (dst_bank, dst_addr), width);
     program.recycle(&mut probe.decoded);
     verdict
 }
 
 /// Runs the decoded probe `program` under each seed; `true` when the
-/// destination word `dst` holds the reference value of `stmt` every time.
+/// destination word `dst` holds the reference value of `stmt`, its tree
+/// evaluated in `pool`, every time.
 fn run_seeds(
     machine: &mut record_sim::Machine<'_>,
     program: &record_sim::Program<'_>,
     probe: &Probe,
+    pool: &TreePool,
     stmt: &AssignStmt,
     (dst_bank, dst_addr): (record_ir::Bank, u16),
     width: u32,
@@ -1469,7 +1491,7 @@ fn run_seeds(
             value_of(&m.base, m.disp)
         };
         let mut read_temp = |s: &Symbol| value_of(s, 0);
-        let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
+        let expect = pool.eval(stmt.src, width, &mut read_mem, &mut read_temp);
 
         machine.reset();
         for &(sym, ix, addr) in &probe.words {
@@ -1611,10 +1633,16 @@ fn sem_from_pattern(pat: &PatNode, locs: &[Loc], next: &mut usize) -> SemExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use record_ir::{BinOp, MemRef};
+    use record_ir::{BinOp, Tree};
 
-    fn assign(dst: &str, src: Tree) -> AssignStmt {
-        AssignStmt { dst: MemRef::scalar(dst), src }
+    /// `dst := src`, interned into `e`'s pool.
+    fn assign(e: &mut Emitter<'_>, dst: &str, src: Tree) -> AssignStmt {
+        AssignStmt::new(e.pool_mut(), MemRef::scalar(dst), &src)
+    }
+
+    /// The statements of `block`, interned into `e`'s pool.
+    fn stmts_in(e: &mut Emitter<'_>, block: &[(&str, Tree)]) -> Vec<AssignStmt> {
+        block.iter().map(|(dst, src)| assign(e, dst, src.clone())).collect()
     }
 
     fn texts(insns: &[Insn]) -> Vec<String> {
@@ -1627,6 +1655,7 @@ mod tests {
         let mut e = Emitter::new(&t);
         // y := y + c * x
         let stmt = assign(
+            &mut e,
             "y",
             Tree::bin(
                 BinOp::Add,
@@ -1647,7 +1676,7 @@ mod tests {
         // route through the accumulator and a scratch word to reach the
         // multiplier input (6 words); the mul-to-shift variant covers the
         // whole thing with one load-with-shift (2 words).
-        let stmt = assign("y", Tree::bin(BinOp::Mul, Tree::constant(2), Tree::var("x")));
+        let stmt = assign(&mut e, "y", Tree::bin(BinOp::Mul, Tree::constant(2), Tree::var("x")));
         let (no_variants, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let words = |v: &[Insn]| v.iter().map(|i| i.words).sum::<u32>();
         assert_eq!(words(&no_variants), 6, "{:?}", texts(&no_variants));
@@ -1662,6 +1691,7 @@ mod tests {
         let mut e = Emitter::new(&t);
         // (a+b) * (c+d) forces one factor through memory
         let stmt = assign(
+            &mut e,
             "y",
             Tree::bin(
                 BinOp::Mul,
@@ -1678,8 +1708,9 @@ mod tests {
     fn scratch_is_reused_across_statements() {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
-        let spilly = |dst: &str| {
+        let spilly = |e: &mut Emitter<'_>, dst: &str| {
             assign(
+                e,
                 dst,
                 Tree::bin(
                     BinOp::Mul,
@@ -1688,9 +1719,11 @@ mod tests {
                 ),
             )
         };
-        e.emit_assign(&spilly("y"), &RuleSet::none(), 1).unwrap();
+        let y = spilly(&mut e, "y");
+        e.emit_assign(&y, &RuleSet::none(), 1).unwrap();
         let n1 = e.scratch_symbols().len();
-        e.emit_assign(&spilly("z"), &RuleSet::none(), 1).unwrap();
+        let z = spilly(&mut e, "z");
+        e.emit_assign(&z, &RuleSet::none(), 1).unwrap();
         assert_eq!(e.scratch_symbols().len(), n1, "pool reused");
     }
 
@@ -1699,6 +1732,7 @@ mod tests {
         let t = record_isa::targets::simple_risc::target(8);
         let mut e = Emitter::new(&t);
         let stmt = assign(
+            &mut e,
             "y",
             Tree::bin(
                 BinOp::Add,
@@ -1722,6 +1756,7 @@ mod tests {
         let t = record_isa::targets::simple_risc::target(2);
         let mut e = Emitter::new(&t);
         let stmt = assign(
+            &mut e,
             "y",
             Tree::bin(
                 BinOp::Mul,
@@ -1742,7 +1777,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         // the C25 model has no division instruction
-        let stmt = assign("y", Tree::bin(BinOp::Div, Tree::var("a"), Tree::var("b")));
+        let stmt = assign(&mut e, "y", Tree::bin(BinOp::Div, Tree::var("a"), Tree::var("b")));
         let err = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap_err();
         match err {
             CompileError::Uncoverable { stmt, target } => {
@@ -1757,7 +1792,7 @@ mod tests {
     fn saturating_add_requires_ovm() {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
-        let stmt = assign("y", Tree::bin(BinOp::SatAdd, Tree::var("y"), Tree::var("x")));
+        let stmt = assign(&mut e, "y", Tree::bin(BinOp::SatAdd, Tree::var("y"), Tree::var("x")));
         let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let ovm = t.mode("ovm").unwrap();
         assert!(insns.iter().any(|i| i.mode_req == Some((ovm, true))));
@@ -1767,7 +1802,7 @@ mod tests {
     fn plain_add_requires_ovm_clear() {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
-        let stmt = assign("y", Tree::bin(BinOp::Add, Tree::var("y"), Tree::var("x")));
+        let stmt = assign(&mut e, "y", Tree::bin(BinOp::Add, Tree::var("y"), Tree::var("x")));
         let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         let ovm = t.mode("ovm").unwrap();
         assert!(insns.iter().any(|i| i.mode_req == Some((ovm, false))));
@@ -1778,6 +1813,7 @@ mod tests {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
         let stmt = assign(
+            &mut e,
             "v1",
             Tree::bin(
                 BinOp::And,
@@ -1857,7 +1893,7 @@ mod tests {
                 value_of(&m.base, m.disp)
             };
             let mut read_temp = |s: &Symbol| value_of(s, 0);
-            let expect = stmt.src.eval(width, &mut read_mem, &mut read_temp);
+            let expect = e.pool.eval(stmt.src, width, &mut read_mem, &mut read_temp);
 
             let mut code = record_isa::Code {
                 insns: Vec::new(),
@@ -2028,8 +2064,8 @@ mod tests {
                 0 => MemRef::array("y", record_ir::Index::Var { var: "i".into(), offset: 0 }),
                 _ => MemRef::scalar(*rng.pick(&["a", "y", "z"])),
             };
-            let stmt = AssignStmt { dst, src: gen_probe_tree(rng, 3) };
             let mut e = Emitter::new(t);
+            let stmt = AssignStmt::new(e.pool_mut(), dst, &gen_probe_tree(rng, 3));
             let mut insns = Vec::new();
             if e.emit_one(&stmt, &RuleSet::none(), 1, &mut insns).is_err() {
                 return;
@@ -2040,7 +2076,7 @@ mod tests {
                     got,
                     verify_statement_reference(&e, &stmt, code),
                     "{} on {}: {:?}",
-                    stmt,
+                    stmt.display(&e.pool),
                     t.name,
                     texts(code)
                 );
@@ -2065,17 +2101,17 @@ mod tests {
     fn temp_operands_read_their_memory_cell() {
         let t = record_isa::targets::tic25::target();
         let mut e = Emitter::new(&t);
-        let stmt = assign("y", Tree::bin(BinOp::Add, Tree::temp("$t0"), Tree::var("x")));
+        let stmt = assign(&mut e, "y", Tree::bin(BinOp::Add, Tree::temp("$t0"), Tree::var("x")));
         let (insns, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert_eq!(texts(&insns)[0], "LAC $t0");
     }
 
     /// The complex-multiply block: every input leaf is read twice.
-    fn complex_multiply_block() -> Vec<AssignStmt> {
+    fn complex_multiply_block() -> Vec<(&'static str, Tree)> {
         let mul = |a: &str, b: &str| Tree::bin(BinOp::Mul, Tree::var(a), Tree::var(b));
         vec![
-            assign("cr", Tree::bin(BinOp::Sub, mul("ar", "br"), mul("ai", "bi"))),
-            assign("ci", Tree::bin(BinOp::Add, mul("ar", "bi"), mul("ai", "br"))),
+            ("cr", Tree::bin(BinOp::Sub, mul("ar", "br"), mul("ai", "bi"))),
+            ("ci", Tree::bin(BinOp::Add, mul("ar", "bi"), mul("ai", "br"))),
         ]
     }
 
@@ -2089,14 +2125,15 @@ mod tests {
         // leaf loaded once can feed both statements, so DAG covering must
         // take shares and shrink the code.
         let t = record_isa::targets::dsp56k::target();
-        let stmts = complex_multiply_block();
+        let block = complex_multiply_block();
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
-        for s in &stmts {
+        for s in &stmts_in(&mut per_stmt, &block) {
             let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
+        let stmts = stmts_in(&mut e, &block);
         let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32).unwrap();
         assert!(stats.shared_subtrees >= 4, "{stats:?}");
         assert!(stats.shares_taken > 0, "{stats:?}");
@@ -2112,14 +2149,15 @@ mod tests {
         // parked across statements, so every candidate is recomputed and
         // the output is exactly the per-statement baseline.
         let t = record_isa::targets::tic25::target();
-        let stmts = complex_multiply_block();
+        let block = complex_multiply_block();
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
-        for s in &stmts {
+        for s in &stmts_in(&mut per_stmt, &block) {
             let (insns, _) = per_stmt.emit_assign(s, &RuleSet::all(), 32).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
+        let stmts = stmts_in(&mut e, &block);
         let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32).unwrap();
         assert!(stats.shared_subtrees >= 4, "{stats:?}");
         assert_eq!(stats.shares_taken, 0, "{stats:?}");
@@ -2130,17 +2168,18 @@ mod tests {
     #[test]
     fn block_without_repeats_is_the_baseline() {
         let t = record_isa::targets::dsp56k::target();
-        let stmts = vec![
-            assign("u", Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"))),
-            assign("v", Tree::bin(BinOp::Mul, Tree::var("c"), Tree::var("d"))),
+        let block = [
+            ("u", Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"))),
+            ("v", Tree::bin(BinOp::Mul, Tree::var("c"), Tree::var("d"))),
         ];
         let mut per_stmt = Emitter::new(&t);
         let mut baseline = Vec::new();
-        for s in &stmts {
+        for s in &stmts_in(&mut per_stmt, &block) {
             let (insns, _) = per_stmt.emit_assign(s, &RuleSet::none(), 1).unwrap();
             baseline.extend(insns);
         }
         let mut e = Emitter::new(&t);
+        let stmts = stmts_in(&mut e, &block);
         let (insns, stats) = e.emit_block(&stmts, &RuleSet::none(), 1).unwrap();
         assert_eq!(stats.shares_taken, 0);
         assert_eq!(texts(&insns), texts(&baseline));
@@ -2152,12 +2191,15 @@ mod tests {
         // not share it, and both statements must verify against their own
         // version of w.
         let t = record_isa::targets::dsp56k::target();
-        let stmts = vec![
-            assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
-            assign("w", Tree::var("u")),
-            assign("z", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
-        ];
         let mut e = Emitter::new(&t);
+        let stmts = stmts_in(
+            &mut e,
+            &[
+                ("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
+                ("w", Tree::var("u")),
+                ("z", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
+            ],
+        );
         let (insns, stats) = e.emit_block(&stmts, &RuleSet::all(), 32).unwrap();
         // `a` may share; `(a + w)` and `w` must not be candidates at all
         assert!(stats.shared_subtrees <= 1, "{stats:?}");
@@ -2170,23 +2212,23 @@ mod tests {
     /// covering is checked against.
     fn find_best_interned_reference(
         e: &mut Emitter<'_>,
-        base: &Tree,
+        root: TreeId,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
     ) -> Option<(usize, Cover)> {
-        let pool_len0 = e.work.pool.len() as u64;
-        let dedup0 = e.work.pool.dedup_hits();
+        let pool_len0 = e.pool.len() as u64;
+        let dedup0 = e.pool.dedup_hits();
         let hits0 = e.work.label_cache.hits();
         let misses0 = e.work.label_cache.misses();
         let floor = e.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        let mut stream = VariantStream::new(&mut e.work.pool, base, *rules, variant_limit);
+        let mut stream = VariantStream::from_id(root, *rules, variant_limit);
         let mut best: Option<(Cost, usize, Cover)> = None;
-        while let Some(id) = stream.next(&mut e.work.pool) {
+        while let Some(id) = stream.next(&mut e.pool) {
             stats.variants += 1;
             if let Some((nt, cover)) = e.matcher.best_cover_interned(
-                &e.work.pool,
+                &e.pool,
                 id,
                 &mut e.work.label_cache,
                 &e.work.candidates,
@@ -2218,8 +2260,8 @@ mod tests {
         }
         e.steps_used += stream.steps();
         stats.search_steps += stream.steps();
-        stats.interned_nodes += e.work.pool.len() as u64 - pool_len0;
-        stats.dedup_hits += e.work.pool.dedup_hits() - dedup0;
+        stats.interned_nodes += e.pool.len() as u64 - pool_len0;
+        stats.dedup_hits += e.pool.dedup_hits() - dedup0;
         stats.labels_memoized += e.work.label_cache.hits() - hits0;
         stats.labels_computed += e.work.label_cache.misses() - misses0;
         best.map(|(_, store_ix, cover)| (store_ix, cover))
@@ -2263,22 +2305,25 @@ mod tests {
             let limit = *rng.pick(&[1usize, 4, 32]);
             let cap = (rng.usize(3) == 0).then(|| rng.i64_in(1, 200) as u64);
             let (mut cost_first, mut reference) = (Emitter::new(t), Emitter::new(t));
+            *cost_first.pool_mut() = lir.pool.clone();
+            *reference.pool_mut() = lir.pool.clone();
             cost_first.set_search_cap(cap);
             reference.set_search_cap(cap);
             for stmt in &stmts {
                 let (mut got_stats, mut want_stats) =
                     (SelectStats::default(), SelectStats::default());
                 let got =
-                    cost_first.find_best_interned(&stmt.src, &rules, limit, &mut got_stats).map(
+                    cost_first.find_best_interned(stmt.src, &rules, limit, &mut got_stats).map(
                         |(store_ix, root)| (store_ix, cost_first.work.buffers.cover.to_tree(root)),
                     );
                 let want = find_best_interned_reference(
                     &mut reference,
-                    &stmt.src,
+                    stmt.src,
                     &rules,
                     limit,
                     &mut want_stats,
                 );
+                let stmt = stmt.display(&lir.pool);
                 let want = want.map(|(store_ix, cover)| {
                     assert_eq!(cover.cost, cover.root.cost(t), "{stmt} on {}", t.name);
                     (store_ix, cover.root)
@@ -2330,6 +2375,7 @@ mod tests {
             let mut all = Vec::new();
             blocks(&unit.lir.body, &mut all);
             let mut e = Emitter::with_tables(unit.target, Arc::clone(unit.tables));
+            std::mem::swap(e.pool_mut(), &mut unit.lir.pool);
             // register pressure may refuse a block on a cube point; the
             // trials made before that are still checked
             let emitted = all
@@ -2341,7 +2387,7 @@ mod tests {
                 let full = e
                     .matcher
                     .best_cover_interned_cut(
-                        &e.work.pool,
+                        &e.pool,
                         *root,
                         &mut fresh,
                         &e.work.candidates,
@@ -2351,12 +2397,13 @@ mod tests {
                 if *weight != full {
                     self.mismatches.lock().unwrap().push(format!(
                         "{} on {} under {cuts:?}: labels say {weight:?}, reduction {full:?}",
-                        e.work.pool.to_tree(*root),
+                        e.pool.to_tree(*root),
                         unit.target.name
                     ));
                 }
             }
             self.trials.fetch_add(e.stage_c_trials.len(), std::sync::atomic::Ordering::Relaxed);
+            std::mem::swap(e.pool_mut(), &mut unit.lir.pool);
             emitted
         }
     }

@@ -87,8 +87,8 @@ pub fn generate(target: &TargetDesc, seed: u64) -> Result<SelfTest, CompileError
     };
 
     // a justified, known-nonzero operand cell every probe tree reads
-    let init =
-        record_ir::AssignStmt { dst: record_ir::MemRef::scalar("$j"), src: Tree::constant(21) };
+    let j = record_ir::MemRef::scalar("$j");
+    let init = record_ir::AssignStmt::new(emitter.pool_mut(), j, &Tree::constant(21));
     let (init_insns, _) = emitter.emit_assign(&init, &record_ir::transform::RuleSet::none(), 1)?;
     code.insns.extend(init_insns);
 
@@ -116,7 +116,8 @@ pub fn generate(target: &TargetDesc, seed: u64) -> Result<SelfTest, CompileError
         // Emit: value into goal nonterminal, then propagate to memory.
         let dst = Symbol::new(format!("$r{response}"));
         response += 1;
-        let stmt = record_ir::AssignStmt { dst: record_ir::MemRef::Scalar(dst), src: tree };
+        let stmt =
+            record_ir::AssignStmt::new(emitter.pool_mut(), record_ir::MemRef::Scalar(dst), &tree);
         match emitter.emit_assign(&stmt, &record_ir::transform::RuleSet::none(), 1) {
             Ok((insns, _)) => {
                 // ensure the rule under test is actually in the emitted code

@@ -503,8 +503,8 @@ impl Session {
         rec: &mut SpanRecorder,
     ) -> Result<Compiled, CompileError> {
         let frontend = Frontend::run(input, rec)?;
-        let mut compiled = self.compile_lir(compiler, &frontend.lir, plan, deadline, rec)?;
-        frontend.charge(&mut compiled.timings);
+        let mut compiled = self.compile_lir(compiler, frontend.lir, plan, deadline, rec)?;
+        frontend.time.charge(&mut compiled.timings);
         Ok(compiled)
     }
 
@@ -513,11 +513,13 @@ impl Session {
     /// the compile is keyed and looked up first — a hit returns the
     /// stored code without running any pass (`from_cache` timings,
     /// `labels_computed == 0`), and a miss stores the freshly compiled
-    /// code for next time.
+    /// code for next time. Without the cache an owned program is compiled
+    /// in place; the cache needs the program as given after the compile,
+    /// so with it the program is copied.
     fn compile_lir(
         &self,
         compiler: &Compiler,
-        lir: &Lir,
+        lir: Cow<'_, Lir>,
         plan: Option<&PassPlan>,
         deadline: Option<std::time::Instant>,
         rec: &mut SpanRecorder,
@@ -541,6 +543,7 @@ impl Session {
         let Some(cache) = &self.code_cache else {
             return self.run_compiler(compiler, lir, plan, deadline, rec);
         };
+        let lir = &*lir;
         let key = CacheKey {
             program: record_ir::fingerprint::program_fingerprint(lir),
             target: compiler.stable_fingerprint(),
@@ -564,7 +567,7 @@ impl Session {
         if let Some(t) = tracer {
             t.instant("code-cache-miss", &[("program", lir.name.as_str().into())]);
         }
-        let result = self.run_compiler(compiler, lir, plan, deadline, rec);
+        let result = self.run_compiler(compiler, Cow::Borrowed(lir), plan, deadline, rec);
         if let Ok(compiled) = &result {
             let mut guard = cache.lock().expect("code cache lock");
             guard.insert(key, lir, &compiler.target().name, &compiled.code);
@@ -580,7 +583,7 @@ impl Session {
     fn run_compiler(
         &self,
         compiler: &Compiler,
-        lir: &Lir,
+        lir: Cow<'_, Lir>,
         plan: &PassPlan,
         deadline: Option<std::time::Instant>,
         rec: &mut SpanRecorder,

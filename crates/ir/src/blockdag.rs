@@ -9,8 +9,8 @@
 //! only denote the same value if no intervening statement stores to any
 //! memory the subtree reads.
 //!
-//! [`BlockDag::build`] interns every statement of a block and reports
-//! the values that occur more than once under that rule. Each occurrence
+//! [`BlockDag::build`] walks every statement of a block in the program's
+//! pool and reports the values that occur more than once under that rule. Each occurrence
 //! is keyed by `(TreeId, last store)`: the pool id captures the
 //! structure, and the last store is 1 + the index of the last statement
 //! before the occurrence that stored to a base symbol the subtree reads
@@ -59,7 +59,7 @@ impl SharedValue {
 /// A basic block viewed as a DAG of interned subtrees.
 #[derive(Debug, Default)]
 pub struct BlockDag {
-    /// The interned root of each statement, in block order.
+    /// The root of each statement, in block order.
     pub roots: Vec<TreeId>,
     /// Soundly shareable multi-use values, ordered by first occurrence
     /// (outer subtrees before the subtrees they contain).
@@ -142,14 +142,14 @@ pub struct DagScratch {
 }
 
 impl BlockDag {
-    /// Interns every statement of `stmts` into `pool` and detects the
-    /// multi-use values that are sound to share.
+    /// Detects the multi-use values of `stmts`, whose trees live in
+    /// `pool`, that are sound to share.
     ///
     /// Constant leaves are never reported (rematerializing a constant is
     /// as cheap as copying it); memory/temporary leaves and computed
     /// nodes are. Candidates come out in first-occurrence order, which
     /// puts an outer repeated subtree before its own repeated children.
-    pub fn build(pool: &mut TreePool, stmts: &[AssignStmt]) -> BlockDag {
+    pub fn build(pool: &TreePool, stmts: &[AssignStmt]) -> BlockDag {
         let mut dag = BlockDag::default();
         dag.rebuild(pool, stmts, &mut DagScratch::default());
         dag
@@ -160,7 +160,7 @@ impl BlockDag {
     /// returns for the same statements and pool.
     pub fn rebuild<S: Borrow<AssignStmt>>(
         &mut self,
-        pool: &mut TreePool,
+        pool: &TreePool,
         stmts: &[S],
         scratch: &mut DagScratch,
     ) {
@@ -172,12 +172,12 @@ impl BlockDag {
         joined.clear();
         self.roots.clear();
         spare.append(&mut self.shared);
+        latest.resize(pool.len(), None);
 
         for (i, stmt) in stmts.iter().enumerate() {
             let stmt = stmt.borrow();
-            let root = pool.intern(&stmt.src);
+            let root = stmt.src;
             self.roots.push(root);
-            latest.resize(pool.len(), None);
             // Visit every occurrence (with multiplicity) in pre-order.
             stack.push(root);
             while let Some(id) = stack.pop() {
@@ -327,8 +327,19 @@ mod tests {
     use super::*;
     use crate::{BinOp, MemRef, Tree};
 
-    fn assign(dst: &str, src: Tree) -> AssignStmt {
-        AssignStmt { dst: MemRef::scalar(dst), src }
+    fn assign(dst: &str, src: Tree) -> (MemRef, Tree) {
+        (MemRef::scalar(dst), src)
+    }
+
+    /// `stmts` interned into `pool`, in order.
+    fn intern(pool: &mut TreePool, stmts: &[(MemRef, Tree)]) -> Vec<AssignStmt> {
+        stmts.iter().map(|(dst, src)| AssignStmt::new(pool, dst.clone(), src)).collect()
+    }
+
+    /// The DAG of `stmts`, interned into `pool` first.
+    fn build(pool: &mut TreePool, stmts: &[(MemRef, Tree)]) -> BlockDag {
+        let stmts = intern(pool, stmts);
+        BlockDag::build(pool, &stmts)
     }
 
     fn mul(a: Tree, b: Tree) -> Tree {
@@ -358,7 +369,7 @@ mod tests {
                 ),
             ),
         ];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         assert_eq!(dag.roots.len(), 2);
         let names: Vec<String> =
             dag.shared.iter().map(|s| pool.to_tree(s.id).to_string()).collect();
@@ -376,7 +387,7 @@ mod tests {
             assign("y", mul(Tree::var("a"), Tree::var("b"))),
             assign("z", Tree::bin(BinOp::Add, mul(Tree::var("a"), Tree::var("b")), Tree::var("c"))),
         ];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         let texts: Vec<String> =
             dag.shared.iter().map(|s| pool.to_tree(s.id).to_string()).collect();
         assert!(texts.contains(&"(a * b)".to_string()), "{texts:?}");
@@ -388,7 +399,7 @@ mod tests {
     fn intra_statement_multiplicity_counts() {
         let mut pool = TreePool::new();
         let stmts = [assign("y", mul(Tree::var("x"), Tree::var("x")))];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         assert_eq!(dag.shared.len(), 1);
         assert_eq!(dag.shared[0].uses, vec![0]);
         assert_eq!(dag.shared[0].use_count, 2);
@@ -404,7 +415,7 @@ mod tests {
             assign("w", Tree::var("u")),
             assign("z", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("w"))),
         ];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         let texts: Vec<String> =
             dag.shared.iter().map(|s| pool.to_tree(s.id).to_string()).collect();
         assert!(!texts.contains(&"(a + w)".to_string()), "{texts:?}");
@@ -421,10 +432,10 @@ mod tests {
         // a[0] := … kills sharing of a[1] reads too (conservative).
         let stmts = [
             assign("y", elem(1)),
-            AssignStmt { dst: MemRef::array("a", crate::Index::Const(0)), src: Tree::var("u") },
+            (MemRef::array("a", crate::Index::Const(0)), Tree::var("u")),
             assign("z", elem(1)),
         ];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         let texts: Vec<String> =
             dag.shared.iter().map(|s| pool.to_tree(s.id).to_string()).collect();
         assert!(!texts.iter().any(|t| t.contains("a[")), "{texts:?}");
@@ -439,7 +450,7 @@ mod tests {
             assign("y", Tree::bin(BinOp::Add, Tree::var("y"), Tree::var("x"))),
             assign("z", Tree::bin(BinOp::Add, Tree::var("y"), Tree::var("x"))),
         ];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         let texts: Vec<String> =
             dag.shared.iter().map(|s| pool.to_tree(s.id).to_string()).collect();
         assert_eq!(texts, vec!["x"], "{texts:?}");
@@ -449,7 +460,7 @@ mod tests {
     fn constants_are_never_candidates() {
         let mut pool = TreePool::new();
         let stmts = [assign("y", Tree::constant(7)), assign("z", Tree::constant(7))];
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = build(&mut pool, &stmts);
         assert!(dag.shared.is_empty());
     }
 
@@ -471,7 +482,7 @@ mod tests {
     /// The version-vector build the last-store key replaced: each
     /// occurrence is keyed by the store version of every base symbol it
     /// reads.
-    fn build_reference(pool: &mut TreePool, stmts: &[AssignStmt]) -> BlockDag {
+    fn build_reference(pool: &mut TreePool, stmts: &[(MemRef, Tree)]) -> BlockDag {
         struct Occ {
             uses: Vec<usize>,
             count: usize,
@@ -486,8 +497,8 @@ mod tests {
         let mut order = 0usize;
         let mut stack = Vec::new();
 
-        for (i, stmt) in stmts.iter().enumerate() {
-            let root = pool.intern(&stmt.src);
+        for (i, (dst, src)) in stmts.iter().enumerate() {
+            let root = pool.intern(src);
             roots.push(root);
             // Visit every occurrence (with multiplicity) in pre-order.
             stack.push(root);
@@ -517,7 +528,7 @@ mod tests {
             // The statement's store happens after its reads: bump the
             // destination symbol's version so later occurrences that read
             // it are keyed apart from the ones above.
-            *versions.entry(stmt.dst.base().clone()).or_insert(0) += 1;
+            *versions.entry(dst.base().clone()).or_insert(0) += 1;
         }
 
         let mut shared: Vec<(usize, SharedValue)> = occ
@@ -532,7 +543,7 @@ mod tests {
     /// A random block over a few symbols: scalar and array reads, one
     /// temporary, and stores (scalar, array element, temporary) into the
     /// same symbols, so stores often land between two reads.
-    fn gen_block(rng: &mut record_prop::Rng) -> Vec<AssignStmt> {
+    fn gen_block(rng: &mut record_prop::Rng) -> Vec<(MemRef, Tree)> {
         fn leaf(rng: &mut record_prop::Rng) -> Tree {
             match rng.usize(5) {
                 0 => Tree::constant(rng.i64_in(0, 3)),
@@ -563,7 +574,7 @@ mod tests {
                     1 => MemRef::Scalar(Symbol::new("$t0")),
                     _ => MemRef::scalar(*rng.pick(&["x", "y", "z", "w"])),
                 };
-                AssignStmt { dst, src: tree(rng, 3) }
+                (dst, tree(rng, 3))
             })
             .collect()
     }
@@ -577,7 +588,7 @@ mod tests {
         record_prop::run_cases(2000, |rng| {
             let stmts = gen_block(rng);
             let (mut pool, mut ref_pool) = (TreePool::new(), TreePool::new());
-            let dag = BlockDag::build(&mut pool, &stmts);
+            let dag = build(&mut pool, &stmts);
             let reference = build_reference(&mut ref_pool, &stmts);
             assert_eq!(dag.roots, reference.roots);
             assert_eq!(dag.shared, reference.shared, "{stmts:?}");
@@ -614,9 +625,10 @@ mod tests {
         let mut shares = 0usize;
         record_prop::run_cases(500, |rng| {
             let stmts = gen_block(rng);
-            let refs: Vec<&AssignStmt> = stmts.iter().collect();
-            dag.rebuild(&mut pool, &refs, &mut scratch);
-            let fresh = BlockDag::build(&mut fresh_pool, &stmts);
+            let interned = intern(&mut pool, &stmts);
+            let refs: Vec<&AssignStmt> = interned.iter().collect();
+            dag.rebuild(&pool, &refs, &mut scratch);
+            let fresh = build(&mut fresh_pool, &stmts);
             assert_eq!(dag.roots, fresh.roots, "{stmts:?}");
             assert_eq!(dag.shared, fresh.shared, "{stmts:?}");
             shares += dag.shared.len();

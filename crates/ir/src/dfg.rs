@@ -2,6 +2,8 @@
 //! before it worked on the tree pool, kept as the reference
 //! [`treeify`](crate::treeify::treeify) is compared against.
 //!
+//! It works on boxed assignments, `(destination, tree)` pairs.
+//!
 //! A [`Dfg`] is built from a sequence of assignments with hash-consing
 //! (value numbering), so a subexpression that occurs several times becomes
 //! a single node with several uses. Stores create new *versions* of the
@@ -11,8 +13,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::treeify::Forest;
-use crate::{AssignStmt, BinOp, MemRef, Symbol, Tree, UnOp};
+use crate::{BinOp, MemRef, Symbol, Tree, UnOp};
+
+/// One boxed assignment: `dst := src`.
+pub(crate) type BoxedAssign = (MemRef, Tree);
 
 /// Identifies a node inside its [`Dfg`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -84,14 +88,14 @@ impl Dfg {
     ///
     /// Identical subexpressions are shared (value numbering) as long as no
     /// intervening store may alias the memory they read.
-    pub fn from_assigns(assigns: &[AssignStmt]) -> Self {
+    pub fn from_assigns(assigns: &[BoxedAssign]) -> Self {
         let mut b =
             Builder { dfg: Dfg::new(), value_numbers: HashMap::new(), mem_version: HashMap::new() };
-        for a in assigns {
-            let value = b.build(&a.src);
+        for (dst, src) in assigns {
+            let value = b.build(src);
             b.dfg.nodes[value.index()].uses += 1;
-            b.dfg.stores.push(Store { dst: a.dst.clone(), value });
-            b.invalidate(&a.dst);
+            b.dfg.stores.push(Store { dst: dst.clone(), value });
+            b.invalidate(dst);
         }
         b.dfg
     }
@@ -199,11 +203,20 @@ impl Builder {
     }
 }
 
+/// The decomposition of a block of boxed assignments.
+#[derive(Debug, Default)]
+pub(crate) struct Forest {
+    /// Assignments, in an order that defines every temporary before use.
+    pub assigns: Vec<BoxedAssign>,
+    /// Temporaries created by the decomposition.
+    pub temps: Vec<Symbol>,
+}
+
 /// The decomposition [`treeify`](crate::treeify::treeify) makes, over a
 /// [`Dfg`]: every computed node with more than one use becomes a
 /// temporary, numbered in node creation order and defined immediately
 /// before its first user store.
-pub(crate) fn treeify(assigns: &[AssignStmt], mut next_temp: usize) -> (Forest, usize) {
+pub(crate) fn treeify(assigns: &[BoxedAssign], mut next_temp: usize) -> (Forest, usize) {
     let dfg = Dfg::from_assigns(assigns);
     let mut forest = Forest::default();
     let mut temp_of: HashMap<NodeId, Symbol> = HashMap::new();
@@ -217,7 +230,7 @@ pub(crate) fn treeify(assigns: &[AssignStmt], mut next_temp: usize) -> (Forest, 
     for store in dfg.stores() {
         emit_needed_temps(&dfg, store.value, &temp_of, &mut emitted, &mut forest);
         let tree = build_tree(&dfg, store.value, &temp_of, false);
-        forest.assigns.push(AssignStmt { dst: store.dst.clone(), src: tree });
+        forest.assigns.push((store.dst.clone(), tree));
     }
     (forest, next_temp)
 }
@@ -237,7 +250,7 @@ fn emit_needed_temps(
     }
     if temp_of.contains_key(&id) && emitted.insert(id) {
         let tree = build_tree(dfg, id, temp_of, true);
-        forest.assigns.push(AssignStmt { dst: MemRef::Scalar(temp_of[&id].clone()), src: tree });
+        forest.assigns.push((MemRef::Scalar(temp_of[&id].clone()), tree));
     }
 }
 
@@ -266,8 +279,8 @@ mod tests {
     use super::*;
     use crate::Index;
 
-    fn assign(dst: &str, src: Tree) -> AssignStmt {
-        AssignStmt { dst: MemRef::scalar(dst), src }
+    fn assign(dst: &str, src: Tree) -> BoxedAssign {
+        (MemRef::scalar(dst), src)
     }
 
     #[test]
@@ -297,7 +310,7 @@ mod tests {
     fn distinct_arrays_do_not_invalidate_each_other() {
         let assigns = vec![
             assign("y", Tree::elem("a", Index::Const(0))),
-            AssignStmt { dst: MemRef::array("b", Index::Const(0)), src: Tree::constant(1) },
+            (MemRef::array("b", Index::Const(0)), Tree::constant(1)),
             assign("z", Tree::elem("a", Index::Const(0))),
         ];
         let dfg = Dfg::from_assigns(&assigns);

@@ -1,12 +1,15 @@
 //! Abstract syntax of the mini-DFL language.
+//!
+//! Names are the [`Symbol`]s the lexer interned: every occurrence of a
+//! name in one program shares one symbol.
 
-use crate::{Bank, BinOp, UnOp};
+use crate::{Bank, BinOp, Symbol, UnOp};
 
 /// A complete parsed program.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// The name after the `program` keyword.
-    pub name: String,
+    pub name: Symbol,
     /// Constant and variable declarations, in source order.
     pub decls: Vec<Decl>,
     /// The statements between `begin` and `end`.
@@ -37,7 +40,7 @@ pub enum Decl {
     /// `const N = 16;`
     Const {
         /// Constant name.
-        name: String,
+        name: Symbol,
         /// Defining expression; must be compile-time evaluable.
         value: Expr,
     },
@@ -49,7 +52,7 @@ pub enum Decl {
 #[derive(Clone, Debug, PartialEq)]
 pub struct VarDecl {
     /// The declared names.
-    pub names: Vec<String>,
+    pub names: Vec<Symbol>,
     /// Whether this is a plain variable, an input port or an output port.
     pub kind: VarKind,
     /// The element type.
@@ -99,7 +102,7 @@ pub enum Stmt {
     /// `for i in lo..hi loop ... end loop;`
     For {
         /// Induction-variable name.
-        var: String,
+        var: Symbol,
         /// Inclusive lower bound (compile-time constant).
         lo: Expr,
         /// Inclusive upper bound (compile-time constant).
@@ -115,9 +118,9 @@ pub enum Stmt {
 #[derive(Clone, Debug, PartialEq)]
 pub enum LValue {
     /// A scalar variable.
-    Scalar(String),
+    Scalar(Symbol),
     /// An array element.
-    Elem(String, Expr),
+    Elem(Symbol, Expr),
 }
 
 /// An expression.
@@ -126,11 +129,11 @@ pub enum Expr {
     /// An integer literal.
     Num(i64),
     /// A scalar variable or constant reference.
-    Name(String),
+    Name(Symbol),
     /// An array element `a[e]`.
-    Elem(String, Box<Expr>),
+    Elem(Symbol, Box<Expr>),
     /// A delayed signal `x@k` — the value of `x`, `k` samples ago.
-    Delay(String, u32),
+    Delay(Symbol, u32),
     /// A binary operation.
     Bin(BinOp, Box<Expr>, Box<Expr>),
     /// A unary operation.

@@ -1,6 +1,7 @@
 //! A hand-written lexer for the mini-DFL language.
 
-use crate::Error;
+use crate::hash::FoldMap;
+use crate::{Error, Symbol};
 
 use super::token::{Keyword, Token, TokenKind};
 
@@ -10,12 +11,18 @@ use super::token::{Keyword, Token, TokenKind};
 /// `[A-Za-z_][A-Za-z0-9_]*`; identifiers that match a reserved word become
 /// keywords. Numbers are decimal or `0x`-prefixed hexadecimal.
 ///
+/// Each distinct identifier becomes one [`Symbol`], shared by all its
+/// occurrences. The table that finds them lives for this call only, so
+/// a long-running caller does not accumulate the names it has lexed.
+///
 /// # Errors
 ///
 /// Returns [`Error::Lex`] on characters outside the language and on
 /// numeric literals that overflow `i64`.
 pub fn lex(source: &str) -> Result<Vec<Token>, Error> {
-    let mut tokens = Vec::new();
+    // about one token per five bytes of DSP kernel text
+    let mut tokens = Vec::with_capacity(source.len() / 5 + 1);
+    let mut symbols: FoldMap<&str, Symbol> = FoldMap::default();
     let bytes = source.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;
@@ -146,7 +153,10 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Error> {
                 let word = &source[start..i];
                 match Keyword::from_str(word) {
                     Some(kw) => push!(TokenKind::Keyword(kw)),
-                    None => push!(TokenKind::Ident(word.to_string())),
+                    None => {
+                        let sym = symbols.entry(word).or_insert_with(|| Symbol::new(word));
+                        push!(TokenKind::Ident(sym.clone()))
+                    }
                 }
             }
             other => {
@@ -264,6 +274,16 @@ mod tests {
     #[test]
     fn rejects_bare_0x() {
         assert!(lex("0x").is_err());
+    }
+
+    #[test]
+    fn every_occurrence_of_a_name_shares_one_symbol() {
+        let toks = lex("y := y + x;").unwrap();
+        let TokenKind::Ident(a) = &toks[0].kind else { panic!("an identifier") };
+        let TokenKind::Ident(b) = &toks[2].kind else { panic!("an identifier") };
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        let TokenKind::Ident(x) = &toks[4].kind else { panic!("an identifier") };
+        assert_ne!(a, x);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::Error;
 /// let program = record_ir::dfl::parse(
 ///     "program p; var a: fix; begin a := 1; end",
 /// )?;
-/// assert_eq!(program.name, "p");
+/// assert_eq!(program.name.as_str(), "p");
 /// # Ok::<(), record_ir::Error>(())
 /// ```
 pub fn parse(source: &str) -> Result<Program, Error> {

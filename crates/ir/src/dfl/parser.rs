@@ -1,22 +1,22 @@
 //! Recursive-descent parser for the mini-DFL language.
 
-use crate::{Bank, BinOp, Error, UnOp};
+use crate::{Bank, BinOp, Error, Symbol, UnOp};
 
 use super::ast::{BaseTy, Decl, Expr, LValue, Program, Stmt, VarDecl, VarKind};
 use super::token::{Keyword, Token, TokenKind};
 
 /// Parses a token stream (as produced by [`lexer::lex`](super::lexer::lex))
-/// into an AST. The stream is consumed: each identifier's text moves
-/// into the AST instead of being copied.
+/// into an AST. Each name in the AST is its token's symbol, shared, not
+/// copied.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Parse`] with the offending line on malformed input.
-pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, Error> {
+pub fn parse_tokens(tokens: Vec<Token>) -> Result<Program, Error> {
     if tokens.is_empty() {
         return Err(Error::parse(1, "empty token stream"));
     }
-    let mut p = Parser { tokens: &mut tokens, pos: 0, depth: 0 };
+    let mut p = Parser { tokens: &tokens, pos: 0, depth: 0 };
     p.program()
 }
 
@@ -27,7 +27,7 @@ pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, Error> {
 const MAX_EXPR_DEPTH: u32 = 200;
 
 struct Parser<'a> {
-    tokens: &'a mut [Token],
+    tokens: &'a [Token],
     pos: usize,
     depth: u32,
 }
@@ -71,12 +71,11 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::Keyword(kw))
     }
 
-    /// Takes the identifier at the cursor and advances past it. The text
-    /// is moved out of its token: the parser never looks back.
-    fn take_ident(&mut self) -> Option<String> {
-        match &mut self.tokens[self.pos].kind {
+    /// Takes the identifier at the cursor and advances past it.
+    fn take_ident(&mut self) -> Option<Symbol> {
+        match &self.tokens[self.pos].kind {
             TokenKind::Ident(s) => {
-                let s = std::mem::take(s);
+                let s = s.clone();
                 self.bump();
                 Some(s)
             }
@@ -84,7 +83,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, Error> {
+    fn ident(&mut self) -> Result<Symbol, Error> {
         self.take_ident().ok_or_else(|| {
             Error::parse(self.line(), format!("expected identifier, found {}", self.peek()))
         })
@@ -337,7 +336,7 @@ impl<'a> Parser<'a> {
         let line = self.line();
         if let Some(name) = self.take_ident() {
             if self.eat(&TokenKind::LParen) {
-                return self.intrinsic(&name, line);
+                return self.intrinsic(name.as_str(), line);
             }
             if self.eat(&TokenKind::LBracket) {
                 let idx = self.expr()?;
@@ -428,7 +427,7 @@ mod tests {
     #[test]
     fn parses_minimal_program() {
         let p = parse("program p; var a: fix; begin a := 1; end").unwrap();
-        assert_eq!(p.name, "p");
+        assert_eq!(p.name.as_str(), "p");
         assert_eq!(p.body.len(), 1);
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::Symbol;
+
 /// A lexical token with its source line (1-based).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Token {
@@ -14,8 +16,9 @@ pub struct Token {
 /// The kind of a token.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TokenKind {
-    /// An identifier such as `fir` or `x`.
-    Ident(String),
+    /// An identifier such as `fir` or `x`, interned once per lexed text
+    /// (every occurrence shares one symbol).
+    Ident(Symbol),
     /// An integer literal (decimal, or hexadecimal with `0x`).
     Num(i64),
     /// A keyword (see [`KEYWORDS`]).

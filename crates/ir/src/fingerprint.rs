@@ -1,7 +1,9 @@
 //! The canonical byte form of a lowered program, and its fingerprint.
 //!
 //! [`program_bytes`] writes a [`Lir`] as a tagged, length-prefixed
-//! pre-order encoding: every enum variant starts with its own tag byte,
+//! pre-order encoding, each statement's tree read from the program's pool
+//! node by node (a repeated subtree is written at every use, and nodes no
+//! statement reaches are not written): every enum variant starts with its own tag byte,
 //! every string and sequence with its length, and every other field has a
 //! fixed width. The encoding can therefore be read back in exactly one
 //! way, so two programs have equal bytes exactly when they are
@@ -21,7 +23,7 @@
 
 use crate::lir::{Lir, LirItem, StorageKind, VarInfo};
 use crate::mem::{Bank, Index, MemRef};
-use crate::Tree;
+use crate::{TreeId, TreeNode, TreePool};
 
 /// The canonical bytes of a lowered program: equal exactly when the
 /// programs are structurally equal.
@@ -45,7 +47,7 @@ pub fn program_bytes(lir: &Lir) -> Vec<u8> {
     for v in &lir.vars {
         w.var(v);
     }
-    w.items(&lir.body);
+    w.items(&lir.pool, &lir.body);
     w.0
 }
 
@@ -125,20 +127,20 @@ impl Writer {
         });
     }
 
-    fn items(&mut self, items: &[LirItem]) {
+    fn items(&mut self, pool: &TreePool, items: &[LirItem]) {
         self.u32(items.len() as u32);
         for item in items {
             match item {
                 LirItem::Assign(a) => {
                     self.u8(0);
                     self.mem_ref(&a.dst);
-                    self.tree(&a.src);
+                    self.tree(pool, a.src);
                 }
                 LirItem::Loop { var, count, body } => {
                     self.u8(1);
                     self.str(var.as_str());
                     self.u32(*count);
-                    self.items(body);
+                    self.items(pool, body);
                 }
             }
         }
@@ -177,30 +179,30 @@ impl Writer {
         }
     }
 
-    fn tree(&mut self, t: &Tree) {
-        match t {
-            Tree::Const(c) => {
+    fn tree(&mut self, pool: &TreePool, id: TreeId) {
+        match pool.node(id) {
+            TreeNode::Const(c) => {
                 self.u8(0);
                 self.i64(*c);
             }
-            Tree::Mem(r) => {
+            TreeNode::Mem(r) => {
                 self.u8(1);
                 self.mem_ref(r);
             }
-            Tree::Temp(s) => {
+            TreeNode::Temp(s) => {
                 self.u8(2);
                 self.str(s.as_str());
             }
-            Tree::Bin(op, a, b) => {
+            TreeNode::Bin(op, a, b) => {
                 self.u8(3);
                 self.u8(*op as u8);
-                self.tree(a);
-                self.tree(b);
+                self.tree(pool, *a);
+                self.tree(pool, *b);
             }
-            Tree::Un(op, a) => {
+            TreeNode::Un(op, a) => {
                 self.u8(4);
                 self.u8(*op as u8);
-                self.tree(a);
+                self.tree(pool, *a);
             }
         }
     }
@@ -209,7 +211,7 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dfl, lower, AssignStmt, BinOp, Symbol, UnOp};
+    use crate::{dfl, lower, AssignStmt, BinOp, Symbol, Tree, UnOp};
 
     fn lir(src: &str) -> Lir {
         lower::lower(&dfl::parse(src).unwrap()).unwrap()
@@ -369,19 +371,35 @@ mod tests {
                 _ => false,
             }
         }
+        /// Applies `edit` to a boxed copy of `a`'s tree, interning the
+        /// edited tree into `pool` as `a`'s new tree if it applied.
+        fn edit_src(
+            pool: &mut TreePool,
+            a: &mut AssignStmt,
+            edit: &mut impl FnMut(&mut Tree) -> bool,
+        ) -> bool {
+            let mut tree = pool.to_tree(a.src);
+            let edited = first_node(&mut tree, edit);
+            if edited {
+                a.src = pool.intern(&tree);
+            }
+            edited
+        }
         fn edit_tree(lir: &Lir, mut edit: impl FnMut(&mut Tree) -> bool) -> Option<Lir> {
             let mut copy = lir.clone();
-            first_assign(&mut copy.body, &mut |a| first_node(&mut a.src, &mut edit)).then_some(copy)
+            let Lir { body, pool, .. } = &mut copy;
+            first_assign(body, &mut |a| edit_src(pool, a, &mut edit)).then_some(copy)
         }
         fn edit_index(lir: &Lir, mut edit: impl FnMut(&mut Index) -> bool) -> Option<Lir> {
             let mut copy = lir.clone();
+            let Lir { body, pool, .. } = &mut copy;
             let mut in_ref = |r: &mut MemRef| match r {
                 MemRef::Array { index, .. } => edit(index),
                 MemRef::Scalar(_) => false,
             };
-            first_assign(&mut copy.body, &mut |a| {
+            first_assign(body, &mut |a| {
                 in_ref(&mut a.dst)
-                    || first_node(&mut a.src, &mut |t| match t {
+                    || edit_src(pool, a, &mut |t| match t {
                         Tree::Mem(r) => in_ref(r),
                         _ => false,
                     })

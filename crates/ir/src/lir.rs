@@ -1,13 +1,14 @@
 //! The linear IR: what lowering produces and the back end consumes.
 //!
-//! A [`Lir`] is a structured list of assignments and counted loops over
-//! [`Tree`] expressions, together with the program's storage declarations.
-//! All constants are folded into loop counts and array bounds; delayed
-//! signals have been materialized as shadow variables.
+//! A [`Lir`] is a structured list of assignments and counted loops,
+//! together with the program's storage declarations and the [`TreePool`]
+//! every right-hand side lives in. All constants are folded into loop
+//! counts and array bounds; delayed signals have been materialized as
+//! shadow variables.
 
 use std::fmt;
 
-use crate::{Bank, MemRef, Symbol, Tree};
+use crate::{Bank, MemRef, Symbol, Tree, TreeId, TreePool};
 
 /// The storage role of a variable (mirrors the `var`/`in`/`out` keywords).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,17 +38,41 @@ pub struct VarInfo {
 }
 
 /// One assignment statement: `dst := src`.
+///
+/// The value tree is an id into a [`TreePool`], the pool of the program
+/// the statement belongs to; two statements are equal when they store to
+/// the same place the same tree of one pool.
 #[derive(Clone, PartialEq, Debug)]
 pub struct AssignStmt {
     /// The destination location.
     pub dst: MemRef,
-    /// The value tree.
-    pub src: Tree,
+    /// The value tree, in the program's pool.
+    pub src: TreeId,
 }
 
-impl fmt::Display for AssignStmt {
+impl AssignStmt {
+    /// `dst := src`, with the boxed `src` interned into `pool` (a builder
+    /// for tests and for programs assembled by hand).
+    pub fn new(pool: &mut TreePool, dst: MemRef, src: &Tree) -> Self {
+        AssignStmt { dst, src: pool.intern(src) }
+    }
+
+    /// The statement printed through `pool`, the pool its tree lives in:
+    /// `y := (a + b)`.
+    pub fn display<'a>(&'a self, pool: &'a TreePool) -> impl fmt::Display + 'a {
+        StmtDisplay { stmt: self, pool }
+    }
+}
+
+/// An [`AssignStmt`] printed through its pool.
+struct StmtDisplay<'a> {
+    stmt: &'a AssignStmt,
+    pool: &'a TreePool,
+}
+
+impl fmt::Display for StmtDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} := {}", self.dst, self.src)
+        write!(f, "{} := {}", self.stmt.dst, self.pool.display(self.stmt.src))
     }
 }
 
@@ -93,7 +118,11 @@ impl LirItem {
 }
 
 /// A lowered program.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// Two programs are equal when their names, declarations and bodies are,
+/// each statement's tree compared by structure: the pools may number
+/// their nodes differently, and hold nodes no statement reaches.
+#[derive(Clone, Debug)]
 pub struct Lir {
     /// Program name.
     pub name: Symbol,
@@ -102,6 +131,30 @@ pub struct Lir {
     pub vars: Vec<VarInfo>,
     /// The program body.
     pub body: Vec<LirItem>,
+    /// Every tree of the program. Passes only add nodes to it, so the ids
+    /// in `body` stay valid while the body is rewritten.
+    pub pool: TreePool,
+}
+
+impl PartialEq for Lir {
+    fn eq(&self, other: &Lir) -> bool {
+        fn items(a: &[LirItem], pa: &TreePool, b: &[LirItem], pb: &TreePool) -> bool {
+            a.len() == b.len()
+                && a.iter().zip(b).all(|pair| match pair {
+                    (LirItem::Assign(x), LirItem::Assign(y)) => {
+                        x.dst == y.dst && pa.same_tree(x.src, pb, y.src)
+                    }
+                    (
+                        LirItem::Loop { var, count, body },
+                        LirItem::Loop { var: var2, count: count2, body: body2 },
+                    ) => var == var2 && count == count2 && items(body, pa, body2, pb),
+                    _ => false,
+                })
+        }
+        self.name == other.name
+            && self.vars == other.vars
+            && items(&self.body, &self.pool, &other.body, &other.pool)
+    }
 }
 
 impl Lir {
@@ -146,21 +199,26 @@ impl Lir {
 impl fmt::Display for Lir {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "program {}:", self.name)?;
-        fn item(f: &mut fmt::Formatter<'_>, it: &LirItem, depth: usize) -> fmt::Result {
+        fn item(
+            f: &mut fmt::Formatter<'_>,
+            pool: &TreePool,
+            it: &LirItem,
+            depth: usize,
+        ) -> fmt::Result {
             let pad = "  ".repeat(depth);
             match it {
-                LirItem::Assign(a) => writeln!(f, "{pad}{a}"),
+                LirItem::Assign(a) => writeln!(f, "{pad}{}", a.display(pool)),
                 LirItem::Loop { var, count, body } => {
                     writeln!(f, "{pad}loop {var} x{count}:")?;
                     for b in body {
-                        item(f, b, depth + 1)?;
+                        item(f, pool, b, depth + 1)?;
                     }
                     Ok(())
                 }
             }
         }
         for it in &self.body {
-            item(f, it, 1)?;
+            item(f, &self.pool, it, 1)?;
         }
         Ok(())
     }
@@ -172,6 +230,13 @@ mod tests {
     use crate::{BinOp, Index};
 
     fn small() -> Lir {
+        let mut pool = TreePool::new();
+        let zero = AssignStmt::new(&mut pool, MemRef::scalar("y"), &Tree::constant(0));
+        let sum = AssignStmt::new(
+            &mut pool,
+            MemRef::scalar("y"),
+            &Tree::bin(BinOp::Add, Tree::var("y"), Tree::elem("a", Index::var("i"))),
+        );
         Lir {
             name: Symbol::new("p"),
             vars: vec![
@@ -191,20 +256,10 @@ mod tests {
                 },
             ],
             body: vec![
-                LirItem::Assign(AssignStmt { dst: MemRef::scalar("y"), src: Tree::constant(0) }),
-                LirItem::Loop {
-                    var: Symbol::new("i"),
-                    count: 4,
-                    body: vec![LirItem::Assign(AssignStmt {
-                        dst: MemRef::scalar("y"),
-                        src: Tree::bin(
-                            BinOp::Add,
-                            Tree::var("y"),
-                            Tree::elem("a", Index::var("i")),
-                        ),
-                    })],
-                },
+                LirItem::Assign(zero),
+                LirItem::Loop { var: Symbol::new("i"), count: 4, body: vec![LirItem::Assign(sum)] },
             ],
+            pool,
         }
     }
 
@@ -235,6 +290,31 @@ mod tests {
         let text = small().to_string();
         assert!(text.contains("loop i x4:"));
         assert!(text.contains("y := (y + a[i])"));
+    }
+
+    #[test]
+    fn equality_compares_trees_by_structure() {
+        let a = small();
+        let mut b = small();
+        // renumber b's trees: the same program under other ids
+        let mut pool = TreePool::new();
+        pool.constant(42);
+        fn copy(items: &mut [LirItem], from: &TreePool, to: &mut TreePool) {
+            for item in items {
+                match item {
+                    LirItem::Assign(s) => s.src = to.intern(&from.to_tree(s.src)),
+                    LirItem::Loop { body, .. } => copy(body, from, to),
+                }
+            }
+        }
+        copy(&mut b.body, &a.pool, &mut pool);
+        b.pool = pool;
+        assert_eq!(a, b);
+        assert_eq!(a.to_string(), b.to_string());
+        let mut c = small();
+        let LirItem::Assign(first) = &mut c.body[0] else { panic!("an assignment") };
+        first.src = c.pool.constant(1);
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   shifted at the end of the program body (`x@2 := x@1; x@1 := x;`),
 //! * rebase loop counters to zero.
 
-use std::collections::HashMap;
-
 use crate::dfl::ast::{BaseTy, Decl, Expr, LValue, Program, Stmt, VarKind};
+use crate::hash::FoldMap;
 use crate::lir::{AssignStmt, Lir, LirItem, StorageKind, VarInfo};
-use crate::{BinOp, Error, Index, MemRef, Symbol, Tree, UnOp};
+use crate::{BinOp, Error, Index, MemRef, Symbol, TreeId, TreePool, UnOp};
 
-/// Lowers a parsed program to the linear IR.
+/// Lowers a parsed program to the linear IR, building every tree into the
+/// pool the returned [`Lir`] owns.
 ///
 /// # Errors
 ///
@@ -51,27 +51,36 @@ struct LoweredVar {
 }
 
 struct Lowerer {
-    consts: HashMap<String, i64>,
-    vars: HashMap<String, LoweredVar>,
-    var_order: Vec<String>,
+    consts: FoldMap<Symbol, i64>,
+    vars: FoldMap<Symbol, LoweredVar>,
+    var_order: Vec<Symbol>,
     /// (signal, max delay) pairs for `x@k` uses.
-    delays: HashMap<String, u32>,
+    delays: FoldMap<Symbol, u32>,
+    /// The shadow symbol `x@k` of each delayed signal and depth met.
+    delay_syms: FoldMap<(Symbol, u32), Symbol>,
     /// Loop counters currently in scope.
     loop_vars: Vec<Symbol>,
     /// Per active loop counter, the lower bound that zero-based counters
     /// must be displaced by when used in array indexes.
-    rebase: HashMap<String, i64>,
+    rebase: FoldMap<Symbol, i64>,
+    /// The program's trees.
+    pool: TreePool,
 }
 
 impl Lowerer {
     fn new(program: &Program) -> Result<Self, Error> {
         let mut me = Lowerer {
-            consts: HashMap::new(),
-            vars: HashMap::new(),
+            consts: FoldMap::default(),
+            vars: FoldMap::default(),
             var_order: Vec::new(),
-            delays: HashMap::new(),
+            delays: FoldMap::default(),
+            delay_syms: FoldMap::default(),
             loop_vars: Vec::new(),
-            rebase: HashMap::new(),
+            rebase: FoldMap::default(),
+            pool: TreePool::new(),
+        };
+        let names = |v: &crate::dfl::ast::VarDecl| {
+            v.names.iter().map(Symbol::as_str).collect::<Vec<_>>().join(", ")
         };
         for decl in &program.decls {
             match decl {
@@ -90,13 +99,13 @@ impl Lowerer {
                             let n = me.eval_const(e).ok_or_else(|| {
                                 Error::sema(format!(
                                     "array length of `{}` is not constant",
-                                    v.names.join(", ")
+                                    names(v)
                                 ))
                             })?;
                             if !(1..=1 << 20).contains(&n) {
                                 return Err(Error::sema(format!(
                                     "array length {n} out of range for `{}`",
-                                    v.names.join(", ")
+                                    names(v)
                                 )));
                             }
                             n as u32
@@ -128,7 +137,7 @@ impl Lowerer {
     }
 
     fn run(mut self, program: &Program) -> Result<Lir, Error> {
-        let mut body = Vec::new();
+        let mut body = Vec::with_capacity(program.body.len());
         for stmt in &program.body {
             body.push(self.stmt(stmt)?);
         }
@@ -137,17 +146,14 @@ impl Lowerer {
         // D, append `x@D := x@(D-1); ...; x@1 := x;` so that the *next*
         // sample sees shifted history. This mirrors how DFL programs model
         // one sample of a streaming computation.
-        let mut delayed: Vec<(String, u32)> =
+        let mut delayed: Vec<(Symbol, u32)> =
             self.delays.iter().map(|(k, v)| (k.clone(), *v)).collect();
         delayed.sort();
         for (signal, max_d) in &delayed {
             for d in (1..=*max_d).rev() {
-                let dst = MemRef::scalar(delay_name(signal, d));
-                let src = if d == 1 {
-                    Tree::var(signal.as_str())
-                } else {
-                    Tree::var(delay_name(signal, d - 1))
-                };
+                let dst = MemRef::Scalar(self.delay_symbol(signal, d));
+                let read = if d == 1 { signal.clone() } else { self.delay_symbol(signal, d - 1) };
+                let src = self.pool.mem(MemRef::Scalar(read));
                 body.push(LirItem::Assign(AssignStmt { dst, src }));
             }
         }
@@ -160,7 +166,7 @@ impl Lowerer {
                 Error::lower(format!("internal: declared variable `{name}` lost during lowering"))
             })?;
             vars.push(VarInfo {
-                name: Symbol::new(name),
+                name: name.clone(),
                 len: v.len,
                 kind: v.kind,
                 bank: v.bank,
@@ -171,7 +177,7 @@ impl Lowerer {
             let is_fix = self.vars.get(signal).map(|v| v.is_fix).unwrap_or(true);
             for d in 1..=*max_d {
                 vars.push(VarInfo {
-                    name: Symbol::new(delay_name(signal, d)),
+                    name: self.delay_symbol(signal, d),
                     len: 1,
                     kind: StorageKind::Var,
                     bank: None,
@@ -180,14 +186,14 @@ impl Lowerer {
             }
         }
 
-        Ok(Lir { name: Symbol::new(&program.name), vars, body })
+        Ok(Lir { name: program.name.clone(), vars, body, pool: self.pool })
     }
 
     fn stmt(&mut self, stmt: &Stmt) -> Result<LirItem, Error> {
         match stmt {
             Stmt::Assign { dst, value, line } => {
                 let dst = self.lvalue(dst, *line)?;
-                let src = self.expr(value)?;
+                let src = self.expr(value, false)?;
                 Ok(LirItem::Assign(AssignStmt { dst, src }))
             }
             Stmt::For { var, lo, hi, body, line } => {
@@ -216,12 +222,11 @@ impl Lowerer {
                         "line {line}: loop variable `{var}` shadows a declaration"
                     )));
                 }
-                let sym = Symbol::new(var);
-                self.loop_vars.push(sym.clone());
+                self.loop_vars.push(var.clone());
                 // While lowering the body, indexes `var + c` are rebased by
                 // +lo_v, so a zero-based counter is correct.
                 let prev_base = self.rebase.insert(var.clone(), lo_v);
-                let mut items = Vec::new();
+                let mut items = Vec::with_capacity(body.len());
                 for s in body {
                     items.push(self.stmt(s)?);
                 }
@@ -234,7 +239,7 @@ impl Lowerer {
                     }
                 }
                 self.loop_vars.pop();
-                Ok(LirItem::Loop { var: sym, count, body: items })
+                Ok(LirItem::Loop { var: var.clone(), count, body: items })
             }
         }
     }
@@ -248,7 +253,7 @@ impl Lowerer {
                         "line {line}: array `{name}` assigned without an index"
                     )));
                 }
-                Ok(MemRef::scalar(name.as_str()))
+                Ok(MemRef::Scalar(name.clone()))
             }
             LValue::Elem(name, idx) => {
                 let len = {
@@ -261,19 +266,25 @@ impl Lowerer {
                     v.len
                 };
                 let index = self.index(idx, name, len, line)?;
-                Ok(MemRef::array(name.as_str(), index))
+                Ok(MemRef::Array { base: name.clone(), index })
             }
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<Tree, Error> {
+    /// Lowers `e` into the pool. Inside `sat(…)` (`sat` set) every
+    /// wrap-around addition and subtraction becomes its saturating
+    /// counterpart: `sat(e)` means "evaluate e with saturating
+    /// arithmetic", the semantics of a DSP's overflow mode, so the
+    /// wrapper itself leaves no node (sat(wrap(a+b)) would be a
+    /// different, useless operation).
+    fn expr(&mut self, e: &Expr, sat: bool) -> Result<TreeId, Error> {
         match e {
-            Expr::Num(n) => Ok(Tree::constant(*n)),
+            Expr::Num(n) => Ok(self.pool.constant(*n)),
             Expr::Name(name) => {
-                if let Some(v) = self.consts.get(name) {
-                    return Ok(Tree::constant(*v));
+                if let Some(&v) = self.consts.get(name) {
+                    return Ok(self.pool.constant(v));
                 }
-                if self.loop_vars.iter().any(|l| l.as_str() == name) {
+                if self.loop_vars.contains(name) {
                     return Err(Error::sema(format!(
                         "loop counter `{name}` may only be used as an array index"
                     )));
@@ -282,7 +293,7 @@ impl Lowerer {
                 if v.len != 1 {
                     return Err(Error::sema(format!("array `{name}` used without an index")));
                 }
-                Ok(Tree::var(name.as_str()))
+                Ok(self.pool.mem(MemRef::Scalar(name.clone())))
             }
             Expr::Elem(name, idx) => {
                 let len = {
@@ -293,7 +304,7 @@ impl Lowerer {
                     v.len
                 };
                 let index = self.index(idx, name, len, 0)?;
-                Ok(Tree::elem(name.as_str(), index))
+                Ok(self.pool.mem(MemRef::Array { base: name.clone(), index }))
             }
             Expr::Delay(name, k) => {
                 let v = self.lookup_var(name, 0)?;
@@ -307,32 +318,38 @@ impl Lowerer {
                 }
                 let entry = self.delays.entry(name.clone()).or_insert(0);
                 *entry = (*entry).max(*k);
-                Ok(Tree::var(delay_name(name, *k)))
+                let shadow = self.delay_symbol(name, *k);
+                Ok(self.pool.mem(MemRef::Scalar(shadow)))
             }
             Expr::Bin(op, a, b) => {
-                let ta = self.expr(a)?;
-                let tb = self.expr(b)?;
-                Ok(Tree::bin(*op, ta, tb))
+                let ta = self.expr(a, sat)?;
+                let tb = self.expr(b, sat)?;
+                let op = match op {
+                    BinOp::Add if sat => BinOp::SatAdd,
+                    BinOp::Sub if sat => BinOp::SatSub,
+                    other => *other,
+                };
+                Ok(self.pool.bin(op, ta, tb))
             }
-            // `sat(e)` means "evaluate e with saturating arithmetic" — the
-            // semantics of a DSP's overflow mode. We rewrite every Add/Sub
-            // inside to its saturating counterpart and drop the wrapper;
-            // note that sat(wrap(a+b)) would be a different (useless)
-            // operation.
-            Expr::Un(UnOp::Sat, a) => {
-                let ta = self.expr(a)?;
-                Ok(saturate_ops(ta))
-            }
+            Expr::Un(UnOp::Sat, a) => self.expr(a, true),
             Expr::Un(op, a) => {
-                let ta = self.expr(a)?;
-                Ok(Tree::un(*op, ta))
+                let ta = self.expr(a, sat)?;
+                Ok(self.pool.un(*op, ta))
             }
         }
     }
 
+    /// The shadow symbol `signal@k` that holds `signal` delayed by `k`.
+    fn delay_symbol(&mut self, signal: &Symbol, k: u32) -> Symbol {
+        self.delay_syms
+            .entry((signal.clone(), k))
+            .or_insert_with(|| Symbol::new(format!("{signal}@{k}")))
+            .clone()
+    }
+
     /// Lowers an index expression into the `c` / `i + c` class, applying
     /// the loop rebase and checking constant indexes against the bound.
-    fn index(&mut self, idx: &Expr, array: &str, len: u32, line: u32) -> Result<Index, Error> {
+    fn index(&mut self, idx: &Expr, array: &Symbol, len: u32, line: u32) -> Result<Index, Error> {
         if let Some(c) = self.eval_const(idx) {
             if c < 0 || c >= len as i64 {
                 return Err(Error::sema(format!(
@@ -349,7 +366,7 @@ impl Lowerer {
                  with a loop counter"
             ))
         })?;
-        let base = *self.rebase.get(var.as_str()).unwrap_or(&0);
+        let base = *self.rebase.get(&var).unwrap_or(&0);
         let range =
             || Error::sema(format!("line {line}: index offset of `{array}` overflows 64 bits"));
         if down {
@@ -369,9 +386,8 @@ impl Lowerer {
     /// Splits `i`, `i + c`, `i - c`, `c + i` into (counter, c, false) and
     /// the descending `c - i` into (counter, c, true).
     fn split_affine(&self, e: &Expr) -> Option<(Symbol, i64, bool)> {
-        let counter = |name: &str| -> Option<Symbol> {
-            self.loop_vars.iter().find(|l| l.as_str() == name).cloned()
-        };
+        let counter =
+            |name: &Symbol| -> Option<Symbol> { self.loop_vars.iter().find(|l| *l == name).cloned() };
         match e {
             Expr::Name(n) => counter(n).map(|s| (s, 0, false)),
             Expr::Bin(BinOp::Add, a, b) => match (&**a, &**b) {
@@ -400,7 +416,7 @@ impl Lowerer {
         }
     }
 
-    fn lookup_var(&self, name: &str, line: u32) -> Result<&LoweredVar, Error> {
+    fn lookup_var(&self, name: &Symbol, line: u32) -> Result<&LoweredVar, Error> {
         self.vars.get(name).ok_or_else(|| {
             if line > 0 {
                 Error::sema(format!("line {line}: `{name}` is not declared"))
@@ -426,27 +442,6 @@ impl Lowerer {
             }
             Expr::Elem(..) | Expr::Delay(..) => None,
         }
-    }
-}
-
-fn delay_name(signal: &str, k: u32) -> String {
-    format!("{signal}@{k}")
-}
-
-/// Rewrites wrap-around additions and subtractions to their saturating
-/// counterparts, recursively — the lowering of `sat(e)`.
-fn saturate_ops(tree: Tree) -> Tree {
-    match tree {
-        Tree::Bin(op, a, b) => {
-            let op = match op {
-                BinOp::Add => BinOp::SatAdd,
-                BinOp::Sub => BinOp::SatSub,
-                other => other,
-            };
-            Tree::bin(op, saturate_ops(*a), saturate_ops(*b))
-        }
-        Tree::Un(op, a) => Tree::un(op, saturate_ops(*a)),
-        leaf => leaf,
     }
 }
 
@@ -491,7 +486,7 @@ mod tests {
         // N is folded (it is a constant reference), but `+ 0` survives:
         // RECORD performs no algebraic simplification by default.
         match &l.body[0] {
-            LirItem::Assign(a) => assert_eq!(a.src.to_string(), "(3 + 0)"),
+            LirItem::Assign(a) => assert_eq!(l.pool.display(a.src).to_string(), "(3 + 0)"),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -507,7 +502,7 @@ mod tests {
                 assert_eq!(*count, 4);
                 match &body[0] {
                     LirItem::Assign(a) => {
-                        assert_eq!(a.src.to_string(), "(y + a[i+2])");
+                        assert_eq!(l.pool.display(a.src).to_string(), "(y + a[i+2])");
                     }
                     other => panic!("unexpected: {other:?}"),
                 }
@@ -525,7 +520,7 @@ mod tests {
         assert_eq!(l.assign_count(), 3);
         // the last shift is x@1 := x
         match l.body.last().unwrap() {
-            LirItem::Assign(a) => assert_eq!(a.to_string(), "x@1 := x"),
+            LirItem::Assign(a) => assert_eq!(a.display(&l.pool).to_string(), "x@1 := x"),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -582,7 +577,7 @@ mod tests {
     fn sat_rewrites_inner_additions() {
         let l = lower_src("program p; var a, b, y: fix; begin y := sat(a + b * a); end");
         match &l.body[0] {
-            LirItem::Assign(a) => assert_eq!(a.src.to_string(), "(a +s (b * a))"),
+            LirItem::Assign(a) => assert_eq!(l.pool.display(a.src).to_string(), "(a +s (b * a))"),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -591,7 +586,7 @@ mod tests {
     fn sadd_intrinsic_lowers_directly() {
         let l = lower_src("program p; var a, b, y: fix; begin y := sadd(a, b); end");
         match &l.body[0] {
-            LirItem::Assign(a) => assert_eq!(a.src.to_string(), "(a +s b)"),
+            LirItem::Assign(a) => assert_eq!(l.pool.display(a.src).to_string(), "(a +s b)"),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -613,7 +608,9 @@ mod tests {
                 LirItem::Loop { count, body, .. } => {
                     assert_eq!(*count, 2);
                     match &body[0] {
-                        LirItem::Assign(a) => assert_eq!(a.src.to_string(), "(y + a[j+1])"),
+                        LirItem::Assign(a) => {
+                            assert_eq!(l.pool.display(a.src).to_string(), "(y + a[j+1])")
+                        }
                         other => panic!("unexpected: {other:?}"),
                     }
                 }

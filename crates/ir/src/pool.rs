@@ -15,6 +15,13 @@
 //! * downstream consumers can memoize per-subtree results (the BURS
 //!   labeller does — see `record-burg`) keyed by `TreeId`.
 //!
+//! A pool is the one tree form of a compile: lowering builds every
+//! statement into the pool its [`Lir`](crate::Lir) owns, and `fold`,
+//! `treeify`, the block DAG and selection only add nodes to it, so an id
+//! stays valid for the whole compile. A pool dropped on a thread leaves
+//! its emptied buffers to the next pool the thread creates, so a thread
+//! that compiles program after program stops growing the same buffers.
+//!
 //! # Example
 //!
 //! ```
@@ -28,12 +35,33 @@
 //! assert_eq!(a, b); // structural dedup: same id
 //! assert!(pool.dedup_hits() > 0);
 //! assert_eq!(pool.to_tree(a), t); // round-trips
+//! assert_eq!(pool.display(a).to_string(), "(a + b)");
 //! ```
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
+use std::fmt;
 
 use crate::hash::FoldMap;
 use crate::{BinOp, MemRef, Op, Symbol, Tree, UnOp};
+
+/// The buffers of a pool: its arena and its index.
+type Storage = (Vec<TreeNode>, FoldMap<TreeNode, TreeId>);
+
+/// The most nodes a dropped pool's arena may have room for and still
+/// leave its buffers to the thread's next pool, so one large program
+/// cannot pin its buffers in a thread for the thread's lifetime.
+pub const MAX_SPARE_NODES: usize = 1 << 16;
+
+/// How many dropped pools' buffers a thread keeps: a compile holds the
+/// program's pool and, on the stage-by-stage path, the compilation
+/// unit's copy of it.
+const SPARES: usize = 2;
+
+thread_local! {
+    /// Emptied buffers of the pools dropped on this thread.
+    static SPARE: RefCell<Vec<Storage>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A handle to an interned tree node in a [`TreePool`].
 ///
@@ -93,20 +121,66 @@ impl TreeNode {
 /// `insert` is the primitive — it returns the existing id when a
 /// structurally equal node is already interned (counted in
 /// [`dedup_hits`](TreePool::dedup_hits)) and allocates a fresh slot
-/// otherwise. [`intern`](TreePool::intern) converts a boxed [`Tree`]
-/// bottom-up; the typed constructors ([`bin`](TreePool::bin),
-/// [`un`](TreePool::un), …) build interned trees directly.
-#[derive(Debug, Default)]
+/// otherwise. The typed constructors ([`bin`](TreePool::bin),
+/// [`un`](TreePool::un), …) build interned trees directly;
+/// [`intern`](TreePool::intern) converts a boxed [`Tree`] bottom-up, for
+/// tests and the reference oracles that take boxed trees.
+#[derive(Debug)]
 pub struct TreePool {
     nodes: Vec<TreeNode>,
     index: FoldMap<TreeNode, TreeId>,
     dedup_hits: u64,
 }
 
+impl Default for TreePool {
+    fn default() -> Self {
+        TreePool::new()
+    }
+}
+
+impl Clone for TreePool {
+    /// A pool with the same nodes under the same ids and the same dedup
+    /// count, in buffers a dropped pool left if there are any.
+    fn clone(&self) -> Self {
+        let mut pool = TreePool::new();
+        pool.nodes.extend_from_slice(&self.nodes);
+        pool.index.extend(self.iter().map(|(id, node)| (node.clone(), id)));
+        pool.dedup_hits = self.dedup_hits;
+        pool
+    }
+}
+
+impl Drop for TreePool {
+    /// Leaves the emptied buffers to the thread's next pool, unless the
+    /// pool never grew, its arena has room for more than
+    /// [`MAX_SPARE_NODES`] nodes, or the thread keeps enough already.
+    fn drop(&mut self) {
+        if !(1..=MAX_SPARE_NODES).contains(&self.nodes.capacity()) {
+            return;
+        }
+        let (mut nodes, mut index) =
+            (std::mem::take(&mut self.nodes), std::mem::take(&mut self.index));
+        nodes.clear();
+        index.clear();
+        // `try_with`: pools are also dropped while thread-locals are torn
+        // down
+        let _ = SPARE.try_with(|spare| {
+            if let Ok(mut spare) = spare.try_borrow_mut() {
+                if spare.len() < SPARES {
+                    spare.push((nodes, index));
+                }
+            }
+        });
+    }
+}
+
 impl TreePool {
-    /// An empty pool.
+    /// An empty pool, in the buffers a pool dropped on this thread left
+    /// when there are any.
     pub fn new() -> Self {
-        TreePool::default()
+        let spare = SPARE.try_with(|spare| spare.try_borrow_mut().ok()?.pop()).ok().flatten();
+        let (nodes, index) = spare.unwrap_or_default();
+        TreePool { nodes, index, dedup_hits: 0 }
     }
 
     /// Forgets every node and zeroes the dedup counter, keeping the
@@ -225,6 +299,51 @@ impl TreePool {
         self.nodes.iter().enumerate().map(|(i, n)| (TreeId(i as u32), n))
     }
 
+    /// The tree behind `id`, printed as [`Tree`]'s `Display` prints it:
+    /// `((a * b) + neg(c))`.
+    pub fn display(&self, id: TreeId) -> TreeDisplay<'_> {
+        TreeDisplay { pool: self, id }
+    }
+
+    /// Evaluates the tree behind `id` as [`Tree::eval`] evaluates it.
+    pub fn eval(
+        &self,
+        id: TreeId,
+        width: u32,
+        read_mem: &mut impl FnMut(&MemRef) -> i64,
+        read_temp: &mut impl FnMut(&Symbol) -> i64,
+    ) -> i64 {
+        match self.node(id) {
+            TreeNode::Const(c) => crate::ops::wrap_to_width(*c, width),
+            TreeNode::Mem(r) => read_mem(r),
+            TreeNode::Temp(s) => read_temp(s),
+            TreeNode::Bin(op, a, b) => {
+                let va = self.eval(*a, width, read_mem, read_temp);
+                let vb = self.eval(*b, width, read_mem, read_temp);
+                op.eval(va, vb, width)
+            }
+            TreeNode::Un(op, a) => {
+                let va = self.eval(*a, width, read_mem, read_temp);
+                op.eval(va, width)
+            }
+        }
+    }
+
+    /// Whether the tree behind `id` here and the one behind `theirs` in
+    /// `other` are structurally equal (the pools may number them
+    /// differently).
+    pub fn same_tree(&self, id: TreeId, other: &TreePool, theirs: TreeId) -> bool {
+        match (self.node(id), other.node(theirs)) {
+            (TreeNode::Bin(op, a, b), TreeNode::Bin(op2, a2, b2)) => {
+                op == op2 && self.same_tree(*a, other, *a2) && self.same_tree(*b, other, *b2)
+            }
+            (TreeNode::Un(op, a), TreeNode::Un(op2, a2)) => {
+                op == op2 && self.same_tree(*a, other, *a2)
+            }
+            (mine, theirs) => mine == theirs,
+        }
+    }
+
     /// Number of nodes in the tree denoted by `id` (counting shared
     /// subtrees once per occurrence, like [`Tree::node_count`]).
     pub fn node_count(&self, id: TreeId) -> usize {
@@ -232,6 +351,27 @@ impl TreePool {
             TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => 1,
             TreeNode::Un(_, a) => 1 + self.node_count(*a),
             TreeNode::Bin(_, a, b) => 1 + self.node_count(*a) + self.node_count(*b),
+        }
+    }
+}
+
+/// A tree of a [`TreePool`] printed as its boxed [`Tree`] prints; see
+/// [`TreePool::display`].
+#[derive(Clone, Copy)]
+pub struct TreeDisplay<'a> {
+    pool: &'a TreePool,
+    id: TreeId,
+}
+
+impl fmt::Display for TreeDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sub = |id| self.pool.display(id);
+        match self.pool.node(self.id) {
+            TreeNode::Const(c) => write!(f, "{c}"),
+            TreeNode::Mem(r) => write!(f, "{r}"),
+            TreeNode::Temp(s) => write!(f, "{s}"),
+            TreeNode::Bin(op, a, b) => write!(f, "({} {op} {})", sub(*a), sub(*b)),
+            TreeNode::Un(op, a) => write!(f, "{op}({})", sub(*a)),
         }
     }
 }
@@ -301,6 +441,42 @@ mod tests {
         let neg = pool.un(UnOp::Neg, c);
         let via_ctor = pool.bin(BinOp::Add, mul, neg);
         assert_eq!(via_tree, via_ctor);
+    }
+
+    #[test]
+    fn display_eval_and_equality_mirror_the_boxed_tree() {
+        let mut pool = TreePool::new();
+        let t = sample();
+        let id = pool.intern(&t);
+        assert_eq!(pool.display(id).to_string(), t.to_string());
+        let mut mem = |r: &MemRef| r.base().as_str().len() as i64 + 2;
+        let mut tmp = |_: &Symbol| 0;
+        assert_eq!(pool.eval(id, 16, &mut mem, &mut tmp), t.eval(16, &mut mem, &mut tmp));
+        // the same tree under other ids in another pool
+        let mut other = TreePool::new();
+        other.constant(9);
+        let theirs = other.intern(&t);
+        assert_ne!(id.index(), theirs.index());
+        assert!(pool.same_tree(id, &other, theirs));
+        let neg = other.intern(&Tree::un(UnOp::Neg, Tree::var("c")));
+        assert!(!pool.same_tree(id, &other, neg));
+    }
+
+    #[test]
+    fn a_dropped_pool_leaves_its_buffers_to_the_next_one() {
+        let mut pool = TreePool::new();
+        for v in 0..100 {
+            pool.constant(v);
+        }
+        let mut copy = pool.clone();
+        assert_eq!(copy.len(), 100);
+        assert_eq!(copy.insert(TreeNode::Const(7)), TreeId(7));
+        drop(copy);
+        drop(pool);
+        let next = TreePool::new();
+        assert!(next.is_empty());
+        assert_eq!(next.dedup_hits(), 0);
+        assert!(next.nodes.capacity() >= 100);
     }
 
     #[test]

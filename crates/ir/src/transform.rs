@@ -817,37 +817,39 @@ mod tests {
     }
 
     /// Every assignment source of `items`, loop bodies included, as
-    /// lowered and after tree decomposition of each straight-line block.
-    fn sources(items: &[crate::LirItem], out: &mut Vec<Tree>) {
+    /// lowered and after tree decomposition of each straight-line block,
+    /// as boxed trees.
+    fn sources(pool: &mut TreePool, items: &[crate::LirItem], out: &mut Vec<Tree>) {
         let mut block = Vec::new();
-        let flush = |block: &mut Vec<crate::AssignStmt>, out: &mut Vec<Tree>| {
-            let (forest, _) = crate::treeify::treeify(&mut TreePool::new(), block.clone(), 0);
-            out.extend(block.drain(..).map(|a| a.src));
-            out.extend(forest.assigns.into_iter().map(|a| a.src));
+        let flush = |pool: &mut TreePool, block: &mut Vec<crate::AssignStmt>, out: &mut Vec<Tree>| {
+            let (forest, _) = crate::treeify::treeify(pool, block.clone(), 0);
+            out.extend(block.drain(..).map(|a| pool.to_tree(a.src)));
+            out.extend(forest.assigns.into_iter().map(|a| pool.to_tree(a.src)));
         };
         for item in items {
             match item {
                 crate::LirItem::Assign(a) => block.push(a.clone()),
                 crate::LirItem::Loop { body, .. } => {
-                    flush(&mut block, out);
-                    sources(body, out);
+                    flush(pool, &mut block, out);
+                    sources(pool, body, out);
                 }
             }
         }
-        flush(&mut block, out);
+        flush(pool, &mut block, out);
     }
 
     /// The statements of the DSPStone kernels and of 300 generated
     /// programs.
     fn corpus() -> Vec<Tree> {
-        let lowered = |src: &str| crate::lower::lower(&crate::dfl::parse(src).unwrap()).unwrap();
         let mut trees = Vec::new();
+        let mut add = |src: &str| {
+            let mut lir = crate::lower::lower(&crate::dfl::parse(src).unwrap()).unwrap();
+            sources(&mut lir.pool, &lir.body, &mut trees);
+        };
         for kernel in record_dspstone::kernels() {
-            sources(&lowered(kernel.source).body, &mut trees);
+            add(kernel.source);
         }
-        record_prop::run_cases(300, |rng| {
-            sources(&lowered(&record_prop::dfl::gen_program(rng)).body, &mut trees);
-        });
+        record_prop::run_cases(300, |rng| add(&record_prop::dfl::gen_program(rng)));
         trees
     }
 

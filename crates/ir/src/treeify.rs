@@ -6,18 +6,19 @@
 //! at every multi-use node, assign the shared value to a compiler
 //! temporary, and cover the resulting trees independently.
 //!
-//! The graph is the block interned into a [`TreePool`]. One of its values
-//! is an interned subtree under the last-store key [`BlockDag`] gives its
-//! sharing candidates: 1 + the index of the last statement that stored to
-//! a symbol the subtree reads. Two occurrences of a subtree are one value
-//! exactly when no statement between them stores to a symbol it reads, so
-//! a store never merges the loads before it with the loads after it.
+//! The graph is the block's trees in the program's [`TreePool`]. One of
+//! its values is an interned subtree under the last-store key
+//! [`BlockDag`] gives its sharing candidates: 1 + the index of the last
+//! statement that stored to a symbol the subtree reads. Two occurrences
+//! of a subtree are one value exactly when no statement between them
+//! stores to a symbol it reads, so a store never merges the loads before
+//! it with the loads after it.
 //!
 //! [`BlockDag`]: crate::BlockDag
 
 use crate::blockdag::LastStores;
 use crate::pool::{TreeId, TreeNode, TreePool};
-use crate::{AssignStmt, MemRef, Symbol, Tree};
+use crate::{AssignStmt, MemRef, Symbol};
 
 /// The result of tree decomposition: a forest in dependency order plus the
 /// temporaries it introduced.
@@ -30,9 +31,9 @@ pub struct Forest {
 }
 
 impl Forest {
-    /// Total tree nodes across the forest.
-    pub fn node_count(&self) -> usize {
-        self.assigns.iter().map(|a| a.src.node_count()).sum()
+    /// Total tree nodes across the forest, its trees read from `pool`.
+    pub fn node_count(&self, pool: &TreePool) -> usize {
+        self.assigns.iter().map(|a| pool.node_count(a.src)).sum()
     }
 }
 
@@ -43,8 +44,9 @@ impl Forest {
 /// memory-operand machine, while routing it through a temporary would add
 /// a store and a load.
 ///
-/// The statements are interned into `pool`. A statement that reads no
-/// temporary is moved into the forest unchanged.
+/// The statements' trees live in `pool`; the trees that read the
+/// temporaries are added to it, so every id stays valid. A statement that
+/// reads no temporary is moved into the forest unchanged.
 ///
 /// `next_temp` seeds temporary numbering so callers can keep names unique
 /// across blocks; the function returns the updated counter.
@@ -56,12 +58,11 @@ impl Forest {
 ///
 /// // y := (a*b) + (a*b)  — the product is shared
 /// let ab = Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"));
-/// let stmt = AssignStmt {
-///     dst: MemRef::scalar("y"),
-///     src: Tree::bin(BinOp::Add, ab.clone(), ab),
-/// };
-/// let (forest, next) = treeify::treeify(&mut TreePool::new(), vec![stmt], 0);
+/// let mut pool = TreePool::new();
+/// let stmt = AssignStmt::new(&mut pool, MemRef::scalar("y"), &Tree::bin(BinOp::Add, ab.clone(), ab));
+/// let (forest, next) = treeify::treeify(&mut pool, vec![stmt], 0);
 /// assert_eq!(forest.assigns.len(), 2); // $t0 := a*b; y := $t0 + $t0
+/// assert_eq!(forest.assigns[1].display(&pool).to_string(), "y := ($t0 + $t0)");
 /// assert_eq!(forest.temps.len(), 1);
 /// assert_eq!(next, 1);
 /// ```
@@ -71,11 +72,10 @@ pub fn treeify(
     mut next_temp: usize,
 ) -> (Forest, usize) {
     let mut graph = Graph::default();
+    graph.latest.resize(pool.len(), None);
     let mut roots = Vec::with_capacity(block.len());
     for (i, stmt) in block.iter().enumerate() {
-        let id = pool.intern(&stmt.src);
-        graph.latest.resize(pool.len(), None);
-        let root = graph.value(pool, id);
+        let root = graph.value(pool, stmt.src);
         graph.values[root].uses += 1;
         graph.stores.store(stmt.dst.base(), i);
         roots.push(root);
@@ -182,7 +182,7 @@ impl Graph {
     /// Emits into `out`, operands first, the definition of every temporary
     /// that value `v` reads and that is not defined yet. Returns whether
     /// `v` reads a temporary at all.
-    fn define_temps(&mut self, pool: &TreePool, v: usize, out: &mut Vec<AssignStmt>) -> bool {
+    fn define_temps(&mut self, pool: &mut TreePool, v: usize, out: &mut Vec<AssignStmt>) -> bool {
         if self.values[v].defined {
             return true;
         }
@@ -198,22 +198,27 @@ impl Graph {
     }
 
     /// The tree that reads value `v`: its temporary, if it has one.
-    fn operand(&self, pool: &TreePool, v: usize) -> Tree {
+    fn operand(&self, pool: &mut TreePool, v: usize) -> TreeId {
         match &self.values[v].temp {
-            Some(t) => Tree::Temp(t.clone()),
+            Some(t) => pool.temp(t.clone()),
             None => self.definition(pool, v),
         }
     }
 
-    /// The tree that computes value `v` from its operands.
-    fn definition(&self, pool: &TreePool, v: usize) -> Tree {
+    /// The tree that computes value `v` from its operands: the value's
+    /// own subtree when no operand below it reads a temporary.
+    fn definition(&self, pool: &mut TreePool, v: usize) -> TreeId {
         let [a, b] = self.values[v].args;
-        match pool.node(self.values[v].id) {
-            TreeNode::Const(c) => Tree::Const(*c),
-            TreeNode::Mem(r) => Tree::Mem(r.clone()),
-            TreeNode::Temp(t) => Tree::Temp(t.clone()),
-            TreeNode::Bin(op, ..) => Tree::bin(*op, self.operand(pool, a), self.operand(pool, b)),
-            TreeNode::Un(op, _) => Tree::un(*op, self.operand(pool, a)),
+        match *pool.node(self.values[v].id) {
+            TreeNode::Bin(op, ..) => {
+                let (a, b) = (self.operand(pool, a), self.operand(pool, b));
+                pool.bin(op, a, b)
+            }
+            TreeNode::Un(op, _) => {
+                let a = self.operand(pool, a);
+                pool.un(op, a)
+            }
+            TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => self.values[v].id,
         }
     }
 }
@@ -221,24 +226,30 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinOp, LirItem};
+    use crate::{BinOp, LirItem, Tree};
 
-    fn assign(dst: &str, src: Tree) -> AssignStmt {
-        AssignStmt { dst: MemRef::scalar(dst), src }
+    fn assign(dst: &str, src: Tree) -> (MemRef, Tree) {
+        (MemRef::scalar(dst), src)
     }
 
-    fn decompose(stmts: Vec<AssignStmt>, next_temp: usize) -> (Forest, usize) {
-        treeify(&mut TreePool::new(), stmts, next_temp)
+    /// A block decomposed on a fresh pool: the forest printed, its
+    /// temporaries and the updated counter.
+    fn decompose(stmts: Vec<(MemRef, Tree)>, next_temp: usize) -> (Vec<String>, Forest, usize) {
+        let mut pool = TreePool::new();
+        let block: Vec<AssignStmt> =
+            stmts.iter().map(|(dst, src)| AssignStmt::new(&mut pool, dst.clone(), src)).collect();
+        let (forest, next) = treeify(&mut pool, block, next_temp);
+        let texts = forest.assigns.iter().map(|a| a.display(&pool).to_string()).collect();
+        (texts, forest, next)
     }
 
     #[test]
     fn no_sharing_passes_through() {
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b")))];
-        let (forest, next) = decompose(stmts, 0);
-        assert_eq!(forest.assigns.len(), 1);
+        let (texts, forest, next) = decompose(stmts, 0);
         assert!(forest.temps.is_empty());
         assert_eq!(next, 0);
-        assert_eq!(forest.assigns[0].to_string(), "y := (a + b)");
+        assert_eq!(texts, vec!["y := (a + b)"]);
     }
 
     #[test]
@@ -248,11 +259,8 @@ mod tests {
             assign("y", Tree::bin(BinOp::Add, ab.clone(), Tree::constant(1))),
             assign("z", Tree::bin(BinOp::Sub, ab, Tree::constant(2))),
         ];
-        let (forest, _) = decompose(stmts, 0);
-        assert_eq!(forest.assigns.len(), 3);
-        assert_eq!(forest.assigns[0].to_string(), "$t0 := (a * b)");
-        assert_eq!(forest.assigns[1].to_string(), "y := ($t0 + 1)");
-        assert_eq!(forest.assigns[2].to_string(), "z := ($t0 - 2)");
+        let (texts, ..) = decompose(stmts, 0);
+        assert_eq!(texts, vec!["$t0 := (a * b)", "y := ($t0 + 1)", "z := ($t0 - 2)"]);
     }
 
     #[test]
@@ -261,12 +269,8 @@ mod tests {
         let s = Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b"));
         let t = Tree::bin(BinOp::Mul, s.clone(), s.clone());
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, t.clone(), t))];
-        let (forest, _) = decompose(stmts, 0);
-        // $t0 := a+b; $t1 := $t0*$t0; y := $t1+$t1
-        assert_eq!(forest.assigns.len(), 3);
-        assert_eq!(forest.assigns[0].to_string(), "$t0 := (a + b)");
-        assert_eq!(forest.assigns[1].to_string(), "$t1 := ($t0 * $t0)");
-        assert_eq!(forest.assigns[2].to_string(), "y := ($t1 + $t1)");
+        let (texts, ..) = decompose(stmts, 0);
+        assert_eq!(texts, vec!["$t0 := (a + b)", "$t1 := ($t0 * $t0)", "y := ($t1 + $t1)"]);
     }
 
     #[test]
@@ -280,8 +284,7 @@ mod tests {
             assign("y", Tree::bin(BinOp::Add, ww.clone(), ww)),
             assign("z", Tree::var("w")),
         ];
-        let (forest, _) = decompose(stmts, 0);
-        let texts: Vec<String> = forest.assigns.iter().map(|a| a.to_string()).collect();
+        let (texts, ..) = decompose(stmts, 0);
         assert_eq!(
             texts,
             vec!["w := (a + b)", "$t0 := (w * w)", "y := ($t0 + $t0)", "z := w"],
@@ -294,34 +297,37 @@ mod tests {
         // y := a*b; a := 1; z := a*b — the two products read different a
         let ab = Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"));
         let stmts = vec![assign("y", ab.clone()), assign("a", Tree::constant(1)), assign("z", ab)];
-        let (forest, next) = decompose(stmts.clone(), 0);
+        let (texts, forest, next) = decompose(stmts, 0);
         assert!(forest.temps.is_empty());
         assert_eq!(next, 0);
-        assert_eq!(forest.assigns, stmts);
+        assert_eq!(texts, vec!["y := (a * b)", "a := 1", "z := (a * b)"]);
     }
 
     #[test]
     fn shared_leaves_are_not_cut() {
         // the load of `a` is used twice but stays a plain re-read
         let stmts = vec![assign("y", Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("a")))];
-        let (forest, _) = decompose(stmts, 0);
+        let (texts, forest, _) = decompose(stmts, 0);
         assert!(forest.temps.is_empty());
-        assert_eq!(forest.assigns[0].to_string(), "y := (a * a)");
+        assert_eq!(texts, vec!["y := (a * a)"]);
     }
 
     #[test]
     fn temp_counter_threads_across_calls() {
         let ab = Tree::bin(BinOp::Mul, Tree::var("a"), Tree::var("b"));
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, ab.clone(), ab))];
-        let (_, next) = decompose(stmts, 7);
+        let (.., next) = decompose(stmts, 7);
         assert_eq!(next, 8);
     }
 
     #[test]
     fn forest_node_count() {
         let stmts = vec![assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b")))];
-        let (forest, _) = decompose(stmts, 0);
-        assert_eq!(forest.node_count(), 3);
+        let mut pool = TreePool::new();
+        let block: Vec<AssignStmt> =
+            stmts.iter().map(|(dst, src)| AssignStmt::new(&mut pool, dst.clone(), src)).collect();
+        let (forest, _) = treeify(&mut pool, block, 0);
+        assert_eq!(forest.node_count(&pool), 3);
     }
 
     /// The straight-line blocks of `items`, loop bodies included.
@@ -342,16 +348,18 @@ mod tests {
     /// Decomposition on the pool gives every straight-line block of the
     /// DSPStone kernels and of 2000 generated programs the assignments,
     /// temporaries and temporary counter the value-numbered `Dfg`
-    /// decomposition gives it. One pool serves every block, as in a
-    /// compile, and the counter threads through the blocks of a program.
+    /// decomposition gives it. Each program's blocks are decomposed in
+    /// the program's own pool, as in a compile, and the counter threads
+    /// through them.
     #[test]
     fn pool_decomposition_equals_the_dfg_reference() {
         let lowered = |src: &str| crate::lower::lower(&crate::dfl::parse(src).unwrap()).unwrap();
-        let mut programs: Vec<Vec<Vec<AssignStmt>>> = Vec::new();
+        let mut programs: Vec<(TreePool, Vec<Vec<AssignStmt>>)> = Vec::new();
         let mut add = |src: &str| {
+            let lir = lowered(src);
             let mut out = Vec::new();
-            blocks(&lowered(src).body, &mut out);
-            programs.push(out);
+            blocks(&lir.body, &mut out);
+            programs.push((lir.pool, out));
         };
         for kernel in record_dspstone::kernels() {
             add(kernel.source);
@@ -361,15 +369,18 @@ mod tests {
             add(&record_prop::dfl::gen_program(&mut rng));
         }
         let (mut blocks_seen, mut temps) = (0usize, 0usize);
-        let mut pool = TreePool::new();
-        for program in programs {
+        for (mut pool, program) in programs {
             let (mut next, mut next_reference) = (0, 0);
             for block in program {
-                let reference = crate::dfg::treeify(&block, next_reference);
-                let got = treeify(&mut pool, block.clone(), next);
-                assert_eq!(got.0.assigns, reference.0.assigns, "{block:#?}");
-                assert_eq!(got.0.temps, reference.0.temps, "{block:#?}");
-                assert_eq!(got.1, reference.1, "{block:#?}");
+                let boxed: Vec<(MemRef, Tree)> =
+                    block.iter().map(|a| (a.dst.clone(), pool.to_tree(a.src))).collect();
+                let reference = crate::dfg::treeify(&boxed, next_reference);
+                let got = treeify(&mut pool, block, next);
+                let got_boxed: Vec<(MemRef, Tree)> =
+                    got.0.assigns.iter().map(|a| (a.dst.clone(), pool.to_tree(a.src))).collect();
+                assert_eq!(got_boxed, reference.0.assigns, "{boxed:#?}");
+                assert_eq!(got.0.temps, reference.0.temps, "{boxed:#?}");
+                assert_eq!(got.1, reference.1, "{boxed:#?}");
                 (next, next_reference) = (got.1, reference.1);
                 blocks_seen += 1;
                 temps += got.0.temps.len();

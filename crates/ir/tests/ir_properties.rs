@@ -74,11 +74,11 @@ fn gen_tree(rng: &mut Rng, depth: u32) -> Tree {
 }
 
 /// Reference: execute assignments sequentially over an environment.
-fn run_assigns(assigns: &[AssignStmt], env: &mut HashMap<Symbol, i64>) {
+fn run_assigns(pool: &TreePool, assigns: &[AssignStmt], env: &mut HashMap<Symbol, i64>) {
     for a in assigns {
         let mut mem = |r: &MemRef| *env.get(r.base()).unwrap_or(&0);
         let mut tmp = |s: &Symbol| *env.get(s).unwrap_or(&0);
-        let v = a.src.eval(16, &mut mem, &mut tmp);
+        let v = pool.eval(a.src, 16, &mut mem, &mut tmp);
         env.insert(a.dst.base().clone(), v);
     }
 }
@@ -89,20 +89,21 @@ fn run_assigns(assigns: &[AssignStmt], env: &mut HashMap<Symbol, i64>) {
 fn treeify_preserves_block_semantics() {
     run_cases(128, |rng| {
         let n_stmts = rng.usize(4) + 1;
+        let mut pool = TreePool::new();
         let assigns: Vec<AssignStmt> = (0..n_stmts)
-            .map(|_| AssignStmt {
-                dst: MemRef::scalar(*rng.pick(&LEAF_VARS)),
-                src: gen_tree(rng, 3),
+            .map(|_| {
+                let dst = MemRef::scalar(*rng.pick(&LEAF_VARS));
+                AssignStmt::new(&mut pool, dst, &gen_tree(rng, 3))
             })
             .collect();
         let init: Vec<i64> = (0..4).map(|_| rng.i64_in(-100, 100)).collect();
-        let (forest, _) = treeify(&mut TreePool::new(), assigns.clone(), 0);
+        let (forest, _) = treeify(&mut pool, assigns.clone(), 0);
 
         let mut env_a: HashMap<Symbol, i64> =
             LEAF_VARS.iter().zip(&init).map(|(v, x)| (Symbol::new(*v), *x)).collect();
         let mut env_b = env_a.clone();
-        run_assigns(&assigns, &mut env_a);
-        run_assigns(&forest.assigns, &mut env_b);
+        run_assigns(&pool, &assigns, &mut env_a);
+        run_assigns(&pool, &forest.assigns, &mut env_b);
         for v in LEAF_VARS {
             assert_eq!(
                 env_a[&Symbol::new(v)],

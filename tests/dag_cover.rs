@@ -215,15 +215,15 @@ fn gen_tree(rng: &mut Rng, depth: u32) -> Tree {
 fn sharing_is_never_offered_across_an_intervening_store() {
     run_cases(200, |rng| {
         let n = rng.usize(5) + 2;
+        let mut pool = TreePool::new();
         let stmts: Vec<AssignStmt> = (0..n)
-            .map(|_| AssignStmt {
+            .map(|_| {
                 // destinations overlap the read symbols on purpose
-                dst: MemRef::scalar(*rng.pick(&SYMS)),
-                src: gen_tree(rng, 2),
+                let dst = MemRef::scalar(*rng.pick(&SYMS));
+                AssignStmt::new(&mut pool, dst, &gen_tree(rng, 2))
             })
             .collect();
-        let mut pool = TreePool::new();
-        let dag = BlockDag::build(&mut pool, &stmts);
+        let dag = BlockDag::build(&pool, &stmts);
         let mut memo = HashMap::new();
         for cand in &dag.shared {
             assert!(cand.use_count >= 2, "single-use value offered for sharing");

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use record::{CompileRequest, Compiler};
 use record_ir::lir::{Lir, LirItem, StorageKind, VarInfo};
-use record_ir::{AssignStmt, BinOp, MemRef, Symbol, Tree, UnOp};
+use record_ir::{AssignStmt, BinOp, MemRef, Symbol, Tree, TreePool, UnOp};
 use record_prop::{run_cases, Rng};
 use record_sim::run_program;
 
@@ -62,6 +62,13 @@ fn reference(stmts: &[(usize, Tree)], init: &[i64; 4]) -> [i64; 4] {
 }
 
 fn lir_of(stmts: &[(usize, Tree)]) -> Lir {
+    let mut pool = TreePool::new();
+    let body = stmts
+        .iter()
+        .map(|(dst, tree)| {
+            LirItem::Assign(AssignStmt::new(&mut pool, MemRef::scalar(VARS[*dst]), tree))
+        })
+        .collect();
     Lir {
         name: Symbol::new("prop"),
         vars: VARS
@@ -74,12 +81,8 @@ fn lir_of(stmts: &[(usize, Tree)]) -> Lir {
                 is_fix: true,
             })
             .collect(),
-        body: stmts
-            .iter()
-            .map(|(dst, tree)| {
-                LirItem::Assign(AssignStmt { dst: MemRef::scalar(VARS[*dst]), src: tree.clone() })
-            })
-            .collect(),
+        body,
+        pool,
     }
 }
 
@@ -171,14 +174,16 @@ fn fold_preserves_semantics_on_random_trees() {
     run_cases(96, |rng| {
         let tree = gen_tree(rng, 4);
         let init = gen_init(rng);
-        let folded = record_ir::fold::fold(&tree, 16);
+        let mut pool = TreePool::new();
+        let id = pool.intern(&tree);
+        let folded = record_ir::fold::fold(&mut pool, id, 16);
         let env: HashMap<&str, i64> = VARS.iter().copied().zip(init).collect();
         let mut mem = |r: &MemRef| *env.get(r.base().as_str()).unwrap_or(&0);
         let mut tmp = |_: &Symbol| 0;
         let a = tree.eval(16, &mut mem, &mut tmp);
         let mut mem2 = |r: &MemRef| *env.get(r.base().as_str()).unwrap_or(&0);
         let mut tmp2 = |_: &Symbol| 0;
-        let b = folded.eval(16, &mut mem2, &mut tmp2);
+        let b = pool.eval(folded, 16, &mut mem2, &mut tmp2);
         assert_eq!(a, b);
     });
 }
