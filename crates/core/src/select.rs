@@ -639,8 +639,7 @@ impl<'t> Emitter<'t> {
                     // only the weight matters here: label, never reduce
                     let best = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
                         let root = dag.roots[s];
-                        let label =
-                            self.matcher.label_interned_cut(&self.pool, root, cache, trial);
+                        let label = self.matcher.label_interned_cut(&self.pool, root, cache, trial);
                         best_candidate(cache.entries(label), &self.work.candidates)
                     });
                     let w = best
@@ -905,9 +904,10 @@ impl<'t> Emitter<'t> {
         // (it may route through the accumulator on its way to memory),
         // while memory leaves are always safe to read in place
         let computed = |id: &TreeId| matches!(pool.node(*id), TreeNode::Bin(..) | TreeNode::Un(..));
-        let split_ix = kids.iter().position(computed).or_else(|| {
-            kids.iter().position(|id| matches!(pool.node(*id), TreeNode::Const(_)))
-        })?;
+        let split_ix = kids
+            .iter()
+            .position(computed)
+            .or_else(|| kids.iter().position(|id| matches!(pool.node(*id), TreeNode::Const(_))))?;
         // a dedicated, never-recycled cell (it lives across two statements)
         let name = Symbol::new(format!("$s{}", self.work.scratch_pool.len()));
         self.work.scratch_pool.push(name.clone());
@@ -1139,8 +1139,7 @@ impl<'t> Emitter<'t> {
         let mut best: Option<(u64, usize, usize)> = None; // (total weight, store, root)
         while let Some(id) = self.work.stream.next(&mut self.pool) {
             stats.variants += 1;
-            let label =
-                self.matcher.label_interned(&self.pool, id, &mut self.work.label_cache);
+            let label = self.matcher.label_interned(&self.pool, id, &mut self.work.label_cache);
             if let Some((nt, derive)) =
                 best_candidate(self.work.label_cache.entries(label), &self.work.candidates)
             {
@@ -1152,14 +1151,7 @@ impl<'t> Emitter<'t> {
                     cover.clear();
                     let root = self
                         .matcher
-                        .reduce_into(
-                            &self.pool,
-                            &self.work.label_cache,
-                            label,
-                            nt,
-                            None,
-                            cover,
-                        )
+                        .reduce_into(&self.pool, &self.work.label_cache, label, nt, None, cover)
                         .expect("a derivable label reduces");
                     best = Some((total, store_ix, root));
                 }
@@ -2386,13 +2378,7 @@ mod tests {
                 let mut fresh = LabelCache::new();
                 let full = e
                     .matcher
-                    .best_cover_interned_cut(
-                        &e.pool,
-                        *root,
-                        &mut fresh,
-                        &e.work.candidates,
-                        cuts,
-                    )
+                    .best_cover_interned_cut(&e.pool, *root, &mut fresh, &e.work.candidates, cuts)
                     .map(|(nt, cover)| cover.cost.add(e.store_cost(nt)).weight());
                 if *weight != full {
                     self.mismatches.lock().unwrap().push(format!(

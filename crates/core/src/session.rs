@@ -55,11 +55,12 @@ const SIZE_BUCKETS: &[f64] = &[4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 
 /// instruction; 1.0 = no parallelism).
 const FILL_BUCKETS: &[f64] = &[1.0, 1.25, 1.5, 2.0, 3.0, 4.0];
 
-/// Feeds one successful compile's [`PhaseTimings`] into a registry —
-/// shared by the single-compile path (straight into the session
-/// registry) and the batch workers (into a worker-local registry merged
-/// at join).
+/// Feeds one successful compile's [`PhaseTimings`] into a registry,
+/// under one lock — shared by the single-compile path (straight into the
+/// session registry) and the batch workers (into a worker-local registry
+/// merged at join).
 fn observe_compile(metrics: &MetricsRegistry, timings: &PhaseTimings) {
+    let mut metrics = metrics.lock();
     metrics.inc("record_compiles_total");
     metrics.add("record_salvaged_passes_total", timings.salvages.len() as u64);
     metrics.observe(
@@ -527,7 +528,8 @@ impl Session {
         let tracer = self.tracer.as_deref();
         // kernel names are caller-supplied (hostile, in the daemon) —
         // they flow into a label value here and are escaped by the
-        // exporter, never interpolated raw
+        // exporter, never interpolated raw; a kernel seen before is
+        // counted without allocating
         self.metrics.inc_with("record_kernel_compiles_total", &[("kernel", lir.name.as_str())]);
         if let Some(at) = deadline {
             if std::time::Instant::now() >= at {

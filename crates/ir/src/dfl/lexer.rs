@@ -22,7 +22,8 @@ use super::token::{Keyword, Token, TokenKind};
 pub fn lex(source: &str) -> Result<Vec<Token>, Error> {
     // about one token per five bytes of DSP kernel text
     let mut tokens = Vec::with_capacity(source.len() / 5 + 1);
-    let mut symbols: FoldMap<&str, Symbol> = FoldMap::default();
+    let mut symbols: FoldMap<&str, Symbol> =
+        FoldMap::with_capacity_and_hasher(32, Default::default());
     let bytes = source.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;

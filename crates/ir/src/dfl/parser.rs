@@ -6,17 +6,17 @@ use super::ast::{BaseTy, Decl, Expr, LValue, Program, Stmt, VarDecl, VarKind};
 use super::token::{Keyword, Token, TokenKind};
 
 /// Parses a token stream (as produced by [`lexer::lex`](super::lexer::lex))
-/// into an AST. Each name in the AST is its token's symbol, shared, not
-/// copied.
+/// into an AST. The stream is consumed: each name's symbol moves from its
+/// token into the AST.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Parse`] with the offending line on malformed input.
-pub fn parse_tokens(tokens: Vec<Token>) -> Result<Program, Error> {
+pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, Error> {
     if tokens.is_empty() {
         return Err(Error::parse(1, "empty token stream"));
     }
-    let mut p = Parser { tokens: &tokens, pos: 0, depth: 0 };
+    let mut p = Parser { tokens: &mut tokens, pos: 0, depth: 0 };
     p.program()
 }
 
@@ -27,7 +27,7 @@ pub fn parse_tokens(tokens: Vec<Token>) -> Result<Program, Error> {
 const MAX_EXPR_DEPTH: u32 = 200;
 
 struct Parser<'a> {
-    tokens: &'a [Token],
+    tokens: &'a mut [Token],
     pos: usize,
     depth: u32,
 }
@@ -71,16 +71,19 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::Keyword(kw))
     }
 
-    /// Takes the identifier at the cursor and advances past it.
+    /// Takes the identifier at the cursor and advances past it. The
+    /// symbol is moved out of its token, which is left an `Eof` the
+    /// parser never reads: it never looks back.
     fn take_ident(&mut self) -> Option<Symbol> {
-        match &self.tokens[self.pos].kind {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                self.bump();
-                Some(s)
-            }
-            _ => None,
+        let kind = &mut self.tokens[self.pos].kind;
+        if !matches!(kind, TokenKind::Ident(_)) {
+            return None;
         }
+        let TokenKind::Ident(s) = std::mem::replace(kind, TokenKind::Eof) else {
+            unreachable!("checked above")
+        };
+        self.bump();
+        Some(s)
     }
 
     fn ident(&mut self) -> Result<Symbol, Error> {
@@ -225,87 +228,29 @@ impl<'a> Parser<'a> {
     }
 
     /// Expression grammar, lowest precedence first:
-    /// `|` < `^` < `&` < `<< >>` < `+ -` < `* /` < unary.
+    /// `|` < `^` < `&` < `<< >>` < `+ -` < `* /` < unary; every binary
+    /// operator is left-associative.
     fn expr(&mut self) -> Result<Expr, Error> {
         if self.depth >= MAX_EXPR_DEPTH {
             return Err(Error::parse(self.line(), "expression nested too deeply"));
         }
         self.depth += 1;
-        let result = self.bitor();
+        let result = self.binary(1);
         self.depth -= 1;
         result
     }
 
-    fn bitor(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.bitxor()?;
-        while self.eat(&TokenKind::Pipe) {
-            let rhs = self.bitxor()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.bitand()?;
-        while self.eat(&TokenKind::Caret) {
-            let rhs = self.bitand()?;
-            lhs = Expr::bin(BinOp::Xor, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bitand(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.shift()?;
-        while self.eat(&TokenKind::Amp) {
-            let rhs = self.shift()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.additive()?;
-        loop {
-            if self.eat(&TokenKind::Shl) {
-                let rhs = self.additive()?;
-                lhs = Expr::bin(BinOp::Shl, lhs, rhs);
-            } else if self.eat(&TokenKind::Shr) {
-                let rhs = self.additive()?;
-                lhs = Expr::bin(BinOp::Shr, lhs, rhs);
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            if self.eat(&TokenKind::Plus) {
-                let rhs = self.multiplicative()?;
-                lhs = Expr::bin(BinOp::Add, lhs, rhs);
-            } else if self.eat(&TokenKind::Minus) {
-                let rhs = self.multiplicative()?;
-                lhs = Expr::bin(BinOp::Sub, lhs, rhs);
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, Error> {
+    /// Parses unary operands joined by binary operators of precedence
+    /// `min` or tighter (precedence climbing): an operator's right operand
+    /// takes only tighter operators, so equal ones associate to the left.
+    fn binary(&mut self, min: u8) -> Result<Expr, Error> {
         let mut lhs = self.unary()?;
-        loop {
-            if self.eat(&TokenKind::Star) {
-                let rhs = self.unary()?;
-                lhs = Expr::bin(BinOp::Mul, lhs, rhs);
-            } else if self.eat(&TokenKind::Slash) {
-                let rhs = self.unary()?;
-                lhs = Expr::bin(BinOp::Div, lhs, rhs);
-            } else {
-                return Ok(lhs);
-            }
+        while let Some((op, prec)) = binary_op(self.peek()).filter(|&(_, prec)| prec >= min) {
+            self.bump();
+            let rhs = self.binary(prec + 1)?;
+            lhs = Expr::bin(op, lhs, rhs);
         }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, Error> {
@@ -419,6 +364,23 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The binary operator a token spells, with its precedence (1 binds
+/// loosest).
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::Pipe => (BinOp::Or, 1),
+        TokenKind::Caret => (BinOp::Xor, 2),
+        TokenKind::Amp => (BinOp::And, 3),
+        TokenKind::Shl => (BinOp::Shl, 4),
+        TokenKind::Shr => (BinOp::Shr, 4),
+        TokenKind::Plus => (BinOp::Add, 5),
+        TokenKind::Minus => (BinOp::Sub, 5),
+        TokenKind::Star => (BinOp::Mul, 6),
+        TokenKind::Slash => (BinOp::Div, 6),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::parse;
@@ -446,6 +408,36 @@ mod tests {
             }
             other => panic!("unexpected shape: {other:?}"),
         }
+    }
+
+    #[test]
+    fn operators_bind_by_precedence_and_associate_left() {
+        let p = parse(
+            "program p; var a,b,c,d,y: fix; begin y := a - b - c * d / a | b ^ c & d << 1 + a; end",
+        )
+        .unwrap();
+        let Stmt::Assign { value, .. } = &p.body[0] else { panic!("an assignment") };
+        let name = |n: &str| Expr::Name(n.into());
+        let bin = Expr::bin;
+        // ((a - b) - ((c * d) / a)) | (b ^ (c & (d << (1 + a))))
+        let want = bin(
+            BinOp::Or,
+            bin(
+                BinOp::Sub,
+                bin(BinOp::Sub, name("a"), name("b")),
+                bin(BinOp::Div, bin(BinOp::Mul, name("c"), name("d")), name("a")),
+            ),
+            bin(
+                BinOp::Xor,
+                name("b"),
+                bin(
+                    BinOp::And,
+                    name("c"),
+                    bin(BinOp::Shl, name("d"), bin(BinOp::Add, Expr::Num(1), name("a"))),
+                ),
+            ),
+        );
+        assert_eq!(*value, want);
     }
 
     #[test]

@@ -43,26 +43,29 @@ pub fn lower(program: &Program) -> Result<Lir, Error> {
     Lowerer::new(program)?.run(program)
 }
 
-struct LoweredVar {
-    len: u32,
-    kind: StorageKind,
-    bank: Option<crate::Bank>,
-    is_fix: bool,
+/// What a declared name stands for: a constant, a variable, or both (a
+/// constant may reuse the name of a variable declared before it, and
+/// then shadows it in expressions).
+#[derive(Default)]
+struct Declared {
+    value: Option<i64>,
+    /// The variable's index in [`Lowerer::vars`].
+    var: Option<usize>,
 }
 
 struct Lowerer {
-    consts: FoldMap<Symbol, i64>,
-    vars: FoldMap<Symbol, LoweredVar>,
-    var_order: Vec<Symbol>,
+    /// Every declared name, looked up once per use.
+    names: FoldMap<Symbol, Declared>,
+    /// The declared variables, in declaration order.
+    vars: Vec<VarInfo>,
     /// (signal, max delay) pairs for `x@k` uses.
     delays: FoldMap<Symbol, u32>,
     /// The shadow symbol `x@k` of each delayed signal and depth met.
     delay_syms: FoldMap<(Symbol, u32), Symbol>,
-    /// Loop counters currently in scope.
-    loop_vars: Vec<Symbol>,
-    /// Per active loop counter, the lower bound that zero-based counters
-    /// must be displaced by when used in array indexes.
-    rebase: FoldMap<Symbol, i64>,
+    /// The loop counters in scope, innermost last, each with the lower
+    /// bound that its zero-based counter must be displaced by when used
+    /// in array indexes.
+    loops: Vec<(Symbol, i64)>,
     /// The program's trees.
     pool: TreePool,
 }
@@ -70,13 +73,11 @@ struct Lowerer {
 impl Lowerer {
     fn new(program: &Program) -> Result<Self, Error> {
         let mut me = Lowerer {
-            consts: FoldMap::default(),
-            vars: FoldMap::default(),
-            var_order: Vec::new(),
+            names: FoldMap::with_capacity_and_hasher(program.decls.len() * 2, Default::default()),
+            vars: Vec::new(),
             delays: FoldMap::default(),
             delay_syms: FoldMap::default(),
-            loop_vars: Vec::new(),
-            rebase: FoldMap::default(),
+            loops: Vec::new(),
             pool: TreePool::new(),
         };
         let names = |v: &crate::dfl::ast::VarDecl| {
@@ -88,7 +89,8 @@ impl Lowerer {
                     let v = me.eval_const(value).ok_or_else(|| {
                         Error::sema(format!("constant `{name}` is not compile-time evaluable"))
                     })?;
-                    if me.consts.insert(name.clone(), v).is_some() {
+                    let declared = me.names.entry(name.clone()).or_default();
+                    if declared.value.replace(v).is_some() {
                         return Err(Error::sema(format!("constant `{name}` declared twice")));
                     }
                 }
@@ -112,23 +114,22 @@ impl Lowerer {
                         }
                     };
                     for name in &v.names {
-                        if me.vars.contains_key(name) || me.consts.contains_key(name) {
+                        let declared = me.names.entry(name.clone()).or_default();
+                        if declared.value.is_some() || declared.var.is_some() {
                             return Err(Error::sema(format!("`{name}` declared twice")));
                         }
-                        me.vars.insert(
-                            name.clone(),
-                            LoweredVar {
-                                len,
-                                kind: match v.kind {
-                                    VarKind::Var => StorageKind::Var,
-                                    VarKind::In => StorageKind::In,
-                                    VarKind::Out => StorageKind::Out,
-                                },
-                                bank: v.bank,
-                                is_fix: v.ty == BaseTy::Fix,
+                        declared.var = Some(me.vars.len());
+                        me.vars.push(VarInfo {
+                            name: name.clone(),
+                            len,
+                            kind: match v.kind {
+                                VarKind::Var => StorageKind::Var,
+                                VarKind::In => StorageKind::In,
+                                VarKind::Out => StorageKind::Out,
                             },
-                        );
-                        me.var_order.push(name.clone());
+                            bank: v.bank,
+                            is_fix: v.ty == BaseTy::Fix,
+                        });
                     }
                 }
             }
@@ -158,23 +159,10 @@ impl Lowerer {
             }
         }
 
-        let mut vars: Vec<VarInfo> = Vec::with_capacity(self.var_order.len());
-        for name in &self.var_order {
-            // every var_order entry was inserted into `vars` alongside it;
-            // a structured error beats an index panic if that ever drifts
-            let v = self.vars.get(name).ok_or_else(|| {
-                Error::lower(format!("internal: declared variable `{name}` lost during lowering"))
-            })?;
-            vars.push(VarInfo {
-                name: name.clone(),
-                len: v.len,
-                kind: v.kind,
-                bank: v.bank,
-                is_fix: v.is_fix,
-            });
-        }
+        let mut vars = std::mem::take(&mut self.vars);
         for (signal, max_d) in &delayed {
-            let is_fix = self.vars.get(signal).map(|v| v.is_fix).unwrap_or(true);
+            let is_fix =
+                self.names.get(signal).and_then(|d| d.var).map_or(true, |v| vars[v].is_fix);
             for d in 1..=*max_d {
                 vars.push(VarInfo {
                     name: self.delay_symbol(signal, d),
@@ -217,28 +205,19 @@ impl Lowerer {
                             "line {line}: loop range {lo_v}..{hi_v} has too many iterations"
                         ))
                     })?;
-                if self.vars.contains_key(var) || self.consts.contains_key(var) {
+                if self.names.contains_key(var) {
                     return Err(Error::sema(format!(
                         "line {line}: loop variable `{var}` shadows a declaration"
                     )));
                 }
-                self.loop_vars.push(var.clone());
                 // While lowering the body, indexes `var + c` are rebased by
                 // +lo_v, so a zero-based counter is correct.
-                let prev_base = self.rebase.insert(var.clone(), lo_v);
+                self.loops.push((var.clone(), lo_v));
                 let mut items = Vec::with_capacity(body.len());
                 for s in body {
                     items.push(self.stmt(s)?);
                 }
-                match prev_base {
-                    Some(b) => {
-                        self.rebase.insert(var.clone(), b);
-                    }
-                    None => {
-                        self.rebase.remove(var);
-                    }
-                }
-                self.loop_vars.pop();
+                self.loops.pop();
                 Ok(LirItem::Loop { var: var.clone(), count, body: items })
             }
         }
@@ -281,15 +260,16 @@ impl Lowerer {
         match e {
             Expr::Num(n) => Ok(self.pool.constant(*n)),
             Expr::Name(name) => {
-                if let Some(&v) = self.consts.get(name) {
+                let declared = self.names.get(name);
+                if let Some(v) = declared.and_then(|d| d.value) {
                     return Ok(self.pool.constant(v));
                 }
-                if self.loop_vars.contains(name) {
+                if self.loops.iter().any(|(counter, _)| counter == name) {
                     return Err(Error::sema(format!(
                         "loop counter `{name}` may only be used as an array index"
                     )));
                 }
-                let v = self.lookup_var(name, 0)?;
+                let v = self.declared_var(declared, name, 0)?;
                 if v.len != 1 {
                     return Err(Error::sema(format!("array `{name}` used without an index")));
                 }
@@ -366,7 +346,7 @@ impl Lowerer {
                  with a loop counter"
             ))
         })?;
-        let base = *self.rebase.get(&var).unwrap_or(&0);
+        let base = self.loops.iter().rev().find(|(counter, _)| *counter == var).map_or(0, |l| l.1);
         let range =
             || Error::sema(format!("line {line}: index offset of `{array}` overflows 64 bits"));
         if down {
@@ -386,8 +366,9 @@ impl Lowerer {
     /// Splits `i`, `i + c`, `i - c`, `c + i` into (counter, c, false) and
     /// the descending `c - i` into (counter, c, true).
     fn split_affine(&self, e: &Expr) -> Option<(Symbol, i64, bool)> {
-        let counter =
-            |name: &Symbol| -> Option<Symbol> { self.loop_vars.iter().find(|l| *l == name).cloned() };
+        let counter = |name: &Symbol| -> Option<Symbol> {
+            self.loops.iter().find(|(counter, _)| counter == name).map(|l| l.0.clone())
+        };
         match e {
             Expr::Name(n) => counter(n).map(|s| (s, 0, false)),
             Expr::Bin(BinOp::Add, a, b) => match (&**a, &**b) {
@@ -416,8 +397,19 @@ impl Lowerer {
         }
     }
 
-    fn lookup_var(&self, name: &Symbol, line: u32) -> Result<&LoweredVar, Error> {
-        self.vars.get(name).ok_or_else(|| {
+    fn lookup_var(&self, name: &Symbol, line: u32) -> Result<&VarInfo, Error> {
+        self.declared_var(self.names.get(name), name, line)
+    }
+
+    /// The variable of `declared`, what `name` declares; an error naming
+    /// `line` (when known) if it declares none.
+    fn declared_var(
+        &self,
+        declared: Option<&Declared>,
+        name: &Symbol,
+        line: u32,
+    ) -> Result<&VarInfo, Error> {
+        declared.and_then(|d| d.var).map(|ix| &self.vars[ix]).ok_or_else(|| {
             if line > 0 {
                 Error::sema(format!("line {line}: `{name}` is not declared"))
             } else {
@@ -430,7 +422,7 @@ impl Lowerer {
     fn eval_const(&self, e: &Expr) -> Option<i64> {
         match e {
             Expr::Num(n) => Some(*n),
-            Expr::Name(n) => self.consts.get(n).copied(),
+            Expr::Name(n) => self.names.get(n).and_then(|d| d.value),
             Expr::Bin(op, a, b) => {
                 let va = self.eval_const(a)?;
                 let vb = self.eval_const(b)?;

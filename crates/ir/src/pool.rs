@@ -39,14 +39,14 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::BuildHasher;
 
-use crate::hash::FoldMap;
+use crate::hash::FoldState;
 use crate::{BinOp, MemRef, Op, Symbol, Tree, UnOp};
 
-/// The buffers of a pool: its arena and its index.
-type Storage = (Vec<TreeNode>, FoldMap<TreeNode, TreeId>);
+/// The buffers of a pool: its arena and its index's slots.
+type Storage = (Vec<TreeNode>, Vec<u32>);
 
 /// The most nodes a dropped pool's arena may have room for and still
 /// leave its buffers to the thread's next pool, so one large program
@@ -125,10 +125,17 @@ impl TreeNode {
 /// [`un`](TreePool::un), …) build interned trees directly;
 /// [`intern`](TreePool::intern) converts a boxed [`Tree`] bottom-up, for
 /// tests and the reference oracles that take boxed trees.
+///
+/// The index is an open-addressing table of ids over the arena, probed
+/// linearly: each node is stored once, in the arena, and a lookup hashes
+/// the node and compares it with the nodes its probe reaches.
 #[derive(Debug)]
 pub struct TreePool {
     nodes: Vec<TreeNode>,
-    index: FoldMap<TreeNode, TreeId>,
+    /// 1 + the id of the node in each slot (0: empty). The length is a
+    /// power of two, more than twice the number of nodes.
+    slots: Vec<u32>,
+    keys: FoldState,
     dedup_hits: u64,
 }
 
@@ -144,7 +151,8 @@ impl Clone for TreePool {
     fn clone(&self) -> Self {
         let mut pool = TreePool::new();
         pool.nodes.extend_from_slice(&self.nodes);
-        pool.index.extend(self.iter().map(|(id, node)| (node.clone(), id)));
+        // the hash keys are the process's, so every node keeps its slot
+        pool.slots.clone_from(&self.slots);
         pool.dedup_hits = self.dedup_hits;
         pool
     }
@@ -158,16 +166,14 @@ impl Drop for TreePool {
         if !(1..=MAX_SPARE_NODES).contains(&self.nodes.capacity()) {
             return;
         }
-        let (mut nodes, mut index) =
-            (std::mem::take(&mut self.nodes), std::mem::take(&mut self.index));
-        nodes.clear();
-        index.clear();
+        self.clear();
+        let storage = (std::mem::take(&mut self.nodes), std::mem::take(&mut self.slots));
         // `try_with`: pools are also dropped while thread-locals are torn
         // down
         let _ = SPARE.try_with(|spare| {
             if let Ok(mut spare) = spare.try_borrow_mut() {
                 if spare.len() < SPARES {
-                    spare.push((nodes, index));
+                    spare.push(storage);
                 }
             }
         });
@@ -179,8 +185,8 @@ impl TreePool {
     /// when there are any.
     pub fn new() -> Self {
         let spare = SPARE.try_with(|spare| spare.try_borrow_mut().ok()?.pop()).ok().flatten();
-        let (nodes, index) = spare.unwrap_or_default();
-        TreePool { nodes, index, dedup_hits: 0 }
+        let (nodes, slots) = spare.unwrap_or_default();
+        TreePool { nodes, slots, keys: FoldState::default(), dedup_hits: 0 }
     }
 
     /// Forgets every node and zeroes the dedup counter, keeping the
@@ -188,7 +194,7 @@ impl TreePool {
     /// [`TreePool::new`] and ids restart at 0.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.index.clear();
+        self.slots.fill(0);
         self.dedup_hits = 0;
     }
 
@@ -211,17 +217,38 @@ impl TreePool {
     /// Interns one node, returning the id of the existing copy when the
     /// same structure is already present. The node is hashed once.
     pub fn insert(&mut self, node: TreeNode) -> TreeId {
-        match self.index.entry(node) {
-            Entry::Occupied(found) => {
-                self.dedup_hits += 1;
-                *found.get()
+        if 2 * (self.nodes.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.keys.hash_one(&node) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => break,
+                taken if self.nodes[taken as usize - 1] == node => {
+                    self.dedup_hits += 1;
+                    return TreeId(taken - 1);
+                }
+                _ => slot = (slot + 1) & mask,
             }
-            Entry::Vacant(slot) => {
-                let id = TreeId(u32::try_from(self.nodes.len()).expect("tree pool overflow"));
-                self.nodes.push(slot.key().clone());
-                slot.insert(id);
-                id
+        }
+        let id = TreeId(self.nodes.len() as u32);
+        self.slots[slot] = u32::try_from(self.nodes.len() + 1).expect("tree pool overflow");
+        self.nodes.push(node);
+        id
+    }
+
+    /// Doubles the index (16 slots at first) and puts every node back.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (ix, node) in self.nodes.iter().enumerate() {
+            let mut slot = self.keys.hash_one(node) as usize & (len - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
             }
+            self.slots[slot] = ix as u32 + 1;
         }
     }
 

@@ -821,11 +821,12 @@ mod tests {
     /// as boxed trees.
     fn sources(pool: &mut TreePool, items: &[crate::LirItem], out: &mut Vec<Tree>) {
         let mut block = Vec::new();
-        let flush = |pool: &mut TreePool, block: &mut Vec<crate::AssignStmt>, out: &mut Vec<Tree>| {
-            let (forest, _) = crate::treeify::treeify(pool, block.clone(), 0);
-            out.extend(block.drain(..).map(|a| pool.to_tree(a.src)));
-            out.extend(forest.assigns.into_iter().map(|a| pool.to_tree(a.src)));
-        };
+        let flush =
+            |pool: &mut TreePool, block: &mut Vec<crate::AssignStmt>, out: &mut Vec<Tree>| {
+                let (forest, _) = crate::treeify::treeify(pool, block.clone(), 0);
+                out.extend(block.drain(..).map(|a| pool.to_tree(a.src)));
+                out.extend(forest.assigns.into_iter().map(|a| pool.to_tree(a.src)));
+            };
         for item in items {
             match item {
                 crate::LirItem::Assign(a) => block.push(a.clone()),

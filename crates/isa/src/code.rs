@@ -11,9 +11,9 @@
 //! [`SemExpr`] over concrete [`Loc`]s, so the simulator in `record-sim`
 //! needs no per-target interpreter: it evaluates what the selector bound.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use record_ir::hash::FoldMap;
 use record_ir::{Bank, BinOp, Symbol, UnOp};
 
 use crate::loc::{Loc, MemLoc};
@@ -440,7 +440,10 @@ pub struct LayoutEntry {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct DataLayout {
     entries: Vec<LayoutEntry>,
-    by_sym: HashMap<Symbol, usize>,
+    /// Each symbol's position in `entries`. Only looked up, never
+    /// iterated (the order is `entries`'), so it takes the fast keyed
+    /// hasher of the id tables.
+    by_sym: FoldMap<Symbol, usize>,
 }
 
 impl DataLayout {
@@ -492,7 +495,10 @@ impl DataLayout {
 
     /// An empty layout with room for `n` symbols.
     pub fn with_capacity(n: usize) -> Self {
-        DataLayout { entries: Vec::with_capacity(n), by_sym: HashMap::with_capacity(n) }
+        DataLayout {
+            entries: Vec::with_capacity(n),
+            by_sym: FoldMap::with_capacity_and_hasher(n, Default::default()),
+        }
     }
 
     /// Looks a symbol up.

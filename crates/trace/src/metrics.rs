@@ -5,11 +5,12 @@
 //! batch compile workers) the intended pattern is a *worker-local*
 //! registry that is [`merge`](MetricsRegistry::merge)d into the shared
 //! one when the worker joins, so the lock is taken once per worker
-//! rather than once per observation.
+//! rather than once per observation. Several observations of one event
+//! go through one [`lock`](MetricsRegistry::lock).
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::json;
 
@@ -26,6 +27,12 @@ pub const MERGE_ERRORS: &str = "trace_merge_errors";
 /// name corrupt the whole scrape.
 pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
+    push_escaped(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out`, escaped as [`escape_label_value`] escapes it.
+fn push_escaped(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -34,7 +41,6 @@ pub fn escape_label_value(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The canonical registry key for `name` under `labels`:
@@ -43,11 +49,17 @@ pub fn escape_label_value(v: &str) -> String {
 /// of the same name coexist; [`MetricsRegistry::merge`] matches on the
 /// full key, so per-label series fold independently.
 pub fn labeled_key(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
     let mut key = String::with_capacity(name.len() + 16 * labels.len());
+    push_labeled_key(&mut key, name, labels);
+    key
+}
+
+/// Appends [`labeled_key`]`(name, labels)` to `key`.
+fn push_labeled_key(key: &mut String, name: &str, labels: &[(&str, &str)]) {
     key.push_str(name);
+    if labels.is_empty() {
+        return;
+    }
     key.push('{');
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
@@ -55,11 +67,10 @@ pub fn labeled_key(name: &str, labels: &[(&str, &str)]) -> String {
         }
         key.push_str(k);
         key.push_str("=\"");
-        key.push_str(&escape_label_value(v));
+        push_escaped(key, v);
         key.push('"');
     }
     key.push('}');
-    key
 }
 
 /// Splits a registry key into its base name and (when present) the
@@ -191,7 +202,82 @@ impl Histogram {
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<String, Metric>>,
+    inner: Mutex<Series>,
+}
+
+/// The registry's metrics, by key, and a buffer labeled keys are built
+/// in, so counting an existing labeled series allocates nothing.
+#[derive(Debug, Default)]
+struct Series {
+    metrics: BTreeMap<String, Metric>,
+    key: String,
+}
+
+/// A [`MetricsRegistry`] held locked, from [`MetricsRegistry::lock`]: the
+/// observations made through it take the registry's lock once.
+pub struct Locked<'a>(MutexGuard<'a, Series>);
+
+impl Locked<'_> {
+    /// Adds `n` to the counter `name` (created at zero on first use).
+    pub fn add(&mut self, name: &str, n: u64) {
+        // the key is allocated only when the series is new
+        let metrics = &mut self.0.metrics;
+        match metrics.get_mut(name) {
+            Some(Metric::Counter(c)) => *c += n,
+            Some(other) => debug_assert!(false, "{name} is not a counter: {other:?}"),
+            None => {
+                metrics.insert(name.to_string(), Metric::Counter(n));
+            }
+        }
+    }
+
+    /// Adds 1 to the counter `name`.
+    pub fn inc(&mut self, name: &str) {
+        self.add(name, 1);
+    }
+
+    /// Adds `n` to the counter `name` under `labels` (see
+    /// [`MetricsRegistry::add_with`]). The key is built in the registry's
+    /// buffer, so an existing series is counted without allocating.
+    pub fn add_with(&mut self, name: &str, labels: &[(&str, &str)], n: u64) {
+        let Series { metrics, key } = &mut *self.0;
+        key.clear();
+        push_labeled_key(key, name, labels);
+        match metrics.get_mut(key.as_str()) {
+            Some(Metric::Counter(c)) => *c += n,
+            Some(other) => debug_assert!(false, "{key} is not a counter: {other:?}"),
+            None => {
+                metrics.insert(key.clone(), Metric::Counter(n));
+            }
+        }
+    }
+
+    /// Sets the gauge `name` to `v` (last write wins).
+    pub fn set_gauge(&mut self, name: &str, v: f64) {
+        let metrics = &mut self.0.metrics;
+        match metrics.get_mut(name) {
+            Some(Metric::Gauge(g)) => *g = v,
+            Some(other) => debug_assert!(false, "{name} is not a gauge: {other:?}"),
+            None => {
+                metrics.insert(name.to_string(), Metric::Gauge(v));
+            }
+        }
+    }
+
+    /// Records `v` into the histogram `name`, creating it with `bounds`
+    /// on first use (later calls must pass the same bounds).
+    pub fn observe(&mut self, name: &str, bounds: &[f64], v: f64) {
+        let metrics = &mut self.0.metrics;
+        match metrics.get_mut(name) {
+            Some(Metric::Histogram(h)) => h.observe(v),
+            Some(other) => debug_assert!(false, "{name} is not a histogram: {other:?}"),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(v);
+                metrics.insert(name.to_string(), Metric::Histogram(h));
+            }
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -200,17 +286,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The registry, locked until the result is dropped: a batch of
+    /// observations of one event takes the lock once. Do not call the
+    /// registry's other methods on this thread while it is held.
+    pub fn lock(&self) -> Locked<'_> {
+        Locked(self.inner.lock().expect("metrics lock"))
+    }
+
     /// Adds `n` to the counter `name` (created at zero on first use).
     pub fn add(&self, name: &str, n: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        // the key is allocated only when the series is new
-        match inner.get_mut(name) {
-            Some(Metric::Counter(c)) => *c += n,
-            Some(other) => debug_assert!(false, "{name} is not a counter: {other:?}"),
-            None => {
-                inner.insert(name.to_string(), Metric::Counter(n));
-            }
-        }
+        self.lock().add(name, n);
     }
 
     /// Adds 1 to the counter `name`.
@@ -222,7 +307,7 @@ impl MetricsRegistry {
     /// series per distinct label set; values escaped at key time, so
     /// hostile label values can never break the exposition text).
     pub fn add_with(&self, name: &str, labels: &[(&str, &str)], n: u64) {
-        self.add(&labeled_key(name, labels), n);
+        self.lock().add_with(name, labels, n);
     }
 
     /// Adds 1 to the counter `name` under `labels`.
@@ -250,6 +335,7 @@ impl MetricsRegistry {
     pub fn counter_sum(&self, name: &str) -> u64 {
         let inner = self.inner.lock().expect("metrics lock");
         inner
+            .metrics
             .iter()
             .filter(|(key, _)| split_key(key).0 == name)
             .filter_map(|(_, m)| match m {
@@ -261,34 +347,18 @@ impl MetricsRegistry {
 
     /// Sets the gauge `name` to `v` (last write wins).
     pub fn set_gauge(&self, name: &str, v: f64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        match inner.get_mut(name) {
-            Some(Metric::Gauge(g)) => *g = v,
-            Some(other) => debug_assert!(false, "{name} is not a gauge: {other:?}"),
-            None => {
-                inner.insert(name.to_string(), Metric::Gauge(v));
-            }
-        }
+        self.lock().set_gauge(name, v);
     }
 
     /// Records `v` into the histogram `name`, creating it with `bounds`
     /// on first use (later calls must pass the same bounds).
     pub fn observe(&self, name: &str, bounds: &[f64], v: f64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        match inner.get_mut(name) {
-            Some(Metric::Histogram(h)) => h.observe(v),
-            Some(other) => debug_assert!(false, "{name} is not a histogram: {other:?}"),
-            None => {
-                let mut h = Histogram::new(bounds);
-                h.observe(v);
-                inner.insert(name.to_string(), Metric::Histogram(h));
-            }
-        }
+        self.lock().observe(name, bounds, v);
     }
 
     /// The current value of `name`, if registered.
     pub fn get(&self, name: &str) -> Option<Metric> {
-        self.inner.lock().expect("metrics lock").get(name).cloned()
+        self.inner.lock().expect("metrics lock").metrics.get(name).cloned()
     }
 
     /// Convenience: the counter `name`'s value (0 when absent).
@@ -301,7 +371,7 @@ impl MetricsRegistry {
 
     /// Every metric, sorted by name.
     pub fn snapshot(&self) -> BTreeMap<String, Metric> {
-        self.inner.lock().expect("metrics lock").clone()
+        self.inner.lock().expect("metrics lock").metrics.clone()
     }
 
     /// Folds `other` into `self`: counters and histograms add, gauges
@@ -315,7 +385,8 @@ impl MetricsRegistry {
     /// silently folded into the wrong buckets.
     pub fn merge(&self, other: &MetricsRegistry) {
         let theirs = other.snapshot();
-        let mut inner = self.inner.lock().expect("metrics lock");
+        let mut guard = self.inner.lock().expect("metrics lock");
+        let inner = &mut guard.metrics;
         let mut refused = 0u64;
         for (name, metric) in theirs {
             match (inner.get_mut(&name), metric) {
