@@ -625,6 +625,7 @@ impl Pass for TreeifyPass {
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
         struct Blocks<'u> {
             pool: &'u mut TreePool,
+            scratch: record_ir::treeify::TreeifyScratch,
             next_temp: usize,
             vars: &'u mut Vec<VarInfo>,
         }
@@ -633,8 +634,12 @@ impl Pass for TreeifyPass {
                 if block.is_empty() {
                     return;
                 }
-                let (forest, next) =
-                    record_ir::treeify::treeify(self.pool, std::mem::take(block), self.next_temp);
+                let (forest, next) = record_ir::treeify::treeify_in(
+                    self.pool,
+                    std::mem::take(block),
+                    self.next_temp,
+                    &mut self.scratch,
+                );
                 self.next_temp = next;
                 self.vars.extend(forest.temps.into_iter().map(|name| VarInfo {
                     name,
@@ -664,7 +669,12 @@ impl Pass for TreeifyPass {
             }
         }
         let body = std::mem::take(&mut unit.lir.body);
-        let mut blocks = Blocks { pool: &mut unit.lir.pool, next_temp: 0, vars: &mut unit.vars };
+        let mut blocks = Blocks {
+            pool: &mut unit.lir.pool,
+            scratch: Default::default(),
+            next_temp: 0,
+            vars: &mut unit.vars,
+        };
         unit.lir.body = blocks.walk(body);
         Ok(())
     }

@@ -19,7 +19,8 @@
 //! `n`. This is precisely "a special retargetable compiler".
 
 use record_burg::Matcher;
-use record_ir::{Symbol, Tree};
+use record_ir::transform::RuleSet;
+use record_ir::{BinOp, MemRef, Op, Symbol, Tree, UnOp};
 use record_isa::{Code, Insn, NonTermKind, Rhs, RuleId, SemExpr, TargetDesc};
 use record_sim::Machine;
 
@@ -320,6 +321,71 @@ pub fn detects_fault(st: &SelfTest, target: &TargetDesc, victim: usize) -> Optio
         signature = record_ir::ops::wrap_to_width(signature.wrapping_add(v), target.word_width);
     }
     Some(signature != st.signature)
+}
+
+/// What the frontend can put in a statement's tree: a full-width
+/// constant, a variable, every binary operator, and every unary one but
+/// `sat`, which lowering folds into the additions and subtractions below
+/// it.
+pub const FRONTEND_OPS: [Op; 19] = [
+    Op::Const,
+    Op::Mem,
+    Op::Bin(BinOp::Add),
+    Op::Bin(BinOp::Sub),
+    Op::Bin(BinOp::Mul),
+    Op::Bin(BinOp::Div),
+    Op::Bin(BinOp::And),
+    Op::Bin(BinOp::Or),
+    Op::Bin(BinOp::Xor),
+    Op::Bin(BinOp::Shl),
+    Op::Bin(BinOp::Shr),
+    Op::Bin(BinOp::SatAdd),
+    Op::Bin(BinOp::SatSub),
+    Op::Bin(BinOp::Min),
+    Op::Bin(BinOp::Max),
+    Op::Un(UnOp::Neg),
+    Op::Un(UnOp::Not),
+    Op::Un(UnOp::Abs),
+    Op::Un(UnOp::Round),
+];
+
+/// The operators of [`FRONTEND_OPS`] that `target` cannot compile, in
+/// that order.
+///
+/// Each operator gets one probe statement over variables, `$r := a op b`
+/// or `$r := op(a)` (for the leaves, the widest positive constant of the
+/// word and `$r := a`), selected as an `O2` compile selects it, every
+/// algebraic rule on; the operator is a gap when the statement does not
+/// compile. A program using a gap over variables cannot compile on the
+/// target; one that uses it only in a form the target covers (a shift by
+/// a constant, say) still may.
+///
+/// ```
+/// use record_ir::{BinOp, Op};
+///
+/// let full = record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp());
+/// assert!(record::selftest::operator_gaps(&full).len() < record::selftest::FRONTEND_OPS.len());
+/// let minimal =
+///     record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::minimal());
+/// assert!(record::selftest::operator_gaps(&minimal).contains(&Op::Bin(BinOp::Mul)));
+/// ```
+pub fn operator_gaps(target: &TargetDesc) -> Vec<Op> {
+    let mut emitter = Emitter::new(target);
+    let widest = (1i64 << (target.word_width - 1)) - 1;
+    let a = || Tree::var("a");
+    FRONTEND_OPS
+        .into_iter()
+        .filter(|&op| {
+            let probe = match op {
+                Op::Const => Tree::constant(widest),
+                Op::Mem | Op::Temp => a(),
+                Op::Bin(b) => Tree::bin(b, a(), Tree::var("b")),
+                Op::Un(u) => Tree::un(u, a()),
+            };
+            let stmt = record_ir::AssignStmt::new(emitter.pool_mut(), MemRef::scalar("$r"), &probe);
+            emitter.emit_assign(&stmt, &RuleSet::all(), 32).is_err()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -134,8 +134,8 @@ pub enum Expr {
     Elem(Symbol, Box<Expr>),
     /// A delayed signal `x@k` — the value of `x`, `k` samples ago.
     Delay(Symbol, u32),
-    /// A binary operation.
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    /// A binary operation over its two operands, boxed together.
+    Bin(BinOp, Box<[Expr; 2]>),
     /// A unary operation.
     Un(UnOp, Box<Expr>),
 }
@@ -143,7 +143,7 @@ pub enum Expr {
 impl Expr {
     /// Creates a binary expression node.
     pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Bin(op, Box::new(lhs), Box::new(rhs))
+        Expr::Bin(op, Box::new([lhs, rhs]))
     }
 
     /// Creates a unary expression node.

@@ -20,8 +20,8 @@ use super::token::{Keyword, Token, TokenKind};
 /// Returns [`Error::Lex`] on characters outside the language and on
 /// numeric literals that overflow `i64`.
 pub fn lex(source: &str) -> Result<Vec<Token>, Error> {
-    // about one token per five bytes of DSP kernel text
-    let mut tokens = Vec::with_capacity(source.len() / 5 + 1);
+    // DSP kernel text runs about one token per two or three bytes
+    let mut tokens = Vec::with_capacity((source.len() / 2 + 1).min(4096));
     let mut symbols: FoldMap<&str, Symbol> =
         FoldMap::with_capacity_and_hasher(32, Default::default());
     let bytes = source.as_bytes();

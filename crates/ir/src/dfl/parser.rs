@@ -403,8 +403,8 @@ mod tests {
     fn precedence_mul_binds_tighter_than_add() {
         let p = parse("program p; var a,b,c,y: fix; begin y := a + b * c; end").unwrap();
         match &p.body[0] {
-            Stmt::Assign { value: Expr::Bin(BinOp::Add, _, rhs), .. } => {
-                assert!(matches!(**rhs, Expr::Bin(BinOp::Mul, _, _)));
+            Stmt::Assign { value: Expr::Bin(BinOp::Add, operands), .. } => {
+                assert!(matches!(operands[1], Expr::Bin(BinOp::Mul, _)));
             }
             other => panic!("unexpected shape: {other:?}"),
         }
@@ -460,9 +460,9 @@ mod tests {
     fn parses_delay() {
         let p = parse("program p; var x,y: fix; begin y := x@1 + x@2; end").unwrap();
         match &p.body[0] {
-            Stmt::Assign { value: Expr::Bin(BinOp::Add, a, b), .. } => {
-                assert_eq!(**a, Expr::Delay("x".into(), 1));
-                assert_eq!(**b, Expr::Delay("x".into(), 2));
+            Stmt::Assign { value: Expr::Bin(BinOp::Add, operands), .. } => {
+                assert_eq!(operands[0], Expr::Delay("x".into(), 1));
+                assert_eq!(operands[1], Expr::Delay("x".into(), 2));
             }
             other => panic!("unexpected shape: {other:?}"),
         }

@@ -301,7 +301,8 @@ impl Lowerer {
                 let shadow = self.delay_symbol(name, *k);
                 Ok(self.pool.mem(MemRef::Scalar(shadow)))
             }
-            Expr::Bin(op, a, b) => {
+            Expr::Bin(op, operands) => {
+                let [a, b] = &**operands;
                 let ta = self.expr(a, sat)?;
                 let tb = self.expr(b, sat)?;
                 let op = match op {
@@ -371,23 +372,23 @@ impl Lowerer {
         };
         match e {
             Expr::Name(n) => counter(n).map(|s| (s, 0, false)),
-            Expr::Bin(BinOp::Add, a, b) => match (&**a, &**b) {
-                (Expr::Name(n), rhs) => {
+            Expr::Bin(BinOp::Add, operands) => match &**operands {
+                [Expr::Name(n), rhs] => {
                     let c = self.eval_const(rhs)?;
                     counter(n).map(|s| (s, c, false))
                 }
-                (lhs, Expr::Name(n)) => {
+                [lhs, Expr::Name(n)] => {
                     let c = self.eval_const(lhs)?;
                     counter(n).map(|s| (s, c, false))
                 }
                 _ => None,
             },
-            Expr::Bin(BinOp::Sub, a, b) => match (&**a, &**b) {
-                (Expr::Name(n), rhs) => {
+            Expr::Bin(BinOp::Sub, operands) => match &**operands {
+                [Expr::Name(n), rhs] => {
                     let c = self.eval_const(rhs)?.checked_neg()?;
                     counter(n).map(|s| (s, c, false))
                 }
-                (lhs, Expr::Name(n)) => {
+                [lhs, Expr::Name(n)] => {
                     let c = self.eval_const(lhs)?;
                     counter(n).map(|s| (s, c, true))
                 }
@@ -423,9 +424,9 @@ impl Lowerer {
         match e {
             Expr::Num(n) => Some(*n),
             Expr::Name(n) => self.names.get(n).and_then(|d| d.value),
-            Expr::Bin(op, a, b) => {
-                let va = self.eval_const(a)?;
-                let vb = self.eval_const(b)?;
+            Expr::Bin(op, operands) => {
+                let va = self.eval_const(&operands[0])?;
+                let vb = self.eval_const(&operands[1])?;
                 Some(op.eval(va, vb, 64))
             }
             Expr::Un(op, a) => {

@@ -66,14 +66,30 @@ impl Forest {
 /// assert_eq!(forest.temps.len(), 1);
 /// assert_eq!(next, 1);
 /// ```
-pub fn treeify(
+pub fn treeify(pool: &mut TreePool, block: Vec<AssignStmt>, next_temp: usize) -> (Forest, usize) {
+    treeify_in(pool, block, next_temp, &mut TreeifyScratch::default())
+}
+
+/// The working state of [`treeify`], kept between blocks: a caller that
+/// decomposes block after block allocates it once.
+#[derive(Debug, Default)]
+pub struct TreeifyScratch {
+    graph: Graph,
+    roots: Vec<usize>,
+}
+
+/// [`treeify`] in the working state `scratch` (whatever an earlier call
+/// left there): the result is the one `treeify` returns.
+pub fn treeify_in(
     pool: &mut TreePool,
     block: Vec<AssignStmt>,
     mut next_temp: usize,
+    scratch: &mut TreeifyScratch,
 ) -> (Forest, usize) {
-    let mut graph = Graph::default();
+    let TreeifyScratch { graph, roots } = scratch;
+    graph.clear();
+    roots.clear();
     graph.latest.resize(pool.len(), None);
-    let mut roots = Vec::with_capacity(block.len());
     for (i, stmt) in block.iter().enumerate() {
         let root = graph.value(pool, stmt.src);
         graph.values[root].uses += 1;
@@ -103,7 +119,7 @@ pub fn treeify(
         return (forest, next_temp);
     }
     forest.assigns.reserve(block.len() + forest.temps.len());
-    for (stmt, root) in block.into_iter().zip(roots) {
+    for (stmt, &root) in block.into_iter().zip(roots.iter()) {
         if graph.define_temps(pool, root, &mut forest.assigns) {
             let src = graph.operand(pool, root);
             forest.assigns.push(AssignStmt { dst: stmt.dst, src });
@@ -145,6 +161,12 @@ struct Graph {
 }
 
 impl Graph {
+    fn clear(&mut self) {
+        self.values.clear();
+        self.latest.clear();
+        self.stores.clear();
+    }
+
     /// The value of subtree `id` in the statement being walked. A new
     /// value is created after its operands' values, and counts one use of
     /// each.
@@ -322,10 +344,9 @@ mod tests {
 
     #[test]
     fn forest_node_count() {
-        let stmts = vec![assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b")))];
+        let (dst, src) = assign("y", Tree::bin(BinOp::Add, Tree::var("a"), Tree::var("b")));
         let mut pool = TreePool::new();
-        let block: Vec<AssignStmt> =
-            stmts.iter().map(|(dst, src)| AssignStmt::new(&mut pool, dst.clone(), src)).collect();
+        let block = vec![AssignStmt::new(&mut pool, dst, &src)];
         let (forest, _) = treeify(&mut pool, block, 0);
         assert_eq!(forest.node_count(&pool), 3);
     }
@@ -350,7 +371,7 @@ mod tests {
     /// temporaries and temporary counter the value-numbered `Dfg`
     /// decomposition gives it. Each program's blocks are decomposed in
     /// the program's own pool, as in a compile, and the counter threads
-    /// through them.
+    /// through them; one working state serves every block.
     #[test]
     fn pool_decomposition_equals_the_dfg_reference() {
         let lowered = |src: &str| crate::lower::lower(&crate::dfl::parse(src).unwrap()).unwrap();
@@ -369,13 +390,14 @@ mod tests {
             add(&record_prop::dfl::gen_program(&mut rng));
         }
         let (mut blocks_seen, mut temps) = (0usize, 0usize);
+        let mut scratch = TreeifyScratch::default();
         for (mut pool, program) in programs {
             let (mut next, mut next_reference) = (0, 0);
             for block in program {
                 let boxed: Vec<(MemRef, Tree)> =
                     block.iter().map(|a| (a.dst.clone(), pool.to_tree(a.src))).collect();
                 let reference = crate::dfg::treeify(&boxed, next_reference);
-                let got = treeify(&mut pool, block, next);
+                let got = treeify_in(&mut pool, block, next, &mut scratch);
                 let got_boxed: Vec<(MemRef, Tree)> =
                     got.0.assigns.iter().map(|a| (a.dst.clone(), pool.to_tree(a.src))).collect();
                 assert_eq!(got_boxed, reference.0.assigns, "{boxed:#?}");

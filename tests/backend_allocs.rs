@@ -1,5 +1,6 @@
-//! Heap allocations of the `treeify` and `select` passes and of the
-//! backend passes, counted by a counting global allocator.
+//! Heap allocations of the frontend, of the `treeify` and `select`
+//! passes and of the backend passes, counted by a counting global
+//! allocator.
 //!
 //! Each pass's [`Pass::run`] is called directly on a [`CompilationUnit`],
 //! the stage-by-stage path (no pass-manager bookkeeping), for every
@@ -78,7 +79,8 @@ const SELECT_ALLOCATIONS_WARM: u64 = 748;
 
 /// Allocations the `treeify` pass made over every DSPStone kernel at `O2`
 /// on tic25 and dsp56k while it value-numbered each block into a data-flow
-/// graph of its own (340 per target).
+/// graph of its own (340 per target). It makes 230 now that it works in
+/// the program's pool with one working state per compile.
 const TREEIFY_ALLOCATIONS_BEFORE: u64 = 680;
 
 /// The two targets every count here covers.
@@ -222,10 +224,12 @@ fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
 }
 
 /// What ten warm `Session::new()` compiles, one per DSPStone kernel,
-/// allocate on tic25 and dsp56k: 201.8 and 229.2 per kernel (rustc
-/// 1.95). They made 2963 and 3398 while the `select` pass built its
-/// emitter anew for every compile and the session copied its plan.
-const SESSION_ALLOCATIONS_WARM: [u64; 2] = [2018, 2292];
+/// allocate on tic25 and dsp56k: 110.2 and 137.6 per kernel (rustc
+/// 1.95). They made 2018 and 2292 (201.8 and 229.2 per kernel) while the
+/// frontend built boxed trees that the compile copied and re-interned,
+/// and 2963 and 3398 while the `select` pass built its emitter anew for
+/// every compile and the session copied its plan.
+const SESSION_ALLOCATIONS_WARM: [u64; 2] = [1102, 1376];
 
 #[test]
 fn a_warm_default_session_allocates_at_most_the_pinned_count() {
@@ -235,6 +239,50 @@ fn a_warm_default_session_allocates_at_most_the_pinned_count() {
         println!("warm Session::new() compile on {}: {per_kernel:.1} per kernel", target.name);
         assert!(made <= pinned, "{}: {made} allocations, pinned at {pinned}", target.name);
     }
+}
+
+/// Allocations of parsing, lowering and building a [`CompilationUnit`]
+/// on tic25 for the ten DSPStone kernels, warm: 382 (parse 276, lower 50,
+/// the unit's copy of the program 56; rustc 1.95). They made 1179 (parse
+/// 533, lower 488, unit 158) while tokens and the AST carried strings,
+/// lowering built boxed trees, and the unit deep-copied them.
+const FRONTEND_ALLOCATIONS_WARM: u64 = 382;
+
+/// What parsing, lowering and building a unit allocate for each of the
+/// ten DSPStone kernels on tic25, stage by stage, after one warm-up round.
+fn frontend_allocations() -> [u64; 3] {
+    let compiler = Compiler::for_target(record_isa::targets::tic25::target()).unwrap();
+    let kernels = record_dspstone::kernels();
+    let run = || {
+        let mut made = [0u64; 3];
+        for kernel in &kernels {
+            let start = allocations();
+            let ast = dfl::parse(kernel.source).unwrap();
+            let parsed = allocations();
+            let lir = lower::lower(&ast).unwrap();
+            let lowered = allocations();
+            let unit = CompilationUnit::new(compiler.target(), compiler.tables(), &lir);
+            made[0] += parsed - start;
+            made[1] += lowered - parsed;
+            made[2] += allocations() - lowered;
+            drop(unit);
+        }
+        made
+    };
+    run();
+    run()
+}
+
+#[test]
+fn warm_frontend_allocates_at_most_the_pinned_count() {
+    let [parse, lower, unit] = frontend_allocations();
+    let total = parse + lower + unit;
+    println!("frontend allocations: parse {parse} lower {lower} unit {unit} total {total}");
+    assert!(
+        total <= FRONTEND_ALLOCATIONS_WARM,
+        "parse, lower and CompilationUnit::new allocated {total} times (parse {parse}, lower \
+         {lower}, unit {unit}), more than the pinned {FRONTEND_ALLOCATIONS_WARM}"
+    );
 }
 
 /// Reports what a warm [`Session`] compile allocates per DSPStone kernel
@@ -254,7 +302,7 @@ fn report_whole_session_compile_allocations() {
 }
 
 /// Reports what parsing a DSPStone kernel allocates (mean over the ten
-/// kernels): the token vector, the AST and each identifier's text once.
+/// kernels): the token vector, the AST and each identifier's symbol once.
 #[test]
 fn report_parse_allocations() {
     let kernels = record_dspstone::kernels();
