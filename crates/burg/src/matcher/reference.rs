@@ -353,26 +353,26 @@ mod tests {
     }
 
     /// The straight-line blocks of `items`, loop bodies included, as
-    /// lowered and after tree decomposition.
-    fn blocks(items: &[LirItem], out: &mut Vec<Vec<AssignStmt>>) {
+    /// lowered and after tree decomposition into `pool`, the program's.
+    fn blocks(pool: &mut TreePool, items: &[LirItem], out: &mut Vec<Vec<AssignStmt>>) {
         let mut block = Vec::new();
-        let flush = |block: &mut Vec<AssignStmt>, out: &mut Vec<Vec<AssignStmt>>| {
-            if !block.is_empty() {
-                let pool = &mut record_ir::TreePool::new();
-                out.push(record_ir::treeify::treeify(pool, block.clone(), 0).0.assigns);
-                out.push(std::mem::take(block));
-            }
-        };
+        let flush =
+            |pool: &mut TreePool, block: &mut Vec<AssignStmt>, out: &mut Vec<Vec<AssignStmt>>| {
+                if !block.is_empty() {
+                    out.push(record_ir::treeify::treeify(pool, block.clone(), 0).0.assigns);
+                    out.push(std::mem::take(block));
+                }
+            };
         for item in items {
             match item {
                 LirItem::Assign(a) => block.push(a.clone()),
                 LirItem::Loop { body, .. } => {
-                    flush(&mut block, out);
-                    blocks(body, out);
+                    flush(pool, &mut block, out);
+                    blocks(pool, body, out);
                 }
             }
         }
-        flush(&mut block, out);
+        flush(pool, &mut block, out);
     }
 
     /// The blocks of every DSPStone kernel and of 300 generated programs,
@@ -380,9 +380,9 @@ mod tests {
     fn programs() -> Vec<(TreePool, Vec<Vec<AssignStmt>>)> {
         let mut programs = Vec::new();
         let mut add = |src: &str| {
-            let lir = record_ir::lower::lower(&record_ir::dfl::parse(src).unwrap()).unwrap();
+            let mut lir = record_ir::lower::lower(&record_ir::dfl::parse(src).unwrap()).unwrap();
             let mut out = Vec::new();
-            blocks(&lir.body, &mut out);
+            blocks(&mut lir.pool, &lir.body, &mut out);
             programs.push((lir.pool, out));
         };
         for kernel in record_dspstone::kernels() {
