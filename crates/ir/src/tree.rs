@@ -5,12 +5,17 @@ use std::fmt;
 
 use crate::{BinOp, Index, MemRef, Op, Symbol, UnOp};
 
-/// An expression tree over the shared operator vocabulary.
+/// An expression tree over the shared operator vocabulary, boxed.
 ///
-/// Trees are produced either directly by lowering straight-line DFL code or
-/// by [`treeify`](crate::treeify)ing a data-flow graph at multi-use points.
-/// Leaves are constants, memory operands and temporaries; the latter refer
-/// to values computed by earlier trees of the same forest.
+/// A compile keeps its trees in a [`TreePool`](crate::TreePool); the boxed
+/// form builds programs by hand (tests, the self-test's probes) and is the
+/// input of the reference oracles. [`TreePool::intern`] and
+/// [`TreePool::to_tree`] convert. Leaves are constants, memory operands and
+/// temporaries; the latter refer to values computed by earlier trees of the
+/// same forest.
+///
+/// [`TreePool::intern`]: crate::TreePool::intern
+/// [`TreePool::to_tree`]: crate::TreePool::to_tree
 ///
 /// # Example
 ///
@@ -101,49 +106,6 @@ impl Tree {
         1 + self.children().iter().map(|c| c.node_count()).sum::<usize>()
     }
 
-    /// The height of the tree (a single leaf has height 1).
-    pub fn height(&self) -> usize {
-        1 + self.children().iter().map(|c| c.height()).max().unwrap_or(0)
-    }
-
-    /// Returns `true` if the tree is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        self.children().is_empty()
-    }
-
-    /// Iterates over all nodes in pre-order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter { stack: vec![self] }
-    }
-
-    /// Collects every memory reference read by this tree, in left-to-right
-    /// order.
-    pub fn mem_reads(&self) -> Vec<&MemRef> {
-        let mut out = Vec::new();
-        for node in self.iter() {
-            if let Tree::Mem(r) = node {
-                out.push(r);
-            }
-        }
-        out
-    }
-
-    /// Collects every temporary referenced by this tree.
-    pub fn temps(&self) -> Vec<&Symbol> {
-        let mut out = Vec::new();
-        for node in self.iter() {
-            if let Tree::Temp(s) = node {
-                out.push(s);
-            }
-        }
-        out
-    }
-
-    /// Returns `true` if any node satisfies the predicate.
-    pub fn any(&self, f: &mut impl FnMut(&Tree) -> bool) -> bool {
-        self.iter().any(f)
-    }
-
     /// Evaluates the tree on `width`-bit arithmetic, resolving leaves
     /// through the provided callbacks.
     ///
@@ -169,25 +131,6 @@ impl Tree {
                 op.eval(va, width)
             }
         }
-    }
-}
-
-/// Pre-order iterator over tree nodes, created by [`Tree::iter`].
-pub struct Iter<'a> {
-    stack: Vec<&'a Tree>,
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a Tree;
-
-    fn next(&mut self) -> Option<&'a Tree> {
-        let node = self.stack.pop()?;
-        // Push children in reverse so the left child pops first.
-        let kids = node.children();
-        for k in kids.into_iter().rev() {
-            self.stack.push(k);
-        }
-        Some(node)
     }
 }
 
@@ -217,36 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_height() {
-        let t = sample();
-        assert_eq!(t.node_count(), 6);
-        assert_eq!(t.height(), 3);
-        assert!(!t.is_leaf());
-        assert!(Tree::constant(1).is_leaf());
-    }
-
-    #[test]
-    fn preorder_iteration() {
-        let t = sample();
-        let ops: Vec<Op> = t.iter().map(|n| n.op()).collect();
-        assert_eq!(
-            ops,
-            vec![
-                Op::Bin(BinOp::Add),
-                Op::Bin(BinOp::Mul),
-                Op::Mem,
-                Op::Mem,
-                Op::Un(UnOp::Neg),
-                Op::Mem
-            ]
-        );
-    }
-
-    #[test]
-    fn mem_reads_in_order() {
-        let t = sample();
-        let names: Vec<String> = t.mem_reads().iter().map(|r| r.to_string()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
+    fn counts_nodes() {
+        assert_eq!(sample().node_count(), 6);
+        assert_eq!(Tree::constant(1).node_count(), 1);
     }
 
     #[test]
@@ -268,12 +184,6 @@ mod tests {
         let mut mem = |_: &MemRef| 0;
         let mut tmp = |_: &Symbol| 0;
         assert_eq!(t.eval(16, &mut mem, &mut tmp), crate::ops::wrap_to_width(0x12345, 16));
-    }
-
-    #[test]
-    fn temps_collected() {
-        let t = Tree::bin(BinOp::Add, Tree::temp("$t0"), Tree::temp("$t1"));
-        assert_eq!(t.temps().len(), 2);
     }
 
     #[test]
