@@ -6,7 +6,7 @@
 //! spends most of its time in finalization rounds that keys of one or
 //! two words do not need. [`FoldHasher`] mixes each word into its state
 //! with one folded multiply: the full 128-bit product of the state and a
-//! key, its halves XORed together.
+//! key, its halves XORed together; `finish` folds the state once more.
 //!
 //! Its inputs can come from outside the program (a `recordd` request
 //! names symbols and constants), so the hasher is keyed: [`FoldState`]
@@ -118,9 +118,14 @@ impl Hasher for FoldHasher {
         self.mix(n as u64);
     }
 
+    /// One more folded multiply of the state: the last word mixed in
+    /// otherwise reaches the low bits, which tables index by, only
+    /// through the product's low half, and consecutive last words (ids)
+    /// can then crowd a few buckets.
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        let product = u128::from(self.state) * u128::from(self.multiplier);
+        (product as u64) ^ ((product >> 64) as u64)
     }
 }
 

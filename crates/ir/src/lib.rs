@@ -6,9 +6,14 @@
 //!
 //! * a small DSP-oriented source language in the spirit of DFL
 //!   (module [`dfl`]): fixed-point scalars and arrays, bounded `for` loops,
-//!   delayed signals (`x@1`) and saturating operators,
-//! * expression trees ([`tree`]) over a shared operator vocabulary
-//!   ([`ops`]), and their hash-consed form ([`pool`]),
+//!   delayed signals (`x@1`) and saturating operators; the lexer interns
+//!   each name once into a [`Symbol`],
+//! * lowering ([`lower`]) into the linear IR ([`lir`]), whose trees live
+//!   in one hash-consed pool ([`pool`]) that the program owns and every
+//!   later stage adds to: the one tree form from lowering to selection,
+//! * boxed expression trees ([`tree`]) over a shared operator vocabulary
+//!   ([`ops`]), for building programs by hand and for the reference
+//!   oracles,
 //! * decomposition of each block's data-flow graph into trees at
 //!   multi-use points ([`treeify`]), the standard preprocessing step
 //!   before BURS covering,

@@ -166,8 +166,11 @@ impl Drop for TreePool {
         if !(1..=MAX_SPARE_NODES).contains(&self.nodes.capacity()) {
             return;
         }
-        self.clear();
-        let storage = (std::mem::take(&mut self.nodes), std::mem::take(&mut self.slots));
+        let (mut nodes, mut slots) =
+            (std::mem::take(&mut self.nodes), std::mem::take(&mut self.slots));
+        nodes.clear();
+        slots.fill(0);
+        let storage = (nodes, slots);
         // `try_with`: pools are also dropped while thread-locals are torn
         // down
         let _ = SPARE.try_with(|spare| {
@@ -187,15 +190,6 @@ impl TreePool {
         let spare = SPARE.try_with(|spare| spare.try_borrow_mut().ok()?.pop()).ok().flatten();
         let (nodes, slots) = spare.unwrap_or_default();
         TreePool { nodes, slots, keys: FoldState::default(), dedup_hits: 0 }
-    }
-
-    /// Forgets every node and zeroes the dedup counter, keeping the
-    /// arena's and the index's capacity: afterwards the pool behaves as
-    /// [`TreePool::new`] and ids restart at 0.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.slots.fill(0);
-        self.dedup_hits = 0;
     }
 
     /// Number of distinct nodes interned so far.
