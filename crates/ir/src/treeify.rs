@@ -76,6 +76,9 @@ pub fn treeify(pool: &mut TreePool, block: Vec<AssignStmt>, next_temp: usize) ->
 pub struct TreeifyScratch {
     graph: Graph,
     roots: Vec<usize>,
+    /// One bit per pool id: the computed subtrees seen so far.
+    seen: Vec<u64>,
+    stack: Vec<TreeId>,
 }
 
 /// [`treeify`] in the working state `scratch` (whatever an earlier call
@@ -86,7 +89,12 @@ pub fn treeify_in(
     mut next_temp: usize,
     scratch: &mut TreeifyScratch,
 ) -> (Forest, usize) {
-    let TreeifyScratch { graph, roots } = scratch;
+    let TreeifyScratch { graph, roots, seen, stack } = scratch;
+    // A computed value has two uses only if its subtree occurs twice, so a
+    // block in which no computed subtree repeats is its own forest.
+    if !repeats_a_computed_subtree(pool, &block, seen, stack) {
+        return (Forest { assigns: block, temps: Vec::new() }, next_temp);
+    }
     graph.clear();
     roots.clear();
     graph.latest.resize(pool.len(), None);
@@ -128,6 +136,35 @@ pub fn treeify_in(
         }
     }
     (forest, next_temp)
+}
+
+/// Whether some computed (operator) subtree occurs twice among the trees
+/// of `block`, counting every occurrence.
+fn repeats_a_computed_subtree(
+    pool: &TreePool,
+    block: &[AssignStmt],
+    seen: &mut Vec<u64>,
+    stack: &mut Vec<TreeId>,
+) -> bool {
+    seen.clear();
+    seen.resize(pool.len().div_ceil(64), 0);
+    stack.clear();
+    for stmt in block {
+        stack.push(stmt.src);
+        while let Some(id) = stack.pop() {
+            match *pool.node(id) {
+                TreeNode::Bin(_, a, b) => stack.extend([a, b]),
+                TreeNode::Un(_, a) => stack.push(a),
+                TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => continue,
+            }
+            let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+            if seen[word] & bit != 0 {
+                return true;
+            }
+            seen[word] |= bit;
+        }
+    }
+    false
 }
 
 /// One value of the block's data-flow graph.

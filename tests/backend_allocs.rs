@@ -79,8 +79,9 @@ const SELECT_ALLOCATIONS_WARM: u64 = 748;
 
 /// Allocations the `treeify` pass made over every DSPStone kernel at `O2`
 /// on tic25 and dsp56k while it value-numbered each block into a data-flow
-/// graph of its own (340 per target). It makes 230 now that it works in
-/// the program's pool with one working state per compile.
+/// graph of its own (340 per target). It makes 100 now that it works in
+/// the program's pool with one working state per compile and returns a
+/// block in which no computed subtree repeats as it is.
 const TREEIFY_ALLOCATIONS_BEFORE: u64 = 680;
 
 /// The two targets every count here covers.
@@ -224,12 +225,12 @@ fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
 }
 
 /// What ten warm `Session::new()` compiles, one per DSPStone kernel,
-/// allocate on tic25 and dsp56k: 110.2 and 137.6 per kernel (rustc
+/// allocate on tic25 and dsp56k: 103.7 and 131.1 per kernel (rustc
 /// 1.95). They made 2018 and 2292 (201.8 and 229.2 per kernel) while the
 /// frontend built boxed trees that the compile copied and re-interned,
 /// and 2963 and 3398 while the `select` pass built its emitter anew for
 /// every compile and the session copied its plan.
-const SESSION_ALLOCATIONS_WARM: [u64; 2] = [1102, 1376];
+const SESSION_ALLOCATIONS_WARM: [u64; 2] = [1037, 1311];
 
 #[test]
 fn a_warm_default_session_allocates_at_most_the_pinned_count() {
