@@ -12,7 +12,9 @@
 //! DAG covering takes shares, every cut the share-vs-recompute model
 //! would accept on a complex-multiply block is labelled through the
 //! long-lived label store and checked against a labelling on a fresh
-//! store.
+//! store. On both targets the ten DSPStone kernels are compiled twice
+//! through one set of tables, whose label automaton the second pass
+//! must not grow; its state and transition counts are printed.
 
 use record::select::Emitter;
 use record_bench::criterion;
@@ -73,7 +75,29 @@ fn smoke() {
     smoke_variants(&tic25, "acc");
     smoke_variants(&dsp56k, "a");
     smoke_cuts(&dsp56k);
+    smoke_steady_state(&tic25);
+    smoke_steady_state(&dsp56k);
     println!("burs_speed smoke OK");
+}
+
+/// The ten DSPStone kernels, compiled twice through one compiler: the
+/// first pass grows the tables' label automaton, the second must find
+/// every transition it takes there.
+fn smoke_steady_state(target: &TargetDesc) {
+    let compiler = record::Compiler::for_target(target.clone()).unwrap();
+    let mut sizes = Vec::new();
+    for _ in 0..2 {
+        for kernel in record_dspstone::kernels() {
+            compiler.compile(kernel.source, record::CompileRequest::default()).unwrap();
+        }
+        sizes.push(compiler.tables().automaton_size());
+    }
+    assert_eq!(sizes[0], sizes[1], "{}: a second pass grew the label automaton", target.name);
+    let (states, transitions) = sizes[1];
+    println!(
+        "smoke {} automaton: {states} states, {transitions} transitions after the ten kernels; a second pass adds none",
+        target.name
+    );
 }
 
 /// The streamed, memoized path against the boxed one on the statement

@@ -4,8 +4,10 @@ use record_ir::hash::FoldMap;
 use record_ir::{Tree, TreeId};
 use record_isa::{Cost, NonTermId, RuleId};
 
+use crate::automaton::{Kid, StateRef};
+
 /// The cheapest known derivation of a node to one nonterminal.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Entry {
     /// Total cost of deriving the node (including subtrees) to the
     /// nonterminal.
@@ -67,12 +69,15 @@ impl<'a> Labeled<'a> {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LabelId(u32);
 
-/// The node a label state belongs to and the labels of its children, in
-/// order (unused slots are `None`).
+/// The node a label state belongs to, the labels of its children, in
+/// order (unused slots are `None`), and its automaton state and base
+/// (see [`crate::automaton`]).
 #[derive(Clone, Copy, Debug)]
 struct Record {
     node: TreeId,
     kids: [Option<LabelId>; 2],
+    state: StateRef,
+    base: Cost,
 }
 
 /// An interned cut context: which cuts lie inside one node's subtree.
@@ -97,9 +102,10 @@ pub(crate) struct ContextKey {
 
 /// Memoized label states in one flat store.
 ///
-/// Every state is a fixed-size record: `n_nts` entry slots in one
-/// vector, in label order, and the node with its children's labels in
-/// another. Cut-free states are found by [`TreeId`] (pool ids are dense,
+/// Every state is a fixed-size record: `n_nts` entry slots and one slot
+/// per pattern fragment in two vectors, in label order, and the node
+/// with its children's labels, its automaton state and its base in a
+/// third. Cut-free states are found by [`TreeId`] (pool ids are dense,
 /// so that is a vector index); states computed under DAG cuts by their
 /// interned cut context. Labelling a node allocates nothing of its own:
 /// the store grows, amortized, as the pool does.
@@ -114,8 +120,13 @@ pub(crate) struct ContextKey {
 pub struct LabelCache {
     /// Entry slots per label state: the grammar's nonterminal count.
     n_nts: usize,
+    /// Fragment slots per label state.
+    n_frags: usize,
     /// `n_nts` slots per label state, in label order.
     entries: Vec<Option<Entry>>,
+    /// `n_frags` slots per label state: the cost of matching each
+    /// pattern fragment at the node.
+    frags: Vec<Option<Cost>>,
     records: Vec<Record>,
     /// The cut-free label state of each pool node, indexed by id.
     plain: Vec<Option<LabelId>>,
@@ -180,7 +191,9 @@ impl LabelCache {
     /// grammar. Required when the backing pool or grammar changes.
     pub fn clear(&mut self) {
         self.n_nts = 0;
+        self.n_frags = 0;
         self.entries.clear();
+        self.frags.clear();
         self.records.clear();
         self.plain.clear();
         self.context_ids.clear();
@@ -189,34 +202,89 @@ impl LabelCache {
         self.misses = 0;
     }
 
-    /// Sizes the entry slots for a grammar of `n_nts` nonterminals; the
-    /// first labelling fixes it.
-    pub(crate) fn bind(&mut self, n_nts: usize) {
+    /// Sizes the slots for a grammar of `n_nts` nonterminals and
+    /// `n_frags` pattern fragments; the first labelling fixes them.
+    pub(crate) fn bind(&mut self, n_nts: usize, n_frags: usize) {
         if self.records.is_empty() {
             self.n_nts = n_nts;
+            self.n_frags = n_frags;
         }
-        debug_assert_eq!(self.n_nts, n_nts, "label cache used with another grammar");
+        debug_assert_eq!(
+            (self.n_nts, self.n_frags),
+            (n_nts, n_frags),
+            "label cache used with another grammar"
+        );
     }
 
     /// Appends an empty label state for `node` over the labels `kids`.
     pub(crate) fn push(&mut self, node: TreeId, kids: [Option<LabelId>; 2]) -> LabelId {
         let label = LabelId(u32::try_from(self.records.len()).expect("label store overflow"));
-        self.records.push(Record { node, kids });
+        let (state, base) = (StateRef::default(), Cost::zero());
+        self.records.push(Record { node, kids, state, base });
         self.entries.resize(self.entries.len() + self.n_nts, None);
+        self.frags.resize(self.frags.len() + self.n_frags, None);
         label
     }
 
-    /// The last label state's entry slots, writable, and a read view of
-    /// every earlier state (its children among them).
-    pub(crate) fn split_last(&mut self) -> (Labels<'_>, &mut [Option<Entry>]) {
-        let start = self.entries.len() - self.n_nts;
+    /// Appends the label state for `node` over the labels `kids` in the
+    /// automaton state `state` with base `base`: `entries` and `frags`,
+    /// the state's, each raised by `base`.
+    pub(crate) fn push_state(
+        &mut self,
+        node: TreeId,
+        kids: [Option<LabelId>; 2],
+        state: StateRef,
+        base: Cost,
+        entries: &[Option<Entry>],
+        frags: &[Option<Cost>],
+    ) -> LabelId {
+        let label = LabelId(u32::try_from(self.records.len()).expect("label store overflow"));
+        self.records.push(Record { node, kids, state, base });
+        let raise = |e: &Option<Entry>| e.map(|e| Entry { cost: e.cost.add(base), rule: e.rule });
+        self.entries.extend(entries.iter().map(raise));
+        self.frags.extend(frags.iter().map(|c| c.map(|c| c.add(base))));
+        label
+    }
+
+    /// The last label state's entry and fragment slots, writable, and a
+    /// read view of every earlier state (its children among them).
+    pub(crate) fn split_last(&mut self) -> (Labels<'_>, &mut [Option<Entry>], &mut [Option<Cost>]) {
+        let (start, frags_start) =
+            (self.entries.len() - self.n_nts, self.frags.len() - self.n_frags);
         let (done, last) = self.entries.split_at_mut(start);
-        (Labels { entries: done, records: &self.records, n_nts: self.n_nts }, last)
+        let (done_frags, last_frags) = self.frags.split_at_mut(frags_start);
+        let labels = Labels {
+            entries: done,
+            frags: done_frags,
+            records: &self.records,
+            n_nts: self.n_nts,
+            n_frags: self.n_frags,
+        };
+        (labels, last, last_frags)
+    }
+
+    /// Sets the automaton state and base of the last label state.
+    pub(crate) fn set_last(&mut self, state: StateRef, base: Cost) {
+        let last = self.records.last_mut().expect("a label state was pushed");
+        last.state = state;
+        last.base = base;
+    }
+
+    /// Replaces the automaton state of `label` by the same state of a
+    /// newer generation.
+    pub(crate) fn set_state(&mut self, label: LabelId, state: StateRef) {
+        self.records[label.0 as usize].state = state;
     }
 
     /// A read view of every label state.
     pub(crate) fn labels(&self) -> Labels<'_> {
-        Labels { entries: &self.entries, records: &self.records, n_nts: self.n_nts }
+        Labels {
+            entries: &self.entries,
+            frags: &self.frags,
+            records: &self.records,
+            n_nts: self.n_nts,
+            n_frags: self.n_frags,
+        }
     }
 
     /// Records `label` as the cut-free state of `id`, counting a miss.
@@ -265,19 +333,16 @@ impl LabelCache {
 #[derive(Clone, Copy)]
 pub(crate) struct Labels<'a> {
     entries: &'a [Option<Entry>],
+    frags: &'a [Option<Cost>],
     records: &'a [Record],
     n_nts: usize,
+    n_frags: usize,
 }
 
 impl<'a> Labels<'a> {
     /// The entry of `label` for `nt`.
     pub(crate) fn entry(self, label: LabelId, nt: NonTermId) -> Option<Entry> {
         self.entries[label.0 as usize * self.n_nts + nt.index()]
-    }
-
-    /// The best cost of deriving `label`'s node to `nt`, if derivable.
-    pub(crate) fn cost(self, label: LabelId, nt: NonTermId) -> Option<Cost> {
-        self.entry(label, nt).map(|e| e.cost)
     }
 
     /// The interned node `label` belongs to.
@@ -288,5 +353,27 @@ impl<'a> Labels<'a> {
     /// The labels of the node's children, in order.
     pub(crate) fn children(self, label: LabelId) -> impl Iterator<Item = LabelId> + 'a {
         self.records[label.0 as usize].kids.into_iter().flatten()
+    }
+
+    /// The automaton state of `label`.
+    pub(crate) fn state(self, label: LabelId) -> StateRef {
+        self.records[label.0 as usize].state
+    }
+
+    /// The base of `label`: what its state's costs are shifted by.
+    pub(crate) fn base(self, label: LabelId) -> Cost {
+        self.records[label.0 as usize].base
+    }
+
+    /// `label` as the dynamic program reads a child: its entries and
+    /// fragment slots, each less `shift` (its base, to read its state;
+    /// zero, to read its costs).
+    pub(crate) fn kid(self, label: LabelId, shift: Cost) -> Kid<'a> {
+        let ix = label.0 as usize;
+        Kid {
+            entries: &self.entries[ix * self.n_nts..(ix + 1) * self.n_nts],
+            frags: &self.frags[ix * self.n_frags..(ix + 1) * self.n_frags],
+            shift,
+        }
     }
 }

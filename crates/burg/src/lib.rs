@@ -14,6 +14,10 @@
 //!   Aho/Ganapathi/Tjiang: for every tree node and every nonterminal it
 //!   records the cheapest rule deriving the node to that nonterminal,
 //!   closing over chain rules until a fixpoint,
+//! * [`Matcher::label_interned`] labels hash-consed trees by table
+//!   lookup: the [`Tables`] grow a tree-parsing automaton on demand,
+//!   whose states are labels shifted to zero cost, and run the dynamic
+//!   program only for a transition no compile has taken yet,
 //! * [`Matcher::reduce`] walks the labels **top-down** and produces a
 //!   [`Cover`]: the tree of rule applications (Fig. 5 of the paper) that
 //!   the code emitter in `record` turns into instructions.
@@ -23,9 +27,12 @@
 //! optimality guarantee; the tests in this crate check it against an
 //! exhaustive enumerator on small trees.
 
+mod automaton;
 pub mod cover;
 pub mod label;
 pub mod matcher;
+
+pub use automaton::MAX_AUTOMATON_SIZE;
 
 pub use cover::{Cover, CoverBuf, CoverNode, FlatOperand, Operand, SHARED_RULE};
 pub use label::{Entry, LabelCache, LabelId, Labeled};

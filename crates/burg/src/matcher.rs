@@ -1,12 +1,13 @@
 //! The matcher: table generation, bottom-up labelling, top-down reduction.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use record_ir::hash::FoldMap;
 use record_ir::{Op, Tree, TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 use record_trace::codec;
 
+use crate::automaton::{add_base, shift_to_zero, Automaton, Kid, Reader, Shape};
 use crate::cover::{Cover, CoverBuf, CoverNode, FlatOperand, Operand, SHARED_RULE};
 use crate::label::{ContextId, ContextKey, Entry, LabelCache, LabelId, Labeled, Labels};
 
@@ -24,20 +25,40 @@ use crate::label::{ContextId, ContextKey, Entry, LabelCache, LabelId, Labeled, L
 pub type CutSet = FoldMap<TreeId, (usize, NonTermId)>;
 
 /// The generated matcher tables for one target grammar: pattern rules
-/// indexed by root operator and chain rules by source nonterminal.
+/// indexed by root operator and chain rules by source nonterminal, and
+/// the tree-parsing automaton that labelling grows on demand (see
+/// [`Matcher::label_interned`]).
 ///
 /// Building them is the per-target "generation" step iburg performs
-/// offline. They are immutable once built, so a single `Arc<Tables>` can
-/// back any number of [`Matcher`]s — including matchers running
-/// concurrently on different threads.
-#[derive(Debug, PartialEq, Eq)]
+/// offline. The rule index is immutable once built; the automaton is
+/// shared, so a single `Arc<Tables>` can back any number of
+/// [`Matcher`]s — including matchers running concurrently on different
+/// threads — and every compile labels from the states earlier ones left.
+/// Equality and serialization see the rule index only.
+#[derive(Debug)]
 pub struct Tables {
-    /// Pattern rules indexed by root operator (`Op::index`).
-    rules_by_op: Vec<Vec<RuleId>>,
+    /// Pattern rules grouped by root operator, in rule order within each
+    /// group: the rules of the operator with [`Op::index`] `o` are
+    /// `rules[op_starts[o]..op_starts[o + 1]]`.
+    rules: Vec<RuleId>,
+    op_starts: [u32; Op::COUNT + 1],
     /// Chain rules indexed by *source* nonterminal.
     chains: Vec<RuleId>,
     n_nts: usize,
+    /// The grammar normalized one pattern level per rule, built on first
+    /// use.
+    shape: OnceLock<Shape>,
+    automaton: Automaton,
 }
+
+impl PartialEq for Tables {
+    fn eq(&self, other: &Tables) -> bool {
+        (&self.rules, &self.op_starts, &self.chains, self.n_nts)
+            == (&other.rules, &other.op_starts, &other.chains, other.n_nts)
+    }
+}
+
+impl Eq for Tables {}
 
 /// Magic bytes of a serialized [`Tables`] file.
 const TABLES_MAGIC: &[u8; 8] = b"RECBURS\0";
@@ -47,13 +68,16 @@ const TABLES_MAGIC: &[u8; 8] = b"RECBURS\0";
 const TABLES_VERSION: u32 = 1;
 
 impl Tables {
-    /// Generates the tables for a target grammar.
+    /// Generates the tables for a target grammar. The automaton starts
+    /// empty, with room reserved for the states the ten DSPStone kernels
+    /// need; the grammar is normalized for it on first use (see
+    /// [`prepare`](Tables::prepare)).
     pub fn build(target: &TargetDesc) -> Self {
-        let mut rules_by_op: Vec<Vec<RuleId>> = vec![Vec::new(); Op::COUNT];
+        let mut op_starts = [0u32; Op::COUNT + 1];
         let mut chains = Vec::new();
         for rule in &target.rules {
             match &rule.rhs {
-                Rhs::Pat(PatNode::Op(op, _)) => rules_by_op[op.index()].push(rule.id),
+                Rhs::Pat(PatNode::Op(op, _)) => op_starts[op.index() + 1] += 1,
                 Rhs::Pat(PatNode::Nt(_)) => {
                     // A bare-nonterminal pattern is just a chain rule in
                     // disguise; treat it as such.
@@ -62,7 +86,55 @@ impl Tables {
                 Rhs::Chain(_) => chains.push(rule.id),
             }
         }
-        Tables { rules_by_op, chains, n_nts: target.nonterms.len() }
+        for o in 0..Op::COUNT {
+            op_starts[o + 1] += op_starts[o];
+        }
+        let mut rules = vec![RuleId(0); op_starts[Op::COUNT] as usize];
+        let mut next = op_starts;
+        for rule in &target.rules {
+            if let Rhs::Pat(PatNode::Op(op, _)) = &rule.rhs {
+                rules[next[op.index()] as usize] = rule.id;
+                next[op.index()] += 1;
+            }
+        }
+        let n_nts = target.nonterms.len();
+        let automaton = Automaton::new(n_nts);
+        Tables { rules, op_starts, chains, n_nts, shape: OnceLock::new(), automaton }
+    }
+
+    /// The pattern rules rooted at `op`, in rule order.
+    pub(crate) fn rules_for(&self, op: Op) -> &[RuleId] {
+        let o = op.index();
+        &self.rules[self.op_starts[o] as usize..self.op_starts[o + 1] as usize]
+    }
+
+    /// The normalized grammar of `target`, the grammar these tables were
+    /// built from.
+    fn shape(&self, target: &TargetDesc) -> &Shape {
+        self.shape.get_or_init(|| {
+            let shape = Shape::new(target);
+            self.automaton.reserve_frags(shape.n_frags());
+            shape
+        })
+    }
+
+    /// Normalizes `target`, the grammar the tables were built from, for
+    /// the label automaton now rather than at the first labelling: one
+    /// operator level per pattern rule, a slot per inner pattern node.
+    /// An owner that builds its tables once and compiles many times
+    /// calls it up front, so that no compile pays for it.
+    pub fn prepare(&self, target: &TargetDesc) {
+        self.shape(target);
+    }
+
+    /// `(states, transitions)` the automaton holds now: how many distinct
+    /// labels, shifted to zero, and how many (operator, constant class,
+    /// child states) keys labelling has met since the tables were built
+    /// or the automaton was last cleared (at [`MAX_AUTOMATON_SIZE`]).
+    ///
+    /// [`MAX_AUTOMATON_SIZE`]: crate::MAX_AUTOMATON_SIZE
+    pub fn automaton_size(&self) -> (usize, usize) {
+        self.automaton.size()
     }
 
     /// Number of nonterminals the tables were generated for.
@@ -72,7 +144,7 @@ impl Tables {
 
     /// Number of indexed pattern rules (diagnostic).
     pub fn n_pattern_rules(&self) -> usize {
-        self.rules_by_op.iter().map(Vec::len).sum()
+        self.rules.len()
     }
 
     /// Number of indexed chain rules (diagnostic).
@@ -88,10 +160,10 @@ impl Tables {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = codec::ByteWriter::new();
         w.u32(self.n_nts as u32);
-        w.u32(self.rules_by_op.len() as u32);
-        for rules in &self.rules_by_op {
-            w.u32(rules.len() as u32);
-            for r in rules {
+        w.u32(Op::COUNT as u32);
+        for rules in self.op_starts.windows(2) {
+            w.u32(rules[1] - rules[0]);
+            for r in &self.rules[rules[0] as usize..rules[1] as usize] {
                 w.u32(r.0);
             }
         }
@@ -123,14 +195,15 @@ impl Tables {
                 what: format!("tables index {n_ops} operators, this build has {}", Op::COUNT),
             });
         }
-        let mut rules_by_op = Vec::with_capacity(n_ops);
-        for _ in 0..n_ops {
+        // every rule id is a word of the payload
+        let mut rules = Vec::with_capacity(payload.len() / 4);
+        let mut op_starts = [0u32; Op::COUNT + 1];
+        for o in 0..n_ops {
             let n = r.seq_len(4)?;
-            let mut rules = Vec::with_capacity(n);
             for _ in 0..n {
                 rules.push(RuleId(r.u32()?));
             }
-            rules_by_op.push(rules);
+            op_starts[o + 1] = rules.len() as u32;
         }
         let n_chains = r.seq_len(4)?;
         let mut chains = Vec::with_capacity(n_chains);
@@ -138,7 +211,8 @@ impl Tables {
             chains.push(RuleId(r.u32()?));
         }
         r.finish()?;
-        Ok(Tables { rules_by_op, chains, n_nts })
+        let automaton = Automaton::new(n_nts);
+        Ok(Tables { rules, op_starts, chains, n_nts, shape: OnceLock::new(), automaton })
     }
 
     /// Whether these (possibly deserialized) tables are structurally
@@ -149,13 +223,7 @@ impl Tables {
     /// table lookup the matcher performs stays in bounds.
     pub fn is_consistent_with(&self, target: &TargetDesc) -> bool {
         self.n_nts == target.nonterms.len()
-            && self.rules_by_op.len() == Op::COUNT
-            && self
-                .rules_by_op
-                .iter()
-                .flatten()
-                .chain(&self.chains)
-                .all(|r| (r.0 as usize) < target.rules.len())
+            && self.rules.iter().chain(&self.chains).all(|r| (r.0 as usize) < target.rules.len())
     }
 }
 
@@ -222,7 +290,7 @@ impl<'t> Matcher<'t> {
         let mut entries: Vec<Option<Entry>> = vec![None; self.tables.n_nts];
 
         // 1. structural pattern rules rooted at this operator
-        for rule_id in &self.tables.rules_by_op[tree.op().index()] {
+        for rule_id in self.tables.rules_for(tree.op()) {
             let rule = self.target.rule(*rule_id);
             let pat = match &rule.rhs {
                 Rhs::Pat(p) => p,
@@ -390,12 +458,18 @@ impl<'t> Matcher<'t> {
     /// bottom-up, answering every already-seen subtree from `cache`, and
     /// returns the label state of `id`.
     ///
-    /// Label state is context-free, so memoization is exact — the entries
-    /// equal what [`label`](Matcher::label) computes on the extracted
-    /// boxed tree. The cache must be used with one pool and one grammar.
+    /// A node `cache` has not seen is labelled by its transition in the
+    /// tables' automaton: one lookup of its operator, the class of its
+    /// constant and its children's states, shared by every compile of
+    /// the grammar. Only a transition no labelling has taken yet runs the
+    /// dynamic program, and records it. Either way the entries equal what
+    /// [`label`](Matcher::label) computes on the extracted boxed tree.
+    /// The cache must be used with one pool and one grammar.
     pub fn label_interned(&self, pool: &TreePool, id: TreeId, cache: &mut LabelCache) -> LabelId {
-        cache.bind(self.tables.n_nts);
-        self.label_interned_impl(pool, id, cache, None)
+        let shape = self.tables.shape(self.target);
+        cache.bind(self.tables.n_nts, shape.n_frags());
+        let mut reader = self.tables.automaton.reader();
+        self.label_interned_impl(shape, &mut reader, pool, id, cache, None)
     }
 
     /// Labels `id` under a DAG cut set: every cut node additionally gets
@@ -408,7 +482,10 @@ impl<'t> Matcher<'t> {
     /// `cache` is the same long-lived cache plain labelling uses: every
     /// node with a cut inside is memoized under its interned cut context
     /// (the cuts inside its subtree), and a subtree without cuts is
-    /// answered from (or added to) the plain states.
+    /// answered from (or added to) the plain states. A cut node's shared
+    /// entry is free in absolute terms, so its state depends on its
+    /// costs, not only on its children's states: it always runs the
+    /// dynamic program. Its parents follow transitions as any node does.
     pub fn label_interned_cut(
         &self,
         pool: &TreePool,
@@ -416,16 +493,20 @@ impl<'t> Matcher<'t> {
         cache: &mut LabelCache,
         cuts: &CutSet,
     ) -> LabelId {
-        cache.bind(self.tables.n_nts);
+        let shape = self.tables.shape(self.target);
+        cache.bind(self.tables.n_nts, shape.n_frags());
         let context =
             cuts.keys().min().and_then(|&first| cut_context(pool, id, cuts, first, cache));
-        self.label_interned_impl(pool, id, cache, context)
+        let mut reader = self.tables.automaton.reader();
+        self.label_interned_impl(shape, &mut reader, pool, id, cache, context)
     }
 
     /// Labels `id`; under a cut `context` every node with a cut inside is
     /// labelled under its own context (every other node is cut-free).
     fn label_interned_impl(
         &self,
+        shape: &Shape,
+        reader: &mut Reader<'_>,
         pool: &TreePool,
         id: TreeId,
         cache: &mut LabelCache,
@@ -446,25 +527,116 @@ impl<'t> Matcher<'t> {
             }
             None => (None, [None, None]),
         };
-        let mut label = |c, context| Some(self.label_interned_impl(pool, c, cache, context));
-        let kids = match *pool.node(id) {
+        let mut label =
+            |c, context| Some(self.label_interned_impl(shape, reader, pool, c, cache, context));
+        let node = pool.node(id);
+        let kids = match *node {
             TreeNode::Bin(_, a, b) => [label(a, inner[0]), label(b, inner[1])],
             TreeNode::Un(_, a) => [label(a, inner[0]), None],
             TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => [None, None],
         };
-        let label = cache.push(id, kids);
-        let (labels, entries) = cache.split_last();
+        let label = match parked {
+            None => self.follow(shape, reader, id, node, kids, cache),
+            Some(nt) => self.label_cut_node(shape, reader, id, node, kids, cache, nt),
+        };
+        match context {
+            Some(context) => cache.store_cut(context, label),
+            None => cache.store(id, label),
+        }
+        label
+    }
 
-        // 1. structural pattern rules rooted at this operator
-        for rule_id in &self.tables.rules_by_op[pool.op(id).index()] {
-            let rule = self.target.rule(*rule_id);
-            let pat = match &rule.rhs {
-                Rhs::Pat(p) => p,
-                Rhs::Chain(_) => unreachable!("indexed as pattern"),
-            };
-            if let Some(cost) = self.match_cost_interned(pat, pool, id, &kids, labels, rule.pred) {
-                let total = cost.add(rule.cost);
-                improve(entries, rule.lhs, total, *rule_id);
+    /// Labels `id`, the pool node `node` over the labels `kids`, by the
+    /// node's transition. On a miss it runs the dynamic program over the
+    /// children shifted to their states, and records the transition.
+    fn follow(
+        &self,
+        shape: &Shape,
+        reader: &mut Reader<'_>,
+        id: TreeId,
+        node: &TreeNode,
+        kids: [Option<LabelId>; 2],
+        cache: &mut LabelCache,
+    ) -> LabelId {
+        let step = shape.step(node);
+        let labels = cache.labels();
+        let states = kids.map(|kid| kid.map(|kid| labels.state(kid)));
+        let kids_base = kids.iter().flatten().fold(Cost::zero(), |b, &kid| b.add(labels.base(kid)));
+        let (n_nts, n_frags) = (self.tables.n_nts, shape.n_frags());
+        if let Some((state, shift, entries, frags)) = reader.follow(step, states, n_nts, n_frags) {
+            return cache.push_state(id, kids, state, kids_base.add(shift), entries, frags);
+        }
+        let label = cache.push(id, kids);
+        let (labels, entries, frags) = cache.split_last();
+        let views = kids.map(|kid| kid.map(|kid| labels.kid(kid, labels.base(kid))));
+        self.label_state(shape, node, &views, None, entries, frags);
+        let shift = shift_to_zero(entries, frags);
+        let known = [states[0].zip(views[0]), states[1].zip(views[1])];
+        let (state, current) = reader.insert(step, known, entries, frags, shift);
+        let base = kids_base.add(shift);
+        add_base(entries, frags, base);
+        cache.set_last(state, base);
+        for ((kid, old), new) in kids.into_iter().zip(states).zip(current) {
+            if let (Some(kid), Some(new)) = (kid, new) {
+                if old != Some(new) {
+                    cache.set_state(kid, new);
+                }
+            }
+        }
+        label
+    }
+
+    /// Labels `id`, the cut node `node` over the labels `kids`, parked at
+    /// `parked`: the dynamic program in absolute costs, its result
+    /// interned as a state.
+    #[allow(clippy::too_many_arguments)]
+    fn label_cut_node(
+        &self,
+        shape: &Shape,
+        reader: &mut Reader<'_>,
+        id: TreeId,
+        node: &TreeNode,
+        kids: [Option<LabelId>; 2],
+        cache: &mut LabelCache,
+        parked: NonTermId,
+    ) -> LabelId {
+        let label = cache.push(id, kids);
+        let (labels, entries, frags) = cache.split_last();
+        let views = kids.map(|kid| kid.map(|kid| labels.kid(kid, Cost::zero())));
+        self.label_state(shape, node, &views, Some(parked), entries, frags);
+        let base = shift_to_zero(entries, frags);
+        let state = reader.intern(entries, frags);
+        add_base(entries, frags, base);
+        cache.set_last(state, base);
+        label
+    }
+
+    /// The dynamic program at one node: `node` over the children `kids`,
+    /// parked at `parked` when it is a cut node. Writes the best entry
+    /// per nonterminal to `entries`, which start empty, and the cost of
+    /// each pattern fragment the node matches to `frags`.
+    fn label_state(
+        &self,
+        shape: &Shape,
+        node: &TreeNode,
+        kids: &[Option<Kid<'_>>; 2],
+        parked: Option<NonTermId>,
+        entries: &mut [Option<Entry>],
+        frags: &mut [Option<Cost>],
+    ) {
+        let value = match *node {
+            TreeNode::Const(v) => Some(v),
+            _ => None,
+        };
+        let op = node.op();
+
+        // 1. structural pattern rules rooted at this operator, whose
+        // inner operators the children's fragment slots have matched
+        for rule_id in self.tables.rules_for(op) {
+            let Some(level) = shape.rule_level(*rule_id) else { continue };
+            if let Some(cost) = shape.level_cost(level, value, kids) {
+                let rule = self.target.rule(*rule_id);
+                improve(entries, rule.lhs, cost.add(rule.cost), *rule_id);
             }
         }
 
@@ -477,11 +649,10 @@ impl<'t> Matcher<'t> {
         // 2. chain-rule closure to a fixpoint
         self.close_chains(entries);
 
-        match context {
-            Some(context) => cache.store_cut(context, label),
-            None => cache.store(id, label),
+        // 3. the pattern fragments the node matches, for its parents
+        for (slot, &(frag_op, level)) in frags.iter_mut().zip(shape.frags()) {
+            *slot = if frag_op == op { shape.level_cost(level, value, kids) } else { None };
         }
-        label
     }
 
     /// Closes `entries` over the chain rules, to a fixpoint.
@@ -502,68 +673,6 @@ impl<'t> Matcher<'t> {
                         changed = true;
                     }
                 }
-            }
-        }
-    }
-
-    fn match_cost_interned(
-        &self,
-        pat: &PatNode,
-        pool: &TreePool,
-        id: TreeId,
-        kids: &[Option<LabelId>; 2],
-        labels: Labels<'_>,
-        pred: Option<Predicate>,
-    ) -> Option<Cost> {
-        // the predicate only ever reads the first constant the pattern
-        // binds (pre-order), so that is all the walk keeps
-        let mut first_const = None;
-        let (op, pat_children) = match pat {
-            PatNode::Op(op, c) => (*op, c),
-            PatNode::Nt(_) => unreachable!("bare-Nt patterns are indexed as chains"),
-        };
-        if pool.op(id) != op {
-            return None;
-        }
-        if let TreeNode::Const(v) = pool.node(id) {
-            first_const = Some(*v);
-        }
-        let mut cost = Cost::zero();
-        for (pc, &nc) in pat_children.iter().zip(kids.iter().flatten()) {
-            cost = cost.add(self.match_rec_interned(pc, pool, nc, labels, &mut first_const)?);
-        }
-        if let Some(p) = pred {
-            if !p.check_const(first_const?) {
-                return None;
-            }
-        }
-        Some(cost)
-    }
-
-    fn match_rec_interned(
-        &self,
-        pat: &PatNode,
-        pool: &TreePool,
-        label: LabelId,
-        labels: Labels<'_>,
-        first_const: &mut Option<i64>,
-    ) -> Option<Cost> {
-        match pat {
-            PatNode::Nt(nt) => labels.cost(label, *nt),
-            PatNode::Op(op, children) => {
-                let node = labels.node(label);
-                if pool.op(node) != *op {
-                    return None;
-                }
-                if let TreeNode::Const(v) = pool.node(node) {
-                    first_const.get_or_insert(*v);
-                }
-                let mut total = Cost::zero();
-                for (pc, nc) in children.iter().zip(labels.children(label)) {
-                    total =
-                        total.add(self.match_rec_interned(pc, pool, nc, labels, first_const)?);
-                }
-                Some(total)
             }
         }
     }

@@ -1,10 +1,12 @@
-//! The labeller the flat [`LabelCache`] replaced, kept as its reference:
-//! one `Arc<LabeledNode>` per label state, a children vector and an
-//! entry vector per node, and per cut context a cloned context vector.
-//! The tests below check that both labellers compute the same entries
-//! (every nonterminal's cost and rule, at every node), count the same
-//! memo hits and misses, and reduce to the same covers, plainly and under
-//! the cut sets stage C of DAG covering tries.
+//! The labeller the flat [`LabelCache`] and the tables' automaton
+//! replaced, kept as their reference: the dynamic program run afresh at
+//! every node from the rule index, one `Arc<LabeledNode>` per label
+//! state, a children vector and an entry vector per node, and per cut
+//! context a cloned context vector. The tests below check that both
+//! labellers compute the same entries (every nonterminal's cost and
+//! rule, at every node), count the same memo hits and misses, and reduce
+//! to the same covers, plainly and under the cut sets stage C of DAG
+//! covering tries, whether the automaton is warm or cold.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,7 +131,7 @@ fn label_interned_impl(
     };
     let mut entries: Vec<Option<Entry>> = vec![None; m.tables.n_nts];
 
-    for rule_id in &m.tables.rules_by_op[pool.op(id).index()] {
+    for rule_id in m.tables.rules_for(pool.op(id)) {
         let rule = m.target.rule(*rule_id);
         let pat = match &rule.rhs {
             Rhs::Pat(p) => p,
@@ -344,11 +346,18 @@ mod tests {
     use record_ir::{BlockDag, Tree};
     use record_isa::{NonTermKind, TargetDesc};
 
-    /// tic25, dsp56k and cube seeds 1–4.
+    /// tic25, dsp56k, asip-dsp, asip-min, risc4 and cube seeds 1–4, 35,
+    /// 47 and 169.
     fn targets() -> Vec<TargetDesc> {
-        let mut targets =
-            vec![record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()];
-        targets.extend((1..=4).map(record_isa::cube::target_from_seed));
+        use record_isa::targets::{asip, simple_risc};
+        let mut targets = vec![
+            record_isa::targets::tic25::target(),
+            record_isa::targets::dsp56k::target(),
+            asip::build(&asip::AsipParams::dsp()),
+            asip::build(&asip::AsipParams::minimal()),
+            simple_risc::target(4),
+        ];
+        targets.extend([1, 2, 3, 4, 35, 47, 169].map(record_isa::cube::target_from_seed));
         targets
     }
 
@@ -424,78 +433,159 @@ mod tests {
         label
     }
 
+    /// The multi-member register nonterminals of `target`: where stage C
+    /// parks shared values.
+    fn park_nts(target: &TargetDesc) -> Vec<NonTermId> {
+        target
+            .nonterms
+            .iter()
+            .enumerate()
+            .filter(|(_, nt)| match nt.kind {
+                NonTermKind::Reg(class) => !target.class(class).is_singleton(),
+                _ => false,
+            })
+            .map(|(ix, _)| NonTermId(ix as u16))
+            .collect()
+    }
+
+    /// Labels every variant of every statement of `program` through `m`,
+    /// plainly and under stage-C-style trial cut sets, against the
+    /// reference, with one pool and one pair of caches as in the
+    /// selector. Returns the plain and the cut labellings made.
+    fn check_program(
+        m: &Matcher<'_>,
+        park: &[NonTermId],
+        program_pool: &TreePool,
+        program: &[Vec<AssignStmt>],
+    ) -> (usize, usize) {
+        let (mut plain_labels, mut cut_labels) = (0, 0);
+        let target = m.target();
+        let mut pool = program_pool.clone();
+        let mut cache = LabelCache::new();
+        let mut reference = ReferenceCache::default();
+        let mut stream = VariantStream::default();
+        for block in program {
+            for stmt in block {
+                stream.restart(stmt.src, RuleSet::all(), 16);
+                while let Some(id) = stream.next(&mut pool) {
+                    let what = format_args!("{} on {}", pool.to_tree(id), target.name);
+                    compare(m, &pool, id, None, &mut cache, &mut reference, &what);
+                    plain_labels += 1;
+                }
+            }
+            // stage C's trials: each candidate at each parking
+            // nonterminal on top of the cuts accepted so far
+            let dag = BlockDag::build(&pool, block);
+            let mut accepted: Vec<(usize, NonTermId)> = Vec::new();
+            for (cand_ix, cand) in dag.shared.iter().enumerate() {
+                for &nt in park {
+                    for &s in &cand.uses {
+                        let mut trial = CutSet::default();
+                        for (slot, &(ix, parked)) in accepted.iter().enumerate() {
+                            if dag.shared[ix].uses.contains(&s) {
+                                trial.insert(dag.shared[ix].id, (slot, parked));
+                            }
+                        }
+                        trial.insert(cand.id, (accepted.len(), nt));
+                        let root = dag.roots[s];
+                        let what = format_args!(
+                            "{} under {trial:?} on {}",
+                            pool.to_tree(root),
+                            target.name
+                        );
+                        let cuts = Some(&trial);
+                        compare(m, &pool, root, cuts, &mut cache, &mut reference, &what);
+                        cut_labels += 1;
+                    }
+                }
+                let def = m.label_interned(&pool, cand.id, &mut cache);
+                label_interned(m, &pool, cand.id, &mut reference);
+                if let Some(&nt) = park.iter().find(|&&nt| cache.cost(def, nt).is_some()) {
+                    accepted.push((cand_ix, nt));
+                }
+            }
+        }
+        (plain_labels, cut_labels)
+    }
+
     /// The flat store labels every variant of every statement, plainly
     /// and under stage-C-style trial cut sets, exactly as the
     /// `Arc<LabeledNode>` labeller does: same entries at every node, same
-    /// hits and misses, same covers.
+    /// hits and misses, same covers. Each program is labelled twice: by
+    /// one matcher per target, whose automaton earlier programs have
+    /// grown, and by a matcher over tables of its own, cold.
     #[test]
     fn flat_store_labels_equal_the_arc_reference() {
         let programs = programs();
         let (mut plain_labels, mut cut_labels) = (0usize, 0usize);
         for target in targets() {
-            let m = Matcher::new(&target);
-            let park: Vec<NonTermId> = target
-                .nonterms
-                .iter()
-                .enumerate()
-                .filter(|(_, nt)| match nt.kind {
-                    NonTermKind::Reg(class) => !target.class(class).is_singleton(),
-                    _ => false,
-                })
-                .map(|(ix, _)| NonTermId(ix as u16))
-                .collect();
-            for (program_pool, program) in &programs {
-                // one pool and one pair of caches per compile, as in the
-                // selector
-                let mut pool = program_pool.clone();
-                let mut cache = LabelCache::new();
-                let mut reference = ReferenceCache::default();
-                let mut stream = VariantStream::default();
-                for block in program {
-                    for stmt in block {
-                        stream.restart(stmt.src, RuleSet::all(), 16);
-                        while let Some(id) = stream.next(&mut pool) {
-                            let what = format_args!("{} on {}", pool.to_tree(id), target.name);
-                            compare(&m, &pool, id, None, &mut cache, &mut reference, &what);
-                            plain_labels += 1;
-                        }
-                    }
-                    // stage C's trials: each candidate at each parking
-                    // nonterminal on top of the cuts accepted so far
-                    let dag = BlockDag::build(&pool, block);
-                    let mut accepted: Vec<(usize, NonTermId)> = Vec::new();
-                    for (cand_ix, cand) in dag.shared.iter().enumerate() {
-                        for &nt in &park {
-                            for &s in &cand.uses {
-                                let mut trial = CutSet::default();
-                                for (slot, &(ix, parked)) in accepted.iter().enumerate() {
-                                    if dag.shared[ix].uses.contains(&s) {
-                                        trial.insert(dag.shared[ix].id, (slot, parked));
-                                    }
-                                }
-                                trial.insert(cand.id, (accepted.len(), nt));
-                                let root = dag.roots[s];
-                                let what = format_args!(
-                                    "{} under {trial:?} on {}",
-                                    pool.to_tree(root),
-                                    target.name
-                                );
-                                let cuts = Some(&trial);
-                                compare(&m, &pool, root, cuts, &mut cache, &mut reference, &what);
-                                cut_labels += 1;
-                            }
-                        }
-                        let def = m.label_interned(&pool, cand.id, &mut cache);
-                        label_interned(&m, &pool, cand.id, &mut reference);
-                        if let Some(&nt) = park.iter().find(|&&nt| cache.cost(def, nt).is_some()) {
-                            accepted.push((cand_ix, nt));
-                        }
-                    }
-                }
+            let warm = Matcher::new(&target);
+            let park = park_nts(&target);
+            for (pool, program) in &programs {
+                let (plain, cut) = check_program(&warm, &park, pool, program);
+                let cold = Matcher::new(&target);
+                assert_eq!(check_program(&cold, &park, pool, program), (plain, cut));
+                plain_labels += plain;
+                cut_labels += cut;
             }
+            let (states, transitions) = warm.tables().automaton_size();
+            assert!(states > 0 && transitions > 0, "{}: the automaton grew", target.name);
         }
-        assert!(plain_labels >= 50_000, "{plain_labels} plain labellings");
-        assert!(cut_labels >= 10_000, "{cut_labels} labellings under cuts");
+        assert!(plain_labels >= 100_000, "{plain_labels} plain labellings");
+        assert!(cut_labels >= 15_000, "{cut_labels} labellings under cuts");
+    }
+
+    /// A grammar whose label states never converge: `a` and `b` derive
+    /// every tree with no chain between them, and `+` and `-` cost them
+    /// differently in words and cycles, so the two drift apart with each
+    /// operator and every (`+` count, `-` count) is a state of its own.
+    /// Labelled left-deep chains of both operators, 5151 such pairs, pass
+    /// the automaton's cap; its labels still equal the reference's, and
+    /// the automaton never holds more than the cap.
+    #[test]
+    fn states_that_never_converge_stay_under_the_cap() {
+        use record_ir::{BinOp, Op};
+        use record_isa::target::TargetBuilder;
+        use record_isa::PatNode as P;
+
+        let mut b = TargetBuilder::new("drift", 16);
+        let class = b.reg_class("r", 4);
+        let a = b.nt_reg("a", class);
+        let bee = b.nt_reg("b", class);
+        let leaf = P::op(Op::Mem, vec![]);
+        b.pat(a, leaf.clone(), "LA {0}", Cost::new(1, 1));
+        b.pat(bee, leaf, "LB {0}", Cost::new(1, 1));
+        for (op, on_a, on_b) in [
+            (BinOp::Add, Cost::new(1, 1), Cost::new(2, 1)),
+            (BinOp::Sub, Cost::new(1, 3), Cost::new(1, 1)),
+        ] {
+            b.pat(a, P::op(Op::Bin(op), vec![P::nt(a), P::nt(a)]), "A", on_a);
+            b.pat(bee, P::op(Op::Bin(op), vec![P::nt(bee), P::nt(bee)]), "B", on_b);
+        }
+        b.store(a, "ST {d}", Cost::new(1, 1));
+        let target = b.build().unwrap();
+
+        let m = Matcher::new(&target);
+        let mut pool = TreePool::new();
+        let mut cache = LabelCache::new();
+        let mut reference = ReferenceCache::default();
+        let (mut peak, mut cleared) = (0, false);
+        for adds in 0..=100 {
+            let mut tree = Tree::var("m");
+            for j in 0..100 {
+                let op = if j < adds { BinOp::Add } else { BinOp::Sub };
+                tree = Tree::bin(op, tree, Tree::var("m"));
+            }
+            let id = pool.intern(&tree);
+            let what = format_args!("{adds} additions");
+            compare(&m, &pool, id, None, &mut cache, &mut reference, &what);
+            let (states, transitions) = m.tables().automaton_size();
+            assert!(states <= crate::MAX_AUTOMATON_SIZE, "{states} states");
+            assert!(transitions <= crate::MAX_AUTOMATON_SIZE, "{transitions} transitions");
+            cleared |= states < peak;
+            peak = peak.max(states);
+        }
+        assert!(cleared, "the labels passed the cap, so the automaton was cleared");
     }
 
     /// A cut set on a shared leaf, labelled from a fresh store and from

@@ -374,8 +374,7 @@ impl Compiler {
     /// [`CompileError::Target`] if the description fails validation.
     pub fn for_target(target: TargetDesc) -> Result<Self, CompileError> {
         target.validate().map_err(|e| CompileError::Target(crate::TargetError::Invalid(e)))?;
-        let tables = Arc::new(Tables::build(&target));
-        Ok(Compiler { target, tables, fingerprint: OnceLock::new() })
+        Ok(Compiler::with_target(target))
     }
 
     /// Generates a compiler from an RT-level netlist via instruction-set
@@ -398,8 +397,15 @@ impl Compiler {
         );
         let (target, skipped) = record_ise::to_target(name, netlist, &insns, opts)
             .map_err(|e| CompileError::Target(crate::TargetError::Invalid(e)))?;
+        Ok((Compiler::with_target(target), skipped))
+    }
+
+    /// The compiler of a valid target: its tables generated, and the
+    /// grammar normalized for their label automaton.
+    fn with_target(target: TargetDesc) -> Self {
         let tables = Arc::new(Tables::build(&target));
-        Ok((Compiler { target, tables, fingerprint: OnceLock::new() }, skipped))
+        tables.prepare(&target);
+        Compiler { target, tables, fingerprint: OnceLock::new() }
     }
 
     /// The target this compiler was generated for.

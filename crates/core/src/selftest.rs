@@ -18,7 +18,7 @@
 //! nonterminal `n`, the generator covers the constant tree `v` with goal
 //! `n`. This is precisely "a special retargetable compiler".
 
-use record_burg::Matcher;
+use record_burg::LabelCache;
 use record_ir::transform::RuleSet;
 use record_ir::{BinOp, MemRef, Op, Symbol, Tree, UnOp};
 use record_isa::{Code, Insn, NonTermKind, Rhs, RuleId, SemExpr, TargetDesc};
@@ -69,8 +69,8 @@ impl SelfTest {
 /// # Ok::<(), record::CompileError>(())
 /// ```
 pub fn generate(target: &TargetDesc, seed: u64) -> Result<SelfTest, CompileError> {
-    let matcher = Matcher::new(target);
     let mut emitter = Emitter::new(target);
+    let mut labels = LabelCache::new();
     let mut covered = Vec::new();
     let mut uncovered = Vec::new();
     let mut code = Code {
@@ -105,8 +105,13 @@ pub fn generate(target: &TargetDesc, seed: u64) -> Result<SelfTest, CompileError
             uncovered.push(rule.id);
             continue;
         };
+        // covered through the emitter's own matcher and pool
         let goal = rule.lhs;
-        let Some(cover) = matcher.cover(&tree, goal) else {
+        let probe = emitter.pool_mut().intern(&tree);
+        labels.clear();
+        let Some(cover) =
+            emitter.matcher().cover_interned(emitter.pool(), probe, &mut labels, goal)
+        else {
             uncovered.push(rule.id);
             continue;
         };

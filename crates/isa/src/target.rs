@@ -213,7 +213,8 @@ impl TargetDesc {
     }
 
     /// Validates referential integrity: every nonterminal, class and rule
-    /// reference must be in range; chain rules must not be self-loops;
+    /// reference must be in range; every pattern operator must have as
+    /// many children as its arity; chain rules must not be self-loops;
     /// predicates must sit on rules whose pattern can bind a constant.
     ///
     /// # Errors
@@ -238,6 +239,14 @@ impl TargetDesc {
             for leaf in rule.nt_leaves() {
                 if !nt_ok(leaf) {
                     return Err(format!("rule {} leaf out of range", rule.id));
+                }
+            }
+            if let Rhs::Pat(p) = &rule.rhs {
+                if !pattern_arities_match(p) {
+                    return Err(format!(
+                        "rule {} has an operator with the wrong child count",
+                        rule.id
+                    ));
                 }
             }
             if let Rhs::Chain(src) = rule.rhs {
@@ -291,6 +300,15 @@ impl TargetDesc {
             return Err("memory must have 1 or 2 banks".into());
         }
         Ok(())
+    }
+}
+
+fn pattern_arities_match(p: &PatNode) -> bool {
+    match p {
+        PatNode::Op(op, children) => {
+            children.len() == op.arity() && children.iter().all(pattern_arities_match)
+        }
+        PatNode::Nt(_) => true,
     }
 }
 
@@ -577,6 +595,19 @@ mod tests {
         let mem = NonTermId(1);
         let r = b.chain(acc, mem, "LD {0}", Cost::new(1, 1));
         b.with_pred(r, Predicate::ConstFits { bits: 8 });
+        assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_wrong_child_count() {
+        let mut b = tiny();
+        let acc = NonTermId(0);
+        b.pat(
+            acc,
+            PatNode::op(Op::Bin(BinOp::Add), vec![PatNode::nt(acc)]),
+            "ADD",
+            Cost::new(1, 1),
+        );
         assert!(b.build().is_err());
     }
 

@@ -152,3 +152,64 @@ fn compile_requests_mean_the_same_on_both_entry_points() {
         other => panic!("expected a deadline budget error, got {other:?}"),
     }
 }
+
+/// Four threads compile through one cold [`Compiler`], so they race to
+/// grow the BURS tables' label automaton: every compile, a DSPStone
+/// kernel at `O0` or `O2` or one of 100 generated programs, gives the
+/// code or error text and the selection counters it gives one by one on
+/// a cold compiler of its own, and again once that compiler is warm.
+#[test]
+fn threads_sharing_cold_tables_compile_as_one_thread_does() {
+    use record::select::SelectStats;
+    use record::PassPlan;
+
+    let mut jobs: Vec<(String, PassPlan)> = Vec::new();
+    for kernel in record_dspstone::kernels() {
+        jobs.push((kernel.source.to_string(), PassPlan::o0()));
+        jobs.push((kernel.source.to_string(), PassPlan::o2()));
+    }
+    record_prop::run_cases(100, |rng| {
+        jobs.push((record_prop::dfl::gen_program(rng), PassPlan::o2()));
+    });
+    let compile = |compiler: &Compiler, (source, plan): &(String, PassPlan)| match compiler
+        .compile(source, plan.clone())
+    {
+        Ok(c) => (format!("ok:\n{}", c.code.render()), Some(c.timings.select)),
+        Err(e) => (format!("err: {e}"), None::<SelectStats>),
+    };
+    let targets = [
+        record_isa::targets::dsp56k::target(),
+        record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp()),
+        record_isa::cube::target_from_seed(35),
+    ];
+    for target in targets {
+        let alone = Compiler::for_target(target.clone()).unwrap();
+        let cold: Vec<_> = jobs.iter().map(|job| compile(&alone, job)).collect();
+        let warm: Vec<_> = jobs.iter().map(|job| compile(&alone, job)).collect();
+        assert!(cold == warm, "{}: a warm compiler compiles differently", target.name);
+
+        let shared = Compiler::for_target(target.clone()).unwrap();
+        let threads: Vec<Vec<_>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (shared, jobs, compile) = (&shared, &jobs, &compile);
+                    // each thread starts a quarter further into the jobs
+                    s.spawn(move || {
+                        let start = t * jobs.len() / 4;
+                        let mut out = vec![None; jobs.len()];
+                        for i in (start..jobs.len()).chain(0..start) {
+                            out[i] = Some(compile(shared, &jobs[i]));
+                        }
+                        out.into_iter().map(Option::unwrap).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (t, got) in threads.iter().enumerate() {
+            for (i, (got, want)) in got.iter().zip(&cold).enumerate() {
+                assert_eq!(got, want, "{}: thread {t}, job {i}", target.name);
+            }
+        }
+    }
+}
