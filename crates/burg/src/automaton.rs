@@ -273,6 +273,7 @@ impl Key {
 }
 
 /// The automaton's states and transitions, grown on demand.
+#[derive(Default)]
 pub(crate) struct Automaton {
     states: RwLock<States>,
 }
@@ -287,6 +288,7 @@ impl std::fmt::Debug for Automaton {
     }
 }
 
+#[derive(Default)]
 struct States {
     /// Bumped by every clear.
     generation: u32,
@@ -305,31 +307,15 @@ struct States {
 }
 
 impl Automaton {
-    /// An empty automaton for a grammar of `n_nts` nonterminals, with
-    /// room reserved for the states and transitions of a typical target's
-    /// programs; [`reserve_frags`](Self::reserve_frags) adds the fragment
-    /// slots once the grammar is normalized.
-    pub(crate) fn new(n_nts: usize) -> Automaton {
-        let hasher = FoldState::default();
-        Automaton {
-            states: RwLock::new(States {
-                generation: 0,
-                entries: Vec::with_capacity(RESERVED_STATES * n_nts),
-                frags: Vec::new(),
-                len: 0,
-                by_hash: FoldMap::with_capacity_and_hasher(RESERVED_STATES, hasher),
-                transitions: FoldMap::with_capacity_and_hasher(RESERVED_TRANSITIONS, hasher),
-                scratch_entries: Vec::new(),
-                scratch_frags: Vec::new(),
-            }),
-        }
-    }
-
-    /// Reserves the fragment slots of the states room is reserved for,
-    /// `n_frags` per state.
-    pub(crate) fn reserve_frags(&self, n_frags: usize) {
+    /// Reserves room for the states and transitions a typical target's
+    /// programs take, `n_nts` entries and `n_frags` fragment slots per
+    /// state.
+    pub(crate) fn reserve(&self, n_nts: usize, n_frags: usize) {
         let mut states = self.states.write().unwrap_or_else(PoisonError::into_inner);
+        states.entries.reserve(RESERVED_STATES * n_nts);
         states.frags.reserve(RESERVED_STATES * n_frags);
+        states.by_hash.reserve(RESERVED_STATES);
+        states.transitions.reserve(RESERVED_TRANSITIONS);
     }
 
     /// `(states, transitions)` held now.

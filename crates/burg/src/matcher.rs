@@ -69,9 +69,8 @@ const TABLES_VERSION: u32 = 1;
 
 impl Tables {
     /// Generates the tables for a target grammar. The automaton starts
-    /// empty, with room reserved for the states the ten DSPStone kernels
-    /// need; the grammar is normalized for it on first use (see
-    /// [`prepare`](Tables::prepare)).
+    /// empty; the grammar is normalized for it, and room reserved, on
+    /// first use (see [`prepare`](Tables::prepare)).
     pub fn build(target: &TargetDesc) -> Self {
         let mut op_starts = [0u32; Op::COUNT + 1];
         let mut chains = Vec::new();
@@ -98,8 +97,14 @@ impl Tables {
             }
         }
         let n_nts = target.nonterms.len();
-        let automaton = Automaton::new(n_nts);
-        Tables { rules, op_starts, chains, n_nts, shape: OnceLock::new(), automaton }
+        Tables {
+            rules,
+            op_starts,
+            chains,
+            n_nts,
+            shape: OnceLock::new(),
+            automaton: Automaton::default(),
+        }
     }
 
     /// The pattern rules rooted at `op`, in rule order.
@@ -113,16 +118,18 @@ impl Tables {
     fn shape(&self, target: &TargetDesc) -> &Shape {
         self.shape.get_or_init(|| {
             let shape = Shape::new(target);
-            self.automaton.reserve_frags(shape.n_frags());
+            self.automaton.reserve(self.n_nts, shape.n_frags());
             shape
         })
     }
 
-    /// Normalizes `target`, the grammar the tables were built from, for
-    /// the label automaton now rather than at the first labelling: one
-    /// operator level per pattern rule, a slot per inner pattern node.
-    /// An owner that builds its tables once and compiles many times
-    /// calls it up front, so that no compile pays for it.
+    /// Readies the label automaton for `target`, the grammar the tables
+    /// were built from, now rather than at the first labelling: it
+    /// normalizes the grammar (one operator level per pattern rule, a
+    /// slot per inner pattern node) and reserves room for the states and
+    /// transitions the ten DSPStone kernels take. An owner that builds
+    /// its tables once and compiles many times calls it up front, so
+    /// that no compile pays for it or allocates for the automaton.
     pub fn prepare(&self, target: &TargetDesc) {
         self.shape(target);
     }
@@ -211,7 +218,7 @@ impl Tables {
             chains.push(RuleId(r.u32()?));
         }
         r.finish()?;
-        let automaton = Automaton::new(n_nts);
+        let automaton = Automaton::default();
         Ok(Tables { rules, op_starts, chains, n_nts, shape: OnceLock::new(), automaton })
     }
 
