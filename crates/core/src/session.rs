@@ -710,7 +710,7 @@ impl Session {
 /// extra bucket entry.
 fn cache_key(target: &TargetDesc) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut hasher = std::hash::DefaultHasher::new();
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
     target.name.hash(&mut hasher);
     target.word_width.hash(&mut hasher);
     target.reg_classes.len().hash(&mut hasher);

@@ -207,7 +207,7 @@ impl TargetDesc {
     /// key needs — do not persist it.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
-        let mut hasher = std::hash::DefaultHasher::new();
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.hash(&mut hasher);
         hasher.finish()
     }

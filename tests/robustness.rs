@@ -286,7 +286,7 @@ fn corpus_replays_without_panics() {
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
-        if path.extension().is_none_or(|e| e != "dfl") {
+        if path.extension().map_or(true, |e| e != "dfl") {
             continue;
         }
         seen += 1;
