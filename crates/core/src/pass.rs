@@ -692,9 +692,14 @@ impl Pass for TreeifyPass {
 /// left and leaves it for the next, failed runs included, so a thread's
 /// compiles reuse one set of buffers.
 ///
-/// The default configuration streams interned variants out of a
-/// hash-consing pool with memoized labelling; `reference` switches to
-/// the boxed pre-interning path (see [`reference_select_pass`]).
+/// Every straight-line block takes one path, whatever the plan's
+/// budgets ([`Emitter::emit_block`]): each statement's cover is decided
+/// from labels, then the block is emitted once. The emitter charges each
+/// search to the budgets, so a variants cap fails the compile but never
+/// changes its code. The default configuration streams interned
+/// variants out of a hash-consing pool with memoized labelling;
+/// `reference` switches to the boxed pre-interning path, which searches
+/// and emits statement by statement (see [`reference_select_pass`]).
 struct SelectPass {
     rules: RuleSet,
     variant_limit: usize,
@@ -736,25 +741,17 @@ impl Pass for SelectPass {
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
         let target = unit.target;
         let budgets = unit.budgets;
-        let budget = search_budget(None, &budgets);
         let work = SelectScratch::take();
         let mut emitter = Emitter::with_scratch(target, Arc::clone(unit.tables), work);
         emitter.set_reference(self.reference);
         emitter.set_search_cap(budgets.max_search_steps);
+        emitter.set_budgets(budgets.max_variants, search_budget(None, &budgets));
         std::mem::swap(emitter.pool_mut(), &mut unit.lir.pool);
         let body = std::mem::take(&mut unit.lir.body);
         let mut insns: Vec<Insn> = Vec::new();
         let mut stats = SelectStats::default();
-        let result = self.emit_rec(
-            &body,
-            target,
-            &mut emitter,
-            &mut Vec::new(),
-            &mut insns,
-            &mut stats,
-            &budget,
-            budgets.max_variants,
-        );
+        let result =
+            self.emit_rec(&body, target, &mut emitter, &mut Vec::new(), &mut insns, &mut stats);
         unit.lir.body = body;
         std::mem::swap(emitter.pool_mut(), &mut unit.lir.pool);
         unit.select.absorb(&stats);
@@ -783,7 +780,6 @@ impl Pass for SelectPass {
 impl SelectPass {
     /// Emits `items`, gathering each straight-line run of assignments in
     /// `block` (borrowed, empty between runs) before covering it.
-    #[allow(clippy::too_many_arguments)]
     fn emit_rec<'a>(
         &self,
         items: &'a [LirItem],
@@ -792,8 +788,6 @@ impl SelectPass {
         block: &mut Vec<&'a AssignStmt>,
         out: &mut Vec<Insn>,
         stats: &mut SelectStats,
-        budget: &record_opt::SearchBudget,
-        max_variants: Option<usize>,
     ) -> Result<(), CompileError> {
         // Consecutive assignments form a straight-line block; DAG
         // covering works across it, so gather runs and flush at loop
@@ -802,7 +796,7 @@ impl SelectPass {
             match item {
                 LirItem::Assign(stmt) => block.push(stmt),
                 LirItem::Loop { var, count, body } => {
-                    self.flush_block(block, emitter, out, stats, budget, max_variants)?;
+                    self.flush_block(block, emitter, out, stats)?;
                     let init = target.loop_ctrl.init_cost;
                     out.push(Insn::ctrl(
                         InsnKind::LoopStart { var: var.clone(), count: *count },
@@ -810,66 +804,33 @@ impl SelectPass {
                         init.words,
                         init.cycles,
                     ));
-                    self.emit_rec(body, target, emitter, block, out, stats, budget, max_variants)?;
+                    self.emit_rec(body, target, emitter, block, out, stats)?;
                     let end = target.loop_ctrl.end_cost;
                     out.push(Insn::ctrl(InsnKind::LoopEnd, "ENDLP", end.words, end.cycles));
                 }
             }
         }
-        self.flush_block(block, emitter, out, stats, budget, max_variants)
+        self.flush_block(block, emitter, out, stats)
     }
 
-    /// Emits a gathered straight-line block: as one DAG cover when the
-    /// pass runs with `dag_cover` (and no variants budget is in force —
-    /// the per-statement cap accounting predates blocks and stays exact
-    /// on the legacy path), otherwise statement by statement.
+    /// Emits a gathered straight-line block ([`Emitter::emit_block`]),
+    /// with DAG shares when the pass runs with `dag_cover`. The emitter
+    /// charges each statement's search to the plan's budgets.
     fn flush_block(
         &self,
         block: &mut Vec<&AssignStmt>,
         emitter: &mut Emitter<'_>,
         out: &mut Vec<Insn>,
         stats: &mut SelectStats,
-        budget: &record_opt::SearchBudget,
-        max_variants: Option<usize>,
     ) -> Result<(), CompileError> {
         if block.is_empty() {
             return Ok(());
         }
-        let exceeded = |resource: &str| CompileError::Budget {
-            pass: "select".into(),
-            resource: resource.to_string(),
-        };
-        if self.dag_cover && !self.reference && max_variants.is_none() {
-            let one = emitter.emit_block_into(block, &self.rules, self.variant_limit, out)?;
-            stats.absorb(&one);
-            stats.statements += block.len() as u64;
-            block.clear();
-            budget.charge(one.variants.max(1)).map_err(|e| exceeded(e.resource))?;
-            return Ok(());
-        }
-        for stmt in block.drain(..) {
-            // With a variants cap, don't enumerate past the point of no
-            // return: `remaining + 1` keeps the over-cap check below
-            // firing exactly as it used to while the stream skips the
-            // unusable tail.
-            let limit = match max_variants {
-                Some(cap) => {
-                    let remaining = cap.saturating_sub(stats.variants as usize);
-                    self.variant_limit.min(remaining + 1)
-                }
-                None => self.variant_limit,
-            };
-            let one = emitter.emit_assign_into(stmt, &self.rules, limit, out)?;
-            stats.absorb(&one);
-            stats.statements += 1;
-            // one statement per charge: enough granularity for the
-            // per-pass deadline without touching the clock inside
-            // variant enumeration
-            budget.charge(one.variants.max(1)).map_err(|e| exceeded(e.resource))?;
-            if max_variants.is_some_and(|cap| stats.variants > cap as u64) {
-                return Err(exceeded("variants"));
-            }
-        }
+        let one =
+            emitter.emit_block_into(block, &self.rules, self.variant_limit, self.dag_cover, out)?;
+        stats.absorb(&one);
+        stats.statements += block.len() as u64;
+        block.clear();
         Ok(())
     }
 }

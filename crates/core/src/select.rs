@@ -22,7 +22,8 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 use record_burg::{
-    best_candidate, Cover, CoverBuf, CutSet, FlatOperand, LabelCache, Matcher, Tables, SHARED_RULE,
+    best_candidate, Cover, CoverBuf, CutSet, FlatOperand, LabelCache, LabelId, Matcher, Tables,
+    SHARED_RULE,
 };
 use record_ir::transform::{variants, RuleSet, VariantStream};
 use record_ir::{AssignStmt, BlockDag, DagScratch, MemRef, Symbol, TreeId, TreeNode, TreePool};
@@ -125,6 +126,10 @@ select_counters! {
     /// Candidates the cost model chose to recompute at every use
     /// (sharing would not have paid on this target).
     recomputes_chosen: Work,
+    /// Blocks whose emission with shares failed (a register class ran
+    /// dry or a cut statement failed its probe) and that were emitted
+    /// again without them.
+    share_fallbacks: Work,
 }
 
 /// The instruction selector for one target.
@@ -140,6 +145,12 @@ pub struct Emitter<'t> {
     /// variants instead of failing — selection is mandatory.
     step_cap: Option<u64>,
     steps_used: u64,
+    /// Cap on the variants all searches may enumerate together: past it,
+    /// selection fails with a `variants` budget error.
+    variant_cap: Option<u64>,
+    variants_used: u64,
+    /// The step and deadline budget every search charges.
+    budget: record_opt::SearchBudget,
     /// The machine every verification probe runs on, reset before each
     /// seed (see [`verify_statement`](Self::verify_statement)), built in
     /// the storage the scratch keeps for it.
@@ -281,69 +292,46 @@ impl SelectScratch {
 /// cleared before use, and what it holds between uses means nothing.
 #[derive(Default)]
 struct Buffers {
-    /// The cover being emitted: the incumbent of the variant search, or
-    /// a stage-D cover.
+    /// The cover being emitted.
     cover: CoverBuf,
     /// Operand locations of the cover nodes being emitted, a stack with
     /// one frame per node.
     locs: Vec<Loc>,
+    /// Each statement's plain winner, decided before the block emits.
+    winners: Vec<Winner>,
     /// The block's DAG and the working state that builds it.
     dag: BlockDag,
     dag_scratch: DagScratch,
-    /// Where each statement's baseline instructions end, relative to the
-    /// block's first instruction.
-    baseline_ends: Vec<usize>,
     /// Each statement's best known weight during stage C.
     current: Vec<u64>,
     /// Accepted cuts as (candidate index, parked nonterminal).
     accepted: Vec<(usize, NonTermId)>,
-    /// The stage-C trial cut set, and the cuts of a stage-D statement.
+    /// The stage-C trial cut set, and the cuts of the statement being
+    /// emitted.
     cuts: CutSet,
     /// Per-use weights a parking choice improves, for the choice being
     /// tried and for the best one so far.
     improved: Vec<(usize, u64)>,
     best_improved: Vec<(usize, u64)>,
-    /// The allocator state stage D restores when it falls back.
-    snapshot: AllocSnapshot,
-    /// Stage D's output, before it replaces the baseline.
-    cut_code: CutCode,
-    /// The baseline instructions, moved aside while stage D's output is
-    /// assembled.
-    baseline: Vec<Insn>,
+    /// Where the block's shared-value definitions sit in the output: a
+    /// cut statement's probe runs them ahead of its own code.
+    parked: Vec<usize>,
+    /// The register cursors as the block found them, restored when its
+    /// shares do not fit.
+    cursors: Vec<u16>,
     /// The verification probe's program and tables.
     probe: Probe,
 }
 
-/// The register and scratch-word allocator state.
-#[derive(Default)]
-struct AllocSnapshot {
-    reg_used: Vec<Vec<bool>>,
-    reg_cursor: Vec<u16>,
-    scratch_pool: Vec<Symbol>,
-    scratch_free: Vec<Symbol>,
-}
-
-/// A block emitted with DAG cuts, as runs in block order.
-#[derive(Default)]
-struct CutCode {
-    /// Every definition of a shared value, in emission order.
-    defs: Vec<Insn>,
-    /// The statements emitted anew (cut covers and re-emissions).
-    stmts: Vec<Insn>,
-    /// The block's code: runs of `defs`, runs of `stmts` and statements
-    /// kept from the baseline.
-    runs: Vec<Run>,
-}
-
-/// One run of [`CutCode`].
+/// A statement's cheapest plain cover, chosen from labels alone: the
+/// label of the winning variant, the store rule its value goes through,
+/// and the weight of the two together. A reduction is a pure function
+/// of its label, so the cover is reduced only when it is emitted.
 #[derive(Clone, Copy)]
-enum Run {
-    /// The next `n` instructions of `defs`.
-    Defs(usize),
-    /// The next `n` instructions of `stmts`.
-    Stmts(usize),
-    /// Statement `s`'s baseline instructions.
-    Baseline(usize),
+struct Winner {
+    label: LabelId,
+    store: usize,
+    weight: u64,
 }
 
 /// The verification probe: one program, rebuilt for every statement.
@@ -388,6 +376,9 @@ impl<'t> Emitter<'t> {
             reference: false,
             step_cap: None,
             steps_used: 0,
+            variant_cap: None,
+            variants_used: 0,
+            budget: record_opt::SearchBudget::unlimited(),
             probe,
             pool: TreePool::new(),
             work,
@@ -415,6 +406,18 @@ impl<'t> Emitter<'t> {
     /// statements consider fewer variants but still compile.
     pub fn set_search_cap(&mut self, cap: Option<u64>) {
         self.step_cap = cap;
+    }
+
+    /// Sets the budgets selection fails on: a cap on the variants all
+    /// searches enumerate together, and a step and deadline budget each
+    /// search charges its variants to (at least one step per search).
+    pub(crate) fn set_budgets(
+        &mut self,
+        max_variants: Option<usize>,
+        budget: record_opt::SearchBudget,
+    ) {
+        self.variant_cap = max_variants.map(|cap| cap as u64);
+        self.budget = budget;
     }
 
     /// The pool the emitter's statements and variants live in.
@@ -461,48 +464,8 @@ impl<'t> Emitter<'t> {
         variant_limit: usize,
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
         let mut out = Vec::new();
-        let stats = self.emit_assign_into(stmt, rules, variant_limit, &mut out)?;
+        let stats = self.emit_plain(stmt, None, rules, variant_limit, &mut out)?;
         Ok((out, stats))
-    }
-
-    /// [`emit_assign`](Self::emit_assign), appending the instructions to
-    /// `out`. On an error, `out` may hold part of the statement's code.
-    pub(crate) fn emit_assign_into(
-        &mut self,
-        stmt: &AssignStmt,
-        rules: &RuleSet,
-        variant_limit: usize,
-        out: &mut Vec<Insn>,
-    ) -> Result<SelectStats, CompileError> {
-        let mut total_stats = SelectStats::default();
-        // The statement, then the halves of every split, last split
-        // first: a statement whose emitted code fails verification is
-        // split at an operand boundary and re-tried.
-        let mut next = Some(Cow::Borrowed(stmt));
-        let mut split: Vec<AssignStmt> = Vec::new();
-        while let Some(cur) = next.take().or_else(|| split.pop().map(Cow::Owned)) {
-            let start = out.len();
-            let stats = self.emit_one(&cur, rules, variant_limit, out)?;
-            total_stats.absorb(&stats);
-            if self.verify_statement(&cur, &mut Vec::new(), out, start) {
-                continue;
-            }
-            out.truncate(start);
-            // Clobber hazard: the cover routed two values through the same
-            // special register in a conflicting order. Split one non-leaf
-            // operand into an explicit memory temporary and retry — each
-            // split strictly shrinks the tree, so this terminates.
-            let Some((first, second)) = self.split_statement(&cur) else {
-                return Err(CompileError::Target(crate::TargetError::Unsplittable {
-                    stmt: cur.display(&self.pool).to_string(),
-                }));
-            };
-            // process `first` next, then re-attempt `second`
-            split.push(second);
-            next = Some(Cow::Owned(first));
-        }
-        self.work.scratch_free.clone_from(&self.work.scratch_pool);
-        Ok(total_stats)
     }
 
     /// Selects and emits a whole basic block as a DAG: soundly repeated
@@ -510,10 +473,11 @@ impl<'t> Emitter<'t> {
     /// register and referenced by every consumer statement. The
     /// statements' trees live in the emitter's [`pool`](Self::pool).
     ///
-    /// The method is a strict refinement of per-statement selection:
+    /// Selection first decides, then emits:
     ///
-    /// 1. **Baseline** — every statement is first emitted through
-    ///    [`emit_assign`](Self::emit_assign) (verified, variant-optimized).
+    /// 1. **Decide** — every statement's variants are searched once, and
+    ///    its cheapest plain cover is kept as a label, a store rule and a
+    ///    weight; nothing is reduced yet.
     /// 2. **Analysis** — [`BlockDag::build`] reports the multi-use values
     ///    that are sound to share (no intervening store to memory they
     ///    read).
@@ -522,13 +486,17 @@ impl<'t> Emitter<'t> {
     ///    against `cost(recompute) × uses`: the candidate is accepted only
     ///    when computing it once and covering each consumer with the
     ///    parked register (a [`SHARED_RULE`] cut) beats the consumers'
-    ///    current best weights by more than the definition costs.
-    /// 4. **Emission** — definitions are placed immediately before their
-    ///    first consumer; each consumer takes the cut cover only when it
-    ///    is strictly cheaper than its baseline and the combined code
-    ///    passes simulator verification. Any failure (verification,
-    ///    register pressure) falls back to the baseline for the whole
-    ///    block, so DAG covering never produces worse or unverified code.
+    ///    current best weights, read off their labels, by more than the
+    ///    definition costs.
+    /// 4. **Emission** — one walk over the block places each definition
+    ///    immediately before its first consumer and emits each statement
+    ///    once: its cut cover when that is strictly cheaper than its plain
+    ///    winner, else the plain winner. Every statement is probed on the
+    ///    simulator, a cut statement with the definitions ahead of it.
+    ///    When the shares do not fit (a class runs dry, or a cut
+    ///    statement fails its probe), the block is emitted again from the
+    ///    same winners without them, so DAG covering never produces
+    ///    unverified code.
     ///
     /// Only multi-member register classes are eligible parking spots: a
     /// singleton class (accumulator-style machines) cannot hold a value
@@ -541,74 +509,84 @@ impl<'t> Emitter<'t> {
     ) -> Result<(Vec<Insn>, SelectStats), CompileError> {
         let stmts: Vec<&AssignStmt> = stmts.iter().map(Borrow::borrow).collect();
         let mut out = Vec::new();
-        let stats = self.emit_block_into(&stmts, rules, variant_limit, &mut out)?;
+        let stats = self.emit_block_into(&stmts, rules, variant_limit, true, &mut out)?;
         Ok((out, stats))
     }
 
     /// [`emit_block`](Self::emit_block), appending the instructions to
-    /// `out`. On an error, `out` may hold part of the block's code.
+    /// `out`, with shares only when `share`. The boxed reference path
+    /// decides nothing ahead and shares nothing: it searches, emits and
+    /// probes statement by statement. On an error, `out` may hold part of
+    /// the block's code.
     pub(crate) fn emit_block_into(
         &mut self,
         stmts: &[&AssignStmt],
         rules: &RuleSet,
         variant_limit: usize,
+        share: bool,
         out: &mut Vec<Insn>,
     ) -> Result<SelectStats, CompileError> {
         let mut stats = SelectStats::default();
-
-        // Stage A: verified per-statement baseline (also the fallback),
-        // emitted straight into `out`.
-        let start = out.len();
-        let mut ends = std::mem::take(&mut self.work.buffers.baseline_ends);
-        ends.clear();
-        for stmt in stmts {
-            let s = self.emit_assign_into(stmt, rules, variant_limit, out)?;
-            stats.absorb(&s);
-            ends.push(out.len() - start);
+        self.work.buffers.winners.clear();
+        self.work.buffers.accepted.clear();
+        if !self.reference {
+            for stmt in stmts {
+                let won = self.decide(stmt, rules, variant_limit, &mut stats)?;
+                self.work.buffers.winners.push(won);
+            }
+            if share {
+                self.choose_shares(stmts, &mut stats);
+            }
         }
 
-        // Stage B: DAG analysis over the block's trees.
-        let Buffers { dag, dag_scratch, .. } = &mut self.work.buffers;
-        dag.rebuild(&self.pool, stmts, dag_scratch);
-        let dag = std::mem::take(dag);
-        stats.shared_subtrees += dag.shared.len() as u64;
-
-        let baseline = Baseline { start, ends: &ends };
-        let result = self.cover_block_dag(stmts, &dag, baseline, (rules, variant_limit), out);
-        self.work.buffers.dag = dag;
-        self.work.buffers.baseline_ends = ends;
-        stats.absorb(&result?);
+        let start = out.len();
+        let scratch_words = self.work.scratch_pool.len();
+        self.work.buffers.cursors.clone_from(&self.work.reg_cursor);
+        let limits = (rules, variant_limit);
+        let emitted = self.emit_once(stmts, limits, out, &mut stats);
+        self.release_held();
+        let shares = self.work.buffers.accepted.len() as u64;
+        match emitted {
+            Ok(true) => {
+                stats.shares_taken += shares;
+                return Ok(stats);
+            }
+            Err(e) if shares == 0 => return Err(e),
+            Ok(false) | Err(_) => {}
+        }
+        // The shares do not fit: emit the block again without them, from
+        // the allocator state it started in (no register is in use
+        // between blocks).
+        out.truncate(start);
+        self.work.reg_used.iter_mut().for_each(|used| used.fill(false));
+        self.work.reg_cursor.clone_from(&self.work.buffers.cursors);
+        self.work.scratch_pool.truncate(scratch_words);
+        self.work.scratch_free.clone_from(&self.work.scratch_pool);
+        self.work.buffers.accepted.clear();
+        stats.recomputes_chosen += shares;
+        stats.share_fallbacks += 1;
+        self.emit_once(stmts, limits, out, &mut stats)?;
         Ok(stats)
     }
 
-    /// Stages C and D of [`emit_block`](Self::emit_block) for a block
-    /// whose verified baseline is `out[baseline.start..]`: chooses the
-    /// cuts, and when any is accepted replaces the baseline with the cut
-    /// code if that verifies. Returns the stages' counters.
-    fn cover_block_dag(
-        &mut self,
-        stmts: &[&AssignStmt],
-        dag: &BlockDag,
-        baseline: Baseline<'_>,
-        limits: (&RuleSet, usize),
-        out: &mut Vec<Insn>,
-    ) -> Result<SelectStats, CompileError> {
-        let mut stats = SelectStats::default();
-        if dag.shared.is_empty() {
-            return Ok(stats);
-        }
+    /// Stages B and C of [`emit_block`](Self::emit_block): builds the
+    /// block's DAG and greedily accepts the cuts that pay under the
+    /// share-vs-recompute cost model, into the `accepted` buffer.
+    /// `current[s]`, statement `s`'s best known weight, starts at its
+    /// plain winner's.
+    fn choose_shares(&mut self, stmts: &[&AssignStmt], stats: &mut SelectStats) {
+        let Buffers { dag, dag_scratch, .. } = &mut self.work.buffers;
+        dag.rebuild(&self.pool, stmts, dag_scratch);
+        stats.shared_subtrees += dag.shared.len() as u64;
         if self.work.park_nts.is_empty() {
             stats.recomputes_chosen += dag.shared.len() as u64;
-            return Ok(stats);
+            return;
         }
-
-        // Stage C: greedy cut acceptance under the share-vs-recompute
-        // cost model. `current[s]` is the statement's best known weight.
+        let dag = std::mem::take(&mut self.work.buffers.dag);
         let mut current = std::mem::take(&mut self.work.buffers.current);
         current.clear();
-        current.extend((0..stmts.len()).map(|s| insns_weight(baseline.stmt(out, s))));
+        current.extend(self.work.buffers.winners.iter().map(|won| won.weight));
         let mut accepted = std::mem::take(&mut self.work.buffers.accepted);
-        accepted.clear();
         let mut improved = std::mem::take(&mut self.work.buffers.improved);
         let mut best_improved = std::mem::take(&mut self.work.buffers.best_improved);
         for (cand_ix, cand) in dag.shared.iter().enumerate() {
@@ -617,13 +595,13 @@ impl<'t> Emitter<'t> {
             let mut best: Option<(i128, NonTermId)> = None;
             for &(nt, class_count) in &self.work.park_nts {
                 // leave at least one class member free for per-statement
-                // temporaries; fallback still guards the hard limit
+                // temporaries; the fallback still guards the hard limit
                 let parked_here = accepted.iter().filter(|(_, n)| *n == nt).count();
                 if parked_here + 1 >= class_count as usize {
                     continue;
                 }
                 // computing the value once into `nt`
-                let def_cost = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
+                let def_cost = count_labels(&mut self.work.label_cache, stats, |cache| {
                     let label = self.matcher.label_interned(&self.pool, cand.id, cache);
                     cache.cost(label, nt)
                 });
@@ -634,16 +612,13 @@ impl<'t> Emitter<'t> {
                     // trial cut set: this candidate plus every accepted cut
                     // that is sound in statement `s`
                     let trial = &mut self.work.buffers.cuts;
-                    fill_cuts(trial, dag, &accepted, s);
+                    fill_cuts(trial, &dag, &accepted, s);
                     trial.insert(cand.id, (accepted.len(), nt));
                     // only the weight matters here: label, never reduce
-                    let best = count_labels(&mut self.work.label_cache, &mut stats, |cache| {
-                        let root = dag.roots[s];
-                        let label = self.matcher.label_interned_cut(&self.pool, root, cache, trial);
-                        best_candidate(cache.entries(label), &self.work.candidates)
+                    let label = count_labels(&mut self.work.label_cache, stats, |cache| {
+                        self.matcher.label_interned_cut(&self.pool, dag.roots[s], cache, trial)
                     });
-                    let w = best
-                        .map(|(store_nt, derive)| derive.add(self.store_cost(store_nt)).weight());
+                    let w = self.winner(label).map(|won| won.weight);
                     #[cfg(test)]
                     self.stage_c_trials.push((dag.roots[s], self.work.buffers.cuts.clone(), w));
                     if let Some(w) = w {
@@ -672,221 +647,177 @@ impl<'t> Emitter<'t> {
                 None => stats.recomputes_chosen += 1,
             }
         }
+        self.work.buffers.dag = dag;
         self.work.buffers.current = current;
+        self.work.buffers.accepted = accepted;
         self.work.buffers.improved = improved;
         self.work.buffers.best_improved = best_improved;
-        if accepted.is_empty() {
-            self.work.buffers.accepted = accepted;
-            return Ok(stats);
-        }
-
-        // Stage D: emit with cuts, falling back to the verified baseline
-        // on any failure (allocator state is snapshotted around the try).
-        self.snapshot_allocators();
-        let mut code = std::mem::take(&mut self.work.buffers.cut_code);
-        code.defs.clear();
-        code.stmts.clear();
-        code.runs.clear();
-        let attempt = self.emit_block_cuts(
-            stmts,
-            dag,
-            &accepted,
-            (baseline, out.as_slice()),
-            limits,
-            &mut code,
-            &mut stats,
-        );
-        self.release_held();
-        match attempt {
-            Ok(true) => {
-                stats.shares_taken += accepted.len() as u64;
-                self.replace_baseline(baseline, &mut code, out);
-            }
-            Ok(false) | Err(_) => {
-                self.restore_allocators();
-                stats.recomputes_chosen += accepted.len() as u64;
-            }
-        }
-        self.work.buffers.cut_code = code;
-        self.work.buffers.accepted = accepted;
-        Ok(stats)
     }
 
-    /// Replaces the baseline `out[baseline.start..]` with the block's cut
-    /// code, moving every instruction into place.
-    fn replace_baseline(
-        &mut self,
-        baseline: Baseline<'_>,
-        code: &mut CutCode,
-        out: &mut Vec<Insn>,
-    ) {
-        let moved = &mut self.work.buffers.baseline;
-        moved.clear();
-        moved.extend(out.drain(baseline.start..));
-        let (mut defs, mut stmts) = (code.defs.drain(..), code.stmts.drain(..));
-        let mut kept = moved.drain(..);
-        let mut at = 0;
-        for &run in &code.runs {
-            match run {
-                Run::Defs(n) => out.extend(defs.by_ref().take(n)),
-                Run::Stmts(n) => out.extend(stmts.by_ref().take(n)),
-                Run::Baseline(s) => {
-                    let from = baseline.begin(s);
-                    kept.by_ref().take(from - at).for_each(drop);
-                    out.extend(kept.by_ref().take(baseline.ends[s] - from));
-                    at = baseline.ends[s];
-                }
-            }
-        }
-    }
-
-    /// Copies the register and scratch-word allocator state aside.
-    fn snapshot_allocators(&mut self) {
-        let snap = &mut self.work.buffers.snapshot;
-        snap.reg_used.clone_from(&self.work.reg_used);
-        snap.reg_cursor.clone_from(&self.work.reg_cursor);
-        snap.scratch_pool.clone_from(&self.work.scratch_pool);
-        snap.scratch_free.clone_from(&self.work.scratch_free);
-    }
-
-    /// Restores the allocator state [`snapshot_allocators`]
-    /// (Self::snapshot_allocators) set aside.
-    fn restore_allocators(&mut self) {
-        let snap = &self.work.buffers.snapshot;
-        self.work.reg_used.clone_from(&snap.reg_used);
-        self.work.reg_cursor.clone_from(&snap.reg_cursor);
-        self.work.scratch_pool.clone_from(&snap.scratch_pool);
-        self.work.scratch_free.clone_from(&snap.scratch_free);
-    }
-
-    /// The emission half of [`emit_block`](Self::emit_block): walks the
-    /// block once, placing each accepted definition immediately before
-    /// its first consumer and choosing per statement between the cut
-    /// cover and the baseline or a plain re-emission, into `code`.
-    /// Returns `Ok(false)` when a cut statement fails simulator
-    /// verification (caller falls back).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_block_cuts(
+    /// Emits the block once from its decisions: each accepted definition
+    /// immediately before its first consumer, then each statement, its
+    /// cut cover when that is strictly cheaper than its plain winner,
+    /// else the plain winner (searched now on the reference path).
+    /// `Ok(false)` when a cut statement fails its probe.
+    fn emit_once(
         &mut self,
         stmts: &[&AssignStmt],
-        dag: &BlockDag,
-        accepted: &[(usize, NonTermId)],
-        (baseline, emitted): (Baseline<'_>, &[Insn]),
         (rules, variant_limit): (&RuleSet, usize),
-        code: &mut CutCode,
+        out: &mut Vec<Insn>,
         stats: &mut SelectStats,
     ) -> Result<bool, CompileError> {
+        let shares = self.work.buffers.accepted.len();
         self.work.shared_locs.clear();
-        self.work.shared_locs.resize(accepted.len(), None);
-        self.work.held.clear();
+        self.work.shared_locs.resize(shares, None);
+        self.work.buffers.parked.clear();
         for (s, &stmt) in stmts.iter().enumerate() {
-            // definitions whose first consumer is this statement: every
-            // one emitted so far is prepended to verification probes, so
-            // cut statements run with their inputs parked
-            let defs_before = code.defs.len();
-            for (slot, &(cand_ix, nt)) in accepted.iter().enumerate() {
-                let cand = &dag.shared[cand_ix];
+            for slot in 0..shares {
+                let (cand_ix, nt) = self.work.buffers.accepted[slot];
+                let cand = &self.work.buffers.dag.shared[cand_ix];
                 if cand.first_use() != s {
                     continue;
                 }
+                let id = cand.id;
                 let label = count_labels(&mut self.work.label_cache, stats, |cache| {
-                    self.matcher.label_interned(&self.pool, cand.id, cache)
+                    self.matcher.label_interned(&self.pool, id, cache)
                 });
-                let mut cover = std::mem::take(&mut self.work.buffers.cover);
-                cover.clear();
-                let root = self.matcher.reduce_into(
-                    &self.pool,
-                    &self.work.label_cache,
-                    label,
-                    nt,
-                    None,
-                    &mut cover,
-                );
-                let loc = match root {
-                    Some(root) => {
-                        self.work.buffers.locs.clear();
-                        let what = Computing::Shared(slot);
-                        self.emit_cover(&cover, root, &mut code.defs, what).map(Some)
-                    }
-                    None => Ok(None),
-                };
-                self.work.buffers.cover = cover;
-                let Some(loc) = loc? else { return Ok(false) };
+                let root = self.reduce(label, nt, false);
+                let at = out.len();
+                let loc = self.emit_buffered(root, out, Computing::Shared(slot))?;
+                self.work.buffers.parked.extend(at..out.len());
                 self.work.held.push(loc.clone());
                 self.work.shared_locs[slot] = Some(loc);
             }
-            if code.defs.len() > defs_before {
-                code.runs.push(Run::Defs(code.defs.len() - defs_before));
-            }
 
-            // cut cover vs plain re-emission for the statement itself
-            let from = code.stmts.len();
-            let cuts = &mut self.work.buffers.cuts;
-            fill_cuts(cuts, dag, accepted, s);
-            let mut chosen = false;
-            if !cuts.is_empty() {
-                let label = count_labels(&mut self.work.label_cache, stats, |cache| {
-                    self.matcher.label_interned_cut(&self.pool, dag.roots[s], cache, cuts)
-                });
-                let best =
-                    best_candidate(self.work.label_cache.entries(label), &self.work.candidates);
-                if let Some((store_nt, derive)) = best {
-                    let total = derive.add(self.store_cost(store_nt)).weight();
-                    if total < insns_weight(baseline.stmt(emitted, s)) {
-                        let store_ix = self.store_index(store_nt);
-                        let mut cover = std::mem::take(&mut self.work.buffers.cover);
-                        cover.clear();
-                        let root = self
-                            .matcher
-                            .reduce_into(
-                                &self.pool,
-                                &self.work.label_cache,
-                                label,
-                                store_nt,
-                                Some(&self.work.buffers.cuts),
-                                &mut cover,
-                            )
-                            .expect("a derivable label reduces");
-                        let emitted =
-                            self.emit_stored(stmt, store_ix, &cover, root, &mut code.stmts);
-                        self.work.buffers.cover = cover;
-                        emitted?;
-                        // the probe must include the definitions: the cut
-                        // statement reads registers they populate
-                        if !self.verify_statement(stmt, &mut code.defs, &mut code.stmts, from) {
-                            return Ok(false);
-                        }
-                        chosen = true;
+            let won = self.work.buffers.winners.get(s).copied();
+            match won.and_then(|won| self.cut_cover(s, won.weight, stats)) {
+                Some(cut) => {
+                    let root = self.reduce(cut.label, self.target.stores[cut.store].nt, true);
+                    // the probe runs the definitions ahead of the code:
+                    // the cut statement reads the registers they fill
+                    let parked = std::mem::take(&mut self.work.buffers.parked);
+                    let probed = self.emit_probed(stmt, (cut.store, root), &parked, out);
+                    self.work.buffers.parked = parked;
+                    if !probed? {
+                        return Ok(false);
                     }
+                    self.work.scratch_free.clone_from(&self.work.scratch_pool);
                 }
+                None => stats.absorb(&self.emit_plain(stmt, won, rules, variant_limit, out)?),
             }
-            if !chosen && self.work.held.is_empty() {
-                // no definition emitted yet: the baseline's register
-                // choices are still valid verbatim
-                code.runs.push(Run::Baseline(s));
-            } else {
-                if !chosen {
-                    // re-emit from scratch: the baseline may have used a
-                    // register that now holds a parked value
-                    let st = self.emit_assign_into(stmt, rules, variant_limit, &mut code.stmts)?;
-                    stats.absorb(&st);
-                }
-                code.runs.push(Run::Stmts(code.stmts.len() - from));
-            }
-            self.work.scratch_free.clone_from(&self.work.scratch_pool);
         }
         Ok(true)
+    }
+
+    /// Statement `s`'s cheapest cover under the accepted cuts it reads,
+    /// when that is strictly cheaper than `plain`, the weight of its plain
+    /// winner. Leaves the statement's cut set in the `cuts` buffer.
+    fn cut_cover(&mut self, s: usize, plain: u64, stats: &mut SelectStats) -> Option<Winner> {
+        let Buffers { cuts, dag, accepted, .. } = &mut self.work.buffers;
+        fill_cuts(cuts, dag, accepted, s);
+        if cuts.is_empty() {
+            return None;
+        }
+        let root = dag.roots[s];
+        let label = count_labels(&mut self.work.label_cache, stats, |cache| {
+            self.matcher.label_interned_cut(&self.pool, root, cache, &self.work.buffers.cuts)
+        });
+        self.winner(label).filter(|cut| cut.weight < plain)
+    }
+
+    /// Emits `stmt` from its plain cover `won`, or from a search when
+    /// `None`, and probes it. Code that fails its probe is taken out
+    /// again, and the statement split at an operand boundary; the halves
+    /// are searched, emitted and probed the same way.
+    fn emit_plain(
+        &mut self,
+        stmt: &AssignStmt,
+        mut won: Option<Winner>,
+        rules: &RuleSet,
+        variant_limit: usize,
+        out: &mut Vec<Insn>,
+    ) -> Result<SelectStats, CompileError> {
+        let mut stats = SelectStats::default();
+        // The statement, then the halves of every split, last split
+        // first.
+        let mut next = Some(Cow::Borrowed(stmt));
+        let mut split: Vec<AssignStmt> = Vec::new();
+        while let Some(cur) = next.take().or_else(|| split.pop().map(Cow::Owned)) {
+            let cover = self.plain_cover(&cur, won.take(), rules, variant_limit, &mut stats)?;
+            if self.emit_probed(&cur, cover, &[], out)? {
+                continue;
+            }
+            // Clobber hazard: the cover routed two values through the same
+            // special register in a conflicting order. Split one non-leaf
+            // operand into an explicit memory temporary and retry — each
+            // split strictly shrinks the tree, so this terminates.
+            let Some((first, second)) = self.split_statement(&cur) else {
+                return Err(CompileError::Target(crate::TargetError::Unsplittable {
+                    stmt: cur.display(&self.pool).to_string(),
+                }));
+            };
+            // process `first` next, then re-attempt `second`
+            split.push(second);
+            next = Some(Cow::Owned(first));
+        }
+        self.work.scratch_free.clone_from(&self.work.scratch_pool);
+        Ok(stats)
+    }
+
+    /// Emits `stmt` as the cover `(store rule, root)` of the cover buffer
+    /// and probes it, the instructions at `parked` in `out` ahead of it.
+    /// Code that fails its probe is taken out again: `Ok(false)`.
+    fn emit_probed(
+        &mut self,
+        stmt: &AssignStmt,
+        (store, root): (usize, usize),
+        parked: &[usize],
+        out: &mut Vec<Insn>,
+    ) -> Result<bool, CompileError> {
+        let start = out.len();
+        self.emit_stored(stmt, store, root, out)?;
+        debug_assert!(
+            self.work.reg_used.iter().enumerate().all(|(class, c)| {
+                c.iter().enumerate().all(|(ix, u)| {
+                    !u || self.work.held.iter().any(|h| {
+                        matches!(h, Loc::Reg(r)
+                            if r.class.0 as usize == class && r.index as usize == ix)
+                    })
+                })
+            }),
+            "register leak after statement"
+        );
+        if self.verify_statement(stmt, parked, out, start) {
+            return Ok(true);
+        }
+        out.truncate(start);
+        Ok(false)
+    }
+
+    /// Reduces `label` for `goal` into the cover buffer — under the
+    /// `cuts` buffer when `cut` — and returns the cover's root.
+    fn reduce(&mut self, label: LabelId, goal: NonTermId, cut: bool) -> usize {
+        let Buffers { cover, cuts, .. } = &mut self.work.buffers;
+        cover.clear();
+        let cuts = cut.then_some(&*cuts);
+        self.matcher
+            .reduce_into(&self.pool, &self.work.label_cache, label, goal, cuts, cover)
+            .expect("a derivable label reduces")
+    }
+
+    /// The cheapest store of the node labelled `label`, as a winner.
+    fn winner(&self, label: LabelId) -> Option<Winner> {
+        let entries = self.work.label_cache.entries(label);
+        let (nt, derive) = best_candidate(entries, &self.work.candidates)?;
+        let store = self.store_index(nt);
+        let weight = derive.add(self.target.stores[store].cost).weight();
+        Some(Winner { label, store, weight })
     }
 
     /// The first store rule for a candidate nonterminal (candidates always
     /// come from the target's store table).
     fn store_index(&self, nt: NonTermId) -> usize {
         self.target.stores.iter().position(|s| s.nt == nt).expect("candidate came from stores")
-    }
-
-    /// The store cost for a candidate nonterminal.
-    fn store_cost(&self, nt: NonTermId) -> Cost {
-        self.target.stores[self.store_index(nt)].cost
     }
 
     /// Splits `dst := f(..., subtree, ...)` into
@@ -927,9 +858,10 @@ impl<'t> Emitter<'t> {
     /// the tree's reference evaluation. Returns `true` when they agree on
     /// every probe.
     ///
-    /// The probe program is `parked` (the block-shared definitions a cut
-    /// statement reads) followed by `insns[from..]`. The instructions are
-    /// moved into the emitter's probe program and back, never copied. The
+    /// The probe program is the instructions at `parked` in `insns` (the
+    /// block-shared definitions a cut statement reads) followed by
+    /// `insns[from..]`. The instructions are moved into the emitter's
+    /// probe program and back, never copied. The
     /// program depends only on the code, so it is built, mode-completed
     /// and decoded once, and its symbols' addresses are resolved once;
     /// each of the four seeds then resets the emitter's probe machine,
@@ -937,11 +869,10 @@ impl<'t> Emitter<'t> {
     fn verify_statement(
         &mut self,
         stmt: &AssignStmt,
-        parked: &mut Vec<Insn>,
+        parked: &[usize],
         insns: &mut Vec<Insn>,
         from: usize,
     ) -> bool {
-        let n_parked = parked.len();
         let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
         let probe = &mut self.work.buffers.probe;
         // Collect every symbol the statement and its code touch, in the
@@ -957,7 +888,7 @@ impl<'t> Emitter<'t> {
                     None => lens.push((base.clone(), len)),
                 }
             };
-            for insn in parked.iter().chain(&insns[from..]) {
+            for insn in parked.iter().map(|&at| &insns[at]).chain(&insns[from..]) {
                 if let InsnKind::Compute { dst, expr } = &insn.kind {
                     let mut visit = |l: &Loc| {
                         if let Loc::Mem(m) = l {
@@ -997,7 +928,9 @@ impl<'t> Emitter<'t> {
             code.insns.push(Insn::ctrl(start, String::new(), 0, 0));
         }
         let handed = parked.len() + insns.len() - from;
-        code.insns.append(parked);
+        let moved =
+            |at: &usize| std::mem::replace(&mut insns[*at], Insn::ctrl(InsnKind::Nop, "", 0, 0));
+        code.insns.extend(parked.iter().map(moved));
         code.insns.extend(insns.drain(from..));
         for _ in &probe.index_vars {
             code.insns.push(Insn::ctrl(InsnKind::LoopEnd, String::new(), 0, 0));
@@ -1008,66 +941,103 @@ impl<'t> Emitter<'t> {
             run_probe(&mut self.probe, probe, &self.pool, stmt, &dst_loc, self.target.word_width);
 
         // hand the instructions back, dropping the loops and mode changes
-        let mut seen = 0;
+        let mut back = parked.iter();
         for insn in probe.code.insns.drain(..) {
             match insn.kind {
                 InsnKind::LoopStart { .. } | InsnKind::LoopEnd | InsnKind::SetMode { .. } => {}
-                _ if seen < n_parked => {
-                    seen += 1;
-                    parked.push(insn);
-                }
-                _ => insns.push(insn),
+                _ => match back.next() {
+                    Some(&at) => insns[at] = insn,
+                    None => insns.push(insn),
+                },
             }
         }
         debug_assert_eq!(parked.len() + insns.len() - from, handed, "probe lost an instruction");
         verdict
     }
 
-    /// Emits one statement without the verification/split loop,
-    /// appending its instructions to `out`.
-    fn emit_one(
+    /// Decides `stmt`'s plain cover: the winner of its variant search,
+    /// read off labels, under the budgets.
+    fn decide(
         &mut self,
         stmt: &AssignStmt,
         rules: &RuleSet,
         variant_limit: usize,
-        out: &mut Vec<Insn>,
-    ) -> Result<SelectStats, CompileError> {
-        let mut stats = SelectStats::default();
+        stats: &mut SelectStats,
+    ) -> Result<Winner, CompileError> {
+        self.searched(stmt, variant_limit, stats, |e, limit, one| {
+            e.find_best_interned(stmt.src, rules, limit, one)
+        })
+    }
+
+    /// Reduces `stmt`'s plain cover into the cover buffer — `won`, or
+    /// the winner of a search under the budgets when `None` — and returns
+    /// `(store rule, root)`.
+    fn plain_cover(
+        &mut self,
+        stmt: &AssignStmt,
+        won: Option<Winner>,
+        rules: &RuleSet,
+        variant_limit: usize,
+        stats: &mut SelectStats,
+    ) -> Result<(usize, usize), CompileError> {
+        let won = match won {
+            Some(won) => won,
+            None if self.reference => {
+                return self.searched(stmt, variant_limit, stats, |e, limit, one| {
+                    let tree = e.pool.to_tree(stmt.src);
+                    e.find_best_reference(&tree, rules, limit, one)
+                })
+            }
+            None => self.decide(stmt, rules, variant_limit, stats)?,
+        };
+        Ok((won.store, self.reduce(won.label, self.target.stores[won.store].nt, false)))
+    }
+
+    /// Runs `search` for `stmt` with the variant limit the budgets leave,
+    /// adds its counters to `stats` and charges its variants.
+    fn searched<R>(
+        &mut self,
+        stmt: &AssignStmt,
+        variant_limit: usize,
+        stats: &mut SelectStats,
+        search: impl FnOnce(&mut Self, usize, &mut SelectStats) -> Option<R>,
+    ) -> Result<R, CompileError> {
         if self.work.candidates.is_empty() {
             return Err(CompileError::Target(crate::TargetError::NoStoreRules {
                 target: self.target.name.to_string(),
             }));
         }
-
-        let best = if self.reference {
-            let tree = self.pool.to_tree(stmt.src);
-            self.find_best_reference(&tree, rules, variant_limit, &mut stats)
-        } else {
-            self.find_best_interned(stmt.src, rules, variant_limit, &mut stats)
+        // With a variants cap, don't enumerate past the point of no
+        // return: `remaining + 1` keeps the over-cap check below firing
+        // while the stream skips the unusable tail.
+        let limit = match self.variant_cap {
+            Some(cap) => {
+                let remaining = cap.saturating_sub(self.variants_used).saturating_add(1);
+                (variant_limit as u64).min(remaining) as usize
+            }
+            None => variant_limit,
         };
-        let Some((store_ix, root)) = best else {
+        let mut one = SelectStats::default();
+        let found = search(self, limit, &mut one);
+        stats.absorb(&one);
+        let Some(found) = found else {
             return Err(CompileError::Uncoverable {
                 stmt: stmt.display(&self.pool).to_string(),
                 target: self.target.name.clone(),
             });
         };
-
-        let cover = std::mem::take(&mut self.work.buffers.cover);
-        let emitted = self.emit_stored(stmt, store_ix, &cover, root, out);
-        self.work.buffers.cover = cover;
-        emitted?;
-        debug_assert!(
-            self.work.reg_used.iter().enumerate().all(|(class, c)| {
-                c.iter().enumerate().all(|(ix, u)| {
-                    !u || self.work.held.iter().any(|h| {
-                        matches!(h, Loc::Reg(r)
-                            if r.class.0 as usize == class && r.index as usize == ix)
-                    })
-                })
-            }),
-            "register leak after statement"
-        );
-        Ok(stats)
+        let exceeded = |resource: &str| CompileError::Budget {
+            pass: "select".into(),
+            resource: resource.to_string(),
+        };
+        self.variants_used += one.variants;
+        // one charge per search: enough granularity for the per-pass
+        // deadline without touching the clock inside variant enumeration
+        self.budget.charge(one.variants.max(1)).map_err(|e| exceeded(e.resource))?;
+        if self.variant_cap.is_some_and(|cap| self.variants_used > cap) {
+            return Err(exceeded("variants"));
+        }
+        Ok(found)
     }
 
     /// The boxed reference selection loop: materializes every variant up
@@ -1116,19 +1086,17 @@ impl<'t> Emitter<'t> {
     /// never replace the incumbent with an equal-weight cover.
     ///
     /// Covering is cost-first: each variant is labelled and its total
-    /// read off the label; the cover is reduced only when that total
-    /// strictly beats the incumbent. The incumbent changes only on a
-    /// strict `<`, and a reduction is a pure function of its label, so
-    /// this picks the cover a loop reducing every variant would pick.
-    /// The incumbent is reduced into the cover buffer; the result is
-    /// `(store rule, root node)`.
+    /// read off the label, and nothing is reduced. The incumbent changes
+    /// only on a strict `<`, and a reduction is a pure function of its
+    /// label, so reducing the winner's label later gives the cover a loop
+    /// reducing every variant would pick.
     fn find_best_interned(
         &mut self,
         root: TreeId,
         rules: &RuleSet,
         variant_limit: usize,
         stats: &mut SelectStats,
-    ) -> Option<(usize, usize)> {
+    ) -> Option<Winner> {
         let pool_len0 = self.pool.len() as u64;
         let dedup0 = self.pool.dedup_hits();
         let hits0 = self.work.label_cache.hits();
@@ -1136,26 +1104,16 @@ impl<'t> Emitter<'t> {
         let floor = self.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
         self.work.stream.restart(root, *rules, variant_limit);
-        let mut best: Option<(u64, usize, usize)> = None; // (total weight, store, root)
+        let mut best: Option<Winner> = None;
         while let Some(id) = self.work.stream.next(&mut self.pool) {
             stats.variants += 1;
             let label = self.matcher.label_interned(&self.pool, id, &mut self.work.label_cache);
-            if let Some((nt, derive)) =
-                best_candidate(self.work.label_cache.entries(label), &self.work.candidates)
-            {
+            if let Some(won) = self.winner(label) {
                 stats.covered += 1;
-                let store_ix = self.store_index(nt);
-                let total = derive.add(self.target.stores[store_ix].cost).weight();
-                if best.as_ref().map_or(true, |(bw, ..)| total < *bw) {
-                    let cover = &mut self.work.buffers.cover;
-                    cover.clear();
-                    let root = self
-                        .matcher
-                        .reduce_into(&self.pool, &self.work.label_cache, label, nt, None, cover)
-                        .expect("a derivable label reduces");
-                    best = Some((total, store_ix, root));
+                if best.map_or(true, |best| won.weight < best.weight) {
+                    best = Some(won);
                 }
-                if best.as_ref().is_some_and(|(bw, ..)| *bw <= floor) {
+                if best.is_some_and(|best| best.weight <= floor) {
                     stats.variants_pruned += self.work.stream.pending() as u64;
                     break;
                 }
@@ -1171,22 +1129,20 @@ impl<'t> Emitter<'t> {
         stats.dedup_hits += self.pool.dedup_hits() - dedup0;
         stats.labels_memoized += self.work.label_cache.hits() - hits0;
         stats.labels_computed += self.work.label_cache.misses() - misses0;
-        best.map(|(_, store_ix, root)| (store_ix, root))
+        best
     }
 
-    /// Emits `stmt` as the cover below `root` followed by store rule
-    /// `store_ix`.
+    /// Emits `stmt` as the cover below `root` in the cover buffer
+    /// followed by store rule `store`.
     fn emit_stored(
         &mut self,
         stmt: &AssignStmt,
-        store_ix: usize,
-        cover: &CoverBuf,
+        store: usize,
         root: usize,
         out: &mut Vec<Insn>,
     ) -> Result<(), CompileError> {
-        self.work.buffers.locs.clear();
-        let value = self.emit_cover(cover, root, out, Computing::Stmt(stmt))?;
-        let store = &self.target.stores[store_ix];
+        let value = self.emit_buffered(root, out, Computing::Stmt(stmt))?;
+        let store = &self.target.stores[store];
         let dst = Loc::Mem(MemLoc::from_mem_ref(&stmt.dst));
         let text = render_asm(self.target, &store.asm, &dst, std::slice::from_ref(&value));
         self.release(&value);
@@ -1195,6 +1151,21 @@ impl<'t> Emitter<'t> {
         insn.units = store.units;
         out.push(insn);
         Ok(())
+    }
+
+    /// Emits the cover below `root` in the cover buffer; returns the
+    /// location of its value.
+    fn emit_buffered(
+        &mut self,
+        root: usize,
+        out: &mut Vec<Insn>,
+        what: Computing<'_>,
+    ) -> Result<Loc, CompileError> {
+        self.work.buffers.locs.clear();
+        let cover = std::mem::take(&mut self.work.buffers.cover);
+        let value = self.emit_cover(&cover, root, out, what);
+        self.work.buffers.cover = cover;
+        value
     }
 
     /// Emits the instructions of a cover node; returns the location of
@@ -1380,30 +1351,6 @@ enum Computing<'s> {
     Shared(usize),
 }
 
-/// Where a block's verified baseline sits in the output: statement `s`
-/// occupies `start + begin(s)..start + ends[s]`.
-#[derive(Clone, Copy)]
-struct Baseline<'a> {
-    start: usize,
-    ends: &'a [usize],
-}
-
-impl<'a> Baseline<'a> {
-    /// Where statement `s` begins, relative to `start`.
-    fn begin(self, s: usize) -> usize {
-        if s == 0 {
-            0
-        } else {
-            self.ends[s - 1]
-        }
-    }
-
-    /// Statement `s`'s baseline instructions in `out`.
-    fn stmt(self, out: &[Insn], s: usize) -> &[Insn] {
-        &out[self.start + self.begin(s)..self.start + self.ends[s]]
-    }
-}
-
 /// Releases `loc` when it is a multi-member register not holding a
 /// block-shared value (see [`Emitter::release`]).
 fn release_in(target: &TargetDesc, held: &[Loc], reg_used: &mut [Vec<bool>], loc: &Loc) {
@@ -1557,12 +1504,6 @@ fn push_loc_text(target: &TargetDesc, out: &mut String, loc: &Loc) {
         Loc::Mem(m) => write!(out, "{m}").expect("writing to a String"),
         Loc::Imm(v) => write!(out, "{v}").expect("writing to a String"),
     }
-}
-
-/// Total BURS weight of an emitted instruction sequence — the unit the
-/// share-vs-recompute comparison is carried out in.
-fn insns_weight(insns: &[Insn]) -> u64 {
-    insns.iter().map(|i| Cost::new(i.words, i.cycles).weight()).sum()
 }
 
 /// Runs `label` against the label memo, charging the labellings it
@@ -1815,7 +1756,7 @@ mod tests {
         );
         // raw emission (no verify loop)
         let mut insns = Vec::new();
-        e.emit_one(&stmt, &RuleSet::none(), 1, &mut insns).unwrap();
+        emit_unprobed(&mut e, &stmt, &mut insns).unwrap();
         let ok = verify(&mut e, &stmt, &insns);
         // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
@@ -1824,12 +1765,22 @@ mod tests {
         assert!(verify(&mut e, &stmt, &fixed), "{:?}", texts(&fixed));
     }
 
+    /// Emits `stmt` without variants, the probe or the split loop.
+    fn emit_unprobed(
+        e: &mut Emitter<'_>,
+        stmt: &AssignStmt,
+        out: &mut Vec<Insn>,
+    ) -> Result<(), CompileError> {
+        let cover = e.plain_cover(stmt, None, &RuleSet::none(), 1, &mut SelectStats::default())?;
+        e.emit_stored(stmt, cover.0, cover.1, out)
+    }
+
     /// Verifies a copy of `insns` as the code of `stmt`, checking that
     /// the probe hands the instructions back unchanged.
     fn verify(e: &mut Emitter<'_>, stmt: &AssignStmt, insns: &[Insn]) -> bool {
         let mut code = vec![Insn::ctrl(InsnKind::Nop, "before", 0, 0)];
         code.extend_from_slice(insns);
-        let verdict = e.verify_statement(stmt, &mut Vec::new(), &mut code, 1);
+        let verdict = e.verify_statement(stmt, &[], &mut code, 1);
         assert_eq!(code[1..], *insns, "the probe changed the instructions");
         verdict
     }
@@ -2059,7 +2010,7 @@ mod tests {
             let mut e = Emitter::new(t);
             let stmt = AssignStmt::new(e.pool_mut(), dst, &gen_probe_tree(rng, 3));
             let mut insns = Vec::new();
-            if e.emit_one(&stmt, &RuleSet::none(), 1, &mut insns).is_err() {
+            if emit_unprobed(&mut e, &stmt, &mut insns).is_err() {
                 return;
             }
             let mut verdict = |code: &[Insn]| {
@@ -2199,6 +2150,31 @@ mod tests {
         assert!(texts(&insns).iter().any(|s| s.ends_with(",w")), "{:?}", texts(&insns));
     }
 
+    /// asip-dsp accepts shares in the complex-multiply block that its
+    /// registers cannot hold once the statements' own temporaries are
+    /// live: the block falls back once, to exactly the code it emits
+    /// without shares.
+    #[test]
+    fn a_block_whose_shares_do_not_fit_emits_its_plain_code() {
+        use record_isa::targets::asip;
+        let t = asip::build(&asip::AsipParams::dsp());
+        let emit = |share: bool| {
+            let mut e = Emitter::new(&t);
+            let stmts = stmts_in(&mut e, &complex_multiply_block());
+            let stmts: Vec<&AssignStmt> = stmts.iter().collect();
+            let mut out = Vec::new();
+            let stats = e.emit_block_into(&stmts, &RuleSet::all(), 32, share, &mut out).unwrap();
+            assert!(e.work.reg_used.iter().all(|c| c.iter().all(|u| !u)));
+            (texts(&out), stats)
+        };
+        let (shared, stats) = emit(true);
+        let (plain, _) = emit(false);
+        assert_eq!(stats.share_fallbacks, 1, "{stats:?}");
+        assert_eq!(stats.shares_taken, 0, "{stats:?}");
+        assert_eq!(stats.recomputes_chosen, stats.shared_subtrees, "{stats:?}");
+        assert_eq!(shared, plain);
+    }
+
     /// The selection loop that reduces every covered variant and replaces
     /// the incumbent on a strictly lower total: the reference cost-first
     /// covering is checked against.
@@ -2304,10 +2280,11 @@ mod tests {
             for stmt in &stmts {
                 let (mut got_stats, mut want_stats) =
                     (SelectStats::default(), SelectStats::default());
-                let got =
-                    cost_first.find_best_interned(stmt.src, &rules, limit, &mut got_stats).map(
-                        |(store_ix, root)| (store_ix, cost_first.work.buffers.cover.to_tree(root)),
-                    );
+                let got = cost_first.find_best_interned(stmt.src, &rules, limit, &mut got_stats);
+                let got = got.map(|won| {
+                    let root = cost_first.reduce(won.label, t.stores[won.store].nt, false);
+                    (won.store, cost_first.work.buffers.cover.to_tree(root))
+                });
                 let want = find_best_interned_reference(
                     &mut reference,
                     stmt.src,
@@ -2379,7 +2356,9 @@ mod tests {
                 let full = e
                     .matcher
                     .best_cover_interned_cut(&e.pool, *root, &mut fresh, &e.work.candidates, cuts)
-                    .map(|(nt, cover)| cover.cost.add(e.store_cost(nt)).weight());
+                    .map(|(nt, cover)| {
+                        cover.cost.add(unit.target.stores[e.store_index(nt)].cost).weight()
+                    });
                 if *weight != full {
                     self.mismatches.lock().unwrap().push(format!(
                         "{} on {} under {cuts:?}: labels say {weight:?}, reduction {full:?}",

@@ -17,7 +17,9 @@
 
 use std::collections::HashMap;
 
-use record::{reference_select_pass, CompileError, CompileOptions, Compiled, Compiler, PassPlan};
+use record::{
+    reference_select_pass, Budgets, CompileError, CompileOptions, Compiled, Compiler, PassPlan,
+};
 use record_ir::blockdag::read_bases;
 use record_ir::lir::AssignStmt;
 use record_ir::{dfl, lower, BinOp, BlockDag, MemRef, Symbol, Tree, TreePool};
@@ -159,6 +161,52 @@ fn sharing_is_refused_on_tic25() {
             "{}: recompute-only DAG covering must be the per-statement code",
             kernel.name
         );
+    }
+}
+
+/// A plan's budgets decide when selection gives up, not how it covers:
+/// under `recordd`'s service budgets every DSPStone kernel compiles, on
+/// both shipped targets, to exactly the O2 listing, DAG shares included.
+#[test]
+fn service_budgets_select_what_o2_selects() {
+    for target in targets() {
+        let compiler = Compiler::for_target(target.clone()).unwrap();
+        let service = PassPlan::o2().with_budgets(Budgets::service());
+        for kernel in record_dspstone::kernels() {
+            let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();
+            let o2 = compiler.compile(&lir, PassPlan::o2()).unwrap().code;
+            let served = compiler.compile(&lir, service.clone()).unwrap().code;
+            assert_eq!(served.render(), o2.render(), "{} on {}", kernel.name, target.name);
+        }
+    }
+}
+
+/// A share can make a block fit: on risc4, `t0 * (t0 - 8 * t0)` covered
+/// tree by tree needs a fifth register, while `t0` loaded once and
+/// parked leaves enough for the rest. The per-statement reference
+/// selector runs out of registers; the DAG-covered code computes the
+/// statement's value on the simulator.
+#[test]
+fn a_share_makes_a_block_fit_its_registers() {
+    let target = record_isa::targets::simple_risc::target(4);
+    let compiler = Compiler::for_target(target.clone()).unwrap();
+    let source = "program p; in t0: fix; out y0: fix; begin y0 := t0 * (t0 - 8 * t0); end";
+    let lir = lower::lower(&dfl::parse(source).unwrap()).unwrap();
+    let opts = CompileOptions::default();
+    let ref_plan = PassPlan::from_options(&opts)
+        .replacing("select", reference_select_pass(opts.rules, opts.variant_limit));
+    match compiler.compile(&lir, ref_plan) {
+        Err(CompileError::OutOfRegisters { .. }) => {}
+        other => panic!("the reference selector should run out of registers: {other:?}"),
+    }
+    let Compiled { code, timings } = compiler.compile(&lir, PassPlan::o2().strict(true)).unwrap();
+    assert_eq!(timings.select.shares_taken, 1, "{}", code.render());
+    assert_eq!(timings.select.share_fallbacks, 0);
+    for t0 in [-100, -7, 0, 3, 99] {
+        let inputs = HashMap::from([(Symbol::new("t0"), vec![t0])]);
+        let (out, _) = run_program(&code, &target, &inputs).unwrap();
+        let want = record_ir::ops::wrap_to_width(t0 * (t0 - 8 * t0), target.word_width);
+        assert_eq!(out[&Symbol::new("y0")], vec![want], "t0 = {t0}\n{}", code.render());
     }
 }
 
