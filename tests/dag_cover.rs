@@ -12,6 +12,8 @@
 //! * **the payoff** — on the register-operand dsp56k the MAC-heavy
 //!   kernels must actually take shares and must never grow in code
 //!   words; on the accumulator tic25 every candidate must be recomputed;
+//!   a plan's budgets never change the cover, and a share can make a
+//!   block fit registers its per-statement cover exhausts;
 //! * **soundness** — property tests check that [`BlockDag`] never offers
 //!   a value for sharing across an intervening store to memory it reads.
 
