@@ -11,8 +11,9 @@ pub enum TargetError {
     /// The target description itself is inconsistent (validation or
     /// instruction-set extraction failed).
     Invalid(String),
-    /// A statement miscompiles (clobber hazard) and cannot be split into
-    /// smaller statements.
+    /// A statement's cover has a register hazard (it overwrites a
+    /// singleton register an operand still waits in), and the statement
+    /// cannot be split into smaller statements.
     Unsplittable {
         /// The offending statement, rendered.
         stmt: String,
@@ -112,8 +113,10 @@ pub enum CompileError {
     Address(AddressError),
     /// The target description is inconsistent.
     Target(TargetError),
-    /// A pass produced structurally invalid code — caught by the
-    /// inter-pass verifier at the offending pass's own boundary.
+    /// A pass produced invalid code: structurally invalid code, caught by
+    /// the inter-pass verifier at the offending pass's own boundary, or,
+    /// from `select` in a strict plan, a statement's code that its
+    /// simulator probe found computing another value.
     Verify {
         /// Name of the pass whose output failed verification.
         pass: String,
@@ -155,7 +158,7 @@ impl fmt::Display for CompileError {
             CompileError::Address(m) => write!(f, "address assignment error: {m}"),
             CompileError::Target(m) => write!(f, "invalid target description: {m}"),
             CompileError::Verify { pass, error } => {
-                write!(f, "pass `{pass}` broke a structural invariant: {error}")
+                write!(f, "pass `{pass}` failed verification: {error}")
             }
             CompileError::Internal { pass, message } => {
                 write!(f, "internal error: pass `{pass}` panicked: {message}")

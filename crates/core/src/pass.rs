@@ -14,7 +14,8 @@
 //! own [`Pass::postcondition`]. A pass that breaks a structural invariant
 //! therefore fails at its own boundary — as
 //! [`CompileError::Verify`] carrying the pass name — instead of
-//! surfacing later in the simulator.
+//! surfacing later in the simulator. A strict `select` also runs every
+//! statement it emits on the simulator ([`CompilationUnit::strict`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -60,6 +61,12 @@ pub struct CompilationUnit<'a> {
     /// Resource caps the passes must respect (copied from the plan by
     /// the runner before the first pass executes).
     pub budgets: Budgets,
+    /// Whether the passes check their own work as they go: `select` runs
+    /// every statement it emits on the simulator and fails on a mismatch
+    /// with [`CompileError::Verify`]. Copied from the plan's
+    /// [`strict`](PassPlan::strict) by the runner; a new unit starts with
+    /// a plan's default, on in debug builds and off in release.
+    pub strict: bool,
     /// The compile's span recorder. The runner opens one span per pass
     /// on it; passes may attach extra attributes or events (e.g. the
     /// search passes record `search_steps`). Disabled (a no-op) unless
@@ -90,6 +97,7 @@ impl<'a> CompilationUnit<'a> {
             lir,
             select: SelectStats::default(),
             budgets: Budgets::unlimited(),
+            strict: cfg!(debug_assertions),
             trace: SpanRecorder::disabled(),
         }
     }
@@ -285,8 +293,10 @@ impl PassPlan {
         self
     }
 
-    /// Sets strict inter-pass verification explicitly (defaults to on in
-    /// debug builds, off in release).
+    /// Sets strict verification explicitly (defaults to on in debug
+    /// builds, off in release): the runner verifies the unit between
+    /// passes, and `select` probes every statement it emits on the
+    /// simulator ([`CompilationUnit::strict`]).
     #[must_use]
     pub fn strict(mut self, on: bool) -> Self {
         self.strict = on;
@@ -435,6 +445,7 @@ impl PassPlan {
         timings: &mut PhaseTimings,
     ) -> Result<(), PassFailure> {
         unit.budgets = self.budgets;
+        unit.strict = self.strict;
         if let Some(cap) = self.budgets.max_lir_nodes {
             let nodes = lir_nodes(&unit.lir.pool, &unit.lir.body);
             if nodes > cap {
@@ -744,6 +755,7 @@ impl Pass for SelectPass {
         let work = SelectScratch::take();
         let mut emitter = Emitter::with_scratch(target, Arc::clone(unit.tables), work);
         emitter.set_reference(self.reference);
+        emitter.set_strict(unit.strict);
         emitter.set_search_cap(budgets.max_search_steps);
         emitter.set_budgets(budgets.max_variants, search_budget(None, &budgets));
         std::mem::swap(emitter.pool_mut(), &mut unit.lir.pool);

@@ -10,7 +10,9 @@
 //!    covering patterns is then selected",
 //! 3. walk the winning cover bottom-up, allocating registers for
 //!    multi-member classes and scratch memory words for spill chains, and
-//!    emit instructions in each rule's operand evaluation order.
+//!    emit instructions in each rule's operand evaluation order, splitting
+//!    the statement where the cover would overwrite a singleton register
+//!    an operand still waits in (a register hazard).
 //!
 //! Register allocation here is the *tree-parsing* style for heterogeneous
 //! register sets: the BURS nonterminals already decided which class each
@@ -29,7 +31,7 @@ use record_ir::transform::{variants, RuleSet, VariantStream};
 use record_ir::{AssignStmt, BlockDag, DagScratch, MemRef, Symbol, TreeId, TreeNode, TreePool};
 use record_isa::{
     Cost, Insn, InsnKind, Loc, MemLoc, NonTermId, NonTermKind, PatNode, RegId, Rhs, Rule, SemExpr,
-    TargetDesc,
+    StructureError, TargetDesc,
 };
 
 use crate::CompileError;
@@ -127,8 +129,8 @@ select_counters! {
     /// (sharing would not have paid on this target).
     recomputes_chosen: Work,
     /// Blocks whose emission with shares failed (a register class ran
-    /// dry or a cut statement failed its probe) and that were emitted
-    /// again without them.
+    /// dry, or a definition or cut statement had a register hazard) and
+    /// that were emitted again without them.
     share_fallbacks: Work,
 }
 
@@ -151,10 +153,14 @@ pub struct Emitter<'t> {
     variants_used: u64,
     /// The step and deadline budget every search charges.
     budget: record_opt::SearchBudget,
+    /// Probe every emitted statement on the simulator, and fail on a
+    /// mismatch (see [`set_strict`](Self::set_strict)).
+    strict: bool,
     /// The machine every verification probe runs on, reset before each
-    /// seed (see [`verify_statement`](Self::verify_statement)), built in
-    /// the storage the scratch keeps for it.
-    probe: record_sim::Machine<'t>,
+    /// seed (see [`verify_statement`](Self::verify_statement)). Built by
+    /// the first probe, in the storage the scratch keeps for it, so an
+    /// emitter that probes nothing builds none.
+    probe: Option<record_sim::Machine<'t>>,
     /// The pool the statements' trees live in and variants are interned
     /// into. The `select` pass lends the emitter the program's pool; an
     /// emitter used on its own interns its statements into this one (see
@@ -189,7 +195,9 @@ pub const MAX_RETAINED_NODES: usize = 1 << 16;
 /// result. The `select` pass keeps one per thread this way, so a
 /// thread's compiles stop growing the same buffers anew. (The tree pool
 /// is the program's; a dropped pool leaves its buffers to the thread's
-/// next one by itself.)
+/// next one by itself.) Only a strict compile builds the probe's machine
+/// and program in it (see [`Emitter::set_strict`]), so the scratch of a
+/// thread that compiles only in release holds neither.
 #[derive(Default)]
 pub(crate) struct SelectScratch {
     /// Memoized label states keyed by interned tree id (one grammar, one
@@ -218,7 +226,8 @@ pub(crate) struct SelectScratch {
     held: Vec<Loc>,
     /// Location of each shared value, indexed by cut slot.
     shared_locs: Vec<Option<Loc>>,
-    /// The probe machine's storage while no emitter runs the machine.
+    /// The probe machine's storage while no emitter runs the machine:
+    /// empty until a strict compile on the thread probes a statement.
     machine: record_sim::MachineStorage,
     /// Working memory of selection, cleared between statements and
     /// blocks and never shrunk.
@@ -228,6 +237,12 @@ pub(crate) struct SelectScratch {
 thread_local! {
     /// The scratch the last compile on this thread left for the next.
     static RETAINED: Cell<Option<SelectScratch>> = const { Cell::new(None) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The probes this thread ran and the probe machines it built.
+    static PROBES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 impl SelectScratch {
@@ -281,10 +296,6 @@ impl SelectScratch {
         self.reg_cursor.resize(target.reg_classes.len(), 0);
         self.held.clear();
         self.shared_locs.clear();
-        let probe = &mut self.buffers.probe.code;
-        probe.target.clone_from(&target.name);
-        probe.name.clear();
-        probe.name.push_str("verify");
     }
 }
 
@@ -297,6 +308,9 @@ struct Buffers {
     /// Operand locations of the cover nodes being emitted, a stack with
     /// one frame per node.
     locs: Vec<Loc>,
+    /// Whether the cover being emitted has a register hazard (see
+    /// [`Emitter::emit_cover`]).
+    hazard: bool,
     /// Each statement's plain winner, decided before the block emits.
     winners: Vec<Winner>,
     /// The block's DAG and the working state that builds it.
@@ -314,7 +328,8 @@ struct Buffers {
     improved: Vec<(usize, u64)>,
     best_improved: Vec<(usize, u64)>,
     /// Where the block's shared-value definitions sit in the output: a
-    /// cut statement's probe runs them ahead of its own code.
+    /// cut statement's probe, in a strict emitter, runs them ahead of its
+    /// own code.
     parked: Vec<usize>,
     /// The register cursors as the block found them, restored when its
     /// shares do not fit.
@@ -369,7 +384,6 @@ impl<'t> Emitter<'t> {
         mut work: SelectScratch,
     ) -> Self {
         work.reset(target);
-        let probe = record_sim::Machine::with_storage(target, std::mem::take(&mut work.machine));
         Emitter {
             target,
             matcher: Matcher::with_tables(target, tables),
@@ -379,7 +393,8 @@ impl<'t> Emitter<'t> {
             variant_cap: None,
             variants_used: 0,
             budget: record_opt::SearchBudget::unlimited(),
-            probe,
+            strict: cfg!(debug_assertions),
+            probe: None,
             pool: TreePool::new(),
             work,
             #[cfg(test)]
@@ -391,7 +406,9 @@ impl<'t> Emitter<'t> {
     /// select in (see [`with_scratch`](Self::with_scratch)).
     pub(crate) fn into_scratch(self) -> SelectScratch {
         let mut work = self.work;
-        work.machine = self.probe.into_storage();
+        if let Some(machine) = self.probe {
+            work.machine = machine.into_storage();
+        }
         work
     }
 
@@ -399,6 +416,18 @@ impl<'t> Emitter<'t> {
     /// reference pass and the byte-equivalence tests.
     pub fn set_reference(&mut self, on: bool) {
         self.reference = on;
+    }
+
+    /// Makes the emitter strict or not. Either way it finds register
+    /// hazards while emitting and never keeps code that has one (see
+    /// [`emit_block`](Self::emit_block)). A strict emitter also runs every
+    /// statement it emits on the simulator and fails with
+    /// [`CompileError::Verify`] when the result disagrees with the tree.
+    /// The default follows a [`PassPlan`](crate::PassPlan)'s: strict in
+    /// debug builds, not in release; the `select` pass takes its
+    /// unit's [`strict`](crate::CompilationUnit::strict).
+    pub(crate) fn set_strict(&mut self, on: bool) {
+        self.strict = on;
     }
 
     /// Caps cumulative enumeration work (candidate rewrites generated
@@ -456,7 +485,9 @@ impl<'t> Emitter<'t> {
     /// # Errors
     ///
     /// [`CompileError::Uncoverable`] when no variant derives to any store
-    /// candidate; [`CompileError::OutOfRegisters`] when a class runs dry.
+    /// candidate; [`CompileError::OutOfRegisters`] when a class runs dry;
+    /// in a strict emitter, [`CompileError::Verify`] when the code
+    /// disagrees with the tree on the simulator.
     pub fn emit_assign(
         &mut self,
         stmt: &AssignStmt,
@@ -491,12 +522,16 @@ impl<'t> Emitter<'t> {
     /// 4. **Emission** — one walk over the block places each definition
     ///    immediately before its first consumer and emits each statement
     ///    once: its cut cover when that is strictly cheaper than its plain
-    ///    winner, else the plain winner. Every statement is probed on the
-    ///    simulator, a cut statement with the definitions ahead of it.
-    ///    When the shares do not fit (a class runs dry, or a cut
-    ///    statement fails its probe), the block is emitted again from the
-    ///    same winners without them, so DAG covering never produces
-    ///    unverified code.
+    ///    winner, else the plain winner. Emission finds register hazards
+    ///    as it goes (a rule writing a singleton register that an operand
+    ///    still waits in): a plain statement with one is split, and a
+    ///    definition or cut statement with one means the shares do not
+    ///    fit. When they do not (a class runs dry, or a hazard), the block
+    ///    is emitted again from the same winners without them, so DAG
+    ///    covering never keeps code with a hazard. A strict emitter (as in
+    ///    a strict [`PassPlan`](crate::PassPlan)) then probes every
+    ///    statement it keeps on the simulator, a cut statement with the
+    ///    definitions ahead of it.
     ///
     /// Only multi-member register classes are eligible parking spots: a
     /// singleton class (accumulator-style machines) cannot hold a value
@@ -515,9 +550,9 @@ impl<'t> Emitter<'t> {
 
     /// [`emit_block`](Self::emit_block), appending the instructions to
     /// `out`, with shares only when `share`. The boxed reference path
-    /// decides nothing ahead and shares nothing: it searches, emits and
-    /// probes statement by statement. On an error, `out` may hold part of
-    /// the block's code.
+    /// decides nothing ahead and shares nothing: it searches and emits
+    /// statement by statement. On an error, `out` may hold part of the
+    /// block's code.
     pub(crate) fn emit_block_into(
         &mut self,
         stmts: &[&AssignStmt],
@@ -551,6 +586,8 @@ impl<'t> Emitter<'t> {
                 stats.shares_taken += shares;
                 return Ok(stats);
             }
+            // a failed probe is a selection bug, never a reason to retry
+            Err(e @ CompileError::Verify { .. }) => return Err(e),
             Err(e) if shares == 0 => return Err(e),
             Ok(false) | Err(_) => {}
         }
@@ -658,7 +695,8 @@ impl<'t> Emitter<'t> {
     /// immediately before its first consumer, then each statement, its
     /// cut cover when that is strictly cheaper than its plain winner,
     /// else the plain winner (searched now on the reference path).
-    /// `Ok(false)` when a cut statement fails its probe.
+    /// `Ok(false)` when a definition or a cut statement has a register
+    /// hazard.
     fn emit_once(
         &mut self,
         stmts: &[&AssignStmt],
@@ -684,6 +722,9 @@ impl<'t> Emitter<'t> {
                 let root = self.reduce(label, nt, false);
                 let at = out.len();
                 let loc = self.emit_buffered(root, out, Computing::Shared(slot))?;
+                if self.work.buffers.hazard {
+                    return Ok(false);
+                }
                 self.work.buffers.parked.extend(at..out.len());
                 self.work.held.push(loc.clone());
                 self.work.shared_locs[slot] = Some(loc);
@@ -693,12 +734,12 @@ impl<'t> Emitter<'t> {
             match won.and_then(|won| self.cut_cover(s, won.weight, stats)) {
                 Some(cut) => {
                     let root = self.reduce(cut.label, self.target.stores[cut.store].nt, true);
-                    // the probe runs the definitions ahead of the code:
-                    // the cut statement reads the registers they fill
+                    // a probe runs the definitions ahead of the code: the
+                    // cut statement reads the registers they fill
                     let parked = std::mem::take(&mut self.work.buffers.parked);
-                    let probed = self.emit_probed(stmt, (cut.store, root), &parked, out);
+                    let kept = self.emit_checked(stmt, (cut.store, root), &parked, out);
                     self.work.buffers.parked = parked;
-                    if !probed? {
+                    if !kept? {
                         return Ok(false);
                     }
                     self.work.scratch_free.clone_from(&self.work.scratch_pool);
@@ -726,9 +767,10 @@ impl<'t> Emitter<'t> {
     }
 
     /// Emits `stmt` from its plain cover `won`, or from a search when
-    /// `None`, and probes it. Code that fails its probe is taken out
-    /// again, and the statement split at an operand boundary; the halves
-    /// are searched, emitted and probed the same way.
+    /// `None`. Code with a register hazard is taken out again, and the
+    /// statement split at an operand boundary; the halves are searched
+    /// and emitted the same way. A strict emitter probes the code it
+    /// keeps (see [`emit_checked`](Self::emit_checked)).
     fn emit_plain(
         &mut self,
         stmt: &AssignStmt,
@@ -744,13 +786,14 @@ impl<'t> Emitter<'t> {
         let mut split: Vec<AssignStmt> = Vec::new();
         while let Some(cur) = next.take().or_else(|| split.pop().map(Cow::Owned)) {
             let cover = self.plain_cover(&cur, won.take(), rules, variant_limit, &mut stats)?;
-            if self.emit_probed(&cur, cover, &[], out)? {
+            if self.emit_checked(&cur, cover, &[], out)? {
                 continue;
             }
-            // Clobber hazard: the cover routed two values through the same
-            // special register in a conflicting order. Split one non-leaf
-            // operand into an explicit memory temporary and retry — each
-            // split strictly shrinks the tree, so this terminates.
+            // Register hazard: the cover routed two values through the
+            // same special register in a conflicting order. Split one
+            // non-leaf operand into an explicit memory temporary and
+            // retry — each split strictly shrinks the tree, so this
+            // terminates.
             let Some((first, second)) = self.split_statement(&cur) else {
                 return Err(CompileError::Target(crate::TargetError::Unsplittable {
                     stmt: cur.display(&self.pool).to_string(),
@@ -764,10 +807,12 @@ impl<'t> Emitter<'t> {
         Ok(stats)
     }
 
-    /// Emits `stmt` as the cover `(store rule, root)` of the cover buffer
-    /// and probes it, the instructions at `parked` in `out` ahead of it.
-    /// Code that fails its probe is taken out again: `Ok(false)`.
-    fn emit_probed(
+    /// Emits `stmt` as the cover `(store rule, root)` of the cover buffer.
+    /// Code with a register hazard is taken out again: `Ok(false)`. A
+    /// strict emitter probes the code it keeps, the instructions at
+    /// `parked` in `out` ahead of it, and fails with
+    /// [`CompileError::Verify`] when the probe disagrees with the tree.
+    fn emit_checked(
         &mut self,
         stmt: &AssignStmt,
         (store, root): (usize, usize),
@@ -787,11 +832,33 @@ impl<'t> Emitter<'t> {
             }),
             "register leak after statement"
         );
-        if self.verify_statement(stmt, parked, out, start) {
-            return Ok(true);
+        if self.work.buffers.hazard {
+            out.truncate(start);
+            return Ok(false);
         }
-        out.truncate(start);
-        Ok(false)
+        self.assert_probe(stmt, parked, out, start)?;
+        Ok(true)
+    }
+
+    /// In a strict emitter, probes `out[start..]`, the code of `stmt`
+    /// with the instructions at `parked` ahead of it, and fails with
+    /// [`CompileError::Verify`] for `select` when the probe disagrees
+    /// with the tree: the code has no register hazard, so the hazard rule
+    /// missed one. A non-strict emitter checks nothing.
+    fn assert_probe(
+        &mut self,
+        stmt: &AssignStmt,
+        parked: &[usize],
+        out: &mut Vec<Insn>,
+        start: usize,
+    ) -> Result<(), CompileError> {
+        if !self.strict || self.verify_statement(stmt, parked, out, start) {
+            return Ok(());
+        }
+        Err(CompileError::Verify {
+            pass: "select".into(),
+            error: StructureError::Miscompiled { stmt: stmt.display(&self.pool).to_string() },
+        })
     }
 
     /// Reduces `label` for `goal` into the cover buffer — under the
@@ -858,14 +925,20 @@ impl<'t> Emitter<'t> {
     /// the tree's reference evaluation. Returns `true` when they agree on
     /// every probe.
     ///
+    /// Only a strict emitter probes, after the emission found no register
+    /// hazard, so a `false` here is a selection bug the hazard rule
+    /// missed. Every index variable runs at 0, so the probe cannot tell
+    /// apart two values that agree there.
+    ///
     /// The probe program is the instructions at `parked` in `insns` (the
     /// block-shared definitions a cut statement reads) followed by
     /// `insns[from..]`. The instructions are moved into the emitter's
     /// probe program and back, never copied. The
     /// program depends only on the code, so it is built, mode-completed
     /// and decoded once, and its symbols' addresses are resolved once;
-    /// each of the four seeds then resets the emitter's probe machine,
-    /// pokes the inputs, executes and peeks the destination.
+    /// each of the four seeds then resets the emitter's probe machine
+    /// (built by the emitter's first probe), pokes the inputs, executes
+    /// and peeks the destination.
     fn verify_statement(
         &mut self,
         stmt: &AssignStmt,
@@ -873,6 +946,8 @@ impl<'t> Emitter<'t> {
         insns: &mut Vec<Insn>,
         from: usize,
     ) -> bool {
+        #[cfg(test)]
+        PROBES.with(|n| n.set((n.get().0 + 1, n.get().1)));
         let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
         let probe = &mut self.work.buffers.probe;
         // Collect every symbol the statement and its code touch, in the
@@ -937,8 +1012,13 @@ impl<'t> Emitter<'t> {
         }
         record_opt::insert_mode_changes(code, self.target, record_opt::ModeStrategy::Lazy);
 
-        let verdict =
-            run_probe(&mut self.probe, probe, &self.pool, stmt, &dst_loc, self.target.word_width);
+        let target = self.target;
+        let machine = self.probe.get_or_insert_with(|| {
+            #[cfg(test)]
+            PROBES.with(|n| n.set((n.get().0, n.get().1 + 1)));
+            record_sim::Machine::with_storage(target, std::mem::take(&mut self.work.machine))
+        });
+        let verdict = run_probe(machine, probe, &self.pool, stmt, &dst_loc, target.word_width);
 
         // hand the instructions back, dropping the loops and mode changes
         let mut back = parked.iter();
@@ -1162,6 +1242,7 @@ impl<'t> Emitter<'t> {
         what: Computing<'_>,
     ) -> Result<Loc, CompileError> {
         self.work.buffers.locs.clear();
+        self.work.buffers.hazard = false;
         let cover = std::mem::take(&mut self.work.buffers.cover);
         let value = self.emit_cover(&cover, root, out, what);
         self.work.buffers.cover = cover;
@@ -1173,7 +1254,14 @@ impl<'t> Emitter<'t> {
     /// is only rendered then.
     ///
     /// The operand locations of the node are a frame on the emitter's
-    /// location stack, popped when the node is emitted.
+    /// location stack, popped when the node is emitted. The frames below
+    /// hold the operands that enclosing nodes already computed and still
+    /// wait on. A node whose rule writes a singleton register (tic25's
+    /// `acc`, `p`, `t`) that one of them sits in overwrites it: a
+    /// *register hazard*, noted in the `hazard` buffer for the caller to
+    /// take the code out. Emission goes on to the end, so every register
+    /// is released as usual. A multi-member destination never equals a
+    /// waiting operand, since allocation skips members in use.
     fn emit_cover(
         &mut self,
         cover: &CoverBuf,
@@ -1219,6 +1307,8 @@ impl<'t> Emitter<'t> {
 
         // destination for the produced value
         let dst = self.lhs_loc(rule, what)?;
+        let singleton = matches!(&dst, Loc::Reg(r) if target.class(r.class).is_singleton());
+        self.work.buffers.hazard |= singleton && self.work.buffers.locs[..frame].contains(&dst);
         let locs = &self.work.buffers.locs[frame..];
 
         // semantics from the pattern shape
@@ -1757,12 +1847,116 @@ mod tests {
         // raw emission (no verify loop)
         let mut insns = Vec::new();
         emit_unprobed(&mut e, &stmt, &mut insns).unwrap();
+        // the naive cover clobbers the accumulator: emission finds the
+        // hazard, and the verifier says no
+        assert!(e.work.buffers.hazard, "{:?}", texts(&insns));
         let ok = verify(&mut e, &stmt, &insns);
-        // the naive cover clobbers the accumulator; the verifier must say no
         assert!(!ok, "{:?}", texts(&insns));
         // and the public entry point must produce correct code
         let (fixed, _) = e.emit_assign(&stmt, &RuleSet::none(), 1).unwrap();
         assert!(verify(&mut e, &stmt, &fixed), "{:?}", texts(&fixed));
+    }
+
+    /// A strict emitter turns a probe that disagrees with the tree into
+    /// a `Verify` error for `select`; a non-strict one runs no probe.
+    #[test]
+    fn a_failed_probe_is_a_verify_error_in_a_strict_emitter() {
+        let t = record_isa::targets::tic25::target();
+        let mut e = Emitter::new(&t);
+        let not = |v: &str| Tree::un(record_ir::UnOp::Not, Tree::var(v));
+        let stmt = assign(&mut e, "v1", Tree::bin(BinOp::And, not("v1"), not("v2")));
+        // the clobbering cover, kept as if emission had missed its hazard
+        let mut insns = Vec::new();
+        emit_unprobed(&mut e, &stmt, &mut insns).unwrap();
+        let probes = |f: &mut dyn FnMut()| {
+            let before = PROBES.with(Cell::get).0;
+            f();
+            PROBES.with(Cell::get).0 - before
+        };
+        e.set_strict(false);
+        assert_eq!(probes(&mut || e.assert_probe(&stmt, &[], &mut insns, 0).unwrap()), 0);
+        e.set_strict(true);
+        let mut got = None;
+        assert_eq!(probes(&mut || got = e.assert_probe(&stmt, &[], &mut insns, 0).err()), 1);
+        match got {
+            Some(CompileError::Verify { pass, error: StructureError::Miscompiled { stmt } }) => {
+                assert_eq!(pass, "select");
+                assert_eq!(stmt, "v1 := (not(v1) & not(v2))");
+            }
+            other => panic!("expected a select verify error, got {other:?}"),
+        }
+    }
+
+    /// Over generated statements on tic25, dsp56k and cube seeds 1–4,
+    /// every cover the probe rejects has a register hazard: the rule
+    /// emission applies leaves the probe nothing to catch.
+    #[test]
+    fn every_cover_the_probe_rejects_has_a_register_hazard() {
+        let targets = property_targets();
+        let (mut statements, mut rejected, mut hazards) = (0usize, 0usize, 0usize);
+        record_prop::run_cases(1000, |rng| {
+            let t = &targets[rng.usize(targets.len())];
+            let mut e = Emitter::new(t);
+            let stmt = AssignStmt::new(e.pool_mut(), MemRef::scalar("y"), &gen_probe_tree(rng, 3));
+            let mut insns = Vec::new();
+            if emit_unprobed(&mut e, &stmt, &mut insns).is_err() {
+                return;
+            }
+            let hazard = e.work.buffers.hazard;
+            let ok = verify(&mut e, &stmt, &insns);
+            assert!(
+                ok || hazard,
+                "{} on {}: the probe rejects {:?}, which has no hazard",
+                stmt.display(&e.pool),
+                t.name,
+                texts(&insns)
+            );
+            statements += 1;
+            rejected += usize::from(!ok);
+            hazards += usize::from(hazard);
+        });
+        assert!(statements >= 500, "{statements} statements");
+        assert!(rejected >= 50, "only {rejected} of {statements} covers rejected");
+        assert!(hazards >= rejected, "{hazards} hazards, {rejected} rejected");
+    }
+
+    /// A non-strict compile runs no probe and builds no probe machine; a
+    /// strict one probes at least every statement it selects, on one
+    /// machine per compile.
+    #[test]
+    fn only_a_strict_compile_probes() {
+        for target in [record_isa::targets::tic25::target(), record_isa::targets::dsp56k::target()]
+        {
+            let compiler = crate::Compiler::for_target(target).unwrap();
+            for strict in [false, true] {
+                let before = PROBES.with(Cell::get);
+                let (mut statements, mut compiles) = (0, 0);
+                for kernel in record_dspstone::kernels() {
+                    let lir =
+                        record_ir::lower::lower(&record_ir::dfl::parse(kernel.source).unwrap())
+                            .unwrap();
+                    let plan = crate::PassPlan::o2().strict(strict);
+                    let compiled = compiler.compile(&lir, plan).unwrap();
+                    statements += compiled.timings.select.statements;
+                    compiles += 1;
+                }
+                let (probes, machines) = PROBES.with(Cell::get);
+                let (probes, machines) = (probes - before.0, machines - before.1);
+                let name = &compiler.target().name;
+                if strict {
+                    assert!(
+                        probes >= statements,
+                        "{name}: {probes} probes, {statements} statements"
+                    );
+                    assert!(
+                        machines <= compiles,
+                        "{name}: {machines} machines, {compiles} compiles"
+                    );
+                } else {
+                    assert_eq!((probes, machines), (0, 0), "{name}: non-strict compiles probed");
+                }
+            }
+        }
     }
 
     /// Emits `stmt` without variants, the probe or the split loop.

@@ -745,6 +745,13 @@ pub enum StructureError {
         /// The mode index.
         mode: usize,
     },
+    /// The code selected for a statement computed a value other than the
+    /// statement's on the simulator (the `select` pass's probe, in
+    /// strict plans).
+    Miscompiled {
+        /// The statement, rendered.
+        stmt: String,
+    },
 }
 
 impl fmt::Display for StructureError {
@@ -785,6 +792,9 @@ impl fmt::Display for StructureError {
             }
             StructureError::ModeLoopImbalance { index, mode } => {
                 write!(f, "mode {mode} state at LoopEnd {index} differs from loop entry")
+            }
+            StructureError::Miscompiled { stmt } => {
+                write!(f, "the code selected for `{stmt}` computes another value")
             }
         }
     }

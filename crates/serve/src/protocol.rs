@@ -66,7 +66,7 @@ pub mod codes {
     pub const ADDRESS: &str = "address";
     /// The target description itself is invalid.
     pub const TARGET: &str = "target";
-    /// A pass broke a structural invariant under strict verification.
+    /// A pass failed strict verification.
     pub const VERIFY: &str = "verify";
     /// A non-deadline resource budget was exhausted.
     pub const BUDGET: &str = "budget";

@@ -26,20 +26,26 @@ pub fn render_fingerprints() -> String {
         "# program_fingerprint of the DSPStone kernels and of {GENERATED} generated programs \
          (seed {SEED:#x})\n"
     );
-    let mut line = |name: &str, source: &str| {
-        let lowered = dfl::parse(source).and_then(|ast| lower::lower(&ast));
+    for (name, source) in corpus() {
+        let lowered = dfl::parse(&source).and_then(|ast| lower::lower(&ast));
         match lowered {
             Ok(lir) => writeln!(out, "{name} {:016x}", program_fingerprint(&lir)),
             Err(e) => writeln!(out, "{name} error: {e}"),
         }
         .expect("writing to a String");
-    };
-    for kernel in record_dspstone::kernels() {
-        line(kernel.name, kernel.source);
     }
+    out
+}
+
+/// Every program of the corpus as `(name, source)`: the DSPStone
+/// kernels in Table 1 order, then `gen-000` to `gen-299`.
+pub fn corpus() -> Vec<(String, String)> {
+    let kernels = record_dspstone::kernels().into_iter();
+    let mut out: Vec<(String, String)> =
+        kernels.map(|k| (k.name.to_string(), k.source.to_string())).collect();
     let mut rng = Rng::new(SEED);
-    for i in 0..GENERATED {
-        line(&format!("gen-{i:03}"), &record_prop::dfl::gen_program(&mut rng));
-    }
+    out.extend(
+        (0..GENERATED).map(|i| (format!("gen-{i:03}"), record_prop::dfl::gen_program(&mut rng))),
+    );
     out
 }
