@@ -36,6 +36,10 @@
 //!   of 300 generated programs as lowered; this is
 //!   `tests/golden/program_fingerprints.txt`, which CI regenerates and
 //!   diffs
+//! * `--corpus-words PATH` — the code words of every DSPStone kernel and
+//!   generated program under O2 on tic25, dsp56k, asip-dsp, risc4 and
+//!   cube seed 2, with a total per target; this is
+//!   `tests/golden/corpus_words.txt`, which CI regenerates and diffs
 //! * `--trace PATH` — Chrome trace-event dump of every compile the run
 //!   performed (span per pass, instant per cache event); open it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`
@@ -51,6 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut asm_path: Option<String> = None;
     let mut backend_asm_path: Option<String> = None;
     let mut fingerprints_path: Option<String> = None;
+    let mut corpus_words_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("missing value for {flag}"));
@@ -61,6 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--asm" => asm_path = Some(value()?),
             "--backend-asm" => backend_asm_path = Some(value()?),
             "--fingerprints" => fingerprints_path = Some(value()?),
+            "--corpus-words" => corpus_words_path = Some(value()?),
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
@@ -120,6 +126,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &fingerprints_path {
         std::fs::write(path, record_repro::programs::render_fingerprints())?;
+        println!("wrote {path}");
+    }
+    if let Some(path) = &corpus_words_path {
+        std::fs::write(path, record_repro::programs::render_corpus_words())?;
         println!("wrote {path}");
     }
     if let Some(path) = &trace_path {

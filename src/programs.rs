@@ -49,3 +49,58 @@ pub fn corpus() -> Vec<(String, String)> {
     );
     out
 }
+
+/// The targets [`render_corpus_words`] compiles the corpus for.
+pub fn corpus_word_targets() -> Vec<record_isa::TargetDesc> {
+    use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+    vec![
+        tic25::target(),
+        dsp56k::target(),
+        asip::build(&asip::AsipParams::dsp()),
+        simple_risc::target(4),
+        record_isa::cube::target_from_seed(2),
+    ]
+}
+
+/// The code words of every corpus program under [`PassPlan::o2`] on each
+/// of [`corpus_word_targets`]: per target, one line per program with its
+/// words or the error the compile reported, then the target's total over
+/// the programs that compiled.
+///
+/// `tests/golden/corpus_words.txt` holds it (`dspstone_report
+/// --corpus-words` writes it), so a change to selection shows its yield
+/// program by program.
+///
+/// [`PassPlan::o2`]: record::PassPlan::o2
+pub fn render_corpus_words() -> String {
+    let session = record::Session::new();
+    let corpus = corpus();
+    let mut out = format!(
+        "# code words of the DSPStone kernels and of {GENERATED} generated programs \
+         (seed {SEED:#x}) under PassPlan::o2()\n"
+    );
+    for target in corpus_word_targets() {
+        writeln!(out, "[{}]", target.name).expect("writing to a String");
+        let (mut words, mut compiled) = (0u64, 0usize);
+        for (name, source) in &corpus {
+            match session.compile(&target, source.as_str(), record::PassPlan::o2()) {
+                Ok(done) => {
+                    let size = done.code.size_words();
+                    words += u64::from(size);
+                    compiled += 1;
+                    writeln!(out, "{name} {size}")
+                }
+                Err(e) => writeln!(out, "{name} error: {e}"),
+            }
+            .expect("writing to a String");
+        }
+        writeln!(
+            out,
+            "total {}: {words} words, {compiled} of {} programs compiled",
+            target.name,
+            corpus.len()
+        )
+        .expect("writing to a String");
+    }
+    out
+}

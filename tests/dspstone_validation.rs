@@ -187,6 +187,20 @@ fn program_fingerprints_match_the_golden_file() {
     assert_eq!(fingerprints, golden);
 }
 
+/// Every corpus program compiles at O2 to the words
+/// `tests/golden/corpus_words.txt` records on tic25, dsp56k, asip-dsp,
+/// risc4 and cube seed 2, or fails with the error it records there (CI
+/// regenerates it with `dspstone_report --corpus-words`).
+#[test]
+fn corpus_words_match_the_golden_file() {
+    let words = record_repro::programs::render_corpus_words();
+    let golden = include_str!("golden/corpus_words.txt");
+    for (got, want) in words.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(words, golden);
+}
+
 #[test]
 fn kernels_compile_on_the_risc_model() {
     let target = record_isa::targets::simple_risc::target(8);
