@@ -17,6 +17,10 @@
 //! of matching it at the node. A constant's class is the set of the
 //! grammar's predicates its value passes.
 //!
+//! The normalized grammar also holds every pattern rule's commuted
+//! *twins* (see [`Twin`]). A labelling weighs them or not, so a
+//! transition key carries that bit too.
+//!
 //! States and transitions grow on demand, behind one lock: a warm lookup
 //! takes it shared, a miss exclusively. Past [`MAX_AUTOMATON_SIZE`]
 //! states or transitions the automaton is cleared and grows anew; every
@@ -38,8 +42,9 @@ use crate::label::Entry;
 pub const MAX_AUTOMATON_SIZE: usize = 1 << 12;
 
 /// States and transitions an automaton reserves room for: what compiling
-/// the ten DSPStone kernels takes on tic25 (7 and 34) or dsp56k (11 and
-/// 48), cut nodes included.
+/// the ten DSPStone kernels at O2 takes on tic25 (9 and 24) or dsp56k
+/// (12 and 37), cut nodes included, with the grammar's commuted twins.
+/// (The grammars as written took 7 and 34, and 11 and 48.)
 const RESERVED_STATES: usize = 16;
 const RESERVED_TRANSITIONS: usize = 64;
 
@@ -60,6 +65,99 @@ pub(crate) struct Level {
     pred: Option<u8>,
 }
 
+/// A node of a pattern whose binding leaves are numbered by the rule
+/// operand slot each binds, with the constant the rule's predicate tests
+/// marked: a rule's pattern as written, or one of its [`Twin`]s.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) enum TwinNode {
+    /// A nonterminal leaf binding rule operand `.1`.
+    Nt(NonTermId, u8),
+    /// A constant, memory or temporary leaf binding rule operand `.1`;
+    /// `.2` when it is the constant the rule's predicate tests.
+    Leaf(Op, u8, bool),
+    /// An inner operator node.
+    Op(Op, Vec<TwinNode>),
+}
+
+impl TwinNode {
+    /// `pat` with its binding leaves numbered in pre-order from `next`
+    /// and, while `untested`, its first constant marked as tested.
+    ///
+    /// # Panics
+    ///
+    /// On a pattern node whose child count differs from its operator's
+    /// arity; [`TargetDesc::validate`] rejects such a grammar.
+    fn written(pat: &PatNode, next: &mut u8, untested: &mut bool) -> TwinNode {
+        let PatNode::Op(op, children) = pat else {
+            let PatNode::Nt(nt) = pat else { unreachable!() };
+            *next += 1;
+            return TwinNode::Nt(*nt, *next - 1);
+        };
+        assert_eq!(children.len(), op.arity(), "pattern node {op} has the wrong child count");
+        if op.is_leaf() {
+            let tested = *op == Op::Const && std::mem::take(untested);
+            *next += 1;
+            return TwinNode::Leaf(*op, *next - 1, tested);
+        }
+        TwinNode::Op(*op, children.iter().map(|c| TwinNode::written(c, next, untested)).collect())
+    }
+
+    /// The node's operator.
+    fn op(&self) -> Option<Op> {
+        match self {
+            TwinNode::Nt(..) => None,
+            TwinNode::Leaf(op, ..) | TwinNode::Op(op, _) => Some(*op),
+        }
+    }
+
+    /// Every form of the node with the children of any set of its
+    /// commutative operator nodes swapped; the node itself comes first.
+    fn forms(&self) -> Vec<TwinNode> {
+        let TwinNode::Op(op, kids) = self else { return vec![self.clone()] };
+        let mut out: Vec<Vec<TwinNode>> = vec![Vec::new()];
+        for kid in kids {
+            let forms = kid.forms();
+            out = out
+                .iter()
+                .flat_map(|done| {
+                    forms.iter().map(move |f| [done.as_slice(), &[f.clone()]].concat())
+                })
+                .collect();
+        }
+        if matches!(op, Op::Bin(b) if b.is_commutative()) {
+            let swapped: Vec<Vec<TwinNode>> =
+                out.iter().map(|kids| kids.iter().rev().cloned().collect()).collect();
+            out.extend(swapped);
+        }
+        out.into_iter().map(|kids| TwinNode::Op(*op, kids)).collect()
+    }
+
+    /// Whether `self` and `other` match the same trees with the
+    /// predicate on the same constant, whichever slots they bind.
+    fn matches_as(&self, other: &TwinNode) -> bool {
+        match (self, other) {
+            (TwinNode::Nt(a, _), TwinNode::Nt(b, _)) => a == b,
+            (TwinNode::Leaf(a, _, ta), TwinNode::Leaf(b, _, tb)) => (a, ta) == (b, tb),
+            (TwinNode::Op(a, ka), TwinNode::Op(b, kb)) => {
+                a == b && ka.len() == kb.len() && ka.iter().zip(kb).all(|(x, y)| x.matches_as(y))
+            }
+            _ => false,
+        }
+    }
+}
+
+/// A commuted twin of a pattern rule: the rule's pattern with the
+/// children of one or more commutative operator nodes swapped. It stands
+/// for its rule (id, lhs, cost, template and all), and each of its
+/// leaves binds the rule operand slot it came from, so a cover through a
+/// twin is its rule's cover, with the operands in the rule's order.
+#[derive(Debug)]
+pub(crate) struct Twin {
+    pub(crate) rule: RuleId,
+    pub(crate) pat: TwinNode,
+    level: Level,
+}
+
 /// The grammar normalized to one operator level per rule.
 #[derive(Debug)]
 pub(crate) struct Shape {
@@ -69,54 +167,117 @@ pub(crate) struct Shape {
     /// chain rules and for a predicate with no constant to test).
     levels: Vec<Option<Level>>,
     /// The fragments: slot `f` matches operator `frags[f].0` at a node.
+    /// The first `plain_frags` are the rules' as written; the rest only
+    /// twins use.
     frags: Vec<(Op, Level)>,
+    plain_frags: usize,
+    /// The twins grouped by root operator, in rule order within each
+    /// group: those of the operator with [`Op::index`] `o` are
+    /// `twins[twin_starts[o]..twin_starts[o + 1]]`.
+    twins: Vec<Twin>,
+    twin_starts: [u32; Op::COUNT + 1],
 }
 
 impl Shape {
-    /// Normalizes the pattern rules of `target`.
+    /// Normalizes the pattern rules of `target` and their commuted
+    /// twins.
+    ///
+    /// A twin that matches the same trees as an earlier candidate of its
+    /// lhs (a rule as written, or an earlier twin) at no lower cost is
+    /// left out: labelling weighs the twins after every rule as written,
+    /// and a twin wins only when strictly cheaper, so it never would.
     ///
     /// # Panics
     ///
     /// On a pattern node whose child count differs from its operator's
     /// arity; [`TargetDesc::validate`] rejects such a grammar.
     pub(crate) fn new(target: &TargetDesc) -> Shape {
-        let mut shape = Shape { preds: Vec::new(), levels: Vec::new(), frags: Vec::new() };
-        let levels = target
+        let mut shape = Shape {
+            preds: Vec::new(),
+            levels: Vec::new(),
+            frags: Vec::new(),
+            plain_frags: 0,
+            twins: Vec::new(),
+            twin_starts: [0; Op::COUNT + 1],
+        };
+        // each pattern rule as written; a predicate with no constant to
+        // test never matches
+        let written: Vec<Option<TwinNode>> = target
             .rules
             .iter()
             .map(|rule| match &rule.rhs {
-                Rhs::Pat(PatNode::Op(op, children)) => {
-                    let mut pred = rule.pred;
-                    let level = shape.level(*op, children, &mut pred);
-                    // a predicate with no constant to test never matches
-                    pred.is_none().then_some(level)
+                Rhs::Pat(pat @ PatNode::Op(..)) => {
+                    let mut untested = rule.pred.is_some();
+                    let node = TwinNode::written(pat, &mut 0, &mut untested);
+                    (!untested).then_some(node)
                 }
                 Rhs::Pat(PatNode::Nt(_)) | Rhs::Chain(_) => None,
             })
             .collect();
-        shape.levels = levels;
+        shape.levels = written
+            .iter()
+            .zip(&target.rules)
+            .map(|(node, rule)| node.as_ref().map(|node| shape.level(node, rule.pred).1))
+            .collect();
+        shape.plain_frags = shape.frags.len();
+
+        // every candidate so far: (lhs, pattern, predicate, weight)
+        let mut seen: Vec<(NonTermId, TwinNode, Option<Predicate>, u64)> = Vec::new();
+        for (node, rule) in written.iter().zip(&target.rules) {
+            if let Some(node) = node {
+                seen.push((rule.lhs, node.clone(), rule.pred, rule.cost.weight()));
+            }
+        }
+        for (node, rule) in written.iter().zip(&target.rules) {
+            let Some(node) = node else { continue };
+            let weight = rule.cost.weight();
+            for form in node.forms().into_iter().skip(1) {
+                let shadowed = seen.iter().any(|(lhs, pat, pred, w)| {
+                    *lhs == rule.lhs && *pred == rule.pred && *w <= weight && pat.matches_as(&form)
+                });
+                if !shadowed {
+                    let level = shape.level(&form, rule.pred).1;
+                    seen.push((rule.lhs, form.clone(), rule.pred, weight));
+                    shape.twins.push(Twin { rule: rule.id, pat: form, level });
+                }
+            }
+        }
+        // grouped by root operator, in rule order within a group
+        let op_of = |twin: &Twin| twin.pat.op().expect("a twin is rooted at an operator").index();
+        shape.twins.sort_by_key(op_of);
+        for twin in &shape.twins {
+            shape.twin_starts[op_of(twin) + 1] += 1;
+        }
+        for o in 0..Op::COUNT {
+            shape.twin_starts[o + 1] += shape.twin_starts[o];
+        }
         shape
     }
 
-    /// The level of an operator node with pattern children `children`.
-    /// `pred`, while unclaimed, goes to the first constant in pre-order.
-    fn level(&mut self, op: Op, children: &[PatNode], pred: &mut Option<Predicate>) -> Level {
-        assert_eq!(children.len(), op.arity(), "pattern node {op} has the wrong child count");
-        let own = match op {
-            Op::Const => pred.take().map(|p| self.pred_index(p)),
-            _ => None,
-        };
-        let mut kids = [None; 2];
-        for (kid, child) in kids.iter_mut().zip(children) {
-            *kid = Some(match child {
-                PatNode::Nt(nt) => Leaf::Nt(*nt),
-                PatNode::Op(op, children) => {
-                    let level = self.level(*op, children, pred);
-                    Leaf::Frag(self.frag(*op, level))
+    /// The operator and level of an operator node of a pattern,
+    /// registering the fragments below it; `pred` goes to the constant
+    /// marked as tested.
+    fn level(&mut self, node: &TwinNode, pred: Option<Predicate>) -> (Op, Level) {
+        match node {
+            TwinNode::Leaf(op, _, tested) => {
+                let own = pred.filter(|_| *tested).map(|p| self.pred_index(p));
+                (*op, Level { kids: [None; 2], pred: own })
+            }
+            TwinNode::Op(op, children) => {
+                let mut kids = [None; 2];
+                for (kid, child) in kids.iter_mut().zip(children) {
+                    *kid = Some(match child {
+                        TwinNode::Nt(nt, _) => Leaf::Nt(*nt),
+                        inner => {
+                            let (op, level) = self.level(inner, pred);
+                            Leaf::Frag(self.frag(op, level))
+                        }
+                    });
                 }
-            });
+                (*op, Level { kids, pred: None })
+            }
+            TwinNode::Nt(..) => unreachable!("a nonterminal is a leaf of its parent's level"),
         }
-        Level { kids, pred: own }
     }
 
     fn pred_index(&mut self, pred: Predicate) -> u8 {
@@ -145,9 +306,38 @@ impl Shape {
         self.levels[rule.index()]
     }
 
-    /// The fragments, in slot order.
-    pub(crate) fn frags(&self) -> &[(Op, Level)] {
-        &self.frags
+    /// Whether a node with operator `op`, labelled with the rules as
+    /// written, reads its child at `position` at nonterminal `nt`: some
+    /// pattern rule or fragment of those rules rooted at `op` takes the
+    /// child there as an `nt` leaf.
+    pub(crate) fn reads(&self, rules: &[RuleId], op: Op, position: usize, nt: NonTermId) -> bool {
+        let rule_levels = rules.iter().filter_map(|&r| self.rule_level(r));
+        let frag_levels = self.frags(false).iter().filter(|(o, _)| *o == op).map(|&(_, l)| l);
+        rule_levels.chain(frag_levels).any(|l| l.kids.get(position) == Some(&Some(Leaf::Nt(nt))))
+    }
+
+    /// The fragments a labelling with or without `twins` matches, in
+    /// slot order: the slots past them stay empty.
+    pub(crate) fn frags(&self, twins: bool) -> &[(Op, Level)] {
+        &self.frags[..if twins { self.frags.len() } else { self.plain_frags }]
+    }
+
+    /// The twins rooted at `op`, with their indices among all twins.
+    pub(crate) fn twins_for(&self, op: Op) -> impl Iterator<Item = (usize, &Twin)> {
+        let range =
+            self.twin_starts[op.index()] as usize..self.twin_starts[op.index() + 1] as usize;
+        range.clone().zip(&self.twins[range])
+    }
+
+    /// Twin `ix`, as [`twins_for`](Shape::twins_for) numbers it.
+    pub(crate) fn twin(&self, ix: usize) -> &Twin {
+        &self.twins[ix]
+    }
+
+    /// Every twin, grouped by root operator.
+    #[cfg(test)]
+    pub(crate) fn twins(&self) -> &[Twin] {
+        &self.twins
     }
 
     /// The cost of matching `level` at a node with constant `value` over
@@ -173,9 +363,10 @@ impl Shape {
     }
 
     /// The part of a node's transition key the node itself decides: its
-    /// operator, and for a constant the predicates its value passes (the
-    /// value itself when there are too many predicates for a mask).
-    pub(crate) fn step(&self, node: &TreeNode) -> Step {
+    /// operator, whether the labelling weighs `twins`, and for a constant
+    /// the predicates its value passes (the value itself when there are
+    /// too many predicates for a mask).
+    pub(crate) fn step(&self, node: &TreeNode, twins: bool) -> Step {
         let (op, leaf) = match *node {
             TreeNode::Const(v) if self.preds.len() <= 64 => {
                 let mask = self.preds.iter().enumerate().filter(|(_, p)| p.check_const(v));
@@ -187,7 +378,14 @@ impl Shape {
             TreeNode::Bin(op, ..) => (3 + op as u64, 0),
             TreeNode::Un(op, _) => (128 + op as u64, 0),
         };
-        Step { op, leaf }
+        Step { op: op | u64::from(twins) << 8, leaf }
+    }
+}
+
+impl Twin {
+    /// The twin's root level.
+    pub(crate) fn level(&self) -> Level {
+        self.level
     }
 }
 
@@ -261,14 +459,15 @@ pub(crate) struct StateRef {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct Key {
     leaf: u64,
-    /// Operator in bits 0–7, the children's ids in bits 8–35 and 36–63.
+    /// Operator in bits 0–7, the twins bit in bit 8, the children's ids
+    /// in bits 9–35 and 36–63 (the cap keeps ids below 2^12).
     rest: u64,
 }
 
 impl Key {
     fn new(step: Step, kids: [Option<StateRef>; 2]) -> Key {
         let id = |kid: Option<StateRef>| kid.map_or(0, |k| u64::from(k.id));
-        Key { leaf: step.leaf, rest: step.op | id(kids[0]) << 8 | id(kids[1]) << 36 }
+        Key { leaf: step.leaf, rest: step.op | id(kids[0]) << 9 | id(kids[1]) << 36 }
     }
 }
 
@@ -464,10 +663,7 @@ impl States {
         let mut frags = std::mem::take(&mut self.scratch_frags);
         entries.clear();
         entries.extend(
-            label
-                .entries
-                .iter()
-                .map(|e| e.map(|e| Entry { cost: sub(e.cost, label.shift), rule: e.rule })),
+            label.entries.iter().map(|e| e.map(|e| Entry { cost: sub(e.cost, label.shift), ..e })),
         );
         frags.clear();
         frags.extend(label.frags.iter().map(|c| c.map(|c| sub(c, label.shift))));
@@ -483,4 +679,84 @@ fn content_hash(entries: &[Option<Entry>], frags: &[Option<Cost>]) -> u64 {
     entries.hash(&mut hasher);
     frags.hash(&mut hasher);
     hasher.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use record_ir::ops::wrap_to_width;
+    use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+
+    use super::*;
+
+    /// tic25, dsp56k, asip-dsp, asip-default, risc4 and cube seeds 1–4,
+    /// 35, 47 and 169.
+    fn targets() -> Vec<TargetDesc> {
+        let mut targets = vec![
+            tic25::target(),
+            dsp56k::target(),
+            asip::build(&asip::AsipParams::dsp()),
+            asip::build(&asip::AsipParams::default()),
+            simple_risc::target(4),
+        ];
+        targets.extend([1, 2, 3, 4, 35, 47, 169].map(record_isa::cube::target_from_seed));
+        targets
+    }
+
+    /// The value of a pattern whose leaf binding rule operand `k` holds
+    /// `operands[k]`, at `width` bits.
+    fn eval(node: &TwinNode, operands: &[i64], width: u32) -> i64 {
+        match node {
+            TwinNode::Nt(_, slot) | TwinNode::Leaf(_, slot, _) => operands[usize::from(*slot)],
+            TwinNode::Op(Op::Bin(op), kids) => {
+                op.eval(eval(&kids[0], operands, width), eval(&kids[1], operands, width), width)
+            }
+            TwinNode::Op(Op::Un(op), kids) => op.eval(eval(&kids[0], operands, width), width),
+            TwinNode::Op(op, _) => unreachable!("{op} is a leaf"),
+        }
+    }
+
+    /// Every twin computes what its rule computes: its pattern, each
+    /// leaf bound through its slot map, against the rule's pattern as
+    /// written, on every operand vector at word width 4 and on 1000
+    /// seeded vectors at the target's width, saturating operators
+    /// included.
+    #[test]
+    fn every_twin_computes_what_its_rule_computes() {
+        let mut census = Vec::new();
+        for target in targets() {
+            let shape = Shape::new(&target);
+            for twin in shape.twins() {
+                let rule = target.rule(twin.rule);
+                let Rhs::Pat(pat) = &rule.rhs else { panic!("a twin of chain rule {}", rule.id) };
+                let written = TwinNode::written(pat, &mut 0, &mut false);
+                let n = rule.leaves().len();
+                let what =
+                    |operands: &[i64]| format!("{} r{} on {operands:?}", target.name, rule.id.0);
+                let mut operands = vec![0i64; n];
+                for code in 0..16u64.pow(n as u32) {
+                    for (k, v) in operands.iter_mut().enumerate() {
+                        *v = wrap_to_width((code >> (4 * k) & 15) as i64, 4);
+                    }
+                    assert_eq!(
+                        eval(&twin.pat, &operands, 4),
+                        eval(&written, &operands, 4),
+                        "{}",
+                        what(&operands)
+                    );
+                }
+                let mut rng = record_prop::Rng::new(0x7111 ^ u64::from(twin.rule.0));
+                for _ in 0..1000 {
+                    let width = target.word_width;
+                    for v in operands.iter_mut() {
+                        *v = wrap_to_width(rng.next_u64() as i64, width);
+                    }
+                    let (got, want) =
+                        (eval(&twin.pat, &operands, width), eval(&written, &operands, width));
+                    assert_eq!(got, want, "{}", what(&operands));
+                }
+            }
+            census.push(format!("{} {}", target.name, shape.twins().len()));
+        }
+        println!("twins per grammar: {}", census.join(", "));
+    }
 }

@@ -1,5 +1,7 @@
 //! Labels: the per-node dynamic-programming state.
 
+use std::num::NonZeroU16;
+
 use record_ir::hash::FoldMap;
 use record_ir::{Tree, TreeId};
 use record_isa::{Cost, NonTermId, RuleId};
@@ -14,6 +16,34 @@ pub struct Entry {
     pub cost: Cost,
     /// The rule applied at this node to achieve it.
     pub rule: RuleId,
+    /// Which form of the rule's pattern matched.
+    pub(crate) form: Form,
+}
+
+/// Which form of its rule's pattern an [`Entry`] matched: the pattern as
+/// written, or one of the grammar's commuted twins (by its index in the
+/// normalized grammar). Never zero, so an `Option<Entry>` is no larger
+/// than an `Entry`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct Form(NonZeroU16);
+
+impl Form {
+    /// The rule's pattern as written (and every chain rule).
+    pub(crate) const WRITTEN: Form = match NonZeroU16::new(1) {
+        Some(one) => Form(one),
+        None => unreachable!(),
+    };
+
+    /// The grammar's twin `ix`.
+    pub(crate) fn twin(ix: usize) -> Form {
+        let n = u16::try_from(ix + 2).ok().and_then(NonZeroU16::new);
+        Form(n.expect("fewer than 65534 twins"))
+    }
+
+    /// The index of the twin matched, if not the pattern as written.
+    pub(crate) fn twin_index(self) -> Option<usize> {
+        (self != Form::WRITTEN).then(|| usize::from(self.0.get()) - 2)
+    }
 }
 
 /// A labelled tree: the subject tree plus, for every node, the best entry
@@ -112,12 +142,16 @@ pub(crate) struct ContextKey {
 ///
 /// Valid for one (pool, grammar) pair: the selector keeps one cache next
 /// to its [`TreePool`](record_ir::TreePool) and clears both before every
-/// compile. A subtree with no cut inside labels context-free, so
-/// cut-aware labelling answers it from the same states plain labelling
-/// fills. `hits` counts labellings answered from the cache (work avoided
-/// by sharing); `misses` counts label states actually computed.
+/// compile. The grammar is the target's as written, or, after
+/// [`set_twins`](LabelCache::set_twins), closed under commutation. A
+/// subtree with no cut inside labels context-free, so cut-aware
+/// labelling answers it from the same states plain labelling fills.
+/// `hits` counts labellings answered from the cache (work avoided by
+/// sharing); `misses` counts label states actually computed.
 #[derive(Debug, Default)]
 pub struct LabelCache {
+    /// Whether labels weigh every pattern rule's commuted twins.
+    twins: bool,
     /// Entry slots per label state: the grammar's nonterminal count.
     n_nts: usize,
     /// Fragment slots per label state.
@@ -190,6 +224,32 @@ impl LabelCache {
     /// [`LabelCache::new`], and the next labelling binds it to its
     /// grammar. Required when the backing pool or grammar changes.
     pub fn clear(&mut self) {
+        self.drop_labels();
+        self.twins = false;
+        self.hits = 0;
+        self.misses = 0;
+    }
+
+    /// Makes later labellings weigh every pattern rule's commuted twins
+    /// (`on`) or only the rules as written (the default). A twin is the
+    /// rule's pattern with the children of commutative operator nodes
+    /// swapped: one labelling under twins covers every commuted form of
+    /// the tree. Labels of the other grammar are dropped, and with them
+    /// every [`LabelId`] handed out; the counters are kept.
+    pub fn set_twins(&mut self, on: bool) {
+        if self.twins != on {
+            self.drop_labels();
+            self.twins = on;
+        }
+    }
+
+    /// Whether labellings weigh the commuted twins (see
+    /// [`set_twins`](LabelCache::set_twins)).
+    pub fn twins(&self) -> bool {
+        self.twins
+    }
+
+    fn drop_labels(&mut self) {
         self.n_nts = 0;
         self.n_frags = 0;
         self.entries.clear();
@@ -198,8 +258,6 @@ impl LabelCache {
         self.plain.clear();
         self.context_ids.clear();
         self.contexts.clear();
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Sizes the slots for a grammar of `n_nts` nonterminals and
@@ -240,7 +298,7 @@ impl LabelCache {
     ) -> LabelId {
         let label = LabelId(u32::try_from(self.records.len()).expect("label store overflow"));
         self.records.push(Record { node, kids, state, base });
-        let raise = |e: &Option<Entry>| e.map(|e| Entry { cost: e.cost.add(base), rule: e.rule });
+        let raise = |e: &Option<Entry>| e.map(|e| Entry { cost: e.cost.add(base), ..e });
         self.entries.extend(entries.iter().map(raise));
         self.frags.extend(frags.iter().map(|c| c.map(|c| c.add(base))));
         label

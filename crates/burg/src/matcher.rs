@@ -7,9 +7,9 @@ use record_ir::{Op, Tree, TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 use record_trace::codec;
 
-use crate::automaton::{add_base, shift_to_zero, Automaton, Kid, Reader, Shape};
+use crate::automaton::{add_base, shift_to_zero, Automaton, Kid, Reader, Shape, TwinNode};
 use crate::cover::{Cover, CoverBuf, CoverNode, FlatOperand, Operand, SHARED_RULE};
-use crate::label::{ContextId, ContextKey, Entry, LabelCache, LabelId, Labeled, Labels};
+use crate::label::{ContextId, ContextKey, Entry, Form, LabelCache, LabelId, Labeled, Labels};
 
 /// The cut set for DAG covering: interned subtrees whose value is
 /// computed once per block and parked in a register. Each cut maps the
@@ -126,10 +126,13 @@ impl Tables {
     /// Readies the label automaton for `target`, the grammar the tables
     /// were built from, now rather than at the first labelling: it
     /// normalizes the grammar (one operator level per pattern rule, a
-    /// slot per inner pattern node) and reserves room for the states and
-    /// transitions the ten DSPStone kernels take. An owner that builds
-    /// its tables once and compiles many times calls it up front, so
-    /// that no compile pays for it or allocates for the automaton.
+    /// slot per inner pattern node), gives every pattern rule its
+    /// commuted twins (the pattern with the children of commutative
+    /// operator nodes swapped, each leaf bound to the rule operand slot
+    /// it came from), and reserves room for the states and transitions
+    /// the ten DSPStone kernels take. An owner that builds its tables
+    /// once and compiles many times calls it up front, so that no
+    /// compile pays for it or allocates for the automaton.
     pub fn prepare(&self, target: &TargetDesc) {
         self.shape(target);
     }
@@ -305,7 +308,7 @@ impl<'t> Matcher<'t> {
             };
             if let Some(cost) = self.match_cost(pat, tree, &children, rule.pred) {
                 let total = cost.add(rule.cost);
-                improve(&mut entries, rule.lhs, total, *rule_id);
+                improve(&mut entries, rule.lhs, total, *rule_id, Form::WRITTEN);
             }
         }
 
@@ -470,8 +473,10 @@ impl<'t> Matcher<'t> {
     /// constant and its children's states, shared by every compile of
     /// the grammar. Only a transition no labelling has taken yet runs the
     /// dynamic program, and records it. Either way the entries equal what
-    /// [`label`](Matcher::label) computes on the extracted boxed tree.
-    /// The cache must be used with one pool and one grammar.
+    /// [`label`](Matcher::label) computes on the extracted boxed tree,
+    /// or, when the cache weighs twins ([`LabelCache::set_twins`]), what
+    /// the best of every commuted form of the tree costs. The cache must
+    /// be used with one pool and one grammar.
     pub fn label_interned(&self, pool: &TreePool, id: TreeId, cache: &mut LabelCache) -> LabelId {
         let shape = self.tables.shape(self.target);
         cache.bind(self.tables.n_nts, shape.n_frags());
@@ -493,6 +498,14 @@ impl<'t> Matcher<'t> {
     /// entry is free in absolute terms, so its state depends on its
     /// costs, not only on its children's states: it always runs the
     /// dynamic program. Its parents follow transitions as any node does.
+    ///
+    /// A node with a cut inside weighs the rules as written only, even
+    /// when the cache weighs twins: the cut cover stays a cover of the
+    /// statement as written, which the share-or-recompute choice
+    /// weighs against the statement's best plain cover. (Twins there
+    /// would let a share reorder a consumer's operands; on dsp56k that
+    /// takes a second share in `iir_biquad_one_section` and moves two
+    /// listings.)
     pub fn label_interned_cut(
         &self,
         pool: &TreePool,
@@ -542,8 +555,9 @@ impl<'t> Matcher<'t> {
             TreeNode::Un(_, a) => [label(a, inner[0]), None],
             TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => [None, None],
         };
+        let twins = context.is_none() && cache.twins();
         let label = match parked {
-            None => self.follow(shape, reader, id, node, kids, cache),
+            None => self.follow(shape, reader, (id, node, twins), kids, cache),
             Some(nt) => self.label_cut_node(shape, reader, id, node, kids, cache, nt),
         };
         match context {
@@ -553,19 +567,19 @@ impl<'t> Matcher<'t> {
         label
     }
 
-    /// Labels `id`, the pool node `node` over the labels `kids`, by the
-    /// node's transition. On a miss it runs the dynamic program over the
-    /// children shifted to their states, and records the transition.
+    /// Labels `id`, the pool node `node` over the labels `kids`, weighing
+    /// the commuted twins when `twins`, by the node's transition. On a
+    /// miss it runs the dynamic program over the children shifted to
+    /// their states, and records the transition.
     fn follow(
         &self,
         shape: &Shape,
         reader: &mut Reader<'_>,
-        id: TreeId,
-        node: &TreeNode,
+        (id, node, twins): (TreeId, &TreeNode, bool),
         kids: [Option<LabelId>; 2],
         cache: &mut LabelCache,
     ) -> LabelId {
-        let step = shape.step(node);
+        let step = shape.step(node, twins);
         let labels = cache.labels();
         let states = kids.map(|kid| kid.map(|kid| labels.state(kid)));
         let kids_base = kids.iter().flatten().fold(Cost::zero(), |b, &kid| b.add(labels.base(kid)));
@@ -576,7 +590,7 @@ impl<'t> Matcher<'t> {
         let label = cache.push(id, kids);
         let (labels, entries, frags) = cache.split_last();
         let views = kids.map(|kid| kid.map(|kid| labels.kid(kid, labels.base(kid))));
-        self.label_state(shape, node, &views, None, entries, frags);
+        self.label_state(shape, node, &views, (twins, None), entries, frags);
         let shift = shift_to_zero(entries, frags);
         let known = [states[0].zip(views[0]), states[1].zip(views[1])];
         let (state, current) = reader.insert(step, known, entries, frags, shift);
@@ -594,8 +608,8 @@ impl<'t> Matcher<'t> {
     }
 
     /// Labels `id`, the cut node `node` over the labels `kids`, parked at
-    /// `parked`: the dynamic program in absolute costs, its result
-    /// interned as a state.
+    /// `parked`: the dynamic program in absolute costs over the rules as
+    /// written, its result interned as a state.
     #[allow(clippy::too_many_arguments)]
     fn label_cut_node(
         &self,
@@ -610,7 +624,7 @@ impl<'t> Matcher<'t> {
         let label = cache.push(id, kids);
         let (labels, entries, frags) = cache.split_last();
         let views = kids.map(|kid| kid.map(|kid| labels.kid(kid, Cost::zero())));
-        self.label_state(shape, node, &views, Some(parked), entries, frags);
+        self.label_state(shape, node, &views, (false, Some(parked)), entries, frags);
         let base = shift_to_zero(entries, frags);
         let state = reader.intern(entries, frags);
         add_base(entries, frags, base);
@@ -619,15 +633,16 @@ impl<'t> Matcher<'t> {
     }
 
     /// The dynamic program at one node: `node` over the children `kids`,
-    /// parked at `parked` when it is a cut node. Writes the best entry
-    /// per nonterminal to `entries`, which start empty, and the cost of
-    /// each pattern fragment the node matches to `frags`.
+    /// weighing the commuted twins when `twins`, parked at `parked` when
+    /// it is a cut node. Writes the best entry per nonterminal to
+    /// `entries`, which start empty, and the cost of each pattern
+    /// fragment the node matches to `frags`.
     fn label_state(
         &self,
         shape: &Shape,
         node: &TreeNode,
         kids: &[Option<Kid<'_>>; 2],
-        parked: Option<NonTermId>,
+        (twins, parked): (bool, Option<NonTermId>),
         entries: &mut [Option<Entry>],
         frags: &mut [Option<Cost>],
     ) {
@@ -643,23 +658,58 @@ impl<'t> Matcher<'t> {
             let Some(level) = shape.rule_level(*rule_id) else { continue };
             if let Some(cost) = shape.level_cost(level, value, kids) {
                 let rule = self.target.rule(*rule_id);
-                improve(entries, rule.lhs, cost.add(rule.cost), *rule_id);
+                improve(entries, rule.lhs, cost.add(rule.cost), *rule_id, Form::WRITTEN);
+            }
+        }
+
+        // 1a. their commuted twins, after every rule as written: a twin
+        // wins only where it is strictly cheaper
+        if twins {
+            for (ix, twin) in shape.twins_for(op) {
+                if let Some(cost) = shape.level_cost(twin.level(), value, kids) {
+                    let rule = self.target.rule(twin.rule);
+                    improve(entries, rule.lhs, cost.add(rule.cost), twin.rule, Form::twin(ix));
+                }
             }
         }
 
         // 1b. a cut node's value is already parked: free at its
         // nonterminal, before chains so moves out of it close normally
         if let Some(nt) = parked {
-            improve(entries, nt, Cost::zero(), SHARED_RULE);
+            improve(entries, nt, Cost::zero(), SHARED_RULE, Form::WRITTEN);
         }
 
         // 2. chain-rule closure to a fixpoint
         self.close_chains(entries);
 
         // 3. the pattern fragments the node matches, for its parents
-        for (slot, &(frag_op, level)) in frags.iter_mut().zip(shape.frags()) {
-            *slot = if frag_op == op { shape.level_cost(level, value, kids) } else { None };
+        frags.fill(None);
+        for (slot, &(frag_op, level)) in frags.iter_mut().zip(shape.frags(twins)) {
+            if frag_op == op {
+                *slot = shape.level_cost(level, value, kids);
+            }
         }
+    }
+
+    /// Whether a node with operator `op`, labelled with the rules as
+    /// written (as every node with a cut inside is), reads its child at
+    /// `position` at nonterminal `nt`: some pattern rule rooted at `op`,
+    /// or some inner node of a pattern with operator `op`, takes that
+    /// child as an `nt` leaf. When no parent of a cut node reads it at a
+    /// nonterminal the cut makes cheaper, the cut lowers no cost above it.
+    pub fn reads_child_at(&self, op: Op, position: usize, nt: NonTermId) -> bool {
+        self.tables.shape(self.target).reads(self.tables.rules_for(op), op, position, nt)
+    }
+
+    /// The cheapest chain derivations from a value held at `from`:
+    /// `entries[n]` is the cost of reaching nonterminal `n` from `from`
+    /// by chain rules (zero at `from`), `None` where no chain leads.
+    /// What a cut node parked at `from` adds to its label.
+    pub fn chain_costs(&self, from: NonTermId, entries: &mut Vec<Option<Entry>>) {
+        entries.clear();
+        entries.resize(self.tables.n_nts, None);
+        improve(entries, from, Cost::zero(), SHARED_RULE, Form::WRITTEN);
+        self.close_chains(entries);
     }
 
     /// Closes `entries` over the chain rules, to a fixpoint.
@@ -676,7 +726,7 @@ impl<'t> Matcher<'t> {
                 };
                 if let Some(e) = entries[src.index()] {
                     let total = e.cost.add(rule.cost);
-                    if improve(entries, rule.lhs, total, *rule_id) {
+                    if improve(entries, rule.lhs, total, *rule_id, Form::WRITTEN) {
                         changed = true;
                     }
                 }
@@ -758,10 +808,58 @@ impl<'t> Matcher<'t> {
             }
             Rhs::Pat(pat) => {
                 let (node, mut at) = buf.push_node(entry.rule, operand_count(pat));
-                self.reduce_pattern_flat(pat, pool, labels, label, &mut at, cuts, buf)?;
+                match entry.form.twin_index() {
+                    None => {
+                        self.reduce_pattern_flat(pat, pool, labels, label, &mut at, cuts, buf)?
+                    }
+                    Some(twin) => {
+                        let pat = &self.tables.shape(self.target).twin(twin).pat;
+                        self.reduce_twin_flat(pat, pool, labels, label, at, cuts, buf)?;
+                    }
+                }
                 Some(node)
             }
         }
+    }
+
+    /// Fills the operand slots of a node whose first slot is `at` with the
+    /// bindings of the twin pattern `pat` matched at `label`'s node, each
+    /// leaf's in the rule operand slot it came from.
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_twin_flat(
+        &self,
+        pat: &TwinNode,
+        pool: &TreePool,
+        labels: Labels<'_>,
+        label: LabelId,
+        at: usize,
+        cuts: Option<&CutSet>,
+        buf: &mut CoverBuf,
+    ) -> Option<()> {
+        match pat {
+            TwinNode::Nt(nt, slot) => {
+                let child = self.reduce_flat(pool, labels, label, *nt, cuts, buf)?;
+                buf.set_operand(at + usize::from(*slot), FlatOperand::Derived(child));
+            }
+            TwinNode::Leaf(_, slot, _) => {
+                let bound = match pool.node(labels.node(label)) {
+                    TreeNode::Const(v) => FlatOperand::Const(*v),
+                    TreeNode::Mem(m) => FlatOperand::Mem(m.clone()),
+                    TreeNode::Temp(t) => FlatOperand::Temp(t.clone()),
+                    TreeNode::Bin(..) | TreeNode::Un(..) => {
+                        unreachable!("reduce follows the label")
+                    }
+                };
+                buf.set_operand(at + usize::from(*slot), bound);
+            }
+            TwinNode::Op(op, children) => {
+                debug_assert_eq!(pool.op(labels.node(label)), *op, "reduce follows the label");
+                for (pc, nc) in children.iter().zip(labels.children(label)) {
+                    self.reduce_twin_flat(pc, pool, labels, nc, at, cuts, buf)?;
+                }
+            }
+        }
+        Some(())
     }
 
     /// Fills the operand slots from `at` on with the bindings of `pat`
@@ -943,14 +1041,20 @@ fn cut_context(
     Some(cache.intern_context(ContextKey { node: id, parked, kids }))
 }
 
-fn improve(entries: &mut [Option<Entry>], nt: NonTermId, cost: Cost, rule: RuleId) -> bool {
+fn improve(
+    entries: &mut [Option<Entry>],
+    nt: NonTermId,
+    cost: Cost,
+    rule: RuleId,
+    form: Form,
+) -> bool {
     let slot = &mut entries[nt.index()];
     let better = match slot {
         None => true,
         Some(e) => cost.weight() < e.cost.weight(),
     };
     if better {
-        *slot = Some(Entry { cost, rule });
+        *slot = Some(Entry { cost, rule, form });
     }
     better
 }

@@ -1,12 +1,14 @@
 //! The labeller the flat [`LabelCache`] and the tables' automaton
 //! replaced, kept as their reference: the dynamic program run afresh at
-//! every node from the rule index, one `Arc<LabeledNode>` per label
-//! state, a children vector and an entry vector per node, and per cut
-//! context a cloned context vector. The tests below check that both
-//! labellers compute the same entries (every nonterminal's cost and
-//! rule, at every node), count the same memo hits and misses, and reduce
-//! to the same covers, plainly and under the cut sets stage C of DAG
-//! covering tries, whether the automaton is warm or cold.
+//! every node from the rule index, matching whole patterns (and, when
+//! the cache weighs them, whole commuted twins) against the subtree, one
+//! `Arc<LabeledNode>` per label state, a children vector and an entry
+//! vector per node, and per cut context a cloned context vector. The
+//! tests below check that both labellers compute the same entries (every
+//! nonterminal's cost, rule and pattern form, at every node), count the
+//! same memo hits and misses, and reduce to the same covers, plainly and
+//! under the cut sets stage C of DAG covering tries, whether the
+//! automaton is warm or cold, with and without twins.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,8 +17,9 @@ use record_ir::{TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId};
 
 use super::{CutSet, Matcher};
+use crate::automaton::TwinNode;
 use crate::cover::{CoverNode, Operand, SHARED_RULE};
-use crate::label::{Entry, LabelCache, LabelId};
+use crate::label::{Entry, Form, LabelCache, LabelId};
 
 /// A labelled interned tree node.
 #[derive(Debug)]
@@ -36,9 +39,11 @@ impl LabeledNode {
 /// sorted by node.
 type CutContext = Vec<(TreeId, NonTermId)>;
 
-/// Label states keyed by id, and under cuts by id and cut context.
+/// Label states keyed by id, and under cuts by id and cut context, of
+/// the grammar as written or, with `twins`, closed under commutation.
 #[derive(Debug, Default)]
 pub(crate) struct ReferenceCache {
+    pub(crate) twins: bool,
     plain: Vec<Option<Arc<LabeledNode>>>,
     cut_map: HashMap<TreeId, Vec<(CutContext, Arc<LabeledNode>)>>,
     pub(crate) hits: u64,
@@ -139,12 +144,24 @@ fn label_interned_impl(
         };
         if let Some(cost) = match_cost_interned(pat, pool, id, &children, rule.pred) {
             let total = cost.add(rule.cost);
-            improve(&mut entries, rule.lhs, total, *rule_id);
+            improve(&mut entries, rule.lhs, total, *rule_id, Form::WRITTEN);
+        }
+    }
+
+    // a node with a cut inside weighs the rules as written only
+    if cache.twins && context.is_none() {
+        let shape = m.tables.shape(m.target);
+        for (ix, twin) in shape.twins_for(pool.op(id)) {
+            let rule = m.target.rule(twin.rule);
+            if let Some(cost) = match_twin(&twin.pat, pool, id, &children, rule.pred) {
+                let total = cost.add(rule.cost);
+                improve(&mut entries, rule.lhs, total, twin.rule, Form::twin(ix));
+            }
         }
     }
 
     if let Some((_, nt)) = cuts.and_then(|(c, _)| c.get(&id)) {
-        improve(&mut entries, *nt, Cost::zero(), SHARED_RULE);
+        improve(&mut entries, *nt, Cost::zero(), SHARED_RULE, Form::WRITTEN);
     }
 
     let mut changed = true;
@@ -159,7 +176,7 @@ fn label_interned_impl(
             };
             if let Some(e) = entries[src.index()] {
                 let total = e.cost.add(rule.cost);
-                if improve(&mut entries, rule.lhs, total, *rule_id) {
+                if improve(&mut entries, rule.lhs, total, *rule_id, Form::WRITTEN) {
                     changed = true;
                 }
             }
@@ -202,6 +219,62 @@ fn match_cost_interned(
         }
     }
     Some(cost)
+}
+
+/// The cost of matching the twin pattern `pat` at `id` over its labelled
+/// `children`, its predicate `pred` checked on the constant the twin
+/// marks as tested.
+fn match_twin(
+    pat: &TwinNode,
+    pool: &TreePool,
+    id: TreeId,
+    children: &[Arc<LabeledNode>],
+    pred: Option<Predicate>,
+) -> Option<Cost> {
+    match pat {
+        TwinNode::Nt(..) => unreachable!("a twin is rooted at an operator"),
+        TwinNode::Leaf(op, _, tested) => {
+            leaf_matches(*op, *tested, pool, id, pred).then(Cost::zero)
+        }
+        TwinNode::Op(op, kids) => {
+            if pool.op(id) != *op {
+                return None;
+            }
+            let mut cost = Cost::zero();
+            for (pc, nc) in kids.iter().zip(children) {
+                cost = cost.add(match_twin_rec(pc, pool, nc, pred)?);
+            }
+            Some(cost)
+        }
+    }
+}
+
+fn match_twin_rec(
+    pat: &TwinNode,
+    pool: &TreePool,
+    node: &LabeledNode,
+    pred: Option<Predicate>,
+) -> Option<Cost> {
+    match pat {
+        TwinNode::Nt(nt, _) => node.cost(*nt),
+        _ => match_twin(pat, pool, node.id, &node.children, pred),
+    }
+}
+
+/// Whether the leaf operator `op` matches at `id`, passing `pred` when
+/// it is the `tested` constant.
+fn leaf_matches(
+    op: record_ir::Op,
+    tested: bool,
+    pool: &TreePool,
+    id: TreeId,
+    pred: Option<Predicate>,
+) -> bool {
+    pool.op(id) == op
+        && match (pool.node(id), pred) {
+            (TreeNode::Const(v), Some(p)) if tested => p.check_const(*v),
+            _ => true,
+        }
 }
 
 fn match_rec_interned(
@@ -248,10 +321,51 @@ pub(crate) fn reduce_interned(
         }
         Rhs::Pat(pat) => {
             let mut operands = Vec::new();
-            reduce_pattern_interned(m, pat, pool, labeled, &mut operands, cuts)?;
+            match entry.form.twin_index() {
+                None => reduce_pattern_interned(m, pat, pool, labeled, &mut operands, cuts)?,
+                Some(twin) => {
+                    let twin = &m.tables.shape(m.target).twin(twin).pat;
+                    let mut bound = Vec::new();
+                    reduce_twin_interned(m, twin, pool, labeled, &mut bound, cuts)?;
+                    bound.sort_by_key(|&(slot, _)| slot);
+                    operands.extend(bound.into_iter().map(|(_, operand)| operand));
+                }
+            }
             Some(CoverNode { rule: entry.rule, operands })
         }
     }
+}
+
+/// Collects the bindings of the twin pattern `pat` matched at `node`,
+/// each with the rule operand slot its leaf came from.
+fn reduce_twin_interned(
+    m: &Matcher<'_>,
+    pat: &TwinNode,
+    pool: &TreePool,
+    node: &LabeledNode,
+    bound: &mut Vec<(u8, Operand)>,
+    cuts: Option<&CutSet>,
+) -> Option<()> {
+    match pat {
+        TwinNode::Nt(nt, slot) => {
+            bound.push((*slot, Operand::Derived(reduce_interned(m, pool, node, *nt, cuts)?)));
+        }
+        TwinNode::Leaf(_, slot, _) => {
+            let operand = match pool.node(node.id) {
+                TreeNode::Const(v) => Operand::Const(*v),
+                TreeNode::Mem(r) => Operand::Mem(r.clone()),
+                TreeNode::Temp(t) => Operand::Temp(t.clone()),
+                _ => unreachable!("a leaf binds a leaf"),
+            };
+            bound.push((*slot, operand));
+        }
+        TwinNode::Op(_, kids) => {
+            for (pc, nc) in kids.iter().zip(&node.children) {
+                reduce_twin_interned(m, pc, pool, nc, bound, cuts)?;
+            }
+        }
+    }
+    Some(())
 }
 
 fn reduce_pattern_interned(
@@ -283,14 +397,20 @@ fn reduce_pattern_interned(
     }
 }
 
-fn improve(entries: &mut [Option<Entry>], nt: NonTermId, cost: Cost, rule: RuleId) -> bool {
+fn improve(
+    entries: &mut [Option<Entry>],
+    nt: NonTermId,
+    cost: Cost,
+    rule: RuleId,
+    form: Form,
+) -> bool {
     let slot = &mut entries[nt.index()];
     let better = match slot {
         None => true,
         Some(e) => cost.weight() < e.cost.weight(),
     };
     if better {
-        *slot = Some(Entry { cost, rule });
+        *slot = Some(Entry { cost, rule, form });
     }
     better
 }
@@ -451,22 +571,26 @@ mod tests {
     /// Labels every variant of every statement of `program` through `m`,
     /// plainly and under stage-C-style trial cut sets, against the
     /// reference, with one pool and one pair of caches as in the
-    /// selector. Returns the plain and the cut labellings made.
+    /// selector, with the commuted twins when `twins` (and then, as the
+    /// selector does, a stream that does not commute). Returns the plain
+    /// and the cut labellings made.
     fn check_program(
         m: &Matcher<'_>,
         park: &[NonTermId],
-        program_pool: &TreePool,
-        program: &[Vec<AssignStmt>],
+        (program_pool, program): (&TreePool, &[Vec<AssignStmt>]),
+        twins: bool,
     ) -> (usize, usize) {
         let (mut plain_labels, mut cut_labels) = (0, 0);
         let target = m.target();
         let mut pool = program_pool.clone();
         let mut cache = LabelCache::new();
-        let mut reference = ReferenceCache::default();
+        cache.set_twins(twins);
+        let mut reference = ReferenceCache { twins, ..ReferenceCache::default() };
         let mut stream = VariantStream::default();
+        let rules = RuleSet { commutativity: !twins, ..RuleSet::all() };
         for block in program {
             for stmt in block {
-                stream.restart(stmt.src, RuleSet::all(), 16);
+                stream.restart(stmt.src, rules, 16);
                 while let Some(id) = stream.next(&mut pool) {
                     let what = format_args!("{} on {}", pool.to_tree(id), target.name);
                     compare(m, &pool, id, None, &mut cache, &mut reference, &what);
@@ -511,9 +635,11 @@ mod tests {
     /// The flat store labels every variant of every statement, plainly
     /// and under stage-C-style trial cut sets, exactly as the
     /// `Arc<LabeledNode>` labeller does: same entries at every node, same
-    /// hits and misses, same covers. Each program is labelled twice: by
-    /// one matcher per target, whose automaton earlier programs have
-    /// grown, and by a matcher over tables of its own, cold.
+    /// hits and misses, same covers, with the grammar as written and
+    /// with its commuted twins. Each program is labelled twice per
+    /// grammar: by one matcher per target, whose automaton earlier
+    /// programs (under both grammars) have grown, and by a matcher over
+    /// tables of its own, cold.
     #[test]
     fn flat_store_labels_equal_the_arc_reference() {
         let programs = programs();
@@ -521,12 +647,15 @@ mod tests {
         for target in targets() {
             let warm = Matcher::new(&target);
             let park = park_nts(&target);
-            for (pool, program) in &programs {
-                let (plain, cut) = check_program(&warm, &park, pool, program);
-                let cold = Matcher::new(&target);
-                assert_eq!(check_program(&cold, &park, pool, program), (plain, cut));
-                plain_labels += plain;
-                cut_labels += cut;
+            for twins in [false, true] {
+                for (pool, program) in &programs {
+                    let program = (pool, program.as_slice());
+                    let (plain, cut) = check_program(&warm, &park, program, twins);
+                    let cold = Matcher::new(&target);
+                    assert_eq!(check_program(&cold, &park, program, twins), (plain, cut));
+                    plain_labels += plain;
+                    cut_labels += cut;
+                }
             }
             let (states, transitions) = warm.tables().automaton_size();
             assert!(states > 0 && transitions > 0, "{}: the automaton grew", target.name);

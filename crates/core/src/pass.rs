@@ -722,6 +722,13 @@ struct SelectPass {
     dag_cover: bool,
 }
 
+/// The version of the cover search, folded into the `select` pass's
+/// configuration fingerprint so that a compile cache never answers with
+/// code an older search chose. 1: commutation lives in the grammar (each
+/// pattern rule's commuted twins), and the variant stream no longer
+/// commutes.
+const SEARCH_VERSION: u8 = 1;
+
 /// A `select` pass running the boxed (pre-interning) selection path.
 /// Produces byte-identical code to the default interned pass *with DAG
 /// covering off* — the golden equivalence test compiles every kernel
@@ -739,6 +746,7 @@ impl Pass for SelectPass {
     fn config_fingerprint(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = record_trace::codec::StableHasher::new();
+        h.write_u8(SEARCH_VERSION);
         h.write_u8(u8::from(self.rules.commutativity));
         h.write_u8(u8::from(self.rules.associativity));
         h.write_u8(u8::from(self.rules.mul_shift));

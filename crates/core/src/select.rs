@@ -4,7 +4,9 @@
 //! into machine instructions:
 //!
 //! 1. enumerate algebraic variants of the right-hand-side tree
-//!    ([`record_ir::transform`]),
+//!    ([`record_ir::transform`]); commutation lives in the grammar
+//!    instead, as every pattern rule's commuted twins, so the stream
+//!    keeps only the rewrites that change a tree's shape,
 //! 2. match every variant against every store candidate and keep the
 //!    cheapest total cover — "the tree requiring the smallest number of
 //!    covering patterns is then selected",
@@ -327,6 +329,10 @@ struct Buffers {
     /// tried and for the best one so far.
     improved: Vec<(usize, u64)>,
     best_improved: Vec<(usize, u64)>,
+    /// The chain costs from the parking nonterminal being tried, and per
+    /// nonterminal whether they undercut the candidate's label there.
+    reach: Vec<Option<record_burg::Entry>>,
+    cheaper: Vec<bool>,
     /// Where the block's shared-value definitions sit in the output: a
     /// cut statement's probe, in a strict emitter, runs them ahead of its
     /// own code.
@@ -353,14 +359,35 @@ struct Winner {
 #[derive(Default)]
 struct Probe {
     code: record_isa::Code,
-    /// Every symbol the probe touches with its length in words, in
-    /// layout (symbol) order.
-    lens: Vec<(Symbol, i64)>,
+    /// Every symbol the probe touches with the elements it holds, `lo`
+    /// to `hi` exclusive, and the index of its first word in `words`,
+    /// in layout (symbol) order.
+    lens: Vec<(Symbol, i64, i64, usize)>,
     index_vars: Vec<Symbol>,
     /// Every probe word as (symbol in `lens`, element, address).
     words: Vec<(usize, i64, u16)>,
+    /// The reference memory of a two-trip run: one value per word.
+    memory: Vec<i64>,
+    /// The destination words a two-trip run writes.
+    dsts: Vec<usize>,
     /// The decoded program's vectors between probes.
     decoded: record_sim::DecodeBuffers,
+}
+
+impl Probe {
+    /// The element `m` addresses while the index variables hold the bits
+    /// of `trip` (the first variable the highest; a variable the code
+    /// does not read stays 0).
+    fn element(&self, m: &MemLoc, trip: usize) -> i64 {
+        let Some(var) = &m.index else { return m.disp };
+        let Some(at) = self.index_vars.iter().position(|v| v == var) else { return m.disp };
+        let i = (trip >> (self.index_vars.len() - 1 - at) & 1) as i64;
+        if m.down {
+            m.disp - i
+        } else {
+            m.disp + i
+        }
+    }
 }
 
 impl<'t> Emitter<'t> {
@@ -480,7 +507,12 @@ impl<'t> Emitter<'t> {
     /// Selects and emits one assignment, whose tree lives in the
     /// emitter's [`pool`](Self::pool).
     ///
-    /// `rules`/`variant_limit` control the algebraic enumeration.
+    /// `rules`/`variant_limit` control the algebraic enumeration. Under
+    /// `rules.commutativity` every variant is labelled with the
+    /// grammar's commuted twins, which cover each commuted form of it,
+    /// and the stream does not commute (see
+    /// [`LabelCache::set_twins`]); the boxed reference path enumerates
+    /// the commuted trees instead.
     ///
     /// # Errors
     ///
@@ -638,14 +670,38 @@ impl<'t> Emitter<'t> {
                     continue;
                 }
                 // computing the value once into `nt`
-                let def_cost = count_labels(&mut self.work.label_cache, stats, |cache| {
-                    let label = self.matcher.label_interned(&self.pool, cand.id, cache);
-                    cache.cost(label, nt)
+                let def = count_labels(&mut self.work.label_cache, stats, |cache| {
+                    self.matcher.label_interned(&self.pool, cand.id, cache)
                 });
-                let Some(def_cost) = def_cost else { continue };
+                let Some(def_cost) = self.work.label_cache.cost(def, nt) else { continue };
                 let mut gain: i128 = -i128::from(def_cost.weight());
                 improved.clear();
+                // the nonterminals the parked value reaches more cheaply
+                // than the candidate's label does
+                let Buffers { reach, cheaper, .. } = &mut self.work.buffers;
+                self.matcher.chain_costs(nt, reach);
+                let weight = |e: &Option<record_burg::Entry>| e.map(|e| e.cost.weight());
+                let plain = self.work.label_cache.entries(def);
+                cheaper.clear();
+                cheaper.extend(reach.iter().zip(plain).map(|(cut, plain)| {
+                    match (weight(cut), weight(plain)) {
+                        (Some(cut), Some(plain)) => cut < plain,
+                        (cut, plain) => cut.is_some() && plain.is_none(),
+                    }
+                }));
                 for &s in &cand.uses {
+                    // a use that reads the candidate at none of them
+                    // cannot gain: every cost above the cut stays
+                    let cheaper = &self.work.buffers.cheaper;
+                    let reads = |op, position| {
+                        let mut nts = cheaper.iter().enumerate().filter(|(_, &c)| c);
+                        nts.any(|(n, _)| {
+                            self.matcher.reads_child_at(op, position, NonTermId(n as u16))
+                        })
+                    };
+                    if !may_gain(&self.pool, dag.roots[s], cand.id, &reads) {
+                        continue;
+                    }
                     // trial cut set: this candidate plus every accepted cut
                     // that is sound in statement `s`
                     let trial = &mut self.work.buffers.cuts;
@@ -927,18 +983,22 @@ impl<'t> Emitter<'t> {
     ///
     /// Only a strict emitter probes, after the emission found no register
     /// hazard, so a `false` here is a selection bug the hazard rule
-    /// missed. Every index variable runs at 0, so the probe cannot tell
-    /// apart two values that agree there.
+    /// missed. The first run wraps the code in one-trip loops, so every
+    /// index variable runs at 0. When the code reads an index variable,
+    /// a second run wraps it in two-trip loops, over arrays one element
+    /// longer: its reference replays the statement at index 0 and then at
+    /// index 1 over the probe's memory, and every destination word must
+    /// match. Two values that agree at index 0 then still differ at 1.
     ///
     /// The probe program is the instructions at `parked` in `insns` (the
     /// block-shared definitions a cut statement reads) followed by
     /// `insns[from..]`. The instructions are moved into the emitter's
     /// probe program and back, never copied. The
     /// program depends only on the code, so it is built, mode-completed
-    /// and decoded once, and its symbols' addresses are resolved once;
-    /// each of the four seeds then resets the emitter's probe machine
-    /// (built by the emitter's first probe), pokes the inputs, executes
-    /// and peeks the destination.
+    /// and decoded once per run, and its symbols' addresses are resolved
+    /// once; each of the four seeds then resets the emitter's probe
+    /// machine (built by the emitter's first probe), pokes the inputs,
+    /// executes and peeks the destination.
     fn verify_statement(
         &mut self,
         stmt: &AssignStmt,
@@ -950,36 +1010,46 @@ impl<'t> Emitter<'t> {
         PROBES.with(|n| n.set((n.get().0 + 1, n.get().1)));
         let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
         let probe = &mut self.work.buffers.probe;
-        // Collect every symbol the statement and its code touch, in the
-        // symbol order the probe lays them out in.
+        // Collect every symbol the statement and its code touch with the
+        // elements either run reads or writes, in the symbol order the
+        // probe lays them out in.
         probe.lens.clear();
         probe.index_vars.clear();
         {
             let Probe { lens, index_vars, .. } = probe;
-            let mut note = |base: &Symbol, disp: i64| {
-                let len = disp.abs() + 1;
-                match lens.iter_mut().find(|(sym, _)| sym == base) {
-                    Some((_, known)) => *known = (*known).max(len),
-                    None => lens.push((base.clone(), len)),
+            let mut note = |m: &MemLoc| {
+                // an indexed access reaches one element further at index 1
+                let next = match (&m.index, m.down) {
+                    (None, _) => m.disp,
+                    (Some(_), false) => m.disp + 1,
+                    (Some(_), true) => m.disp - 1,
+                };
+                let (lo, hi) = (m.disp.min(next).min(0), m.disp.max(next) + 1);
+                match lens.iter_mut().find(|(sym, ..)| *sym == m.base) {
+                    Some((_, known_lo, known_hi, _)) => {
+                        *known_lo = (*known_lo).min(lo);
+                        *known_hi = (*known_hi).max(hi);
+                    }
+                    None => lens.push((m.base.clone(), lo, hi, 0)),
+                }
+                if let Some(v) = &m.index {
+                    if !index_vars.contains(v) {
+                        index_vars.push(v.clone());
+                    }
                 }
             };
             for insn in parked.iter().map(|&at| &insns[at]).chain(&insns[from..]) {
                 if let InsnKind::Compute { dst, expr } = &insn.kind {
                     let mut visit = |l: &Loc| {
                         if let Loc::Mem(m) = l {
-                            note(&m.base, m.disp);
-                            if let Some(v) = &m.index {
-                                if !index_vars.contains(v) {
-                                    index_vars.push(v.clone());
-                                }
-                            }
+                            note(m);
                         }
                     };
                     expr.for_each_read(&mut visit);
                     visit(dst);
                 }
             }
-            note(&dst_loc.base, dst_loc.disp);
+            note(&dst_loc);
             lens.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
 
@@ -990,10 +1060,13 @@ impl<'t> Emitter<'t> {
         code.insns.clear();
         probe.words.clear();
         let mut addr = 0u16;
-        for (ix, (sym, len)) in probe.lens.iter().enumerate() {
-            code.layout.place(sym.clone(), addr, *len as u32, record_ir::Bank::X);
-            probe.words.extend((0..*len).map(|el| (ix, el, (addr as i64 + el) as u16)));
-            addr += *len as u16;
+        for (ix, (sym, lo, hi, start)) in probe.lens.iter_mut().enumerate() {
+            // element 0 sits `-lo` words in
+            let zero = addr as i64 - *lo;
+            code.layout.place(sym.clone(), zero as u16, *hi as u32, record_ir::Bank::X);
+            *start = probe.words.len();
+            probe.words.extend((*lo..*hi).map(|el| (ix, el, (zero + el) as u16)));
+            addr += (*hi - *lo) as u16;
         }
         // one-trip loops around the code give every index variable the
         // value 0 (an empty text allocates nothing; the probe never
@@ -1157,13 +1230,18 @@ impl<'t> Emitter<'t> {
     /// hash-consing pool, memoizes label states per subtree, and stops as
     /// soon as the incumbent cover can no longer be beaten.
     ///
-    /// Picks the same cover as [`find_best_reference`](Self::find_best_reference):
-    /// the stream yields the identical variant sequence, the interned
-    /// matcher mirrors the boxed one, and the early exit fires only when
-    /// the incumbent's weight is at most `floor` — every unseen variant's
+    /// Without `rules.commutativity` it picks the same cover as
+    /// [`find_best_reference`](Self::find_best_reference): the stream
+    /// yields the identical variant sequence, the interned matcher
+    /// mirrors the boxed one, and the early exit fires only when the
+    /// incumbent's weight is at most `floor` — every unseen variant's
     /// total is at least `floor` (cover cost is non-negative and each
     /// total includes one store), and the strict `<` selection would
-    /// never replace the incumbent with an equal-weight cover.
+    /// never replace the incumbent with an equal-weight cover. With it,
+    /// commutation lives in the grammar: each variant is labelled with
+    /// the rules' commuted twins, and the stream applies the other rules
+    /// only, so one labelling weighs every commuted form of a variant
+    /// that the boxed path enumerates one by one.
     ///
     /// Covering is cost-first: each variant is labelled and its total
     /// read off the label, and nothing is reduced. The incumbent changes
@@ -1183,7 +1261,9 @@ impl<'t> Emitter<'t> {
         let misses0 = self.work.label_cache.misses();
         let floor = self.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        self.work.stream.restart(root, *rules, variant_limit);
+        self.work.label_cache.set_twins(rules.commutativity);
+        let shapes = RuleSet { commutativity: false, ..*rules };
+        self.work.stream.restart(root, shapes, variant_limit);
         let mut best: Option<Winner> = None;
         while let Some(id) = self.work.stream.next(&mut self.pool) {
             stats.variants += 1;
@@ -1455,9 +1535,10 @@ fn release_in(target: &TargetDesc, held: &[Loc], reg_used: &mut [Vec<bool>], loc
 }
 
 /// Runs the probe program of `probe` on `machine` under four seeds and
-/// compares the destination with the reference evaluation of `stmt`;
-/// `true` when they agree under every seed (or the probe cannot be
-/// placed on the machine).
+/// compares the destination with the reference evaluation of `stmt`,
+/// first in one-trip loops and then, when the code reads an index
+/// variable, in two-trip loops; `true` when they agree every time (or
+/// the probe cannot be placed on the machine).
 fn run_probe(
     machine: &mut record_sim::Machine<'_>,
     probe: &mut Probe,
@@ -1477,10 +1558,56 @@ fn run_probe(
     let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
         return false;
     };
-    let verdict = run_seeds(machine, &program, probe, pool, stmt, (dst_bank, dst_addr), width);
+    let once = run_seeds(machine, &program, probe, pool, stmt, (dst_bank, dst_addr), width);
     program.recycle(&mut probe.decoded);
-    verdict
+    if !once || probe.index_vars.is_empty() {
+        return once;
+    }
+    for insn in &mut probe.code.insns {
+        if let InsnKind::LoopStart { count, .. } = &mut insn.kind {
+            *count = 2;
+        }
+    }
+    let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
+        return false;
+    };
+    let (mut memory, mut dsts) =
+        (std::mem::take(&mut probe.memory), std::mem::take(&mut probe.dsts));
+    let twice = run_seeds_twice(
+        machine,
+        &program,
+        probe,
+        (pool, stmt, dst_loc),
+        (&mut memory, &mut dsts),
+        width,
+    );
+    (probe.memory, probe.dsts) = (memory, dsts);
+    program.recycle(&mut probe.decoded);
+    twice
 }
+
+/// The probe's input value of element `ix` of `sym` under `seed`:
+/// deterministic, bit-rich per-symbol-element values, so that value
+/// coincidences (a clobbered computation accidentally matching the
+/// reference) are vanishingly unlikely.
+fn probe_value(seed: u64, sym: &Symbol, ix: i64, width: u32) -> i64 {
+    let mut h = seed;
+    for b in sym.as_str().bytes() {
+        h = h.wrapping_mul(1099511628211).wrapping_add(b as u64);
+    }
+    h = h.wrapping_mul(1099511628211).wrapping_add(ix as u64);
+    // splitmix64 finalizer: every input bit reaches every output bit, so
+    // distinct symbols get unrelated values
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58476d1ce4e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d049bb133111eb);
+    h ^= h >> 31;
+    record_ir::ops::wrap_to_width(h as i64, width)
+}
+
+/// The probe's seeds.
+const PROBE_SEEDS: [u64; 4] = [0x5EED, 0xBEEF, 0x1234_5678, 0xFEED_F00D];
 
 /// Runs the decoded probe `program` under each seed; `true` when the
 /// destination word `dst` holds the reference value of `stmt`, its tree
@@ -1494,26 +1621,8 @@ fn run_seeds(
     (dst_bank, dst_addr): (record_ir::Bank, u16),
     width: u32,
 ) -> bool {
-    for seed in [0x5EED_u64, 0xBEEF, 0x1234_5678, 0xFEED_F00D] {
-        // deterministic, bit-rich per-symbol-element values: full-width
-        // patterns make value coincidences (a clobbered computation
-        // accidentally matching the reference) vanishingly unlikely
-        let value_of = move |sym: &Symbol, ix: i64| -> i64 {
-            let mut h = seed;
-            for b in sym.as_str().bytes() {
-                h = h.wrapping_mul(1099511628211).wrapping_add(b as u64);
-            }
-            h = h.wrapping_mul(1099511628211).wrapping_add(ix as u64);
-            // splitmix64 finalizer: every input bit reaches every
-            // output bit, so distinct symbols get unrelated values
-            h ^= h >> 30;
-            h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-            h ^= h >> 27;
-            h = h.wrapping_mul(0x94d049bb133111eb);
-            h ^= h >> 31;
-            record_ir::ops::wrap_to_width(h as i64, width)
-        };
-
+    for seed in PROBE_SEEDS {
+        let value_of = |sym: &Symbol, ix: i64| probe_value(seed, sym, ix, width);
         // reference evaluation (index vars are 0 under the probe loop)
         let mut read_mem = |r: &record_ir::MemRef| {
             let m = MemLoc::from_mem_ref(r);
@@ -1532,6 +1641,62 @@ fn run_seeds(
         }
         let got = machine.peek_at(dst_bank, dst_addr);
         if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Runs the decoded two-trip probe `program` under each seed; `true`
+/// when every destination word holds what replaying `stmt` at index 0
+/// and then at index 1 (every index variable, the first the outermost)
+/// leaves there, over the probe's memory. `memory` and `dsts` are
+/// working buffers.
+fn run_seeds_twice(
+    machine: &mut record_sim::Machine<'_>,
+    program: &record_sim::Program<'_>,
+    probe: &Probe,
+    (pool, stmt, dst_loc): (&TreePool, &AssignStmt, &MemLoc),
+    (memory, dsts): (&mut Vec<i64>, &mut Vec<usize>),
+    width: u32,
+) -> bool {
+    let find = |sym: &Symbol, el: i64| {
+        let (_, lo, hi, start) = probe.lens.iter().find(|(s, ..)| s == sym)?;
+        (*lo..*hi).contains(&el).then(|| start + (el - lo) as usize)
+    };
+    for seed in PROBE_SEEDS {
+        let value_of = |sym: &Symbol, ix: i64| probe_value(seed, sym, ix, width);
+        memory.clear();
+        memory.extend(probe.words.iter().map(|&(sym, ix, _)| value_of(&probe.lens[sym].0, ix)));
+        dsts.clear();
+        for trip in 0..1usize << probe.index_vars.len() {
+            let read = |memory: &[i64], m: &MemLoc| {
+                let el = probe.element(m, trip);
+                find(&m.base, el).map_or_else(|| value_of(&m.base, el), |at| memory[at])
+            };
+            let mut read_mem = |r: &record_ir::MemRef| read(memory, &MemLoc::from_mem_ref(r));
+            let mut read_temp = |s: &Symbol| read(memory, &MemLoc::scalar(s.clone()));
+            let value = pool.eval(stmt.src, width, &mut read_mem, &mut read_temp);
+            let at =
+                find(&dst_loc.base, probe.element(dst_loc, trip)).expect("destination is placed");
+            memory[at] = record_ir::ops::wrap_to_width(value, width);
+            if !dsts.contains(&at) {
+                dsts.push(at);
+            }
+        }
+
+        machine.reset();
+        for &(sym, ix, addr) in &probe.words {
+            let value = value_of(&probe.lens[sym].0, ix);
+            machine.poke_at(record_ir::Bank::X, addr, value).expect("probe words are in range");
+        }
+        if machine.execute(program).is_err() {
+            return false;
+        }
+        let agree = |&at: &usize| {
+            machine.peek_at(record_ir::Bank::X, probe.words[at].2) == Some(memory[at])
+        };
+        if !dsts.iter().all(agree) {
             return false;
         }
     }
@@ -1608,6 +1773,34 @@ fn count_labels<R>(
     stats.labels_memoized += cache.hits() - hits;
     stats.labels_computed += cache.misses() - misses;
     result
+}
+
+/// Whether cutting `cand` can lower the cost of the tree at `root`: the
+/// root is the candidate itself, or some parent of it `reads` it, at
+/// its child position, at a nonterminal the cut makes cheaper. Every
+/// node with a cut inside is labelled with the rules as written, whose
+/// costs are at least the plain labels', so without such a read no cost
+/// above the cut falls below what the statement already costs.
+fn may_gain(
+    pool: &TreePool,
+    root: TreeId,
+    cand: TreeId,
+    reads: &impl Fn(record_ir::Op, usize) -> bool,
+) -> bool {
+    if root == cand {
+        return true;
+    }
+    let kids = match *pool.node(root) {
+        TreeNode::Bin(_, a, b) => [Some(a), Some(b)],
+        TreeNode::Un(_, a) => [Some(a), None],
+        TreeNode::Const(_) | TreeNode::Mem(_) | TreeNode::Temp(_) => [None, None],
+    };
+    let op = pool.op(root);
+    kids.into_iter().enumerate().any(|(position, kid)| match kid {
+        Some(kid) if kid == cand => reads(op, position),
+        Some(kid) => may_gain(pool, kid, cand, reads),
+        None => false,
+    })
 }
 
 /// Fills `cuts` with the cuts applicable to statement `s`: accepted
@@ -1887,6 +2080,72 @@ mod tests {
         }
     }
 
+    /// gen-092's clobber, which the probe passed while it ran every index
+    /// variable at 0: on tic25 the plain cover of `y[i0] := ((a0[i0] -
+    /// a0[0]) * 4) * (sat(1) - (0 - a1[i0 + 1]))` loads 1 into `acc`
+    /// (`LACK 1`) and overwrites it with `LACK 0` before the subtraction
+    /// reads it. At index 0 the other factor is 0, so the code yields the
+    /// expected 0; at index 1 it yields 0 instead of 124. The probe's
+    /// two-trip run refuses it.
+    #[test]
+    fn the_probe_refuses_a_clobber_index_zero_hides() {
+        use record_ir::Index;
+        let t = record_isa::targets::tic25::target();
+        let mut e = Emitter::new(&t);
+        let source = "program live_one; in a0: fix[5]; in a1: fix[6]; out y: fix[5]; begin
+            for i0 in 0..4 loop
+              y[i0] := (((a0[i0] - a0[0]) * 4) * (sat(1) - (0 - a1[i0 + 1])));
+            end loop;
+          end";
+        let lir = record_ir::lower::lower(&record_ir::dfl::parse(source).unwrap()).unwrap();
+        let [record_ir::LirItem::Loop { body, .. }] = &lir.body[..] else { panic!("one loop") };
+        let [record_ir::LirItem::Assign(lowered)] = &body[..] else { panic!("one statement") };
+        let stmt =
+            AssignStmt::new(e.pool_mut(), lowered.dst.clone(), &lir.pool.to_tree(lowered.src));
+        let mut insns = Vec::new();
+        emit_unprobed(&mut e, &stmt, &mut insns).unwrap();
+        assert!(e.work.buffers.hazard, "{:?}", texts(&insns));
+        let listing = texts(&insns).join(" ; ");
+        assert!(listing.contains("LACK 1") && listing.contains("LACK 0"), "{listing}");
+
+        // the clobber, run over two trips: right at index 0, wrong at 1
+        let mut code = record_isa::Code {
+            insns: vec![Insn::ctrl(InsnKind::LoopStart { var: "i0".into(), count: 2 }, "", 0, 0)],
+            layout: Default::default(),
+            target: t.name.clone(),
+            name: "clobber".into(),
+        };
+        code.insns.extend(insns.iter().cloned());
+        code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "", 0, 0));
+        let arrays = [("a0", 5), ("a1", 6), ("y", 5)].map(|(sym, len)| (Symbol::new(sym), len));
+        let spills = e.scratch_symbols().iter().map(|sym| (sym.clone(), 1));
+        for (at, (sym, len)) in arrays.into_iter().chain(spills).enumerate() {
+            code.layout.place(sym, at as u16 * 8, len, record_ir::Bank::X);
+        }
+        record_opt::insert_mode_changes(&mut code, &t, record_opt::ModeStrategy::Lazy);
+        let inputs = std::collections::HashMap::from([
+            (Symbol::new("a0"), vec![1, 2, 3, 4, 5]),
+            (Symbol::new("a1"), vec![10, 20, 30, 40, 50, 60]),
+        ]);
+        let (outputs, _) = record_sim::run_program(&code, &t, &inputs).unwrap();
+        assert_eq!(outputs[&Symbol::new("y")][..2], [0, 0], "{listing}");
+        let pool = e.pool();
+        let reference = |i0: i64| {
+            let mut read = |r: &MemRef| match r {
+                MemRef::Array { base, index: Index::Var { offset, .. } } => {
+                    inputs[base][(i0 + offset) as usize]
+                }
+                MemRef::Array { base, index: Index::Const(c) } => inputs[base][*c as usize],
+                other => panic!("unexpected {other}"),
+            };
+            pool.eval(stmt.src, t.word_width, &mut read, &mut |s| panic!("temp {s}"))
+        };
+        assert_eq!([reference(0), reference(1)], [0, 124]);
+
+        assert!(!verify(&mut e, &stmt, &insns), "the probe passed {listing}");
+        assert!(!verify_statement_reference(&e, &stmt, &insns), "the reference passed {listing}");
+    }
+
     /// Over generated statements on tic25, dsp56k and cube seeds 1–4,
     /// every cover the probe rejects has a register hazard: the rule
     /// emission applies leaves the probe nothing to catch.
@@ -2007,6 +2266,11 @@ mod tests {
             }
             let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
             note(&dst_loc.base, dst_loc.disp);
+            if let Some(v) = &dst_loc.index {
+                if !index_vars.contains(v) {
+                    index_vars.push(v.clone());
+                }
+            }
         }
         let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
 
@@ -2073,6 +2337,117 @@ mod tests {
             let got = machine.peek(&dst_loc.base, dst_loc.disp.max(0) as u32, &code);
             if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
                 return false;
+            }
+        }
+        index_vars.is_empty() || verify_two_trips_reference(e, stmt, insns, &index_vars)
+    }
+
+    /// The two-trip run of [`verify_statement_reference`]: the code in
+    /// two-trip loops over arrays one element longer, against the
+    /// statement replayed at every index combination in loop order over
+    /// a memory map, on a fresh machine per seed.
+    fn verify_two_trips_reference(
+        e: &Emitter<'_>,
+        stmt: &AssignStmt,
+        insns: &[Insn],
+        index_vars: &[Symbol],
+    ) -> bool {
+        use std::collections::{BTreeMap, HashMap};
+        let index_of = |m: &MemLoc, values: &HashMap<&Symbol, i64>| {
+            let i = m.index.as_ref().and_then(|v| values.get(v)).copied().unwrap_or(0);
+            if m.down {
+                m.disp - i
+            } else {
+                m.disp + i
+            }
+        };
+        let mut span: BTreeMap<Symbol, (i64, i64)> = BTreeMap::new();
+        let dst_loc = MemLoc::from_mem_ref(&stmt.dst);
+        let mut note = |m: &MemLoc| {
+            let reach = match (&m.index, m.down) {
+                (None, _) => m.disp,
+                (Some(_), false) => m.disp + 1,
+                (Some(_), true) => m.disp - 1,
+            };
+            let e = span.entry(m.base.clone()).or_insert((0, 1));
+            e.0 = e.0.min(m.disp.min(reach));
+            e.1 = e.1.max(m.disp.max(reach) + 1);
+        };
+        for insn in insns {
+            if let InsnKind::Compute { dst, expr } = &insn.kind {
+                for l in expr.reads().into_iter().chain(std::iter::once(dst)) {
+                    if let Loc::Mem(m) = l {
+                        note(m);
+                    }
+                }
+            }
+        }
+        note(&dst_loc);
+        let width = e.target.word_width;
+        let mut code = record_isa::Code {
+            insns: Vec::new(),
+            layout: Default::default(),
+            target: e.target.name.clone(),
+            name: "verify".into(),
+        };
+        let mut addr = 0i64;
+        for (sym, (lo, hi)) in &span {
+            code.layout.place(sym.clone(), (addr - lo) as u16, *hi as u32, record_ir::Bank::X);
+            addr += hi - lo;
+        }
+        for v in index_vars {
+            let start = InsnKind::LoopStart { var: v.clone(), count: 2 };
+            code.insns.push(Insn::ctrl(start, "probe-loop", 0, 0));
+        }
+        code.insns.extend(insns.iter().cloned());
+        for _ in index_vars {
+            code.insns.push(Insn::ctrl(InsnKind::LoopEnd, "probe-end", 0, 0));
+        }
+        record_opt::insert_mode_changes(&mut code, e.target, record_opt::ModeStrategy::Lazy);
+        for seed in PROBE_SEEDS {
+            let value_of = |sym: &Symbol, ix: i64| probe_value(seed, sym, ix, width);
+            let mut memory: HashMap<(Symbol, i64), i64> = HashMap::new();
+            let mut written = Vec::new();
+            for trip in 0..1usize << index_vars.len() {
+                let values: HashMap<&Symbol, i64> = index_vars
+                    .iter()
+                    .enumerate()
+                    .map(|(k, v)| (v, (trip >> (index_vars.len() - 1 - k) & 1) as i64))
+                    .collect();
+                let read = |m: &MemLoc| {
+                    let el = index_of(m, &values);
+                    memory
+                        .get(&(m.base.clone(), el))
+                        .copied()
+                        .unwrap_or_else(|| value_of(&m.base, el))
+                };
+                let value = e.pool.eval(
+                    stmt.src,
+                    width,
+                    &mut |r| read(&MemLoc::from_mem_ref(r)),
+                    &mut |s| read(&MemLoc::scalar(s.clone())),
+                );
+                let at = (dst_loc.base.clone(), index_of(&dst_loc, &values));
+                memory.insert(at.clone(), record_ir::ops::wrap_to_width(value, width));
+                written.push(at);
+            }
+            let mut machine = record_sim::Machine::new(e.target);
+            for (sym, (lo, hi)) in &span {
+                for el in *lo..*hi {
+                    let (bank, addr) = code.layout.addr_of(sym, el).unwrap();
+                    if machine.poke_at(bank, addr, value_of(sym, el)).is_err() {
+                        return true;
+                    }
+                }
+            }
+            if machine.run(&code).is_err() {
+                return false;
+            }
+            for (sym, el) in &written {
+                let (bank, addr) = code.layout.addr_of(sym, *el).unwrap();
+                if machine.peek_at(bank, addr) != Some(memory[&(sym.clone(), *el)]) {
+                    return false;
+                }
             }
         }
         true
@@ -2385,7 +2760,10 @@ mod tests {
         let misses0 = e.work.label_cache.misses();
         let floor = e.work.candidates.iter().map(|(_, c)| c.weight()).min()?;
 
-        let mut stream = VariantStream::from_id(root, *rules, variant_limit);
+        // commutation in the grammar, the other rewrites in the stream
+        e.work.label_cache.set_twins(rules.commutativity);
+        let shapes = RuleSet { commutativity: false, ..*rules };
+        let mut stream = VariantStream::from_id(root, shapes, variant_limit);
         let mut best: Option<(Cost, usize, Cover)> = None;
         while let Some(id) = stream.next(&mut e.pool) {
             stats.variants += 1;
@@ -2547,6 +2925,7 @@ mod tests {
                 .try_for_each(|b| e.emit_block(b, &self.rules, self.variant_limit).map(drop));
             for (root, cuts, weight) in &e.stage_c_trials {
                 let mut fresh = LabelCache::new();
+                fresh.set_twins(self.rules.commutativity);
                 let full = e
                     .matcher
                     .best_cover_interned_cut(&e.pool, *root, &mut fresh, &e.work.candidates, cuts)

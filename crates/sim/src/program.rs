@@ -172,6 +172,8 @@ pub struct DecodeBuffers {
     ops: Vec<Op>,
     nodes: Vec<Node>,
     counters: Vec<Symbol>,
+    /// `LoopStart` steps still waiting for their end, while decoding.
+    open: Vec<usize>,
 }
 
 impl<'c> Program<'c> {
@@ -205,8 +207,8 @@ impl<'c> Program<'c> {
         d.program.ops.clear();
         d.program.nodes.clear();
         d.program.counters.clear();
-        // `LoopStart` steps still waiting for their end
-        let mut open: Vec<usize> = Vec::new();
+        let open = &mut buffers.open;
+        open.clear();
         for (pc, insn) in code.insns.iter().enumerate() {
             let layout = d.layout;
             let kind = match &insn.kind {

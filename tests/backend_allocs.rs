@@ -72,13 +72,15 @@ const BACKEND_ALLOCATIONS_BEFORE: u64 = 6298;
 const SELECT_ALLOCATIONS_BEFORE: u64 = 10_622;
 
 /// Allocations the `select` pass makes over the same 20 compiles once
-/// the thread's selection scratch is warm: 290 on tic25 and 281 on
-/// dsp56k when it probes every statement (a unit's strict default in a
-/// debug build), 280 and 271 when it does not (release; rustc 1.95).
-/// The pass made 748 (290 and 458) while a block with shares was
-/// emitted, probed and then emitted again, and an emitter built and
-/// dropped per compile made 2779 (1225 and 1554).
-const SELECT_ALLOCATIONS_WARM: u64 = 571;
+/// the thread's selection scratch is warm: 280 on tic25 and 271 on
+/// dsp56k, whether it probes every statement (a unit's strict default in
+/// a debug build) or not (release; rustc 1.95), now that decoding a probe
+/// with loops keeps its loop stack in the reused decode buffers. Probing
+/// made 290 and 281 while each decode allocated that stack, 748 (290 and
+/// 458) while a block with shares was emitted, probed and then emitted
+/// again, and an emitter built and dropped per compile made 2779 (1225
+/// and 1554).
+const SELECT_ALLOCATIONS_WARM: u64 = 551;
 
 /// Allocations the `treeify` pass made over every DSPStone kernel at `O2`
 /// on tic25 and dsp56k while it value-numbered each block into a data-flow
@@ -228,15 +230,16 @@ fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
 }
 
 /// What ten warm `Session::new()` compiles, one per DSPStone kernel,
-/// allocate on tic25 and dsp56k: 103.7 and 113.4 per kernel in a debug
+/// allocate on tic25 and dsp56k: 102.7 and 112.4 per kernel in a debug
 /// build, where the default plan is strict (rustc 1.95); a release build
 /// makes what [`SESSION_ALLOCATIONS_WARM_NON_STRICT`] pins. They made
-/// 1037 and 1311 while a block with shares was emitted twice, 2018 and
+/// 1037 and 1134 while each probe decode allocated its loop stack, 1037
+/// and 1311 while a block with shares was emitted twice, 2018 and
 /// 2292 (201.8 and 229.2 per kernel) while the frontend built boxed
 /// trees that the compile copied and re-interned, and 2963 and 3398
 /// while the `select` pass built its emitter anew for every compile and
 /// the session copied its plan.
-const SESSION_ALLOCATIONS_WARM: [u64; 2] = [1037, 1134];
+const SESSION_ALLOCATIONS_WARM: [u64; 2] = [1027, 1124];
 
 /// What the same compiles allocate under a non-strict plan, as in a
 /// release build: 100.5 and 110.2 per kernel (rustc 1.95). They made

@@ -45,14 +45,16 @@ impl Job<'_> {
 }
 
 /// A program of `statements` distinct assignments in one block, each
-/// with many algebraic variants: large enough for selection to ask its
-/// pool for more than [`MAX_RETAINED_NODES`] nodes.
+/// with many algebraic variants (a chain of additions and a subtraction,
+/// which the stream reassociates; commuted forms are the grammar's):
+/// large enough for selection to ask its pool for more than
+/// [`MAX_RETAINED_NODES`] nodes.
 fn large_program(statements: usize) -> String {
     let outs: Vec<String> = (0..statements).map(|i| format!("y{i}")).collect();
     let mut src =
         format!("program large;\nin a, b, c, d, e: fix;\nout {}: fix;\nbegin\n", outs.join(", "));
     for (i, out) in outs.iter().enumerate() {
-        src.push_str(&format!("  {out} := (a + b * {i}) * (c - d) + e * {};\n", i + 1));
+        src.push_str(&format!("  {out} := a + b * {i} + c - d + e * {};\n", i + 1));
     }
     src.push_str("end\n");
     src
