@@ -34,7 +34,7 @@ use record_ir::hash::{FoldMap, FoldState};
 use record_ir::{Op, TreeNode};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 
-use crate::label::Entry;
+use crate::label::{Entry, Form};
 
 /// The most states, and the most transitions, one automaton holds. A
 /// miss that would pass either clears the automaton first, so a grammar
@@ -68,18 +68,20 @@ pub(crate) struct Level {
 /// A node of a pattern whose binding leaves are numbered by the rule
 /// operand slot each binds, with the constant the rule's predicate tests
 /// marked: a rule's pattern as written, or one of its [`Twin`]s.
+/// Reduction walks it to fill a cover node's operands in the rule's
+/// order.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) enum TwinNode {
+pub(crate) enum FormNode {
     /// A nonterminal leaf binding rule operand `.1`.
     Nt(NonTermId, u8),
     /// A constant, memory or temporary leaf binding rule operand `.1`;
     /// `.2` when it is the constant the rule's predicate tests.
     Leaf(Op, u8, bool),
     /// An inner operator node.
-    Op(Op, Vec<TwinNode>),
+    Op(Op, Vec<FormNode>),
 }
 
-impl TwinNode {
+impl FormNode {
     /// `pat` with its binding leaves numbered in pre-order from `next`
     /// and, while `untested`, its first constant marked as tested.
     ///
@@ -87,34 +89,34 @@ impl TwinNode {
     ///
     /// On a pattern node whose child count differs from its operator's
     /// arity; [`TargetDesc::validate`] rejects such a grammar.
-    fn written(pat: &PatNode, next: &mut u8, untested: &mut bool) -> TwinNode {
+    fn written(pat: &PatNode, next: &mut u8, untested: &mut bool) -> FormNode {
         let PatNode::Op(op, children) = pat else {
             let PatNode::Nt(nt) = pat else { unreachable!() };
             *next += 1;
-            return TwinNode::Nt(*nt, *next - 1);
+            return FormNode::Nt(*nt, *next - 1);
         };
         assert_eq!(children.len(), op.arity(), "pattern node {op} has the wrong child count");
         if op.is_leaf() {
             let tested = *op == Op::Const && std::mem::take(untested);
             *next += 1;
-            return TwinNode::Leaf(*op, *next - 1, tested);
+            return FormNode::Leaf(*op, *next - 1, tested);
         }
-        TwinNode::Op(*op, children.iter().map(|c| TwinNode::written(c, next, untested)).collect())
+        FormNode::Op(*op, children.iter().map(|c| FormNode::written(c, next, untested)).collect())
     }
 
     /// The node's operator.
     fn op(&self) -> Option<Op> {
         match self {
-            TwinNode::Nt(..) => None,
-            TwinNode::Leaf(op, ..) | TwinNode::Op(op, _) => Some(*op),
+            FormNode::Nt(..) => None,
+            FormNode::Leaf(op, ..) | FormNode::Op(op, _) => Some(*op),
         }
     }
 
     /// Every form of the node with the children of any set of its
     /// commutative operator nodes swapped; the node itself comes first.
-    fn forms(&self) -> Vec<TwinNode> {
-        let TwinNode::Op(op, kids) = self else { return vec![self.clone()] };
-        let mut out: Vec<Vec<TwinNode>> = vec![Vec::new()];
+    fn forms(&self) -> Vec<FormNode> {
+        let FormNode::Op(op, kids) = self else { return vec![self.clone()] };
+        let mut out: Vec<Vec<FormNode>> = vec![Vec::new()];
         for kid in kids {
             let forms = kid.forms();
             out = out
@@ -125,20 +127,20 @@ impl TwinNode {
                 .collect();
         }
         if matches!(op, Op::Bin(b) if b.is_commutative()) {
-            let swapped: Vec<Vec<TwinNode>> =
+            let swapped: Vec<Vec<FormNode>> =
                 out.iter().map(|kids| kids.iter().rev().cloned().collect()).collect();
             out.extend(swapped);
         }
-        out.into_iter().map(|kids| TwinNode::Op(*op, kids)).collect()
+        out.into_iter().map(|kids| FormNode::Op(*op, kids)).collect()
     }
 
     /// Whether `self` and `other` match the same trees with the
     /// predicate on the same constant, whichever slots they bind.
-    fn matches_as(&self, other: &TwinNode) -> bool {
+    fn matches_as(&self, other: &FormNode) -> bool {
         match (self, other) {
-            (TwinNode::Nt(a, _), TwinNode::Nt(b, _)) => a == b,
-            (TwinNode::Leaf(a, _, ta), TwinNode::Leaf(b, _, tb)) => (a, ta) == (b, tb),
-            (TwinNode::Op(a, ka), TwinNode::Op(b, kb)) => {
+            (FormNode::Nt(a, _), FormNode::Nt(b, _)) => a == b,
+            (FormNode::Leaf(a, _, ta), FormNode::Leaf(b, _, tb)) => (a, ta) == (b, tb),
+            (FormNode::Op(a, ka), FormNode::Op(b, kb)) => {
                 a == b && ka.len() == kb.len() && ka.iter().zip(kb).all(|(x, y)| x.matches_as(y))
             }
             _ => false,
@@ -154,7 +156,7 @@ impl TwinNode {
 #[derive(Debug)]
 pub(crate) struct Twin {
     pub(crate) rule: RuleId,
-    pub(crate) pat: TwinNode,
+    pub(crate) pat: FormNode,
     level: Level,
 }
 
@@ -166,6 +168,8 @@ pub(crate) struct Shape {
     /// The root level of each pattern rule, by rule index (`None` for
     /// chain rules and for a predicate with no constant to test).
     levels: Vec<Option<Level>>,
+    /// Each such rule's pattern as written, its slots in pre-order.
+    written: Vec<Option<FormNode>>,
     /// The fragments: slot `f` matches operator `frags[f].0` at a node.
     /// The first `plain_frags` are the rules' as written; the rest only
     /// twins use.
@@ -195,6 +199,7 @@ impl Shape {
         let mut shape = Shape {
             preds: Vec::new(),
             levels: Vec::new(),
+            written: Vec::new(),
             frags: Vec::new(),
             plain_frags: 0,
             twins: Vec::new(),
@@ -202,13 +207,13 @@ impl Shape {
         };
         // each pattern rule as written; a predicate with no constant to
         // test never matches
-        let written: Vec<Option<TwinNode>> = target
+        let written: Vec<Option<FormNode>> = target
             .rules
             .iter()
             .map(|rule| match &rule.rhs {
                 Rhs::Pat(pat @ PatNode::Op(..)) => {
                     let mut untested = rule.pred.is_some();
-                    let node = TwinNode::written(pat, &mut 0, &mut untested);
+                    let node = FormNode::written(pat, &mut 0, &mut untested);
                     (!untested).then_some(node)
                 }
                 Rhs::Pat(PatNode::Nt(_)) | Rhs::Chain(_) => None,
@@ -222,7 +227,7 @@ impl Shape {
         shape.plain_frags = shape.frags.len();
 
         // every candidate so far: (lhs, pattern, predicate, weight)
-        let mut seen: Vec<(NonTermId, TwinNode, Option<Predicate>, u64)> = Vec::new();
+        let mut seen: Vec<(NonTermId, FormNode, Option<Predicate>, u64)> = Vec::new();
         for (node, rule) in written.iter().zip(&target.rules) {
             if let Some(node) = node {
                 seen.push((rule.lhs, node.clone(), rule.pred, rule.cost.weight()));
@@ -251,23 +256,24 @@ impl Shape {
         for o in 0..Op::COUNT {
             shape.twin_starts[o + 1] += shape.twin_starts[o];
         }
+        shape.written = written;
         shape
     }
 
     /// The operator and level of an operator node of a pattern,
     /// registering the fragments below it; `pred` goes to the constant
     /// marked as tested.
-    fn level(&mut self, node: &TwinNode, pred: Option<Predicate>) -> (Op, Level) {
+    fn level(&mut self, node: &FormNode, pred: Option<Predicate>) -> (Op, Level) {
         match node {
-            TwinNode::Leaf(op, _, tested) => {
+            FormNode::Leaf(op, _, tested) => {
                 let own = pred.filter(|_| *tested).map(|p| self.pred_index(p));
                 (*op, Level { kids: [None; 2], pred: own })
             }
-            TwinNode::Op(op, children) => {
+            FormNode::Op(op, children) => {
                 let mut kids = [None; 2];
                 for (kid, child) in kids.iter_mut().zip(children) {
                     *kid = Some(match child {
-                        TwinNode::Nt(nt, _) => Leaf::Nt(*nt),
+                        FormNode::Nt(nt, _) => Leaf::Nt(*nt),
                         inner => {
                             let (op, level) = self.level(inner, pred);
                             Leaf::Frag(self.frag(op, level))
@@ -276,7 +282,7 @@ impl Shape {
                 }
                 (*op, Level { kids, pred: None })
             }
-            TwinNode::Nt(..) => unreachable!("a nonterminal is a leaf of its parent's level"),
+            FormNode::Nt(..) => unreachable!("a nonterminal is a leaf of its parent's level"),
         }
     }
 
@@ -329,9 +335,12 @@ impl Shape {
         range.clone().zip(&self.twins[range])
     }
 
-    /// Twin `ix`, as [`twins_for`](Shape::twins_for) numbers it.
-    pub(crate) fn twin(&self, ix: usize) -> &Twin {
-        &self.twins[ix]
+    /// The pattern of `rule` in `form`: as written, or a twin.
+    pub(crate) fn pattern(&self, rule: RuleId, form: Form) -> &FormNode {
+        match form.twin_index() {
+            None => self.written[rule.index()].as_ref().expect("a pattern rule that can match"),
+            Some(ix) => &self.twins[ix].pat,
+        }
     }
 
     /// Every twin, grouped by root operator.
@@ -704,14 +713,14 @@ mod tests {
 
     /// The value of a pattern whose leaf binding rule operand `k` holds
     /// `operands[k]`, at `width` bits.
-    fn eval(node: &TwinNode, operands: &[i64], width: u32) -> i64 {
+    fn eval(node: &FormNode, operands: &[i64], width: u32) -> i64 {
         match node {
-            TwinNode::Nt(_, slot) | TwinNode::Leaf(_, slot, _) => operands[usize::from(*slot)],
-            TwinNode::Op(Op::Bin(op), kids) => {
+            FormNode::Nt(_, slot) | FormNode::Leaf(_, slot, _) => operands[usize::from(*slot)],
+            FormNode::Op(Op::Bin(op), kids) => {
                 op.eval(eval(&kids[0], operands, width), eval(&kids[1], operands, width), width)
             }
-            TwinNode::Op(Op::Un(op), kids) => op.eval(eval(&kids[0], operands, width), width),
-            TwinNode::Op(op, _) => unreachable!("{op} is a leaf"),
+            FormNode::Op(Op::Un(op), kids) => op.eval(eval(&kids[0], operands, width), width),
+            FormNode::Op(op, _) => unreachable!("{op} is a leaf"),
         }
     }
 
@@ -728,7 +737,7 @@ mod tests {
             for twin in shape.twins() {
                 let rule = target.rule(twin.rule);
                 let Rhs::Pat(pat) = &rule.rhs else { panic!("a twin of chain rule {}", rule.id) };
-                let written = TwinNode::written(pat, &mut 0, &mut false);
+                let written = FormNode::written(pat, &mut 0, &mut false);
                 let n = rule.leaves().len();
                 let what =
                     |operands: &[i64]| format!("{} r{} on {operands:?}", target.name, rule.id.0);

@@ -7,7 +7,7 @@ use record_ir::{Op, Tree, TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId, TargetDesc};
 use record_trace::codec;
 
-use crate::automaton::{add_base, shift_to_zero, Automaton, Kid, Reader, Shape, TwinNode};
+use crate::automaton::{add_base, shift_to_zero, Automaton, FormNode, Kid, Reader, Shape};
 use crate::cover::{Cover, CoverBuf, CoverNode, FlatOperand, Operand, SHARED_RULE};
 use crate::label::{ContextId, ContextKey, Entry, Form, LabelCache, LabelId, Labeled, Labels};
 
@@ -807,28 +807,22 @@ impl<'t> Matcher<'t> {
                 Some(node)
             }
             Rhs::Pat(pat) => {
-                let (node, mut at) = buf.push_node(entry.rule, operand_count(pat));
-                match entry.form.twin_index() {
-                    None => {
-                        self.reduce_pattern_flat(pat, pool, labels, label, &mut at, cuts, buf)?
-                    }
-                    Some(twin) => {
-                        let pat = &self.tables.shape(self.target).twin(twin).pat;
-                        self.reduce_twin_flat(pat, pool, labels, label, at, cuts, buf)?;
-                    }
-                }
+                let (node, at) = buf.push_node(entry.rule, operand_count(pat));
+                let pat = self.tables.shape(self.target).pattern(entry.rule, entry.form);
+                self.reduce_pattern_flat(pat, pool, labels, label, at, cuts, buf)?;
                 Some(node)
             }
         }
     }
 
     /// Fills the operand slots of a node whose first slot is `at` with the
-    /// bindings of the twin pattern `pat` matched at `label`'s node, each
-    /// leaf's in the rule operand slot it came from.
+    /// bindings of `pat` (its rule's pattern as written or a twin)
+    /// matched at `label`'s node, each leaf's in the rule operand slot it
+    /// came from.
     #[allow(clippy::too_many_arguments)]
-    fn reduce_twin_flat(
+    fn reduce_pattern_flat(
         &self,
-        pat: &TwinNode,
+        pat: &FormNode,
         pool: &TreePool,
         labels: Labels<'_>,
         label: LabelId,
@@ -837,11 +831,11 @@ impl<'t> Matcher<'t> {
         buf: &mut CoverBuf,
     ) -> Option<()> {
         match pat {
-            TwinNode::Nt(nt, slot) => {
+            FormNode::Nt(nt, slot) => {
                 let child = self.reduce_flat(pool, labels, label, *nt, cuts, buf)?;
                 buf.set_operand(at + usize::from(*slot), FlatOperand::Derived(child));
             }
-            TwinNode::Leaf(_, slot, _) => {
+            FormNode::Leaf(_, slot, _) => {
                 let bound = match pool.node(labels.node(label)) {
                     TreeNode::Const(v) => FlatOperand::Const(*v),
                     TreeNode::Mem(m) => FlatOperand::Mem(m.clone()),
@@ -852,48 +846,8 @@ impl<'t> Matcher<'t> {
                 };
                 buf.set_operand(at + usize::from(*slot), bound);
             }
-            TwinNode::Op(op, children) => {
+            FormNode::Op(op, children) => {
                 debug_assert_eq!(pool.op(labels.node(label)), *op, "reduce follows the label");
-                for (pc, nc) in children.iter().zip(labels.children(label)) {
-                    self.reduce_twin_flat(pc, pool, labels, nc, at, cuts, buf)?;
-                }
-            }
-        }
-        Some(())
-    }
-
-    /// Fills the operand slots from `at` on with the bindings of `pat`
-    /// matched at `label`'s node, in pre-order.
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_pattern_flat(
-        &self,
-        pat: &PatNode,
-        pool: &TreePool,
-        labels: Labels<'_>,
-        label: LabelId,
-        at: &mut usize,
-        cuts: Option<&CutSet>,
-        buf: &mut CoverBuf,
-    ) -> Option<()> {
-        match pat {
-            PatNode::Nt(nt) => {
-                let child = self.reduce_flat(pool, labels, label, *nt, cuts, buf)?;
-                buf.set_operand(*at, FlatOperand::Derived(child));
-                *at += 1;
-            }
-            PatNode::Op(op, children) => {
-                let node = labels.node(label);
-                debug_assert_eq!(pool.op(node), *op, "reduce follows the label");
-                let bound = match pool.node(node) {
-                    TreeNode::Const(v) => Some(FlatOperand::Const(*v)),
-                    TreeNode::Mem(m) => Some(FlatOperand::Mem(m.clone())),
-                    TreeNode::Temp(t) => Some(FlatOperand::Temp(t.clone())),
-                    TreeNode::Bin(..) | TreeNode::Un(..) => None,
-                };
-                if let Some(bound) = bound {
-                    buf.set_operand(*at, bound);
-                    *at += 1;
-                }
                 for (pc, nc) in children.iter().zip(labels.children(label)) {
                     self.reduce_pattern_flat(pc, pool, labels, nc, at, cuts, buf)?;
                 }

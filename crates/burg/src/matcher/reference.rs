@@ -17,7 +17,7 @@ use record_ir::{TreeId, TreeNode, TreePool};
 use record_isa::{Cost, NonTermId, PatNode, Predicate, Rhs, RuleId};
 
 use super::{CutSet, Matcher};
-use crate::automaton::TwinNode;
+use crate::automaton::FormNode;
 use crate::cover::{CoverNode, Operand, SHARED_RULE};
 use crate::label::{Entry, Form, LabelCache, LabelId};
 
@@ -225,18 +225,18 @@ fn match_cost_interned(
 /// `children`, its predicate `pred` checked on the constant the twin
 /// marks as tested.
 fn match_twin(
-    pat: &TwinNode,
+    pat: &FormNode,
     pool: &TreePool,
     id: TreeId,
     children: &[Arc<LabeledNode>],
     pred: Option<Predicate>,
 ) -> Option<Cost> {
     match pat {
-        TwinNode::Nt(..) => unreachable!("a twin is rooted at an operator"),
-        TwinNode::Leaf(op, _, tested) => {
+        FormNode::Nt(..) => unreachable!("a twin is rooted at an operator"),
+        FormNode::Leaf(op, _, tested) => {
             leaf_matches(*op, *tested, pool, id, pred).then(Cost::zero)
         }
-        TwinNode::Op(op, kids) => {
+        FormNode::Op(op, kids) => {
             if pool.op(id) != *op {
                 return None;
             }
@@ -250,13 +250,13 @@ fn match_twin(
 }
 
 fn match_twin_rec(
-    pat: &TwinNode,
+    pat: &FormNode,
     pool: &TreePool,
     node: &LabeledNode,
     pred: Option<Predicate>,
 ) -> Option<Cost> {
     match pat {
-        TwinNode::Nt(nt, _) => node.cost(*nt),
+        FormNode::Nt(nt, _) => node.cost(*nt),
         _ => match_twin(pat, pool, node.id, &node.children, pred),
     }
 }
@@ -323,8 +323,8 @@ pub(crate) fn reduce_interned(
             let mut operands = Vec::new();
             match entry.form.twin_index() {
                 None => reduce_pattern_interned(m, pat, pool, labeled, &mut operands, cuts)?,
-                Some(twin) => {
-                    let twin = &m.tables.shape(m.target).twin(twin).pat;
+                Some(_) => {
+                    let twin = m.tables.shape(m.target).pattern(entry.rule, entry.form);
                     let mut bound = Vec::new();
                     reduce_twin_interned(m, twin, pool, labeled, &mut bound, cuts)?;
                     bound.sort_by_key(|&(slot, _)| slot);
@@ -340,17 +340,17 @@ pub(crate) fn reduce_interned(
 /// each with the rule operand slot its leaf came from.
 fn reduce_twin_interned(
     m: &Matcher<'_>,
-    pat: &TwinNode,
+    pat: &FormNode,
     pool: &TreePool,
     node: &LabeledNode,
     bound: &mut Vec<(u8, Operand)>,
     cuts: Option<&CutSet>,
 ) -> Option<()> {
     match pat {
-        TwinNode::Nt(nt, slot) => {
+        FormNode::Nt(nt, slot) => {
             bound.push((*slot, Operand::Derived(reduce_interned(m, pool, node, *nt, cuts)?)));
         }
-        TwinNode::Leaf(_, slot, _) => {
+        FormNode::Leaf(_, slot, _) => {
             let operand = match pool.node(node.id) {
                 TreeNode::Const(v) => Operand::Const(*v),
                 TreeNode::Mem(r) => Operand::Mem(r.clone()),
@@ -359,7 +359,7 @@ fn reduce_twin_interned(
             };
             bound.push((*slot, operand));
         }
-        TwinNode::Op(_, kids) => {
+        FormNode::Op(_, kids) => {
             for (pc, nc) in kids.iter().zip(&node.children) {
                 reduce_twin_interned(m, pc, pool, nc, bound, cuts)?;
             }
