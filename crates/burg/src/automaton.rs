@@ -122,7 +122,7 @@ impl FormNode {
             out = out
                 .iter()
                 .flat_map(|done| {
-                    forms.iter().map(move |f| [done.as_slice(), &[f.clone()]].concat())
+                    forms.iter().map(move |f| [done.as_slice(), std::slice::from_ref(f)].concat())
                 })
                 .collect();
         }

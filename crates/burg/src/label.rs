@@ -27,6 +27,8 @@ pub struct Entry {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct Form(NonZeroU16);
 
+const _: () = assert!(std::mem::size_of::<Option<Entry>>() == std::mem::size_of::<Entry>());
+
 impl Form {
     /// The rule's pattern as written (and every chain rule).
     pub(crate) const WRITTEN: Form = match NonZeroU16::new(1) {
@@ -245,7 +247,7 @@ impl LabelCache {
 
     /// Whether labellings weigh the commuted twins (see
     /// [`set_twins`](LabelCache::set_twins)).
-    pub fn twins(&self) -> bool {
+    pub(crate) fn twins(&self) -> bool {
         self.twins
     }
 

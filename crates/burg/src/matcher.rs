@@ -683,7 +683,7 @@ impl<'t> Matcher<'t> {
         self.close_chains(entries);
 
         // 3. the pattern fragments the node matches, for its parents
-        frags.fill(None);
+        // (without twins, the slots only twins use stay empty)
         for (slot, &(frag_op, level)) in frags.iter_mut().zip(shape.frags(twins)) {
             if frag_op == op {
                 *slot = shape.level_cost(level, value, kids);

@@ -375,13 +375,14 @@ struct Probe {
 }
 
 impl Probe {
-    /// The element `m` addresses while the index variables hold the bits
-    /// of `trip` (the first variable the highest; a variable the code
-    /// does not read stays 0).
-    fn element(&self, m: &MemLoc, trip: usize) -> i64 {
+    /// The element `m` addresses on iteration `trip` of loops of `trips`
+    /// trips, one per index variable, the first the outermost (a
+    /// variable the code does not read stays 0).
+    fn element(&self, m: &MemLoc, trip: usize, trips: usize) -> i64 {
         let Some(var) = &m.index else { return m.disp };
         let Some(at) = self.index_vars.iter().position(|v| v == var) else { return m.disp };
-        let i = (trip >> (self.index_vars.len() - 1 - at) & 1) as i64;
+        let inner = trips.pow((self.index_vars.len() - 1 - at) as u32);
+        let i = (trip / inner % trips) as i64;
         if m.down {
             m.disp - i
         } else {
@@ -1550,40 +1551,34 @@ fn run_probe(
     if probe.words.iter().any(|&(.., addr)| machine.peek_at(record_ir::Bank::X, addr).is_none()) {
         return true; // unplaceable probe: skip verification
     }
-    let (dst_bank, dst_addr) = probe
-        .code
-        .layout
-        .addr_of(&dst_loc.base, dst_loc.disp.max(0))
-        .expect("destination is placed");
-    let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
-        return false;
-    };
-    let once = run_seeds(machine, &program, probe, pool, stmt, (dst_bank, dst_addr), width);
-    program.recycle(&mut probe.decoded);
-    if !once || probe.index_vars.is_empty() {
-        return once;
-    }
-    for insn in &mut probe.code.insns {
-        if let InsnKind::LoopStart { count, .. } = &mut insn.kind {
-            *count = 2;
-        }
-    }
-    let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
-        return false;
-    };
     let (mut memory, mut dsts) =
         (std::mem::take(&mut probe.memory), std::mem::take(&mut probe.dsts));
-    let twice = run_seeds_twice(
-        machine,
-        &program,
-        probe,
-        (pool, stmt, dst_loc),
-        (&mut memory, &mut dsts),
-        width,
-    );
+    let mut verdict = true;
+    for trips in [1, 2] {
+        if trips == 2 {
+            if probe.index_vars.is_empty() {
+                break;
+            }
+            for insn in &mut probe.code.insns {
+                if let InsnKind::LoopStart { count, .. } = &mut insn.kind {
+                    *count = 2;
+                }
+            }
+        }
+        let Ok(program) = machine.decode_reusing(&probe.code, &mut probe.decoded) else {
+            verdict = false;
+            break;
+        };
+        let reference = (pool, stmt, dst_loc);
+        verdict =
+            run_seeds(machine, &program, probe, reference, (&mut memory, &mut dsts), width, trips);
+        program.recycle(&mut probe.decoded);
+        if !verdict {
+            break;
+        }
+    }
     (probe.memory, probe.dsts) = (memory, dsts);
-    program.recycle(&mut probe.decoded);
-    twice
+    verdict
 }
 
 /// The probe's input value of element `ix` of `sym` under `seed`:
@@ -1609,56 +1604,20 @@ fn probe_value(seed: u64, sym: &Symbol, ix: i64, width: u32) -> i64 {
 /// The probe's seeds.
 const PROBE_SEEDS: [u64; 4] = [0x5EED, 0xBEEF, 0x1234_5678, 0xFEED_F00D];
 
-/// Runs the decoded probe `program` under each seed; `true` when the
-/// destination word `dst` holds the reference value of `stmt`, its tree
-/// evaluated in `pool`, every time.
+/// Runs the decoded probe `program`, its loops of `trips` trips, under
+/// each seed; `true` when every destination word holds what replaying
+/// `stmt` at every index combination in loop order (every index
+/// variable from 0 to `trips - 1`, the first the outermost) leaves
+/// there, over the probe's memory. `memory` and `dsts` are working
+/// buffers.
 fn run_seeds(
-    machine: &mut record_sim::Machine<'_>,
-    program: &record_sim::Program<'_>,
-    probe: &Probe,
-    pool: &TreePool,
-    stmt: &AssignStmt,
-    (dst_bank, dst_addr): (record_ir::Bank, u16),
-    width: u32,
-) -> bool {
-    for seed in PROBE_SEEDS {
-        let value_of = |sym: &Symbol, ix: i64| probe_value(seed, sym, ix, width);
-        // reference evaluation (index vars are 0 under the probe loop)
-        let mut read_mem = |r: &record_ir::MemRef| {
-            let m = MemLoc::from_mem_ref(r);
-            value_of(&m.base, m.disp)
-        };
-        let mut read_temp = |s: &Symbol| value_of(s, 0);
-        let expect = pool.eval(stmt.src, width, &mut read_mem, &mut read_temp);
-
-        machine.reset();
-        for &(sym, ix, addr) in &probe.words {
-            let value = value_of(&probe.lens[sym].0, ix);
-            machine.poke_at(record_ir::Bank::X, addr, value).expect("probe words are in range");
-        }
-        if machine.execute(program).is_err() {
-            return false;
-        }
-        let got = machine.peek_at(dst_bank, dst_addr);
-        if got != Some(record_ir::ops::wrap_to_width(expect, width)) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Runs the decoded two-trip probe `program` under each seed; `true`
-/// when every destination word holds what replaying `stmt` at index 0
-/// and then at index 1 (every index variable, the first the outermost)
-/// leaves there, over the probe's memory. `memory` and `dsts` are
-/// working buffers.
-fn run_seeds_twice(
     machine: &mut record_sim::Machine<'_>,
     program: &record_sim::Program<'_>,
     probe: &Probe,
     (pool, stmt, dst_loc): (&TreePool, &AssignStmt, &MemLoc),
     (memory, dsts): (&mut Vec<i64>, &mut Vec<usize>),
     width: u32,
+    trips: usize,
 ) -> bool {
     let find = |sym: &Symbol, el: i64| {
         let (_, lo, hi, start) = probe.lens.iter().find(|(s, ..)| s == sym)?;
@@ -1669,16 +1628,16 @@ fn run_seeds_twice(
         memory.clear();
         memory.extend(probe.words.iter().map(|&(sym, ix, _)| value_of(&probe.lens[sym].0, ix)));
         dsts.clear();
-        for trip in 0..1usize << probe.index_vars.len() {
+        for trip in 0..trips.pow(probe.index_vars.len() as u32) {
             let read = |memory: &[i64], m: &MemLoc| {
-                let el = probe.element(m, trip);
+                let el = probe.element(m, trip, trips);
                 find(&m.base, el).map_or_else(|| value_of(&m.base, el), |at| memory[at])
             };
             let mut read_mem = |r: &record_ir::MemRef| read(memory, &MemLoc::from_mem_ref(r));
             let mut read_temp = |s: &Symbol| read(memory, &MemLoc::scalar(s.clone()));
             let value = pool.eval(stmt.src, width, &mut read_mem, &mut read_temp);
-            let at =
-                find(&dst_loc.base, probe.element(dst_loc, trip)).expect("destination is placed");
+            let el = probe.element(dst_loc, trip, trips);
+            let at = find(&dst_loc.base, el).expect("destination is placed");
             memory[at] = record_ir::ops::wrap_to_width(value, width);
             if !dsts.contains(&at) {
                 dsts.push(at);
