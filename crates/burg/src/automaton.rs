@@ -104,14 +104,6 @@ impl FormNode {
         FormNode::Op(*op, children.iter().map(|c| FormNode::written(c, next, untested)).collect())
     }
 
-    /// The node's operator.
-    fn op(&self) -> Option<Op> {
-        match self {
-            FormNode::Nt(..) => None,
-            FormNode::Leaf(op, ..) | FormNode::Op(op, _) => Some(*op),
-        }
-    }
-
     /// Every form of the node with the children of any set of its
     /// commutative operator nodes swapped; the node itself comes first.
     fn forms(&self) -> Vec<FormNode> {
@@ -157,7 +149,7 @@ impl FormNode {
 pub(crate) struct Twin {
     pub(crate) rule: RuleId,
     pub(crate) pat: FormNode,
-    level: Level,
+    pub(crate) level: Level,
 }
 
 /// The grammar normalized to one operator level per rule.
@@ -248,7 +240,10 @@ impl Shape {
             }
         }
         // grouped by root operator, in rule order within a group
-        let op_of = |twin: &Twin| twin.pat.op().expect("a twin is rooted at an operator").index();
+        let op_of = |twin: &Twin| match twin.pat {
+            FormNode::Op(op, _) => op.index(),
+            _ => unreachable!("a twin is rooted at an inner operator"),
+        };
         shape.twins.sort_by_key(op_of);
         for twin in &shape.twins {
             shape.twin_starts[op_of(twin) + 1] += 1;
@@ -388,13 +383,6 @@ impl Shape {
             TreeNode::Un(op, _) => (128 + op as u64, 0),
         };
         Step { op: op | u64::from(twins) << 8, leaf }
-    }
-}
-
-impl Twin {
-    /// The twin's root level.
-    pub(crate) fn level(&self) -> Level {
-        self.level
     }
 }
 

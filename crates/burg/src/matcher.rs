@@ -666,7 +666,7 @@ impl<'t> Matcher<'t> {
         // wins only where it is strictly cheaper
         if twins {
             for (ix, twin) in shape.twins_for(op) {
-                if let Some(cost) = shape.level_cost(twin.level(), value, kids) {
+                if let Some(cost) = shape.level_cost(twin.level, value, kids) {
                     let rule = self.target.rule(twin.rule);
                     improve(entries, rule.lhs, cost.add(rule.cost), twin.rule, Form::twin(ix));
                 }
