@@ -40,6 +40,10 @@
 //!   generated program under O2 on tic25, dsp56k, asip-dsp, risc4 and
 //!   cube seed 2, with a total per target; this is
 //!   `tests/golden/corpus_words.txt`, which CI regenerates and diffs
+//! * `--frontend-outcomes PATH` — what the frontend makes of the first
+//!   1000 frontend fuzz cases at seed 0xC0DE (a lowered program's
+//!   fingerprint, or the error text); this is
+//!   `tests/golden/frontend_outcomes.txt`, which CI regenerates and diffs
 //! * `--trace PATH` — Chrome trace-event dump of every compile the run
 //!   performed (span per pass, instant per cache event); open it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`
@@ -56,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut backend_asm_path: Option<String> = None;
     let mut fingerprints_path: Option<String> = None;
     let mut corpus_words_path: Option<String> = None;
+    let mut frontend_outcomes_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("missing value for {flag}"));
@@ -67,6 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--backend-asm" => backend_asm_path = Some(value()?),
             "--fingerprints" => fingerprints_path = Some(value()?),
             "--corpus-words" => corpus_words_path = Some(value()?),
+            "--frontend-outcomes" => frontend_outcomes_path = Some(value()?),
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
@@ -130,6 +136,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &corpus_words_path {
         std::fs::write(path, record_repro::programs::render_corpus_words())?;
+        println!("wrote {path}");
+    }
+    if let Some(path) = &frontend_outcomes_path {
+        std::fs::write(path, record_repro::programs::render_frontend_outcomes())?;
         println!("wrote {path}");
     }
     if let Some(path) = &trace_path {

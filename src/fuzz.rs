@@ -154,6 +154,13 @@ pub fn frontend_input(rng: &mut Rng) -> String {
     }
 }
 
+/// Case `case` of a frontend fuzz run from `base_seed`: the case's replay
+/// seed and its input.
+pub fn frontend_case(base_seed: u64, case: usize) -> (u64, String) {
+    let seed = Rng::new(base_seed ^ case as u64).next_u64();
+    (seed, frontend_input(&mut Rng::new(seed)))
+}
+
 /// Feeds `source` through lexer → parser → lowering; `Err` means a panic
 /// escaped (the message names it), `Ok(true)` means the program lowered,
 /// `Ok(false)` means it was rejected with a structured error.
@@ -208,9 +215,7 @@ pub fn run_frontend_fuzz_traced(
     let report = with_quiet_panics(|| {
         let mut report = FuzzReport::default();
         for case in 0..iterations {
-            let seed = Rng::new(base_seed ^ case as u64).next_u64();
-            let mut rng = Rng::new(seed);
-            let source = frontend_input(&mut rng);
+            let (seed, source) = frontend_case(base_seed, case);
             report.cases += 1;
             match check_frontend(&source) {
                 Ok(true) => report.compared += 1,

@@ -6,6 +6,12 @@
 //! FNV-1a hash of a program's canonical bytes, so an unchanged file means
 //! the frontend lowers every program of the corpus to the same program,
 //! and the on-disk compile cache keyed by those bytes stays valid.
+//!
+//! `tests/golden/frontend_outcomes.txt` holds [`render_frontend_outcomes`]
+//! (`dspstone_report --frontend-outcomes` writes it): what the frontend
+//! makes of the first frontend fuzz cases, malformed programs included,
+//! so a frontend change shows every program and every error text it
+//! moves.
 
 use std::fmt::Write;
 
@@ -31,6 +37,35 @@ pub fn render_fingerprints() -> String {
         match lowered {
             Ok(lir) => writeln!(out, "{name} {:016x}", program_fingerprint(&lir)),
             Err(e) => writeln!(out, "{name} error: {e}"),
+        }
+        .expect("writing to a String");
+    }
+    out
+}
+
+/// The seed of the frontend fuzz cases [`render_frontend_outcomes`]
+/// renders, the seed CI's fuzz smoke runs.
+pub const FRONTEND_SEED: u64 = 0xC0DE;
+
+/// How many frontend fuzz cases [`render_frontend_outcomes`] renders.
+pub const FRONTEND_CASES: usize = 1000;
+
+/// One line per frontend fuzz case of seed [`FRONTEND_SEED`], generated
+/// as [`run_frontend_fuzz`] generates them: `ok` and the fingerprint of
+/// the lowered program, or the error that parsing or lowering reported,
+/// escaped so the file stays ASCII.
+///
+/// [`run_frontend_fuzz`]: crate::fuzz::run_frontend_fuzz
+pub fn render_frontend_outcomes() -> String {
+    let mut out = format!(
+        "# frontend outcome of the first {FRONTEND_CASES} frontend fuzz cases \
+         (seed {FRONTEND_SEED:#x})\n"
+    );
+    for case in 0..FRONTEND_CASES {
+        let (_, source) = crate::fuzz::frontend_case(FRONTEND_SEED, case);
+        match dfl::parse(&source).and_then(|ast| lower::lower(&ast)) {
+            Ok(lir) => writeln!(out, "{case:04} ok {:016x}", program_fingerprint(&lir)),
+            Err(e) => writeln!(out, "{case:04} {}", e.to_string().escape_default()),
         }
         .expect("writing to a String");
     }

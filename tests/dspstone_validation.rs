@@ -201,6 +201,20 @@ fn corpus_words_match_the_golden_file() {
     assert_eq!(words, golden);
 }
 
+/// The first 1000 frontend fuzz cases at seed 0xC0DE lower to the
+/// programs `tests/golden/frontend_outcomes.txt` records, or fail with
+/// the error text it records (CI regenerates it with `dspstone_report
+/// --frontend-outcomes`).
+#[test]
+fn frontend_outcomes_match_the_golden_file() {
+    let outcomes = record_repro::programs::render_frontend_outcomes();
+    let golden = include_str!("golden/frontend_outcomes.txt");
+    for (got, want) in outcomes.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(outcomes, golden);
+}
+
 #[test]
 fn kernels_compile_on_the_risc_model() {
     let target = record_isa::targets::simple_risc::target(8);
