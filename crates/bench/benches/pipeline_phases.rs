@@ -1,6 +1,8 @@
 //! **Fig. 2** — the global view of RECORD: per-phase latency of the
 //! pipeline (parse → lower → treeify → matcher generation → cover →
-//! full compile) on the FIR kernel, printed as a phase table and timed.
+//! full compile) on the FIR kernel, printed as a phase table and timed,
+//! plus the frontend (parse, lower, and both) over all ten DSPStone
+//! kernels in a hot loop; divide those times by ten for a kernel's.
 
 use record_bench::criterion;
 use record_bench::{black_box, Criterion};
@@ -83,6 +85,33 @@ fn bench(c: &mut Criterion) {
             black_box(
                 compiler.compile(black_box(&lir), record::CompileRequest::default()).unwrap().code,
             )
+        })
+    });
+    group.finish();
+
+    let kernels = record_dspstone::kernels();
+    let asts: Vec<_> = kernels.iter().map(|k| record_ir::dfl::parse(k.source).unwrap()).collect();
+    let mut group = c.benchmark_group("frontend_ten_kernels");
+    group.bench_function("parse", |b| {
+        b.iter(|| {
+            for k in &kernels {
+                black_box(record_ir::dfl::parse(black_box(k.source)).unwrap());
+            }
+        })
+    });
+    group.bench_function("lower", |b| {
+        b.iter(|| {
+            for ast in &asts {
+                black_box(record_ir::lower::lower(black_box(ast)).unwrap());
+            }
+        })
+    });
+    group.bench_function("parse_and_lower", |b| {
+        b.iter(|| {
+            for k in &kernels {
+                let ast = record_ir::dfl::parse(black_box(k.source)).unwrap();
+                black_box(record_ir::lower::lower(&ast).unwrap());
+            }
         })
     });
     group.finish();
