@@ -1,36 +1,56 @@
-//! Abstract syntax of the mini-DFL language.
+//! The parsed form of a mini-DFL program: flat tables, no boxes.
 //!
-//! Names are the [`Symbol`]s the lexer interned: every occurrence of a
-//! name in one program shares one symbol.
+//! Every distinct name of one program is interned once, while it is
+//! lexed, to a dense [`NameId`]; its one [`Symbol`] is
+//! [`Program::names`]`[id]`. Expressions live in one arena,
+//! [`Program::exprs`], and name their operands by [`ExprId`].
+//! Statements are listed in source order, each loop before its body.
+
+use std::ops::Range;
 
 use crate::{Bank, BinOp, Symbol, UnOp};
+
+/// A name of the program: its index in [`Program::names`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NameId(pub u32);
+
+/// An expression of the program: its index in [`Program::exprs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExprId(pub u32);
 
 /// A complete parsed program.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Program {
+    /// The symbol of every distinct name, by [`NameId`].
+    pub names: Vec<Symbol>,
     /// The name after the `program` keyword.
-    pub name: Symbol,
+    pub name: NameId,
     /// Constant and variable declarations, in source order.
     pub decls: Vec<Decl>,
-    /// The statements between `begin` and `end`.
-    pub body: Vec<Stmt>,
+    /// The names of every variable declaration, in source order; a
+    /// [`VarDecl`] holds its run of them.
+    pub var_names: Vec<NameId>,
+    /// The statements between `begin` and `end`, in source order: a
+    /// loop's body follows the loop, up to the loop's `end`.
+    pub stmts: Vec<Stmt>,
+    /// Every expression of the program.
+    pub exprs: Vec<Expr>,
 }
 
 impl Program {
-    /// Iterates over all variable declarations (skipping constants).
-    pub fn vars(&self) -> impl Iterator<Item = &VarDecl> {
-        self.decls.iter().filter_map(|d| match d {
-            Decl::Var(v) => Some(v),
-            Decl::Const { .. } => None,
-        })
+    /// The symbol of name `id`.
+    pub fn symbol(&self, id: NameId) -> &Symbol {
+        &self.names[id.0 as usize]
     }
 
-    /// Iterates over all constant declarations.
-    pub fn consts(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.decls.iter().filter_map(|d| match d {
-            Decl::Const { name, value } => Some((name.as_str(), value)),
-            Decl::Var(_) => None,
-        })
+    /// Expression `id`.
+    pub fn expr(&self, id: ExprId) -> Expr {
+        self.exprs[id.0 as usize]
+    }
+
+    /// The names `var` declares.
+    pub fn declared(&self, var: &VarDecl) -> &[NameId] {
+        &self.var_names[var.names.start as usize..var.names.end as usize]
     }
 }
 
@@ -40,9 +60,9 @@ pub enum Decl {
     /// `const N = 16;`
     Const {
         /// Constant name.
-        name: Symbol,
+        name: NameId,
         /// Defining expression; must be compile-time evaluable.
-        value: Expr,
+        value: ExprId,
     },
     /// `var x, y: fix;` / `in u: fix[8];` / `out z: int;`
     Var(VarDecl),
@@ -51,14 +71,14 @@ pub enum Decl {
 /// A variable declaration (possibly declaring several names at once).
 #[derive(Clone, Debug, PartialEq)]
 pub struct VarDecl {
-    /// The declared names.
-    pub names: Vec<Symbol>,
+    /// The declared names: a run of [`Program::var_names`].
+    pub names: Range<u32>,
     /// Whether this is a plain variable, an input port or an output port.
     pub kind: VarKind,
     /// The element type.
     pub ty: BaseTy,
     /// Array length, if the declaration is an array.
-    pub len: Option<Expr>,
+    pub len: Option<ExprId>,
     /// Optional memory-bank placement hint (`bank Y`). When absent, the
     /// bank-assignment optimization is free to choose.
     pub bank: Option<Bank>,
@@ -88,93 +108,48 @@ pub enum BaseTy {
 }
 
 /// A statement.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Stmt {
-    /// `dst := expr;`
+    /// `dst := value;` or `dst[index] := value;`
     Assign {
-        /// Assignment target.
-        dst: LValue,
+        /// Assigned variable.
+        dst: NameId,
+        /// The element index, when `dst` is an array element.
+        index: Option<ExprId>,
         /// Right-hand side.
-        value: Expr,
+        value: ExprId,
         /// Source line.
         line: u32,
     },
     /// `for i in lo..hi loop ... end loop;`
     For {
         /// Induction-variable name.
-        var: Symbol,
+        var: NameId,
         /// Inclusive lower bound (compile-time constant).
-        lo: Expr,
+        lo: ExprId,
         /// Inclusive upper bound (compile-time constant).
-        hi: Expr,
-        /// Loop body.
-        body: Vec<Stmt>,
+        hi: ExprId,
+        /// One past the loop body's last statement in [`Program::stmts`];
+        /// the body starts right after the loop.
+        end: u32,
         /// Source line.
         line: u32,
     },
 }
 
-/// An assignment target.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LValue {
-    /// A scalar variable.
-    Scalar(Symbol),
-    /// An array element.
-    Elem(Symbol, Expr),
-}
-
 /// An expression.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Expr {
     /// An integer literal.
     Num(i64),
     /// A scalar variable or constant reference.
-    Name(Symbol),
+    Name(NameId),
     /// An array element `a[e]`.
-    Elem(Symbol, Box<Expr>),
+    Elem(NameId, ExprId),
     /// A delayed signal `x@k` — the value of `x`, `k` samples ago.
-    Delay(Symbol, u32),
-    /// A binary operation over its two operands, boxed together.
-    Bin(BinOp, Box<[Expr; 2]>),
+    Delay(NameId, u32),
+    /// A binary operation.
+    Bin(BinOp, ExprId, ExprId),
     /// A unary operation.
-    Un(UnOp, Box<Expr>),
-}
-
-impl Expr {
-    /// Creates a binary expression node.
-    pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Bin(op, Box::new([lhs, rhs]))
-    }
-
-    /// Creates a unary expression node.
-    pub fn un(op: UnOp, e: Expr) -> Expr {
-        Expr::Un(op, Box::new(e))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn program_accessors() {
-        let p = Program {
-            name: "p".into(),
-            decls: vec![
-                Decl::Const { name: "N".into(), value: Expr::Num(4) },
-                Decl::Var(VarDecl {
-                    names: vec!["x".into()],
-                    kind: VarKind::Var,
-                    ty: BaseTy::Fix,
-                    len: None,
-                    bank: None,
-                    line: 2,
-                }),
-            ],
-            body: vec![],
-        };
-        assert_eq!(p.vars().count(), 1);
-        assert_eq!(p.consts().count(), 1);
-        assert_eq!(p.consts().next().unwrap().0, "N");
-    }
+    Un(UnOp, ExprId),
 }

@@ -20,25 +20,31 @@
 //! end
 //! ```
 //!
-//! Use [`parse`] to obtain an [`ast::Program`], then
+//! Use [`parse`] to obtain a [`Program`], then
 //! [`lower`](crate::lower::lower) to produce the linear IR consumed by the
 //! back end.
+//!
+//! The parser pulls `Copy` tokens from a [`lexer::Lexer`] one at a time;
+//! no token list is built. The lexer gives each distinct name a dense
+//! [`NameId`] and one [`Symbol`](crate::Symbol), the parser puts every
+//! expression into one arena, and lowering resolves each name use by its
+//! id (see [`ast`]).
 
 pub mod ast;
 pub mod lexer;
-pub mod parser;
-pub mod token;
+mod parser;
 
-pub use ast::Program;
+pub use ast::{ExprId, NameId, Program};
 
 use crate::Error;
 
-/// Parses a mini-DFL source text into an AST.
+/// Parses a mini-DFL source text into a [`Program`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::Lex`] or [`Error::Parse`] with the offending line on
-/// malformed input.
+/// malformed input. A lex error anywhere in the text is reported before
+/// any parse error.
 ///
 /// # Example
 ///
@@ -46,10 +52,9 @@ use crate::Error;
 /// let program = record_ir::dfl::parse(
 ///     "program p; var a: fix; begin a := 1; end",
 /// )?;
-/// assert_eq!(program.name.as_str(), "p");
+/// assert_eq!(program.symbol(program.name).as_str(), "p");
 /// # Ok::<(), record_ir::Error>(())
 /// ```
 pub fn parse(source: &str) -> Result<Program, Error> {
-    let tokens = lexer::lex(source)?;
-    parser::parse_tokens(tokens)
+    parser::parse(source)
 }

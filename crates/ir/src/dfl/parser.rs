@@ -1,23 +1,46 @@
 //! Recursive-descent parser for the mini-DFL language.
 
-use crate::{Bank, BinOp, Error, Symbol, UnOp};
+use std::fmt;
 
-use super::ast::{BaseTy, Decl, Expr, LValue, Program, Stmt, VarDecl, VarKind};
-use super::token::{Keyword, Token, TokenKind};
+use crate::{Bank, BinOp, Error, UnOp};
 
-/// Parses a token stream (as produced by [`lexer::lex`](super::lexer::lex))
-/// into an AST. The stream is consumed: each name's symbol moves from its
-/// token into the AST.
+use super::ast::{BaseTy, Decl, Expr, ExprId, NameId, Program, Stmt, VarDecl, VarKind};
+use super::lexer::{Keyword, Lexer, Token, TokenKind};
+
+/// Parses a source text into a [`Program`], pulling its tokens from a
+/// [`Lexer`] one at a time.
 ///
-/// # Errors
-///
-/// Returns [`Error::Parse`] with the offending line on malformed input.
-pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, Error> {
-    if tokens.is_empty() {
-        return Err(Error::parse(1, "empty token stream"));
+/// A lex error anywhere in the text wins over a parse error: when the
+/// parser fails, the rest of the text is lexed, and the first lex error
+/// met there is reported instead.
+pub(super) fn parse(source: &str) -> Result<Program, Error> {
+    let mut lexer = Lexer::new(source);
+    let tok = lexer.next_token()?;
+    // DSP kernel text runs about one expression per five bytes, and at
+    // most one declared name or statement per sixteen
+    let exprs = (source.len() / 4 + 1).min(4096);
+    let items = (source.len() / 16 + 1).min(1024);
+    let mut p = Parser {
+        lexer,
+        tok,
+        depth: 0,
+        decls: Vec::with_capacity(items),
+        var_names: Vec::with_capacity(items),
+        stmts: Vec::with_capacity(items),
+        exprs: Vec::with_capacity(exprs),
+    };
+    match p.program() {
+        Ok(name) => Ok(Program {
+            names: p.lexer.into_names(),
+            name,
+            decls: p.decls,
+            var_names: p.var_names,
+            stmts: p.stmts,
+            exprs: p.exprs,
+        }),
+        Err(e @ Error::Lex { .. }) => Err(e),
+        Err(e) => Err(p.lex_error_ahead().unwrap_or(e)),
     }
-    let mut p = Parser { tokens: &mut tokens, pos: 0, depth: 0 };
-    p.program()
 }
 
 /// Maximum expression nesting (parenthesis/operand depth). Recursive
@@ -26,149 +49,162 @@ pub fn parse_tokens(mut tokens: Vec<Token>) -> Result<Program, Error> {
 /// error.
 const MAX_EXPR_DEPTH: u32 = 200;
 
-struct Parser<'a> {
-    tokens: &'a mut [Token],
-    pos: usize,
+struct Parser<'s> {
+    lexer: Lexer<'s>,
+    /// The token at the cursor.
+    tok: Token,
     depth: u32,
+    decls: Vec<Decl>,
+    var_names: Vec<NameId>,
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl Parser<'_> {
+    fn peek(&self) -> TokenKind {
+        self.tok.kind
     }
 
     fn line(&self) -> u32 {
-        self.tokens[self.pos].line
+        self.tok.line
     }
 
-    fn bump(&mut self) -> &TokenKind {
-        let t = &self.tokens[self.pos].kind;
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    /// `kind` as an error message names it.
+    fn describe(&self, kind: TokenKind) -> impl fmt::Display + '_ {
+        kind.describe(self.lexer.names())
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == kind {
-            self.bump();
-            true
-        } else {
-            false
+    /// Moves past the token at the cursor and returns its kind.
+    fn bump(&mut self) -> Result<TokenKind, Error> {
+        let kind = self.tok.kind;
+        self.tok = self.lexer.next_token()?;
+        Ok(kind)
+    }
+
+    fn eat(&mut self, kind: TokenKind) -> Result<bool, Error> {
+        let found = self.peek() == kind;
+        if found {
+            self.bump()?;
         }
+        Ok(found)
     }
 
     fn expect(&mut self, kind: TokenKind) -> Result<(), Error> {
-        if self.peek() == &kind {
-            self.bump();
-            Ok(())
-        } else {
-            Err(Error::parse(self.line(), format!("expected {kind}, found {}", self.peek())))
+        if self.eat(kind)? {
+            return Ok(());
         }
+        let message =
+            format!("expected {}, found {}", self.describe(kind), self.describe(self.peek()));
+        Err(Error::parse(self.line(), message))
     }
 
     fn expect_keyword(&mut self, kw: Keyword) -> Result<(), Error> {
         self.expect(TokenKind::Keyword(kw))
     }
 
-    /// Takes the identifier at the cursor and advances past it. The
-    /// symbol is moved out of its token, which is left an `Eof` the
-    /// parser never reads: it never looks back.
-    fn take_ident(&mut self) -> Option<Symbol> {
-        let kind = &mut self.tokens[self.pos].kind;
-        if !matches!(kind, TokenKind::Ident(_)) {
-            return None;
+    fn ident(&mut self) -> Result<NameId, Error> {
+        match self.peek() {
+            TokenKind::Ident(name) => {
+                self.bump()?;
+                Ok(name)
+            }
+            other => {
+                let message = format!("expected identifier, found {}", self.describe(other));
+                Err(Error::parse(self.line(), message))
+            }
         }
-        let TokenKind::Ident(s) = std::mem::replace(kind, TokenKind::Eof) else {
-            unreachable!("checked above")
-        };
-        self.bump();
-        Some(s)
     }
 
-    fn ident(&mut self) -> Result<Symbol, Error> {
-        self.take_ident().ok_or_else(|| {
-            Error::parse(self.line(), format!("expected identifier, found {}", self.peek()))
-        })
+    /// The first lex error after the cursor, if the rest of the text has
+    /// one.
+    fn lex_error_ahead(&mut self) -> Option<Error> {
+        while self.tok.kind != TokenKind::Eof {
+            match self.lexer.next_token() {
+                Ok(tok) => self.tok = tok,
+                Err(e) => return Some(e),
+            }
+        }
+        None
     }
 
-    fn program(&mut self) -> Result<Program, Error> {
+    fn push(&mut self, e: Expr) -> ExprId {
+        self.exprs.push(e);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    /// Parses the whole program into the parser's tables; returns the
+    /// program's name.
+    fn program(&mut self) -> Result<NameId, Error> {
         self.expect_keyword(Keyword::Program)?;
         let name = self.ident()?;
         self.expect(TokenKind::Semi)?;
 
-        let mut decls = Vec::new();
         loop {
             match self.peek() {
                 TokenKind::Keyword(Keyword::Const) => {
-                    self.bump();
+                    self.bump()?;
                     let name = self.ident()?;
-                    // Accept both `=`-less form `const N = e;` — the lexer has
-                    // no `=` token, so we spell it `const N := e;` or reuse
-                    // `:` `=`; we accept `:=` for uniformity.
-                    self.expect(TokenKind::Assign).map_err(|_| {
-                        Error::parse(
+                    // the lexer reads `=` as `:=`, so this accepts both
+                    // `const N = 16;` and `const N := 16;`
+                    if !self.eat(TokenKind::Assign)? {
+                        return Err(Error::parse(
                             self.line(),
                             "expected `:=` after constant name (e.g. `const N := 16;`)",
-                        )
-                    })?;
+                        ));
+                    }
                     let value = self.expr()?;
                     self.expect(TokenKind::Semi)?;
-                    decls.push(Decl::Const { name, value });
+                    self.decls.push(Decl::Const { name, value });
                 }
-                TokenKind::Keyword(Keyword::Var)
-                | TokenKind::Keyword(Keyword::In)
-                | TokenKind::Keyword(Keyword::Out) => {
-                    decls.push(Decl::Var(self.var_decl()?));
-                }
+                TokenKind::Keyword(Keyword::Var) => self.var_decl(VarKind::Var)?,
+                TokenKind::Keyword(Keyword::In) => self.var_decl(VarKind::In)?,
+                TokenKind::Keyword(Keyword::Out) => self.var_decl(VarKind::Out)?,
                 _ => break,
             }
         }
 
         self.expect_keyword(Keyword::Begin)?;
-        let body = self.stmt_list(&[Keyword::End])?;
+        self.stmt_list()?;
         self.expect_keyword(Keyword::End)?;
         // optional trailing semicolon / EOF
-        let _ = self.eat(&TokenKind::Semi);
+        self.eat(TokenKind::Semi)?;
         self.expect(TokenKind::Eof)?;
-        Ok(Program { name, decls, body })
+        Ok(name)
     }
 
-    fn var_decl(&mut self) -> Result<VarDecl, Error> {
+    /// Parses a declaration of `kind`, whose keyword is at the cursor.
+    fn var_decl(&mut self, kind: VarKind) -> Result<(), Error> {
         let line = self.line();
-        let kind = match self.bump() {
-            TokenKind::Keyword(Keyword::Var) => VarKind::Var,
-            TokenKind::Keyword(Keyword::In) => VarKind::In,
-            TokenKind::Keyword(Keyword::Out) => VarKind::Out,
-            other => {
-                // the caller dispatched on these keywords; keep a parse
-                // error rather than a panic in case that ever drifts
-                return Err(Error::parse(line, format!("expected var/in/out, found {other}")));
+        self.bump()?;
+        let first = self.var_names.len() as u32;
+        loop {
+            let name = self.ident()?;
+            self.var_names.push(name);
+            if !self.eat(TokenKind::Comma)? {
+                break;
             }
-        };
-        let mut names = vec![self.ident()?];
-        while self.eat(&TokenKind::Comma) {
-            names.push(self.ident()?);
         }
+        let names = first..self.var_names.len() as u32;
         self.expect(TokenKind::Colon)?;
-        let ty = match self.bump() {
+        let ty = match self.peek() {
             TokenKind::Keyword(Keyword::Fix) => BaseTy::Fix,
             TokenKind::Keyword(Keyword::Int) => BaseTy::Int,
             other => {
-                let msg = format!("expected type `fix` or `int`, found {other}");
+                let msg = format!("expected type `fix` or `int`, found {}", self.describe(other));
                 return Err(Error::parse(line, msg));
             }
         };
-        let len = if self.eat(&TokenKind::LBracket) {
+        self.bump()?;
+        let len = if self.eat(TokenKind::LBracket)? {
             let e = self.expr()?;
             self.expect(TokenKind::RBracket)?;
             Some(e)
         } else {
             None
         };
-        let bank = if self.eat(&TokenKind::Keyword(Keyword::Bank)) {
+        let bank = if self.eat(TokenKind::Keyword(Keyword::Bank))? {
             let b = self.ident()?;
-            match b.as_str() {
+            match self.lexer.names()[b.0 as usize].as_str() {
                 "X" | "x" => Some(Bank::X),
                 "Y" | "y" => Some(Bank::Y),
                 other => {
@@ -179,58 +215,62 @@ impl<'a> Parser<'a> {
             None
         };
         self.expect(TokenKind::Semi)?;
-        Ok(VarDecl { names, kind, ty, len, bank, line })
+        self.decls.push(Decl::Var(VarDecl { names, kind, ty, len, bank, line }));
+        Ok(())
     }
 
-    /// Parses statements until one of the stop keywords is next.
-    fn stmt_list(&mut self, stops: &[Keyword]) -> Result<Vec<Stmt>, Error> {
-        let mut out = Vec::new();
-        loop {
-            match self.peek() {
-                TokenKind::Keyword(k) if stops.contains(k) => return Ok(out),
-                TokenKind::Eof => return Ok(out),
-                _ => out.push(self.stmt()?),
-            }
+    /// Parses statements until `end` or the end of input is next.
+    fn stmt_list(&mut self) -> Result<(), Error> {
+        while !matches!(self.peek(), TokenKind::Keyword(Keyword::End) | TokenKind::Eof) {
+            self.stmt()?;
         }
+        Ok(())
     }
 
-    fn stmt(&mut self) -> Result<Stmt, Error> {
+    fn stmt(&mut self) -> Result<(), Error> {
         let line = self.line();
-        if self.eat(&TokenKind::Keyword(Keyword::For)) {
+        if self.eat(TokenKind::Keyword(Keyword::For))? {
             let var = self.ident()?;
             self.expect_keyword(Keyword::In)?;
             let lo = self.expr()?;
             self.expect(TokenKind::DotDot)?;
             let hi = self.expr()?;
             // `loop` or `do` introduces the body
-            if !self.eat(&TokenKind::Keyword(Keyword::Loop)) {
+            if !self.eat(TokenKind::Keyword(Keyword::Loop))? {
                 self.expect_keyword(Keyword::Do)?;
             }
-            let body = self.stmt_list(&[Keyword::End])?;
+            let at = self.stmts.len();
+            self.stmts.push(Stmt::For { var, lo, hi, end: 0, line });
+            self.stmt_list()?;
+            let body_end = self.stmts.len() as u32;
+            if let Stmt::For { end, .. } = &mut self.stmts[at] {
+                *end = body_end;
+            }
             self.expect_keyword(Keyword::End)?;
-            let _ = self.eat(&TokenKind::Keyword(Keyword::Loop));
-            let _ = self.eat(&TokenKind::Semi);
-            return Ok(Stmt::For { var, lo, hi, body, line });
+            self.eat(TokenKind::Keyword(Keyword::Loop))?;
+            self.eat(TokenKind::Semi)?;
+            return Ok(());
         }
         // assignment
-        let name = self.ident()?;
-        let dst = if self.eat(&TokenKind::LBracket) {
+        let dst = self.ident()?;
+        let index = if self.eat(TokenKind::LBracket)? {
             let idx = self.expr()?;
             self.expect(TokenKind::RBracket)?;
-            LValue::Elem(name, idx)
+            Some(idx)
         } else {
-            LValue::Scalar(name)
+            None
         };
         self.expect(TokenKind::Assign)?;
         let value = self.expr()?;
         self.expect(TokenKind::Semi)?;
-        Ok(Stmt::Assign { dst, value, line })
+        self.stmts.push(Stmt::Assign { dst, index, value, line });
+        Ok(())
     }
 
     /// Expression grammar, lowest precedence first:
     /// `|` < `^` < `&` < `<< >>` < `+ -` < `* /` < unary; every binary
     /// operator is left-associative.
-    fn expr(&mut self) -> Result<Expr, Error> {
+    fn expr(&mut self) -> Result<ExprId, Error> {
         if self.depth >= MAX_EXPR_DEPTH {
             return Err(Error::parse(self.line(), "expression nested too deeply"));
         }
@@ -243,130 +283,116 @@ impl<'a> Parser<'a> {
     /// Parses unary operands joined by binary operators of precedence
     /// `min` or tighter (precedence climbing): an operator's right operand
     /// takes only tighter operators, so equal ones associate to the left.
-    fn binary(&mut self, min: u8) -> Result<Expr, Error> {
-        let mut lhs = self.unary()?;
+    fn binary(&mut self, min: u8) -> Result<ExprId, Error> {
+        let mut lhs = self.unary(0)?;
         while let Some((op, prec)) = binary_op(self.peek()).filter(|&(_, prec)| prec >= min) {
-            self.bump();
+            self.bump()?;
             let rhs = self.binary(prec + 1)?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.push(Expr::Bin(op, lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, Error> {
-        // iterative, so a `~~~~…x` run costs heap, not call stack here —
-        // but the tree it builds is still walked recursively by lowering
-        // and printing, so the chain counts against the nesting cap too
-        let mut ops = Vec::new();
-        loop {
-            if self.eat(&TokenKind::Minus) {
-                ops.push(UnOp::Neg);
-            } else if self.eat(&TokenKind::Tilde) {
-                ops.push(UnOp::Not);
-            } else {
-                break;
-            }
-            if self.depth + ops.len() as u32 > MAX_EXPR_DEPTH {
-                return Err(Error::parse(self.line(), "expression nested too deeply"));
-            }
+    /// Parses a run of prefix operators and their operand; `run` counts
+    /// the operators of the run already parsed. The tree a run builds is
+    /// walked recursively by lowering, so a run counts against the
+    /// nesting cap too.
+    fn unary(&mut self, run: u32) -> Result<ExprId, Error> {
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Tilde => UnOp::Not,
+            _ => return self.postfix(),
+        };
+        self.bump()?;
+        if self.depth + run + 1 > MAX_EXPR_DEPTH {
+            return Err(Error::parse(self.line(), "expression nested too deeply"));
         }
-        let mut e = self.postfix()?;
-        for op in ops.into_iter().rev() {
-            e = Expr::un(op, e);
-        }
-        Ok(e)
+        let operand = self.unary(run + 1)?;
+        Ok(self.push(Expr::Un(op, operand)))
     }
 
-    fn postfix(&mut self) -> Result<Expr, Error> {
+    fn postfix(&mut self) -> Result<ExprId, Error> {
         let line = self.line();
-        if let Some(name) = self.take_ident() {
-            if self.eat(&TokenKind::LParen) {
-                return self.intrinsic(name.as_str(), line);
-            }
-            if self.eat(&TokenKind::LBracket) {
-                let idx = self.expr()?;
-                self.expect(TokenKind::RBracket)?;
-                return Ok(Expr::Elem(name, Box::new(idx)));
-            }
-            if self.eat(&TokenKind::At) {
-                match self.bump().clone() {
-                    TokenKind::Num(k) if (1..=i64::from(u32::MAX)).contains(&k) => {
-                        return Ok(Expr::Delay(name, k as u32))
+        let e = match self.peek() {
+            TokenKind::Ident(name) => {
+                self.bump()?;
+                if self.eat(TokenKind::LParen)? {
+                    return self.intrinsic(name, line);
+                }
+                if self.eat(TokenKind::LBracket)? {
+                    let idx = self.expr()?;
+                    self.expect(TokenKind::RBracket)?;
+                    Expr::Elem(name, idx)
+                } else if self.eat(TokenKind::At)? {
+                    match self.bump()? {
+                        TokenKind::Num(k) if (1..=i64::from(u32::MAX)).contains(&k) => {
+                            Expr::Delay(name, k as u32)
+                        }
+                        other => {
+                            let message = format!(
+                                "delay `@` needs a positive literal (at most 2^32-1), found {}",
+                                self.describe(other)
+                            );
+                            return Err(Error::parse(line, message));
+                        }
                     }
-                    other => {
-                        return Err(Error::parse(
-                            line,
-                            format!(
-                                "delay `@` needs a positive literal (at most 2^32-1), \
-                                 found {other}"
-                            ),
-                        ))
-                    }
+                } else {
+                    Expr::Name(name)
                 }
             }
-            return Ok(Expr::Name(name));
-        }
-        match *self.peek() {
             TokenKind::Num(n) => {
-                self.bump();
-                Ok(Expr::Num(n))
+                self.bump()?;
+                Expr::Num(n)
             }
             TokenKind::LParen => {
-                self.bump();
+                self.bump()?;
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            ref other => Err(Error::parse(line, format!("expected expression, found {other}"))),
-        }
+            other => {
+                let message = format!("expected expression, found {}", self.describe(other));
+                return Err(Error::parse(line, message));
+            }
+        };
+        Ok(self.push(e))
     }
 
     /// Resolves intrinsic calls: `sat`, `abs`, `round` (unary);
     /// `sadd`, `ssub`, `min`, `max` (binary).
-    fn intrinsic(&mut self, name: &str, line: u32) -> Result<Expr, Error> {
-        let mut args = vec![self.expr()?];
-        while self.eat(&TokenKind::Comma) {
-            args.push(self.expr()?);
+    fn intrinsic(&mut self, name: NameId, line: u32) -> Result<ExprId, Error> {
+        let first = self.expr()?;
+        let (mut second, mut args) = (first, 1);
+        while self.eat(TokenKind::Comma)? {
+            let arg = self.expr()?;
+            args += 1;
+            if args == 2 {
+                second = arg;
+            }
         }
         self.expect(TokenKind::RParen)?;
-        let arity_err = |want: usize| {
-            Error::parse(line, format!("intrinsic `{name}` takes {want} argument(s)"))
+        let name = self.lexer.names()[name.0 as usize].as_str();
+        let (arity, e) = match name {
+            "sat" => (1, Expr::Un(UnOp::Sat, first)),
+            "abs" => (1, Expr::Un(UnOp::Abs, first)),
+            "round" => (1, Expr::Un(UnOp::Round, first)),
+            "sadd" => (2, Expr::Bin(BinOp::SatAdd, first, second)),
+            "ssub" => (2, Expr::Bin(BinOp::SatSub, first, second)),
+            "min" => (2, Expr::Bin(BinOp::Min, first, second)),
+            "max" => (2, Expr::Bin(BinOp::Max, first, second)),
+            other => return Err(Error::parse(line, format!("unknown intrinsic `{other}`"))),
         };
-        match name {
-            "sat" | "abs" | "round" => {
-                if args.len() != 1 {
-                    return Err(arity_err(1));
-                }
-                let op = match name {
-                    "sat" => UnOp::Sat,
-                    "abs" => UnOp::Abs,
-                    _ => UnOp::Round,
-                };
-                let a = args.pop().ok_or_else(|| arity_err(1))?;
-                Ok(Expr::un(op, a))
-            }
-            "sadd" | "ssub" | "min" | "max" => {
-                if args.len() != 2 {
-                    return Err(arity_err(2));
-                }
-                let op = match name {
-                    "sadd" => BinOp::SatAdd,
-                    "ssub" => BinOp::SatSub,
-                    "min" => BinOp::Min,
-                    _ => BinOp::Max,
-                };
-                let b = args.pop().ok_or_else(|| arity_err(2))?;
-                let a = args.pop().ok_or_else(|| arity_err(2))?;
-                Ok(Expr::bin(op, a, b))
-            }
-            other => Err(Error::parse(line, format!("unknown intrinsic `{other}`"))),
+        if args != arity {
+            let message = format!("intrinsic `{name}` takes {arity} argument(s)");
+            return Err(Error::parse(line, message));
         }
+        Ok(self.push(e))
     }
 }
 
 /// The binary operator a token spells, with its precedence (1 binds
 /// loosest).
-fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+fn binary_op(kind: TokenKind) -> Option<(BinOp, u8)> {
     Some(match kind {
         TokenKind::Pipe => (BinOp::Or, 1),
         TokenKind::Caret => (BinOp::Xor, 2),
@@ -386,93 +412,119 @@ mod tests {
     use super::super::parse;
     use super::*;
 
+    /// The expression `e` of `p` printed back as source, fully
+    /// parenthesized.
+    fn show(p: &Program, e: ExprId) -> String {
+        match p.expr(e) {
+            Expr::Num(n) => n.to_string(),
+            Expr::Name(n) => p.symbol(n).to_string(),
+            Expr::Elem(n, i) => format!("{}[{}]", p.symbol(n), show(p, i)),
+            Expr::Delay(n, k) => format!("{}@{k}", p.symbol(n)),
+            Expr::Bin(op, a, b) => format!("({} {op:?} {})", show(p, a), show(p, b)),
+            Expr::Un(op, a) => format!("{op:?}({})", show(p, a)),
+        }
+    }
+
+    /// The value of the first statement of `src`, an assignment, printed
+    /// by [`show`].
+    fn first_value(src: &str) -> String {
+        let p = parse(src).unwrap();
+        let Stmt::Assign { value, .. } = p.stmts[0] else { panic!("an assignment") };
+        show(&p, value)
+    }
+
     #[test]
     fn parses_minimal_program() {
         let p = parse("program p; var a: fix; begin a := 1; end").unwrap();
-        assert_eq!(p.name.as_str(), "p");
-        assert_eq!(p.body.len(), 1);
+        assert_eq!(p.symbol(p.name).as_str(), "p");
+        assert_eq!(p.stmts.len(), 1);
     }
 
     #[test]
-    fn parses_const_with_walrus() {
-        let p = parse("program p; const N := 8; var a: fix[N]; begin a[0] := N; end").unwrap();
-        assert_eq!(p.consts().count(), 1);
-    }
-
-    #[test]
-    fn precedence_mul_binds_tighter_than_add() {
-        let p = parse("program p; var a,b,c,y: fix; begin y := a + b * c; end").unwrap();
-        match &p.body[0] {
-            Stmt::Assign { value: Expr::Bin(BinOp::Add, operands), .. } => {
-                assert!(matches!(operands[1], Expr::Bin(BinOp::Mul, _)));
-            }
-            other => panic!("unexpected shape: {other:?}"),
+    fn parses_const_with_walrus_and_equals() {
+        for src in [
+            "program p; const N := 8; var a: fix[N]; begin a[0] := N; end",
+            "program p; const N = 8; var a: fix[N]; begin a[0] := N; end",
+        ] {
+            let p = parse(src).unwrap();
+            assert!(matches!(p.decls[0], Decl::Const { .. }));
         }
     }
 
     #[test]
+    fn precedence_mul_binds_tighter_than_add() {
+        let value = first_value("program p; var a,b,c,y: fix; begin y := a + b * c; end");
+        assert_eq!(value, "(a Add (b Mul c))");
+    }
+
+    #[test]
     fn operators_bind_by_precedence_and_associate_left() {
-        let p = parse(
+        let value = first_value(
             "program p; var a,b,c,d,y: fix; begin y := a - b - c * d / a | b ^ c & d << 1 + a; end",
-        )
-        .unwrap();
-        let Stmt::Assign { value, .. } = &p.body[0] else { panic!("an assignment") };
-        let name = |n: &str| Expr::Name(n.into());
-        let bin = Expr::bin;
-        // ((a - b) - ((c * d) / a)) | (b ^ (c & (d << (1 + a))))
-        let want = bin(
-            BinOp::Or,
-            bin(
-                BinOp::Sub,
-                bin(BinOp::Sub, name("a"), name("b")),
-                bin(BinOp::Div, bin(BinOp::Mul, name("c"), name("d")), name("a")),
-            ),
-            bin(
-                BinOp::Xor,
-                name("b"),
-                bin(
-                    BinOp::And,
-                    name("c"),
-                    bin(BinOp::Shl, name("d"), bin(BinOp::Add, Expr::Num(1), name("a"))),
-                ),
-            ),
         );
-        assert_eq!(*value, want);
+        // ((a - b) - ((c * d) / a)) | (b ^ (c & (d << (1 + a))))
+        assert_eq!(
+            value,
+            "(((a Sub b) Sub ((c Mul d) Div a)) Or (b Xor (c And (d Shl (1 Add a)))))"
+        );
+    }
+
+    #[test]
+    fn every_occurrence_of_a_name_shares_one_id() {
+        let p = parse("program p; var x, y: fix; begin y := x + x; end").unwrap();
+        assert_eq!(p.names.len(), 3);
+        let Stmt::Assign { dst, value, .. } = p.stmts[0] else { panic!("an assignment") };
+        assert_eq!(p.symbol(dst).as_str(), "y");
+        let Expr::Bin(_, a, b) = p.expr(value) else { panic!("a sum") };
+        assert_eq!(p.expr(a), p.expr(b));
     }
 
     #[test]
     fn parses_for_loop_with_array_access() {
         let p = parse(
             "program p; const N := 4; var a: fix[N]; var y: fix;
-             begin for i in 0..N-1 loop y := y + a[i]; end loop; end",
+             begin for i in 0..N-1 loop y := y + a[i]; end loop; y := 0; end",
         )
         .unwrap();
-        assert!(matches!(p.body[0], Stmt::For { .. }));
+        assert!(matches!(p.stmts[0], Stmt::For { end: 2, .. }));
+        assert!(matches!(p.stmts[2], Stmt::Assign { .. }));
     }
 
     #[test]
     fn parses_intrinsics() {
-        let p = parse("program p; var a,b,y: fix; begin y := sadd(a, b) + sat(a * b); end");
-        assert!(p.is_ok(), "{p:?}");
+        let value =
+            first_value("program p; var a,b,y: fix; begin y := sadd(a, b) + sat(a * b); end");
+        assert_eq!(value, "((a SatAdd b) Add Sat((a Mul b)))");
+    }
+
+    #[test]
+    fn intrinsics_check_their_arity() {
+        let e = parse("program p; var a,y: fix; begin y := sadd(a); end").unwrap_err();
+        assert!(e.to_string().contains("`sadd` takes 2 argument(s)"), "{e}");
+        let e = parse("program p; var a,y: fix; begin y := abs(a, a, a); end").unwrap_err();
+        assert!(e.to_string().contains("`abs` takes 1 argument(s)"), "{e}");
     }
 
     #[test]
     fn parses_delay() {
-        let p = parse("program p; var x,y: fix; begin y := x@1 + x@2; end").unwrap();
-        match &p.body[0] {
-            Stmt::Assign { value: Expr::Bin(BinOp::Add, operands), .. } => {
-                assert_eq!(operands[0], Expr::Delay("x".into(), 1));
-                assert_eq!(operands[1], Expr::Delay("x".into(), 2));
-            }
-            other => panic!("unexpected shape: {other:?}"),
-        }
+        let value = first_value("program p; var x,y: fix; begin y := x@1 + x@2; end");
+        assert_eq!(value, "(x@1 Add x@2)");
     }
 
     #[test]
-    fn parses_bank_hint() {
-        let p = parse("program p; var a: fix[4] bank Y; var y: fix; begin y := a[0]; end").unwrap();
-        let v = p.vars().next().unwrap();
+    fn parses_declarations() {
+        let p = parse(
+            "program p; var a, b: fix[4] bank Y; in u: int; var y: fix; begin y := a[0]; end",
+        )
+        .unwrap();
+        let Decl::Var(v) = &p.decls[0] else { panic!("a variable declaration") };
+        let names: Vec<&str> = p.declared(v).iter().map(|&n| p.symbol(n).as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
         assert_eq!(v.bank, Some(crate::Bank::Y));
+        assert!(v.len.is_some());
+        let Decl::Var(u) = &p.decls[1] else { panic!("a variable declaration") };
+        assert_eq!((u.kind, u.ty, u.len), (VarKind::In, BaseTy::Int, None));
+        assert_eq!(p.declared(u).len(), 1);
     }
 
     #[test]
@@ -483,7 +535,8 @@ mod tests {
 
     #[test]
     fn rejects_missing_semicolon() {
-        assert!(parse("program p; var y: fix; begin y := 1 end").is_err());
+        let e = parse("program p; var y: fix; begin y := 1 end").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at line 1: expected `;`, found keyword `end`");
     }
 
     #[test]
@@ -492,8 +545,20 @@ mod tests {
     }
 
     #[test]
-    fn empty_token_stream_is_an_error_not_a_panic() {
-        assert!(parse_tokens(Vec::new()).is_err());
+    fn empty_source_is_an_error_not_a_panic() {
+        let e = parse("").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at line 1: expected keyword `program`, found end of input"
+        );
+    }
+
+    #[test]
+    fn a_lex_error_after_a_parse_error_wins() {
+        let e = parse("program p; var y: fix; begin y := ; end ?").unwrap_err();
+        assert_eq!(e.to_string(), "lex error at line 1: unexpected character `?`");
+        let e = parse("program p; var y: fix; begin y := ; end").unwrap_err();
+        assert!(matches!(e, Error::Parse { .. }), "{e}");
     }
 
     #[test]
@@ -512,7 +577,7 @@ mod tests {
     fn long_unary_chains_are_a_parse_error_not_an_overflow() {
         // `~` rather than `-`: a `--` run would lex as a comment. A
         // 10,000-deep chain would overflow downstream tree walks
-        // (lowering, drop), so it must be rejected at the cap …
+        // (lowering), so it must be rejected at the cap …
         let src = format!("program p; var x, y: fix; begin y := {}x; end", "~".repeat(10_000));
         let e = parse(&src).unwrap_err();
         assert!(e.to_string().contains("nested too deeply"), "{e}");
@@ -529,8 +594,8 @@ mod tests {
 
     #[test]
     fn unary_minus_and_not() {
-        let p = parse("program p; var a,y: fix; begin y := -a + ~a; end").unwrap();
-        assert_eq!(p.body.len(), 1);
+        let value = first_value("program p; var a,y: fix; begin y := -a + ~~a; end");
+        assert_eq!(value, "(Neg(a) Add Not(Not(a)))");
     }
 
     #[test]
@@ -546,9 +611,8 @@ mod tests {
              end",
         )
         .unwrap();
-        match &p.body[0] {
-            Stmt::For { body, .. } => assert!(matches!(body[0], Stmt::For { .. })),
-            other => panic!("unexpected shape: {other:?}"),
-        }
+        assert!(matches!(p.stmts[0], Stmt::For { end: 3, .. }));
+        assert!(matches!(p.stmts[1], Stmt::For { end: 3, .. }));
+        assert!(matches!(p.stmts[2], Stmt::Assign { line: 5, .. }));
     }
 }

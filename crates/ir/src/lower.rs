@@ -1,4 +1,4 @@
-//! Lowering: AST → linear IR.
+//! Lowering: parsed program → linear IR.
 //!
 //! Responsibilities:
 //!
@@ -13,8 +13,7 @@
 //!   shifted at the end of the program body (`x@2 := x@1; x@1 := x;`),
 //! * rebase loop counters to zero.
 
-use crate::dfl::ast::{BaseTy, Decl, Expr, LValue, Program, Stmt, VarKind};
-use crate::hash::FoldMap;
+use crate::dfl::ast::{BaseTy, Decl, Expr, ExprId, NameId, Program, Stmt, VarKind};
 use crate::lir::{AssignStmt, Lir, LirItem, StorageKind, VarInfo};
 use crate::{BinOp, Error, Index, MemRef, Symbol, TreeId, TreePool, UnOp};
 
@@ -40,93 +39,105 @@ use crate::{BinOp, Error, Index, MemRef, Symbol, TreeId, TreePool, UnOp};
 /// # Ok::<(), record_ir::Error>(())
 /// ```
 pub fn lower(program: &Program) -> Result<Lir, Error> {
-    Lowerer::new(program)?.run(program)
+    let mut lowerer = Lowerer::new(program)?;
+    let body = lowerer.block(0, program.stmts.len())?;
+    Ok(lowerer.finish(body))
 }
 
-/// What a declared name stands for: a constant, a variable, or both (a
-/// constant may reuse the name of a variable declared before it, and
-/// then shadows it in expressions).
-#[derive(Default)]
+/// What a name stands for: a constant, a variable, or both (a constant
+/// may reuse the name of a variable declared before it, and then shadows
+/// it in expressions).
+#[derive(Clone, Default)]
 struct Declared {
     value: Option<i64>,
     /// The variable's index in [`Lowerer::vars`].
-    var: Option<usize>,
+    var: Option<u32>,
+    /// The shadows `x@1`, `x@2`, … of a delayed signal, down to its
+    /// deepest use: each is built once.
+    shadows: Vec<Symbol>,
 }
 
-struct Lowerer {
-    /// Every declared name, looked up once per use.
-    names: FoldMap<Symbol, Declared>,
+struct Lowerer<'p> {
+    program: &'p Program,
+    /// What each name declares, by name id.
+    declared: Vec<Declared>,
     /// The declared variables, in declaration order.
     vars: Vec<VarInfo>,
-    /// (signal, max delay) pairs for `x@k` uses.
-    delays: FoldMap<Symbol, u32>,
-    /// The shadow symbol `x@k` of each delayed signal and depth met.
-    delay_syms: FoldMap<(Symbol, u32), Symbol>,
     /// The loop counters in scope, innermost last, each with the lower
     /// bound that its zero-based counter must be displaced by when used
     /// in array indexes.
-    loops: Vec<(Symbol, i64)>,
+    loops: Vec<(NameId, i64)>,
     /// The program's trees.
     pool: TreePool,
 }
 
-impl Lowerer {
-    fn new(program: &Program) -> Result<Self, Error> {
+impl<'p> Lowerer<'p> {
+    fn new(program: &'p Program) -> Result<Self, Error> {
         let mut me = Lowerer {
-            names: FoldMap::with_capacity_and_hasher(program.decls.len() * 2, Default::default()),
-            vars: Vec::new(),
-            delays: FoldMap::default(),
-            delay_syms: FoldMap::default(),
+            program,
+            declared: vec![Declared::default(); program.names.len()],
+            vars: Vec::with_capacity(program.var_names.len()),
             loops: Vec::new(),
             pool: TreePool::new(),
-        };
-        let names = |v: &crate::dfl::ast::VarDecl| {
-            v.names.iter().map(Symbol::as_str).collect::<Vec<_>>().join(", ")
         };
         for decl in &program.decls {
             match decl {
                 Decl::Const { name, value } => {
-                    let v = me.eval_const(value).ok_or_else(|| {
-                        Error::sema(format!("constant `{name}` is not compile-time evaluable"))
+                    let v = me.eval_const(*value).ok_or_else(|| {
+                        Error::sema(format!(
+                            "constant `{}` is not compile-time evaluable",
+                            me.sym(*name)
+                        ))
                     })?;
-                    let declared = me.names.entry(name.clone()).or_default();
-                    if declared.value.replace(v).is_some() {
-                        return Err(Error::sema(format!("constant `{name}` declared twice")));
+                    if me.declared[name.0 as usize].value.replace(v).is_some() {
+                        return Err(Error::sema(format!(
+                            "constant `{}` declared twice",
+                            me.sym(*name)
+                        )));
                     }
                 }
                 Decl::Var(v) => {
-                    let len = match &v.len {
+                    let names = program.declared(v);
+                    let listed = || {
+                        names
+                            .iter()
+                            .map(|&n| program.symbol(n).as_str())
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    };
+                    let len = match v.len {
                         None => 1,
                         Some(e) => {
                             let n = me.eval_const(e).ok_or_else(|| {
                                 Error::sema(format!(
                                     "array length of `{}` is not constant",
-                                    names(v)
+                                    listed()
                                 ))
                             })?;
                             if !(1..=1 << 20).contains(&n) {
                                 return Err(Error::sema(format!(
                                     "array length {n} out of range for `{}`",
-                                    names(v)
+                                    listed()
                                 )));
                             }
                             n as u32
                         }
                     };
-                    for name in &v.names {
-                        let declared = me.names.entry(name.clone()).or_default();
+                    let kind = match v.kind {
+                        VarKind::Var => StorageKind::Var,
+                        VarKind::In => StorageKind::In,
+                        VarKind::Out => StorageKind::Out,
+                    };
+                    for &name in names {
+                        let declared = &mut me.declared[name.0 as usize];
                         if declared.value.is_some() || declared.var.is_some() {
-                            return Err(Error::sema(format!("`{name}` declared twice")));
+                            return Err(Error::sema(format!("`{}` declared twice", me.sym(name))));
                         }
-                        declared.var = Some(me.vars.len());
+                        declared.var = Some(me.vars.len() as u32);
                         me.vars.push(VarInfo {
-                            name: name.clone(),
+                            name: program.symbol(name).clone(),
                             len,
-                            kind: match v.kind {
-                                VarKind::Var => StorageKind::Var,
-                                VarKind::In => StorageKind::In,
-                                VarKind::Out => StorageKind::Out,
-                            },
+                            kind,
                             bank: v.bank,
                             is_fix: v.ty == BaseTy::Fix,
                         });
@@ -137,35 +148,36 @@ impl Lowerer {
         Ok(me)
     }
 
-    fn run(mut self, program: &Program) -> Result<Lir, Error> {
-        let mut body = Vec::with_capacity(program.body.len());
-        for stmt in &program.body {
-            body.push(self.stmt(stmt)?);
-        }
+    /// The symbol of name `id`.
+    fn sym(&self, id: NameId) -> &'p Symbol {
+        self.program.symbol(id)
+    }
 
-        // Delay-line maintenance: for each delayed signal x with max delay
-        // D, append `x@D := x@(D-1); ...; x@1 := x;` so that the *next*
-        // sample sees shifted history. This mirrors how DFL programs model
-        // one sample of a streaming computation.
-        let mut delayed: Vec<(Symbol, u32)> =
-            self.delays.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        delayed.sort();
-        for (signal, max_d) in &delayed {
-            for d in (1..=*max_d).rev() {
-                let dst = MemRef::Scalar(self.delay_symbol(signal, d));
-                let read = if d == 1 { signal.clone() } else { self.delay_symbol(signal, d - 1) };
-                let src = self.pool.mem(MemRef::Scalar(read));
+    /// Appends the delay-line maintenance to `body` and declares the
+    /// delay shadows: for each delayed signal x with max delay D,
+    /// `x@D := x@(D-1); ...; x@1 := x;` so that the *next* sample sees
+    /// shifted history. This mirrors how DFL programs model one sample of
+    /// a streaming computation.
+    fn finish(mut self, mut body: Vec<LirItem>) -> Lir {
+        let program = self.program;
+        let mut delayed: Vec<usize> =
+            (0..self.declared.len()).filter(|&n| !self.declared[n].shadows.is_empty()).collect();
+        delayed.sort_by(|&a, &b| program.names[a].cmp(&program.names[b]));
+        for &signal in &delayed {
+            let shadows = &self.declared[signal].shadows;
+            for d in (1..=shadows.len()).rev() {
+                let read = if d == 1 { &program.names[signal] } else { &shadows[d - 2] };
+                let src = self.pool.mem(MemRef::Scalar(read.clone()));
+                let dst = MemRef::Scalar(shadows[d - 1].clone());
                 body.push(LirItem::Assign(AssignStmt { dst, src }));
             }
         }
-
-        let mut vars = std::mem::take(&mut self.vars);
-        for (signal, max_d) in &delayed {
-            let is_fix =
-                self.names.get(signal).and_then(|d| d.var).map_or(true, |v| vars[v].is_fix);
-            for d in 1..=*max_d {
-                vars.push(VarInfo {
-                    name: self.delay_symbol(signal, d),
+        for &signal in &delayed {
+            let declared = &mut self.declared[signal];
+            let is_fix = declared.var.map_or(true, |v| self.vars[v as usize].is_fix);
+            for name in std::mem::take(&mut declared.shadows) {
+                self.vars.push(VarInfo {
+                    name,
                     len: 1,
                     kind: StorageKind::Var,
                     bank: None,
@@ -173,18 +185,38 @@ impl Lowerer {
                 });
             }
         }
-
-        Ok(Lir { name: program.name.clone(), vars, body, pool: self.pool })
+        Lir { name: self.sym(program.name).clone(), vars: self.vars, body, pool: self.pool }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<LirItem, Error> {
-        match stmt {
-            Stmt::Assign { dst, value, line } => {
-                let dst = self.lvalue(dst, *line)?;
+    /// Lowers the statements `stmts[start..end]` of the program, one
+    /// block: a loop's body is lowered with the loop.
+    fn block(&mut self, start: usize, end: usize) -> Result<Vec<LirItem>, Error> {
+        let stmts = &self.program.stmts;
+        let items = || {
+            let next = move |&at: &usize| {
+                let next = match stmts[at] {
+                    Stmt::For { end, .. } => end as usize,
+                    Stmt::Assign { .. } => at + 1,
+                };
+                (next < end).then_some(next)
+            };
+            std::iter::successors((start < end).then_some(start), next)
+        };
+        let mut body = Vec::with_capacity(items().count());
+        for at in items() {
+            body.push(self.stmt(at)?);
+        }
+        Ok(body)
+    }
+
+    fn stmt(&mut self, at: usize) -> Result<LirItem, Error> {
+        match self.program.stmts[at] {
+            Stmt::Assign { dst, index, value, line } => {
+                let dst = self.lvalue(dst, index, line)?;
                 let src = self.expr(value, false)?;
                 Ok(LirItem::Assign(AssignStmt { dst, src }))
             }
-            Stmt::For { var, lo, hi, body, line } => {
+            Stmt::For { var, lo, hi, end, line } => {
                 let lo_v = self.eval_const(lo).ok_or_else(|| {
                     Error::sema(format!("line {line}: loop lower bound is not constant"))
                 })?;
@@ -205,47 +237,37 @@ impl Lowerer {
                             "line {line}: loop range {lo_v}..{hi_v} has too many iterations"
                         ))
                     })?;
-                if self.names.contains_key(var) {
+                let declared = &self.declared[var.0 as usize];
+                if declared.value.is_some() || declared.var.is_some() {
                     return Err(Error::sema(format!(
-                        "line {line}: loop variable `{var}` shadows a declaration"
+                        "line {line}: loop variable `{}` shadows a declaration",
+                        self.sym(var)
                     )));
                 }
                 // While lowering the body, indexes `var + c` are rebased by
                 // +lo_v, so a zero-based counter is correct.
-                self.loops.push((var.clone(), lo_v));
-                let mut items = Vec::with_capacity(body.len());
-                for s in body {
-                    items.push(self.stmt(s)?);
-                }
+                self.loops.push((var, lo_v));
+                let body = self.block(at + 1, end as usize)?;
                 self.loops.pop();
-                Ok(LirItem::Loop { var: var.clone(), count, body: items })
+                Ok(LirItem::Loop { var: self.sym(var).clone(), count, body })
             }
         }
     }
 
-    fn lvalue(&mut self, lv: &LValue, line: u32) -> Result<MemRef, Error> {
-        match lv {
-            LValue::Scalar(name) => {
-                let v = self.lookup_var(name, line)?;
-                if v.len != 1 {
-                    return Err(Error::sema(format!(
-                        "line {line}: array `{name}` assigned without an index"
-                    )));
-                }
-                Ok(MemRef::Scalar(name.clone()))
+    fn lvalue(&mut self, name: NameId, index: Option<ExprId>, line: u32) -> Result<MemRef, Error> {
+        let v = self.lookup_var(name, line)?;
+        let sym = self.sym(name);
+        match index {
+            None if v.len != 1 => {
+                Err(Error::sema(format!("line {line}: array `{sym}` assigned without an index")))
             }
-            LValue::Elem(name, idx) => {
-                let len = {
-                    let v = self.lookup_var(name, line)?;
-                    if v.len == 1 {
-                        return Err(Error::sema(format!(
-                            "line {line}: scalar `{name}` indexed like an array"
-                        )));
-                    }
-                    v.len
-                };
-                let index = self.index(idx, name, len, line)?;
-                Ok(MemRef::Array { base: name.clone(), index })
+            None => Ok(MemRef::Scalar(sym.clone())),
+            Some(_) if v.len == 1 => {
+                Err(Error::sema(format!("line {line}: scalar `{sym}` indexed like an array")))
+            }
+            Some(idx) => {
+                let index = self.index(idx, name, v.len, line)?;
+                Ok(MemRef::Array { base: sym.clone(), index })
             }
         }
     }
@@ -256,81 +278,72 @@ impl Lowerer {
     /// arithmetic", the semantics of a DSP's overflow mode, so the
     /// wrapper itself leaves no node (sat(wrap(a+b)) would be a
     /// different, useless operation).
-    fn expr(&mut self, e: &Expr, sat: bool) -> Result<TreeId, Error> {
-        match e {
-            Expr::Num(n) => Ok(self.pool.constant(*n)),
+    fn expr(&mut self, e: ExprId, sat: bool) -> Result<TreeId, Error> {
+        match self.program.expr(e) {
+            Expr::Num(n) => Ok(self.pool.constant(n)),
             Expr::Name(name) => {
-                let declared = self.names.get(name);
-                if let Some(v) = declared.and_then(|d| d.value) {
+                if let Some(v) = self.declared[name.0 as usize].value {
                     return Ok(self.pool.constant(v));
                 }
-                if self.loops.iter().any(|(counter, _)| counter == name) {
+                let sym = self.sym(name);
+                if self.loops.iter().any(|&(counter, _)| counter == name) {
                     return Err(Error::sema(format!(
-                        "loop counter `{name}` may only be used as an array index"
+                        "loop counter `{sym}` may only be used as an array index"
                     )));
                 }
-                let v = self.declared_var(declared, name, 0)?;
-                if v.len != 1 {
-                    return Err(Error::sema(format!("array `{name}` used without an index")));
+                if self.lookup_var(name, 0)?.len != 1 {
+                    return Err(Error::sema(format!("array `{sym}` used without an index")));
                 }
-                Ok(self.pool.mem(MemRef::Scalar(name.clone())))
+                Ok(self.pool.mem(MemRef::Scalar(sym.clone())))
             }
             Expr::Elem(name, idx) => {
-                let len = {
-                    let v = self.lookup_var(name, 0)?;
-                    if v.len == 1 {
-                        return Err(Error::sema(format!("scalar `{name}` indexed like an array")));
-                    }
-                    v.len
-                };
+                let len = self.lookup_var(name, 0)?.len;
+                let sym = self.sym(name);
+                if len == 1 {
+                    return Err(Error::sema(format!("scalar `{sym}` indexed like an array")));
+                }
                 let index = self.index(idx, name, len, 0)?;
-                Ok(self.pool.mem(MemRef::Array { base: name.clone(), index }))
+                Ok(self.pool.mem(MemRef::Array { base: sym.clone(), index }))
             }
             Expr::Delay(name, k) => {
-                let v = self.lookup_var(name, 0)?;
-                if v.len != 1 {
-                    return Err(Error::sema(format!("delay applied to array `{name}`")));
+                let sym = self.sym(name);
+                if self.lookup_var(name, 0)?.len != 1 {
+                    return Err(Error::sema(format!("delay applied to array `{sym}`")));
                 }
                 // each delay step materializes one history cell; an absurd
                 // depth would be an OOM, not a program
-                if *k > 1 << 20 {
-                    return Err(Error::sema(format!("delay depth {k} of `{name}` out of range")));
+                if k > 1 << 20 {
+                    return Err(Error::sema(format!("delay depth {k} of `{sym}` out of range")));
                 }
-                let entry = self.delays.entry(name.clone()).or_insert(0);
-                *entry = (*entry).max(*k);
-                let shadow = self.delay_symbol(name, *k);
+                let shadows = &mut self.declared[name.0 as usize].shadows;
+                while shadows.len() < k as usize {
+                    shadows.push(Symbol::new(format!("{sym}@{}", shadows.len() + 1)));
+                }
+                let shadow = shadows[k as usize - 1].clone();
                 Ok(self.pool.mem(MemRef::Scalar(shadow)))
             }
-            Expr::Bin(op, operands) => {
-                let [a, b] = &**operands;
+            Expr::Bin(op, a, b) => {
                 let ta = self.expr(a, sat)?;
                 let tb = self.expr(b, sat)?;
                 let op = match op {
                     BinOp::Add if sat => BinOp::SatAdd,
                     BinOp::Sub if sat => BinOp::SatSub,
-                    other => *other,
+                    other => other,
                 };
                 Ok(self.pool.bin(op, ta, tb))
             }
             Expr::Un(UnOp::Sat, a) => self.expr(a, true),
             Expr::Un(op, a) => {
                 let ta = self.expr(a, sat)?;
-                Ok(self.pool.un(*op, ta))
+                Ok(self.pool.un(op, ta))
             }
         }
     }
 
-    /// The shadow symbol `signal@k` that holds `signal` delayed by `k`.
-    fn delay_symbol(&mut self, signal: &Symbol, k: u32) -> Symbol {
-        self.delay_syms
-            .entry((signal.clone(), k))
-            .or_insert_with(|| Symbol::new(format!("{signal}@{k}")))
-            .clone()
-    }
-
     /// Lowers an index expression into the `c` / `i + c` class, applying
     /// the loop rebase and checking constant indexes against the bound.
-    fn index(&mut self, idx: &Expr, array: &Symbol, len: u32, line: u32) -> Result<Index, Error> {
+    fn index(&self, idx: ExprId, array: NameId, len: u32, line: u32) -> Result<Index, Error> {
+        let array = self.sym(array);
         if let Some(c) = self.eval_const(idx) {
             if c < 0 || c >= len as i64 {
                 return Err(Error::sema(format!(
@@ -347,9 +360,10 @@ impl Lowerer {
                  with a loop counter"
             ))
         })?;
-        let base = self.loops.iter().rev().find(|(counter, _)| *counter == var).map_or(0, |l| l.1);
+        let base = self.loops.iter().rev().find(|&&(counter, _)| counter == var).map_or(0, |l| l.1);
         let range =
             || Error::sema(format!("line {line}: index offset of `{array}` overflows 64 bits"));
+        let var = self.sym(var).clone();
         if down {
             // actual counter = i0 + base, so  offset - i  =  (offset - base) - i0
             let offset = offset.checked_sub(base).ok_or_else(range)?;
@@ -366,51 +380,34 @@ impl Lowerer {
 
     /// Splits `i`, `i + c`, `i - c`, `c + i` into (counter, c, false) and
     /// the descending `c - i` into (counter, c, true).
-    fn split_affine(&self, e: &Expr) -> Option<(Symbol, i64, bool)> {
-        let counter = |name: &Symbol| -> Option<Symbol> {
-            self.loops.iter().find(|(counter, _)| counter == name).map(|l| l.0.clone())
-        };
-        match e {
+    fn split_affine(&self, e: ExprId) -> Option<(NameId, i64, bool)> {
+        let counter = |name: NameId| self.loops.iter().any(|&(c, _)| c == name).then_some(name);
+        let program = self.program;
+        match program.expr(e) {
             Expr::Name(n) => counter(n).map(|s| (s, 0, false)),
-            Expr::Bin(BinOp::Add, operands) => match &**operands {
-                [Expr::Name(n), rhs] => {
-                    let c = self.eval_const(rhs)?;
-                    counter(n).map(|s| (s, c, false))
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub), lhs, rhs) => {
+                match (program.expr(lhs), program.expr(rhs)) {
+                    (Expr::Name(n), _) => {
+                        let c = self.eval_const(rhs)?;
+                        let c = if op == BinOp::Sub { c.checked_neg()? } else { c };
+                        counter(n).map(|s| (s, c, false))
+                    }
+                    (_, Expr::Name(n)) => {
+                        let c = self.eval_const(lhs)?;
+                        counter(n).map(|s| (s, c, op == BinOp::Sub))
+                    }
+                    _ => None,
                 }
-                [lhs, Expr::Name(n)] => {
-                    let c = self.eval_const(lhs)?;
-                    counter(n).map(|s| (s, c, false))
-                }
-                _ => None,
-            },
-            Expr::Bin(BinOp::Sub, operands) => match &**operands {
-                [Expr::Name(n), rhs] => {
-                    let c = self.eval_const(rhs)?.checked_neg()?;
-                    counter(n).map(|s| (s, c, false))
-                }
-                [lhs, Expr::Name(n)] => {
-                    let c = self.eval_const(lhs)?;
-                    counter(n).map(|s| (s, c, true))
-                }
-                _ => None,
-            },
+            }
             _ => None,
         }
     }
 
-    fn lookup_var(&self, name: &Symbol, line: u32) -> Result<&VarInfo, Error> {
-        self.declared_var(self.names.get(name), name, line)
-    }
-
-    /// The variable of `declared`, what `name` declares; an error naming
-    /// `line` (when known) if it declares none.
-    fn declared_var(
-        &self,
-        declared: Option<&Declared>,
-        name: &Symbol,
-        line: u32,
-    ) -> Result<&VarInfo, Error> {
-        declared.and_then(|d| d.var).map(|ix| &self.vars[ix]).ok_or_else(|| {
+    /// The variable `name` declares; an error naming `line` (when known)
+    /// if it declares none.
+    fn lookup_var(&self, name: NameId, line: u32) -> Result<&VarInfo, Error> {
+        self.declared[name.0 as usize].var.map(|ix| &self.vars[ix as usize]).ok_or_else(|| {
+            let name = self.sym(name);
             if line > 0 {
                 Error::sema(format!("line {line}: `{name}` is not declared"))
             } else {
@@ -420,19 +417,12 @@ impl Lowerer {
     }
 
     /// Evaluates an expression if it only involves literals and constants.
-    fn eval_const(&self, e: &Expr) -> Option<i64> {
-        match e {
-            Expr::Num(n) => Some(*n),
-            Expr::Name(n) => self.names.get(n).and_then(|d| d.value),
-            Expr::Bin(op, operands) => {
-                let va = self.eval_const(&operands[0])?;
-                let vb = self.eval_const(&operands[1])?;
-                Some(op.eval(va, vb, 64))
-            }
-            Expr::Un(op, a) => {
-                let va = self.eval_const(a)?;
-                Some(op.eval(va, 64))
-            }
+    fn eval_const(&self, e: ExprId) -> Option<i64> {
+        match self.program.expr(e) {
+            Expr::Num(n) => Some(n),
+            Expr::Name(n) => self.declared[n.0 as usize].value,
+            Expr::Bin(op, a, b) => Some(op.eval(self.eval_const(a)?, self.eval_const(b)?, 64)),
+            Expr::Un(op, a) => Some(op.eval(self.eval_const(a)?, 64)),
             Expr::Elem(..) | Expr::Delay(..) => None,
         }
     }
