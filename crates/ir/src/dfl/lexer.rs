@@ -287,9 +287,12 @@ impl<'s> Lexer<'s> {
                     let word = &source[self.pos..self.pos + len];
                     (self.word(word), len)
                 }
-                other => {
-                    let message = format!("unexpected character `{}`", other as char);
-                    return Err(Error::lex(self.line, message));
+                _ => {
+                    // the cursor stands at a character boundary: every
+                    // token and comment it has passed ends in ASCII
+                    let c =
+                        source[self.pos..].chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+                    return Err(Error::lex(self.line, format!("unexpected character `{c}`")));
                 }
             };
             self.pos += len;
@@ -473,6 +476,19 @@ mod tests {
     fn rejects_stray_characters() {
         let err = lex("a ? b").unwrap_err();
         assert!(matches!(err, Error::Lex { line: 1, .. }));
+    }
+
+    #[test]
+    fn a_stray_character_is_reported_whole() {
+        // two, three and four bytes of UTF-8
+        for (src, c) in [("program é;", 'é'), ("x := €1;", '€'), ("y\n -- ok\n 𝄞", '𝄞')]
+        {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.to_string().matches(c).count(), 1, "{err}");
+            assert!(err.to_string().ends_with(&format!("unexpected character `{c}`")), "{err}");
+        }
+        let err = lex("y\n -- ok\n 𝄞").unwrap_err();
+        assert!(matches!(err, Error::Lex { line: 3, .. }), "{err}");
     }
 
     #[test]
