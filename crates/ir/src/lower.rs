@@ -13,6 +13,8 @@
 //!   shifted at the end of the program body (`x@2 := x@1; x@1 := x;`),
 //! * rebase loop counters to zero.
 
+use std::fmt;
+
 use crate::dfl::ast::{BaseTy, Decl, Expr, ExprId, NameId, Program, Stmt, VarKind};
 use crate::lir::{AssignStmt, Lir, LirItem, StorageKind, VarInfo};
 use crate::{BinOp, Error, Index, MemRef, Symbol, TreeId, TreePool, UnOp};
@@ -69,6 +71,8 @@ struct Lowerer<'p> {
     loops: Vec<(NameId, i64)>,
     /// The program's trees.
     pool: TreePool,
+    /// The source line of the statement being lowered.
+    line: u32,
 }
 
 impl<'p> Lowerer<'p> {
@@ -79,6 +83,7 @@ impl<'p> Lowerer<'p> {
             vars: Vec::with_capacity(program.var_names.len()),
             loops: Vec::new(),
             pool: TreePool::new(),
+            line: 0,
         };
         for decl in &program.decls {
             match decl {
@@ -212,17 +217,19 @@ impl<'p> Lowerer<'p> {
     fn stmt(&mut self, at: usize) -> Result<LirItem, Error> {
         match self.program.stmts[at] {
             Stmt::Assign { dst, index, value, line } => {
-                let dst = self.lvalue(dst, index, line)?;
+                self.line = line;
+                let dst = self.lvalue(dst, index)?;
                 let src = self.expr(value, false)?;
                 Ok(LirItem::Assign(AssignStmt { dst, src }))
             }
             Stmt::For { var, lo, hi, end, line } => {
-                let lo_v = self.eval_const(lo).ok_or_else(|| {
-                    Error::sema(format!("line {line}: loop lower bound is not constant"))
-                })?;
-                let hi_v = self.eval_const(hi).ok_or_else(|| {
-                    Error::sema(format!("line {line}: loop upper bound is not constant"))
-                })?;
+                self.line = line;
+                let lo_v = self
+                    .eval_const(lo)
+                    .ok_or_else(|| self.sema(format_args!("loop lower bound is not constant")))?;
+                let hi_v = self
+                    .eval_const(hi)
+                    .ok_or_else(|| self.sema(format_args!("loop upper bound is not constant")))?;
                 if hi_v < lo_v {
                     return Err(Error::lower(format!(
                         "line {line}: empty loop range {lo_v}..{hi_v}"
@@ -239,10 +246,10 @@ impl<'p> Lowerer<'p> {
                     })?;
                 let declared = &self.declared[var.0 as usize];
                 if declared.value.is_some() || declared.var.is_some() {
-                    return Err(Error::sema(format!(
-                        "line {line}: loop variable `{}` shadows a declaration",
-                        self.sym(var)
-                    )));
+                    let var = self.sym(var);
+                    return Err(
+                        self.sema(format_args!("loop variable `{var}` shadows a declaration"))
+                    );
                 }
                 // While lowering the body, indexes `var + c` are rebased by
                 // +lo_v, so a zero-based counter is correct.
@@ -254,20 +261,22 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn lvalue(&mut self, name: NameId, index: Option<ExprId>, line: u32) -> Result<MemRef, Error> {
-        let v = self.lookup_var(name, line)?;
+    /// A semantic error in the statement being lowered, which starts on
+    /// line [`Lowerer::line`].
+    fn sema(&self, message: fmt::Arguments<'_>) -> Error {
+        Error::sema(format!("line {}: {message}", self.line))
+    }
+
+    fn lvalue(&mut self, name: NameId, index: Option<ExprId>) -> Result<MemRef, Error> {
+        let len = self.lookup_var(name)?.len;
         let sym = self.sym(name);
         match index {
-            None if v.len != 1 => {
-                Err(Error::sema(format!("line {line}: array `{sym}` assigned without an index")))
+            None if len != 1 => {
+                Err(self.sema(format_args!("array `{sym}` assigned without an index")))
             }
             None => Ok(MemRef::Scalar(sym.clone())),
-            Some(_) if v.len == 1 => {
-                Err(Error::sema(format!("line {line}: scalar `{sym}` indexed like an array")))
-            }
             Some(idx) => {
-                let index = self.index(idx, name, v.len, line)?;
-                Ok(MemRef::Array { base: sym.clone(), index })
+                Ok(MemRef::Array { base: sym.clone(), index: self.index(name, len, idx)? })
             }
         }
     }
@@ -287,33 +296,29 @@ impl<'p> Lowerer<'p> {
                 }
                 let sym = self.sym(name);
                 if self.loops.iter().any(|&(counter, _)| counter == name) {
-                    return Err(Error::sema(format!(
+                    return Err(self.sema(format_args!(
                         "loop counter `{sym}` may only be used as an array index"
                     )));
                 }
-                if self.lookup_var(name, 0)?.len != 1 {
-                    return Err(Error::sema(format!("array `{sym}` used without an index")));
+                if self.lookup_var(name)?.len != 1 {
+                    return Err(self.sema(format_args!("array `{sym}` used without an index")));
                 }
                 Ok(self.pool.mem(MemRef::Scalar(sym.clone())))
             }
             Expr::Elem(name, idx) => {
-                let len = self.lookup_var(name, 0)?.len;
-                let sym = self.sym(name);
-                if len == 1 {
-                    return Err(Error::sema(format!("scalar `{sym}` indexed like an array")));
-                }
-                let index = self.index(idx, name, len, 0)?;
-                Ok(self.pool.mem(MemRef::Array { base: sym.clone(), index }))
+                let len = self.lookup_var(name)?.len;
+                let index = self.index(name, len, idx)?;
+                Ok(self.pool.mem(MemRef::Array { base: self.sym(name).clone(), index }))
             }
             Expr::Delay(name, k) => {
                 let sym = self.sym(name);
-                if self.lookup_var(name, 0)?.len != 1 {
-                    return Err(Error::sema(format!("delay applied to array `{sym}`")));
+                if self.lookup_var(name)?.len != 1 {
+                    return Err(self.sema(format_args!("delay applied to array `{sym}`")));
                 }
                 // each delay step materializes one history cell; an absurd
                 // depth would be an OOM, not a program
                 if k > 1 << 20 {
-                    return Err(Error::sema(format!("delay depth {k} of `{sym}` out of range")));
+                    return Err(self.sema(format_args!("delay depth {k} of `{sym}` out of range")));
                 }
                 let shadows = &mut self.declared[name.0 as usize].shadows;
                 while shadows.len() < k as usize {
@@ -340,36 +345,36 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    /// Lowers an index expression into the `c` / `i + c` class, applying
-    /// the loop rebase and checking constant indexes against the bound.
-    fn index(&self, idx: ExprId, array: NameId, len: u32, line: u32) -> Result<Index, Error> {
-        let array = self.sym(array);
+    /// Lowers the index `idx` of array `name`, `len` words long (a scalar
+    /// if 1), into the `c` / `i + c` class, applying the loop rebase and
+    /// checking constant indexes against the bound.
+    fn index(&self, name: NameId, len: u32, idx: ExprId) -> Result<Index, Error> {
+        let array = self.sym(name);
+        if len == 1 {
+            return Err(self.sema(format_args!("scalar `{array}` indexed like an array")));
+        }
         if let Some(c) = self.eval_const(idx) {
             if c < 0 || c >= len as i64 {
-                return Err(Error::sema(format!(
-                    "line {line}: index {c} out of bounds for `{array}[{len}]`"
-                )));
+                return Err(self.sema(format_args!("index {c} out of bounds for `{array}[{len}]`")));
             }
             return Ok(Index::Const(c));
         }
         // i, i + c, i - c, c + i, or the descending c - i, with `i` a loop
         // counter in scope
         let (var, offset, down) = self.split_affine(idx).ok_or_else(|| {
-            Error::sema(format!(
-                "line {line}: index of `{array}` must be constant, `i ± c`, or `c - i` \
-                 with a loop counter"
+            self.sema(format_args!(
+                "index of `{array}` must be constant, `i ± c`, or `c - i` with a loop counter"
             ))
         })?;
         let base = self.loops.iter().rev().find(|&&(counter, _)| counter == var).map_or(0, |l| l.1);
-        let range =
-            || Error::sema(format!("line {line}: index offset of `{array}` overflows 64 bits"));
+        let range = || self.sema(format_args!("index offset of `{array}` overflows 64 bits"));
         let var = self.sym(var).clone();
         if down {
             // actual counter = i0 + base, so  offset - i  =  (offset - base) - i0
             let offset = offset.checked_sub(base).ok_or_else(range)?;
             if offset < 0 || offset >= len as i64 {
-                return Err(Error::sema(format!(
-                    "line {line}: descending index starts at {offset}, outside `{array}[{len}]`"
+                return Err(self.sema(format_args!(
+                    "descending index starts at {offset}, outside `{array}[{len}]`"
                 )));
             }
             Ok(Index::RevVar { var, offset })
@@ -403,17 +408,11 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    /// The variable `name` declares; an error naming `line` (when known)
-    /// if it declares none.
-    fn lookup_var(&self, name: NameId, line: u32) -> Result<&VarInfo, Error> {
-        self.declared[name.0 as usize].var.map(|ix| &self.vars[ix as usize]).ok_or_else(|| {
-            let name = self.sym(name);
-            if line > 0 {
-                Error::sema(format!("line {line}: `{name}` is not declared"))
-            } else {
-                Error::sema(format!("`{name}` is not declared"))
-            }
-        })
+    /// The variable `name` declares; an error if it declares none.
+    fn lookup_var(&self, name: NameId) -> Result<&VarInfo, Error> {
+        let var = self.declared[name.0 as usize].var;
+        var.map(|ix| &self.vars[ix as usize])
+            .ok_or_else(|| self.sema(format_args!("`{}` is not declared", self.sym(name))))
     }
 
     /// Evaluates an expression if it only involves literals and constants.
@@ -508,46 +507,74 @@ mod tests {
         }
     }
 
+    /// The error lowering reports for the statements `stmts`, which sit
+    /// on line 3 of a program declaring the scalars `x` and `y` and the
+    /// array `a[4]`.
+    fn line_3_error(stmts: &str) -> String {
+        let src =
+            format!("program p; const N = 4;\nvar x, y: fix; var a: fix[N];\nbegin {stmts} end");
+        lower_err(&src).to_string()
+    }
+
     #[test]
     fn rejects_out_of_bounds_constant_index() {
-        let e = lower_err("program p; var a: fix[4]; var y: fix; begin y := a[4]; end");
-        assert!(e.to_string().contains("out of bounds"));
+        for stmt in ["y := a[5];", "a[5] := y;", "a[0] := a[N + 1];"] {
+            let want = "semantic error: line 3: index 5 out of bounds for `a[4]`";
+            assert_eq!(line_3_error(stmt), want, "{stmt}");
+        }
     }
 
     #[test]
     fn rejects_undeclared() {
-        let e = lower_err("program p; var y: fix; begin y := q; end");
-        assert!(e.to_string().contains("not declared"));
+        for stmt in ["y := q;", "q := y;", "y := q[0];", "y := x + q@1;"] {
+            assert_eq!(line_3_error(stmt), "semantic error: line 3: `q` is not declared", "{stmt}");
+        }
     }
 
     #[test]
     fn rejects_scalar_indexing() {
-        let e = lower_err("program p; var y, z: fix; begin y := z[0]; end");
-        assert!(e.to_string().contains("indexed like an array"));
+        for stmt in ["y := x[0];", "x[0] := y;"] {
+            let want = "semantic error: line 3: scalar `x` indexed like an array";
+            assert_eq!(line_3_error(stmt), want, "{stmt}");
+        }
     }
 
     #[test]
     fn rejects_array_without_index() {
-        let e = lower_err("program p; var a: fix[4]; var y: fix; begin y := a; end");
-        assert!(e.to_string().contains("without an index"));
+        let want = "semantic error: line 3: array `a` used without an index";
+        assert_eq!(line_3_error("y := a;"), want);
+        let want = "semantic error: line 3: array `a` assigned without an index";
+        assert_eq!(line_3_error("a := y;"), want);
     }
 
     #[test]
     fn rejects_nonaffine_index() {
-        let e = lower_err(
-            "program p; var a: fix[4]; var y: fix;
-             begin for i in 0..3 loop y := a[i*2]; end loop; end",
-        );
-        assert!(e.to_string().contains("must be constant"));
+        let want = "semantic error: line 3: index of `a` must be constant, `i ± c`, or `c - i` \
+                    with a loop counter";
+        for stmt in ["y := a[y];", "for i in 0..3 loop y := a[i*2]; end loop;"] {
+            assert_eq!(line_3_error(stmt), want, "{stmt}");
+        }
     }
 
     #[test]
     fn rejects_loop_counter_as_value() {
-        let e = lower_err(
-            "program p; var y: fix;
-             begin for i in 0..3 loop y := i; end loop; end",
-        );
-        assert!(e.to_string().contains("array index"));
+        let want = "semantic error: line 3: loop counter `i` may only be used as an array index";
+        assert_eq!(line_3_error("for i in 0..3 loop y := i; end loop;"), want);
+    }
+
+    #[test]
+    fn rejects_delays_of_arrays_and_absurd_depths() {
+        let want = "semantic error: line 3: delay applied to array `a`";
+        assert_eq!(line_3_error("y := a@1;"), want);
+        let want = "semantic error: line 3: delay depth 2000000 of `x` out of range";
+        assert_eq!(line_3_error("y := x@2000000;"), want);
+    }
+
+    #[test]
+    fn an_error_names_the_line_of_its_own_statement() {
+        let e =
+            lower_err("program p; var a: fix[4]; var y: fix;\nbegin\ny := 1;\n\ny := a[9]; end");
+        assert_eq!(e.to_string(), "semantic error: line 5: index 9 out of bounds for `a[4]`");
     }
 
     #[test]
