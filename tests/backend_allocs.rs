@@ -230,21 +230,24 @@ fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
 }
 
 /// What ten warm `Session::new()` compiles, one per DSPStone kernel,
-/// allocate on tic25 and dsp56k: 102.7 and 112.4 per kernel in a debug
+/// allocate on tic25 and dsp56k: 88.5 and 98.2 per kernel in a debug
 /// build, where the default plan is strict (rustc 1.95); a release build
 /// makes what [`SESSION_ALLOCATIONS_WARM_NON_STRICT`] pins. They made
-/// 1037 and 1134 while each probe decode allocated its loop stack, 1037
-/// and 1311 while a block with shares was emitted twice, 2018 and
-/// 2292 (201.8 and 229.2 per kernel) while the frontend built boxed
-/// trees that the compile copied and re-interned, and 2963 and 3398
-/// while the `select` pass built its emitter anew for every compile and
-/// the session copied its plan.
-const SESSION_ALLOCATIONS_WARM: [u64; 2] = [1027, 1124];
+/// 1027 and 1124 while the lexer filled a token vector and the parser
+/// boxed every operator, 1037 and 1134 while each probe decode allocated
+/// its loop stack, 1037 and 1311 while a block with shares was emitted
+/// twice, 2018 and 2292 (201.8 and 229.2 per kernel) while the frontend
+/// built boxed trees that the compile copied and re-interned, and 2963
+/// and 3398 while the `select` pass built its emitter anew for every
+/// compile and the session copied its plan.
+const SESSION_ALLOCATIONS_WARM: [u64; 2] = [885, 982];
 
 /// What the same compiles allocate under a non-strict plan, as in a
-/// release build: 100.5 and 110.2 per kernel (rustc 1.95). They made
-/// 1015 and 1112 while selection probed every statement in every plan.
-const SESSION_ALLOCATIONS_WARM_NON_STRICT: [u64; 2] = [1005, 1102];
+/// release build: 86.3 and 96.0 per kernel (rustc 1.95). They made 1005
+/// and 1102 while the lexer filled a token vector and the parser boxed
+/// every operator, and 1015 and 1112 while selection probed every
+/// statement in every plan.
+const SESSION_ALLOCATIONS_WARM_NON_STRICT: [u64; 2] = [863, 960];
 
 #[test]
 fn a_warm_default_session_allocates_at_most_the_pinned_count() {
@@ -257,11 +260,15 @@ fn a_warm_default_session_allocates_at_most_the_pinned_count() {
 }
 
 /// Allocations of parsing, lowering and building a [`CompilationUnit`]
-/// on tic25 for the ten DSPStone kernels, warm: 382 (parse 276, lower 50,
-/// the unit's copy of the program 56; rustc 1.95). They made 1179 (parse
-/// 533, lower 488, unit 158) while tokens and the AST carried strings,
-/// lowering built boxed trees, and the unit deep-copied them.
-const FRONTEND_ALLOCATIONS_WARM: u64 = 382;
+/// on tic25 for the ten DSPStone kernels, warm: 240 (parse 142, lower 42,
+/// the unit's copy of the program 56; rustc 1.95). Parsing a kernel makes
+/// the symbol of each distinct name and the program's six tables (names
+/// and their index, declarations, declared names, statements,
+/// expressions). They made 382 (parse 276, lower 50) while the lexer
+/// filled a token vector and the parser boxed every operator, and 1179
+/// (parse 533, lower 488, unit 158) while tokens and the AST carried
+/// strings, lowering built boxed trees, and the unit deep-copied them.
+const FRONTEND_ALLOCATIONS_WARM: u64 = 240;
 
 /// What parsing, lowering and building a unit allocate for each of the
 /// ten DSPStone kernels on tic25, stage by stage, after one warm-up round.
@@ -318,7 +325,8 @@ fn report_whole_session_compile_allocations() {
 }
 
 /// Reports what parsing a DSPStone kernel allocates (mean over the ten
-/// kernels): the token vector, the AST and each identifier's symbol once.
+/// kernels): each distinct name's symbol once, the lexer's index of the
+/// names, and the program's tables.
 #[test]
 fn report_parse_allocations() {
     let kernels = record_dspstone::kernels();
