@@ -18,38 +18,44 @@ pub struct NameId(pub u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExprId(pub u32);
 
-/// A complete parsed program.
+/// A parsed program, as [`lower`](crate::lower::lower) reads it: the
+/// output of [`parse`](super::parse), whose ids all index its own tables.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// The symbol of every distinct name, by [`NameId`].
-    pub names: Vec<Symbol>,
+    pub(crate) names: Vec<Symbol>,
     /// The name after the `program` keyword.
-    pub name: NameId,
+    pub(crate) name: NameId,
     /// Constant and variable declarations, in source order.
-    pub decls: Vec<Decl>,
+    pub(crate) decls: Vec<Decl>,
     /// The names of every variable declaration, in source order; a
     /// [`VarDecl`] holds its run of them.
-    pub var_names: Vec<NameId>,
+    pub(crate) var_names: Vec<NameId>,
     /// The statements between `begin` and `end`, in source order: a
     /// loop's body follows the loop, up to the loop's `end`.
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt>,
     /// Every expression of the program.
-    pub exprs: Vec<Expr>,
+    pub(crate) exprs: Vec<Expr>,
 }
 
 impl Program {
+    /// The name after the `program` keyword.
+    pub fn name(&self) -> &Symbol {
+        self.symbol(self.name)
+    }
+
     /// The symbol of name `id`.
-    pub fn symbol(&self, id: NameId) -> &Symbol {
+    pub(crate) fn symbol(&self, id: NameId) -> &Symbol {
         &self.names[id.0 as usize]
     }
 
     /// Expression `id`.
-    pub fn expr(&self, id: ExprId) -> Expr {
+    pub(crate) fn expr(&self, id: ExprId) -> Expr {
         self.exprs[id.0 as usize]
     }
 
     /// The names `var` declares.
-    pub fn declared(&self, var: &VarDecl) -> &[NameId] {
+    pub(crate) fn declared(&self, var: &VarDecl) -> &[NameId] {
         &self.var_names[var.names.start as usize..var.names.end as usize]
     }
 }

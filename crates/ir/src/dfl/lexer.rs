@@ -1,8 +1,6 @@
 //! A hand-written lexer for the mini-DFL language: a cursor the parser
 //! pulls one token at a time from.
 
-use std::fmt;
-
 use crate::hash::FoldMap;
 use crate::{Error, Symbol};
 
@@ -74,23 +72,12 @@ pub enum TokenKind {
 impl TokenKind {
     /// The token as an error message names it, an identifier spelled by
     /// its symbol in `names`.
-    pub fn describe(self, names: &[Symbol]) -> impl fmt::Display + '_ {
-        Described { kind: self, names }
-    }
-}
-
-struct Described<'a> {
-    kind: TokenKind,
-    names: &'a [Symbol],
-}
-
-impl fmt::Display for Described<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let text = match self.kind {
-            TokenKind::Ident(id) => return write!(f, "identifier `{}`", self.names[id.0 as usize]),
-            TokenKind::Num(n) => return write!(f, "number `{n}`"),
-            TokenKind::Keyword(k) => return write!(f, "keyword `{}`", k.as_str()),
-            TokenKind::Eof => return f.write_str("end of input"),
+    pub fn describe(self, names: &[Symbol]) -> String {
+        let text = match self {
+            TokenKind::Ident(id) => return format!("identifier `{}`", names[id.0 as usize]),
+            TokenKind::Num(n) => return format!("number `{n}`"),
+            TokenKind::Keyword(k) => return format!("keyword `{}`", k.as_str()),
+            TokenKind::Eof => return "end of input".to_string(),
             TokenKind::Assign => ":=",
             TokenKind::Semi => ";",
             TokenKind::Colon => ":",
@@ -112,7 +99,7 @@ impl fmt::Display for Described<'_> {
             TokenKind::Shl => "<<",
             TokenKind::Shr => ">>",
         };
-        write!(f, "`{text}`")
+        format!("`{text}`")
     }
 }
 
@@ -519,7 +506,7 @@ mod tests {
     #[test]
     fn tokens_describe_themselves_as_errors_name_them() {
         let names = [Symbol::new("x")];
-        let said = |kind: TokenKind| kind.describe(&names).to_string();
+        let said = |kind: TokenKind| kind.describe(&names);
         assert_eq!(said(TokenKind::Ident(NameId(0))), "identifier `x`");
         assert_eq!(said(TokenKind::Num(7)), "number `7`");
         assert_eq!(said(TokenKind::Keyword(Keyword::Loop)), "keyword `loop`");

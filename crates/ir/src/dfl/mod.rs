@@ -24,17 +24,17 @@
 //! [`lower`](crate::lower::lower) to produce the linear IR consumed by the
 //! back end.
 //!
-//! The parser pulls `Copy` tokens from a [`lexer::Lexer`] one at a time;
-//! no token list is built. The lexer gives each distinct name a dense
-//! [`NameId`] and one [`Symbol`](crate::Symbol), the parser puts every
-//! expression into one arena, and lowering resolves each name use by its
-//! id (see [`ast`]).
+//! A [`Program`] is flat. The parser pulls `Copy` tokens from a lexer
+//! cursor one at a time, so no token list is built. The lexer gives each
+//! distinct name a dense id and one [`Symbol`](crate::Symbol), the parser
+//! puts every expression into one arena, where operands refer to each
+//! other by index, and lowering resolves each name use by its id.
 
-pub mod ast;
-pub mod lexer;
+pub(crate) mod ast;
+mod lexer;
 mod parser;
 
-pub use ast::{ExprId, NameId, Program};
+pub use ast::Program;
 
 use crate::Error;
 
@@ -52,7 +52,7 @@ use crate::Error;
 /// let program = record_ir::dfl::parse(
 ///     "program p; var a: fix; begin a := 1; end",
 /// )?;
-/// assert_eq!(program.symbol(program.name).as_str(), "p");
+/// assert_eq!(program.name().as_str(), "p");
 /// # Ok::<(), record_ir::Error>(())
 /// ```
 pub fn parse(source: &str) -> Result<Program, Error> {

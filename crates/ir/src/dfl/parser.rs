@@ -1,7 +1,5 @@
 //! Recursive-descent parser for the mini-DFL language.
 
-use std::fmt;
-
 use crate::{Bank, BinOp, Error, UnOp};
 
 use super::ast::{BaseTy, Decl, Expr, ExprId, NameId, Program, Stmt, VarDecl, VarKind};
@@ -14,10 +12,17 @@ use super::lexer::{Keyword, Lexer, Token, TokenKind};
 /// parser fails, the rest of the text is lexed, and the first lex error
 /// met there is reported instead.
 pub(super) fn parse(source: &str) -> Result<Program, Error> {
+    // every name, statement and expression starts at a token of its own,
+    // so a text shorter than u32::MAX bytes numbers them, and its lines,
+    // in 32 bits
+    if source.len() >= u32::MAX as usize {
+        return Err(Error::lex(1, "source text of 4 GiB or more"));
+    }
     let mut lexer = Lexer::new(source);
     let tok = lexer.next_token()?;
-    // DSP kernel text runs about one expression per five bytes, and at
-    // most one declared name or statement per sixteen
+    // the DSPStone kernels hold one expression per 9 bytes of text and at
+    // most one declared name or statement per 18; a long text reserves no
+    // more than the caps
     let exprs = (source.len() / 4 + 1).min(4096);
     let items = (source.len() / 16 + 1).min(1024);
     let mut p = Parser {
@@ -70,7 +75,7 @@ impl Parser<'_> {
     }
 
     /// `kind` as an error message names it.
-    fn describe(&self, kind: TokenKind) -> impl fmt::Display + '_ {
+    fn describe(&self, kind: TokenKind) -> String {
         kind.describe(self.lexer.names())
     }
 
