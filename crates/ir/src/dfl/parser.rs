@@ -79,6 +79,11 @@ impl Parser<'_> {
         kind.describe(self.lexer.names())
     }
 
+    /// The spelling of name `id`.
+    fn spelling(&self, id: NameId) -> &str {
+        self.lexer.names()[id.0 as usize].as_str()
+    }
+
     /// Moves past the token at the cursor and returns its kind.
     fn bump(&mut self) -> Result<TokenKind, Error> {
         let kind = self.tok.kind;
@@ -209,7 +214,7 @@ impl Parser<'_> {
         };
         let bank = if self.eat(TokenKind::Keyword(Keyword::Bank))? {
             let b = self.ident()?;
-            match self.lexer.names()[b.0 as usize].as_str() {
+            match self.spelling(b) {
                 "X" | "x" => Some(Bank::X),
                 "Y" | "y" => Some(Bank::Y),
                 other => {
@@ -376,7 +381,7 @@ impl Parser<'_> {
             }
         }
         self.expect(TokenKind::RParen)?;
-        let name = self.lexer.names()[name.0 as usize].as_str();
+        let name = self.spelling(name);
         let (arity, e) = match name {
             "sat" => (1, Expr::Un(UnOp::Sat, first)),
             "abs" => (1, Expr::Un(UnOp::Abs, first)),

@@ -169,26 +169,22 @@ impl<'p> Lowerer<'p> {
             (0..self.declared.len()).filter(|&n| !self.declared[n].shadows.is_empty()).collect();
         delayed.sort_by(|&a, &b| program.names[a].cmp(&program.names[b]));
         for &signal in &delayed {
-            let shadows = &self.declared[signal].shadows;
+            let declared = &mut self.declared[signal];
+            let shadows = std::mem::take(&mut declared.shadows);
+            let is_fix = declared.var.map_or(true, |v| self.vars[v as usize].is_fix);
             for d in (1..=shadows.len()).rev() {
                 let read = if d == 1 { &program.names[signal] } else { &shadows[d - 2] };
                 let src = self.pool.mem(MemRef::Scalar(read.clone()));
                 let dst = MemRef::Scalar(shadows[d - 1].clone());
                 body.push(LirItem::Assign(AssignStmt { dst, src }));
             }
-        }
-        for &signal in &delayed {
-            let declared = &mut self.declared[signal];
-            let is_fix = declared.var.map_or(true, |v| self.vars[v as usize].is_fix);
-            for name in std::mem::take(&mut declared.shadows) {
-                self.vars.push(VarInfo {
-                    name,
-                    len: 1,
-                    kind: StorageKind::Var,
-                    bank: None,
-                    is_fix,
-                });
-            }
+            self.vars.extend(shadows.into_iter().map(|name| VarInfo {
+                name,
+                len: 1,
+                kind: StorageKind::Var,
+                bank: None,
+                is_fix,
+            }));
         }
         Lir { name: self.sym(program.name).clone(), vars: self.vars, body, pool: self.pool }
     }
