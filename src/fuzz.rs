@@ -156,7 +156,7 @@ pub fn frontend_input(rng: &mut Rng) -> String {
 
 /// Case `case` of a frontend fuzz run from `base_seed`: the case's replay
 /// seed and its input.
-pub fn frontend_case(base_seed: u64, case: usize) -> (u64, String) {
+pub(crate) fn frontend_case(base_seed: u64, case: usize) -> (u64, String) {
     let seed = Rng::new(base_seed ^ case as u64).next_u64();
     (seed, frontend_input(&mut Rng::new(seed)))
 }

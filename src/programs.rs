@@ -45,15 +45,15 @@ pub fn render_fingerprints() -> String {
 
 /// The seed of the frontend fuzz cases [`render_frontend_outcomes`]
 /// renders, the seed CI's fuzz smoke runs.
-pub const FRONTEND_SEED: u64 = 0xC0DE;
+const FRONTEND_SEED: u64 = 0xC0DE;
 
 /// How many frontend fuzz cases [`render_frontend_outcomes`] renders.
-pub const FRONTEND_CASES: usize = 1000;
+const FRONTEND_CASES: usize = 1000;
 
-/// One line per frontend fuzz case of seed [`FRONTEND_SEED`], generated
-/// as [`run_frontend_fuzz`] generates them: `ok` and the fingerprint of
-/// the lowered program, or the error that parsing or lowering reported,
-/// escaped so the file stays ASCII.
+/// One line for each of the first 1000 frontend fuzz cases of seed
+/// 0xC0DE, generated as [`run_frontend_fuzz`] generates them: `ok` and
+/// the fingerprint of the lowered program, or the error that parsing or
+/// lowering reported, escaped so the file stays ASCII.
 ///
 /// [`run_frontend_fuzz`]: crate::fuzz::run_frontend_fuzz
 pub fn render_frontend_outcomes() -> String {
