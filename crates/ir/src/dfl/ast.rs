@@ -159,3 +159,22 @@ pub enum Expr {
     /// A unary operation.
     Un(UnOp, ExprId),
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::parse;
+    use super::*;
+
+    #[test]
+    fn program_accessors() {
+        let p = parse("program p; const N := 4; var x, y: fix; begin x := N; end").unwrap();
+        assert_eq!(p.name().as_str(), "p");
+        let [Decl::Const { name, .. }, Decl::Var(v)] = &p.decls[..] else {
+            panic!("a constant, then a variable declaration: {:?}", p.decls)
+        };
+        assert_eq!(p.symbol(*name).as_str(), "N");
+        let declared: Vec<&str> = p.declared(v).iter().map(|&n| p.symbol(n).as_str()).collect();
+        assert_eq!(declared, ["x", "y"]);
+        assert_eq!(v.line, 1);
+    }
+}
