@@ -20,10 +20,11 @@ pub(super) fn parse(source: &str) -> Result<Program, Error> {
     }
     let mut lexer = Lexer::new(source);
     let tok = lexer.next_token()?;
-    // the DSPStone kernels hold one expression per 9 bytes of text and at
-    // most one declared name or statement per 18; a long text reserves no
-    // more than the caps
-    let exprs = (source.len() / 4 + 1).min(4096);
+    // the densest of the DSPStone kernels and the 300 generated programs
+    // of `tests/golden/program_fingerprints.txt` holds one expression per
+    // 5.8 bytes of text, and each holds at most one declared name or
+    // statement per 18; a long text reserves no more than the caps
+    let exprs = (source.len() / 5 + 1).min(4096);
     let items = (source.len() / 16 + 1).min(1024);
     let mut p = Parser {
         lexer,
@@ -294,7 +295,7 @@ impl Parser<'_> {
     /// `min` or tighter (precedence climbing): an operator's right operand
     /// takes only tighter operators, so equal ones associate to the left.
     fn binary(&mut self, min: u8) -> Result<ExprId, Error> {
-        let mut lhs = self.unary(0)?;
+        let mut lhs = self.unary()?;
         while let Some((op, prec)) = binary_op(self.peek()).filter(|&(_, prec)| prec >= min) {
             self.bump()?;
             let rhs = self.binary(prec + 1)?;
@@ -303,22 +304,37 @@ impl Parser<'_> {
         Ok(lhs)
     }
 
-    /// Parses a run of prefix operators and their operand; `run` counts
-    /// the operators of the run already parsed. The tree a run builds is
-    /// walked recursively by lowering, so a run counts against the
-    /// nesting cap too.
-    fn unary(&mut self, run: u32) -> Result<ExprId, Error> {
-        let op = match self.peek() {
-            TokenKind::Minus => UnOp::Neg,
-            TokenKind::Tilde => UnOp::Not,
-            _ => return self.postfix(),
-        };
-        self.bump()?;
-        if self.depth + run + 1 > MAX_EXPR_DEPTH {
-            return Err(Error::parse(self.line(), "expression nested too deeply"));
+    /// Parses a run of prefix operators and their operand. The run is
+    /// read in a loop, so a `~~~~…x` run costs no call stack here: its
+    /// nodes are pushed as their operators are read, each naming the
+    /// next, and the last one names the operand once that is parsed.
+    /// The tree a run builds is walked recursively by lowering, so a run
+    /// counts against the nesting cap too.
+    fn unary(&mut self) -> Result<ExprId, Error> {
+        let first = self.exprs.len();
+        loop {
+            let op = match self.peek() {
+                TokenKind::Minus => UnOp::Neg,
+                TokenKind::Tilde => UnOp::Not,
+                _ => break,
+            };
+            self.bump()?;
+            let run = (self.exprs.len() - first) as u32 + 1;
+            if self.depth + run > MAX_EXPR_DEPTH {
+                return Err(Error::parse(self.line(), "expression nested too deeply"));
+            }
+            let next = ExprId(self.exprs.len() as u32 + 1);
+            self.push(Expr::Un(op, next));
         }
-        let operand = self.unary(run + 1)?;
-        Ok(self.push(Expr::Un(op, operand)))
+        let last = self.exprs.len();
+        let operand = self.postfix()?;
+        if last == first {
+            return Ok(operand);
+        }
+        if let Expr::Un(_, a) = &mut self.exprs[last - 1] {
+            *a = operand;
+        }
+        Ok(ExprId(first as u32))
     }
 
     fn postfix(&mut self) -> Result<ExprId, Error> {
@@ -597,6 +613,29 @@ mod tests {
     }
 
     #[test]
+    fn unary_runs_inside_parentheses_count_from_their_own_depth() {
+        // each parenthesis level takes the longest run the cap leaves it:
+        // 199 + 198 + … + 1 operators in all, which the parser reads in
+        // loops, not one call per operator
+        let program = |innermost: &str| {
+            let mut src = String::from("program p; var x, y: fix; begin y := ");
+            for run in (1..200).rev() {
+                src += &"~".repeat(run);
+                src.push('(');
+            }
+            src += innermost;
+            src += &")".repeat(199);
+            src + "; end"
+        };
+        let p = parse(&program("x")).unwrap();
+        let nots = p.exprs.iter().filter(|e| matches!(e, Expr::Un(UnOp::Not, _))).count();
+        assert_eq!(nots, 19_900);
+        // one operator more at the deepest level is over the cap
+        let e = parse(&program("~x")).unwrap_err();
+        assert!(e.to_string().contains("nested too deeply"), "{e}");
+    }
+
+    #[test]
     fn oversized_delay_is_rejected() {
         let e = parse("program p; var x,y: fix; begin y := x@4294967296; end").unwrap_err();
         assert!(e.to_string().contains("delay"), "{e}");
@@ -606,6 +645,8 @@ mod tests {
     fn unary_minus_and_not() {
         let value = first_value("program p; var a,y: fix; begin y := -a + ~~a; end");
         assert_eq!(value, "(Neg(a) Add Not(Not(a)))");
+        let value = first_value("program p; var a,b,y: fix; begin y := -~(a + ~-b) * ~a; end");
+        assert_eq!(value, "(Neg(Not((a Add Not(Neg(b))))) Mul Not(a))");
     }
 
     #[test]
