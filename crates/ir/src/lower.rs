@@ -192,20 +192,15 @@ impl<'p> Lowerer<'p> {
     /// Lowers the statements `stmts[start..end]` of the program, one
     /// block: a loop's body is lowered with the loop.
     fn block(&mut self, start: usize, end: usize) -> Result<Vec<LirItem>, Error> {
-        let stmts = &self.program.stmts;
-        let items = || {
-            let next = move |&at: &usize| {
-                let next = match stmts[at] {
-                    Stmt::For { end, .. } => end as usize,
-                    Stmt::Assign { .. } => at + 1,
-                };
-                (next < end).then_some(next)
-            };
-            std::iter::successors((start < end).then_some(start), next)
-        };
-        let mut body = Vec::with_capacity(items().count());
-        for at in items() {
+        // at most one item per statement of the range
+        let mut body = Vec::with_capacity(end - start);
+        let mut at = start;
+        while at < end {
             body.push(self.stmt(at)?);
+            at = match self.program.stmts[at] {
+                Stmt::For { end, .. } => end as usize,
+                Stmt::Assign { .. } => at + 1,
+            };
         }
         Ok(body)
     }
