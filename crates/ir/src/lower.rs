@@ -192,8 +192,7 @@ impl<'p> Lowerer<'p> {
     /// Lowers the statements `stmts[start..end]` of the program, one
     /// block: a loop's body is lowered with the loop.
     fn block(&mut self, start: usize, end: usize) -> Result<Vec<LirItem>, Error> {
-        // at most one item per statement of the range
-        let mut body = Vec::with_capacity(end - start);
+        let mut body = Vec::new();
         let mut at = start;
         while at < end {
             body.push(self.stmt(at)?);
