@@ -28,7 +28,7 @@ fn report(target: &TargetDesc) {
 fn print_table() {
     println!("\nSection 4.5: generated self-test programs:");
     report(&record_isa::targets::tic25::target());
-    report(&record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp()));
+    report(&record_isa::cube::CubeParams::asip_dsp().build().unwrap());
     let netlist = record_ise::demo::acc_machine_netlist();
     let (compiler, _) =
         record::Compiler::from_netlist("accgen", &netlist, &Default::default()).unwrap();
@@ -37,7 +37,7 @@ fn print_table() {
 
 fn bench(c: &mut Criterion) {
     let tic25 = record_isa::targets::tic25::target();
-    let asip = record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp());
+    let asip = record_isa::cube::CubeParams::asip_dsp().build().unwrap();
     let mut group = c.benchmark_group("selftest_generate");
     group
         .bench_function("tic25", |b| b.iter(|| black_box(generate(black_box(&tic25), 1).unwrap())));

@@ -32,11 +32,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(record_isa::targets::simple_risc::target(8)))
     });
     group.bench_function("asip_dsp", |b| {
-        b.iter(|| {
-            black_box(record_isa::targets::asip::build(
-                &record_isa::targets::asip::AsipParams::dsp(),
-            ))
-        })
+        b.iter(|| black_box(record_isa::cube::CubeParams::asip_dsp().build().unwrap()))
     });
     group.finish();
 }

@@ -681,7 +681,8 @@ fn content_hash(entries: &[Option<Entry>], frags: &[Option<Cost>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use record_ir::ops::wrap_to_width;
-    use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+    use record_isa::cube::CubeParams;
+    use record_isa::targets::{dsp56k, simple_risc, tic25};
 
     use super::*;
 
@@ -691,8 +692,8 @@ mod tests {
         let mut targets = vec![
             tic25::target(),
             dsp56k::target(),
-            asip::build(&asip::AsipParams::dsp()),
-            asip::build(&asip::AsipParams::default()),
+            CubeParams::asip_dsp().build().unwrap(),
+            CubeParams::asip_default().build().unwrap(),
             simple_risc::target(4),
         ];
         targets.extend([1, 2, 3, 4, 35, 47, 169].map(record_isa::cube::target_from_seed));

@@ -74,16 +74,6 @@ impl<'a> Labeled<'a> {
         self.entries[nt.index()].map(|e| e.rule)
     }
 
-    /// The nonterminals this node can be derived to.
-    pub fn derivable(&self) -> Vec<NonTermId> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_some())
-            .map(|(i, _)| NonTermId(i as u16))
-            .collect()
-    }
-
     /// Total number of nodes in the labelled tree.
     pub fn node_count(&self) -> usize {
         1 + self.children.iter().map(|c| c.node_count()).sum::<usize>()

@@ -152,16 +152,6 @@ impl Tables {
         self.n_nts
     }
 
-    /// Number of indexed pattern rules (diagnostic).
-    pub fn n_pattern_rules(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Number of indexed chain rules (diagnostic).
-    pub fn n_chain_rules(&self) -> usize {
-        self.chains.len()
-    }
-
     /// Serializes the tables into a self-contained, checksummed binary
     /// blob (versioned header, length-prefixed rule lists, FNV trailer —
     /// see [`record_trace::codec`]), which [`from_bytes`](Tables::from_bytes)

@@ -469,12 +469,13 @@ mod tests {
     /// tic25, dsp56k, asip-dsp, asip-min, risc4 and cube seeds 1–4, 35,
     /// 47 and 169.
     fn targets() -> Vec<TargetDesc> {
-        use record_isa::targets::{asip, simple_risc};
+        use record_isa::cube::CubeParams;
+        use record_isa::targets::simple_risc;
         let mut targets = vec![
             record_isa::targets::tic25::target(),
             record_isa::targets::dsp56k::target(),
-            asip::build(&asip::AsipParams::dsp()),
-            asip::build(&asip::AsipParams::minimal()),
+            CubeParams::asip_dsp().build().unwrap(),
+            CubeParams::asip_minimal().build().unwrap(),
             simple_risc::target(4),
         ];
         targets.extend([1, 2, 3, 4, 35, 47, 169].map(record_isa::cube::target_from_seed));

@@ -67,6 +67,11 @@ pub struct CompilationUnit<'a> {
     /// [`strict`](PassPlan::strict) by the runner; a new unit starts with
     /// a plan's default, on in debug builds and off in release.
     pub strict: bool,
+    /// Whether the plan runs `offset` right after `layout`. `offset`
+    /// lays out every variable in an order of its own, so `layout` then
+    /// leaves the layout to it and each compile builds one. Set by the
+    /// runner; off in a new unit, where `layout` always lays out.
+    pub(crate) offset_lays_out: bool,
     /// The compile's span recorder. The runner opens one span per pass
     /// on it; passes may attach extra attributes or events (e.g. the
     /// search passes record `search_steps`). Disabled (a no-op) unless
@@ -98,6 +103,7 @@ impl<'a> CompilationUnit<'a> {
             select: SelectStats::default(),
             budgets: Budgets::unlimited(),
             strict: cfg!(debug_assertions),
+            offset_lays_out: false,
             trace: SpanRecorder::disabled(),
         }
     }
@@ -303,11 +309,6 @@ impl PassPlan {
         self
     }
 
-    /// Whether the runner verifies between passes.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// Sets the resource caps the passes run under.
     #[must_use]
     pub fn with_budgets(mut self, budgets: Budgets) -> Self {
@@ -446,6 +447,8 @@ impl PassPlan {
     ) -> Result<(), PassFailure> {
         unit.budgets = self.budgets;
         unit.strict = self.strict;
+        unit.offset_lays_out =
+            self.passes.windows(2).any(|w| w[0].name() == "layout" && w[1].name() == "offset");
         if let Some(cap) = self.budgets.max_lir_nodes {
             let nodes = lir_nodes(&unit.lir.pool, &unit.lir.body);
             if nodes > cap {
@@ -856,7 +859,8 @@ impl SelectPass {
 }
 
 /// Declaration-order storage layout: scalars first, then arrays, packed
-/// from address zero per bank.
+/// from address zero per bank. Left to `offset` when that runs next
+/// ([`CompilationUnit::offset_lays_out`]).
 struct LayoutPass;
 
 impl Pass for LayoutPass {
@@ -865,6 +869,9 @@ impl Pass for LayoutPass {
     }
 
     fn run(&self, unit: &mut CompilationUnit<'_>) -> Result<(), CompileError> {
+        if unit.offset_lays_out {
+            return Ok(());
+        }
         let ordered = order_vars(&unit.vars, &unit.code, false);
         unit.code.layout = record_opt::layout_in_order(
             ordered.iter().map(|v| (v.name.clone(), v.len, v.bank)),
@@ -874,13 +881,16 @@ impl Pass for LayoutPass {
     }
 
     fn postcondition(&self, unit: &CompilationUnit<'_>) -> Result<(), StructureError> {
+        if unit.offset_lays_out {
+            return Ok(());
+        }
         placed(unit)
     }
 }
 
-/// Simple offset assignment: reorders scalars along the access sequence
+/// Simple offset assignment: orders scalars along the access sequence
 /// (SOA) so auto-increment chains replace explicit pointer loads, then
-/// rebuilds the layout in that order.
+/// lays out storage in that order.
 struct OffsetPass;
 
 impl Pass for OffsetPass {

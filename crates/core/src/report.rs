@@ -477,7 +477,8 @@ const BACKEND_CUBE_SEEDS: [u64; 3] = [35, 47, 169];
 
 /// Renders the assembly listings of the backend paths the DSPStone
 /// listings ([`render_asm_listings`]) do not pin: every DSPStone kernel
-/// on `asip-dsp`, `asip-min`, `risc4` and the processor-cube points of
+/// on the ASIP presets `asip-dsp` and `asip-min` (named by their
+/// processor-cube names), `risc4` and the processor-cube points of
 /// seeds 35, 47 and 169 under `O0`, `O2` and `service`, then on dsp56k
 /// under `O2` with list scheduling (`O2-list`) and with branch-and-bound
 /// scheduling of segments up to 10 instructions (`O2-bnb10`, the limit
@@ -486,7 +487,8 @@ const BACKEND_CUBE_SEEDS: [u64; 3] = [35, 47, 169];
 /// `error: …` line instead. This is the `tests/golden/backend_asm.txt`
 /// document.
 pub fn render_backend_asm_listings(session: &Session) -> String {
-    use record_isa::targets::{asip, dsp56k, simple_risc};
+    use record_isa::cube::CubeParams;
+    use record_isa::targets::{dsp56k, simple_risc};
     use record_opt::ScheduleMode;
 
     let o2_scheduled = |mode| {
@@ -501,8 +503,8 @@ pub fn render_backend_asm_listings(session: &Session) -> String {
         ("service", PassPlan::o2().with_budgets(Budgets::service()).strict(false)),
     ];
     let mut targets = vec![
-        asip::build(&asip::AsipParams::dsp()),
-        asip::build(&asip::AsipParams::minimal()),
+        CubeParams::asip_dsp().build().expect("the ASIP presets are valid"),
+        CubeParams::asip_minimal().build().expect("the ASIP presets are valid"),
         simple_risc::target(4),
     ];
     targets.extend(BACKEND_CUBE_SEEDS.iter().map(|&seed| record_isa::cube::target_from_seed(seed)));

@@ -489,11 +489,6 @@ impl<'t> Emitter<'t> {
         &mut self.pool
     }
 
-    /// The label memo cache (diagnostics and benches).
-    pub fn label_cache(&self) -> &LabelCache {
-        &self.work.label_cache
-    }
-
     /// The scratch symbols allocated so far (each one data word); the
     /// pipeline adds them to the layout.
     pub fn scratch_symbols(&self) -> &[Symbol] {
@@ -2684,8 +2679,7 @@ mod tests {
     /// without shares.
     #[test]
     fn a_block_whose_shares_do_not_fit_emits_its_plain_code() {
-        use record_isa::targets::asip;
-        let t = asip::build(&asip::AsipParams::dsp());
+        let t = record_isa::cube::CubeParams::asip_dsp().build().unwrap();
         let emit = |share: bool| {
             let mut e = Emitter::new(&t);
             let stmts = stmts_in(&mut e, &complex_multiply_block());
@@ -2973,14 +2967,15 @@ mod tests {
     /// register, memory and immediate operands.
     #[test]
     fn one_pass_rendering_equals_the_replace_chain() {
-        use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+        use record_isa::cube::CubeParams;
+        use record_isa::targets::{dsp56k, simple_risc, tic25};
         let mut targets = vec![
             tic25::target(),
             dsp56k::target(),
             simple_risc::target(8),
-            asip::build(&asip::AsipParams::minimal()),
-            asip::build(&asip::AsipParams::dsp()),
-            asip::build(&asip::AsipParams::default()),
+            CubeParams::asip_minimal().build().unwrap(),
+            CubeParams::asip_dsp().build().unwrap(),
+            CubeParams::asip_default().build().unwrap(),
         ];
         targets.extend((1..=50).map(record_isa::cube::target_from_seed));
         let mut rng = record_prop::Rng::new(0xDAC97);

@@ -368,10 +368,11 @@ pub const FRONTEND_OPS: [Op; 19] = [
 /// ```
 /// use record_ir::{BinOp, Op};
 ///
-/// let full = record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp());
+/// use record_isa::cube::CubeParams;
+///
+/// let full = CubeParams::asip_dsp().build().unwrap();
 /// assert!(record::selftest::operator_gaps(&full).len() < record::selftest::FRONTEND_OPS.len());
-/// let minimal =
-///     record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::minimal());
+/// let minimal = CubeParams::asip_minimal().build().unwrap();
 /// assert!(record::selftest::operator_gaps(&minimal).contains(&Op::Bin(BinOp::Mul)));
 /// ```
 pub fn operator_gaps(target: &TargetDesc) -> Vec<Op> {
@@ -431,8 +432,7 @@ mod tests {
 
     #[test]
     fn works_on_generated_asip_targets() {
-        let target =
-            record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp());
+        let target = record_isa::cube::CubeParams::asip_dsp().build().unwrap();
         let st = generate(&target, 3).unwrap();
         assert!(st.coverage() > 0.7, "uncovered: {:?}", st.uncovered);
     }

@@ -30,6 +30,7 @@ pub(super) fn parse(source: &str) -> Result<Program, Error> {
         lexer,
         tok,
         depth: 0,
+        loops: 0,
         decls: Vec::with_capacity(items),
         var_names: Vec::with_capacity(items),
         stmts: Vec::with_capacity(items),
@@ -49,17 +50,28 @@ pub(super) fn parse(source: &str) -> Result<Program, Error> {
     }
 }
 
-/// Maximum expression nesting (parenthesis/operand depth). Recursive
-/// descent uses the call stack; without a limit a long `((((…` run is a
-/// stack overflow — an abort no caller can catch — instead of a parse
-/// error.
+/// Maximum height of an expression tree, and maximum parenthesis
+/// nesting. A leaf is one level high; an operator, an element access or
+/// an intrinsic sits one level above its tallest operand. The parser
+/// recurses once per parenthesis, and lowering and the passes after it
+/// once per tree level, all on the call stack: without a cap a deep
+/// expression is a stack overflow — an abort no caller can catch —
+/// instead of a parse error.
 const MAX_EXPR_DEPTH: u32 = 200;
+
+/// Maximum `for` nesting, for the same reason: the parser, lowering and
+/// the passes after it recurse once per loop level.
+const MAX_LOOP_DEPTH: u32 = 200;
 
 struct Parser<'s> {
     lexer: Lexer<'s>,
     /// The token at the cursor.
     tok: Token,
+    /// Expressions open on the call stack (parentheses, index
+    /// expressions and intrinsic arguments).
     depth: u32,
+    /// `for` loops open around the cursor.
+    loops: u32,
     decls: Vec<Decl>,
     var_names: Vec<NameId>,
     stmts: Vec<Stmt>,
@@ -163,7 +175,7 @@ impl Parser<'_> {
                             "expected `:=` after constant name (e.g. `const N := 16;`)",
                         ));
                     }
-                    let value = self.expr()?;
+                    let (value, _) = self.expr()?;
                     self.expect(TokenKind::Semi)?;
                     self.decls.push(Decl::Const { name, value });
                 }
@@ -207,7 +219,7 @@ impl Parser<'_> {
         };
         self.bump()?;
         let len = if self.eat(TokenKind::LBracket)? {
-            let e = self.expr()?;
+            let (e, _) = self.expr()?;
             self.expect(TokenKind::RBracket)?;
             Some(e)
         } else {
@@ -241,18 +253,23 @@ impl Parser<'_> {
     fn stmt(&mut self) -> Result<(), Error> {
         let line = self.line();
         if self.eat(TokenKind::Keyword(Keyword::For))? {
+            if self.loops >= MAX_LOOP_DEPTH {
+                return Err(Error::parse(line, "loops nested too deeply"));
+            }
             let var = self.ident()?;
             self.expect_keyword(Keyword::In)?;
-            let lo = self.expr()?;
+            let (lo, _) = self.expr()?;
             self.expect(TokenKind::DotDot)?;
-            let hi = self.expr()?;
+            let (hi, _) = self.expr()?;
             // `loop` or `do` introduces the body
             if !self.eat(TokenKind::Keyword(Keyword::Loop))? {
                 self.expect_keyword(Keyword::Do)?;
             }
             let at = self.stmts.len();
             self.stmts.push(Stmt::For { var, lo, hi, end: 0, line });
+            self.loops += 1;
             self.stmt_list()?;
+            self.loops -= 1;
             let body_end = self.stmts.len() as u32;
             if let Stmt::For { end, .. } = &mut self.stmts[at] {
                 *end = body_end;
@@ -265,23 +282,37 @@ impl Parser<'_> {
         // assignment
         let dst = self.ident()?;
         let index = if self.eat(TokenKind::LBracket)? {
-            let idx = self.expr()?;
+            let (idx, _) = self.expr()?;
             self.expect(TokenKind::RBracket)?;
             Some(idx)
         } else {
             None
         };
         self.expect(TokenKind::Assign)?;
-        let value = self.expr()?;
+        let (value, _) = self.expr()?;
         self.expect(TokenKind::Semi)?;
         self.stmts.push(Stmt::Assign { dst, index, value, line });
         Ok(())
     }
 
+    /// The height of a node `levels` above a subtree `height` high.
+    ///
+    /// # Errors
+    ///
+    /// A parse error when that is over [`MAX_EXPR_DEPTH`].
+    fn above(&self, height: u32, levels: u32) -> Result<u32, Error> {
+        let height = height + levels;
+        if height > MAX_EXPR_DEPTH {
+            return Err(Error::parse(self.line(), "expression nested too deeply"));
+        }
+        Ok(height)
+    }
+
     /// Expression grammar, lowest precedence first:
     /// `|` < `^` < `&` < `<< >>` < `+ -` < `* /` < unary; every binary
-    /// operator is left-associative.
-    fn expr(&mut self) -> Result<ExprId, Error> {
+    /// operator is left-associative. Returns the expression and its
+    /// height.
+    fn expr(&mut self) -> Result<(ExprId, u32), Error> {
         if self.depth >= MAX_EXPR_DEPTH {
             return Err(Error::parse(self.line(), "expression nested too deeply"));
         }
@@ -294,23 +325,22 @@ impl Parser<'_> {
     /// Parses unary operands joined by binary operators of precedence
     /// `min` or tighter (precedence climbing): an operator's right operand
     /// takes only tighter operators, so equal ones associate to the left.
-    fn binary(&mut self, min: u8) -> Result<ExprId, Error> {
-        let mut lhs = self.unary()?;
+    fn binary(&mut self, min: u8) -> Result<(ExprId, u32), Error> {
+        let (mut lhs, mut height) = self.unary()?;
         while let Some((op, prec)) = binary_op(self.peek()).filter(|&(_, prec)| prec >= min) {
             self.bump()?;
-            let rhs = self.binary(prec + 1)?;
+            let (rhs, rhs_height) = self.binary(prec + 1)?;
+            height = self.above(height.max(rhs_height), 1)?;
             lhs = self.push(Expr::Bin(op, lhs, rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
     /// Parses a run of prefix operators and their operand. The run is
     /// read in a loop, so a `~~~~…x` run costs no call stack here: its
     /// nodes are pushed as their operators are read, each naming the
     /// next, and the last one names the operand once that is parsed.
-    /// The tree a run builds is walked recursively by lowering, so a run
-    /// counts against the nesting cap too.
-    fn unary(&mut self) -> Result<ExprId, Error> {
+    fn unary(&mut self) -> Result<(ExprId, u32), Error> {
         let first = self.exprs.len();
         loop {
             let op = match self.peek() {
@@ -319,26 +349,25 @@ impl Parser<'_> {
                 _ => break,
             };
             self.bump()?;
-            let run = (self.exprs.len() - first) as u32 + 1;
-            if self.depth + run > MAX_EXPR_DEPTH {
-                return Err(Error::parse(self.line(), "expression nested too deeply"));
-            }
+            self.above(0, (self.exprs.len() - first) as u32 + 1)?;
             let next = ExprId(self.exprs.len() as u32 + 1);
             self.push(Expr::Un(op, next));
         }
         let last = self.exprs.len();
-        let operand = self.postfix()?;
+        let (operand, height) = self.postfix()?;
         if last == first {
-            return Ok(operand);
+            return Ok((operand, height));
         }
+        let height = self.above(height, (last - first) as u32)?;
         if let Expr::Un(_, a) = &mut self.exprs[last - 1] {
             *a = operand;
         }
-        Ok(ExprId(first as u32))
+        Ok((ExprId(first as u32), height))
     }
 
-    fn postfix(&mut self) -> Result<ExprId, Error> {
+    fn postfix(&mut self) -> Result<(ExprId, u32), Error> {
         let line = self.line();
+        let mut height = 1;
         let e = match self.peek() {
             TokenKind::Ident(name) => {
                 self.bump()?;
@@ -346,8 +375,9 @@ impl Parser<'_> {
                     return self.intrinsic(name, line);
                 }
                 if self.eat(TokenKind::LBracket)? {
-                    let idx = self.expr()?;
+                    let (idx, idx_height) = self.expr()?;
                     self.expect(TokenKind::RBracket)?;
+                    height = self.above(idx_height, 1)?;
                     Expr::Elem(name, idx)
                 } else if self.eat(TokenKind::At)? {
                     match self.bump()? {
@@ -381,16 +411,17 @@ impl Parser<'_> {
                 return Err(Error::parse(line, message));
             }
         };
-        Ok(self.push(e))
+        Ok((self.push(e), height))
     }
 
     /// Resolves intrinsic calls: `sat`, `abs`, `round` (unary);
     /// `sadd`, `ssub`, `min`, `max` (binary).
-    fn intrinsic(&mut self, name: NameId, line: u32) -> Result<ExprId, Error> {
-        let first = self.expr()?;
+    fn intrinsic(&mut self, name: NameId, line: u32) -> Result<(ExprId, u32), Error> {
+        let (first, mut height) = self.expr()?;
         let (mut second, mut args) = (first, 1);
         while self.eat(TokenKind::Comma)? {
-            let arg = self.expr()?;
+            let (arg, arg_height) = self.expr()?;
+            height = height.max(arg_height);
             args += 1;
             if args == 2 {
                 second = arg;
@@ -412,7 +443,8 @@ impl Parser<'_> {
             let message = format!("intrinsic `{name}` takes {arity} argument(s)");
             return Err(Error::parse(line, message));
         }
-        Ok(self.push(e))
+        let height = self.above(height, 1)?;
+        Ok((self.push(e), height))
     }
 }
 
@@ -589,14 +621,19 @@ mod tests {
 
     #[test]
     fn deep_parentheses_are_a_parse_error_not_a_stack_overflow() {
-        let depth = 5_000;
-        let src = format!(
-            "program p; var y: fix; begin y := {}1{}; end",
-            "(".repeat(depth),
-            ")".repeat(depth)
-        );
-        let e = parse(&src).unwrap_err();
-        assert!(e.to_string().contains("nested too deeply"), "{e}");
+        let program = |depth: usize| {
+            format!(
+                "program p; var y: fix; begin y := {}1{}; end",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        // the statement's own expression is the first of the 200 levels
+        assert!(parse(&program(199)).is_ok());
+        for depth in [200, 5_000] {
+            let e = parse(&program(depth)).unwrap_err();
+            assert!(e.to_string().contains("nested too deeply"), "{e}");
+        }
     }
 
     #[test]
@@ -613,26 +650,55 @@ mod tests {
     }
 
     #[test]
-    fn unary_runs_inside_parentheses_count_from_their_own_depth() {
-        // each parenthesis level takes the longest run the cap leaves it:
-        // 199 + 198 + … + 1 operators in all, which the parser reads in
-        // loops, not one call per operator
-        let program = |innermost: &str| {
-            let mut src = String::from("program p; var x, y: fix; begin y := ");
-            for run in (1..200).rev() {
-                src += &"~".repeat(run);
-                src.push('(');
-            }
-            src += innermost;
-            src += &")".repeat(199);
-            src + "; end"
+    fn expression_trees_are_at_most_200_levels_high() {
+        // each shape is a tree `n` levels high
+        let shapes = |n: usize| {
+            [
+                ("left-deep sum", vec!["x"; n].join(" + ")),
+                ("unary run", "~".repeat(n - 1) + "x"),
+                ("element accesses", "a[".repeat(n - 1) + "0" + &"]".repeat(n - 1)),
+                ("intrinsics", "sat(".repeat(n - 1) + "x" + &")".repeat(n - 1)),
+            ]
         };
-        let p = parse(&program("x")).unwrap();
-        let nots = p.exprs.iter().filter(|e| matches!(e, Expr::Un(UnOp::Not, _))).count();
-        assert_eq!(nots, 19_900);
-        // one operator more at the deepest level is over the cap
-        let e = parse(&program("~x")).unwrap_err();
+        let program =
+            |expr: &str| format!("program p; var x, y: fix; var a: fix[2]; begin y := {expr}; end");
+        for (shape, expr) in shapes(200) {
+            assert!(parse(&program(&expr)).is_ok(), "{shape}");
+        }
+        for (shape, expr) in shapes(201) {
+            let e = parse(&program(&expr)).unwrap_err();
+            assert!(e.to_string().contains("nested too deeply"), "{shape}: {e}");
+        }
+    }
+
+    #[test]
+    fn unary_runs_inside_parentheses_count_toward_the_tree_height() {
+        // runs of 199, 198, … 1 operators, each inside the parentheses of
+        // the one before, nest 19,900 unary nodes: far over the cap
+        let mut src = String::from("program p; var x, y: fix; begin y := ");
+        for run in (1..200).rev() {
+            src += &"~".repeat(run);
+            src.push('(');
+        }
+        src += "x";
+        src += &")".repeat(199);
+        src += "; end";
+        let e = parse(&src).unwrap_err();
         assert!(e.to_string().contains("nested too deeply"), "{e}");
+    }
+
+    #[test]
+    fn for_loops_nest_at_most_200_deep() {
+        let program = |depth: usize| {
+            format!(
+                "program p; var y: fix; begin {}y := 1; {}end",
+                "for i in 0..1 loop ".repeat(depth),
+                "end loop; ".repeat(depth)
+            )
+        };
+        assert!(parse(&program(200)).is_ok());
+        let e = parse(&program(201)).unwrap_err();
+        assert!(e.to_string().contains("loops nested too deeply"), "{e}");
     }
 
     #[test]

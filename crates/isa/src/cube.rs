@@ -4,9 +4,9 @@
 //! Fig. 1 of the paper spans the space of cores a designer might derive;
 //! Sections 1–2 claim the compiler must retarget to *any* point of that
 //! space, not just the two bundled DSPs. [`CubeParams`] makes the claim
-//! testable: it grows the generic parameters of
-//! [`targets::asip::AsipParams`](crate::targets::asip::AsipParams) into a
-//! full parametric space spanning the axes the paper's target models
+//! testable: it grows the generic parameters of an ASIP (Section 4.2:
+//! bit width, register count, optional functional units) into a full
+//! parametric space spanning the axes the paper's target models
 //! (Section 4) vary over —
 //!
 //! * **register-file shape** ([`RegFile`]): one homogeneous
@@ -35,7 +35,10 @@
 //! [`CubeParams::build`] turns a point into a complete [`TargetDesc`]
 //! the whole tool chain retargets to — the foundation the target-space
 //! differential fuzzer and the "best target per workload" searches
-//! stand on.
+//! stand on. The ASIP targets `recordc` and `recordd` name (`asip-dsp`,
+//! `asip-min`, `asip-default`) are three such points:
+//! [`CubeParams::asip_dsp`], [`CubeParams::asip_minimal`] and
+//! [`CubeParams::asip_default`].
 
 use std::fmt;
 
@@ -45,7 +48,6 @@ use crate::pattern::{units, Cost, PatNode, Predicate};
 use crate::target::{
     AguDesc, LoopCtrl, ModeDesc, ParallelDesc, RptDesc, TargetBuilder, TargetDesc,
 };
-use crate::targets::asip::AsipParams;
 
 /// A tiny local splitmix64 step — the same generator `record-prop` uses,
 /// duplicated here so target descriptions stay dependency-free.
@@ -127,9 +129,9 @@ pub enum ModeSet {
 
 /// One point of the processor cube.
 ///
-/// Construct with [`CubeParams::from_seed`] (valid-by-construction), by
-/// growing an [`AsipParams`] via [`CubeParams::from_asip`], or by hand
-/// (then check with [`CubeParams::validate`]).
+/// Construct with [`CubeParams::from_seed`] (valid-by-construction), from
+/// one of the ASIP presets, or by hand (then check with
+/// [`CubeParams::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CubeParams {
     /// Data-path bit width.
@@ -234,6 +236,8 @@ impl fmt::Display for CubeError {
     }
 }
 
+impl std::error::Error for CubeError {}
+
 impl CubeParams {
     /// Derives one valid cube point from a splitmix64 seed.
     ///
@@ -314,31 +318,56 @@ impl CubeParams {
         params
     }
 
-    /// Grows a classic [`AsipParams`] set into a cube point: same
-    /// functional units, homogeneous register file, single bank, no
-    /// parallel moves — the corner of the cube the ASIP generator
-    /// always lived in.
-    pub fn from_asip(p: &AsipParams) -> CubeParams {
+    /// The default ASIP (`asip-default`): four registers, a two-cycle
+    /// multiplier and two address registers, in the corner of the cube
+    /// every ASIP preset lives in (homogeneous register file,
+    /// register–memory ALU operations, one bank of 2048 words with
+    /// direct addressing, no parallel moves, no zero-overhead loop).
+    pub fn asip_default() -> CubeParams {
         CubeParams {
-            word_width: p.word_width,
-            reg_file: RegFile::Homogeneous { n_regs: p.n_regs },
-            has_mul: p.has_mul || p.has_mac,
-            has_mac: p.has_mac,
-            has_barrel_shift: p.has_barrel_shift,
-            imm_bits: p.imm_bits,
+            word_width: 16,
+            reg_file: RegFile::Homogeneous { n_regs: 4 },
+            has_mul: true,
+            has_mac: false,
+            has_barrel_shift: false,
+            imm_bits: 8,
             banks: 1,
             words_per_bank: 2048,
             has_direct: true,
-            agu: (p.n_ars > 0).then_some(AguSpec { n_ars: p.n_ars, post_range: 1 }),
+            agu: Some(AguSpec { n_ars: 2, post_range: 1 }),
             parallel: None,
-            modes: if p.has_sat_mode {
-                ModeSet::Residual { default_on: false }
-            } else {
-                ModeSet::None
-            },
-            has_rpt: p.has_rpt,
-            rpt_max: if p.has_rpt { 4096 } else { 0 },
+            modes: ModeSet::None,
+            has_rpt: false,
+            rpt_max: 0,
             zero_overhead_loop: false,
+        }
+    }
+
+    /// A minimal control-oriented ASIP (`asip-min`): two registers, no
+    /// multiplier (it multiplies only by powers of two, on the shifter)
+    /// and no AGU.
+    pub fn asip_minimal() -> CubeParams {
+        CubeParams {
+            reg_file: RegFile::Homogeneous { n_regs: 2 },
+            has_mul: false,
+            agu: None,
+            ..CubeParams::asip_default()
+        }
+    }
+
+    /// A DSP-oriented ASIP (`asip-dsp`): single-cycle MAC, barrel
+    /// shifter, a saturation mode off at reset, four address registers
+    /// and a hardware repeat of up to 4096.
+    pub fn asip_dsp() -> CubeParams {
+        CubeParams {
+            has_mac: true,
+            has_barrel_shift: true,
+            imm_bits: 12,
+            agu: Some(AguSpec { n_ars: 4, post_range: 1 }),
+            modes: ModeSet::Residual { default_on: false },
+            has_rpt: true,
+            rpt_max: 4096,
+            ..CubeParams::asip_default()
         }
     }
 
@@ -511,7 +540,9 @@ impl CubeParams {
         Ok(b.build().expect("validated cube point builds a consistent target"))
     }
 
-    /// ASIP-style grammar: one file `r`, register–memory ALU operations.
+    /// ASIP-style grammar: one file `r`, register–memory ALU operations
+    /// (accumulator style keeps code compact; the domain-specific
+    /// flavour of many ASIPs).
     fn build_homogeneous(&self, b: &mut TargetBuilder, n_regs: u16) {
         let r_c = b.reg_class("r", n_regs);
         let r = b.nt_reg("r", r_c);
@@ -850,14 +881,66 @@ mod tests {
         assert!(p.build().is_err());
     }
 
+    /// The three ASIP presets, each with the target name that encodes it.
+    fn presets() -> [(CubeParams, &'static str); 3] {
+        [
+            (CubeParams::asip_default(), "cube-w16-h4-b1x2048d-agu2p1-seq-nomode-mul-i8"),
+            (CubeParams::asip_minimal(), "cube-w16-h2-b1x2048d-noagu-seq-nomode-i8"),
+            (CubeParams::asip_dsp(), "cube-w16-h4-b1x2048d-agu4p1-seq-sat0-mac-bs-i12-rpt4096"),
+        ]
+    }
+
     #[test]
-    fn asip_params_embed_into_the_cube() {
-        let p = CubeParams::from_asip(&AsipParams::dsp());
-        assert_eq!(p.validate(), Ok(()));
-        let t = p.build().unwrap();
-        assert!(t.rules.iter().any(|r| r.asm.starts_with("MAC ")));
-        assert!(t.agu.is_some());
-        assert_eq!(t.modes.len(), 1);
+    fn asip_presets_validate_build_and_carry_their_names() {
+        for (p, name) in presets() {
+            assert_eq!(p.validate(), Ok(()), "{name}");
+            let t = p.build().unwrap();
+            t.validate().unwrap();
+            assert_eq!(t.name, name);
+        }
+    }
+
+    #[test]
+    fn multiplierless_asip_multiplies_only_through_its_shift_rule() {
+        let t = CubeParams::asip_minimal().build().unwrap();
+        let mul_rules: Vec<_> =
+            t.rules.iter().filter(|r| r.root_op() == Some(Op::Bin(BinOp::Mul))).collect();
+        assert_eq!(mul_rules.len(), 1);
+        assert_eq!(mul_rules[0].pred, Some(Predicate::ConstPow2));
+    }
+
+    #[test]
+    fn only_the_dsp_asip_has_a_mac() {
+        for (p, name) in presets() {
+            let has_mac = p.build().unwrap().rules.iter().any(|r| r.asm.starts_with("MAC "));
+            assert_eq!(has_mac, p == CubeParams::asip_dsp(), "{name}");
+        }
+    }
+
+    #[test]
+    fn saturation_and_the_agu_are_optional() {
+        let dsp = CubeParams::asip_dsp().build().unwrap();
+        let min = CubeParams::asip_minimal().build().unwrap();
+        assert_eq!(dsp.modes.len(), 1);
+        assert!(min.modes.is_empty());
+        assert!(dsp.agu.is_some());
+        assert!(min.agu.is_none());
+    }
+
+    #[test]
+    fn asip_word_width_is_honoured() {
+        let p = CubeParams { word_width: 24, ..CubeParams::asip_default() };
+        assert_eq!(p.build().unwrap().word_width, 24);
+    }
+
+    #[test]
+    fn asip_without_registers_is_refused() {
+        let p = CubeParams {
+            reg_file: RegFile::Homogeneous { n_regs: 0 },
+            ..CubeParams::asip_default()
+        };
+        assert_eq!(p.validate(), Err(CubeError::EmptyRegClass("r")));
+        assert_eq!(p.build().err(), Some(CubeError::EmptyRegClass("r")));
     }
 
     #[test]

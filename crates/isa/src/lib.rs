@@ -22,10 +22,10 @@
 //!   instruction-set extraction (`record-ise`),
 //! * [`taxonomy`] — the "processor cube" of Fig. 1,
 //! * [`cube`] — the cube as a *generator*: seeded derivation of
-//!   valid-by-construction target families spanning the cube's axes,
-//! * [`targets`] — four concrete processor models: a TMS320C25-like DSP
-//!   core, a dual-bank parallel-move DSP, a homogeneous RISC core and a
-//!   parametric ASIP generator.
+//!   valid-by-construction target families spanning the cube's axes, and
+//!   the parametric ASIP presets,
+//! * [`targets`] — three concrete processor models: a TMS320C25-like DSP
+//!   core, a dual-bank parallel-move DSP and a homogeneous RISC core.
 
 pub mod code;
 pub mod cube;

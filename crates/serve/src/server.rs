@@ -98,20 +98,24 @@ impl Default for ServerConfig {
 }
 
 /// Resolves a target name from the shared `recordc`/`recordd`
-/// vocabulary: `tic25`, `dsp56k`, `risc<N>`, `asip-dsp`, `asip-min`,
-/// `asip-default`.
+/// vocabulary: `tic25`, `dsp56k`, `risc<N>`, and the processor-cube ASIP
+/// presets `asip-dsp`, `asip-min` and `asip-default`
+/// ([`CubeParams::asip_dsp`](record_isa::cube::CubeParams::asip_dsp) and
+/// its siblings).
 ///
 /// # Errors
 ///
 /// A human-readable message naming the unknown target.
 pub fn resolve_target(name: &str) -> Result<TargetDesc, String> {
-    use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+    use record_isa::cube::CubeParams;
+    use record_isa::targets::{dsp56k, simple_risc, tic25};
+    let asip = |params: CubeParams| params.build().map_err(|e| e.to_string());
     match name {
         "tic25" => Ok(tic25::target()),
         "dsp56k" => Ok(dsp56k::target()),
-        "asip-dsp" => Ok(asip::build(&asip::AsipParams::dsp())),
-        "asip-min" => Ok(asip::build(&asip::AsipParams::minimal())),
-        "asip-default" => Ok(asip::build(&asip::AsipParams::default())),
+        "asip-dsp" => asip(CubeParams::asip_dsp()),
+        "asip-min" => asip(CubeParams::asip_minimal()),
+        "asip-default" => asip(CubeParams::asip_default()),
         other => {
             if let Some(n) = other.strip_prefix("risc") {
                 let n: u16 = n.parse().map_err(|_| format!("bad register count in `{other}`"))?;

@@ -29,7 +29,8 @@
 //!   targets under O0, O2 and the `recordd` plan; this is
 //!   `tests/golden/dspstone_asm.txt`, which CI regenerates and diffs
 //! * `--backend-asm PATH` — the listings of the backend paths the
-//!   DSPStone listings leave unpinned (`asip-dsp`, `asip-min`, `risc4`,
+//!   DSPStone listings leave unpinned (the ASIP presets `asip-dsp` and
+//!   `asip-min`, listed under their processor-cube names, `risc4`,
 //!   seeded cube points, dsp56k with bundle scheduling); this is
 //!   `tests/golden/backend_asm.txt`, which CI regenerates and diffs
 //! * `--fingerprints PATH` — the fingerprint of every DSPStone kernel and
@@ -37,8 +38,9 @@
 //!   `tests/golden/program_fingerprints.txt`, which CI regenerates and
 //!   diffs
 //! * `--corpus-words PATH` — the code words of every DSPStone kernel and
-//!   generated program under O2 on tic25, dsp56k, asip-dsp, risc4 and
-//!   cube seed 2, with a total per target; this is
+//!   generated program under O2 on tic25, dsp56k, asip-dsp (under its
+//!   processor-cube name), risc4 and cube seed 2, with a total per
+//!   target; this is
 //!   `tests/golden/corpus_words.txt`, which CI regenerates and diffs
 //! * `--frontend-outcomes PATH` — what the frontend makes of the first
 //!   1000 frontend fuzz cases at seed 0xC0DE (a lowered program's

@@ -43,7 +43,7 @@ fn demo(target: &TargetDesc) -> Result<(), Box<dyn std::error::Error>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     demo(&record_isa::targets::tic25::target())?;
-    demo(&record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp()))?;
+    demo(&record_isa::cube::CubeParams::asip_dsp().build()?)?;
     // even a compiler generated from a netlist can test its own processor
     let netlist = record_ise::demo::acc_machine_netlist();
     let (compiler, _) = record::Compiler::from_netlist("accgen", &netlist, &Default::default())?;

@@ -30,7 +30,6 @@ use std::process::ExitCode;
 
 use record::{baseline, Compiler, PassPlan};
 use record_ir::{dfl, lower, Symbol};
-use record_isa::TargetDesc;
 use record_sim::run_program;
 
 struct Args {
@@ -111,27 +110,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-fn resolve_target(name: &str) -> Result<TargetDesc, String> {
-    use record_isa::targets::*;
-    match name {
-        "tic25" => Ok(tic25::target()),
-        "dsp56k" => Ok(dsp56k::target()),
-        "asip-dsp" => Ok(asip::build(&asip::AsipParams::dsp())),
-        "asip-min" => Ok(asip::build(&asip::AsipParams::minimal())),
-        "asip-default" => Ok(asip::build(&asip::AsipParams::default())),
-        other => {
-            if let Some(n) = other.strip_prefix("risc") {
-                let n: u16 = n.parse().map_err(|_| format!("bad register count in `{other}`"))?;
-                if n == 0 {
-                    return Err("risc needs at least one register".into());
-                }
-                return Ok(simple_risc::target(n));
-            }
-            Err(format!("unknown target `{other}`\n{}", usage()))
-        }
-    }
-}
-
 fn real_main() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv)?;
@@ -161,7 +139,11 @@ fn real_main() -> Result<(), String> {
             );
             compiler
         }
-        None => Compiler::for_target(resolve_target(&args.target)?).map_err(|e| e.to_string())?,
+        None => {
+            let target = record_serve::resolve_target(&args.target)
+                .map_err(|e| format!("{e}\n{}", usage()))?;
+            Compiler::for_target(target).map_err(|e| e.to_string())?
+        }
     };
     let target = compiler.target().clone();
 

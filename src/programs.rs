@@ -87,11 +87,12 @@ pub fn corpus() -> Vec<(String, String)> {
 
 /// The targets [`render_corpus_words`] compiles the corpus for.
 pub fn corpus_word_targets() -> Vec<record_isa::TargetDesc> {
-    use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+    use record_isa::cube::CubeParams;
+    use record_isa::targets::{dsp56k, simple_risc, tic25};
     vec![
         tic25::target(),
         dsp56k::target(),
-        asip::build(&asip::AsipParams::dsp()),
+        CubeParams::asip_dsp().build().expect("the ASIP presets are valid"),
         simple_risc::target(4),
         record_isa::cube::target_from_seed(2),
     ]

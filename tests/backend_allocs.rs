@@ -230,24 +230,26 @@ fn a_default_session_allocates_no_more_than_one_with_the_default_plan() {
 }
 
 /// What ten warm `Session::new()` compiles, one per DSPStone kernel,
-/// allocate on tic25 and dsp56k: 88.5 and 98.2 per kernel in a debug
+/// allocate on tic25 and dsp56k: 83.5 and 93.2 per kernel in a debug
 /// build, where the default plan is strict (rustc 1.95); a release build
 /// makes what [`SESSION_ALLOCATIONS_WARM_NON_STRICT`] pins. They made
-/// 1027 and 1124 while the lexer filled a token vector and the parser
+/// 885 and 982 while `layout` built a layout that `offset` then built
+/// again, 1027 and 1124 while the lexer filled a token vector and the parser
 /// boxed every operator, 1037 and 1134 while each probe decode allocated
 /// its loop stack, 1037 and 1311 while a block with shares was emitted
 /// twice, 2018 and 2292 (201.8 and 229.2 per kernel) while the frontend
 /// built boxed trees that the compile copied and re-interned, and 2963
 /// and 3398 while the `select` pass built its emitter anew for every
 /// compile and the session copied its plan.
-const SESSION_ALLOCATIONS_WARM: [u64; 2] = [885, 982];
+const SESSION_ALLOCATIONS_WARM: [u64; 2] = [835, 932];
 
 /// What the same compiles allocate under a non-strict plan, as in a
-/// release build: 86.3 and 96.0 per kernel (rustc 1.95). They made 1005
-/// and 1102 while the lexer filled a token vector and the parser boxed
-/// every operator, and 1015 and 1112 while selection probed every
+/// release build: 81.3 and 91.0 per kernel (rustc 1.95). They made 863
+/// and 960 while `layout` built a layout that `offset` then built again,
+/// 1005 and 1102 while the lexer filled a token vector and the parser
+/// boxed every operator, and 1015 and 1112 while selection probed every
 /// statement in every plan.
-const SESSION_ALLOCATIONS_WARM_NON_STRICT: [u64; 2] = [863, 960];
+const SESSION_ALLOCATIONS_WARM_NON_STRICT: [u64; 2] = [813, 910];
 
 #[test]
 fn a_warm_default_session_allocates_at_most_the_pinned_count() {

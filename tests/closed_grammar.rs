@@ -39,11 +39,12 @@ fn statements(pool: &mut TreePool, items: &[LirItem], out: &mut Vec<AssignStmt>)
 
 #[test]
 fn the_closed_grammar_never_loses_to_the_commuted_stream() {
-    use record_isa::targets::{asip, dsp56k, tic25};
+    use record_isa::cube::CubeParams;
+    use record_isa::targets::{dsp56k, tic25};
     let targets: [TargetDesc; 4] = [
         tic25::target(),
         dsp56k::target(),
-        asip::build(&asip::AsipParams::dsp()),
+        CubeParams::asip_dsp().build().unwrap(),
         record_isa::cube::target_from_seed(2),
     ];
     let commute = RuleSet { commutativity: true, ..RuleSet::none() };

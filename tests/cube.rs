@@ -17,7 +17,6 @@ use std::path::Path;
 
 use record::Compiler;
 use record_isa::cube::CubeParams;
-use record_isa::targets::asip::AsipParams;
 use record_repro::fuzz;
 
 #[test]
@@ -34,17 +33,22 @@ fn every_seeded_cube_point_is_valid_and_builds() {
     }
 }
 
+/// Every name `recordc` and `recordd` accept resolves to a target that
+/// validates and builds a compiler; the three `asip-*` names are the
+/// processor-cube ASIP presets.
 #[test]
 fn asip_presets_embed_into_the_cube() {
-    for (name, p) in [
-        ("default", AsipParams::default()),
-        ("minimal", AsipParams::minimal()),
-        ("dsp", AsipParams::dsp()),
+    for name in ["tic25", "dsp56k", "risc4", "risc8", "asip-dsp", "asip-min", "asip-default"] {
+        let target = record_serve::resolve_target(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+        target.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(Compiler::for_target(target).is_ok(), "{name}");
+    }
+    for (name, preset) in [
+        ("asip-dsp", CubeParams::asip_dsp()),
+        ("asip-min", CubeParams::asip_minimal()),
+        ("asip-default", CubeParams::asip_default()),
     ] {
-        let cube = CubeParams::from_asip(&p);
-        assert_eq!(cube.validate(), Ok(()), "asip preset {name}");
-        let target = cube.build().unwrap_or_else(|e| panic!("asip preset {name}: {e}"));
-        assert!(Compiler::for_target(target).is_ok(), "asip preset {name}");
+        assert!(record_serve::resolve_target(name) == Ok(preset.build().unwrap()), "{name}");
     }
 }
 

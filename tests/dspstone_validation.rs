@@ -231,8 +231,7 @@ fn kernels_compile_on_the_risc_model() {
 
 #[test]
 fn kernels_compile_on_the_dsp_asip() {
-    let params = record_isa::targets::asip::AsipParams::dsp();
-    let target = record_isa::targets::asip::build(&params);
+    let target = record_isa::cube::CubeParams::asip_dsp().build().unwrap();
     let compiler = Compiler::for_target(target.clone()).unwrap();
     for kernel in record_dspstone::kernels() {
         let lir = lower::lower(&dfl::parse(kernel.source).unwrap()).unwrap();

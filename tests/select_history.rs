@@ -7,7 +7,8 @@ use std::thread;
 
 use record::select::{SelectStats, MAX_RETAINED_NODES};
 use record::{Budgets, Compiler, PassPlan};
-use record_isa::targets::{asip, dsp56k, tic25};
+use record_isa::cube::CubeParams;
+use record_isa::targets::{dsp56k, tic25};
 use record_isa::Code;
 
 /// What a compile shows of its selection, or its error text.
@@ -85,9 +86,9 @@ fn a_threads_compile_history_never_shows_in_its_output() {
     let compilers: Vec<Compiler> = [
         tic25::target(),
         dsp56k::target(),
-        asip::build(&asip::AsipParams::dsp()),
+        CubeParams::asip_dsp().build().unwrap(),
         record_isa::cube::target_from_seed(35),
-        asip::build(&asip::AsipParams::minimal()),
+        CubeParams::asip_minimal().build().unwrap(),
     ]
     .into_iter()
     .map(|t| Compiler::for_target(t).unwrap())

@@ -5,7 +5,7 @@
 //! uncovered rule lists are pinned here, so a change to how probe trees
 //! are matched cannot quietly move a rule from one list to the other.
 
-use record_isa::targets::asip;
+use record_isa::cube::CubeParams;
 use record_isa::TargetDesc;
 
 /// The seed every pinned list was generated with.
@@ -27,7 +27,7 @@ fn pinned() -> Vec<(TargetDesc, Vec<u32>, Vec<u32>)> {
             vec![5, 6, 10, 11, 12, 13, 16, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 30],
             vec![3, 4, 7, 8, 9, 14, 15, 17, 18],
         ),
-        (asip::build(&asip::AsipParams::dsp()), (3..=26).filter(|&r| r != 5).collect(), vec![5]),
+        (CubeParams::asip_dsp().build().unwrap(), (3..=26).filter(|&r| r != 5).collect(), vec![5]),
         (record_isa::cube::target_from_seed(35), (3..=26).filter(|&r| r != 5).collect(), vec![5]),
     ]
 }

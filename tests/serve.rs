@@ -68,6 +68,18 @@ fn hostile_request_lines_map_to_documented_codes() {
     // must surface as a frontend error, not a panic
     let utf8_boundary =
         "{\"id\":\"\\u202Eevil\\u0000\",\"program\":\"\\uFFFD\\uFEFFpro\\u0000gram\\u2028x;\"}";
+    // over the caps on expression height and loop nesting, each of which
+    // would otherwise overflow a worker's stack in the compile and abort
+    // the process
+    let long_sum = format!(
+        "{{\"program\":\"program p; var x, y: fix; begin y := {}; end\"}}",
+        vec!["x"; 3_000].join(" + ")
+    );
+    let deep_loops = format!(
+        "{{\"program\":\"program p; var y: fix; begin {}y := 1; {}end\"}}",
+        "for i in 0..1 loop ".repeat(4_000),
+        "end loop; ".repeat(4_000)
+    );
     let cases: &[(&str, &str)] = &[
         ("", codes::BAD_REQUEST),
         ("   ", codes::BAD_REQUEST),
@@ -93,6 +105,8 @@ fn hostile_request_lines_map_to_documented_codes() {
         ),
         ("{\"program\":\"garbage that is not DFL\"}", codes::FRONTEND),
         (utf8_boundary, codes::FRONTEND),
+        (&long_sum, codes::FRONTEND),
+        (&deep_loops, codes::FRONTEND),
         ("{\"op\":\"ping\"}", "pong"),
     ];
     let svc = service();

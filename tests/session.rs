@@ -179,7 +179,7 @@ fn threads_sharing_cold_tables_compile_as_one_thread_does() {
     };
     let targets = [
         record_isa::targets::dsp56k::target(),
-        record_isa::targets::asip::build(&record_isa::targets::asip::AsipParams::dsp()),
+        record_isa::cube::CubeParams::asip_dsp().build().unwrap(),
         record_isa::cube::target_from_seed(35),
     ];
     for target in targets {

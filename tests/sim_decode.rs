@@ -559,11 +559,12 @@ fn random_inputs(code: &Code, rng: &mut record_prop::Rng) -> Vec<(Symbol, Vec<i6
 }
 
 fn targets() -> Vec<TargetDesc> {
-    use record_isa::targets::{asip, dsp56k, simple_risc, tic25};
+    use record_isa::cube::CubeParams;
+    use record_isa::targets::{dsp56k, simple_risc, tic25};
     let mut out = vec![
         tic25::target(),
         dsp56k::target(),
-        asip::build(&asip::AsipParams::dsp()),
+        CubeParams::asip_dsp().build().unwrap(),
         simple_risc::target(4),
     ];
     out.extend((1..=12).map(record_isa::cube::target_from_seed));
